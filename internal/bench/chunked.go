@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -273,7 +272,7 @@ func ChunkedComparisonReport(w io.Writer, p *device.Platform, sc Scale) (*Chunke
 		return nil, err
 	}
 	// row measures one configuration: compress, decompress, verify, and —
-	// when withAllocs — the steady-state allocation profile (measureAllocs
+	// when withAllocs — the steady-state allocation profile (device.MeasureAllocs
 	// re-warms the scratch pools and holds the GC off so the measurement
 	// reflects the recycled hot path, not pool-refill timing accidents).
 	// Timing is best-of-two: scheduler and GC noise is one-sided, and a
@@ -317,7 +316,7 @@ func ChunkedComparisonReport(w io.Writer, p *device.Platform, sc Scale) (*Chunke
 			Ratio:   metrics.CompressionRatio(inBytes, len(blob)),
 		}
 		if withAllocs {
-			r.AllocsPerOp, r.BytesPerOp = measureAllocs(func() {
+			r.AllocsPerOp, r.BytesPerOp = device.MeasureAllocs(func() {
 				if _, err := compress(); err != nil {
 					panic(err)
 				}
@@ -428,36 +427,4 @@ func CompareScaling(baseline, new *ChunkedReport, tolerance float64) error {
 		}
 	}
 	return nil
-}
-
-// measureAllocs returns the steady-state heap allocation delta (count,
-// bytes) of one fn run. The GC is disabled for the measurement: a
-// collection landing mid-run empties the scratch-slab sync.Pools, and the
-// slab refills then masquerade as steady-state allocation — the historical
-// chunked-w4 27 MB/op outlier (vs ~18.6 MB for w1/w2/w8) was exactly this
-// measurement artifact, not a pool-return miss (gets and puts balance on
-// every worker path). fn runs once un-measured to re-warm the pools after
-// the initial forced collection, then once measured.
-// Scheduling still varies the op's concurrent slab footprint at higher
-// worker counts (a run whose stages happen to overlap more checks out more
-// slabs than the warm-up left pooled), so the minimum over a few measured
-// runs is reported: it is the reproducible steady-state cost.
-func measureAllocs(fn func()) (allocs, bytes uint64) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-	fn() // re-warm: the collection above emptied one pool generation
-	var before, after runtime.MemStats
-	for i := 0; i < 3; i++ {
-		runtime.ReadMemStats(&before)
-		fn()
-		runtime.ReadMemStats(&after)
-		a, b := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-		if i == 0 || a < allocs {
-			allocs = a
-		}
-		if i == 0 || b < bytes {
-			bytes = b
-		}
-	}
-	return allocs, bytes
 }

@@ -99,10 +99,10 @@ func StreamComparisonReport(w io.Writer, p *device.Platform, sc Scale) (*Chunked
 			}
 		}
 
-		// Steady-state allocation; measureAllocs re-warms the pools and
+		// Steady-state allocation; device.MeasureAllocs re-warms the pools and
 		// holds the GC off during the measured run, exactly as the
 		// chunked rows do.
-		allocs, bytesOp := measureAllocs(func() {
+		allocs, bytesOp := device.MeasureAllocs(func() {
 			if _, err := pl.CompressStream(p, bytes.NewReader(raw), dims, eb, io.Discard, opts); err != nil {
 				panic(err)
 			}

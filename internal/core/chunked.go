@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"fzmod/internal/device"
 	"fzmod/internal/fzio"
@@ -11,26 +12,27 @@ import (
 	"fzmod/internal/stf"
 )
 
-// The chunked graph partitions the field into independent slabs along its
-// slowest-varying dimension and declares one compression sub-graph per
-// slab. On the default (non-secondary) path the sub-graphs are joined by
-// a layout task that computes the output container's chunk table from the
-// chunks' exact serialized sizes, and per-chunk serialize tasks then
-// scatter-write their containers (sealing the table CRCs) directly into
-// the final output buffer — no staging blob, no gather copy. Pipelines
-// with a secondary encoder keep the gather assembly (chunk sizes are
-// unknown until the secondary pass runs). The STF scheduler executes the
-// graph over per-place work-stealing worker pools, so chunk concurrency
-// is a property of the engine, not of this builder.
+// This file is the in-memory write lowering — the one graph every
+// Compress* entry point builds. The field is partitioned into independent
+// slabs along its slowest-varying dimension, each slab gets one compression
+// sub-graph (exec.go), and the sub-graphs are joined by a layout task that
+// computes the output container's layout from the chunks' exact serialized
+// sizes; per-chunk tail tasks then scatter-write their containers (sealing
+// the table CRCs) directly into the final output buffer — no gather copy.
+// Secondary-encoded chunks take the same tail: their size is only known
+// once the secondary pass has run, so that pass simply precedes the layout.
+// A field that fits one slab is the same graph at n=1 and emits the bare
+// FZMD container instead of a one-entry FZMC table. The STF scheduler
+// executes the graph over per-place work-stealing worker pools, so chunk
+// concurrency is a property of the engine, not of this builder.
 // Decompression mirrors this shape (see exec.go): every chunk decodes
 // through its own sub-graph, so the read path is fully parallel.
 //
 // The error bound is resolved once against the whole field (a relative
-// bound normalizes by the global value range, exactly as the monolithic
-// path does) and applied to every chunk as an absolute bound, so chunked
-// and monolithic compression enforce the identical tolerance and each
-// chunk's reconstruction is bit-exact with the monolithic pipeline run on
-// that slab.
+// bound normalizes by the global value range) and applied to every chunk
+// as an absolute bound, so every slab count enforces the identical
+// tolerance and each chunk's reconstruction is bit-exact with the pipeline
+// run on that slab alone.
 
 const (
 	// DefaultChunkElems is the target chunk granularity, in elements
@@ -57,6 +59,9 @@ func planesFor(dims grid.Dims, chunkElems int) int {
 	return planes
 }
 
+// chunkPrefix names chunk i's tasks and tokens within a graph.
+func chunkPrefix(i int) string { return "c" + strconv.Itoa(i) + "." }
+
 // CompressChunked compresses the field through the chunked task graph.
 // Fields that fit in a single chunk lower to the monolithic one-chunk
 // graph (producing a monolithic container); Decompress handles both.
@@ -81,129 +86,82 @@ func (pl *Pipeline) CompressChunkedReport(p *device.Platform, data []float32, di
 }
 
 // CompressChunkedReportCtx is CompressChunkedCtx returning the executor
-// report.
+// report. It is the single write lowering: validate → resolve the bound →
+// budget → one sub-graph per slab → layout → scatter-write into the sink.
 func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound, opts ChunkOpts) ([]byte, *ExecReport, error) {
 	if dims.N() != len(data) {
 		return nil, nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
-	}
-	planes := planesFor(dims, opts.ChunkElems)
-	slabs := grid.SplitSlabs(dims, planes)
-	if len(slabs) < 2 {
-		return pl.CompressMonolithicReportCtx(gctx, p, data, dims, eb)
 	}
 	absEB, _, err := preprocess.Resolve(p, pl.PredPlace, data, eb)
 	if err != nil {
 		return nil, nil, err
 	}
-	relEB := 0.0
-	if eb.Mode == preprocess.Rel {
-		relEB = eb.Value
-	}
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = p.Workers(pl.PredPlace)
-	}
-	if workers > len(slabs) {
-		workers = len(slabs)
-	}
-	// The worker budget caps the whole operation: chunk-level scheduler
-	// width and, through the narrowed platform view, the kernel width of
-	// every launch. Chunk workers are therefore shared-nothing — each runs
-	// its chunk's stages inline on one core when the budget equals the
-	// chunk-level width.
-	exec := p.WithWorkers(workers)
-	ctx := stf.NewCtxN(exec, workers).Bind(gctx)
-
 	hdr := fzio.ChunkedHeader{
 		Pipeline: pl.PipelineName,
 		Dims:     dims,
 		EB:       absEB,
-		RelEB:    relEB,
-		Planes:   planes,
+		Planes:   planesFor(dims, opts.ChunkElems),
 	}
-	perPlanes := make([]int, len(slabs))
-	for i, sl := range slabs {
-		perPlanes[i] = sl.Planes
+	if eb.Mode == preprocess.Rel {
+		hdr.RelEB = eb.Value
 	}
+	slabs := grid.SplitSlabs(dims, hdr.Planes)
+	// The relative bound is recorded once, in the outermost header: the
+	// FZMC table's for a multi-slab field, the container's own at one slab.
+	chunkRelEB := 0.0
+	if len(slabs) == 1 {
+		chunkRelEB = hdr.RelEB
+	}
+	ctx := newCtx(gctx, p, pl.PredPlace, opts.Workers, len(slabs))
 
 	// One sub-graph per slab; each chunk is compressed under the globally
-	// resolved absolute bound, so per-chunk inner containers are
-	// byte-identical to a monolithic run on that slab.
+	// resolved absolute bound, so per-chunk containers are byte-identical
+	// to a one-slab run on that slab.
 	jobs := make([]*compressJob, len(slabs))
-
-	if pl.Sec != nil {
-		// Secondary-encoded chunks have unknown final sizes until the
-		// secondary pass runs, so they keep the gather assembly: serialize
-		// (→ secondary) per chunk, then one task concatenates the blobs.
-		blobRefs := make([]stf.DataRef, len(slabs))
-		for i, sl := range slabs {
-			chunk := data[sl.Lo : sl.Lo+sl.Dims.N()]
-			jobs[i] = pl.addCompressTasks(ctx, fmt.Sprintf("c%d.", i), chunk, sl.Dims, absEB, 0, false)
-			blobRefs[i] = jobs[i].blobTok
-		}
-		var out []byte
-		ctx.Task("assemble").On(device.Host).Reads(blobRefs...).
-			Do(func(ti *stf.TaskInstance) error {
-				blobs := make([][]byte, len(slabs))
-				for i := range slabs {
-					blobs[i] = jobs[i].blob
-				}
-				assembled, err := fzio.MarshalChunked(hdr, blobs, perPlanes)
-				if err != nil {
-					return err
-				}
-				out = assembled
-				return nil
-			})
-		err = ctx.Finalize()
-		report := execReport(ctx)
-		ctx.Release()
-		if err != nil {
-			sweepJobs(p.ScratchPool(), jobs)
-			return nil, report, err
-		}
-		return out, report, nil
+	for i, sl := range slabs {
+		chunk := data[sl.Lo : sl.Lo+sl.Dims.N()]
+		jobs[i] = pl.addCompressTasks(ctx, chunkPrefix(i), chunk, sl.Dims, absEB, chunkRelEB)
 	}
 
 	// Zero-copy scatter assembly: every chunk's exact serialized size is
-	// known once its encode finishes (the container layout is arithmetic
-	// over the stage outputs), so the layout task computes the chunked
-	// container's offset table up front and each chunk's serialize task
-	// writes its container — and seals its table CRC — directly into its
-	// disjoint window of the final output buffer. The serial gather task
-	// and its whole-container staging copy are gone.
-	encRefs := make([]stf.DataRef, len(slabs))
-	for i, sl := range slabs {
-		chunk := data[sl.Lo : sl.Lo+sl.Dims.N()]
-		jobs[i] = pl.addPredictEncodeTasks(ctx, fmt.Sprintf("c%d.", i), chunk, sl.Dims, absEB)
-		encRefs[i] = jobs[i].encTok
-	}
-	var asm *fzio.ChunkedAssembly
-	layoutTok := stf.NewToken(ctx, "layout")
-	ctx.Task("layout").On(device.Host).Reads(encRefs...).Writes(layoutTok.D()).
-		Do(func(ti *stf.TaskInstance) error {
-			sizes := make([]int, len(slabs))
-			for i, sl := range slabs {
-				inner, err := pl.buildInner(sl.Dims, absEB, 0, jobs[i].pred, jobs[i].payload)
-				if err != nil {
-					return err
-				}
-				jobs[i].inner = inner
-				sizes[i] = inner.MarshaledSize()
-			}
-			a, err := fzio.NewChunkedAssembly(hdr, sizes, perPlanes)
-			if err != nil {
-				return err
-			}
-			asm = a
-			return nil
-		})
-	for i := range slabs {
-		i := i
-		ctx.Task(fmt.Sprintf("c%d.serialize", i)).On(device.Host).Reads(layoutTok.D()).
+	// known once its sub-graph finishes, so the layout task fixes the
+	// output's chunk table up front and each chunk's tail task writes its
+	// container — and seals its table CRC — directly into its disjoint
+	// window of the final buffer. One slab has nothing to lay out: its tail
+	// follows the sub-graph directly and its window is the whole output,
+	// the bare FZMD container.
+	var (
+		out []byte
+		asm *fzio.ChunkedAssembly
+	)
+	ready := jobs[0].tok
+	if len(jobs) > 1 {
+		sized := make([]stf.DataRef, len(jobs))
+		for i, job := range jobs {
+			sized[i] = job.tok
+		}
+		layoutTok := stf.NewToken(ctx, "layout")
+		ctx.Task("layout").On(device.Host).Reads(sized...).Writes(layoutTok.D()).
 			Do(func(ti *stf.TaskInstance) error {
-				if _, err := jobs[i].inner.MarshalInto(asm.ChunkSlice(i)); err != nil {
+				sizes, perPlanes := make([]int, len(jobs)), make([]int, len(jobs))
+				for i, job := range jobs {
+					sizes[i], perPlanes[i] = job.size(), slabs[i].Planes
+				}
+				a, err := fzio.NewChunkedAssembly(hdr, sizes, perPlanes)
+				asm = a
+				return err
+			})
+		ready = layoutTok.D()
+	}
+	for i := range jobs {
+		i := i
+		ctx.Task(chunkPrefix(i) + "serialize").On(device.Host).Reads(ready).
+			Do(func(ti *stf.TaskInstance) error {
+				if asm == nil {
+					out = make([]byte, jobs[i].size())
+					return jobs[i].writeInto(out)
+				}
+				if err := jobs[i].writeInto(asm.ChunkSlice(i)); err != nil {
 					return err
 				}
 				asm.SealChunk(i)
@@ -211,20 +169,13 @@ func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Pla
 			})
 	}
 
-	err = ctx.Finalize()
-	report := execReport(ctx)
-	ctx.Release()
+	report, err := finish(ctx)
 	if err != nil {
 		sweepJobs(p.ScratchPool(), jobs)
 		return nil, report, err
 	}
-	return asm.Bytes(), report, nil
-}
-
-// DecompressChunked reconstructs a field from a chunked container through
-// the per-chunk decode graph. Each chunk payload is a self-describing
-// monolithic container, so any registered module set can decode it.
-func DecompressChunked(p *device.Platform, blob []byte) ([]float32, grid.Dims, error) {
-	vals, dims, _, err := decompressChunkedReport(context.Background(), p, blob, 0)
-	return vals, dims, err
+	if asm != nil {
+		out = asm.Bytes()
+	}
+	return out, report, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"fzmod/internal/device"
@@ -151,23 +150,6 @@ func TestChunkedWithSecondary(t *testing.T) {
 	}
 }
 
-func TestChunkedRejectsNestedContainers(t *testing.T) {
-	data, dims := chunkField()
-	inner, err := NewDefault().CompressChunked(tp, data, dims, preprocess.RelBound(1e-3), ChunkOpts{ChunkElems: dims.PlaneElems() * 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outer, err := fzio.MarshalChunked(fzio.ChunkedHeader{
-		Pipeline: "fzmod-default", Dims: grid.D1(1), Planes: 1,
-	}, [][]byte{inner}, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Decompress(tp, outer); err == nil || !strings.Contains(err.Error(), "nested") {
-		t.Errorf("nested chunked container should be rejected, got %v", err)
-	}
-}
-
 func TestChunkedCorruptChunkSurfacesError(t *testing.T) {
 	data, dims := chunkField()
 	blob, err := NewDefault().CompressChunked(tp, data, dims, preprocess.RelBound(1e-3), ChunkOpts{ChunkElems: dims.PlaneElems() * 8})
@@ -205,51 +187,5 @@ func TestCompressAutoChunksLargeInputs(t *testing.T) {
 	absEB, _, _ := preprocess.Resolve(tp, device.Accel, data, preprocess.RelBound(1e-2))
 	if i := metrics.VerifyBound(data, got, absEB); i != -1 {
 		t.Errorf("bound violated at %d", i)
-	}
-}
-
-func TestCompressSTFChunked(t *testing.T) {
-	data, dims := chunkField()
-	eb := preprocess.RelBound(1e-4)
-	absEB, _, err := preprocess.Resolve(tp, device.Accel, data, eb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, report, err := CompressSTFChunked(tp, data, dims, absEB, dims.PlaneElems()*8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fzio.IsChunked(blob) {
-		t.Fatal("expected chunked container")
-	}
-	nChunks := dims.SlowExtent() / 8
-	if want := 4 * nChunks; len(report.Trace) != want {
-		t.Errorf("trace has %d tasks, want %d (4 per chunk)", len(report.Trace), want)
-	}
-	got, gotDims, err := Decompress(tp, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotDims != dims {
-		t.Fatalf("dims %v, want %v", gotDims, dims)
-	}
-	if i := metrics.VerifyBound(data, got, absEB); i != -1 {
-		t.Errorf("bound violated at %d", i)
-	}
-	// The STF graph and the stream-pool executor must reconstruct the
-	// identical field (containers differ only by the STF path's explicit
-	// outlier-index side channel).
-	poolBlob, err := NewDefault().CompressChunked(tp, data, dims, preprocess.AbsBound(absEB), ChunkOpts{ChunkElems: dims.PlaneElems() * 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := Decompress(tp, poolBlob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("value %d: STF chunked reconstruction differs from stream-pool executor", i)
-		}
 	}
 }

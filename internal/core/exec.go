@@ -12,12 +12,27 @@ import (
 
 // This file is the framework's single execution engine: every public
 // compress/decompress entry point lowers its pipeline to an STF task graph
-// — per-chunk predict → encode → serialize (→ secondary) sub-graphs joined
-// by an assembly task on the write path, fetch → decode → reconstruct
-// sub-graphs scattering into the output field on the read path — and the
-// stf scheduler executes it over per-place work-stealing worker pools with
-// pooled scratch buffers. There is no other executor: the monolithic path
-// is simply a one-chunk graph.
+// built from the two per-chunk sub-graph builders below, and the stf
+// scheduler executes it over per-place work-stealing worker pools with
+// pooled scratch buffers.
+//
+// Write side: predict → encode per block (addPredictEncodeTasks), then
+// stage (→ secondary) where the sink needs the block's bytes staged
+// (addStageTasks). The in-memory lowering (chunked.go) joins the blocks
+// with a layout task and scatter-writes them into the FZMD or FZMC output;
+// the streaming lowering (stream.go) flushes each staged block as an FZMS
+// frame.
+//
+// Read side: addDecompressTasks is the only place a chunk payload is
+// parsed, secondary-unwrapped, decoded, dims-checked and reconstructed.
+// Full decompress, region reads, salvage and stream decode each plan their
+// chunk list, hand every chunk to the builder with a fetch closure that
+// returns integrity-checked bytes, and finalize — so a hostile payload
+// meets the same checks whichever door it comes through. There is no
+// other executor: a monolithic (FZMD) container is simply a one-chunk
+// graph.
+//
+// Every operation runs under one parallelism budget, resolved by newCtx.
 
 // ExecReport carries the execution evidence of one lowered pipeline run:
 // the task trace (for checking stage overlap), the inferred DAG in
@@ -60,26 +75,75 @@ func execReport(ctx *stf.Ctx) *ExecReport {
 	}
 }
 
+// finish drains the graph, snapshots its report and retires the context's
+// workers.
+func finish(ctx *stf.Ctx) (*ExecReport, error) {
+	err := ctx.Finalize()
+	report := execReport(ctx)
+	ctx.Release()
+	return report, err
+}
+
+// newCtx opens the STF context of one operation under its parallelism
+// budget — the one rule compress, decompress, region read, salvage and the
+// streaming entry points share. The budget is workers (Opts.Workers), or the
+// platform's width at place when that is 0. It caps the kernel width of
+// every launch through a narrowed platform view (ctx.Platform()), and the
+// chunk-level scheduler width at min(budget, chunks), chunks being the
+// sub-graphs in flight at once: wider pools would only park idle workers,
+// since each sub-graph is a chain. Output bytes never depend on the budget.
+func newCtx(gctx context.Context, p *device.Platform, place device.Place, workers, chunks int) *stf.Ctx {
+	if workers <= 0 {
+		workers = p.Workers(place)
+	}
+	return stf.NewCtxN(p.WithWorkers(workers), min(workers, chunks)).Bind(gctx)
+}
+
 // compressJob carries one chunk's dynamically sized intermediates through
 // its task chain. Logical tokens express the dependencies; the payloads
 // travel through the job because module outputs (code streams, container
 // bytes) have sizes unknown at graph-build time — the pattern CUDASTF
 // handles with oversized logical buffers.
 type compressJob struct {
-	pred    *Prediction
-	payload []byte
-	inner   *fzio.Container // built once encode finishes; sized, not copied
-	blob    []byte
-	encTok  stf.DataRef
-	blobTok stf.DataRef
+	pred  *Prediction
+	inner *fzio.Container // built once encode finishes; sized, not copied
+	// blob is the chunk's staged serialized form, set only when the
+	// sub-graph includes addStageTasks.
+	blob []byte
+	// tok is written by the last task declared for the job so far; a
+	// consumer reading it runs once the job's size (and blob, if staged)
+	// is final.
+	tok stf.DataRef
 	// codesSlab is the pooled quantization-code buffer when the pipeline's
 	// predictor supports PredictInto; the encode task returns it to the
 	// pool once the code stream has been consumed.
 	codesSlab *device.Slab[uint16]
-	// blobSlab backs blob when the serialize task draws it from the pool
-	// (the streaming path, which recycles each chunk's container bytes
-	// after the frame is flushed).
+	// blobSlab backs the stage task's output: recycled by the secondary
+	// task once the inner blob is wrapped, or by the streaming path after
+	// the frame is flushed.
 	blobSlab *device.Slab[byte]
+}
+
+// size and writeInto are the view the scatter-assembly tail has of a
+// finished job, whichever way its bytes were produced: a staged job
+// (secondary-encoded — its size is unknown until that pass has run) copies
+// its blob, an unstaged one serializes its container straight into the
+// destination window with no intermediate copy. size is exact; dst must be
+// size() bytes.
+func (job *compressJob) size() int {
+	if job.blob != nil {
+		return len(job.blob)
+	}
+	return job.inner.MarshaledSize()
+}
+
+func (job *compressJob) writeInto(dst []byte) error {
+	if job.blob != nil {
+		copy(dst, job.blob)
+		return nil
+	}
+	_, err := job.inner.MarshalInto(dst)
+	return err
 }
 
 // releaseSlabs hands back any pooled slab the sub-graph still holds. The
@@ -111,17 +175,19 @@ func sweepJobs(bp *device.BufPool, jobs []*compressJob) {
 	}
 }
 
-// addPredictEncodeTasks declares the first half of one block's compression
-// sub-graph: predict+quantize at the pipeline's predictor place and
-// primary encoding at the encoder place. Task and token names are prefixed
-// so the sub-graphs of several chunks coexist in one context; chunks share
-// no logical data, so the scheduler is free to overlap them.
-func (pl *Pipeline) addPredictEncodeTasks(ctx *stf.Ctx, prefix string, data []float32, dims grid.Dims, absEB float64) *compressJob {
+// addPredictEncodeTasks declares one block's compression sub-graph up to
+// the point its container is sized: predict+quantize at the pipeline's
+// predictor place and primary encoding at the encoder place, which also
+// assembles the (unserialized) container view over the stage outputs. Task
+// and token names are prefixed so the sub-graphs of several chunks coexist
+// in one context; chunks share no logical data, so the scheduler is free
+// to overlap them.
+func (pl *Pipeline) addPredictEncodeTasks(ctx *stf.Ctx, prefix string, data []float32, dims grid.Dims, absEB, relEB float64) *compressJob {
 	p := ctx.Platform()
 	job := &compressJob{}
 	predTok := stf.NewToken(ctx, prefix+"pred")
 	encTok := stf.NewToken(ctx, prefix+"enc")
-	job.encTok = encTok.D()
+	job.tok = encTok.D()
 
 	ctx.Task(prefix + "predict").On(pl.PredPlace).Writes(predTok.D()).
 		Do(func(ti *stf.TaskInstance) error {
@@ -161,67 +227,58 @@ func (pl *Pipeline) addPredictEncodeTasks(ctx *stf.Ctx, prefix string, data []fl
 			if err != nil {
 				return fmt.Errorf("core: %s encode: %w", pl.Enc.Name(), err)
 			}
-			job.payload = payload
-			return nil
+			job.inner, err = pl.buildInner(dims, absEB, relEB, job.pred, payload)
+			return err
 		})
 	return job
 }
 
-// addSerializeTasks appends the gather-serialize tail to a block's
-// sub-graph: container serialization on the host into an exact-size buffer
-// (pooled when pooledBlob is set — the streaming path returns the slab
-// once the frame is flushed), and — when the pipeline carries a secondary
-// encoder — the secondary pass rewriting the serialized blob.
-func (pl *Pipeline) addSerializeTasks(ctx *stf.Ctx, prefix string, job *compressJob, dims grid.Dims, absEB, relEB float64, pooledBlob bool) {
+// addStageTasks stages the block's bytes in the graph: container
+// serialization on the host into an exact-size pooled buffer, and — when
+// the pipeline carries a secondary encoder — the secondary pass rewriting
+// the serialized blob.
+func (pl *Pipeline) addStageTasks(ctx *stf.Ctx, prefix string, job *compressJob) {
 	p := ctx.Platform()
 	blobTok := stf.NewToken(ctx, prefix+"blob")
-	job.blobTok = blobTok.D()
 
-	ctx.Task(prefix + "serialize").On(device.Host).Reads(job.encTok).Writes(blobTok.D()).
+	ctx.Task(prefix + "stage").On(device.Host).Reads(job.tok).Writes(blobTok.D()).
 		Do(func(ti *stf.TaskInstance) error {
-			inner, err := pl.buildInner(dims, absEB, relEB, job.pred, job.payload)
+			job.blobSlab = ti.Shard().GetBytes(job.inner.MarshaledSize(), false)
+			n, err := job.inner.MarshalInto(job.blobSlab.Data)
 			if err != nil {
 				return err
 			}
-			size := inner.MarshaledSize()
-			var buf []byte
-			if pooledBlob {
-				job.blobSlab = ti.Shard().GetBytes(size, false)
-				buf = job.blobSlab.Data
-			} else {
-				buf = make([]byte, size)
-			}
-			n, err := inner.MarshalInto(buf)
-			if err != nil {
-				return err
-			}
-			job.blob = buf[:n]
+			job.blob = job.blobSlab.Data[:n]
 			return nil
 		})
+	job.tok = blobTok.D()
 
 	if pl.Sec != nil {
 		ctx.Task(prefix + "secondary").On(pl.EncPlace).ReadsWrites(blobTok.D()).
 			Do(func(ti *stf.TaskInstance) error {
-				blob, err := pl.wrapSecondary(p, ti.Place(), job.blob, dims, absEB, relEB)
+				blob, err := pl.wrapSecondary(p, ti.Place(), job.blob, job.inner.Header)
 				if err != nil {
 					return err
 				}
 				// The inner blob is dead once wrapped; recycle its slab.
-				if job.blobSlab != nil {
-					ti.Shard().PutBytes(job.blobSlab)
-					job.blobSlab = nil
-				}
+				ti.Shard().PutBytes(job.blobSlab)
+				job.blobSlab = nil
 				job.blob = blob
 				return nil
 			})
 	}
 }
 
-// addCompressTasks declares the full gather-path compression sub-graph for
-// one block: predict → encode → serialize (→ secondary).
-func (pl *Pipeline) addCompressTasks(ctx *stf.Ctx, prefix string, data []float32, dims grid.Dims, absEB, relEB float64, pooledBlob bool) *compressJob {
-	job := pl.addPredictEncodeTasks(ctx, prefix, data, dims, absEB)
-	pl.addSerializeTasks(ctx, prefix, job, dims, absEB, relEB, pooledBlob)
+// addCompressTasks declares one block's sub-graph up to the point its final
+// serialized size is known, for the in-memory sinks: predict → encode, plus
+// stage → secondary for pipelines with a secondary encoder, whose
+// output size only exists once that pass has run. Consumers read job.tok
+// and see the block through size/writeInto.
+func (pl *Pipeline) addCompressTasks(ctx *stf.Ctx, prefix string, data []float32, dims grid.Dims, absEB, relEB float64) *compressJob {
+	job := pl.addPredictEncodeTasks(ctx, prefix, data, dims, absEB, relEB)
+	if pl.Sec != nil {
+		pl.addStageTasks(ctx, prefix, job)
+	}
 	return job
 }
 
@@ -231,10 +288,8 @@ type decompressJob struct {
 	c    *fzio.Container
 	pr   Predictor
 	pred *Prediction
-	dims grid.Dims
-	eb   float64
 	vals []float32
-	// dst, when set, is the destination slice reconstruction writes into
+	// dst, when set, is the destination slice reconstruction writes into —
 	// directly for predictors supporting ReconstructInto (the chunked path
 	// points it at the chunk's window of the assembled output field).
 	dst []float32
@@ -256,147 +311,145 @@ func (job *decompressJob) decode(p *device.Platform) error {
 	if err != nil {
 		return fmt.Errorf("core: %s decode: %w", enc.Name(), err)
 	}
-	dims := job.c.Header.Dims
-	if len(codes) != dims.N() {
+	if dims := job.c.Header.Dims; len(codes) != dims.N() {
 		return fmt.Errorf("core: %d codes for dims %v", len(codes), dims)
 	}
 	job.pr = pr
 	job.pred = containerPrediction(job.c, codes)
-	job.dims = dims
-	job.eb = job.c.Header.EB
 	return nil
 }
 
-// reconstruct inverts the prediction stage, writing straight into job.dst
-// when it is set and the predictor supports in-place reconstruction.
+// reconstruct inverts the prediction stage; with job.dst set the values
+// land there, in place when the predictor supports it.
 func (job *decompressJob) reconstruct(p *device.Platform) error {
-	if job.dst != nil && len(job.dst) == job.dims.N() {
-		if ri, ok := job.pr.(ReconstructorInto); ok {
-			if err := ri.ReconstructInto(p, device.Accel, job.pred, job.dims, job.eb, job.dst); err != nil {
-				return fmt.Errorf("core: %s reconstruct: %w", job.pr.Name(), err)
-			}
-			job.vals = job.dst
-			return nil
+	dims, eb := job.c.Header.Dims, job.c.Header.EB
+	if ri, ok := job.pr.(ReconstructorInto); ok && job.dst != nil {
+		if err := ri.ReconstructInto(p, device.Accel, job.pred, dims, eb, job.dst); err != nil {
+			return fmt.Errorf("core: %s reconstruct: %w", job.pr.Name(), err)
 		}
+		job.vals = job.dst
+		return nil
 	}
-	vals, err := job.pr.Reconstruct(p, device.Accel, job.pred, job.dims, job.eb)
+	vals, err := job.pr.Reconstruct(p, device.Accel, job.pred, dims, eb)
 	if err != nil {
 		return fmt.Errorf("core: %s reconstruct: %w", job.pr.Name(), err)
+	}
+	if job.dst != nil {
+		copy(job.dst, vals)
+		vals = job.dst
 	}
 	job.vals = vals
 	return nil
 }
 
-// decompressMonolithicReport lowers a monolithic container onto the graph
-// secondary-decode (when present) → decode → reconstruct, bounded by gctx.
-func decompressMonolithicReport(gctx context.Context, p *device.Platform, blob []byte) ([]float32, grid.Dims, *ExecReport, error) {
-	c, err := fzio.Unmarshal(blob)
-	if err != nil {
-		return nil, grid.Dims{}, nil, err
-	}
-	ctx := stf.NewCtx(p).Bind(gctx)
-	job := &decompressJob{c: c}
-	innerTok := stf.NewToken(ctx, "container")
-	codesTok := stf.NewToken(ctx, "codes")
+// addDecompressTasks declares one chunk's read sub-graph, fetch → decode →
+// reconstruct, and is the single place a chunk payload is parsed and
+// decoded — every read path lowers onto it, so they enforce the same
+// checks. chunk is the payload's index in its container (for errors) and
+// want the geometry the container's chunk table assigns it.
+//
+// fetch runs in the Host-place task (it may block on I/O) and returns the
+// payload bytes with the container-level integrity checks — chunk CRC,
+// Merkle proof — already applied; a nil payload with a nil error means the
+// chunk was served some other way, and the sub-graph skips straight to
+// after. The payload must be a plain FZMD container (a nested FZMC or FZMS
+// would recurse without bound), optionally secondary-wrapped, recording
+// exactly want. The values are reconstructed into dst (len want.N()) when
+// it is non-nil, else into a fresh slice; after, when non-nil, then runs
+// with them (nil for a skipped chunk) inside the reconstruct task.
+func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, dst []float32,
+	fetch func() ([]byte, error), after func(vals []float32) error) {
+	p := ctx.Platform()
+	job := &decompressJob{dst: dst}
+	fetchTok := stf.NewToken(ctx, prefix+"container")
+	codesTok := stf.NewToken(ctx, prefix+"codes")
 
-	if c.Has(segSec) {
-		ctx.Task("secondary-decode").On(device.Host).Writes(innerTok.D()).
-			Do(func(ti *stf.TaskInstance) error {
-				inner, err := unwrapSecondary(p, job.c)
-				if err != nil {
-					return err
+	ctx.Task(prefix + "fetch").On(device.Host).Writes(fetchTok.D()).
+		Do(func(ti *stf.TaskInstance) error {
+			payload, err := fetch()
+			if err != nil || payload == nil {
+				return err
+			}
+			if fzio.IsChunked(payload) || fzio.IsStream(payload) {
+				return fmt.Errorf("core: chunk %d: nested container", chunk)
+			}
+			c, err := fzio.Unmarshal(payload)
+			if err != nil {
+				return fmt.Errorf("core: parsing chunk %d: %w", chunk, err)
+			}
+			if c.Has(segSec) {
+				if c, err = unwrapSecondary(p, c); err != nil {
+					return fmt.Errorf("core: chunk %d: %w", chunk, err)
 				}
-				job.c = inner
+			}
+			if c.Header.Dims != want {
+				return fmt.Errorf("core: chunk %d dims %v, want %v", chunk, c.Header.Dims, want)
+			}
+			job.c = c
+			return nil
+		})
+	ctx.Task(prefix + "decode").On(device.Accel).Reads(fetchTok.D()).Writes(codesTok.D()).
+		Do(func(ti *stf.TaskInstance) error {
+			if job.c == nil {
 				return nil
-			})
-	}
-	ctx.Task("decode").On(device.Accel).Reads(innerTok.D()).Writes(codesTok.D()).
-		Do(func(ti *stf.TaskInstance) error { return job.decode(p) })
-	ctx.Task("reconstruct").On(device.Accel).Reads(codesTok.D()).
-		Do(func(ti *stf.TaskInstance) error { return job.reconstruct(p) })
-
-	err = ctx.Finalize()
-	report := execReport(ctx)
-	ctx.Release()
-	if err != nil {
-		return nil, grid.Dims{}, report, err
-	}
-	return job.vals, job.dims, report, nil
-}
-
-// decompressChunkedReport lowers a chunked container onto per-chunk
-// fetch → decode → reconstruct sub-graphs that scatter into one output
-// field; the chunks share no logical data, so they decode fully in
-// parallel across the context's worker pools. workers is the chunk-level
-// scheduler width (0 selects the platform width); the caller narrows the
-// platform itself when the budget should also cap kernel widths.
-func decompressChunkedReport(gctx context.Context, p *device.Platform, blob []byte, workers int) ([]float32, grid.Dims, *ExecReport, error) {
-	cc, err := fzio.UnmarshalChunked(blob)
-	if err != nil {
-		return nil, grid.Dims{}, nil, err
-	}
-	dims := cc.Header.Dims
-	out := make([]float32, dims.N())
-	plane := dims.PlaneElems()
-
-	if workers <= 0 {
-		workers = p.Workers(device.Accel)
-	}
-	if workers > cc.NumChunks() {
-		workers = cc.NumChunks()
-	}
-	ctx := stf.NewCtxN(p, workers).Bind(gctx)
-	nextLo := 0
-	for i := range cc.Chunks {
-		i, lo := i, nextLo
-		nextLo += cc.Chunks[i].Planes * plane
-		want := dims.WithSlowExtent(cc.Chunks[i].Planes)
-		prefix := fmt.Sprintf("c%d.", i)
-		job := &decompressJob{dst: out[lo : lo+want.N()]}
-		fetchTok := stf.NewToken(ctx, prefix+"container")
-		codesTok := stf.NewToken(ctx, prefix+"codes")
-
-		ctx.Task(prefix + "fetch").On(device.Host).Writes(fetchTok.D()).
-			Do(func(ti *stf.TaskInstance) error {
-				cb, err := cc.Chunk(i)
-				if err != nil {
-					return err
-				}
-				if fzio.IsChunked(cb) {
-					return fmt.Errorf("core: chunk %d: nested chunked container", i)
-				}
-				c, err := fzio.Unmarshal(cb)
-				if err != nil {
-					return err
-				}
-				if c.Has(segSec) {
-					if c, err = unwrapSecondary(p, c); err != nil {
-						return err
-					}
-				}
-				job.c = c
-				return nil
-			})
-		ctx.Task(prefix + "decode").On(device.Accel).Reads(fetchTok.D()).Writes(codesTok.D()).
-			Do(func(ti *stf.TaskInstance) error { return job.decode(p) })
-		ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok.D()).
-			Do(func(ti *stf.TaskInstance) error {
-				if job.dims != want {
-					return fmt.Errorf("core: chunk %d dims %v, want %v", i, job.dims, want)
-				}
+			}
+			return job.decode(p)
+		})
+	ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok.D()).
+		Do(func(ti *stf.TaskInstance) error {
+			if job.c != nil {
 				if err := job.reconstruct(p); err != nil {
 					return err
 				}
-				if &job.vals[0] != &out[lo] {
-					copy(out[lo:lo+len(job.vals)], job.vals)
-				}
+			}
+			if after == nil {
 				return nil
-			})
-	}
+			}
+			return after(job.vals)
+		})
+}
 
-	err = ctx.Finalize()
-	report := execReport(ctx)
-	ctx.Release()
+// decompressReport lowers a whole-container decode onto one read sub-graph
+// per chunk, each reconstructing into its window of the output field; the
+// chunks share no logical data, so they decode fully in parallel. An FZMD
+// blob is a one-entry chunk list covering every plane (its integrity is
+// the per-segment CRCs the builder's parse verifies); an FZMC blob's
+// entries come from its chunk table, each payload CRC-checked as it is
+// fetched.
+func decompressReport(gctx context.Context, p *device.Platform, blob []byte, workers int) ([]float32, grid.Dims, *ExecReport, error) {
+	var (
+		dims   grid.Dims
+		planes []int
+		fetch  func(i int) ([]byte, error)
+	)
+	if fzio.IsChunked(blob) {
+		cc, err := fzio.UnmarshalChunked(blob)
+		if err != nil {
+			return nil, grid.Dims{}, nil, err
+		}
+		dims, fetch = cc.Header.Dims, cc.Chunk
+		for _, ref := range cc.Chunks {
+			planes = append(planes, ref.Planes)
+		}
+	} else {
+		hdr, err := fzio.ParseMonolithicHeader(blob)
+		if err != nil {
+			return nil, grid.Dims{}, nil, err
+		}
+		dims, planes = hdr.Dims, []int{hdr.Dims.SlowExtent()}
+		fetch = func(int) ([]byte, error) { return blob, nil }
+	}
+	out := make([]float32, dims.N())
+	ctx := newCtx(gctx, p, device.Accel, workers, len(planes))
+	lo := 0
+	for i, k := range planes {
+		i := i
+		want := dims.WithSlowExtent(k)
+		addDecompressTasks(ctx, chunkPrefix(i), i, want, out[lo:lo+want.N()],
+			func() ([]byte, error) { return fetch(i) }, nil)
+		lo += want.N()
+	}
+	report, err := finish(ctx)
 	if err != nil {
 		return nil, grid.Dims{}, report, err
 	}

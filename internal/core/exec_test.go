@@ -46,14 +46,15 @@ func TestExecReportShape(t *testing.T) {
 		t.Errorf("decompress report.Tasks = %d, want %d (3 per chunk)", decReport.Tasks, want)
 	}
 
-	// The secondary pass adds one task per chunk.
+	// Secondary-encoded chunks stage their bytes ahead of the same layout →
+	// scatter tail: stage and secondary, two more tasks per chunk.
 	_, secReport, err := NewDefault().WithSecondary(LZSecondary{}).
 		CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 4*nChunks + 1; secReport.Tasks != want {
-		t.Errorf("secondary report.Tasks = %d, want %d", secReport.Tasks, want)
+	if want := 5*nChunks + 1; secReport.Tasks != want {
+		t.Errorf("secondary report.Tasks = %d, want %d (5 per chunk + layout)", secReport.Tasks, want)
 	}
 }
 

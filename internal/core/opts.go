@@ -1,9 +1,5 @@
 package core
 
-import (
-	"fzmod/internal/device"
-)
-
 // Opts is the one options surface every facade entry point shares. The
 // four historical names — ChunkOpts, StreamOpts, DecompressOpts,
 // RegionOpts — are aliases of this struct, so existing call sites keep
@@ -15,14 +11,15 @@ import (
 //
 // The zero value is always valid and selects that operation's defaults.
 type Opts struct {
-	// Workers is the operation's total parallelism budget: it bounds the
-	// chunk-level scheduler width at each place AND the kernel width of
-	// every launch the operation performs (the scheduler runs the graph
-	// over a narrowed platform view sharing the machine's pools). Workers
-	// = 1 therefore runs strictly serially. 0 selects each entry point's
-	// default — the platform's worker width for chunked compress,
-	// decompress and region reads; one worker per in-flight window slab
-	// (capped at the platform width) for the streaming entry points.
+	// Workers is the operation's total parallelism budget, resolved the
+	// same way by every entry point (newCtx): the budget is Workers, or the
+	// platform's worker width when Workers is 0. It caps the kernel width of
+	// every launch the operation performs (the scheduler runs the graph over
+	// a narrowed platform view sharing the machine's pools) AND the
+	// chunk-level scheduler width at each place, which is min(budget,
+	// chunks in flight) — the chunk count for in-memory operations, the
+	// window for the streaming ones. Workers = 1 therefore runs strictly
+	// serially. Output bytes never depend on it.
 	Workers int
 
 	// ChunkElems is the target elements per chunk for the chunked and
@@ -64,7 +61,7 @@ type ChunkOpts = Opts
 // StreamOpts configures the streaming entry points; it is an alias of the
 // unified Opts (ChunkElems, Window and Workers are read; the zero value
 // selects DefaultChunkElems-sized chunks, a DefaultStreamWindow window,
-// and scheduler pools as wide as the window).
+// and a parallelism budget as wide as the platform's worker count).
 type StreamOpts = Opts
 
 // DecompressOpts configures the decompression executor; it is an alias of
@@ -85,21 +82,6 @@ func (o Opts) window(n int) int {
 	}
 	if w > n {
 		w = n
-	}
-	return w
-}
-
-// workers resolves the streaming scheduler width for a window.
-func (o Opts) workers(p *device.Platform, place device.Place, window int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = window
-	}
-	if pw := p.Workers(place); w > pw {
-		w = pw
-	}
-	if w < 1 {
-		w = 1
 	}
 	return w
 }

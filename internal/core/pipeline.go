@@ -10,7 +10,6 @@ import (
 	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
 	"fzmod/internal/preprocess"
-	"fzmod/internal/stf"
 )
 
 // Pipeline composes registered modules into a compressor, the framework's
@@ -50,9 +49,9 @@ const (
 )
 
 // Compress implements Compressor. Fields of at least AutoChunkElems
-// elements are routed through the chunked graph (several sub-graphs joined
-// by an assembly task, see chunked.go); smaller fields lower to a
-// single-chunk graph.
+// elements are cut into DefaultChunkElems-sized chunks (an FZMC container);
+// smaller fields go through the same lowering (chunked.go) as a single
+// chunk (an FZMD container).
 func (pl *Pipeline) Compress(p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound) ([]byte, error) {
 	return pl.CompressCtx(context.Background(), p, data, dims, eb)
 }
@@ -69,9 +68,9 @@ func (pl *Pipeline) CompressCtx(gctx context.Context, p *device.Platform, data [
 	return blob, err
 }
 
-// CompressMonolithic compresses the whole field as one block — a
-// single-chunk task graph — producing a monolithic container. It is the
-// explicit opt-out from auto-chunking.
+// CompressMonolithic compresses the whole field as one block — the write
+// lowering's single-chunk graph — producing a monolithic container. It is
+// the explicit opt-out from auto-chunking.
 func (pl *Pipeline) CompressMonolithic(p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound) ([]byte, error) {
 	blob, _, err := pl.CompressMonolithicReportCtx(context.Background(), p, data, dims, eb)
 	return blob, err
@@ -84,29 +83,10 @@ func (pl *Pipeline) CompressMonolithicReport(p *device.Platform, data []float32,
 }
 
 // CompressMonolithicReportCtx is CompressMonolithicReport bounded by
-// gctx, with the cancellation semantics of CompressCtx.
+// gctx, with the cancellation semantics of CompressCtx: the write lowering
+// at a chunk size of the whole field.
 func (pl *Pipeline) CompressMonolithicReportCtx(gctx context.Context, p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound) ([]byte, *ExecReport, error) {
-	if dims.N() != len(data) {
-		return nil, nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
-	}
-	absEB, _, err := preprocess.Resolve(p, pl.PredPlace, data, eb)
-	if err != nil {
-		return nil, nil, err
-	}
-	relEB := 0.0
-	if eb.Mode == preprocess.Rel {
-		relEB = eb.Value
-	}
-	ctx := stf.NewCtx(p).Bind(gctx)
-	job := pl.addCompressTasks(ctx, "", data, dims, absEB, relEB, false)
-	err = ctx.Finalize()
-	report := execReport(ctx)
-	ctx.Release()
-	if err != nil {
-		job.releaseSlabs(p.ScratchPool())
-		return nil, report, err
-	}
-	return job.blob, report, nil
+	return pl.CompressChunkedReportCtx(gctx, p, data, dims, eb, ChunkOpts{ChunkElems: len(data)})
 }
 
 // buildInner assembles one block's stages into the monolithic fzio
@@ -139,13 +119,13 @@ func (pl *Pipeline) buildInner(dims grid.Dims, absEB, relEB float64, pred *Predi
 }
 
 // wrapSecondary applies the secondary encoder over a serialized inner
-// container and wraps the result in the outer container layout.
-func (pl *Pipeline) wrapSecondary(p *device.Platform, place device.Place, blob []byte, dims grid.Dims, absEB, relEB float64) ([]byte, error) {
+// container (header h) and wraps the result in the outer container layout.
+func (pl *Pipeline) wrapSecondary(p *device.Platform, place device.Place, blob []byte, h fzio.Header) ([]byte, error) {
 	z, err := pl.Sec.Compress(p, place, blob)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s secondary: %w", pl.Sec.Name(), err)
 	}
-	outer := fzio.New(fzio.Header{Pipeline: pl.PipelineName, Dims: dims, EB: absEB, RelEB: relEB})
+	outer := fzio.New(fzio.Header{Pipeline: h.Pipeline, Dims: h.Dims, EB: h.EB, RelEB: h.RelEB})
 	if err := outer.Add(segSec, []byte(pl.Sec.Name())); err != nil {
 		return nil, err
 	}
@@ -189,10 +169,9 @@ func DecompressWithOptsCtx(gctx context.Context, p *device.Platform, blob []byte
 	return vals, dims, err
 }
 
-// DecompressReport is Decompress returning the executor report: chunked
-// containers lower to per-chunk fetch → decode → reconstruct sub-graphs,
-// monolithic containers to a single chain with the secondary-decode task
-// inserted when the container carries a secondary layer.
+// DecompressReport is Decompress returning the executor report: every
+// container lowers to per-chunk fetch → decode → reconstruct sub-graphs, a
+// monolithic container being a single chunk.
 func DecompressReport(p *device.Platform, blob []byte) ([]float32, grid.Dims, *ExecReport, error) {
 	return DecompressReportWithOpts(p, blob, DecompressOpts{})
 }
@@ -206,13 +185,7 @@ func DecompressReportWithOpts(p *device.Platform, blob []byte, opts DecompressOp
 // DecompressReportWithOptsCtx is DecompressReportWithOpts bounded by
 // gctx.
 func DecompressReportWithOptsCtx(gctx context.Context, p *device.Platform, blob []byte, opts DecompressOpts) ([]float32, grid.Dims, *ExecReport, error) {
-	if opts.Workers > 0 {
-		p = p.WithWorkers(opts.Workers)
-	}
-	if fzio.IsChunked(blob) {
-		return decompressChunkedReport(gctx, p, blob, opts.Workers)
-	}
-	return decompressMonolithicReport(gctx, p, blob)
+	return decompressReport(gctx, p, blob, opts.Workers)
 }
 
 // unwrapSecondary decodes a container's secondary layer and parses the

@@ -1,0 +1,177 @@
+package core
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"fzmod/internal/device"
+	"fzmod/internal/fzio"
+	"fzmod/internal/grid"
+	"fzmod/internal/preprocess"
+)
+
+// readDoor is one public read entry point reduced to "artifact bytes in,
+// whole field out", with the container flavors it accepts (D = FZMD,
+// C = FZMC, S = FZMS).
+type readDoor struct {
+	name    string
+	flavors string
+	read    func(blob []byte) ([]float32, error)
+}
+
+// readDoors lists every way a whole artifact can be decoded. All of them
+// lower each chunk onto addDecompressTasks, which is what the parity test
+// below holds them to.
+func readDoors(t *testing.T) []readDoor {
+	return []readDoor{
+		{"Decompress", "DC", func(blob []byte) ([]float32, error) {
+			vals, _, err := Decompress(tp, blob)
+			return vals, err
+		}},
+		{"Region.Read", "DCS", func(blob []byte) ([]float32, error) {
+			r, err := OpenRegion(tp, fzio.NewBytesFetcher(blob), RegionOpts{VerifyProofs: true})
+			if err != nil {
+				return nil, err
+			}
+			return r.Read(FullRegion(r.Dims()))
+		}},
+		{"DecompressSalvage", "DCS", func(blob []byte) ([]float32, error) {
+			vals, mask, err := DecompressSalvage(tp, fzio.NewBytesFetcher(blob), DecompressOpts{})
+			if err == nil && mask.Any() {
+				t.Errorf("salvage masked %d planes of an undamaged artifact", mask.DamagedPlanes())
+			}
+			return vals, err
+		}},
+		{"DecompressStream", "S", func(blob []byte) ([]float32, error) {
+			var out bytes.Buffer
+			if _, err := DecompressStream(tp, bytes.NewReader(blob), &out, StreamOpts{Window: 2}); err != nil {
+				return nil, err
+			}
+			return device.BytesF32(out.Bytes()), nil
+		}},
+	}
+}
+
+// streamContainer frames chunk payloads as an FZMS artifact, sealing frame
+// CRCs, leaf hashes and the trailer over whatever bytes it is given.
+func streamContainer(t *testing.T, hdr fzio.ChunkedHeader, payloads [][]byte, planes []int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sw, err := fzio.NewStreamWriter(&buf, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range payloads {
+		if err := sw.WriteChunk(b, planes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadPathsParity holds the four read entry points to one behaviour.
+// Every flavor × ±lz artifact decodes bit-identically through every door
+// that accepts it, and a chunk payload no honest writer produces — a nested
+// FZMC, a nested FZMS, a container of the wrong geometry — re-sealed under
+// valid CRCs, leaf hashes and Merkle root so that it reaches the chunk
+// decoder, is refused with an error naming the chunk, never a panic,
+// whichever door it comes through.
+func TestReadPathsParity(t *testing.T) {
+	data, dims := chunkField()
+	absEB, _, err := preprocess.Resolve(tp, device.Accel, data, preprocess.RelBound(1e-4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb := preprocess.AbsBound(absEB)
+	opts := ChunkOpts{ChunkElems: dims.PlaneElems() * 8}
+	doors := readDoors(t)
+
+	for _, pl := range []*Pipeline{NewDefault(), NewDefault().WithSecondary(LZSecondary{})} {
+		fzmd, err := pl.CompressMonolithic(tp, data, dims, eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fzmc, err := pl.CompressChunked(tp, data, dims, eb, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sbuf bytes.Buffer
+		if _, err := pl.CompressStream(tp, bytes.NewReader(device.F32Bytes(data)), dims, eb, &sbuf, opts); err != nil {
+			t.Fatal(err)
+		}
+		artifacts := map[byte][]byte{'D': fzmd, 'C': fzmc, 'S': sbuf.Bytes()}
+
+		for flavor, blob := range artifacts {
+			var ref []float32
+			var refDoor string
+			for _, door := range doors {
+				if !strings.ContainsRune(door.flavors, rune(flavor)) {
+					continue
+				}
+				got, err := door.read(blob)
+				if err != nil {
+					t.Fatalf("%s %c via %s: %v", pl.Name(), flavor, door.name, err)
+				}
+				if ref == nil {
+					ref, refDoor = got, door.name
+					continue
+				}
+				if len(got) != len(ref) {
+					t.Fatalf("%s %c: %s decoded %d values, %s %d", pl.Name(), flavor, door.name, len(got), refDoor, len(ref))
+				}
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("%s %c: %s and %s diverge at value %d", pl.Name(), flavor, door.name, refDoor, i)
+					}
+				}
+			}
+		}
+
+		// Hostile payloads, swapped in for chunk 1 of the chunked artifact.
+		cc, err := fzio.UnmarshalChunked(fzmc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planes := chunkPlanes(cc)
+		slab := dims.WithSlowExtent(planes[1])
+		turned := grid.D3(slab.Y, slab.X, slab.Z) // same element count, wrong shape
+		wrongDims, err := pl.CompressMonolithic(tp, data[:turned.N()], turned, eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hostile := range []struct {
+			name, want string
+			payload    []byte
+		}{
+			{"nested FZMC", "nested container", fzmc},
+			{"nested FZMS", "nested container", sbuf.Bytes()},
+			{"wrong dims", "dims", wrongDims},
+		} {
+			payloads := chunkPayloads(t, cc)
+			payloads[1] = hostile.payload
+			resealedC, err := fzio.MarshalChunked(cc.Header, payloads, planes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resealed := map[byte][]byte{'C': resealedC, 'S': streamContainer(t, cc.Header, payloads, planes)}
+			for flavor, blob := range resealed {
+				for _, door := range doors {
+					if !strings.ContainsRune(door.flavors, rune(flavor)) {
+						continue
+					}
+					_, err := door.read(blob)
+					if err == nil {
+						t.Errorf("%s %c via %s: %s chunk payload decoded", pl.Name(), flavor, door.name, hostile.name)
+					} else if !strings.Contains(err.Error(), "chunk 1") || !strings.Contains(err.Error(), hostile.want) {
+						t.Errorf("%s %c via %s: %s chunk payload: error %q does not name chunk 1 and %q",
+							pl.Name(), flavor, door.name, hostile.name, err, hostile.want)
+					}
+				}
+			}
+		}
+	}
+}

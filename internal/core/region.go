@@ -10,14 +10,13 @@ import (
 	"fzmod/internal/fzio"
 	"fzmod/internal/fzio/cache"
 	"fzmod/internal/grid"
-	"fzmod/internal/stf"
 )
 
 // This file is the random-access read path: instead of decoding a whole
 // container, a region read plans against the container's chunk index
 // (fzio.FetchIndex), fetches and decodes only the slab chunks a requested
-// subvolume intersects — as per-chunk fetch → decode → reconstruct STF
-// sub-graphs on the same work-stealing executor as full decompression —
+// subvolume intersects — through the same per-chunk read sub-graph builder
+// (exec.go) and work-stealing executor as full decompression —
 // and assembles the caller-sized output by copying each slab's overlap
 // window, handling the halo where a selection crosses slab boundaries.
 // Decoded slabs can be kept in a shared size-bounded LRU (SlabCache), so
@@ -126,23 +125,37 @@ func NewSlabCache(budgetBytes int64) *SlabCache {
 	}
 }
 
-// join enters the single-flight protocol for key. Exactly one of the
-// returns is meaningful: a non-nil slab (the key landed in the cache
-// since the read planned — no work at all), a flight to wait on
-// (leader=false), or a freshly-registered flight the caller now leads
-// (leader=true) and must complete with finish.
-func (c *SlabCache) join(key slabKey) (slab []float32, fl *slabFlight, leader bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v, ok := c.lru.Peek(key); ok {
-		return v, nil, false
+// await enters the single-flight protocol for key and blocks until it
+// resolves. Exactly one of the returns is meaningful: a slab (the key
+// landed in the cache since the read planned, or another reader's flight
+// delivered it — no work at all), a freshly-registered flight the caller
+// now leads and must complete with finish, or ctx's error.
+func (c *SlabCache) await(ctx context.Context, key slabKey) ([]float32, *slabFlight, error) {
+	for {
+		c.mu.Lock()
+		if v, ok := c.lru.Peek(key); ok {
+			c.mu.Unlock()
+			return v, nil, nil
+		}
+		fl, ok := c.flights[key]
+		if !ok {
+			fl = &slabFlight{done: make(chan struct{})}
+			c.flights[key] = fl
+			c.mu.Unlock()
+			return nil, fl, nil
+		}
+		c.mu.Unlock()
+		select {
+		case <-fl.done:
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+		if fl.err == nil {
+			return fl.slab, nil, nil
+		}
+		// The leader failed; loop to claim the flight and decode it
+		// ourselves.
 	}
-	if fl, ok := c.flights[key]; ok {
-		return nil, fl, false
-	}
-	fl = &slabFlight{done: make(chan struct{})}
-	c.flights[key] = fl
-	return nil, fl, true
 }
 
 // finish completes a flight: on success the slab is admitted to the LRU
@@ -374,151 +387,76 @@ type attemptFetcher interface {
 	ReadRangeAttempts(off int64, n int) ([]byte, int, error)
 }
 
-// missState carries one miss's single-flight position across its three
-// tasks: the flight it leads (nil when the chunk is decoded privately or
-// served by someone else's flight) and the slab another flight delivered
-// (non-nil skips the decode entirely).
-type missState struct {
-	job    *decompressJob
-	flight *slabFlight
-	shared []float32
-}
-
-// decodeMisses runs the fetch → decode → reconstruct sub-graphs for the
-// chunks not served from cache, scattering each slab's overlap window into
-// out and (when a cache is configured) admitting the decoded slab. With a
-// shared cache the misses are single-flight deduplicated: a chunk another
-// reader is already decoding is awaited (in the Host-place fetch task,
-// which blocks on I/O anyway) rather than fetched again, and a chunk this
-// read decodes is published to every waiter.
+// decodeMisses runs the read sub-graphs (exec.go) for the chunks not served
+// from cache, scattering each slab's overlap window into out and (when a
+// cache is configured) admitting the decoded slab. With a shared cache the
+// misses are single-flight deduplicated around the builder's fetch and
+// after hooks: a chunk another reader is already decoding is awaited (in
+// the Host-place fetch task, which blocks on I/O anyway) rather than
+// fetched again, and a chunk this read decodes is published to every
+// waiter.
 func (r *Region) decodeMisses(gctx context.Context, out []float32, sel RegionSel, misses []regionNeed, acct *fetchAccounting) (*ExecReport, error) {
 	dims := r.ix.Header.Dims
-	workers := r.opts.Workers
-	if workers <= 0 {
-		workers = r.p.Workers(device.Accel)
-	}
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	// The budget caps the whole operation: chunk-level width and, through
-	// the narrowed platform view, every kernel launch.
-	exec := r.p.WithWorkers(workers)
-	ctx := stf.NewCtxN(exec, workers).Bind(gctx)
-	states := make([]*missState, len(misses))
+	cache := r.opts.Cache
+	ctx := newCtx(gctx, r.p, device.Accel, r.opts.Workers, len(misses))
+	// flights[i] is the single-flight miss i leads, once its fetch task has
+	// claimed one (nil when the chunk is decoded privately or served by
+	// someone else's flight).
+	flights := make([]*slabFlight, len(misses))
 
 	for i, nd := range misses {
-		nd := nd
-		ref := r.ix.Chunks[nd.chunk]
-		want := dims.WithSlowExtent(nd.planes)
+		i, nd := i, nd
 		key := slabKey{r.ix.Key, nd.chunk}
+		want := dims.WithSlowExtent(nd.planes)
 		slab := make([]float32, want.N()) // plain alloc: may outlive the ctx in the cache
-		prefix := fmt.Sprintf("r%d.", nd.chunk)
-		ms := &missState{job: &decompressJob{dst: slab}}
-		states[i] = ms
-		fetchTok := stf.NewToken(ctx, prefix+"container")
-		codesTok := stf.NewToken(ctx, prefix+"codes")
+		var shared []float32              // the slab another flight delivered, if any
 
-		ctx.Task(prefix + "fetch").On(device.Host).Writes(fetchTok.D()).
-			Do(func(ti *stf.TaskInstance) error {
-				if r.opts.Cache != nil {
-					for {
-						cached, fl, leader := r.opts.Cache.join(key)
-						if cached != nil {
-							// Landed in the cache since this read planned.
-							ms.shared = cached
-							r.opts.Cache.dedup.Add(1)
-							acct.dedup.Add(1)
-							return nil
-						}
-						if leader {
-							ms.flight = fl
-							break
-						}
-						select {
-						case <-fl.done:
-						case <-ctx.Context().Done():
-							return ctx.Context().Err()
-						}
-						if fl.err == nil {
-							ms.shared = fl.slab
-							r.opts.Cache.dedup.Add(1)
-							acct.dedup.Add(1)
-							return nil
-						}
-						// The leader failed; loop to claim the flight and
-						// decode it ourselves.
-					}
+		fetch := func() ([]byte, error) {
+			if cache != nil {
+				var err error
+				if shared, flights[i], err = cache.await(ctx.Context(), key); err != nil {
+					return nil, err
 				}
-				payload, err := r.fetchChunk(nd.chunk, ref, acct)
-				if err != nil {
-					return err
+				if shared != nil {
+					cache.dedup.Add(1)
+					acct.dedup.Add(1)
+					return nil, nil
 				}
-				c, err := fzio.Unmarshal(payload)
-				if err != nil {
-					return fmt.Errorf("core: parsing chunk %d: %w", nd.chunk, err)
-				}
-				if c.Has(segSec) {
-					if c, err = unwrapSecondary(exec, c); err != nil {
-						return fmt.Errorf("core: chunk %d: %w", nd.chunk, err)
-					}
-				}
-				ms.job.c = c
-				return nil
-			})
-		ctx.Task(prefix + "decode").On(device.Accel).Reads(fetchTok.D()).Writes(codesTok.D()).
-			Do(func(ti *stf.TaskInstance) error {
-				if ms.shared != nil {
-					return nil
-				}
-				return ms.job.decode(exec)
-			})
-		ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok.D()).
-			Do(func(ti *stf.TaskInstance) error {
-				if ms.shared != nil {
-					copyWindow(out, sel, dims, ms.shared, nd.lo, nd.planes)
-					return nil
-				}
-				job := ms.job
-				if job.dims != want {
-					return fmt.Errorf("core: chunk %d dims %v, want %v", nd.chunk, job.dims, want)
-				}
-				if err := job.reconstruct(exec); err != nil {
-					return err
-				}
-				if &job.vals[0] != &slab[0] {
-					copy(slab, job.vals)
-				}
-				copyWindow(out, sel, dims, slab, nd.lo, nd.planes)
-				if r.opts.Cache != nil {
-					r.opts.Cache.finish(key, ms.flight, slab, nil)
-				}
-				return nil
-			})
+			}
+			return r.fetchChunk(nd.chunk, acct)
+		}
+		after := func(vals []float32) error {
+			if shared != nil {
+				vals = shared
+			} else if cache != nil {
+				cache.finish(key, flights[i], vals, nil)
+			}
+			copyWindow(out, sel, dims, vals, nd.lo, nd.planes)
+			return nil
+		}
+		addDecompressTasks(ctx, fmt.Sprintf("r%d.", nd.chunk), nd.chunk, want, slab, fetch, after)
 	}
 
-	err := ctx.Finalize()
+	report, err := finish(ctx)
 	// Flights this read still leads — its tasks failed, were canceled, or
 	// never dispatched — must complete with the graph's error, or waiters
 	// (and every future joiner) would hang on an abandoned flight.
-	if r.opts.Cache != nil {
-		for i := range misses {
-			if fl := states[i].flight; fl != nil {
-				ferr := err
-				if ferr == nil {
-					ferr = fmt.Errorf("core: chunk decode abandoned")
-				}
-				r.opts.Cache.finish(slabKey{r.ix.Key, misses[i].chunk}, fl, nil, ferr)
+	for i, fl := range flights {
+		if fl != nil {
+			ferr := err
+			if ferr == nil {
+				ferr = fmt.Errorf("core: chunk decode abandoned")
 			}
+			cache.finish(slabKey{r.ix.Key, misses[i].chunk}, fl, nil, ferr)
 		}
 	}
-	report := execReport(ctx)
-	ctx.Release()
 	return report, err
 }
 
 // fetchChunk fetches and verifies one chunk payload, recording attempt
 // and byte accounting.
-func (r *Region) fetchChunk(chunk int, ref fzio.ChunkRef, acct *fetchAccounting) ([]byte, error) {
+func (r *Region) fetchChunk(chunk int, acct *fetchAccounting) ([]byte, error) {
+	ref := r.ix.Chunks[chunk]
 	var payload []byte
 	var err error
 	if af, ok := r.f.(attemptFetcher); ok {
@@ -542,9 +480,6 @@ func (r *Region) fetchChunk(chunk int, ref fzio.ChunkRef, acct *fetchAccounting)
 			return nil, fmt.Errorf("core: fetching chunk %d: %w", chunk, err)
 		}
 		acct.proofVerified.Add(1)
-	}
-	if fzio.IsChunked(payload) || fzio.IsStream(payload) {
-		return nil, fmt.Errorf("core: chunk %d: nested chunked container", chunk)
 	}
 	return payload, nil
 }

@@ -7,7 +7,6 @@ import (
 	"fzmod/internal/device"
 	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
-	"fzmod/internal/stf"
 )
 
 // This file is the salvage read: where every normal decode path refuses a
@@ -77,19 +76,18 @@ func DecompressSalvageCtx(gctx context.Context, p *device.Platform, f fzio.Chunk
 	// can overrun the geometry — chunks past the extent are undecodable
 	// (no window exists for them) and stay masked.
 	type salvageNeed struct {
-		chunk   int
-		lo      int // first plane the chunk covers
-		payload []byte
-		planes  int
+		lo int // first plane the chunk covers
+		sc *fzio.SurveyChunk
 	}
 	var needs []salvageNeed
 	lo := 0
-	for _, sc := range s.Chunks {
+	for i := range s.Chunks {
+		sc := &s.Chunks[i]
 		if lo+sc.Planes > dims.SlowExtent() {
 			break
 		}
 		if sc.State == fzio.ChunkIntact {
-			needs = append(needs, salvageNeed{chunk: sc.Index, lo: lo, payload: sc.Payload(), planes: sc.Planes})
+			needs = append(needs, salvageNeed{lo: lo, sc: sc})
 		}
 		lo += sc.Planes
 	}
@@ -97,55 +95,15 @@ func DecompressSalvageCtx(gctx context.Context, p *device.Platform, f fzio.Chunk
 		return nil, nil, fmt.Errorf("core: nothing to salvage: no intact chunk in %s artifact", s.Flavor)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = p.Workers(device.Accel)
-	}
-	if workers > len(needs) {
-		workers = len(needs)
-	}
-	exec := p.WithWorkers(workers)
-	ctx := stf.NewCtxN(exec, workers).Bind(gctx)
+	ctx := newCtx(gctx, p, device.Accel, opts.Workers, len(needs))
 	for _, nd := range needs {
 		nd := nd
-		want := dims.WithSlowExtent(nd.planes)
+		want := dims.WithSlowExtent(nd.sc.Planes)
 		o := nd.lo * plane
-		prefix := fmt.Sprintf("s%d.", nd.chunk)
-		job := &decompressJob{dst: out[o : o+want.N()]}
-		fetchTok := stf.NewToken(ctx, prefix+"container")
-		codesTok := stf.NewToken(ctx, prefix+"codes")
-
-		ctx.Task(prefix + "parse").On(device.Host).Writes(fetchTok.D()).
-			Do(func(ti *stf.TaskInstance) error {
-				if fzio.IsChunked(nd.payload) || fzio.IsStream(nd.payload) {
-					return fmt.Errorf("core: chunk %d: nested chunked container", nd.chunk)
-				}
-				c, err := fzio.Unmarshal(nd.payload)
-				if err != nil {
-					return fmt.Errorf("core: parsing chunk %d: %w", nd.chunk, err)
-				}
-				if c.Has(segSec) {
-					if c, err = unwrapSecondary(exec, c); err != nil {
-						return fmt.Errorf("core: chunk %d: %w", nd.chunk, err)
-					}
-				}
-				job.c = c
-				return nil
-			})
-		ctx.Task(prefix + "decode").On(device.Accel).Reads(fetchTok.D()).Writes(codesTok.D()).
-			Do(func(ti *stf.TaskInstance) error { return job.decode(exec) })
-		ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok.D()).
-			Do(func(ti *stf.TaskInstance) error {
-				if job.dims != want {
-					return fmt.Errorf("core: chunk %d dims %v, want %v", nd.chunk, job.dims, want)
-				}
-				if err := job.reconstruct(exec); err != nil {
-					return err
-				}
-				if &job.vals[0] != &out[o] {
-					copy(out[o:o+len(job.vals)], job.vals)
-				}
-				for z := nd.lo; z < nd.lo+nd.planes; z++ {
+		addDecompressTasks(ctx, fmt.Sprintf("s%d.", nd.sc.Index), nd.sc.Index, want, out[o:o+want.N()],
+			func() ([]byte, error) { return nd.sc.Payload(), nil }, // the survey already integrity-checked it
+			func([]float32) error {
+				for z := nd.lo; z < nd.lo+nd.sc.Planes; z++ {
 					mask.Planes[z] = false
 				}
 				return nil

@@ -14,11 +14,17 @@ import (
 // zero-copy container assembly: CompressChunked (scatter-write path) must
 // emit exactly the container the PR-1/PR-4 gather path produced —
 // MarshalChunked over the per-slab monolithic containers compressed under
-// the same resolved absolute bound.
+// the same resolved absolute bound. The +lz variants are the proof that
+// retiring the executor's gather branch (secondary-encoded chunks now join
+// the same layout → scatter tail) kept the bytes.
 func TestScatterAssemblyMatchesGather(t *testing.T) {
 	data, dims := chunkField()
 	eb := preprocess.RelBound(1e-4)
+	pipelines := Presets()
 	for _, pl := range Presets() {
+		pipelines = append(pipelines, pl.WithSecondary(LZSecondary{}))
+	}
+	for _, pl := range pipelines {
 		opts := ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 3}
 		scatter, err := pl.CompressChunked(tp, data, dims, eb, opts)
 		if err != nil {

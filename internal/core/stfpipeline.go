@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"fzmod/internal/device"
 	"fzmod/internal/encoder/huffman"
@@ -19,10 +18,6 @@ import (
 // (histogram ∥ outlier serialization on the write path, Huffman decode ∥
 // outlier population on the read path) to exhibit the paper's branch-level
 // concurrency. They run on the same engine as everything else.
-
-// STFReport is the historical name of ExecReport, kept for callers of the
-// fine-grained graph entry points.
-type STFReport = ExecReport
 
 // DecompressSTF decompresses an FZMod-Default (lorenzo+huffman) container
 // through the fine-grained task graph, reproducing the paper's §3.3.1
@@ -59,13 +54,14 @@ func DecompressSTF(p *device.Platform, blob []byte) ([]float32, grid.Dims, *Exec
 		}
 		c = inner
 	}
-	modBytes, err := c.Segment(segModules)
+	pr, enc, err := containerModules(c)
 	if err != nil {
 		return nil, grid.Dims{}, nil, err
 	}
-	names := strings.SplitN(string(modBytes), "\x00", 2)
-	if len(names) != 2 || names[0] != "lorenzo" || !strings.HasPrefix(names[1], "huffman") {
-		return nil, grid.Dims{}, nil, fmt.Errorf("core: STF decompression supports lorenzo+huffman containers, got %q", modBytes)
+	_, isLorenzo := pr.(LorenzoPredictor)
+	_, isHuffman := enc.(HuffmanEncoder)
+	if !isLorenzo || !isHuffman {
+		return nil, grid.Dims{}, nil, fmt.Errorf("core: STF decompression supports lorenzo+huffman containers, got %s+%s", pr.Name(), enc.Name())
 	}
 	payload, err := c.Segment(segCodes)
 	if err != nil {
@@ -184,23 +180,21 @@ type stfBlockPlan struct {
 // addDefaultCompressTasks declares the FZMod-Default compression task graph
 // for one block of a field: prediction at the accelerator, then histogram
 // (accelerator) and outlier serialization (host) proceed concurrently
-// before host Huffman coding. Task and data names are prefixed so several
-// blocks can coexist in one context; blocks share no logical data, so the
-// engine is free to overlap them.
-func addDefaultCompressTasks(ctx *stf.Ctx, p *device.Platform, prefix string, data []float32, dims grid.Dims, absEB float64) *stfBlockPlan {
+// before host Huffman coding.
+func addDefaultCompressTasks(ctx *stf.Ctx, p *device.Platform, data []float32, dims grid.Dims, absEB float64) *stfBlockPlan {
 	n := dims.N()
 	plan := &stfBlockPlan{}
 
-	input := stf.NewData(ctx, prefix+"input", data)
-	codes := stf.NewScratch[uint16](ctx, prefix+"codes", n)
+	input := stf.NewData(ctx, "input", data)
+	codes := stf.NewScratch[uint16](ctx, "codes", n)
 	// Outlier count is dynamic; tokens carry the dependency while the
 	// payloads travel through captured variables (the same pattern CUDASTF
 	// uses for dynamically-sized outputs via oversized logical buffers).
-	outTok := stf.NewToken(ctx, prefix+"outliers")
-	histTok := stf.NewToken(ctx, prefix+"hist")
-	payloadTok := stf.NewToken(ctx, prefix+"payload")
+	outTok := stf.NewToken(ctx, "outliers")
+	histTok := stf.NewToken(ctx, "hist")
+	payloadTok := stf.NewToken(ctx, "payload")
 
-	ctx.Task(prefix+"predict").Reads(input.D()).Writes(codes.D(), outTok.D()).On(device.Accel).
+	ctx.Task("predict").Reads(input.D()).Writes(codes.D(), outTok.D()).On(device.Accel).
 		Do(func(ti *stf.TaskInstance) error {
 			q, err := lorenzo.Encode(p, ti.Place(), input.Acc(ti), dims, absEB, 0)
 			if err != nil {
@@ -211,7 +205,7 @@ func addDefaultCompressTasks(ctx *stf.Ctx, p *device.Platform, prefix string, da
 			return nil
 		})
 
-	ctx.Task(prefix + "histogram").Reads(codes.D()).Writes(histTok.D()).On(device.Accel).
+	ctx.Task("histogram").Reads(codes.D()).Writes(histTok.D()).On(device.Accel).
 		Do(func(ti *stf.TaskInstance) error {
 			h, err := histogramOf(p, ti.Place(), codes.Acc(ti), plan.quant.Radius)
 			if err != nil {
@@ -221,7 +215,7 @@ func addDefaultCompressTasks(ctx *stf.Ctx, p *device.Platform, prefix string, da
 			return nil
 		})
 
-	ctx.Task(prefix + "outlier-serialize").Reads(outTok.D()).Writes(payloadTok.D()).On(device.Host).
+	ctx.Task("outlier-serialize").Reads(outTok.D()).Writes(payloadTok.D()).On(device.Host).
 		Do(func(ti *stf.TaskInstance) error {
 			plan.outIdxBytes = device.U32Bytes(plan.quant.OutIdx)
 			vals := make([]uint32, len(plan.quant.OutVal))
@@ -232,7 +226,7 @@ func addDefaultCompressTasks(ctx *stf.Ctx, p *device.Platform, prefix string, da
 			return nil
 		})
 
-	ctx.Task(prefix+"huffman-encode").Reads(codes.D(), histTok.D()).ReadsWrites(payloadTok.D()).On(device.Host).
+	ctx.Task("huffman-encode").Reads(codes.D(), histTok.D()).ReadsWrites(payloadTok.D()).On(device.Host).
 		Do(func(ti *stf.TaskInstance) error {
 			pl, err := huffman.Compress(p, device.Host, codes.Acc(ti), plan.hist)
 			if err != nil {
@@ -245,25 +239,15 @@ func addDefaultCompressTasks(ctx *stf.Ctx, p *device.Platform, prefix string, da
 	return plan
 }
 
-// marshal serializes one block's results into a monolithic container; call
-// after the context has finalized.
+// marshal serializes one block's results into a monolithic container —
+// the layout every FZMod-Default container has, plus the explicit outlier
+// index side channel; call after the context has finalized.
 func (plan *stfBlockPlan) marshal(dims grid.Dims, absEB float64) ([]byte, error) {
-	inner := fzio.New(fzio.Header{
-		Pipeline: "fzmod-default",
-		Dims:     dims,
-		EB:       absEB,
-		Extra:    uint64(plan.quant.Radius),
-	})
-	if err := inner.Add(segModules, []byte("lorenzo\x00huffman")); err != nil {
-		return nil, err
-	}
-	if err := inner.Add(segCodes, plan.payload); err != nil {
-		return nil, err
-	}
-	if err := inner.Add(predPrefix+"outidx", plan.outIdxBytes); err != nil {
-		return nil, err
-	}
-	if err := inner.Add(predPrefix+"outval", plan.outValBytes); err != nil {
+	inner, err := NewDefault().buildInner(dims, absEB, 0, &Prediction{
+		Radius: plan.quant.Radius,
+		Extras: map[string][]byte{"outidx": plan.outIdxBytes, "outval": plan.outValBytes},
+	}, plan.payload)
+	if err != nil {
 		return nil, err
 	}
 	return inner.Marshal()
@@ -277,66 +261,12 @@ func CompressSTF(p *device.Platform, data []float32, dims grid.Dims, absEB float
 		return nil, nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
 	}
 	ctx := stf.NewCtx(p)
-	plan := addDefaultCompressTasks(ctx, p, "", data, dims, absEB)
-	err := ctx.Finalize()
-	report := execReport(ctx)
-	ctx.Release()
+	plan := addDefaultCompressTasks(ctx, p, data, dims, absEB)
+	report, err := finish(ctx)
 	if err != nil {
 		return nil, report, err
 	}
 	blob, err := plan.marshal(dims, absEB)
-	if err != nil {
-		return nil, report, err
-	}
-	return blob, report, nil
-}
-
-// CompressSTFChunked compresses through the task-flow engine with one
-// fine-grained compression sub-graph per chunk: the field is partitioned
-// into slabs along its slowest dimension (chunkElems elements per chunk,
-// rounded to whole planes; 0 selects DefaultChunkElems) and every slab
-// contributes an independent predict→{histogram, outliers}→encode task
-// chain. The chains share no logical data, so the engine overlaps them
-// across places, and the per-chunk containers are assembled into the same
-// chunked container CompressChunked emits.
-func CompressSTFChunked(p *device.Platform, data []float32, dims grid.Dims, absEB float64, chunkElems int) ([]byte, *ExecReport, error) {
-	if dims.N() != len(data) {
-		return nil, nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
-	}
-	planes := planesFor(dims, chunkElems)
-	slabs := grid.SplitSlabs(dims, planes)
-
-	ctx := stf.NewCtx(p)
-	plans := make([]*stfBlockPlan, len(slabs))
-	for i, sl := range slabs {
-		chunk := data[sl.Lo : sl.Lo+sl.Dims.N()]
-		plans[i] = addDefaultCompressTasks(ctx, p, fmt.Sprintf("c%d.", i), chunk, sl.Dims, absEB)
-	}
-	err := ctx.Finalize()
-	report := execReport(ctx)
-	if err != nil {
-		ctx.Release()
-		return nil, report, err
-	}
-
-	blobs := make([][]byte, len(slabs))
-	perPlanes := make([]int, len(slabs))
-	for i, sl := range slabs {
-		b, err := plans[i].marshal(sl.Dims, absEB)
-		if err != nil {
-			ctx.Release()
-			return nil, report, err
-		}
-		blobs[i] = b
-		perPlanes[i] = sl.Planes
-	}
-	ctx.Release()
-	blob, err := fzio.MarshalChunked(fzio.ChunkedHeader{
-		Pipeline: "fzmod-default",
-		Dims:     dims,
-		EB:       absEB,
-		Planes:   planes,
-	}, blobs, perPlanes)
 	if err != nil {
 		return nil, report, err
 	}

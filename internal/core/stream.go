@@ -9,7 +9,6 @@ import (
 	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
 	"fzmod/internal/preprocess"
-	"fzmod/internal/stf"
 )
 
 // This file is the out-of-core layer over the task-graph engine: instead
@@ -81,15 +80,10 @@ func (pl *Pipeline) CompressStreamCtx(gctx context.Context, p *device.Platform, 
 	}
 
 	window := opts.window(len(slabs))
-	workers := opts.workers(p, pl.PredPlace, window)
-	// The worker budget caps the whole operation, exactly as in the
-	// in-memory chunked path: scheduler width and kernel width both come
-	// from the narrowed platform view.
-	exec := p.WithWorkers(workers)
 	bp := p.ScratchPool()
 	stage := bp.GetBytes(streamStageBytes, false)
 	defer bp.PutBytes(stage)
-	ctx := stf.NewCtxN(exec, workers).Bind(gctx)
+	ctx := newCtx(gctx, p, pl.PredPlace, opts.Workers, window)
 	defer ctx.Release()
 
 	for start := 0; start < len(slabs); start += window {
@@ -103,11 +97,13 @@ func (pl *Pipeline) CompressStreamCtx(gctx context.Context, p *device.Platform, 
 				readErr = fmt.Errorf("core: reading slab %d (%d values): %w", start+i, sl.Elems(), err)
 				break
 			}
-			// Pooled serialize: each chunk's container is written into an
-			// exact-size pooled slab, flushed as a frame below, and the
-			// slab recycled — the window's staging cost is the frames
+			// Staged in the graph: each chunk's container is serialized
+			// into an exact-size pooled slab, flushed as a frame below, and
+			// the slab recycled — the window's staging cost is the frames
 			// themselves, not a fresh blob per chunk.
-			jobs[i] = pl.addCompressTasks(ctx, fmt.Sprintf("s%d.", start+i), bufs[i].Data, sl.Dims, absEB, 0, true)
+			prefix := fmt.Sprintf("s%d.", start+i)
+			jobs[i] = pl.addPredictEncodeTasks(ctx, prefix, bufs[i].Data, sl.Dims, absEB, 0)
+			pl.addStageTasks(ctx, prefix, jobs[i])
 		}
 		// Reset drains whatever was declared (possibly a partial batch on a
 		// read error) before the input slabs go back to the pool.
@@ -170,19 +166,17 @@ func DecompressStreamCtx(gctx context.Context, p *device.Platform, r io.Reader, 
 		nChunks = (dims.SlowExtent() + sr.Header().Planes - 1) / sr.Header().Planes
 	}
 	window := opts.window(nChunks)
-	workers := opts.workers(p, device.Accel, window)
-	exec := p.WithWorkers(workers)
 	bp := p.ScratchPool()
 	stage := bp.GetBytes(streamStageBytes, false)
 	defer bp.PutBytes(stage)
-	ctx := stf.NewCtxN(exec, workers).Bind(gctx)
+	ctx := newCtx(gctx, p, device.Accel, opts.Workers, window)
 	defer ctx.Release()
 
 	// Per-slot payload buffers are reused across windows; they grow to the
 	// largest chunk seen and stay there, so steady-state reading allocates
 	// nothing.
 	payloads := make([][]byte, window)
-	jobs := make([]*decompressJob, window)
+	vals := make([][]float32, window)
 	chunkIdx := 0
 	for done := false; !done; {
 		n := 0 // chunks in this window
@@ -198,49 +192,19 @@ func DecompressStreamCtx(gctx context.Context, p *device.Platform, r io.Reader, 
 				return grid.Dims{}, err
 			}
 			payloads[n] = payload
-			idx := chunkIdx + n
-			want := dims.WithSlowExtent(planes)
-			job := &decompressJob{}
-			jobs[n] = job
-			prefix := fmt.Sprintf("s%d.", idx)
-			fetchTok := stf.NewToken(ctx, prefix+"container")
-			codesTok := stf.NewToken(ctx, prefix+"codes")
-			blob := payload
-			ctx.Task(prefix + "fetch").On(device.Host).Writes(fetchTok.D()).
-				Do(func(ti *stf.TaskInstance) error {
-					if fzio.IsChunked(blob) || fzio.IsStream(blob) {
-						return fmt.Errorf("core: chunk %d: nested container", idx)
-					}
-					c, err := fzio.Unmarshal(blob)
-					if err != nil {
-						return err
-					}
-					if c.Has(segSec) {
-						if c, err = unwrapSecondary(exec, c); err != nil {
-							return err
-						}
-					}
-					job.c = c
-					return nil
-				})
-			ctx.Task(prefix + "decode").On(device.Accel).Reads(fetchTok.D()).Writes(codesTok.D()).
-				Do(func(ti *stf.TaskInstance) error { return job.decode(exec) })
-			ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok.D()).
-				Do(func(ti *stf.TaskInstance) error {
-					if job.dims != want {
-						return fmt.Errorf("core: chunk %d dims %v, want %v", idx, job.dims, want)
-					}
-					return job.reconstruct(exec)
-				})
+			n := n
+			addDecompressTasks(ctx, fmt.Sprintf("s%d.", chunkIdx+n), chunkIdx+n, dims.WithSlowExtent(planes), nil,
+				func() ([]byte, error) { return payload, nil }, // sr.Next verified the frame CRC
+				func(v []float32) error { vals[n] = v; return nil })
 		}
 		if err := ctx.Reset(); err != nil {
 			return grid.Dims{}, err
 		}
 		for i := 0; i < n; i++ {
-			if err := device.WriteF32(w, jobs[i].vals, stage.Data); err != nil {
+			if err := device.WriteF32(w, vals[i], stage.Data); err != nil {
 				return grid.Dims{}, fmt.Errorf("core: writing chunk %d: %w", chunkIdx+i, err)
 			}
-			jobs[i] = nil
+			vals[i] = nil
 		}
 		chunkIdx += n
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"io"
-	"runtime"
 	"testing"
 
 	"fzmod/internal/device"
@@ -209,7 +208,9 @@ func TestCompressStreamErrors(t *testing.T) {
 // TestCompressStreamMemoryBounded is the out-of-core guarantee: steady-state
 // compression of a field 8× larger than the window allocates a small
 // multiple of the window, not of the field. The first run warms the
-// platform pool; the second is measured.
+// platform pool; device.MeasureAllocs (the probe fzbench reports allocs/op
+// with) then measures with the GC held off, so a collection cannot demote
+// the warmed sync.Pool slabs mid-measurement whatever ran before this test.
 func TestCompressStreamMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -237,13 +238,8 @@ func TestCompressStreamMemoryBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the pool
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
 	run()
-	runtime.ReadMemStats(&after)
-	bytesPerOp := after.TotalAlloc - before.TotalAlloc
+	_, bytesPerOp := device.MeasureAllocs(run)
 
 	// The pin: comfortably below the field (the in-memory path cannot go
 	// below 1× field just for the input) and a small multiple of the

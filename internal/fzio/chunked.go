@@ -92,10 +92,10 @@ func IsChunked(blob []byte) bool {
 // planes, SHA-256 leaf hash (version ≥ 2); then the 32-byte Merkle root
 // (version ≥ 2); then the concatenated chunk payloads.
 //
-// MarshalChunked is the gather path (chunk payloads already materialized,
-// e.g. under a secondary encoder whose output size is unknown up front);
-// it lowers onto the same layout engine as the scatter path, so the two
-// produce identical bytes for identical chunk contents.
+// MarshalChunked is the gather path (chunk payloads already materialized:
+// stream reassembly, salvage, and the reference the scatter-path tests
+// compare against); it lowers onto the same layout engine as the scatter
+// path, so the two produce identical bytes for identical chunk contents.
 func MarshalChunked(h ChunkedHeader, chunks [][]byte, planes []int) ([]byte, error) {
 	lengths := make([]int, len(chunks))
 	for i, c := range chunks {

@@ -472,12 +472,12 @@ func parseStreamPrologue(blob []byte) (ChunkedHeader, int, int, error) {
 // CRC (VerifyChunk skips it); Unmarshal's per-segment CRCs cover
 // integrity at decode time.
 func fetchMonolithicIndex(f ChunkFetcher, size int64, prefix []byte) (*ContainerIndex, error) {
-	hdr, err := parseMonolithicHeader(prefix)
+	hdr, err := ParseMonolithicHeader(prefix)
 	for isTruncated(err) {
 		if prefix, err = fetchPrefix(f, size, prefix); err != nil {
 			return nil, err
 		}
-		hdr, err = parseMonolithicHeader(prefix)
+		hdr, err = ParseMonolithicHeader(prefix)
 	}
 	if err != nil {
 		return nil, err
@@ -489,9 +489,9 @@ func fetchMonolithicIndex(f ChunkFetcher, size int64, prefix []byte) (*Container
 	return finishIndex(FlavorMonolithic, hdr, chunks, nil, size), nil
 }
 
-// parseMonolithicHeader reads the FZMD header fields shared with the
+// ParseMonolithicHeader reads the FZMD header fields shared with the
 // chunked formats (pipeline, dims, bounds) from a prefix.
-func parseMonolithicHeader(blob []byte) (ChunkedHeader, error) {
+func ParseMonolithicHeader(blob []byte) (ChunkedHeader, error) {
 	var hdr ChunkedHeader
 	if len(blob) < 6 || string(blob[:4]) != Magic {
 		return hdr, fmt.Errorf("fzio: not an FZModules container")

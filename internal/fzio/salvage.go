@@ -342,7 +342,7 @@ func parseStreamTrailer(blob []byte, version, prologueLen int) ([]ChunkRef, []by
 // otherwise. A monolithic container has no independent sub-units, so
 // there is no finer salvage granularity.
 func surveyMonolithic(blob []byte) (*Survey, error) {
-	hdr, err := parseMonolithicHeader(blob)
+	hdr, err := ParseMonolithicHeader(blob)
 	if err != nil {
 		return nil, fmt.Errorf("fzio: unsalvageable monolithic artifact: %w", err)
 	}

@@ -439,6 +439,10 @@ func TestServeConcurrentMixedLoad(t *testing.T) {
 	if peak, budget := s.adm.Peak(), s.adm.Budget(); peak > budget {
 		t.Fatalf("peak %d exceeded budget %d", peak, budget)
 	}
+	// A handler returns its pooled request buffers in defers that run after
+	// the response is on the wire; Close waits for every handler to return,
+	// so the balance below is read after the last Put, not racing it.
+	ts.Close()
 	st := s.p.ScratchPool().Stats()
 	if st.Gets != st.Puts {
 		t.Fatalf("scratch pool unbalanced: gets=%d puts=%d", st.Gets, st.Puts)

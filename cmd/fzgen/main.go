@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"fzmod/internal/device"
@@ -51,7 +50,7 @@ func run(dsArg, dimsArg string, seed int64, out string) error {
 	dims := sdrbench.DefaultDims(ds)
 	if dimsArg != "" {
 		var err error
-		dims, err = parseDims(dimsArg)
+		dims, err = grid.ParseDims(dimsArg)
 		if err != nil {
 			return err
 		}
@@ -65,20 +64,4 @@ func run(dsArg, dimsArg string, seed int64, out string) error {
 	}
 	fmt.Printf("%v %v (%d values, %d bytes) → %s\n", ds, dims, dims.N(), 4*dims.N(), out)
 	return nil
-}
-
-func parseDims(s string) (grid.Dims, error) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) < 1 || len(parts) > 3 {
-		return grid.Dims{}, fmt.Errorf("bad -dims %q", s)
-	}
-	vals := [3]int{1, 1, 1}
-	for i, ps := range parts {
-		v, err := strconv.Atoi(ps)
-		if err != nil || v <= 0 {
-			return grid.Dims{}, fmt.Errorf("bad -dims component %q", ps)
-		}
-		vals[i] = v
-	}
-	return grid.Dims{X: vals[0], Y: vals[1], Z: vals[2]}, nil
 }

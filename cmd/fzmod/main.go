@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -347,7 +346,7 @@ func compressInMemory(cfg config, p *fzmod.Platform) error {
 	if err != nil {
 		return err
 	}
-	dims, err := parseDims(cfg.dims)
+	dims, err := grid.ParseDims(cfg.dims)
 	if err != nil {
 		return err
 	}
@@ -417,7 +416,7 @@ func compressInMemory(cfg config, p *fzmod.Platform) error {
 // compressStream is the out-of-core write path: input read slab window by
 // slab window, chunks flushed as they finish, memory O(window).
 func compressStream(cfg config, p *fzmod.Platform) error {
-	dims, err := parseDims(cfg.dims)
+	dims, err := grid.ParseDims(cfg.dims)
 	if err != nil {
 		return err
 	}
@@ -564,7 +563,7 @@ func decompressRegion(cfg config, p *fzmod.Platform) error {
 	if err != nil {
 		return err
 	}
-	sel, err := parseRegionSel(cfg.region, region.Dims())
+	sel, err := core.ParseRegionSel(cfg.region, region.Dims())
 	if err != nil {
 		return err
 	}
@@ -603,32 +602,6 @@ func decompressRegion(cfg config, p *fzmod.Platform) error {
 			rs.PayloadBytes, rs.CacheHits, rs.ProofVerified)
 	}
 	return nil
-}
-
-// parseRegionSel parses the -region i0:i1,j0:j1,k0:k1 syntax: up to three
-// comma-separated half-open ranges, x fastest. Trailing axes may be
-// omitted and span their full extent (matching the trailing singleton
-// convention of grid.Dims). Range bounds are validated by the read.
-func parseRegionSel(s string, d grid.Dims) (fzmod.RegionSel, error) {
-	sel := fzmod.FullRegion(d)
-	parts := strings.Split(s, ",")
-	if len(parts) > 3 {
-		return sel, fmt.Errorf("bad -region %q (want i0:i1,j0:j1,k0:k1)", s)
-	}
-	axes := [3][2]*int{{&sel.X0, &sel.X1}, {&sel.Y0, &sel.Y1}, {&sel.Z0, &sel.Z1}}
-	for i, ps := range parts {
-		los, his, ok := strings.Cut(ps, ":")
-		if !ok {
-			return sel, fmt.Errorf("bad -region range %q (want lo:hi)", ps)
-		}
-		lo, err1 := strconv.Atoi(los)
-		hi, err2 := strconv.Atoi(his)
-		if err1 != nil || err2 != nil {
-			return sel, fmt.Errorf("bad -region range %q (want lo:hi)", ps)
-		}
-		*axes[i][0], *axes[i][1] = lo, hi
-	}
-	return sel, nil
 }
 
 func probe(cfg config) error {
@@ -755,34 +728,8 @@ func printReport(w io.Writer, phase string, r *core.ExecReport) {
 // caller runs data-driven selection.
 func pipelineByName(name string) (*core.Pipeline, error) {
 	switch name {
-	case "default":
-		return fzmod.Default(), nil
-	case "speed":
-		return fzmod.Speed(), nil
-	case "quality":
-		return fzmod.QualityPipeline(), nil
 	case "auto", "auto-ratio", "auto-throughput":
 		return nil, nil
-	default:
-		return nil, fmt.Errorf("unknown pipeline %q (want default, speed, quality, auto, auto-ratio, auto-throughput)", name)
 	}
-}
-
-func parseDims(s string) (grid.Dims, error) {
-	if s == "" {
-		return grid.Dims{}, fmt.Errorf("missing -dims")
-	}
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) < 1 || len(parts) > 3 {
-		return grid.Dims{}, fmt.Errorf("bad -dims %q", s)
-	}
-	vals := [3]int{1, 1, 1}
-	for i, ps := range parts {
-		v, err := strconv.Atoi(ps)
-		if err != nil || v <= 0 {
-			return grid.Dims{}, fmt.Errorf("bad -dims component %q", ps)
-		}
-		vals[i] = v
-	}
-	return grid.Dims{X: vals[0], Y: vals[1], Z: vals[2]}, nil
+	return core.PresetByName(name)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -318,6 +319,40 @@ func TestCLINoPartialOutputOnFailure(t *testing.T) {
 	}
 	if _, err := os.Stat(back); !os.IsNotExist(err) {
 		t.Errorf("partial output left behind: stat err %v", err)
+	}
+}
+
+// TestCLIHostileSegmentLength: an FZMD whose one segment declares 2^63
+// bytes (negative once converted to int) must exit with an ordinary error
+// from -verify, -probe and -d alike — it used to crash the first two.
+func TestCLIHostileSegmentLength(t *testing.T) {
+	c := fzio.New(fzio.Header{Pipeline: "p", Dims: grid.D1(4), EB: 0.5})
+	if err := c.Add("s", nil); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := c.Marshal() // ends: "s" ‖ uvarint length 0 ‖ CRC32
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(blob)
+	hostile := binary.AppendUvarint(append([]byte(nil), blob[:n-5]...), 1<<63)
+	hostile = append(hostile, blob[n-4:]...)
+	in := filepath.Join(t.TempDir(), "hostile.fz")
+	if err := os.WriteFile(in, hostile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]config{
+		"-verify": {verifyArtifact: true, in: in},
+		"-probe":  {probe: true, in: in},
+		"-d":      {decompress: true, in: in, out: filepath.Join(t.TempDir(), "back.f32")},
+	} {
+		cfg.stdout = io.Discard
+		err := run(cfg)
+		if err == nil {
+			t.Errorf("%s: hostile artifact accepted", name)
+		} else if strings.Contains(err.Error(), "panicked") {
+			t.Errorf("%s: reached a panic: %v", name, err)
+		}
 	}
 }
 

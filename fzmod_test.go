@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"fzmod"
+	"fzmod/internal/fzio"
 	"fzmod/internal/sdrbench"
 )
 
@@ -138,5 +140,38 @@ func TestFacadeStreamRoundtrip(t *testing.T) {
 		if d := math.Abs(float64(got) - float64(data[i])); d > absEB {
 			t.Fatalf("bound %g violated at %d: diff %g", absEB, i, d)
 		}
+	}
+}
+
+// An FZMD whose one segment declares 2^63 bytes — a length that reads as
+// negative once converted to int — costs an ordinary error at every
+// facade door: the survey classifies it, Decompress refuses it, and no
+// task panics on the way.
+func TestFacadeSegmentLengthWrap(t *testing.T) {
+	c := fzio.New(fzio.Header{Pipeline: "p", Dims: fzmod.Dims1(4), EB: 0.5})
+	if err := c.Add("s", nil); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := c.Marshal() // ends: "s" ‖ uvarint length 0 ‖ CRC32
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(blob)
+	hostile := binary.AppendUvarint(append([]byte(nil), blob[:n-5]...), 1<<63)
+	hostile = append(hostile, blob[n-4:]...)
+
+	s, err := fzmod.SurveyArtifact(fzmod.NewBytesFetcher(hostile))
+	if err != nil {
+		t.Fatalf("SurveyArtifact: %v", err)
+	}
+	if !s.Damaged() || len(s.Chunks) != 1 || s.Chunks[0].State != fzmod.ChunkCorrupt {
+		t.Errorf("survey = %+v, want one corrupt chunk", s.Chunks)
+	}
+	_, _, err = fzmod.Decompress(fzmod.NewPlatform(), hostile)
+	if err == nil {
+		t.Fatal("Decompress accepted the artifact")
+	}
+	if strings.Contains(err.Error(), "panicked") {
+		t.Errorf("Decompress reached a panic: %v", err)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"fzmod/internal/device"
 	"fzmod/internal/predictor/spline"
 )
@@ -50,6 +52,20 @@ func NewQuality() *Pipeline {
 // Presets returns the three evaluated pipelines in paper order.
 func Presets() []*Pipeline {
 	return []*Pipeline{NewDefault(), NewQuality(), NewSpeed()}
+}
+
+// PresetByName resolves the short preset names the CLI and the daemon
+// take: default, speed, quality.
+func PresetByName(name string) (*Pipeline, error) {
+	switch name {
+	case "default":
+		return NewDefault(), nil
+	case "speed":
+		return NewSpeed(), nil
+	case "quality":
+		return NewQuality(), nil
+	}
+	return nil, fmt.Errorf("unknown preset %q (want default, speed, quality)", name)
 }
 
 func init() {

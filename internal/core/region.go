@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -46,6 +48,33 @@ func (s RegionSel) Dims() grid.Dims {
 // String renders the selection in the CLI's i0:i1,j0:j1,k0:k1 syntax.
 func (s RegionSel) String() string {
 	return fmt.Sprintf("%d:%d,%d:%d,%d:%d", s.X0, s.X1, s.Y0, s.Y1, s.Z0, s.Z1)
+}
+
+// ParseRegionSel parses String's i0:i1,j0:j1,k0:k1 form against the field
+// geometry: up to three comma-separated half-open ranges, x fastest.
+// Trailing axes may be omitted and span their full extent (matching the
+// trailing singleton convention of grid.Dims); the empty string selects
+// the whole field. Range bounds are validated by the read.
+func ParseRegionSel(s string, d grid.Dims) (RegionSel, error) {
+	sel := FullRegion(d)
+	if s == "" {
+		return sel, nil
+	}
+	parts := strings.Split(s, ",")
+	if len(parts) > 3 {
+		return RegionSel{}, fmt.Errorf("region %q: want i0:i1,j0:j1,k0:k1 with at most 3 axes", s)
+	}
+	axes := [3][2]*int{{&sel.X0, &sel.X1}, {&sel.Y0, &sel.Y1}, {&sel.Z0, &sel.Z1}}
+	for i, part := range parts {
+		los, his, _ := strings.Cut(part, ":")
+		lo, err1 := strconv.Atoi(strings.TrimSpace(los))
+		hi, err2 := strconv.Atoi(strings.TrimSpace(his))
+		if err1 != nil || err2 != nil {
+			return RegionSel{}, fmt.Errorf("region %q: bad range %q (want lo:hi)", s, part)
+		}
+		*axes[i][0], *axes[i][1] = lo, hi
+	}
+	return sel, nil
 }
 
 // validate checks the selection against the field geometry: every axis

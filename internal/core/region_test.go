@@ -397,3 +397,23 @@ func TestRegionWorkersBudget(t *testing.T) {
 		}
 	}
 }
+
+func TestParseRegionSel(t *testing.T) {
+	d := grid.D3(16, 12, 8)
+	want := RegionSel{X0: 2, X1: 10, Y0: 4, Y1: 12, Z0: 7, Z1: 8}
+	if got, err := ParseRegionSel(want.String(), d); err != nil || got != want {
+		t.Errorf("ParseRegionSel(%q) = %v, %v", want.String(), got, err)
+	}
+	// Omitted trailing axes, and the empty selection, span the field.
+	if got, err := ParseRegionSel(" 2 : 10 ", d); err != nil || got != (RegionSel{X0: 2, X1: 10, Y1: 12, Z1: 8}) {
+		t.Errorf("one axis: %v, %v", got, err)
+	}
+	if got, err := ParseRegionSel("", d); err != nil || got != FullRegion(d) {
+		t.Errorf("empty selection: %v, %v", got, err)
+	}
+	for _, bad := range []string{"0-4", "whole", "1:2,3", "0:1,0:1,0:1,0:1", ":"} {
+		if _, err := ParseRegionSel(bad, d); err == nil {
+			t.Errorf("ParseRegionSel(%q) accepted", bad)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"fzmod/internal/grid"
 )
@@ -27,20 +26,6 @@ const ChunkedMagic = "FZMC"
 // and docs/FORMAT.md §Integrity); readers accept versions 1 and 2, so
 // v1 artifacts stay decodable everywhere.
 const ChunkedVersion = 2
-
-// chunkedVersionLegacy is the pre-integrity table layout (no hashes,
-// no root) still accepted by every parser.
-const chunkedVersionLegacy = 1
-
-// maxChunksLimit bounds the chunk count a container may declare, so a
-// corrupt header cannot drive a huge allocation.
-const maxChunksLimit = 1 << 20
-
-// maxFieldElems bounds the element count a chunked header may declare
-// (16 Gi elements = 64 GiB of float32), so a crafted header can neither
-// overflow int arithmetic nor drive an absurd output allocation before any
-// chunk CRC has been checked.
-const maxFieldElems = 1 << 34
 
 // ChunkedHeader carries the global metadata of a chunked container.
 type ChunkedHeader struct {
@@ -153,10 +138,7 @@ func NewChunkedAssembly(h ChunkedHeader, lengths, planes []int) (*ChunkedAssembl
 	}
 	// Exact layout: prologue + table size depend only on the header values
 	// and the chunk lengths, both known here.
-	size := len(ChunkedMagic) + 2 + stringLen(h.Pipeline)
-	size += uvarintLen(uint64(h.Dims.X)) + uvarintLen(uint64(h.Dims.Y)) + uvarintLen(uint64(h.Dims.Z))
-	size += 16 // EB + RelEB
-	size += uvarintLen(uint64(h.Planes)) + uvarintLen(uint64(len(lengths)))
+	size := headerSize(ChunkedMagic, h) + uvarintLen(uint64(len(lengths)))
 	payload := 0
 	for i, l := range lengths {
 		if l < 0 {
@@ -175,15 +157,7 @@ func NewChunkedAssembly(h ChunkedHeader, lengths, planes []int) (*ChunkedAssembl
 		crcOffs:  make([]int, len(lengths)),
 		hashOffs: make([]int, len(lengths)),
 	}
-	out := append(a.buf, ChunkedMagic...)
-	out = binary.LittleEndian.AppendUint16(out, ChunkedVersion)
-	out = appendString(out, h.Pipeline)
-	out = binary.AppendUvarint(out, uint64(h.Dims.X))
-	out = binary.AppendUvarint(out, uint64(h.Dims.Y))
-	out = binary.AppendUvarint(out, uint64(h.Dims.Z))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(h.EB))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(h.RelEB))
-	out = binary.AppendUvarint(out, uint64(h.Planes))
+	out := appendHeader(a.buf, ChunkedMagic, ChunkedVersion, h)
 	out = binary.AppendUvarint(out, uint64(len(lengths)))
 	off := 0
 	for i, l := range lengths {
@@ -253,163 +227,34 @@ func (a *ChunkedAssembly) Bytes() []byte {
 // and every chunk must lie inside the payload area. Chunk payload CRCs are
 // checked by Chunk, not here, so decoders can verify them in parallel.
 func UnmarshalChunked(blob []byte) (*ChunkedContainer, error) {
-	hdr, chunks, root, pos, err := parseChunkedTable(blob, int64(len(blob)))
+	hdr, chunks, root, rootOK, pos, err := parseChunkedTable(blob, int64(len(blob)))
+	if err == nil {
+		err = checkRoot(root, rootOK)
+	}
 	if err != nil {
 		return nil, err
 	}
-	wantOff := 0
-	for _, ref := range chunks {
-		wantOff += ref.Length
+	last := chunks[len(chunks)-1]
+	total := last.Offset + last.Length
+	if pos+total > len(blob) {
+		return nil, fmt.Errorf("fzio: payload truncated: need %d bytes, have %d", total, len(blob)-pos)
 	}
-	if pos+wantOff > len(blob) {
-		return nil, fmt.Errorf("fzio: payload truncated: need %d bytes, have %d", wantOff, len(blob)-pos)
-	}
-	return &ChunkedContainer{Header: hdr, Chunks: chunks, Root: root, payload: blob[pos : pos+wantOff]}, nil
+	return &ChunkedContainer{Header: hdr, Chunks: chunks, Root: root, payload: blob[pos : pos+total]}, nil
 }
 
 // parseChunkedTable parses the FZMC prologue and chunk table from blob,
-// which may be only a prefix of the container: truncation mid-parse
-// surfaces as a truncatedErr (see index.go), so FetchIndex can grow its
-// prefix and retry, while UnmarshalChunked reports it verbatim. maxPayload
-// bounds the cumulative chunk payload — the blob length for in-memory
-// parses, the artifact size for index-only ones. Returns the header, the
-// validated chunk table, the Merkle root (nil for v1 containers; already
-// checked against the table's leaf hashes for v2), and the payload
-// area's byte offset.
-func parseChunkedTable(blob []byte, maxPayload int64) (ChunkedHeader, []ChunkRef, []byte, int, error) {
-	hdr, chunks, root, rootOK, pos, err := parseChunkedTableLoose(blob, maxPayload)
-	if err != nil {
-		return hdr, nil, nil, 0, err
-	}
-	if root != nil && !rootOK {
-		// The root must reproduce from the table's own leaf hashes — a
-		// tampered table (or root) surfaces here, before any payload is
-		// fetched or trusted.
-		return hdr, nil, nil, 0, fmt.Errorf("%w: chunk table root disagrees with entries", ErrProofMismatch)
-	}
-	return hdr, chunks, root, pos, nil
-}
-
-// parseChunkedTableLoose is parseChunkedTable with the root check relaxed
-// for the salvage survey: a recorded Merkle root that fails to reproduce
-// from the entries is reported through rootOK instead of failing the
-// parse, so a tampered root still yields the chunk map salvage walks.
-// Callers that trust payloads (UnmarshalChunked, FetchIndex) go through
-// the strict wrapper above.
-func parseChunkedTableLoose(blob []byte, maxPayload int64) (hdr ChunkedHeader, chunks []ChunkRef, root []byte, rootOK bool, pos int, err error) {
-	if !IsChunked(blob) {
-		return hdr, nil, nil, false, 0, fmt.Errorf("fzio: not a chunked FZModules container")
-	}
-	if len(blob) < 6 {
-		return hdr, nil, nil, false, 0, truncf("fzio: truncated chunked header")
-	}
-	version := int(binary.LittleEndian.Uint16(blob[4:]))
-	if version != chunkedVersionLegacy && version != ChunkedVersion {
-		return hdr, nil, nil, false, 0, fmt.Errorf("fzio: unsupported chunked version %d", version)
-	}
-	pos = 6
-	if hdr.Pipeline, pos, err = readStringT(blob, pos); err != nil {
-		return hdr, nil, nil, false, 0, err
-	}
-	dims := [3]uint64{}
-	nElems := uint64(1)
-	for i := range dims {
-		v, k := binary.Uvarint(blob[pos:])
-		if k <= 0 {
-			return hdr, nil, nil, false, 0, truncf("fzio: truncated dims")
-		}
-		dims[i], pos = v, pos+k
-		// Overflow-safe product bound: decoders allocate dims.N() output
-		// elements before any chunk CRC is checked. Zero extents fall
-		// through to the Valid check below.
-		if v > maxFieldElems || (v > 0 && nElems > maxFieldElems/v) {
-			return hdr, nil, nil, false, 0, fmt.Errorf("fzio: declared field too large")
-		}
-		if v > 0 {
-			nElems *= v
-		}
-	}
-	hdr.Dims = grid.Dims{X: int(dims[0]), Y: int(dims[1]), Z: int(dims[2])}
-	if !hdr.Dims.Valid() {
-		return hdr, nil, nil, false, 0, fmt.Errorf("fzio: invalid dims %v", hdr.Dims)
-	}
-	if pos+16 > len(blob) {
-		return hdr, nil, nil, false, 0, truncf("fzio: truncated chunked header")
-	}
-	hdr.EB = math.Float64frombits(binary.LittleEndian.Uint64(blob[pos:]))
-	hdr.RelEB = math.Float64frombits(binary.LittleEndian.Uint64(blob[pos+8:]))
-	pos += 16
-	nominal, k := binary.Uvarint(blob[pos:])
-	if k <= 0 {
-		return hdr, nil, nil, false, 0, truncf("fzio: truncated nominal plane count")
-	}
-	hdr.Planes = int(nominal)
-	pos += k
-	nChunks, k := binary.Uvarint(blob[pos:])
-	if k <= 0 || nChunks == 0 || nChunks > maxChunksLimit {
-		return hdr, nil, nil, false, 0, fmt.Errorf("fzio: bad chunk count")
-	}
-	pos += k
-	chunks = make([]ChunkRef, nChunks)
-	wantOff, totalPlanes := 0, 0
-	for i := range chunks {
-		fields := [2]uint64{}
-		for j := range fields {
-			v, k := binary.Uvarint(blob[pos:])
-			if k <= 0 {
-				return hdr, nil, nil, false, 0, truncf("fzio: truncated chunk table")
-			}
-			fields[j], pos = v, pos+k
-		}
-		if pos+4 > len(blob) {
-			return hdr, nil, nil, false, 0, truncf("fzio: truncated chunk CRC")
-		}
-		crc := binary.LittleEndian.Uint32(blob[pos:])
-		pos += 4
-		planes, k := binary.Uvarint(blob[pos:])
-		if k <= 0 {
-			return hdr, nil, nil, false, 0, truncf("fzio: truncated chunk planes")
-		}
-		pos += k
-		ref := ChunkRef{Offset: int(fields[0]), Length: int(fields[1]), CRC: crc, Planes: int(planes)}
-		if version >= 2 {
-			if pos+HashSize > len(blob) {
-				return hdr, nil, nil, false, 0, truncf("fzio: truncated chunk hash")
-			}
-			copy(ref.Hash[:], blob[pos:])
-			pos += HashSize
-		}
-		if ref.Offset != wantOff {
-			return hdr, nil, nil, false, 0, fmt.Errorf("fzio: chunk %d offset %d, want %d", i, ref.Offset, wantOff)
-		}
-		if ref.Length < 0 || ref.Planes <= 0 || ref.Planes > maxFieldElems {
-			return hdr, nil, nil, false, 0, fmt.Errorf("fzio: chunk %d malformed", i)
-		}
-		// Overflow-safe accumulation: wantOff stays <= maxPayload, so the
-		// caller's bounds arithmetic cannot wrap.
-		if int64(ref.Length) > maxPayload-int64(wantOff) {
-			return hdr, nil, nil, false, 0, fmt.Errorf("fzio: payload truncated: chunk %d needs %d bytes", i, ref.Length)
-		}
-		wantOff += ref.Length
-		totalPlanes += ref.Planes
-		chunks[i] = ref
-	}
-	if totalPlanes != hdr.Dims.SlowExtent() {
-		return hdr, nil, nil, false, 0, fmt.Errorf("fzio: chunks cover %d planes, field has %d", totalPlanes, hdr.Dims.SlowExtent())
-	}
-	if version >= 2 {
-		if pos+HashSize > len(blob) {
-			return hdr, nil, nil, false, 0, truncf("fzio: truncated Merkle root")
-		}
-		root = append([]byte(nil), blob[pos:pos+HashSize]...)
-		pos += HashSize
-		want, err := merkleRoot(chunks)
-		if err != nil {
-			return hdr, nil, nil, false, 0, err
-		}
-		rootOK = string(root) == string(want[:])
-	}
-	return hdr, chunks, root, rootOK, pos, nil
+// which may be only a prefix of the container: running off it surfaces as
+// a truncatedErr, so FetchIndex can grow its prefix and retry, while
+// UnmarshalChunked reports it verbatim. maxPayload bounds the cumulative
+// chunk payload — the blob length for in-memory parses, the artifact size
+// for index-only ones. Returns the header, the validated chunk table
+// (offsets relative to the payload area), the Merkle root (nil for v1
+// containers) with chunkIndex's rootOK, and the payload area's byte offset.
+func parseChunkedTable(blob []byte, maxPayload int64) (hdr ChunkedHeader, chunks []ChunkRef, root []byte, rootOK bool, pos int, err error) {
+	c := cursor{b: blob}
+	hdr, version := c.header(ChunkedMagic, ChunkedVersion)
+	chunks, root, rootOK = c.chunkIndex(version, false, hdr.Dims.SlowExtent(), 0, maxPayload)
+	return hdr, chunks, root, rootOK, c.pos, c.err
 }
 
 // NumChunks returns the chunk count.

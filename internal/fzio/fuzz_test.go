@@ -8,13 +8,14 @@ import (
 	"fzmod/internal/grid"
 )
 
-// Native go-fuzz targets for both container formats. CI runs each for a
+// Native go-fuzz targets for the container formats. CI runs each for a
 // short smoke window (see .github/workflows/ci.yml); locally:
 //
 //	go test -run='^$' -fuzz='^FuzzChunkedContainer$' -fuzztime=30s ./internal/fzio
 //	go test -run='^$' -fuzz='^FuzzStreamReader$'     -fuzztime=30s ./internal/fzio
+//	go test -run='^$' -fuzz='^FuzzArtifactDoors$'    -fuzztime=30s ./internal/fzio
 //
-// The invariant in both cases is totality: arbitrary bytes must produce
+// The invariant in every case is totality: arbitrary bytes must produce
 // either a decoded result or an error — never a panic, never an
 // out-of-bounds access, never an allocation proportional to a declared
 // (rather than actual) size.
@@ -114,6 +115,42 @@ func FuzzStreamReader(f *testing.F) {
 				t.Fatalf("accepted frame with %d planes", planes)
 			}
 			buf = payload
+		}
+	})
+}
+
+// FuzzArtifactDoors pushes the same bytes through every door into the
+// package (see doors_test.go). None may panic, and any two that accept
+// the artifact must have read the same header and the same chunks: one
+// parser per production means there is no second opinion to diverge.
+func FuzzArtifactDoors(f *testing.F) {
+	mono := New(Header{Pipeline: "fzmod-default", Dims: grid.D3(6, 5, 9), EB: 2.5e-4, RelEB: 1e-4, Extra: 512})
+	if err := mono.Add("codes", []byte("segment-zero")); err != nil {
+		f.Fatal(err)
+	}
+	monoBlob, err := mono.Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{fuzzSeedChunked(), fuzzSeedStream(), monoBlob} {
+		f.Add(seed)
+		f.Add(seed[:len(seed)-5])
+	}
+	// testdata/fuzz/FuzzArtifactDoors holds the segment-length crasher
+	// (hugeSegmentFZMD) as a checked-in seed.
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var first *doorView
+		firstName := ""
+		for _, d := range doors {
+			v, err := d.open(blob)
+			if err != nil {
+				continue
+			}
+			if first == nil {
+				first, firstName = &v, d.name
+			} else if diff := agree(*first, v); diff != "" {
+				t.Fatalf("%s and %s both accept the artifact but disagree: %s", firstName, d.name, diff)
+			}
 		}
 	})
 }

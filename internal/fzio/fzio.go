@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"fzmod/internal/grid"
 )
@@ -29,6 +28,12 @@ type Header struct {
 	EB       float64   // effective absolute error bound used
 	RelEB    float64   // user-specified relative bound (0 if absolute)
 	Extra    uint64    // pipeline-specific scalar (e.g. radius)
+}
+
+// shared returns the fields h has in common with the chunked flavors'
+// header, the form the header codec takes.
+func (h Header) shared() ChunkedHeader {
+	return ChunkedHeader{Pipeline: h.Pipeline, Dims: h.Dims, EB: h.EB, RelEB: h.RelEB}
 }
 
 // Container is a decoded container: header plus named segments.
@@ -97,28 +102,12 @@ func (c *Container) Size() int {
 	return n
 }
 
-// uvarintLen returns the encoded size of v in bytes.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// stringLen returns the encoded size of a length-prefixed string.
-func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-
 // MarshaledSize returns the exact byte size Marshal/MarshalInto produce.
 // The chunked executor uses it to lay out the final container before any
 // chunk has serialized, so workers can scatter-write their chunks directly
 // into the assembled output.
 func (c *Container) MarshaledSize() int {
-	n := len(Magic) + 2 // magic + version
-	n += stringLen(c.Header.Pipeline)
-	n += uvarintLen(uint64(c.Header.Dims.X)) + uvarintLen(uint64(c.Header.Dims.Y)) + uvarintLen(uint64(c.Header.Dims.Z))
-	n += 16 // EB + RelEB
+	n := headerSize(Magic, c.Header.shared())
 	n += uvarintLen(c.Header.Extra)
 	n += uvarintLen(uint64(len(c.segments)))
 	for _, s := range c.segments {
@@ -151,14 +140,7 @@ func (c *Container) MarshalInto(dst []byte) (int, error) {
 	if len(dst) < size {
 		return 0, fmt.Errorf("fzio: container needs %d bytes, dst has %d", size, len(dst))
 	}
-	out := append(dst[:0], Magic...)
-	out = binary.LittleEndian.AppendUint16(out, Version)
-	out = appendString(out, c.Header.Pipeline)
-	out = binary.AppendUvarint(out, uint64(c.Header.Dims.X))
-	out = binary.AppendUvarint(out, uint64(c.Header.Dims.Y))
-	out = binary.AppendUvarint(out, uint64(c.Header.Dims.Z))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(c.Header.EB))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(c.Header.RelEB))
+	out := appendHeader(dst[:0], Magic, Version, c.Header.shared())
 	out = binary.AppendUvarint(out, c.Header.Extra)
 	out = binary.AppendUvarint(out, uint64(len(c.segments)))
 	for _, s := range c.segments {
@@ -177,96 +159,49 @@ func (c *Container) MarshalInto(dst []byte) (int, error) {
 
 // Unmarshal parses a container, verifying magic, version and segment CRCs.
 func Unmarshal(blob []byte) (*Container, error) {
-	if len(blob) < 6 || string(blob[:4]) != Magic {
-		return nil, fmt.Errorf("fzio: not an FZModules container")
+	r := cursor{b: blob}
+	h, _ := r.header(Magic, Version)
+	c := &Container{Header: Header{Pipeline: h.Pipeline, Dims: h.Dims, EB: h.EB, RelEB: h.RelEB, Extra: r.uvarint()}}
+	// A table entry takes at least six bytes, so a count beyond the blob's
+	// length is corrupt whatever follows; refusing it here keeps the table
+	// allocation proportional to the bytes actually present.
+	nSeg := r.uvarint()
+	if nSeg > 1<<20 || nSeg > uint64(len(blob)) {
+		r.fail("bad segment count %d", nSeg)
 	}
-	if v := binary.LittleEndian.Uint16(blob[4:]); v != Version {
-		return nil, fmt.Errorf("fzio: unsupported version %d", v)
+	if r.err != nil {
+		return nil, r.err
 	}
-	pos := 6
-	var err error
-	c := &Container{}
-	if c.Header.Pipeline, pos, err = readString(blob, pos); err != nil {
-		return nil, err
-	}
-	dims := [3]uint64{}
-	for i := range dims {
-		v, k := binary.Uvarint(blob[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("fzio: truncated dims")
-		}
-		dims[i], pos = v, pos+k
-	}
-	c.Header.Dims = grid.Dims{X: int(dims[0]), Y: int(dims[1]), Z: int(dims[2])}
-	if !c.Header.Dims.Valid() {
-		return nil, fmt.Errorf("fzio: invalid dims %v", c.Header.Dims)
-	}
-	if pos+16 > len(blob) {
-		return nil, fmt.Errorf("fzio: truncated header")
-	}
-	c.Header.EB = math.Float64frombits(binary.LittleEndian.Uint64(blob[pos:]))
-	c.Header.RelEB = math.Float64frombits(binary.LittleEndian.Uint64(blob[pos+8:]))
-	pos += 16
-	extra, k := binary.Uvarint(blob[pos:])
-	if k <= 0 {
-		return nil, fmt.Errorf("fzio: truncated extra field")
-	}
-	c.Header.Extra = extra
-	pos += k
-	nSeg, k := binary.Uvarint(blob[pos:])
-	if k <= 0 || nSeg > 1<<20 {
-		return nil, fmt.Errorf("fzio: bad segment count")
-	}
-	pos += k
 	type segMeta struct {
 		name string
-		size int
+		size uint64
 		crc  uint32
 	}
 	metas := make([]segMeta, nSeg)
 	for i := range metas {
-		if metas[i].name, pos, err = readString(blob, pos); err != nil {
-			return nil, err
+		metas[i] = segMeta{r.str(), r.uvarint(), r.u32()}
+		if r.err != nil {
+			return nil, r.err
 		}
-		sz, k := binary.Uvarint(blob[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("fzio: truncated segment size")
-		}
-		metas[i].size = int(sz)
-		pos += k
-		if pos+4 > len(blob) {
-			return nil, fmt.Errorf("fzio: truncated segment CRC")
-		}
-		metas[i].crc = binary.LittleEndian.Uint32(blob[pos:])
-		pos += 4
 	}
+	c.segments = make([]segment, 0, nSeg)
 	for _, m := range metas {
-		if pos+m.size > len(blob) {
+		data := r.take(m.size)
+		if r.err != nil {
 			return nil, fmt.Errorf("fzio: segment %q exceeds container", m.name)
 		}
-		data := blob[pos : pos+m.size]
 		if crc32.ChecksumIEEE(data) != m.crc {
 			return nil, fmt.Errorf("fzio: segment %q CRC mismatch (corrupt container)", m.name)
 		}
 		c.segments = append(c.segments, segment{m.name, data})
-		pos += m.size
 	}
 	return c, nil
 }
 
-func appendString(out []byte, s string) []byte {
-	out = binary.AppendUvarint(out, uint64(len(s)))
-	return append(out, s...)
-}
-
-func readString(blob []byte, pos int) (string, int, error) {
-	n, k := binary.Uvarint(blob[pos:])
-	if k <= 0 || n > 1<<16 {
-		return "", 0, fmt.Errorf("fzio: bad string length")
-	}
-	pos += k
-	if pos+int(n) > len(blob) {
-		return "", 0, fmt.Errorf("fzio: truncated string")
-	}
-	return string(blob[pos : pos+int(n)]), pos + int(n), nil
+// ParseMonolithicHeader reads the FZMD header fields shared with the
+// chunked formats (pipeline, dims, bounds) from a prefix.
+func ParseMonolithicHeader(blob []byte) (ChunkedHeader, error) {
+	c := cursor{b: blob}
+	hdr, _ := c.header(Magic, Version)
+	return hdr, c.err
 }

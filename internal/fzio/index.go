@@ -2,14 +2,10 @@ package fzio
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/crc64"
-	"math"
 	"sync"
-
-	"fzmod/internal/grid"
 )
 
 // This file builds a ContainerIndex — the chunk map a region read plans
@@ -158,68 +154,53 @@ func (ix *ContainerIndex) VerifyProof(i int, payload []byte) error {
 // whether VerifyProof performs a substantive check.
 func (ix *ContainerIndex) HasProofs() bool { return ix.Root != nil }
 
-// truncatedErr marks a parse that ran off the end of the bytes at hand —
-// corruption when the whole artifact was present, "fetch a longer prefix"
-// when only a prefix was.
-type truncatedErr struct{ msg string }
-
-func (e truncatedErr) Error() string { return e.msg }
-
-// truncf builds a truncatedErr.
-func truncf(format string, args ...any) error {
-	return truncatedErr{msg: fmt.Sprintf(format, args...)}
-}
-
-// isTruncated reports whether err marks a parse that needs more bytes.
-func isTruncated(err error) bool {
-	var t truncatedErr
-	return errors.As(err, &t)
-}
-
-// readStringT is readString returning a truncatedErr when the string runs
-// off the buffer, so prefix parsers can distinguish "short prefix" from
-// real corruption.
-func readStringT(blob []byte, pos int) (string, int, error) {
-	n, k := binary.Uvarint(blob[pos:])
-	if k <= 0 {
-		return "", 0, truncf("fzio: bad string length")
-	}
-	if n > 1<<16 {
-		return "", 0, fmt.Errorf("fzio: bad string length")
-	}
-	pos += k
-	if pos+int(n) > len(blob) {
-		return "", 0, truncf("fzio: truncated string")
-	}
-	return string(blob[pos : pos+int(n)]), pos + int(n), nil
-}
-
 // FetchIndex reads just enough of the artifact behind f to build its
 // ContainerIndex: a growing prefix for FZMC and FZMD (header plus chunk
 // table), the prologue plus the trailer for FZMS. Chunk payloads are never
 // transferred.
 func FetchIndex(f ChunkFetcher) (*ContainerIndex, error) {
-	size, err := f.Size()
+	size, err := artifactSize(f)
 	if err != nil {
-		return nil, fmt.Errorf("fzio: sizing artifact: %w", err)
-	}
-	if size < 6 {
-		return nil, fmt.Errorf("fzio: artifact of %d bytes is not an FZModules container", size)
+		return nil, err
 	}
 	prefix, err := fetchPrefix(f, size, nil)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case IsChunked(prefix):
-		return fetchChunkedIndex(f, size, prefix)
-	case IsStream(prefix):
-		return fetchStreamIndex(f, size, prefix)
-	case string(prefix[:4]) == Magic:
-		return fetchMonolithicIndex(f, size, prefix)
-	default:
-		return nil, fmt.Errorf("fzio: unrecognized container magic %q", prefix[:4])
+	flavor, err := sniff(prefix)
+	if err != nil {
+		return nil, err
 	}
+	for {
+		var ix *ContainerIndex
+		switch flavor {
+		case FlavorChunked:
+			ix, err = chunkedIndex(prefix, size)
+		case FlavorStream:
+			ix, err = streamIndex(f, prefix, size)
+		default:
+			ix, err = monolithicIndex(prefix, size)
+		}
+		if !isTruncated(err) {
+			return ix, err
+		}
+		if prefix, err = fetchPrefix(f, size, prefix); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// artifactSize sizes the artifact behind f, refusing one too short to
+// hold a magic and version.
+func artifactSize(f ChunkFetcher) (int64, error) {
+	size, err := f.Size()
+	if err != nil {
+		return 0, fmt.Errorf("fzio: sizing artifact: %w", err)
+	}
+	if size < 6 {
+		return 0, fmt.Errorf("fzio: artifact of %d bytes is not an FZModules container", size)
+	}
+	return size, nil
 }
 
 // fetchPrefix returns a prefix of the artifact at least one growth step
@@ -235,11 +216,7 @@ func fetchPrefix(f ChunkFetcher, size int64, cur []byte) ([]byte, error) {
 	if n > size {
 		n = size
 	}
-	blob, err := fetchExact(f, 0, int(n), "container index")
-	if err != nil {
-		return nil, err
-	}
-	return blob, nil
+	return fetchExact(f, 0, int(n), "container index")
 }
 
 // fetchExact reads a range and enforces the ChunkFetcher contract: exactly
@@ -256,229 +233,100 @@ func fetchExact(f ChunkFetcher, off int64, n int, what string) ([]byte, error) {
 	return blob, nil
 }
 
-// fetchChunkedIndex parses the FZMC prologue and chunk table from a
-// growing prefix and rebases chunk offsets to absolute artifact offsets.
-func fetchChunkedIndex(f ChunkFetcher, size int64, prefix []byte) (*ContainerIndex, error) {
-	for {
-		hdr, chunks, root, payloadStart, err := parseChunkedTable(prefix, size)
-		if err == nil {
-			payload := int64(0)
-			for i := range chunks {
-				chunks[i].Offset += payloadStart
-				payload += int64(chunks[i].Length)
-			}
-			if int64(payloadStart)+payload > size {
-				return nil, fmt.Errorf("fzio: payload truncated: need %d bytes, have %d",
-					payload, size-int64(payloadStart))
-			}
-			return finishIndex(FlavorChunked, hdr, chunks, root, size), nil
-		}
-		if !isTruncated(err) {
-			return nil, err
-		}
-		if prefix, err = fetchPrefix(f, size, prefix); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// fetchStreamIndex builds the index of an FZMS stream from its prologue
-// and CRC'd index trailer, then recomputes every frame's absolute payload
-// offset from the recorded lengths — the frame headers are uvarint-exact,
-// so the offsets are arithmetic, not a scan.
-func fetchStreamIndex(f ChunkFetcher, size int64, prefix []byte) (*ContainerIndex, error) {
-	// Prologue (with its own CRC) from the prefix.
-	hdr, version, prologueLen, err := parseStreamPrologue(prefix)
-	for isTruncated(err) {
-		if prefix, err = fetchPrefix(f, size, prefix); err != nil {
-			return nil, err
-		}
-		hdr, version, prologueLen, err = parseStreamPrologue(prefix)
+// chunkedIndex parses the FZMC prologue and chunk table from a prefix and
+// rebases chunk offsets to absolute artifact offsets.
+func chunkedIndex(prefix []byte, size int64) (*ContainerIndex, error) {
+	hdr, chunks, root, rootOK, payloadStart, err := parseChunkedTable(prefix, size)
+	if err == nil {
+		err = checkRoot(root, rootOK)
 	}
 	if err != nil {
 		return nil, err
 	}
+	for i := range chunks {
+		chunks[i].Offset += payloadStart
+	}
+	last := chunks[len(chunks)-1]
+	if end := int64(last.Offset) + int64(last.Length); end > size {
+		return nil, fmt.Errorf("fzio: payload truncated: need %d bytes, have %d",
+			end-int64(payloadStart), size-int64(payloadStart))
+	}
+	return finishIndex(FlavorChunked, hdr, chunks, root, size), nil
+}
 
-	// Tail: CRC32(index) ‖ u64 trailer length ‖ "FZME".
-	if size < int64(prologueLen)+1+16 {
-		return nil, fmt.Errorf("fzio: stream too short for an index trailer")
+// streamIndex builds the index of an FZMS stream from its prologue (with
+// its own CRC, from the prefix) and its CRC'd index trailer.
+func streamIndex(f ChunkFetcher, prefix []byte, size int64) (*ContainerIndex, error) {
+	hdr, version, prologueLen, err := parseStreamPrologue(prefix)
+	if err != nil {
+		return nil, err
+	}
+	chunks, root, rootOK, err := fetchStreamTrailer(f, size, hdr, version, prologueLen)
+	if err == nil {
+		err = checkRoot(root, rootOK)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return finishIndex(FlavorStream, hdr, chunks, root, size), nil
+}
+
+// fetchStreamTrailer locates the FZMS index through the artifact's fixed
+// tail — CRC32(index) ‖ u64 trailer length ‖ "FZME" — and parses it with
+// every frame's absolute payload offset: the frame headers are
+// uvarint-exact, so the offsets are arithmetic, not a scan. The frames so
+// reconstructed must end exactly at the end marker ahead of the index.
+func fetchStreamTrailer(f ChunkFetcher, size int64, hdr ChunkedHeader, version, prologueLen int) ([]ChunkRef, []byte, bool, error) {
+	body := size - int64(prologueLen) - 16 // frames ‖ end marker ‖ index
+	if body < 1 {
+		return nil, nil, false, fmt.Errorf("fzio: stream too short for an index trailer")
 	}
 	tail, err := fetchExact(f, size-16, 16, "stream trailer")
 	if err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
-	if string(tail[12:16]) != streamEndMagic {
-		return nil, fmt.Errorf("fzio: missing stream end magic (truncated or still-streaming container)")
+	if string(tail[12:]) != streamEndMagic {
+		return nil, nil, false, fmt.Errorf("fzio: missing stream end magic (truncated or still-streaming container)")
 	}
 	trailerLen := binary.LittleEndian.Uint64(tail[4:12]) // len(index) + CRC
-	idxCRC := binary.LittleEndian.Uint32(tail[:4])
-	if trailerLen < 5 || int64(trailerLen)+12 > size-int64(prologueLen) {
-		return nil, fmt.Errorf("fzio: bad stream trailer length %d", trailerLen)
+	if trailerLen < 5 || trailerLen-4 > uint64(body) {
+		return nil, nil, false, fmt.Errorf("fzio: bad stream trailer length %d", trailerLen)
 	}
 	idxLen := int(trailerLen) - 4
 	idxStart := size - 16 - int64(idxLen)
 	idx, err := fetchExact(f, idxStart, idxLen, "stream index")
 	if err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
-	if crc32.ChecksumIEEE(idx) != idxCRC {
-		return nil, fmt.Errorf("fzio: stream trailer CRC mismatch")
-	}
-
-	// Parse the index table: count, then length/planes/CRC per chunk.
-	pos := 0
-	nChunks, k := binary.Uvarint(idx[pos:])
-	if k <= 0 || nChunks == 0 || nChunks > maxChunksLimit {
-		return nil, fmt.Errorf("fzio: bad stream chunk count")
-	}
-	pos += k
-	chunks := make([]ChunkRef, nChunks)
-	totalPlanes := 0
-	off := int64(prologueLen)
-	for i := range chunks {
-		length, k := binary.Uvarint(idx[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("fzio: truncated stream index")
-		}
-		pos += k
-		planes, k := binary.Uvarint(idx[pos:])
-		if k <= 0 {
-			return nil, fmt.Errorf("fzio: truncated stream index")
-		}
-		pos += k
-		if pos+4 > len(idx) {
-			return nil, fmt.Errorf("fzio: truncated stream index")
-		}
-		crc := binary.LittleEndian.Uint32(idx[pos:])
-		pos += 4
-		if length == 0 || length > maxStreamChunkBytes {
-			return nil, fmt.Errorf("fzio: stream chunk %d length %d out of range", i, length)
-		}
-		if planes == 0 || planes > maxFieldElems {
-			return nil, fmt.Errorf("fzio: stream chunk %d plane count %d out of range", i, planes)
-		}
-		// The frame header (length ‖ planes ‖ CRC32) precedes each payload;
-		// its size follows exactly from the recorded values.
-		off += int64(uvarintLen(length)) + int64(uvarintLen(planes)) + 4
-		chunks[i] = ChunkRef{Offset: int(off), Length: int(length), CRC: crc, Planes: int(planes)}
-		if version >= 2 {
-			if pos+HashSize > len(idx) {
-				return nil, fmt.Errorf("fzio: truncated stream index")
-			}
-			copy(chunks[i].Hash[:], idx[pos:])
-			pos += HashSize
-		}
-		off += int64(length)
-		totalPlanes += int(planes)
-	}
-	var root []byte
-	if version >= 2 {
-		if pos+HashSize > len(idx) {
-			return nil, fmt.Errorf("fzio: truncated stream index")
-		}
-		root = append([]byte(nil), idx[pos:pos+HashSize]...)
-		pos += HashSize
-		// The root must reproduce from the entries' own leaf hashes: a
-		// tampered trailer surfaces before any payload is trusted.
-		want, err := merkleRoot(chunks)
-		if err != nil {
-			return nil, err
-		}
-		if string(root) != string(want[:]) {
-			return nil, fmt.Errorf("%w: stream index root disagrees with entries", ErrProofMismatch)
-		}
-	}
-	if pos != len(idx) {
-		return nil, fmt.Errorf("fzio: stream index has %d trailing bytes", len(idx)-pos)
-	}
-	if totalPlanes != hdr.Dims.SlowExtent() {
-		return nil, fmt.Errorf("fzio: chunks cover %d planes, field has %d", totalPlanes, hdr.Dims.SlowExtent())
+	if crc32.ChecksumIEEE(idx) != binary.LittleEndian.Uint32(tail[:4]) {
+		return nil, nil, false, fmt.Errorf("fzio: stream trailer CRC mismatch")
 	}
 	// The end marker (uvarint 0, one byte) sits between the last frame and
-	// the index; the reconstructed frame walk must land exactly there.
-	if off+1 != idxStart {
-		return nil, fmt.Errorf("fzio: stream frames end at %d, index begins at %d", off+1, idxStart)
+	// the index.
+	c := cursor{b: idx}
+	chunks, root, rootOK := c.chunkIndex(version, true, hdr.Dims.SlowExtent(), int64(prologueLen), idxStart-1)
+	if c.err != nil {
+		// %v: the whole index is at hand, so running off it is corruption,
+		// not a cue for FetchIndex to fetch a longer prefix.
+		return nil, nil, false, fmt.Errorf("fzio: stream index: %v", c.err)
 	}
-	return finishIndex(FlavorStream, hdr, chunks, root, size), nil
+	if c.pos != len(idx) {
+		return nil, nil, false, fmt.Errorf("fzio: stream index has %d trailing bytes", len(idx)-c.pos)
+	}
+	last := chunks[len(chunks)-1]
+	if end := int64(last.Offset) + int64(last.Length); end+1 != idxStart {
+		return nil, nil, false, fmt.Errorf("fzio: stream frames end at %d, index begins at %d", end+1, idxStart)
+	}
+	return chunks, root, rootOK, nil
 }
 
-// parseStreamPrologue parses and CRC-verifies the FZMS prologue from a
-// prefix, returning the header, the format version, and the prologue's
-// byte length.
-func parseStreamPrologue(blob []byte) (ChunkedHeader, int, int, error) {
-	var hdr ChunkedHeader
-	if len(blob) < 6 {
-		return hdr, 0, 0, truncf("fzio: truncated stream prologue")
-	}
-	if string(blob[:4]) != StreamMagic {
-		return hdr, 0, 0, fmt.Errorf("fzio: not a streaming FZModules container")
-	}
-	version := int(binary.LittleEndian.Uint16(blob[4:]))
-	if version != streamVersionLegacy && version != StreamVersion {
-		return hdr, 0, 0, fmt.Errorf("fzio: unsupported stream version %d", version)
-	}
-	pos := 6
-	var err error
-	if hdr.Pipeline, pos, err = readStringT(blob, pos); err != nil {
-		return hdr, 0, 0, err
-	}
-	dims := [3]uint64{}
-	nElems := uint64(1)
-	for i := range dims {
-		v, k := binary.Uvarint(blob[pos:])
-		if k <= 0 {
-			return hdr, 0, 0, truncf("fzio: truncated stream dims")
-		}
-		dims[i], pos = v, pos+k
-		if v > maxFieldElems || (v > 0 && nElems > maxFieldElems/v) {
-			return hdr, 0, 0, fmt.Errorf("fzio: declared field too large")
-		}
-		if v > 0 {
-			nElems *= v
-		}
-	}
-	hdr.Dims = grid.Dims{X: int(dims[0]), Y: int(dims[1]), Z: int(dims[2])}
-	if !hdr.Dims.Valid() {
-		return hdr, 0, 0, fmt.Errorf("fzio: invalid dims %v", hdr.Dims)
-	}
-	if pos+16 > len(blob) {
-		return hdr, 0, 0, truncf("fzio: truncated stream prologue")
-	}
-	hdr.EB = math.Float64frombits(binary.LittleEndian.Uint64(blob[pos:]))
-	hdr.RelEB = math.Float64frombits(binary.LittleEndian.Uint64(blob[pos+8:]))
-	pos += 16
-	nominal, k := binary.Uvarint(blob[pos:])
-	if k <= 0 {
-		return hdr, 0, 0, truncf("fzio: truncated stream prologue")
-	}
-	if nominal > maxFieldElems {
-		return hdr, 0, 0, fmt.Errorf("fzio: bad nominal plane count")
-	}
-	hdr.Planes = int(nominal)
-	pos += k
-	if pos+4 > len(blob) {
-		return hdr, 0, 0, truncf("fzio: truncated prologue CRC")
-	}
-	want := crc32.ChecksumIEEE(appendStreamPrologueV(nil, hdr, version))
-	if binary.LittleEndian.Uint32(blob[pos:]) != want {
-		return hdr, 0, 0, fmt.Errorf("fzio: stream prologue CRC mismatch")
-	}
-	return hdr, version, pos + 4, nil
-}
-
-// fetchMonolithicIndex maps an FZMD container to a one-chunk index
-// covering the whole artifact, so the region planner serves monolithic
-// containers through the same path. The payload has no container-level
-// CRC (VerifyChunk skips it); Unmarshal's per-segment CRCs cover
-// integrity at decode time.
-func fetchMonolithicIndex(f ChunkFetcher, size int64, prefix []byte) (*ContainerIndex, error) {
+// monolithicIndex maps an FZMD container to a one-chunk index covering
+// the whole artifact, so the region planner serves monolithic containers
+// through the same path. The payload has no container-level CRC
+// (VerifyChunk skips it); Unmarshal's per-segment CRCs cover integrity at
+// decode time.
+func monolithicIndex(prefix []byte, size int64) (*ContainerIndex, error) {
 	hdr, err := ParseMonolithicHeader(prefix)
-	for isTruncated(err) {
-		if prefix, err = fetchPrefix(f, size, prefix); err != nil {
-			return nil, err
-		}
-		hdr, err = ParseMonolithicHeader(prefix)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -487,49 +335,6 @@ func fetchMonolithicIndex(f ChunkFetcher, size int64, prefix []byte) (*Container
 	}
 	chunks := []ChunkRef{{Offset: 0, Length: int(size), Planes: hdr.Dims.SlowExtent()}}
 	return finishIndex(FlavorMonolithic, hdr, chunks, nil, size), nil
-}
-
-// ParseMonolithicHeader reads the FZMD header fields shared with the
-// chunked formats (pipeline, dims, bounds) from a prefix.
-func ParseMonolithicHeader(blob []byte) (ChunkedHeader, error) {
-	var hdr ChunkedHeader
-	if len(blob) < 6 || string(blob[:4]) != Magic {
-		return hdr, fmt.Errorf("fzio: not an FZModules container")
-	}
-	if v := binary.LittleEndian.Uint16(blob[4:]); v != Version {
-		return hdr, fmt.Errorf("fzio: unsupported version %d", v)
-	}
-	pos := 6
-	var err error
-	if hdr.Pipeline, pos, err = readStringT(blob, pos); err != nil {
-		return hdr, err
-	}
-	dims := [3]uint64{}
-	nElems := uint64(1)
-	for i := range dims {
-		v, k := binary.Uvarint(blob[pos:])
-		if k <= 0 {
-			return hdr, truncf("fzio: truncated dims")
-		}
-		dims[i], pos = v, pos+k
-		if v > maxFieldElems || (v > 0 && nElems > maxFieldElems/v) {
-			return hdr, fmt.Errorf("fzio: declared field too large")
-		}
-		if v > 0 {
-			nElems *= v
-		}
-	}
-	hdr.Dims = grid.Dims{X: int(dims[0]), Y: int(dims[1]), Z: int(dims[2])}
-	if !hdr.Dims.Valid() {
-		return hdr, fmt.Errorf("fzio: invalid dims %v", hdr.Dims)
-	}
-	if pos+16 > len(blob) {
-		return hdr, truncf("fzio: truncated header")
-	}
-	hdr.EB = math.Float64frombits(binary.LittleEndian.Uint64(blob[pos:]))
-	hdr.RelEB = math.Float64frombits(binary.LittleEndian.Uint64(blob[pos+8:]))
-	hdr.Planes = hdr.Dims.SlowExtent()
-	return hdr, nil
 }
 
 // finishIndex stamps the content key and artifact size onto an index.
@@ -544,7 +349,7 @@ func finishIndex(flavor string, hdr ChunkedHeader, chunks []ChunkRef, root []byt
 // artifacts with the same key have byte-identical chunk layouts, so a
 // shared decoded-slab cache can serve both from one set of entries.
 func contentKey(ix *ContainerIndex) uint64 {
-	buf := appendStreamPrologue(nil, ix.Header)
+	buf := appendStreamPrologueV(nil, ix.Header, StreamVersion)
 	buf = append(buf, ix.Flavor...)
 	for _, ref := range ix.Chunks {
 		buf = binary.AppendUvarint(buf, uint64(ref.Offset))

@@ -1,7 +1,6 @@
 package fzio
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 )
@@ -99,12 +98,9 @@ func (s *Survey) Damaged() bool {
 // nothing can be salvaged at all — an unrecognizable magic, or a header
 // too damaged to locate any chunk.
 func SurveyArtifact(f ChunkFetcher) (*Survey, error) {
-	size, err := f.Size()
+	size, err := artifactSize(f)
 	if err != nil {
-		return nil, fmt.Errorf("fzio: sizing artifact: %w", err)
-	}
-	if size < 6 {
-		return nil, fmt.Errorf("fzio: artifact of %d bytes is not an FZModules container", size)
+		return nil, err
 	}
 	if size > maxSalvageBytes {
 		return nil, fmt.Errorf("fzio: artifact of %d bytes exceeds the salvage limit", size)
@@ -113,15 +109,17 @@ func SurveyArtifact(f ChunkFetcher) (*Survey, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case IsChunked(blob):
+	flavor, err := sniff(blob)
+	if err != nil {
+		return nil, err
+	}
+	switch flavor {
+	case FlavorChunked:
 		return surveyChunked(blob)
-	case IsStream(blob):
+	case FlavorStream:
 		return surveyStream(blob)
-	case string(blob[:4]) == Magic:
-		return surveyMonolithic(blob)
 	default:
-		return nil, fmt.Errorf("fzio: unrecognized container magic %q", blob[:4])
+		return surveyMonolithic(blob)
 	}
 }
 
@@ -138,7 +136,7 @@ func surveyChunked(blob []byte) (*Survey, error) {
 	// Permissive payload bound: a truncated artifact declares more payload
 	// than it holds, which is exactly the damage the per-chunk walk below
 	// classifies.
-	hdr, chunks, root, rootOK, pos, err := parseChunkedTableLoose(blob, maxSalvageBytes)
+	hdr, chunks, root, rootOK, pos, err := parseChunkedTable(blob, maxSalvageBytes)
 	if err != nil {
 		return nil, fmt.Errorf("fzio: unsalvageable chunked artifact: %w", err)
 	}
@@ -180,57 +178,39 @@ func surveyStream(blob []byte) (*Survey, error) {
 	s := &Survey{Flavor: FlavorStream, Header: hdr}
 
 	// The trailer index, when it survived, is the authority on chunk
-	// count, CRCs and (v2) leaf hashes.
-	refs, root, rootOK, trailerErr := parseStreamTrailer(blob, version, prologueLen)
+	// count, CRCs and (v2) leaf hashes. Any structural damage to it —
+	// missing end magic, bad trailer length, CRC mismatch, an entry out of
+	// range — is an error, and the survey falls back to the frames alone.
+	refs, root, rootOK, trailerErr := fetchStreamTrailer(NewBytesFetcher(blob), int64(len(blob)), hdr, version, prologueLen)
 	s.Root, s.RootVerified = root, rootOK
 
 	// Frame walk: each frame carries its own length ‖ planes ‖ CRC header,
 	// so intact frames before the damage point are recoverable even when
 	// everything after is gone.
-	pos := prologueLen
+	c := cursor{b: blob, pos: prologueLen}
 	sawEnd := false
 	for {
-		length, k := binary.Uvarint(blob[pos:])
-		if k <= 0 {
-			s.Truncated = true
-			break
-		}
-		if length == 0 {
+		length := c.uvarint()
+		if c.err == nil && length == 0 {
 			sawEnd = true
 			break
 		}
-		if length > maxStreamChunkBytes {
-			// A frame header this insane means the walk has derailed (the
-			// previous frame's length field was damaged); everything from
-			// here on is unrecoverable.
+		planes, crc := c.uvarint(), c.u32()
+		// A frame header out of range means the walk has derailed (the
+		// previous frame's length field was damaged); everything from here
+		// on is unrecoverable.
+		if c.err != nil || length > maxStreamChunkBytes || planes == 0 || planes > maxFieldElems {
 			s.Truncated = true
 			break
 		}
-		pos += k
-		planes, k := binary.Uvarint(blob[pos:])
-		if k <= 0 || planes == 0 || planes > maxFieldElems {
-			s.Truncated = true
-			break
-		}
-		pos += k
-		if pos+4 > len(blob) {
-			s.Truncated = true
-			break
-		}
-		crc := binary.LittleEndian.Uint32(blob[pos:])
-		pos += 4
 		i := len(s.Chunks)
 		sc := SurveyChunk{Index: i, Length: int(length), Planes: int(planes)}
-		if pos+int(length) > len(blob) {
+		payload := c.take(length)
+		switch {
+		case c.err != nil:
 			sc.State = ChunkMissing
 			sc.Detail = fmt.Sprintf("frame payload extends past the %d-byte artifact", len(blob))
 			s.Truncated = true
-			s.Chunks = append(s.Chunks, sc)
-			break
-		}
-		payload := blob[pos : pos+int(length)]
-		pos += int(length)
-		switch {
 		case crc32.ChecksumIEEE(payload) != crc:
 			sc.State = ChunkCorrupt
 			sc.Detail = "frame payload CRC32 disagrees with its header"
@@ -245,6 +225,9 @@ func surveyStream(blob []byte) (*Survey, error) {
 			sc.payload = payload
 		}
 		s.Chunks = append(s.Chunks, sc)
+		if c.err != nil {
+			break
+		}
 	}
 	if sawEnd && trailerErr != nil {
 		// Frames ended cleanly but the trailer would not parse: the damage
@@ -265,76 +248,6 @@ func surveyStream(blob []byte) (*Survey, error) {
 		return nil, fmt.Errorf("fzio: unsalvageable stream artifact: no complete frame before the damage point")
 	}
 	return s, nil
-}
-
-// parseStreamTrailer parses the FZMS index trailer from a full artifact,
-// returning the recorded refs, the Merkle root (nil below version 2) and
-// whether the root reproduces from the entries. Any structural damage —
-// missing end magic, bad trailer length, CRC mismatch — is an error; the
-// stream survey then falls back to the frames alone.
-func parseStreamTrailer(blob []byte, version, prologueLen int) ([]ChunkRef, []byte, bool, error) {
-	if len(blob) < prologueLen+1+16 || string(blob[len(blob)-4:]) != streamEndMagic {
-		return nil, nil, false, fmt.Errorf("fzio: missing stream end magic")
-	}
-	tail := blob[len(blob)-16:]
-	trailerLen := binary.LittleEndian.Uint64(tail[4:12])
-	if trailerLen < 5 || int64(trailerLen)+12 > int64(len(blob)-prologueLen) {
-		return nil, nil, false, fmt.Errorf("fzio: bad stream trailer length %d", trailerLen)
-	}
-	idxLen := int(trailerLen) - 4
-	idx := blob[len(blob)-16-idxLen : len(blob)-16]
-	if crc32.ChecksumIEEE(idx) != binary.LittleEndian.Uint32(tail[:4]) {
-		return nil, nil, false, fmt.Errorf("fzio: stream trailer CRC mismatch")
-	}
-	pos := 0
-	nChunks, k := binary.Uvarint(idx[pos:])
-	if k <= 0 || nChunks == 0 || nChunks > maxChunksLimit {
-		return nil, nil, false, fmt.Errorf("fzio: bad stream chunk count")
-	}
-	pos += k
-	refs := make([]ChunkRef, nChunks)
-	for i := range refs {
-		length, k := binary.Uvarint(idx[pos:])
-		if k <= 0 {
-			return nil, nil, false, fmt.Errorf("fzio: truncated stream index")
-		}
-		pos += k
-		planes, k := binary.Uvarint(idx[pos:])
-		if k <= 0 {
-			return nil, nil, false, fmt.Errorf("fzio: truncated stream index")
-		}
-		pos += k
-		if pos+4 > len(idx) {
-			return nil, nil, false, fmt.Errorf("fzio: truncated stream index")
-		}
-		refs[i] = ChunkRef{Length: int(length), Planes: int(planes), CRC: binary.LittleEndian.Uint32(idx[pos:])}
-		pos += 4
-		if version >= 2 {
-			if pos+HashSize > len(idx) {
-				return nil, nil, false, fmt.Errorf("fzio: truncated stream index")
-			}
-			copy(refs[i].Hash[:], idx[pos:])
-			pos += HashSize
-		}
-	}
-	var root []byte
-	rootOK := false
-	if version >= 2 {
-		if pos+HashSize > len(idx) {
-			return nil, nil, false, fmt.Errorf("fzio: truncated stream index")
-		}
-		root = append([]byte(nil), idx[pos:pos+HashSize]...)
-		pos += HashSize
-		want, err := merkleRoot(refs)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		rootOK = string(root) == string(want[:])
-	}
-	if pos != len(idx) {
-		return nil, nil, false, fmt.Errorf("fzio: stream index has %d trailing bytes", len(idx)-pos)
-	}
-	return refs, root, rootOK, nil
 }
 
 // surveyMonolithic classifies an FZMD artifact as a single chunk: intact

@@ -12,6 +12,13 @@ import (
 	"fzmod/internal/grid"
 )
 
+// The pre-integrity format version of FZMC and FZMS (no leaf hashes, no
+// root), which every reader still accepts.
+const (
+	chunkedVersionLegacy = 1
+	streamVersionLegacy  = 1
+)
+
 // buildV1Chunked hand-serializes a version-1 FZMC container — the
 // pre-integrity layout with no leaf hashes and no Merkle root — exactly
 // as the v1 writer emitted it. The compatibility tests parse these bytes

@@ -3,12 +3,10 @@ package fzio
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
-
-	"fzmod/internal/grid"
 )
 
 // This file defines the streaming (append-mode) variant of the chunked
@@ -48,17 +46,8 @@ const StreamMagic = "FZMS"
 // artifacts stay decodable everywhere.
 const StreamVersion = 2
 
-// streamVersionLegacy is the pre-integrity trailer layout (no hashes,
-// no root) still accepted by every parser.
-const streamVersionLegacy = 1
-
 // streamEndMagic terminates a well-formed stream.
 const streamEndMagic = "FZME"
-
-// maxStreamChunkBytes bounds a single frame's declared payload length so a
-// corrupt length cannot drive an absurd allocation (1 GiB per chunk is far
-// beyond any slab the compressor emits).
-const maxStreamChunkBytes = 1 << 30
 
 // IsStream reports whether blob starts with the streaming container magic.
 // Four bytes of lookahead suffice.
@@ -85,7 +74,7 @@ func NewStreamWriter(w io.Writer, h ChunkedHeader) (*StreamWriter, error) {
 	if !h.Dims.Valid() {
 		return nil, fmt.Errorf("fzio: invalid dims %v", h.Dims)
 	}
-	out := appendStreamPrologue(nil, h)
+	out := appendStreamPrologueV(nil, h, StreamVersion)
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 	sw := &StreamWriter{w: w, header: h}
 	if err := sw.write(out); err != nil {
@@ -193,75 +182,54 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	magic := make([]byte, 6)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("fzio: truncated stream prologue")
-	}
-	if string(magic[:4]) != StreamMagic {
-		return nil, fmt.Errorf("fzio: not a streaming FZModules container")
-	}
-	version := int(binary.LittleEndian.Uint16(magic[4:]))
-	if version != streamVersionLegacy && version != StreamVersion {
-		return nil, fmt.Errorf("fzio: unsupported stream version %d", version)
-	}
-	sr := &StreamReader{r: br, version: version}
-	pipeline, err := readStreamString(br)
-	if err != nil {
-		return nil, err
-	}
-	sr.header.Pipeline = pipeline
-	dims := [3]uint64{}
-	nElems := uint64(1)
-	for i := range dims {
-		v, err := binary.ReadUvarint(br)
+	// The prologue's length is known only once it has parsed, and nothing
+	// past it may be consumed: read exactly the bytes the last attempt ran
+	// short of, and parse again.
+	var buf []byte
+	for short := uint64(6); ; {
+		lo := len(buf)
+		buf = append(buf, make([]byte, short)...)
+		if _, err := io.ReadFull(br, buf[lo:]); err != nil {
+			return nil, fmt.Errorf("fzio: truncated stream prologue")
+		}
+		hdr, version, _, err := parseStreamPrologue(buf)
+		var t truncatedErr
+		if errors.As(err, &t) {
+			short = t.short
+			continue
+		}
 		if err != nil {
-			return nil, fmt.Errorf("fzio: truncated stream dims")
+			return nil, err
 		}
-		dims[i] = v
-		// Same overflow-safe product bound as the chunked table: decoders
-		// allocate per-chunk output before the trailer is seen.
-		if v > maxFieldElems || (v > 0 && nElems > maxFieldElems/v) {
-			return nil, fmt.Errorf("fzio: declared field too large")
-		}
-		if v > 0 {
-			nElems *= v
-		}
+		return &StreamReader{r: br, header: hdr, version: version}, nil
 	}
-	sr.header.Dims = grid.Dims{X: int(dims[0]), Y: int(dims[1]), Z: int(dims[2])}
-	if !sr.header.Dims.Valid() {
-		return nil, fmt.Errorf("fzio: invalid dims %v", sr.header.Dims)
+}
+
+// parseStreamPrologue parses and CRC-verifies the FZMS prologue from a
+// prefix, returning the header, the format version, and the prologue's
+// byte length.
+func parseStreamPrologue(blob []byte) (ChunkedHeader, int, int, error) {
+	c := cursor{b: blob}
+	hdr, version := c.header(StreamMagic, StreamVersion)
+	crc := c.u32()
+	if c.err != nil {
+		return hdr, 0, 0, c.err
 	}
-	var ebBits [16]byte
-	if _, err := io.ReadFull(br, ebBits[:]); err != nil {
-		return nil, fmt.Errorf("fzio: truncated stream prologue")
+	// Verify against the canonical re-serialization of the parsed fields,
+	// so header corruption that survived parsing (a non-canonical uvarint
+	// included) still surfaces before chunks are decoded.
+	if crc != crc32.ChecksumIEEE(appendStreamPrologueV(nil, hdr, version)) {
+		return hdr, 0, 0, fmt.Errorf("fzio: stream prologue CRC mismatch")
 	}
-	sr.header.EB = math.Float64frombits(binary.LittleEndian.Uint64(ebBits[:8]))
-	sr.header.RelEB = math.Float64frombits(binary.LittleEndian.Uint64(ebBits[8:]))
-	nominal, err := binary.ReadUvarint(br)
-	if err != nil || nominal > maxFieldElems {
-		return nil, fmt.Errorf("fzio: bad nominal plane count")
-	}
-	sr.header.Planes = int(nominal)
-	// The prologue carries its own CRC; verify it against the canonical
-	// re-serialization of the parsed fields, so any header corruption that
-	// survived parsing still surfaces before chunks are decoded.
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("fzio: truncated prologue CRC")
-	}
-	want := crc32.ChecksumIEEE(appendStreamPrologueV(nil, sr.header, sr.version))
-	if binary.LittleEndian.Uint32(crcBuf[:]) != want {
-		return nil, fmt.Errorf("fzio: stream prologue CRC mismatch")
-	}
-	return sr, nil
+	return hdr, version, c.pos, nil
 }
 
 // appendIndexV serializes the chunk-index table in its canonical
 // encoding for the given format version — the single definition the
-// writer's trailer, the reader's verification and the remote index
-// fetcher all share. Version 1 writes count, then length/planes/CRC per
-// chunk; version ≥ 2 additionally writes each chunk's leaf hash and,
-// after the entries, the Merkle root over them.
+// writer's trailer and the sequential reader's verification share
+// (cursor.chunkIndex is its inverse). Version 1 writes count, then
+// length/planes/CRC per chunk; version ≥ 2 additionally writes each
+// chunk's leaf hash and, after the entries, the Merkle root over them.
 func appendIndexV(out []byte, refs []ChunkRef, version int) ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(len(refs)))
 	for _, ref := range refs {
@@ -286,22 +254,7 @@ func appendIndexV(out []byte, refs []ChunkRef, version int) ([]byte, error) {
 // CRC covers) in their canonical encoding, stamping the given format
 // version.
 func appendStreamPrologueV(out []byte, h ChunkedHeader, version int) []byte {
-	out = append(out, StreamMagic...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(version))
-	out = appendString(out, h.Pipeline)
-	out = binary.AppendUvarint(out, uint64(h.Dims.X))
-	out = binary.AppendUvarint(out, uint64(h.Dims.Y))
-	out = binary.AppendUvarint(out, uint64(h.Dims.Z))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(h.EB))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(h.RelEB))
-	out = binary.AppendUvarint(out, uint64(h.Planes))
-	return out
-}
-
-// appendStreamPrologue is appendStreamPrologueV at the version writers
-// emit.
-func appendStreamPrologue(out []byte, h ChunkedHeader) []byte {
-	return appendStreamPrologueV(out, h, StreamVersion)
+	return appendHeader(out, StreamMagic, version, h)
 }
 
 // Header returns the stream's global metadata.
@@ -435,19 +388,6 @@ func readN(r io.Reader, dst []byte, n int) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-// readStreamString reads a uvarint-prefixed string from the stream.
-func readStreamString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil || n > 1<<16 {
-		return "", fmt.Errorf("fzio: bad string length")
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("fzio: truncated string")
-	}
-	return string(buf), nil
 }
 
 // ReassembleChunked reads an entire stream and re-serializes it as a

@@ -3,7 +3,11 @@
 // 2-D and 3-D fields stored in x-fastest (C row-major, reversed) order.
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Dims describes a field of X*Y*Z float values with x varying fastest:
 // index = x + X*(y + Y*z). 2-D fields use Z=1, 1-D fields Y=Z=1.
@@ -139,4 +143,26 @@ func (d Dims) String() string {
 	default:
 		return fmt.Sprintf("%d", d.X)
 	}
+}
+
+// ParseDims parses String's "XxYxZ" form: one to three positive extents, x
+// fastest, omitted trailing extents being 1. The separator is x or X and
+// blanks around an extent are ignored.
+func ParseDims(s string) (Dims, error) {
+	if s == "" {
+		return Dims{}, fmt.Errorf("missing dims")
+	}
+	parts := strings.Split(strings.ToLower(s), "x")
+	if len(parts) > 3 {
+		return Dims{}, fmt.Errorf("dims %q: want XxYxZ with at most 3 axes", s)
+	}
+	ext := [3]int{1, 1, 1}
+	for i, part := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v < 1 {
+			return Dims{}, fmt.Errorf("dims %q: bad extent %q", s, part)
+		}
+		ext[i] = v
+	}
+	return Dims{X: ext[0], Y: ext[1], Z: ext[2]}, nil
 }

@@ -114,3 +114,19 @@ func TestPropertyIdxBijective(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestParseDims(t *testing.T) {
+	for _, d := range []Dims{D1(7), D2(4, 3), D3(16, 16, 12)} {
+		if got, err := ParseDims(d.String()); err != nil || got != d {
+			t.Errorf("ParseDims(%q) = %v, %v", d.String(), got, err)
+		}
+	}
+	if got, err := ParseDims(" 8 X 2 "); err != nil || got != D2(8, 2) {
+		t.Errorf("blanks and an upper-case separator: %v, %v", got, err)
+	}
+	for _, bad := range []string{"", "axb", "4x0", "-3", "1x2x3x4", "4x"} {
+		if _, err := ParseDims(bad); err == nil {
+			t.Errorf("ParseDims(%q) accepted", bad)
+		}
+	}
+}

@@ -270,44 +270,6 @@ func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), http.StatusBadRequest)
 }
 
-// pipelineFor resolves a preset name.
-func pipelineFor(name string) (*core.Pipeline, error) {
-	switch name {
-	case "default":
-		return core.NewDefault(), nil
-	case "speed":
-		return core.NewSpeed(), nil
-	case "quality":
-		return core.NewQuality(), nil
-	default:
-		return nil, fmt.Errorf("unknown preset %q (want default, speed, quality)", name)
-	}
-}
-
-// parseDims parses "XxYxZ" (1–3 axes, x fastest).
-func parseDims(s string) (grid.Dims, error) {
-	if s == "" {
-		return grid.Dims{}, fmt.Errorf("missing dims")
-	}
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) > 3 {
-		return grid.Dims{}, fmt.Errorf("dims %q: want XxYxZ with at most 3 axes", s)
-	}
-	ext := [3]int{1, 1, 1}
-	for i, part := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return grid.Dims{}, fmt.Errorf("dims %q: bad extent %q", s, part)
-		}
-		ext[i] = v
-	}
-	d := grid.Dims{X: ext[0], Y: ext[1], Z: ext[2]}
-	if !d.Valid() {
-		return grid.Dims{}, fmt.Errorf("dims %q: invalid geometry", s)
-	}
-	return d, nil
-}
-
 // parseBound parses eb + mode query params into an error bound.
 func parseBound(ebStr, mode string) (preprocess.ErrorBound, error) {
 	v, err := strconv.ParseFloat(ebStr, 64)
@@ -322,39 +284,6 @@ func parseBound(ebStr, mode string) (preprocess.ErrorBound, error) {
 	default:
 		return preprocess.ErrorBound{}, fmt.Errorf("mode %q: want rel or abs", mode)
 	}
-}
-
-// parseSel parses "i0:i1,j0:j1,k0:k1" (trailing axes optional) against
-// the field geometry, defaulting omitted axes to their full extent.
-func parseSel(s string, d grid.Dims) (core.RegionSel, error) {
-	sel := core.FullRegion(d)
-	if s == "" {
-		return sel, nil
-	}
-	axes := strings.Split(s, ",")
-	if len(axes) > 3 {
-		return core.RegionSel{}, fmt.Errorf("sel %q: at most 3 axes", s)
-	}
-	set := func(lo, hi *int, spec string) error {
-		bounds := strings.SplitN(spec, ":", 2)
-		if len(bounds) != 2 {
-			return fmt.Errorf("sel %q: axis %q: want lo:hi", s, spec)
-		}
-		l, err1 := strconv.Atoi(strings.TrimSpace(bounds[0]))
-		h, err2 := strconv.Atoi(strings.TrimSpace(bounds[1]))
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("sel %q: axis %q: bad bound", s, spec)
-		}
-		*lo, *hi = l, h
-		return nil
-	}
-	targets := [][2]*int{{&sel.X0, &sel.X1}, {&sel.Y0, &sel.Y1}, {&sel.Z0, &sel.Z1}}
-	for i, spec := range axes {
-		if err := set(targets[i][0], targets[i][1], spec); err != nil {
-			return core.RegionSel{}, err
-		}
-	}
-	return sel, nil
 }
 
 // parseWorkers resolves the request's lease size (its Opts.Workers).
@@ -400,7 +329,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.reqCompress.Add(1)
 	q := r.URL.Query()
-	dims, err := parseDims(q.Get("dims"))
+	dims, err := grid.ParseDims(q.Get("dims"))
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
@@ -414,7 +343,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	if preset == "" {
 		preset = s.cfg.Preset
 	}
-	if _, err := pipelineFor(preset); err != nil {
+	if _, err := core.PresetByName(preset); err != nil {
 		s.badRequest(w, "%v", err)
 		return
 	}
@@ -506,7 +435,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 
 // compressOne runs one parsed request at the leased width.
 func (s *Server) compressOne(req *compressReq, width int) ([]byte, error) {
-	pl, err := pipelineFor(req.preset)
+	pl, err := core.PresetByName(req.preset)
 	if err != nil {
 		return nil, err
 	}
@@ -754,7 +683,7 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request, name strin
 		return
 	}
 	d := reg.Dims()
-	sel, err := parseSel(r.URL.Query().Get("sel"), d)
+	sel, err := core.ParseRegionSel(r.URL.Query().Get("sel"), d)
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return

@@ -4,6 +4,7 @@
 package compare
 
 import (
+	"hash/crc32"
 	"testing"
 
 	"fzmod/internal/baseline/cuszp2"
@@ -154,6 +155,31 @@ func TestRateDistortionShape(t *testing.T) {
 	for _, pt := range pts {
 		if pt.name == "sz3" && pt.psnr < maxPSNR.psnr-3 {
 			t.Errorf("sz3 PSNR %.1f more than 3 dB behind best %.1f", pt.psnr, maxPSNR.psnr)
+		}
+	}
+}
+
+// TestBitshuffleBaselineBytesPinned pins the two baselines built on the
+// bitshuffle kernels to the bytes the bit-at-a-time kernels produced (CRCs
+// taken at the last commit that had them), on a HURR field whose size leaves
+// a partial FZ-GPU tile and a partial PFPL chunk.
+func TestBitshuffleBaselineBytesPinned(t *testing.T) {
+	dims := grid.D3(50, 41, 13)
+	data := sdrbench.GenHURR(dims, 7)
+	for _, tc := range []struct {
+		c    core.Compressor
+		size int
+		crc  uint32
+	}{
+		{fzgpu.Compressor{}, 13448, 0xf5307780},
+		{pfpl.Compressor{}, 21378, 0x3e27848c},
+	} {
+		blob, err := tc.c.Compress(tp, data, dims, preprocess.RelBound(1e-3))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.c.Name(), err)
+		}
+		if got := crc32.ChecksumIEEE(blob); len(blob) != tc.size || got != tc.crc {
+			t.Errorf("%s: %d bytes, CRC %#08x; pinned %d bytes, CRC %#08x", tc.c.Name(), len(blob), got, tc.size, tc.crc)
 		}
 	}
 }

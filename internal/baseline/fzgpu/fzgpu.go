@@ -23,6 +23,7 @@ import (
 	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
 	"fzmod/internal/kernels"
+	"fzmod/internal/kernels/dispatch"
 	"fzmod/internal/preprocess"
 )
 
@@ -100,8 +101,8 @@ func (Compressor) Compress(p *device.Platform, data []float32, dims grid.Dims, e
 			for i := end - start; i < tileValues; i++ {
 				tile[i] = 0
 			}
-			sh := kernels.Bitshuffle(tile[:])
-			copy(shuffled[t*tileBytes:], sh)
+			sh := shuffled[t*tileBytes : (t+1)*tileBytes]
+			dispatch.Bitshuffle16(sh, tile[:], 0)
 			var bm uint64
 			for b := 0; b < blocksPer; b++ {
 				blk := sh[b*blockBytes : (b+1)*blockBytes]
@@ -186,6 +187,7 @@ func (Compressor) Decompress(p *device.Platform, blob []byte) ([]float32, grid.D
 	lattice := make([]int32, n)
 	p.LaunchGrid(device.Accel, nTiles, func(lo, hi int) {
 		var sh [tileBytes]byte
+		var vals [tileValues]uint16
 		for t := lo; t < hi; t++ {
 			for i := range sh {
 				sh[i] = 0
@@ -198,7 +200,7 @@ func (Compressor) Decompress(p *device.Platform, blob []byte) ([]float32, grid.D
 					src += blockBytes
 				}
 			}
-			vals := kernels.Unbitshuffle(sh[:], tileValues)
+			dispatch.Unbitshuffle16(vals[:], sh[:], 0)
 			start, end := t*tileValues, (t+1)*tileValues
 			if end > n {
 				end = n

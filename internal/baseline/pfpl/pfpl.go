@@ -20,6 +20,7 @@ import (
 	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
 	"fzmod/internal/kernels"
+	"fzmod/internal/kernels/dispatch"
 	"fzmod/internal/preprocess"
 )
 
@@ -92,6 +93,13 @@ func zeroExpand(src []byte, n int) ([]byte, int, error) {
 	return out, pos, nil
 }
 
+// bitshuffle32 returns the 32 bit-planes of codes.
+func bitshuffle32(codes []uint32) []byte {
+	sh := make([]byte, 32*((len(codes)+7)/8))
+	dispatch.Bitshuffle32(sh, codes)
+	return sh
+}
+
 // maxLattice bounds representable quantizations; beyond it the chunk falls
 // back to raw storage.
 const maxLattice = 1 << 29
@@ -122,7 +130,7 @@ func encodeChunk(data []float32, inv2eb float64) []byte {
 		codes[i] = kernels.ZigZag(qi - prev)
 		prev = qi
 	}
-	sh := kernels.Bitshuffle32(codes)
+	sh := bitshuffle32(codes)
 	// Recursive zero elimination: level 1 over the shuffled planes, level
 	// 2 over level 1's output (whose bitmap bytes are themselves mostly
 	// zero on smooth data).
@@ -158,7 +166,8 @@ func decodeChunk(blob []byte, n int, scale float64, out []float32) error {
 	if err != nil {
 		return err
 	}
-	codes := kernels.Unbitshuffle32(sh, n)
+	codes := make([]uint32, n)
+	dispatch.Unbitshuffle32(codes, sh)
 	var acc int32
 	for i := 0; i < n; i++ {
 		acc += kernels.UnZigZag(codes[i])
@@ -284,7 +293,7 @@ func ZeroBlockFraction(data []float32, absEB float64) float64 {
 		codes[i] = kernels.ZigZag(q - prev)
 		prev = q
 	}
-	sh := kernels.Bitshuffle32(codes)
+	sh := bitshuffle32(codes)
 	nBlocks := (len(sh) + blockBytes - 1) / blockBytes
 	zero := 0
 	for b := 0; b < nBlocks; b++ {

@@ -5,15 +5,27 @@
 // eliminates the zero sub-blocks. The trade the paper describes holds by
 // construction: one cheap pass with no tree or histogram (much faster than
 // Huffman) at the cost of a coarser, block-granular compression ratio.
+//
+// There is one tile routine each way. packTile recentres and shuffles a
+// tile of codes with one dispatch.Bitshuffle16 call, straight into the
+// output staging, and squeezes the zero blocks out in place; Encode and
+// CompressedSize both run it. unpackTile, Decode's, spreads a tile's blocks
+// back over zeroed planes and unshuffles, un-recentring on the way, into
+// the caller's slice. Nothing field-sized is allocated besides the returned
+// blob or codes: the staging is one slab of the platform's scratch pool,
+// written densely, and tiles are worked on in fixed spans so the bytes do
+// not depend on the worker count.
 package fzg
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"fzmod/internal/device"
-	"fzmod/internal/kernels"
+	"fzmod/internal/kernels/dispatch"
 )
 
 // tileValues is the number of uint16 codes per independent tile.
@@ -31,143 +43,179 @@ const blockBytes = 32
 // blocksPerTile = 2048/32 = 64, so one uint64 bitmap per tile.
 const blocksPerTile = tileBytes / blockBytes
 
+// spanTiles is the unit of parallel work: a span's tiles are coded one
+// after another, its non-zero blocks dense in its own stretch of staging.
+const spanTiles = 64
+
+// ErrCorrupt is wrapped by every error Decode returns.
+var ErrCorrupt = errors.New("fzg: corrupt stream")
+
+// packTile codes one tile: codes (at most tileValues of them) are
+// zigzag-remapped around center — or taken raw when center is 0 — and
+// shuffled into dst[:tileBytes] by the one kernel call, then the non-zero
+// blocks are moved up to the front of dst in order. It returns the bitmap
+// of non-zero blocks and the bytes they take. tile is tileValues of scratch,
+// used for a short last tile only.
+func packTile(dst []byte, tile, codes []uint16, center uint16) (bm uint64, n int) {
+	dst = dst[:tileBytes]
+	if len(codes) < tileValues {
+		// Pad with the center, which recentres to the zero the format pads
+		// a short tile with.
+		tile = tile[:tileValues]
+		for i := copy(tile, codes); i < tileValues; i++ {
+			tile[i] = center
+		}
+		codes = tile
+	}
+	dispatch.Bitshuffle16(dst, codes, center)
+	// A block lands at or before where it was read, so compacting in place
+	// never overwrites a block still to come; a zero block is written too
+	// and then overwritten by the next one, which keeps the loop free of
+	// data-dependent branches.
+	for b := 0; b < blocksPerTile; b++ {
+		blk := dst[b*blockBytes : (b+1)*blockBytes]
+		w0, w1 := binary.LittleEndian.Uint64(blk), binary.LittleEndian.Uint64(blk[8:])
+		w2, w3 := binary.LittleEndian.Uint64(blk[16:]), binary.LittleEndian.Uint64(blk[24:])
+		out := dst[n : n+blockBytes]
+		binary.LittleEndian.PutUint64(out, w0)
+		binary.LittleEndian.PutUint64(out[8:], w1)
+		binary.LittleEndian.PutUint64(out[16:], w2)
+		binary.LittleEndian.PutUint64(out[24:], w3)
+		any := w0 | w1 | w2 | w3
+		nonzero := (any | -any) >> 63
+		bm |= nonzero << uint(b)
+		n += int(nonzero) * blockBytes
+	}
+	return bm, n
+}
+
+// unpackTile inverts packTile into out (at most tileValues codes): blocks
+// holds the tile's non-zero blocks, bm says where they go. planes and tile
+// are tileBytes and tileValues of scratch.
+func unpackTile(out []uint16, blocks []byte, bm uint64, center uint16, planes []byte, tile []uint16) {
+	planes = planes[:tileBytes]
+	clear(planes)
+	for ; bm != 0; bm &= bm - 1 {
+		b := bits.TrailingZeros64(bm)
+		copy(planes[b*blockBytes:(b+1)*blockBytes], blocks)
+		blocks = blocks[blockBytes:]
+	}
+	if len(out) == tileValues {
+		dispatch.Unbitshuffle16(out, planes, center)
+		return
+	}
+	tile = tile[:tileValues]
+	dispatch.Unbitshuffle16(tile, planes, center)
+	copy(out, tile)
+}
+
+// payloadBytes is the size of the non-zero blocks a bitmap table stands for.
+func payloadBytes(table []byte) int {
+	blocks := 0
+	for ; len(table) >= 8; table = table[8:] {
+		blocks += bits.OnesCount64(binary.LittleEndian.Uint64(table))
+	}
+	return blocks * blockBytes
+}
+
+// tileSpan returns the tiles [lo, hi) of span s.
+func tileSpan(s, nTiles int) (lo, hi int) {
+	return s * spanTiles, min((s+1)*spanTiles, nTiles)
+}
+
 // Encode compresses codes. center is the alphabet value representing a
-// zero residual (the quantizer radius): codes are zigzag-remapped (wrapping, a
-// bijection on uint16) around it
-// before shuffling so that near-perfect predictions concentrate into the
-// low bit-planes, which is where the dictionary stage gets its wins — the
-// fused FZ-GPU kernel performs the same recentering inline after its
-// Lorenzo stage. Pass center 0 to encode raw values.
+// zero residual (the quantizer radius): codes are zigzag-remapped (wrapping,
+// a bijection on uint16) around it before shuffling so that near-perfect
+// predictions concentrate into the low bit-planes, which is where the
+// dictionary stage gets its wins — the fused FZ-GPU kernel performs the same
+// recentering inline after its Lorenzo stage. Pass center 0 to encode raw
+// values.
 //
 // Layout: uvarint(n) ‖ uvarint(center) ‖ bitmaps (8 B per tile) ‖
-// concatenated nonzero 32-byte blocks. Tiles are processed in parallel.
+// concatenated nonzero 32-byte blocks. Spans of tiles are processed in
+// parallel.
 func Encode(p *device.Platform, place device.Place, codes []uint16, center int) []byte {
 	n := len(codes)
 	nTiles := (n + tileValues - 1) / tileValues
-	bitmaps := make([]uint64, nTiles)
-	shuffled := make([]byte, nTiles*tileBytes)
+	nSpans := (nTiles + spanTiles - 1) / spanTiles
+	pool := p.ScratchPool()
 
-	p.LaunchGrid(place, nTiles, func(lo, hi int) {
-		var tile [tileValues]uint16
-		for t := lo; t < hi; t++ {
-			start, end := t*tileValues, (t+1)*tileValues
-			if end > n {
-				end = n
-			}
-			if center == 0 {
-				copy(tile[:], codes[start:end])
-			} else {
-				for i, c := range codes[start:end] {
-					tile[i] = kernels.ZigZag16(int16(c - uint16(center)))
-				}
-			}
-			for i := end - start; i < tileValues; i++ {
-				tile[i] = 0
-			}
-			sh := kernels.Bitshuffle(tile[:])
-			copy(shuffled[t*tileBytes:], sh)
-			var bm uint64
-			for b := 0; b < blocksPerTile; b++ {
-				blk := sh[b*blockBytes : (b+1)*blockBytes]
-				for _, by := range blk {
-					if by != 0 {
-						bm |= 1 << uint(b)
-						break
-					}
-				}
-			}
-			bitmaps[t] = bm
-		}
-	})
-
-	// Offsets of each tile's payload via popcount prefix sum.
-	sizes := make([]uint32, nTiles)
-	for t, bm := range bitmaps {
-		sizes[t] = uint32(bits.OnesCount64(bm) * blockBytes)
-	}
-	offsets, total := kernels.ExclusiveScan(p, place, sizes)
-
-	out := binary.AppendUvarint(nil, uint64(n))
-	out = binary.AppendUvarint(out, uint64(center))
-	headLen := len(out)
-	out = append(out, make([]byte, nTiles*8+int(total))...)
-	for t, bm := range bitmaps {
-		binary.LittleEndian.PutUint64(out[headLen+8*t:], bm)
-	}
-	payload := headLen + nTiles*8
-	p.LaunchGrid(place, nTiles, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			dst := payload + int(offsets[t])
-			bm := bitmaps[t]
-			src := t * tileBytes
-			for b := 0; b < blocksPerTile; b++ {
-				if bm&(1<<uint(b)) != 0 {
-					copy(out[dst:dst+blockBytes], shuffled[src+b*blockBytes:])
-					dst += blockBytes
-				}
+	// Staging: the bitmap table, then a worst-case stretch per span of
+	// which only the front — the span's non-zero blocks — is ever touched.
+	staging := pool.GetBytes(nTiles*(8+tileBytes), false)
+	table, spans := staging.Data[:nTiles*8], staging.Data[nTiles*8:]
+	p.LaunchBlocks(place, nSpans, func(slo, shi int) {
+		tile := pool.GetU16(tileValues, false)
+		for s := slo; s < shi; s++ {
+			lo, hi := tileSpan(s, nTiles)
+			dst := spans[lo*tileBytes : hi*tileBytes]
+			for t := lo; t < hi; t++ {
+				bm, k := packTile(dst, tile.Data, codes[t*tileValues:min((t+1)*tileValues, n)], uint16(center))
+				binary.LittleEndian.PutUint64(table[8*t:], bm)
+				dst = dst[k:]
 			}
 		}
+		pool.PutU16(tile)
 	})
+
+	var head [2 * binary.MaxVarintLen64]byte
+	headLen := binary.PutUvarint(head[:], uint64(n))
+	headLen += binary.PutUvarint(head[headLen:], uint64(center))
+	out := make([]byte, 0, headLen+len(table)+payloadBytes(table))
+	out = append(out, head[:headLen]...)
+	out = append(out, table...)
+	for s := 0; s < nSpans; s++ {
+		lo, hi := tileSpan(s, nTiles)
+		out = append(out, spans[lo*tileBytes:][:payloadBytes(table[8*lo:8*hi])]...)
+	}
+	pool.PutBytes(staging)
 	return out
 }
 
-// Decode inverts Encode.
+// Decode inverts Encode. The header's code count is checked against the
+// bitmap table actually present before anything is allocated, so the
+// decoded size is at most 128 codes per byte of blob; every error wraps
+// ErrCorrupt.
 func Decode(p *device.Platform, place device.Place, blob []byte) ([]uint16, error) {
 	n64, k := binary.Uvarint(blob)
 	if k <= 0 {
-		return nil, fmt.Errorf("fzg: truncated header")
+		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	n := int(n64)
 	c64, k2 := binary.Uvarint(blob[k:])
 	if k2 <= 0 {
-		return nil, fmt.Errorf("fzg: truncated center field")
+		return nil, fmt.Errorf("%w: truncated center field", ErrCorrupt)
 	}
-	k += k2
-	center := int(c64)
-	nTiles := (n + tileValues - 1) / tileValues
-	if len(blob) < k+nTiles*8 {
-		return nil, fmt.Errorf("fzg: stream shorter than bitmap table")
+	if c64 > 0xFFFF {
+		return nil, fmt.Errorf("%w: center %d is not a 16-bit code", ErrCorrupt, c64)
 	}
-	bitmaps := make([]uint64, nTiles)
-	sizes := make([]uint32, nTiles)
-	for t := range bitmaps {
-		bitmaps[t] = binary.LittleEndian.Uint64(blob[k+8*t:])
-		sizes[t] = uint32(bits.OnesCount64(bitmaps[t]) * blockBytes)
+	body := blob[k+k2:]
+	nTiles64 := n64 / tileValues
+	if n64%tileValues != 0 {
+		nTiles64++
 	}
-	offsets, total := kernels.ExclusiveScan(p, place, sizes)
-	payload := k + nTiles*8
-	if len(blob) < payload+int(total) {
-		return nil, fmt.Errorf("fzg: stream shorter than payload (%d < %d)", len(blob), payload+int(total))
+	if nTiles64 > uint64(len(body)/8) || n64 > math.MaxInt {
+		return nil, fmt.Errorf("%w: %d codes need a longer bitmap table than %d bytes hold", ErrCorrupt, n64, len(body))
+	}
+	n, nTiles, center := int(n64), int(nTiles64), uint16(c64)
+	table, payload := body[:nTiles*8], body[nTiles*8:]
+	if need := payloadBytes(table); len(payload) < need {
+		return nil, fmt.Errorf("%w: stream shorter than payload (%d < %d)", ErrCorrupt, len(payload), need)
 	}
 
 	out := make([]uint16, n)
-	p.LaunchGrid(place, nTiles, func(lo, hi int) {
-		var sh [tileBytes]byte
+	nSpans := (nTiles + spanTiles - 1) / spanTiles
+	pool := p.ScratchPool()
+	p.LaunchBlocks(place, nSpans, func(slo, shi int) {
+		planes, tile := pool.GetBytes(tileBytes, false), pool.GetU16(tileValues, false)
+		lo, hi := slo*spanTiles, min(shi*spanTiles, nTiles)
+		blocks := payload[payloadBytes(table[:8*lo]):]
 		for t := lo; t < hi; t++ {
-			for i := range sh {
-				sh[i] = 0
-			}
-			src := payload + int(offsets[t])
-			bm := bitmaps[t]
-			for b := 0; b < blocksPerTile; b++ {
-				if bm&(1<<uint(b)) != 0 {
-					copy(sh[b*blockBytes:(b+1)*blockBytes], blob[src:])
-					src += blockBytes
-				}
-			}
-			vals := kernels.Unbitshuffle(sh[:], tileValues)
-			start, end := t*tileValues, (t+1)*tileValues
-			if end > n {
-				end = n
-			}
-			if center == 0 {
-				copy(out[start:end], vals[:end-start])
-			} else {
-				for i, v := range vals[:end-start] {
-					out[start+i] = uint16(kernels.UnZigZag16(v)) + uint16(center)
-				}
-			}
+			bm := binary.LittleEndian.Uint64(table[8*t:])
+			unpackTile(out[t*tileValues:min((t+1)*tileValues, n)], blocks, bm, center, planes.Data, tile.Data)
+			blocks = blocks[bits.OnesCount64(bm)*blockBytes:]
 		}
+		pool.PutBytes(planes)
+		pool.PutU16(tile)
 	})
 	return out, nil
 }
@@ -176,34 +224,11 @@ func Decode(p *device.Platform, place device.Place, blob []byte) ([]uint16, erro
 // it, for ratio estimation.
 func CompressedSize(codes []uint16, center int) int {
 	n := len(codes)
-	nTiles := (n + tileValues - 1) / tileValues
-	size := 12 + nTiles*8 // varint bounds + bitmaps
-	var tile [tileValues]uint16
-	for t := 0; t < nTiles; t++ {
-		start, end := t*tileValues, (t+1)*tileValues
-		if end > n {
-			end = n
-		}
-		if center == 0 {
-			copy(tile[:], codes[start:end])
-		} else {
-			for i, c := range codes[start:end] {
-				tile[i] = kernels.ZigZag16(int16(c - uint16(center)))
-			}
-		}
-		for i := end - start; i < tileValues; i++ {
-			tile[i] = 0
-		}
-		sh := kernels.Bitshuffle(tile[:])
-		for b := 0; b < blocksPerTile; b++ {
-			blk := sh[b*blockBytes : (b+1)*blockBytes]
-			for _, by := range blk {
-				if by != 0 {
-					size += blockBytes
-					break
-				}
-			}
-		}
+	size := 12 // varint bounds
+	dst, tile := make([]byte, tileBytes), make([]uint16, tileValues)
+	for lo := 0; lo < n; lo += tileValues {
+		_, k := packTile(dst, tile, codes[lo:min(lo+tileValues, n)], uint16(center))
+		size += 8 + k
 	}
 	return size
 }

@@ -1,7 +1,8 @@
 package kernels
 
 // Bit-level packing primitives shared by the fixed-length encoder (cuSZp2
-// baseline) and the bitshuffle encoders (FZ-GPU, PFPL, FZMod-Speed).
+// baseline) and the bitshuffle encoders (FZ-GPU, PFPL, FZMod-Speed); the
+// bitshuffle kernels themselves are dispatched (kernels/dispatch).
 
 // PackBits packs the low `width` bits of each value in vals into a dense
 // little-endian bit stream appended to dst, returning the extended slice.
@@ -82,70 +83,3 @@ func ZigZag16(v int16) uint16 { return uint16((v << 1) ^ (v >> 15)) }
 
 // UnZigZag16 inverts ZigZag16.
 func UnZigZag16(u uint16) int16 { return int16(u>>1) ^ -int16(u&1) }
-
-// Bitshuffle transposes the bits of a tile of 16-bit values: output bit-plane
-// b holds bit b of every value, consecutively. Tiles are processed
-// independently so the kernel parallelizes across tiles exactly like the
-// FZ-GPU shuffle kernel. len(vals) must be a multiple of 8 within each tile
-// boundary handled by the caller; trailing partial bytes are zero-padded.
-func Bitshuffle(vals []uint16) []byte {
-	n := len(vals)
-	bytesPerPlane := (n + 7) / 8
-	out := make([]byte, 16*bytesPerPlane)
-	for plane := 0; plane < 16; plane++ {
-		base := plane * bytesPerPlane
-		for i, v := range vals {
-			if v>>uint(plane)&1 != 0 {
-				out[base+i/8] |= 1 << uint(i%8)
-			}
-		}
-	}
-	return out
-}
-
-// Unbitshuffle inverts Bitshuffle for n original values.
-func Unbitshuffle(src []byte, n int) []uint16 {
-	bytesPerPlane := (n + 7) / 8
-	out := make([]uint16, n)
-	for plane := 0; plane < 16; plane++ {
-		base := plane * bytesPerPlane
-		for i := 0; i < n; i++ {
-			if src[base+i/8]>>uint(i%8)&1 != 0 {
-				out[i] |= 1 << uint(plane)
-			}
-		}
-	}
-	return out
-}
-
-// Bitshuffle32 transposes the bits of a tile of 32-bit values, the PFPL
-// variant of the shuffle: output bit-plane b holds bit b of every value.
-func Bitshuffle32(vals []uint32) []byte {
-	n := len(vals)
-	bytesPerPlane := (n + 7) / 8
-	out := make([]byte, 32*bytesPerPlane)
-	for plane := 0; plane < 32; plane++ {
-		base := plane * bytesPerPlane
-		for i, v := range vals {
-			if v>>uint(plane)&1 != 0 {
-				out[base+i/8] |= 1 << uint(i%8)
-			}
-		}
-	}
-	return out
-}
-
-// Unbitshuffle32 inverts Bitshuffle32 for n original values.
-func Unbitshuffle32(src []byte, n int) []uint32 {
-	bytesPerPlane := (n + 7) / 8
-	out := make([]uint32, n)
-	for plane := 0; plane < 32; plane++ {
-		base := plane * bytesPerPlane
-		for i := 0; i < n; i++ {
-			if src[base+i/8]>>uint(i%8)&1 != 0 {
-				out[i] |= 1 << uint(plane)
-			}
-		}
-	}
-	return out
-}

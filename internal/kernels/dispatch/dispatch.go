@@ -1,16 +1,20 @@
 // Package dispatch selects a SIMD implementation tier for the framework's
-// five hottest per-element loops — Lorenzo fused quantize+residual rows,
-// histogram accumulation, MinMaxF32, outlier code scanning, and the Huffman
-// encode length-summing pre-pass — at process start, keeping the pure-Go
+// hottest per-element loops — Lorenzo fused quantize+residual rows,
+// histogram accumulation, MinMaxF32, outlier code scanning, the Huffman
+// encode length-summing pre-pass, and the bitshuffle / unbitshuffle
+// bit-matrix transposes of the fzg encoder (16-bit, with its recentring)
+// and the PFPL baseline (32-bit) — at process start, keeping the pure-Go
 // word-level kernels as the always-available fallback.
 //
 // Tiers:
 //
 //   - "avx2"   — amd64 with AVX2 (detected via CPUID + XGETBV, no
-//     dependencies; the OS must have enabled YMM state).
+//     dependencies; the OS must have enabled YMM state). Every kernel is
+//     vector code but the 32-bit bitshuffle pair.
 //   - "neon"   — arm64; ASIMD is architecturally baseline. Only the kernels
-//     the Go arm64 assembler can express are NEON; the rest of the tier
-//     stays pure Go per kernel.
+//     the Go arm64 assembler can express are NEON (HistMerge, NextZero);
+//     the rest of the tier, the bitshuffle kernels included, stays pure Go
+//     per kernel.
 //   - "purego" — the portable reference implementations. Always compiled,
 //     always selectable, and the only tier under the `purego` build tag or
 //     on other GOARCHes.
@@ -96,6 +100,27 @@ var (
 	// Huffman code lengths widened from uint8), which lets vector tiers
 	// accumulate in 32-bit lanes.
 	SumLengths func(lengths32 []uint32, codes []uint16) (bits uint64, ok bool) = sumLengthsPureGo
+
+	// Bitshuffle16 transposes vals into 16 bit-planes of
+	// stride = (len(vals)+7)/8 bytes each: bit i%8 of dst[p*stride+i/8] is
+	// bit p of the i-th value, and the pad bits of each plane's last byte
+	// are zero. With a non-zero center the values are first recentred the
+	// way the fzg encoder stores them, ZigZag16(v - center) (wrapping);
+	// center 0 shuffles them as they are. len(dst) must be at least
+	// 16*stride; every byte of that prefix is written.
+	Bitshuffle16 func(dst []byte, vals []uint16, center uint16) = bitshuffle16PureGo
+
+	// Unbitshuffle16 inverts Bitshuffle16 for len(dst) values and the
+	// same center; len(src) must be at least 16*((len(dst)+7)/8). Pad bits
+	// are ignored.
+	Unbitshuffle16 func(dst []uint16, src []byte, center uint16) = unbitshuffle16PureGo
+
+	// Bitshuffle32 is Bitshuffle16 for 32-bit values and 32 planes,
+	// without recentring.
+	Bitshuffle32 func(dst []byte, vals []uint32) = bitshuffle32PureGo
+
+	// Unbitshuffle32 inverts Bitshuffle32.
+	Unbitshuffle32 func(dst []uint32, src []byte) = unbitshuffle32PureGo
 )
 
 // active names the installed tier.
@@ -113,14 +138,30 @@ var vectorRows bool
 func VectorRows() bool { return vectorRows }
 
 // Active returns the name of the installed implementation tier: "avx2",
-// "neon", or "purego". On arm64 a "neon" tier may still run individual
-// kernels pure-Go; PerKernel lists the split.
+// "neon", or "purego". A vector tier may still run individual kernels
+// pure-Go; PerKernel lists the split.
 func Active() string { return active }
 
 // PerKernel returns the implementation behind each dispatched kernel for
 // the installed tier, keyed by kernel name — execution evidence for
 // ExecReport and benchmark rows.
 func PerKernel() map[string]string { return perKernel() }
+
+// pureGoKernels names every dispatched kernel, each on the reference
+// implementation; a tier's perKernel overwrites the ones it vectorizes.
+func pureGoKernels() map[string]string {
+	return map[string]string{
+		"quantize":     PureGo,
+		"diff_codes":   PureGo,
+		"minmax":       PureGo,
+		"hist_accum":   PureGo,
+		"hist_merge":   PureGo,
+		"next_zero":    PureGo,
+		"sum_lengths":  PureGo,
+		"bitshuffle16": PureGo,
+		"bitshuffle32": PureGo,
+	}
+}
 
 // Tiers returns the implementation tiers this build supports on this CPU,
 // purego first: {"purego"} or {"purego", "avx2"/"neon"}. Benchmarks
@@ -167,6 +208,10 @@ func installPureGo() {
 	HistMerge = histMergePureGo
 	NextZero = nextZeroPureGo
 	SumLengths = sumLengthsPureGo
+	Bitshuffle16 = bitshuffle16PureGo
+	Unbitshuffle16 = unbitshuffle16PureGo
+	Bitshuffle32 = bitshuffle32PureGo
+	Unbitshuffle32 = unbitshuffle32PureGo
 	vectorRows = false
 	active = PureGo
 }

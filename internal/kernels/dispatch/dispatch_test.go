@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -397,6 +398,15 @@ func FuzzKernelEquivalence(f *testing.F) {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(seed)
+	// Bitshuffle shapes: all-zero and all-ones planes over whole 64-value
+	// groups plus an odd tail, and a tile and a bit with a partial last group.
+	f.Add(make([]byte, 2*(64+3)))
+	f.Add(bytes.Repeat([]byte{0xFF}, 2*(128+5)))
+	tile := make([]byte, 2*(1024+9)+1)
+	for i := range tile {
+		tile[i] = byte(i*i>>3) & 0x1F
+	}
+	f.Add(tile)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// float32 view for quantize/minmax; uint16 view for codes.
 		fs := make([]float32, len(raw)/4)
@@ -483,6 +493,60 @@ func FuzzKernelEquivalence(f *testing.F) {
 
 		if got, want := NextZero(us), nextZeroPureGo(us); got != want {
 			t.Fatalf("nextZero = %d want %d", got, want)
+		}
+
+		// Bitshuffle: the code view at both 2-byte alignments, raw and
+		// recentred, into an odd-aligned destination; then the raw bytes
+		// themselves read as planes, which no shuffle need have produced.
+		var center uint16
+		if len(us) > 0 && us[0]&1 != 0 {
+			center = us[0]
+		}
+		for skip := 0; skip < 2 && skip <= len(us); skip++ {
+			vals := us[skip:]
+			n := len(vals)
+			planes := 16 * planeStride(n)
+			shGot, shWant := make([]byte, planes+1)[1:], make([]byte, planes)
+			Bitshuffle16(shGot, vals, center)
+			bitshuffle16PureGo(shWant, vals, center)
+			if !bytes.Equal(shGot, shWant) {
+				t.Fatalf("bitshuffle16 n=%d center=%d differs", n, center)
+			}
+			back := offsetU16(n, 1)
+			Unbitshuffle16(back, shGot, center)
+			for i := range vals {
+				if back[i] != vals[i] {
+					t.Fatalf("unbitshuffle16 n=%d center=%d [%d] = %d want %d", n, center, i, back[i], vals[i])
+				}
+			}
+		}
+		n16 := len(raw) / 16 * 8
+		unGot, unWant := make([]uint16, n16), make([]uint16, n16)
+		Unbitshuffle16(unGot, raw, center)
+		unbitshuffle16PureGo(unWant, raw, center)
+		for i := range unWant {
+			if unGot[i] != unWant[i] {
+				t.Fatalf("unbitshuffle16 of raw planes [%d] = %d want %d", i, unGot[i], unWant[i])
+			}
+		}
+
+		ws := make([]uint32, len(raw)/4)
+		for i := range ws {
+			ws[i] = math.Float32bits(fs[i])
+		}
+		planes := 32 * planeStride(len(ws))
+		sh32Got, sh32Want := make([]byte, planes+1)[1:], make([]byte, planes)
+		Bitshuffle32(sh32Got, ws)
+		bitshuffle32PureGo(sh32Want, ws)
+		if !bytes.Equal(sh32Got, sh32Want) {
+			t.Fatalf("bitshuffle32 n=%d differs", len(ws))
+		}
+		back32 := offsetU32(len(ws), 1)
+		Unbitshuffle32(back32, sh32Got)
+		for i := range ws {
+			if back32[i] != ws[i] {
+				t.Fatalf("unbitshuffle32 [%d] = %d want %d", i, back32[i], ws[i])
+			}
 		}
 
 		table := make([]uint32, 512)

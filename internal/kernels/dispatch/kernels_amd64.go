@@ -18,6 +18,10 @@ func histMergeAVX2Asm(out, tabs []uint32, stride int)
 func nextZeroAVX2Asm(codes []uint16) int
 func sumLengthsAVX2Asm(lengths32 []uint32, codes []uint16) (sum uint64, ok bool)
 
+// bitshuffle_amd64.s: whole groups of 32 values against planes of stride bytes.
+func bitshuffle16AVX2Asm(dst []byte, vals []uint16, stride int, center uint16)
+func unbitshuffle16AVX2Asm(dst []uint16, src []byte, stride int, center uint16)
+
 func quantizeF32AVX2(data []float32, q []int32, scale, lim float64) bool {
 	n8 := len(data) &^ 7
 	if n8 > 0 && !quantAVX2Asm(data[:n8], q[:n8], scale, lim) {
@@ -143,4 +147,25 @@ func sumLengthsAVX2(lengths32 []uint32, codes []uint16) (uint64, bool) {
 		return 0, false
 	}
 	return bits + tail, true
+}
+
+// The bitshuffle wrappers hand the asm cores whole 64-value groups, so the
+// reference finishes from a boundary it accepts.
+
+func bitshuffle16AVX2(dst []byte, vals []uint16, center uint16) {
+	n64 := len(vals) &^ 63
+	if n64 > 0 {
+		stride := planeStride(len(vals))
+		bitshuffle16AVX2Asm(dst[:16*stride], vals[:n64], stride, center)
+	}
+	bitshuffle16From(dst, vals, center, n64)
+}
+
+func unbitshuffle16AVX2(dst []uint16, src []byte, center uint16) {
+	n64 := len(dst) &^ 63
+	if n64 > 0 {
+		stride := planeStride(len(dst))
+		unbitshuffle16AVX2Asm(dst[:n64], src[:16*stride], stride, center)
+	}
+	unbitshuffle16From(dst, src, center, n64)
 }

@@ -36,7 +36,8 @@ func bestName() string {
 	return PureGo
 }
 
-// installTier installs the amd64 AVX2 tier: every dispatched kernel has a
+// installTier installs the amd64 AVX2 tier: every dispatched kernel but the
+// 32-bit bitshuffle pair (the PFPL baseline's, left on the reference) has a
 // vector implementation here.
 func installTier(name string) bool {
 	if name != AVX2 || !hasAVX2() {
@@ -51,19 +52,18 @@ func installTier(name string) bool {
 	HistMerge = histMergeAVX2
 	NextZero = nextZeroAVX2
 	SumLengths = sumLengthsAVX2
+	Bitshuffle16 = bitshuffle16AVX2
+	Unbitshuffle16 = unbitshuffle16AVX2
 	vectorRows = true
 	return true
 }
 
 func perKernel() map[string]string {
-	impl := active
-	return map[string]string{
-		"quantize":    impl,
-		"diff_codes":  impl,
-		"minmax":      impl,
-		"hist_accum":  impl,
-		"hist_merge":  impl,
-		"next_zero":   impl,
-		"sum_lengths": impl,
+	m := pureGoKernels()
+	for k := range m {
+		if k != "bitshuffle32" {
+			m[k] = active
+		}
 	}
+	return m
 }

@@ -23,15 +23,7 @@ func installTier(name string) bool {
 }
 
 func perKernel() map[string]string {
-	m := map[string]string{
-		"quantize":    PureGo,
-		"diff_codes":  PureGo,
-		"minmax":      PureGo,
-		"hist_accum":  PureGo,
-		"hist_merge":  PureGo,
-		"next_zero":   PureGo,
-		"sum_lengths": PureGo,
-	}
+	m := pureGoKernels()
 	if active == NEON {
 		m["hist_merge"] = NEON
 		m["next_zero"] = NEON

@@ -9,14 +9,4 @@ func bestName() string { return PureGo }
 
 func installTier(string) bool { return false }
 
-func perKernel() map[string]string {
-	return map[string]string{
-		"quantize":    PureGo,
-		"diff_codes":  PureGo,
-		"minmax":      PureGo,
-		"hist_accum":  PureGo,
-		"hist_merge":  PureGo,
-		"next_zero":   PureGo,
-		"sum_lengths": PureGo,
-	}
-}
+func perKernel() map[string]string { return pureGoKernels() }

@@ -7,7 +7,26 @@ import (
 	"testing/quick"
 
 	"fzmod/internal/device"
+	"fzmod/internal/kernels/dispatch"
 )
+
+// shuffle16 and shuffle32 round-trip vals through the dispatched bitshuffle
+// kernels, returning the planes and the restored values.
+func shuffle16(vals []uint16) ([]byte, []uint16) {
+	sh := make([]byte, 16*((len(vals)+7)/8))
+	dispatch.Bitshuffle16(sh, vals, 0)
+	got := make([]uint16, len(vals))
+	dispatch.Unbitshuffle16(got, sh, 0)
+	return sh, got
+}
+
+func shuffle32(vals []uint32) ([]byte, []uint32) {
+	sh := make([]byte, 32*((len(vals)+7)/8))
+	dispatch.Bitshuffle32(sh, vals)
+	got := make([]uint32, len(vals))
+	dispatch.Unbitshuffle32(got, sh)
+	return sh, got
+}
 
 var tp = device.NewTestPlatform()
 
@@ -190,7 +209,7 @@ func TestBitshuffleRoundtrip(t *testing.T) {
 		for i := range vals {
 			vals[i] = uint16(rng.Uint32())
 		}
-		got := Unbitshuffle(Bitshuffle(vals), n)
+		_, got := shuffle16(vals)
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("n=%d: roundtrip mismatch at %d", n, i)
@@ -206,7 +225,7 @@ func TestBitshuffleConcentratesZeros(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint16(i % 4) // only 2 bit-planes populated
 	}
-	sh := Bitshuffle(vals)
+	sh, _ := shuffle16(vals)
 	zeroBytes := 0
 	for _, b := range sh {
 		if b == 0 {
@@ -220,7 +239,7 @@ func TestBitshuffleConcentratesZeros(t *testing.T) {
 
 func TestBitshuffleProperty(t *testing.T) {
 	f := func(vals []uint16) bool {
-		got := Unbitshuffle(Bitshuffle(vals), len(vals))
+		_, got := shuffle16(vals)
 		for i := range vals {
 			if got[i] != vals[i] {
 				return false
@@ -275,7 +294,7 @@ func TestBitshuffle32Roundtrip(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Uint32()
 		}
-		got := Unbitshuffle32(Bitshuffle32(vals), n)
+		_, got := shuffle32(vals)
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("n=%d mismatch at %d", n, i)
@@ -286,7 +305,7 @@ func TestBitshuffle32Roundtrip(t *testing.T) {
 
 func TestBitshuffle32Property(t *testing.T) {
 	f := func(vals []uint32) bool {
-		got := Unbitshuffle32(Bitshuffle32(vals), len(vals))
+		_, got := shuffle32(vals)
 		for i := range vals {
 			if got[i] != vals[i] {
 				return false

@@ -332,14 +332,20 @@ func BenchmarkModuleLZ(b *testing.B) {
 // --- Chunked executor: block-parallel vs monolithic ---------------------
 
 // BenchmarkChunkedExecutor compares the monolithic single-stream pipeline
-// against the chunked concurrent executor at several worker counts on one
-// synthetic field split into 8 slabs.
+// against the chunked concurrent executor on one synthetic field split
+// into 8 slabs, at every worker budget each way. Crossed with -cpu it is
+// the GOMAXPROCS × budget scaling matrix:
+//
+//	go test -run '^$' -bench ChunkedExecutor -cpu 1,2,4,8 .
+//
+// decompress/monolithic is the one-chunk FZMD decode at field size.
 func BenchmarkChunkedExecutor(b *testing.B) {
 	dims := fzmod.Dims3(128, 128, 64)
 	data := sdrbench.GenNYX(dims, 77)
 	pl := fzmod.Default()
 	eb := fzmod.Rel(1e-4)
 	chunkElems := dims.N() / 8
+	budgets := []int{1, 2, 4, 8}
 
 	b.Run("compress/monolithic", func(b *testing.B) {
 		reportThroughput(b, 4*dims.N())
@@ -349,7 +355,7 @@ func BenchmarkChunkedExecutor(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 4} {
+	for _, workers := range budgets {
 		opts := fzmod.ChunkOpts{ChunkElems: chunkElems, Workers: workers}
 		b.Run(fmt.Sprintf("compress/chunked-w%d", workers), func(b *testing.B) {
 			reportThroughput(b, 4*dims.N())
@@ -377,14 +383,17 @@ func BenchmarkChunkedExecutor(b *testing.B) {
 			}
 		}
 	})
-	b.Run("decompress/chunked", func(b *testing.B) {
-		reportThroughput(b, 4*dims.N())
-		for i := 0; i < b.N; i++ {
-			if _, _, err := fzmod.Decompress(benchPlatform, chunkedBlob); err != nil {
-				b.Fatal(err)
+	for _, workers := range budgets {
+		opts := fzmod.DecompressOpts{Workers: workers}
+		b.Run(fmt.Sprintf("decompress/chunked-w%d", workers), func(b *testing.B) {
+			reportThroughput(b, 4*dims.N())
+			for i := 0; i < b.N; i++ {
+				if _, _, err := fzmod.DecompressWithOpts(benchPlatform, chunkedBlob, opts); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkEndToEnd runs a full public-API roundtrip per preset pipeline.

@@ -1,225 +1,110 @@
-// Command fzbench regenerates the paper's evaluation (§4): Table 3,
-// Figures 1–4, and the design-choice ablations called out in DESIGN.md.
+// Command fzbench reproduces the paper's evaluation (§4): Table 3,
+// Figures 1–4, and the design-choice ablations.
 //
 // Usage:
 //
-//	fzbench -exp table3|fig1|fig2|fig3|fig4|stf|hist|secondary|fusion|chunked|stream|region|faults|serve|all [-large]
-//	fzbench -exp chunked -json BENCH_new.json [-baseline BENCH_chunked.json] [-alloc-tol 0.2] [-gbs-tol 0.2] [-scal-tol 0.2]
-//	fzbench -exp stream  -json BENCH_stream_new.json -baseline BENCH_chunked.json
-//	fzbench -exp serve   -clients 8 -iters 4 -json BENCH_serve_new.json
-//	fzbench -exp chunked -large -cpuprofile cpu.pprof -mutexprofile mutex.pprof
+//	fzbench [-exp table3|fig1|fig2|fig3|fig4|stf|hist|secondary|fusion|place|all] [-large]
 //
 // Small-scale workloads are the default so a full sweep finishes quickly;
 // -large switches to the harness default dimensions (scaled from the
-// paper's Table 2). -json writes the chunked, stream, region or serve
-// experiment's machine-readable report; with -baseline the run exits
-// nonzero when
-// allocs/op regressed beyond -alloc-tol, when compression or decompression
-// throughput fell more than -gbs-tol below the recorded baseline, or when
-// a matrix row's scaling_efficiency fell more than -scal-tol below the
-// baseline's (0 disables either throughput gate). Both experiments regress
-// against one baseline file: rows are matched by executor name, and rows
-// missing on either side are skipped.
+// paper's Table 2). docs/REPRODUCTION.md holds one checked-in run, names
+// the paper table, figure or section each experiment mirrors, and says
+// which numbers carry over from the simulated platform.
 //
-// The -cpuprofile, -memprofile and -mutexprofile flags write pprof
-// profiles covering the selected experiments, so a scaling regression
-// caught by the gates is diagnosable straight from a bench artifact
-// (`go tool pprof fzbench cpu.pprof`); see README "Profiling a
-// regression".
+// fzbench is the paper reproduction only. The repo's own engineering
+// performance — throughput, allocations, latency, per-layer times — is
+// measured by `bash benchmark/run.sh`, and the standard `go test -bench`
+// rows (with -cpuprofile and friends) are the route to a profile.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
+	"strings"
 
 	"fzmod/internal/bench"
 	"fzmod/internal/device"
 )
 
-func main() {
-	os.Exit(run())
+// runFunc is the shape of a harness entry point.
+type runFunc = func(w io.Writer, p *device.Platform, sc bench.Scale) error
+
+// experiment is one -exp name, the Table 1 node it models, and the harness
+// entry point behind it.
+type experiment struct {
+	name     string
+	platform func() *device.Platform
+	run      runFunc
 }
 
-func run() int {
-	exp := flag.String("exp", "all", "experiment: table3, fig1, fig2, fig3, fig4, stf, hist, secondary, fusion, place, chunked, stream, region, faults, serve, all")
-	large := flag.Bool("large", false, "use full-scale workloads")
-	jsonPath := flag.String("json", "", "write the chunked/stream experiment's machine-readable report to this path")
-	baseline := flag.String("baseline", "", "compare the chunked/stream report against this baseline JSON and fail on regression")
-	allocTol := flag.Float64("alloc-tol", 0.2, "allowed fractional allocs/op regression against -baseline")
-	gbsTol := flag.Float64("gbs-tol", 0.2, "allowed fractional comp/dec throughput regression against -baseline (0 disables)")
-	scalTol := flag.Float64("scal-tol", 0.2, "allowed fractional scaling_efficiency regression against -baseline (0 disables)")
-	clients := flag.Int("clients", 8, "serve experiment: concurrent clients")
-	iters := flag.Int("iters", 4, "serve experiment: requests per client per class")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this path")
-	mutexProfile := flag.String("mutexprofile", "", "write a mutex-contention profile of the run to this path")
-	flag.Parse()
+// table adapts the table/figure writers, which return their measurements
+// rather than an error, to runFunc.
+func table(fn func(io.Writer, *device.Platform, bench.Scale) []bench.Result) runFunc {
+	return func(w io.Writer, p *device.Platform, sc bench.Scale) error {
+		fn(w, p, sc)
+		return nil
+	}
+}
 
+// experiments lists what -exp accepts, in the order -exp all runs them.
+var experiments = []experiment{
+	{"table3", device.NewH100Platform, table(bench.Table3)},
+	{"fig1", device.NewH100Platform, table(bench.Fig1)},
+	{"fig2", device.NewH100Platform, table(bench.Speedup)},
+	{"fig3", device.NewV100Platform, table(bench.Speedup)},
+	{"fig4", device.NewH100Platform, table(bench.Fig4)},
+	{"stf", device.NewH100Platform, bench.STFAblation},
+	{"hist", device.NewH100Platform, bench.HistAblation},
+	{"secondary", device.NewH100Platform, bench.SecondaryAblation},
+	{"fusion", device.NewH100Platform, bench.FusionAblation},
+	{"place", device.NewH100Platform, bench.PlaceAblation},
+}
+
+func expNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fzbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment: "+expNames()+", all")
+	large := fs.Bool("large", false, "use full-scale workloads")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	sc := bench.Small
 	if *large {
 		sc = bench.Full
 	}
-	h100 := device.NewH100Platform()
-	v100 := device.NewV100Platform()
-	w := os.Stdout
-
-	if (*jsonPath != "" || *baseline != "") && *exp != "chunked" && *exp != "stream" && *exp != "region" && *exp != "faults" && *exp != "serve" {
-		fmt.Fprintln(os.Stderr, "fzbench: -json/-baseline apply to -exp chunked, stream, region, faults or serve only")
+	ran := false
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
+		}
+		ran = true
+		fmt.Fprintf(stdout, "\n===== %s =====\n", e.name)
+		p := e.platform()
+		err := e.run(stdout, p, sc)
+		p.Close()
+		if err != nil {
+			fmt.Fprintf(stderr, "fzbench: %s: %v\n", e.name, err)
+			return 1
+		}
+	}
+	if !ran {
+		fmt.Fprintf(stderr, "fzbench: unknown experiment %q\n", *exp)
+		fs.Usage()
 		return 2
 	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fzbench: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "fzbench: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *mutexProfile != "" {
-		// Sample one in five contention events: cheap enough to leave on
-		// for a full matrix run, dense enough to rank the hot locks.
-		runtime.SetMutexProfileFraction(5)
-		defer writeProfile(*mutexProfile, "mutex")
-	}
-	if *memProfile != "" {
-		defer func() {
-			runtime.GC() // settle the heap so live objects dominate
-			writeProfile(*memProfile, "heap")
-		}()
-	}
-
-	// gate writes the report and evaluates the allocs + throughput +
-	// scaling regression gates shared by the chunked and stream
-	// experiments.
-	gate := func(report *bench.ChunkedReport) error {
-		if *jsonPath != "" {
-			if err := report.WriteJSON(*jsonPath); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "wrote %s\n", *jsonPath)
-		}
-		if *baseline == "" {
-			return nil
-		}
-		base, err := bench.LoadChunkedReport(*baseline)
-		if err != nil {
-			return err
-		}
-		if err := bench.CompareAllocs(base, report, *allocTol); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "allocs/op within %.0f%% of %s\n", 100**allocTol, *baseline)
-		if *gbsTol > 0 {
-			if base.Kernels != report.Kernels {
-				fmt.Fprintf(w, "kernel tier differs (baseline %q, this run %q): absolute GB/s gate skipped\n",
-					base.Kernels, report.Kernels)
-			} else if err := bench.CompareThroughput(base, report, *gbsTol); err != nil {
-				return err
-			} else {
-				fmt.Fprintf(w, "comp/dec GB/s within %.0f%% of %s\n", 100**gbsTol, *baseline)
-			}
-		}
-		if *scalTol > 0 {
-			if err := bench.CompareScaling(base, report, *scalTol); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "scaling efficiency within %.0f%% of %s\n", 100**scalTol, *baseline)
-		}
-		return nil
-	}
-
-	runExp := func(name string) error {
-		switch name {
-		case "table3":
-			bench.Table3(w, h100, sc)
-		case "fig1":
-			bench.Fig1(w, h100, sc)
-		case "fig2":
-			bench.Speedup(w, h100, sc)
-		case "fig3":
-			bench.Speedup(w, v100, sc)
-		case "fig4":
-			bench.Fig4(w, h100, sc)
-		case "stf":
-			return bench.STFAblation(w, h100, sc)
-		case "hist":
-			return bench.HistAblation(w, h100, sc)
-		case "secondary":
-			return bench.SecondaryAblation(w, h100, sc)
-		case "fusion":
-			return bench.FusionAblation(w, h100, sc)
-		case "place":
-			return bench.PlaceAblation(w, h100, sc)
-		case "chunked":
-			report, err := bench.ChunkedComparisonReport(w, h100, sc)
-			if err != nil {
-				return err
-			}
-			return gate(report)
-		case "stream":
-			report, err := bench.StreamComparisonReport(w, h100, sc)
-			if err != nil {
-				return err
-			}
-			return gate(report)
-		case "region":
-			report, err := bench.RegionComparisonReport(w, h100, sc)
-			if err != nil {
-				return err
-			}
-			return gate(report)
-		case "faults":
-			report, err := bench.FaultsComparisonReport(w, h100, sc)
-			if err != nil {
-				return err
-			}
-			return gate(report)
-		case "serve":
-			report, err := bench.ServeLoadReport(w, sc, *clients, *iters)
-			if err != nil {
-				return err
-			}
-			return gate(report)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		return nil
-	}
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = []string{"table3", "fig1", "fig2", "fig3", "fig4", "stf", "hist", "secondary", "fusion", "place", "chunked", "stream", "region", "faults", "serve"}
-	}
-	for _, name := range names {
-		fmt.Fprintf(w, "\n===== %s =====\n", name)
-		if err := runExp(name); err != nil {
-			fmt.Fprintf(os.Stderr, "fzbench: %s: %v\n", name, err)
-			return 1
-		}
-	}
 	return 0
-}
-
-// writeProfile dumps a named runtime profile to path.
-func writeProfile(path, profile string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fzbench: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := pprof.Lookup(profile).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "fzbench: writing %s profile: %v\n", profile, err)
-	}
 }

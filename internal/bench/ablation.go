@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"fzmod/internal/core"
 	"fzmod/internal/device"
@@ -25,18 +24,16 @@ func STFAblation(w io.Writer, p *device.Platform, sc Scale) error {
 		return err
 	}
 
-	t0 := time.Now()
 	seq, _, err := core.Decompress(p, blob)
-	seqSec := time.Since(t0).Seconds()
 	if err != nil {
 		return err
 	}
-	t0 = time.Now()
 	stf, _, report, err := core.DecompressSTF(p, blob)
-	stfSec := time.Since(t0).Seconds()
 	if err != nil {
 		return err
 	}
+	seqSec := medianSec(func() { core.Decompress(p, blob) })
+	stfSec := medianSec(func() { core.DecompressSTF(p, blob) })
 	for i := range seq {
 		if seq[i] != stf[i] {
 			return fmt.Errorf("stf ablation: results diverge at %d", i)
@@ -74,18 +71,16 @@ func HistAblation(w io.Writer, p *device.Platform, sc Scale) error {
 			return err
 		}
 		bins := 2 * pred.Radius
-		t0 := time.Now()
 		hStd, err := histogram.Standard(p, device.Accel, pred.Codes, bins)
-		stdSec := time.Since(t0).Seconds()
 		if err != nil {
 			return err
 		}
-		t0 = time.Now()
 		hTop, err := histogram.TopK(p, device.Accel, pred.Codes, bins, 0)
-		topSec := time.Since(t0).Seconds()
 		if err != nil {
 			return err
 		}
+		stdSec := medianSec(func() { histogram.Standard(p, device.Accel, pred.Codes, bins) })
+		topSec := medianSec(func() { histogram.TopK(p, device.Accel, pred.Codes, bins, 0) })
 		szStd, err := huffSize(p, pred.Codes, hStd)
 		if err != nil {
 			return err
@@ -141,12 +136,11 @@ func PlaceAblation(w io.Writer, p *device.Platform, sc Scale) error {
 	for _, place := range []device.Place{device.Host, device.Accel} {
 		pl := core.NewDefault()
 		pl.EncPlace = place
-		t0 := time.Now()
 		blob, err := pl.Compress(p, data, dims, preprocess.RelBound(1e-4))
-		sec := time.Since(t0).Seconds()
 		if err != nil {
 			return err
 		}
+		sec := medianSec(func() { pl.Compress(p, data, dims, preprocess.RelBound(1e-4)) })
 		if _, _, err := core.Decompress(p, blob); err != nil {
 			return err
 		}

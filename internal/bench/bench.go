@@ -126,44 +126,116 @@ func DataField(ds sdrbench.Dataset, sc Scale, field int) ([]float32, grid.Dims) 
 	return d, dims
 }
 
-// RunOne measures one compressor on one dataset at one bound: timed
-// compression, timed decompression, bound verification, and quality.
-func RunOne(p *device.Platform, c core.Compressor, data []float32, dims grid.Dims, eb float64) Result {
-	r := Result{Compressor: c.Name(), EB: eb}
-	inBytes := 4 * dims.N()
+// timedRuns is how many repetitions medianSec times. The reported time is
+// their median, so one noisy sample — a GC cycle, a neighbour on a shared
+// core — has bounded influence on a printed cell.
+const timedRuns = 3
 
-	t0 := time.Now()
+// medianSec returns the median wall time of timedRuns runs of op. Callers
+// run op once before (the run whose result and error they keep), so no
+// timed run pays first-touch page faults, scratch-pool fill or
+// grid-worker start.
+func medianSec(op func()) float64 {
+	var secs [timedRuns]float64
+	for i := range secs {
+		t0 := time.Now()
+		op()
+		secs[i] = time.Since(t0).Seconds()
+	}
+	sort.Float64s(secs[:])
+	return secs[timedRuns/2]
+}
+
+// roundTrip runs one compressor on one dataset at one bound once, untimed:
+// compression, decompression, bound verification, and quality. It returns
+// the container with the result so RunOne can time decompression.
+func roundTrip(p *device.Platform, c core.Compressor, data []float32, dims grid.Dims, eb float64) (Result, []byte) {
+	r := Result{Compressor: c.Name(), EB: eb}
 	blob, err := c.Compress(p, data, dims, preprocess.RelBound(eb))
-	compSec := time.Since(t0).Seconds()
 	if err != nil {
 		// Matches the paper's Table 3 footnote: some pipelines reject
 		// some (dataset, eb) combinations; the cell is reported empty.
 		r.CompErr = err
-		return r
+		return r, nil
 	}
-	t0 = time.Now()
 	dec, _, err := c.Decompress(p, blob)
-	decompSec := time.Since(t0).Seconds()
 	if err != nil {
 		r.CompErr = fmt.Errorf("decompress: %w", err)
-		return r
+		return r, nil
 	}
 	absEB, _, _ := preprocess.Resolve(p, device.Host, data, preprocess.RelBound(eb))
 	if i := metrics.VerifyBound(data, dec, absEB); i != -1 {
 		r.CompErr = fmt.Errorf("bound violated at index %d", i)
-		return r
+		return r, nil
 	}
 	q, err := metrics.Evaluate(p, device.Host, data, dec)
 	if err != nil {
 		r.CompErr = err
-		return r
+		return r, nil
 	}
-	r.CR = metrics.CompressionRatio(inBytes, len(blob))
+	r.CR = metrics.CompressionRatio(4*dims.N(), len(blob))
 	r.Bitrate = metrics.Bitrate(dims.N(), len(blob))
 	r.PSNR = q.PSNR
-	r.CompGBs = metrics.Throughput(inBytes, compSec)
-	r.DecompGBs = metrics.Throughput(inBytes, decompSec)
+	return r, blob
+}
+
+// RunOne measures one compressor on one dataset at one bound: the verified
+// round trip, which doubles as the warm-up, then timed compression and
+// timed decompression.
+func RunOne(p *device.Platform, c core.Compressor, data []float32, dims grid.Dims, eb float64) Result {
+	r, blob := roundTrip(p, c, data, dims, eb)
+	if r.CompErr != nil {
+		return r
+	}
+	inBytes := 4 * dims.N()
+	r.CompGBs = metrics.Throughput(inBytes, medianSec(func() {
+		c.Compress(p, data, dims, preprocess.RelBound(eb))
+	}))
+	r.DecompGBs = metrics.Throughput(inBytes, medianSec(func() {
+		c.Decompress(p, blob)
+	}))
 	return r
+}
+
+// measureGrid runs every compressor on every dataset's primary field at
+// every bound of EBs, dataset-major then bound then compressor — the row
+// order of Table 3 and Figures 1–3.
+func measureGrid(p *device.Platform, sc Scale, cs []core.Compressor) []Result {
+	var out []Result
+	for _, ds := range sdrbench.All() {
+		data, dims := Data(ds, sc)
+		for _, eb := range EBs {
+			for _, c := range cs {
+				r := RunOne(p, c, data, dims, eb)
+				r.Dataset = ds.String()
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
+// printGrid renders measureGrid-ordered results as one row per (dataset,
+// bound) and one column per compressor; a rejected setting prints "–".
+func printGrid(w io.Writer, cs []core.Compressor, results []Result, format string, cell func(Result) float64) {
+	fmt.Fprintf(w, "%-10s %-8s", "Dataset", "eb")
+	for _, c := range cs {
+		fmt.Fprintf(w, " %14s", c.Name())
+	}
+	fmt.Fprintln(w)
+	for i, r := range results {
+		if i%len(cs) == 0 {
+			fmt.Fprintf(w, "%-10s %-8.0e", r.Dataset, r.EB)
+		}
+		if r.CompErr != nil {
+			fmt.Fprintf(w, " %14s", "–")
+		} else {
+			fmt.Fprintf(w, " "+format, cell(r))
+		}
+		if (i+1)%len(cs) == 0 {
+			fmt.Fprintln(w)
+		}
+	}
 }
 
 // Table3 regenerates the compression-ratio table: datasets × bounds ×
@@ -173,83 +245,48 @@ func RunOne(p *device.Platform, c core.Compressor, data []float32, dims grid.Dim
 // entries.
 func Table3(w io.Writer, p *device.Platform, sc Scale) []Result {
 	cs := Compressors()
-	fmt.Fprintf(w, "Table 3: average compression ratios over %d fields (synthetic SDRBench stand-ins)\n", len(fieldSeeds))
-	fmt.Fprintf(w, "%-10s %-8s", "Dataset", "eb")
-	for _, c := range cs {
-		fmt.Fprintf(w, " %14s", c.Name())
-	}
-	fmt.Fprintln(w)
 	var out []Result
 	for _, ds := range sdrbench.All() {
 		for _, eb := range EBs {
-			fmt.Fprintf(w, "%-10s %-8.0e", ds, eb)
-			row := make([]Result, len(cs))
-			for i, c := range cs {
+			for _, c := range cs {
+				var cell Result
 				var sum float64
-				ok := true
 				for field := range fieldSeeds {
 					data, dims := DataField(ds, sc, field)
-					r := RunOne(p, c, data, dims, eb)
+					r, _ := roundTrip(p, c, data, dims, eb) // ratios only: nothing to time
 					if field == 0 {
-						row[i] = r
-						row[i].Dataset = ds.String()
+						cell = r
+						cell.Dataset = ds.String()
 					}
 					if r.CompErr != nil {
-						row[i].CompErr = r.CompErr
-						ok = false
+						cell.CompErr = r.CompErr
 						break
 					}
 					sum += r.CR
 				}
-				if !ok {
-					fmt.Fprintf(w, " %14s", "–")
-					continue
+				if cell.CompErr == nil {
+					cell.CR = sum / float64(len(fieldSeeds))
 				}
-				row[i].CR = sum / float64(len(fieldSeeds))
-				fmt.Fprintf(w, " %14.1f", row[i].CR)
+				out = append(out, cell)
 			}
-			fmt.Fprintln(w)
-			out = append(out, row...)
 		}
 	}
+	fmt.Fprintf(w, "Table 3: average compression ratios over %d fields (synthetic SDRBench stand-ins)\n", len(fieldSeeds))
+	printGrid(w, cs, out, "%14.1f", func(r Result) float64 { return r.CR })
 	return out
 }
 
-// Fig1 regenerates the compression/decompression throughput figure.
+// Fig1 regenerates the compression/decompression throughput figure. Every
+// (dataset, bound, compressor) is measured once; both tables render the
+// returned results.
 func Fig1(w io.Writer, p *device.Platform, sc Scale) []Result {
 	cs := GPUCompressors()
+	out := measureGrid(p, sc, cs)
 	fmt.Fprintf(w, "Figure 1: throughput in GB/s (shape comparison; absolute values are single-core Go)\n")
-	var out []Result
-	for _, dir := range []string{"compression", "decompression"} {
-		fmt.Fprintf(w, "[%s]\n%-10s %-8s", dir, "Dataset", "eb")
-		for _, c := range cs {
-			fmt.Fprintf(w, " %14s", c.Name())
-		}
-		fmt.Fprintln(w)
-		for _, ds := range sdrbench.All() {
-			data, dims := Data(ds, sc)
-			for _, eb := range EBs {
-				fmt.Fprintf(w, "%-10s %-8.0e", ds, eb)
-				for _, c := range cs {
-					r := RunOne(p, c, data, dims, eb)
-					r.Dataset = ds.String()
-					if dir == "compression" {
-						out = append(out, r)
-					}
-					v := r.CompGBs
-					if dir == "decompression" {
-						v = r.DecompGBs
-					}
-					if r.CompErr != nil {
-						fmt.Fprintf(w, " %14s", "–")
-					} else {
-						fmt.Fprintf(w, " %14.3f", v)
-					}
-				}
-				fmt.Fprintln(w)
-			}
-		}
-	}
+	fmt.Fprintln(w, "[compression]")
+	printGrid(w, cs, out, "%14.3f", func(r Result) float64 { return r.CompGBs })
+	fmt.Fprintln(w, "[decompression]")
+	printGrid(w, cs, out, "%14.3f", func(r Result) float64 { return r.DecompGBs })
 	return out
 }
 
@@ -271,50 +308,19 @@ const paperPeakGBs = 600.0
 // with the table.
 func Speedup(w io.Writer, p *device.Platform, sc Scale) []Result {
 	cs := GPUCompressors()
-
-	// Pass 1: measure everything.
-	rows := make(map[string][]Result)
-	var order []string
+	out := measureGrid(p, sc, cs)
 	peak := 0.0
-	for _, ds := range sdrbench.All() {
-		data, dims := Data(ds, sc)
-		for _, eb := range EBs {
-			key := fmt.Sprintf("%-10s %-8.0e", ds, eb)
-			order = append(order, key)
-			for _, c := range cs {
-				r := RunOne(p, c, data, dims, eb)
-				r.Dataset = ds.String()
-				rows[key] = append(rows[key], r)
-				if r.CompGBs > peak {
-					peak = r.CompGBs
-				}
-			}
-		}
+	for _, r := range out {
+		peak = max(peak, r.CompGBs)
 	}
 	scale := peak / paperPeakGBs
 	bwGBs := p.LinkBandwidth / 1e9 * scale
 
 	fmt.Fprintf(w, "Overall speedup (Eq. 1), BW=%.2f GB/s (Table 1) x calibration %.3g = %.4f GB/s (%s)\n",
 		p.LinkBandwidth/1e9, scale, bwGBs, p.Name)
-	fmt.Fprintf(w, "%-10s %-8s", "Dataset", "eb")
-	for _, c := range cs {
-		fmt.Fprintf(w, " %14s", c.Name())
-	}
-	fmt.Fprintln(w)
-	var out []Result
-	for _, key := range order {
-		fmt.Fprint(w, key)
-		for _, r := range rows[key] {
-			out = append(out, r)
-			if r.CompErr != nil {
-				fmt.Fprintf(w, " %14s", "–")
-				continue
-			}
-			sp := metrics.OverallSpeedup(r.CompGBs, bwGBs, r.CR)
-			fmt.Fprintf(w, " %14.2f", sp)
-		}
-		fmt.Fprintln(w)
-	}
+	printGrid(w, cs, out, "%14.2f", func(r Result) float64 {
+		return metrics.OverallSpeedup(r.CompGBs, bwGBs, r.CR)
+	})
 	return out
 }
 

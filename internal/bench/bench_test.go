@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -114,12 +115,45 @@ func TestSpeedupWriterCalibration(t *testing.T) {
 	}
 }
 
+// TestFig1Writer pins that Figure 1 measures each cell once: both printed
+// tables must render the returned results, so a decompression cell that
+// came from a second run (or a result set that misses a direction) fails.
 func TestFig1Writer(t *testing.T) {
 	var buf bytes.Buffer
-	Fig1(&buf, tp, Small)
-	out := buf.String()
-	if !strings.Contains(out, "[compression]") || !strings.Contains(out, "[decompression]") {
-		t.Error("Fig1 output must contain both directions")
+	results := Fig1(&buf, tp, Small)
+	// 4 datasets × 3 bounds × 6 compressors.
+	if len(results) != 4*3*6 {
+		t.Fatalf("result count = %d, want 72", len(results))
+	}
+	_, rest, ok := strings.Cut(buf.String(), "[compression]\n")
+	comp, decomp, ok2 := strings.Cut(rest, "[decompression]\n")
+	if !ok || !ok2 {
+		t.Fatalf("Fig1 output must contain both directions:\n%s", buf.String())
+	}
+	for _, tc := range []struct {
+		name, table string
+		gbs         func(Result) float64
+	}{
+		{"compression", comp, func(r Result) float64 { return r.CompGBs }},
+		{"decompression", decomp, func(r Result) float64 { return r.DecompGBs }},
+	} {
+		var cells []string
+		for _, line := range strings.Split(strings.TrimSpace(tc.table), "\n")[1:] { // skip the header
+			cells = append(cells, strings.Fields(line)[2:]...) // skip dataset, eb
+		}
+		if len(cells) != len(results) {
+			t.Fatalf("%s table has %d cells, want %d", tc.name, len(cells), len(results))
+		}
+		for i, r := range results {
+			want := fmt.Sprintf("%.3f", tc.gbs(r))
+			if r.CompErr != nil {
+				want = "–"
+			}
+			if cells[i] != want {
+				t.Errorf("%s cell %d (%s %s @%g) = %s, want the returned result's %s",
+					tc.name, i, r.Dataset, r.Compressor, r.EB, cells[i], want)
+			}
+		}
 	}
 }
 

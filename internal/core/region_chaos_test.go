@@ -54,45 +54,65 @@ func retryOver(f fzio.ChunkFetcher) *fzio.RetryFetcher {
 }
 
 // TestChaosRegionBitIdentical is the acceptance criterion: with the
-// injector at a 30% transient error rate plus truncation faults, every
-// region read over every selection shape returns bytes identical to the
-// fault-free full decompression, with the retries visible in RegionStats.
+// injector at a 30% or 50% transient error rate plus truncation faults,
+// every region read over every selection shape returns bytes identical to
+// the fault-free full decompression, with the retries — and, on a
+// proof-checked read, the Merkle verifications — visible in RegionStats.
 func TestChaosRegionBitIdentical(t *testing.T) {
 	blob, full, dims := chaosContainer(t)
-	faulty := fzio.NewFaultFetcher(fzio.NewBytesFetcher(blob), fzio.FaultConfig{
-		Seed:         99,
-		ErrorRate:    0.3,
-		TruncateRate: 0.1,
-	})
-	retrying := retryOver(faulty)
-	reg, err := OpenRegion(tp, retrying, RegionOpts{Workers: 4})
-	if err != nil {
-		t.Fatalf("OpenRegion over faulty store: %v", err)
-	}
-	var attempts, retries int64
-	for _, sel := range regionSels(dims) {
-		got, rep, err := reg.ReadReport(sel)
-		if err != nil {
-			t.Fatalf("read %v under faults: %v", sel, err)
-		}
-		want := naiveExtract(full, dims, sel)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("read %v: byte-diverged at element %d under faults", sel, i)
+	for _, tc := range []struct {
+		name      string
+		errorRate float64
+		attempts  int // sized so the fault rate cannot plausibly exhaust them
+		proofs    bool
+	}{
+		{"faults-30", 0.3, 16, false},
+		{"faults-50-proofs", 0.5, 40, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faulty := fzio.NewFaultFetcher(fzio.NewBytesFetcher(blob), fzio.FaultConfig{
+				Seed:         99,
+				ErrorRate:    tc.errorRate,
+				TruncateRate: 0.1,
+			})
+			retrying := fzio.NewRetryFetcher(faulty, fzio.RetryPolicy{
+				MaxAttempts: tc.attempts,
+				Sleep:       func(time.Duration) {},
+			})
+			reg, err := OpenRegion(tp, retrying, RegionOpts{Workers: 4, VerifyProofs: tc.proofs})
+			if err != nil {
+				t.Fatalf("OpenRegion over faulty store: %v", err)
 			}
-		}
-		attempts += rep.Region.FetchAttempts
-		retries += rep.Region.FetchRetries
-	}
-	if retries == 0 {
-		t.Fatal("no retries recorded at a 30% fault rate — RegionStats accounting broken")
-	}
-	if attempts <= retries {
-		t.Fatalf("attempts=%d retries=%d: attempts must include every fetch's first try", attempts, retries)
-	}
-	injected, _, truncated, _ := faulty.Injected()
-	if injected == 0 || truncated == 0 {
-		t.Fatalf("injector inert: %d errors, %d truncations", injected, truncated)
+			var attempts, retries, proofs int64
+			for _, sel := range regionSels(dims) {
+				got, rep, err := reg.ReadReport(sel)
+				if err != nil {
+					t.Fatalf("read %v under faults: %v", sel, err)
+				}
+				want := naiveExtract(full, dims, sel)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("read %v: byte-diverged at element %d under faults", sel, i)
+					}
+				}
+				attempts += rep.Region.FetchAttempts
+				retries += rep.Region.FetchRetries
+				proofs += rep.Region.ProofVerified
+			}
+			if retries == 0 {
+				t.Fatalf("no retries recorded at a %g fault rate — RegionStats accounting broken", tc.errorRate)
+			}
+			if attempts <= retries {
+				t.Fatalf("attempts=%d retries=%d: attempts must include every fetch's first try", attempts, retries)
+			}
+			if (proofs > 0) != tc.proofs {
+				t.Fatalf("ProofVerified=%d with VerifyProofs=%v on a Merkle-rooted container", proofs, tc.proofs)
+			}
+			injected, _, truncated, _ := faulty.Injected()
+			if injected == 0 || truncated == 0 {
+				t.Fatalf("injector inert: %d errors, %d truncations", injected, truncated)
+			}
+		})
 	}
 }
 

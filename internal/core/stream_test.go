@@ -208,9 +208,9 @@ func TestCompressStreamErrors(t *testing.T) {
 // TestCompressStreamMemoryBounded is the out-of-core guarantee: steady-state
 // compression of a field 8× larger than the window allocates a small
 // multiple of the window, not of the field. The first run warms the
-// platform pool; device.MeasureAllocs (the probe fzbench reports allocs/op
-// with) then measures with the GC held off, so a collection cannot demote
-// the warmed sync.Pool slabs mid-measurement whatever ran before this test.
+// platform pool; device.MeasureAllocs then measures with the GC held off,
+// so a collection cannot demote the warmed sync.Pool slabs mid-measurement
+// whatever ran before this test.
 func TestCompressStreamMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")

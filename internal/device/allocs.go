@@ -6,9 +6,8 @@ import (
 )
 
 // MeasureAllocs returns the steady-state heap allocation delta (count,
-// bytes) of one fn run — the shared probe behind fzbench's allocs/op
-// columns and the tests that pin allocation bounds. The GC is disabled for
-// the measurement: a collection landing mid-run empties the scratch-slab
+// bytes) of one fn run — the shared probe behind the tests that pin
+// allocation bounds. The GC is disabled for the measurement: a collection landing mid-run empties the scratch-slab
 // sync.Pools, and the slab refills then masquerade as steady-state
 // allocation — the historical chunked-w4 27 MB/op outlier (vs ~18.6 MB for
 // w1/w2/w8) was exactly this measurement artifact, not a pool-return miss

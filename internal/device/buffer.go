@@ -7,60 +7,9 @@ import (
 	"math"
 )
 
-// Typed views over Buffer storage. A GPU exposes device memory as raw bytes
-// reinterpreted by kernels; we mirror that with explicit little-endian
-// encode/decode helpers rather than unsafe casts, keeping the package
-// portable and race-detector friendly.
-
-// AllocF32 allocates a device-place buffer holding n float32 values.
-func (p *Platform) AllocF32(place Place, n int) *Buffer { return p.Alloc(place, 4*n) }
-
-// AllocU16 allocates a device-place buffer holding n uint16 values.
-func (p *Platform) AllocU16(place Place, n int) *Buffer { return p.Alloc(place, 2*n) }
-
-// AllocU32 allocates a device-place buffer holding n uint32 values.
-func (p *Platform) AllocU32(place Place, n int) *Buffer { return p.Alloc(place, 4*n) }
-
-// F32 reads the float32 at index i.
-func (b *Buffer) F32(i int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(b.data[4*i:]))
-}
-
-// SetF32 writes the float32 at index i.
-func (b *Buffer) SetF32(i int, v float32) {
-	binary.LittleEndian.PutUint32(b.data[4*i:], math.Float32bits(v))
-}
-
-// U16 reads the uint16 at index i.
-func (b *Buffer) U16(i int) uint16 { return binary.LittleEndian.Uint16(b.data[2*i:]) }
-
-// SetU16 writes the uint16 at index i.
-func (b *Buffer) SetU16(i int, v uint16) { binary.LittleEndian.PutUint16(b.data[2*i:], v) }
-
-// U32 reads the uint32 at index i.
-func (b *Buffer) U32(i int) uint32 { return binary.LittleEndian.Uint32(b.data[4*i:]) }
-
-// SetU32 writes the uint32 at index i.
-func (b *Buffer) SetU32(i int, v uint32) { binary.LittleEndian.PutUint32(b.data[4*i:], v) }
-
-// F32Slice decodes the whole buffer as float32s into dst (allocated when nil).
-func (b *Buffer) F32Slice(dst []float32) []float32 {
-	n := len(b.data) / 4
-	if dst == nil {
-		dst = make([]float32, n)
-	}
-	for i := 0; i < n && i < len(dst); i++ {
-		dst[i] = b.F32(i)
-	}
-	return dst
-}
-
-// PutF32Slice encodes src into the buffer starting at element 0.
-func (b *Buffer) PutF32Slice(src []float32) {
-	for i, v := range src {
-		b.SetF32(i, v)
-	}
-}
+// Little-endian slice<->byte conversions: the wire form of every typed
+// payload in a container, written with explicit encode/decode rather than
+// unsafe casts to keep the package portable and race-detector friendly.
 
 // F32Bytes converts a float32 slice to its little-endian byte representation.
 func F32Bytes(src []float32) []byte {

@@ -7,11 +7,12 @@
 //  1. An execution place with massive flat parallelism. Kernels are written
 //     as grid-stride functions and launched over a worker pool via
 //     LaunchGrid, exactly mirroring how the CUDA kernels partition work.
-//  2. A distinct memory space. Device allocations are separate Go slices;
-//     data only crosses between host and device through CopyIn/CopyOut,
-//     which account every byte moved and charge a modeled transfer time so
-//     end-to-end measurements include the H2D/D2H discipline the paper's
-//     Measured Bandwidth row (Table 1) captures.
+//  2. A distinct memory space. The package itself holds no device buffers:
+//     the task-flow runtime (internal/stf) tracks which place each logical
+//     datum is valid at and, when a task needs it elsewhere, moves it and
+//     adds the bytes to Stats.BytesH2D/BytesD2H here — the H2D/D2H
+//     discipline behind the paper's Measured Bandwidth row (Table 1).
+//     LinkBandwidth carries that row as the BW term of Eq. 1.
 //
 // Two standard platforms are provided, modeled on Table 1 of the paper:
 // NewH100Platform and NewV100Platform. They differ in modeled kernel width
@@ -24,7 +25,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fzmod/internal/kernels/dispatch"
 )
@@ -70,14 +70,8 @@ type Platform struct {
 	HostWorkers int
 
 	// LinkBandwidth is the modeled host<->device bandwidth in bytes/sec,
-	// used both to charge simulated transfer time and as the BW term of
-	// the paper's Eq. 1 overall-speedup model.
+	// the BW term of the paper's Eq. 1 overall-speedup model.
 	LinkBandwidth float64
-
-	// SimulateTransferTime, when true, sleeps CopyIn/CopyOut for
-	// bytes/LinkBandwidth. Benchmarks that only need byte accounting
-	// leave it false.
-	SimulateTransferTime bool
 
 	// shared holds the runtime state every view of this platform uses:
 	// stats, the scratch pool, and the persistent grid workers. Initialized
@@ -128,11 +122,10 @@ func (p *Platform) WithWorkers(n int) *Platform {
 		return p
 	}
 	cp := &Platform{
-		Name:                 p.Name,
-		AccelWorkers:         minInt(p.workersFor(Accel), n),
-		HostWorkers:          minInt(p.workersFor(Host), n),
-		LinkBandwidth:        p.LinkBandwidth,
-		SimulateTransferTime: p.SimulateTransferTime,
+		Name:          p.Name,
+		AccelWorkers:  minInt(p.workersFor(Accel), n),
+		HostWorkers:   minInt(p.workersFor(Host), n),
+		LinkBandwidth: p.LinkBandwidth,
 	}
 	cp.shared.Store(p.state())
 	return cp
@@ -254,16 +247,14 @@ func (p *Platform) runChunks(place Place, n, chunk int, kernel func(lo, hi int))
 // counters are cache-line padded: they are bumped from every worker on the
 // hot path, and without padding the adjacent atomics false-share one line.
 type Stats struct {
-	BytesH2D      atomic.Int64
-	_             [56]byte
-	BytesD2H      atomic.Int64
-	_             [56]byte
-	KernelLaunch  atomic.Int64
-	_             [56]byte
-	HostLaunch    atomic.Int64
-	_             [56]byte
-	TransferNanos atomic.Int64
-	_             [56]byte
+	BytesH2D     atomic.Int64
+	_            [56]byte
+	BytesD2H     atomic.Int64
+	_            [56]byte
+	KernelLaunch atomic.Int64
+	_            [56]byte
+	HostLaunch   atomic.Int64
+	_            [56]byte
 	// Region-read slab-cache counters, bumped by the region planner
 	// (internal/core) as selections hit or miss decoded-slab cache entries.
 	RegionCacheHits  atomic.Int64
@@ -339,7 +330,6 @@ func (p *Platform) ResetStats() {
 	st.BytesD2H.Store(0)
 	st.KernelLaunch.Store(0)
 	st.HostLaunch.Store(0)
-	st.TransferNanos.Store(0)
 	st.RegionCacheHits.Store(0)
 	st.RegionCacheMiss.Store(0)
 	st.RegionCacheEvict.Store(0)
@@ -411,72 +401,4 @@ func (p *Platform) LaunchBlocks(place Place, n int, kernel func(lo, hi int)) {
 	}
 	chunk := (n + workers - 1) / workers
 	p.runChunks(place, n, chunk, kernel)
-}
-
-// Buffer is an allocation in one memory space. The element type is byte;
-// typed views are provided by the generic helpers in buffer.go.
-type Buffer struct {
-	place Place
-	data  []byte
-}
-
-// Alloc allocates a buffer of size bytes in the memory space of place.
-func (p *Platform) Alloc(place Place, size int) *Buffer {
-	return &Buffer{place: place, data: make([]byte, size)}
-}
-
-// Place reports the memory space the buffer lives in.
-func (b *Buffer) Place() Place { return b.place }
-
-// Len reports the buffer size in bytes.
-func (b *Buffer) Len() int { return len(b.data) }
-
-// Bytes exposes the raw storage. Kernel code running at the buffer's place
-// may read/write it; crossing places must go through CopyIn/CopyOut.
-func (b *Buffer) Bytes() []byte { return b.data }
-
-// CopyIn copies host bytes into a device buffer (H2D), charging the link.
-func (p *Platform) CopyIn(dst *Buffer, src []byte) error {
-	if dst.place != Accel {
-		return fmt.Errorf("device: CopyIn destination is %v, want accel", dst.place)
-	}
-	if len(src) > len(dst.data) {
-		return fmt.Errorf("device: CopyIn overflow: src %d bytes into %d-byte buffer", len(src), len(dst.data))
-	}
-	copy(dst.data, src)
-	p.chargeTransfer(len(src), &p.Stats().BytesH2D)
-	return nil
-}
-
-// CopyOut copies device bytes back to host memory (D2H), charging the link.
-func (p *Platform) CopyOut(dst []byte, src *Buffer) error {
-	if src.place != Accel {
-		return fmt.Errorf("device: CopyOut source is %v, want accel", src.place)
-	}
-	if len(src.data) > len(dst) {
-		return fmt.Errorf("device: CopyOut overflow: %d-byte buffer into %d-byte dst", len(src.data), len(dst))
-	}
-	copy(dst, src.data)
-	p.chargeTransfer(len(src.data), &p.Stats().BytesD2H)
-	return nil
-}
-
-func (p *Platform) chargeTransfer(n int, counter *atomic.Int64) {
-	counter.Add(int64(n))
-	if p.LinkBandwidth <= 0 {
-		return
-	}
-	d := time.Duration(float64(n) / p.LinkBandwidth * 1e9)
-	p.Stats().TransferNanos.Add(int64(d))
-	if p.SimulateTransferTime && d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// TransferTime returns the modeled time to move n bytes across the link.
-func (p *Platform) TransferTime(n int) time.Duration {
-	if p.LinkBandwidth <= 0 {
-		return 0
-	}
-	return time.Duration(float64(n) / p.LinkBandwidth * 1e9)
 }

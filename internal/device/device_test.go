@@ -68,86 +68,6 @@ func TestLaunchCounters(t *testing.T) {
 	}
 }
 
-func TestCopyInOutAccounting(t *testing.T) {
-	p := NewTestPlatform()
-	src := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	buf := p.Alloc(Accel, 8)
-	if err := p.CopyIn(buf, src); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, 8)
-	if err := p.CopyOut(dst, buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatalf("roundtrip mismatch at %d: got %d want %d", i, dst[i], src[i])
-		}
-	}
-	if got := p.Stats().BytesH2D.Load(); got != 8 {
-		t.Errorf("BytesH2D = %d, want 8", got)
-	}
-	if got := p.Stats().BytesD2H.Load(); got != 8 {
-		t.Errorf("BytesD2H = %d, want 8", got)
-	}
-}
-
-func TestCopyErrors(t *testing.T) {
-	p := NewTestPlatform()
-	host := p.Alloc(Host, 8)
-	if err := p.CopyIn(host, make([]byte, 4)); err == nil {
-		t.Error("CopyIn to host buffer should fail")
-	}
-	small := p.Alloc(Accel, 2)
-	if err := p.CopyIn(small, make([]byte, 4)); err == nil {
-		t.Error("CopyIn overflow should fail")
-	}
-	if err := p.CopyOut(make([]byte, 4), host); err == nil {
-		t.Error("CopyOut from host buffer should fail")
-	}
-	big := p.Alloc(Accel, 16)
-	if err := p.CopyOut(make([]byte, 4), big); err == nil {
-		t.Error("CopyOut overflow should fail")
-	}
-}
-
-func TestTransferTimeModel(t *testing.T) {
-	p := &Platform{LinkBandwidth: 1e9} // 1 GB/s
-	d := p.TransferTime(1e9)
-	if d.Seconds() < 0.99 || d.Seconds() > 1.01 {
-		t.Errorf("TransferTime(1GB @ 1GB/s) = %v, want ~1s", d)
-	}
-	p2 := &Platform{}
-	if p2.TransferTime(100) != 0 {
-		t.Error("zero-bandwidth platform should report zero transfer time")
-	}
-}
-
-func TestBufferTypedAccess(t *testing.T) {
-	p := NewTestPlatform()
-	b := p.AllocF32(Accel, 4)
-	b.SetF32(2, 3.5)
-	if got := b.F32(2); got != 3.5 {
-		t.Errorf("F32(2) = %v, want 3.5", got)
-	}
-	u := p.AllocU16(Host, 3)
-	u.SetU16(1, 65535)
-	if got := u.U16(1); got != 65535 {
-		t.Errorf("U16(1) = %d, want 65535", got)
-	}
-	w := p.AllocU32(Host, 3)
-	w.SetU32(0, 0xdeadbeef)
-	if got := w.U32(0); got != 0xdeadbeef {
-		t.Errorf("U32(0) = %#x", got)
-	}
-	if u.Place() != Host || b.Place() != Accel {
-		t.Error("Place() mismatch")
-	}
-	if b.Len() != 16 {
-		t.Errorf("Len = %d, want 16", b.Len())
-	}
-}
-
 func TestSliceConversionsRoundtrip(t *testing.T) {
 	f := func(vals []float32) bool {
 		got := BytesF32(F32Bytes(vals))
@@ -197,19 +117,6 @@ func TestSliceConversionsRoundtrip(t *testing.T) {
 	}
 }
 
-func TestBufferF32SliceHelpers(t *testing.T) {
-	p := NewTestPlatform()
-	b := p.AllocF32(Host, 5)
-	src := []float32{1, -2, 3.25, 0, 5}
-	b.PutF32Slice(src)
-	got := b.F32Slice(nil)
-	for i := range src {
-		if got[i] != src[i] {
-			t.Fatalf("F32Slice[%d] = %v, want %v", i, got[i], src[i])
-		}
-	}
-}
-
 func TestStreamOrdering(t *testing.T) {
 	p := NewTestPlatform()
 	s := p.NewStream(Accel)
@@ -243,22 +150,6 @@ func TestStreamLaunch(t *testing.T) {
 		if v != int32(i) {
 			t.Fatalf("data[%d] = %d", i, v)
 		}
-	}
-}
-
-func TestEventCrossStream(t *testing.T) {
-	p := NewTestPlatform()
-	a := p.NewStream(Accel)
-	b := p.NewStream(Host)
-	var x atomic.Int32
-	a.Enqueue(func() { x.Store(42) })
-	ev := a.Record()
-	b.WaitEvent(ev)
-	var got int32
-	b.Enqueue(func() { got = x.Load() })
-	b.Sync()
-	if got != 42 {
-		t.Errorf("cross-stream event: got %d, want 42", got)
 	}
 }
 

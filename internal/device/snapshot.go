@@ -15,8 +15,6 @@ type Snapshot struct {
 	BytesH2D, BytesD2H int64
 	// KernelLaunches and HostLaunches count grid launches at each place.
 	KernelLaunches, HostLaunches int64
-	// TransferNanos is the simulated time spent on transfers.
-	TransferNanos int64
 	// RegionCacheHits/Misses/Evictions are the region-read slab-cache
 	// counters (zero when no region read ever ran).
 	RegionCacheHits, RegionCacheMisses, RegionCacheEvictions int64
@@ -37,7 +35,6 @@ func (p *Platform) Snapshot() Snapshot {
 		BytesD2H:             st.BytesD2H.Load(),
 		KernelLaunches:       st.KernelLaunch.Load(),
 		HostLaunches:         st.HostLaunch.Load(),
-		TransferNanos:        st.TransferNanos.Load(),
 		RegionCacheHits:      st.RegionCacheHits.Load(),
 		RegionCacheMisses:    st.RegionCacheMiss.Load(),
 		RegionCacheEvictions: st.RegionCacheEvict.Load(),

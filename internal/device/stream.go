@@ -27,7 +27,7 @@ func (p *Platform) NewStream(place Place) *Stream {
 func (s *Stream) Place() Place { return s.place }
 
 // Enqueue schedules fn after all previously enqueued work on this stream.
-// It returns immediately; use Sync or an Event to wait.
+// It returns immediately; use Sync to wait.
 func (s *Stream) Enqueue(fn func()) {
 	s.mu.Lock()
 	prev := s.tail
@@ -52,27 +52,4 @@ func (s *Stream) Sync() {
 	tail := s.tail
 	s.mu.Unlock()
 	<-tail
-}
-
-// Event marks a point in a stream's work queue that other streams can wait
-// on, mirroring cudaEvent.
-type Event struct {
-	done chan struct{}
-}
-
-// Record captures the stream's current tail as an event.
-func (s *Stream) Record() *Event {
-	s.mu.Lock()
-	tail := s.tail
-	s.mu.Unlock()
-	return &Event{done: tail}
-}
-
-// Wait blocks the caller until the event has fired.
-func (e *Event) Wait() { <-e.done }
-
-// WaitEvent makes subsequent work on s wait for e without blocking the
-// caller (cudaStreamWaitEvent).
-func (s *Stream) WaitEvent(e *Event) {
-	s.Enqueue(func() { <-e.done })
 }

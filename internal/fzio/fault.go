@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// FaultFetcher is a seeded deterministic fault injector for chaos tests
-// and the fzbench faults experiment. It wraps any ChunkFetcher and, per
+// FaultFetcher is a seeded deterministic fault injector for the chaos
+// tests. It wraps any ChunkFetcher and, per
 // ReadRange, may inject a transient error, a latency spike, a truncated
 // range (surfaced as the short-read error the fetcher contract demands),
 // or bit corruption in the returned payload — either a random bit flip

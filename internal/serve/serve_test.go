@@ -427,6 +427,10 @@ func TestServeConcurrentMixedLoad(t *testing.T) {
 					errs[i] = fmt.Errorf("client %d iter %d: status %d: %s", i, it, resp.StatusCode, bytes.TrimSpace(got))
 					return
 				}
+				if want := 4 * 12 * 10 * 16; (i+it)%3 == 2 && len(got) != want {
+					errs[i] = fmt.Errorf("client %d iter %d: region read returned %d bytes, want %d", i, it, len(got), want)
+					return
+				}
 			}
 		}(i)
 	}
@@ -435,6 +439,9 @@ func TestServeConcurrentMixedLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if shed := s.adm.Shed(); shed != 0 {
+		t.Fatalf("%d requests shed under a %d-deep queue", shed, 128)
 	}
 	if peak, budget := s.adm.Peak(), s.adm.Budget(); peak > budget {
 		t.Fatalf("peak %d exceeded budget %d", peak, budget)

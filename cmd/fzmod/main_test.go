@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -286,6 +287,41 @@ func TestCLIErrors(t *testing.T) {
 		}
 		if err := run(cfg); err == nil {
 			t.Errorf("%s: expected an error", name)
+		}
+	}
+}
+
+// TestCLIOverLimitGeometry: -dims whose product wraps int (the 256-byte
+// input "matches" a wrapped N() of 64) and a -chunk that cuts the field
+// into more than 2^20 chunks are ordinary errors naming the limit — the
+// first used to panic slicing the input, the second to write an artifact
+// -d refuses — on the in-memory and the streaming path alike.
+func TestCLIOverLimitGeometry(t *testing.T) {
+	dir := t.TempDir()
+	small := filepath.Join(dir, "small.f32")
+	if err := os.WriteFile(small, make([]byte, 256), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const n = 1<<20 + 8
+	long := filepath.Join(dir, "long.f32")
+	if err := os.WriteFile(long, make([]byte, 4*n), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]config{
+		"-dims wraps":        {in: small, dims: "4611686018427387920x4x1"},
+		"-dims wraps stream": {in: small, dims: "4611686018427387920x4x1", stream: true},
+		"-chunk 1":           {in: long, dims: strconv.Itoa(n), chunk: 1},
+		"-chunk 1 stream":    {in: long, dims: strconv.Itoa(n), chunk: 1, stream: true},
+	} {
+		cfg.compress, cfg.eb, cfg.mode, cfg.pipeline = true, 1e-2, "abs", "default"
+		cfg.out = filepath.Join(dir, "out.fz")
+		cfg.stdout, cfg.stdin = io.Discard, strings.NewReader("")
+		err := run(cfg)
+		if !errors.Is(err, grid.ErrLimit) {
+			t.Errorf("%s: error %v, want one wrapping grid.ErrLimit", name, err)
+		}
+		if _, statErr := os.Stat(cfg.out); !os.IsNotExist(statErr) {
+			t.Errorf("%s: an artifact was written", name)
 		}
 	}
 }

@@ -2,8 +2,9 @@
 // HTTP service where every request executes over one warm shared
 // platform. The admission controller treats -workers as a global
 // parallelism budget (requests lease slices of it, excess requests queue
-// and shed), small compress requests coalesce into batches, and /metrics
-// exports the daemon's flat counters.
+// and shed), every data-plane request is parsed, leased, executed and
+// answered the same way on its handler's goroutine, and /metrics exports
+// the daemon's flat counters.
 //
 // Endpoints:
 //
@@ -33,8 +34,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -47,44 +50,59 @@ import (
 	"fzmod/internal/serve"
 )
 
+// options is the parsed command line.
+type options struct {
+	listen    string
+	drainWait time.Duration
+	cfg       serve.Config
+}
+
+// flagSet declares every fzmodd flag over o — the one place they are
+// defined, so a test can walk the set against the README's flag list.
+func flagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("fzmodd", flag.ContinueOnError)
+	fs.StringVar(&o.listen, "listen", ":8092", "address to serve on")
+	fs.IntVar(&o.cfg.Workers, "workers", 0, "global worker budget (0 = platform width)")
+	fs.StringVar(&o.cfg.Preset, "preset", "default", "default pipeline preset: default, speed, quality")
+	fs.IntVar(&o.cfg.DefaultLease, "lease", 1, "workers leased per request when the request names none")
+	fs.IntVar(&o.cfg.MaxQueue, "max-queue", 64, "queued requests before shedding with 429 (-1 = none)")
+	fs.DurationVar(&o.cfg.MaxWait, "max-wait", 2*time.Second, "longest a request may queue before 429 (-1s = forever)")
+	fs.Int64Var(&o.cfg.CacheBytes, "cache-mb", 256, "region slab-cache budget in MiB")
+	fs.DurationVar(&o.cfg.RequestTimeout, "timeout", 0, "per-request execution timeout (0 = none)")
+	fs.Int64Var(&o.cfg.MaxBodyBytes, "max-body-mb", 1024, "request body cap in MiB")
+	fs.DurationVar(&o.drainWait, "drain-timeout", 10*time.Second, "longest a graceful shutdown waits for in-flight requests")
+	return fs
+}
+
+// parseArgs parses the command line into options; the error (already
+// reported on stderr by the flag package) is a usage error.
+func parseArgs(args []string, stderr io.Writer) (*options, error) {
+	var o options
+	fs := flagSet(&o)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	o.cfg.CacheBytes <<= 20
+	o.cfg.MaxBodyBytes <<= 20
+	return &o, nil
+}
+
 func main() {
-	var (
-		listen    = flag.String("listen", ":8092", "address to serve on")
-		workers   = flag.Int("workers", 0, "global worker budget (0 = platform width)")
-		preset    = flag.String("preset", "default", "default pipeline preset: default, speed, quality")
-		lease     = flag.Int("lease", 1, "workers leased per request when the request names none")
-		maxQueue  = flag.Int("max-queue", 64, "queued requests before shedding with 429 (-1 = none)")
-		maxWait   = flag.Duration("max-wait", 2*time.Second, "longest a request may queue before 429 (-1s = forever)")
-		batchN    = flag.Int("batch-items", 8, "batch size trigger, in requests")
-		batchB    = flag.Int("batch-bytes", 4<<20, "batch size trigger, in raw payload bytes")
-		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "batch max-wait trigger")
-		batchThr  = flag.Int("batch-threshold", 256<<10, "payloads up to this many raw bytes coalesce (-1 = never)")
-		cacheMB   = flag.Int64("cache-mb", 256, "region slab-cache budget in MiB")
-		timeout   = flag.Duration("timeout", 0, "per-request execution timeout (0 = none)")
-		maxBody   = flag.Int64("max-body-mb", 1024, "request body cap in MiB")
-		drainWait = flag.Duration("drain-timeout", 10*time.Second, "longest a graceful shutdown waits for in-flight requests")
-	)
-	flag.Parse()
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(2)
+	}
 
 	// One warm platform for the daemon's lifetime: its BufPool and stats
 	// are shared by every request. (Kernel tier comes from auto-detection
 	// or the FZMOD_KERNELS environment variable, as everywhere else.)
 	p := device.NewH100Platform()
-	srv := serve.New(p, serve.Config{
-		Preset:         *preset,
-		Workers:        *workers,
-		DefaultLease:   *lease,
-		MaxQueue:       *maxQueue,
-		MaxWait:        *maxWait,
-		BatchItems:     *batchN,
-		BatchBytes:     *batchB,
-		BatchWait:      *batchWait,
-		BatchThreshold: *batchThr,
-		CacheBytes:     *cacheMB << 20,
-		RequestTimeout: *timeout,
-		MaxBodyBytes:   *maxBody << 20,
-	})
-	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	srv := serve.New(p, o.cfg)
+	hs := &http.Server{Addr: o.listen, Handler: srv.Handler()}
 
 	// SIGHUP hot-reloads the worker budget: FZMODD_WORKERS if set, else
 	// the -workers flag (0 = platform width) — queued requests are never
@@ -93,7 +111,7 @@ func main() {
 	signal.Notify(reload, syscall.SIGHUP)
 	go func() {
 		for range reload {
-			budget := *workers
+			budget := o.cfg.Workers
 			if env := os.Getenv("FZMODD_WORKERS"); env != "" {
 				if v, err := strconv.Atoi(env); err == nil && v > 0 {
 					budget = v
@@ -111,14 +129,14 @@ func main() {
 	}()
 
 	// SIGTERM/SIGINT drains: stop accepting (readyz flips, new requests
-	// get 503 + Retry-After), flush the batcher, wait out in-flight
-	// requests up to -drain-timeout, then close the listener.
+	// get 503 + Retry-After), wait out in-flight requests up to
+	// -drain-timeout, then close the listener.
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-done
-		log.Printf("fzmodd: draining (%d in flight, up to %v)", srv.InFlight(), *drainWait)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
+		log.Printf("fzmodd: draining (%d in flight, up to %v)", srv.InFlight(), o.drainWait)
+		ctx, cancel := context.WithTimeout(context.Background(), o.drainWait)
 		defer cancel()
 		if err := srv.Drain(ctx); err != nil {
 			log.Printf("fzmodd: %v", err)
@@ -127,7 +145,7 @@ func main() {
 	}()
 
 	log.Printf("fzmodd: serving on %s (budget %d workers, kernels %s)",
-		*listen, srv.Admission().Budget(), p.KernelImpl())
+		o.listen, srv.Admission().Budget(), p.KernelImpl())
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -59,6 +59,31 @@ func planesFor(dims grid.Dims, chunkElems int) int {
 	return planes
 }
 
+// ChunkPlanes returns the whole planes per chunk both write lowerings cut a
+// dims-shaped field into for a target of chunkElems elements (0 = the
+// default), after holding the geometry to the hard limits every reader
+// enforces (docs/FORMAT.md §1.1): a field or a chunk count beyond them is
+// refused here, with an error wrapping grid.ErrLimit, before a task is
+// declared or a byte sliced — never written and then refused on read. A
+// server calls it to validate a request ahead of spending a lease on it.
+func ChunkPlanes(dims grid.Dims, chunkElems int) (int, error) {
+	if !dims.Valid() {
+		return 0, fmt.Errorf("core: invalid dims %v", dims)
+	}
+	g := dims.Geometry()
+	// The extents first: planesFor multiplies them.
+	if err := g.CheckLimits(); err != nil {
+		return 0, fmt.Errorf("core: %w", err)
+	}
+	planes := planesFor(dims, chunkElems)
+	g.Planes = uint64(planes)
+	g.Chunks = uint64((dims.SlowExtent() + planes - 1) / planes)
+	if err := g.CheckLimits(); err != nil {
+		return 0, fmt.Errorf("core: dims %v in chunks of %d planes: %w", dims, planes, err)
+	}
+	return planes, nil
+}
+
 // chunkPrefix names chunk i's tasks and tokens within a graph.
 func chunkPrefix(i int) string { return "c" + strconv.Itoa(i) + "." }
 
@@ -89,6 +114,10 @@ func (pl *Pipeline) CompressChunkedReport(p *device.Platform, data []float32, di
 // report. It is the single write lowering: validate → resolve the bound →
 // budget → one sub-graph per slab → layout → scatter-write into the sink.
 func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound, opts ChunkOpts) ([]byte, *ExecReport, error) {
+	planes, err := ChunkPlanes(dims, opts.ChunkElems)
+	if err != nil {
+		return nil, nil, err
+	}
 	if dims.N() != len(data) {
 		return nil, nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
 	}
@@ -100,7 +129,7 @@ func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Pla
 		Pipeline: pl.PipelineName,
 		Dims:     dims,
 		EB:       absEB,
-		Planes:   planesFor(dims, opts.ChunkElems),
+		Planes:   planes,
 	}
 	if eb.Mode == preprocess.Rel {
 		hdr.RelEB = eb.Value

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+	"time"
 
 	"fzmod/internal/device"
 	"fzmod/internal/fzio"
@@ -187,5 +189,50 @@ func TestCompressAutoChunksLargeInputs(t *testing.T) {
 	absEB, _, _ := preprocess.Resolve(tp, device.Accel, data, preprocess.RelBound(1e-2))
 	if i := metrics.VerifyBound(data, got, absEB); i != -1 {
 		t.Errorf("bound violated at %d", i)
+	}
+}
+
+// TestWriteRefusesWhatReadRefuses: the FORMAT.md §1.1 geometry limits bind
+// both write lowerings exactly as they bind every reader. Geometry beyond
+// them is a typed error before a task is declared, a byte sliced or a byte
+// written — dims whose product wraps int used to panic slicing the input,
+// and a chunk count above 2^20 used to run for a minute and return an
+// artifact no reader accepts.
+func TestWriteRefusesWhatReadRefuses(t *testing.T) {
+	pl := NewDefault()
+	eb := preprocess.AbsBound(1e-2)
+	for _, tc := range []struct {
+		name  string
+		dims  grid.Dims
+		elems int // values actually supplied
+		chunk int
+	}{
+		{"dims product wraps to 64", grid.D2(4611686018427387920, 4), 64, 0},
+		{"dims product wraps to 0", grid.D2(1<<32, 1<<32), 0, 0},
+		{"dims product 2^34+1", grid.D1(1<<34 + 1), 16, 0},
+		{"2^20+8 chunks", grid.D1(1<<20 + 8), 1<<20 + 8, 1},
+		{"nominal planes above 2^34", grid.D1(4096), 4096, 1<<34 + 1},
+	} {
+		data := make([]float32, tc.elems)
+		start := time.Now()
+		blob, err := pl.CompressChunked(tp, data, tc.dims, eb, ChunkOpts{ChunkElems: tc.chunk})
+		if !errors.Is(err, grid.ErrLimit) || blob != nil {
+			t.Errorf("%s: CompressChunked = %d bytes, %v; want an error wrapping grid.ErrLimit", tc.name, len(blob), err)
+		}
+		var out bytes.Buffer
+		n, err := pl.CompressStream(tp, bytes.NewReader(device.F32Bytes(data)), tc.dims, eb, &out, StreamOpts{ChunkElems: tc.chunk})
+		if !errors.Is(err, grid.ErrLimit) || n != 0 || out.Len() != 0 {
+			t.Errorf("%s: CompressStream wrote %d bytes, %v; want nothing written and an error wrapping grid.ErrLimit", tc.name, out.Len(), err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("%s: refused only after %v", tc.name, d)
+		}
+	}
+
+	// The limits themselves are admitted: 2^34 elements, 2^20 chunks.
+	for _, dims := range []grid.Dims{grid.D1(1 << 34), grid.D2(1<<14, 1<<20)} {
+		if _, err := ChunkPlanes(dims, dims.N()>>20); err != nil {
+			t.Errorf("%v in 2^20 chunks refused: %v", dims, err)
+		}
 	}
 }

@@ -54,7 +54,7 @@ func (s RegionSel) String() string {
 // geometry: up to three comma-separated half-open ranges, x fastest.
 // Trailing axes may be omitted and span their full extent (matching the
 // trailing singleton convention of grid.Dims); the empty string selects
-// the whole field. Range bounds are validated by the read.
+// the whole field. Range bounds are checked by Validate (and by the read).
 func ParseRegionSel(s string, d grid.Dims) (RegionSel, error) {
 	sel := FullRegion(d)
 	if s == "" {
@@ -77,9 +77,9 @@ func ParseRegionSel(s string, d grid.Dims) (RegionSel, error) {
 	return sel, nil
 }
 
-// validate checks the selection against the field geometry: every axis
+// Validate checks the selection against the field geometry: every axis
 // must be a non-empty half-open range inside the extent.
-func (s RegionSel) validate(d grid.Dims) error {
+func (s RegionSel) Validate(d grid.Dims) error {
 	type axis struct {
 		name   string
 		lo, hi int
@@ -293,6 +293,16 @@ func OpenRegion(p *device.Platform, f fzio.ChunkFetcher, opts RegionOpts) (*Regi
 	return &Region{p: p, f: f, ix: ix, opts: opts, verify: opts.VerifyProofs || fzio.IsHTTPBacked(f)}, nil
 }
 
+// WithWorkers returns a view of the open region that reads under a budget
+// of n workers (Opts.Workers), sharing the parsed index, the fetcher and
+// the cache: a server opens a region — and refuses a bad selection against
+// it — before it knows the width its admission lease will grant.
+func (r *Region) WithWorkers(n int) *Region {
+	cp := *r
+	cp.opts.Workers = n
+	return &cp
+}
+
 // Dims returns the full field geometry of the underlying container.
 func (r *Region) Dims() grid.Dims { return r.ix.Header.Dims }
 
@@ -325,7 +335,7 @@ func (r *Region) ReadReport(sel RegionSel) ([]float32, *ExecReport, error) {
 // ReadReportCtx is ReadCtx returning the executor report.
 func (r *Region) ReadReportCtx(gctx context.Context, sel RegionSel) ([]float32, *ExecReport, error) {
 	dims := r.ix.Header.Dims
-	if err := sel.validate(dims); err != nil {
+	if err := sel.Validate(dims); err != nil {
 		return nil, nil, err
 	}
 	s0, s1 := sel.slowRange(dims)

@@ -56,8 +56,9 @@ func (pl *Pipeline) CompressStream(p *device.Platform, r io.Reader, dims grid.Di
 // truncated mid-container, exactly as any other mid-stream error leaves
 // it).
 func (pl *Pipeline) CompressStreamCtx(gctx context.Context, p *device.Platform, r io.Reader, dims grid.Dims, eb preprocess.ErrorBound, w io.Writer, opts StreamOpts) (int64, error) {
-	if !dims.Valid() {
-		return 0, fmt.Errorf("core: invalid dims %v", dims)
+	planes, err := ChunkPlanes(dims, opts.ChunkElems)
+	if err != nil {
+		return 0, err
 	}
 	if eb.Mode != preprocess.Abs {
 		return 0, fmt.Errorf("core: streaming compression requires an absolute error bound (a relative bound needs the whole field's value range; resolve it first)")
@@ -66,7 +67,6 @@ func (pl *Pipeline) CompressStreamCtx(gctx context.Context, p *device.Platform, 
 		return 0, fmt.Errorf("core: error bound must be positive, got %g", eb.Value)
 	}
 	absEB := eb.Value
-	planes := planesFor(dims, opts.ChunkElems)
 	slabs := grid.SplitSlabs(dims, planes)
 
 	sw, err := fzio.NewStreamWriter(w, fzio.ChunkedHeader{

@@ -3,6 +3,7 @@ package fzio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -286,5 +287,29 @@ func TestAssemblyCRCSlotPosition(t *testing.T) {
 		if _, err := c.Chunk(i); err != nil {
 			t.Errorf("chunk %d: %v", i, err)
 		}
+	}
+}
+
+// TestWritersEnforceReaderLimits: the two writers of the shared header
+// refuse the geometry their readers refuse (the same grid.Geometry check),
+// before allocating a table or writing a prologue byte.
+func TestWritersEnforceReaderLimits(t *testing.T) {
+	for name, h := range map[string]ChunkedHeader{
+		"dims product wraps":  {Pipeline: "p", Dims: grid.D2(1<<32, 1<<32), EB: 1, Planes: 1},
+		"dims above 2^34":     {Pipeline: "p", Dims: grid.D1(1<<34 + 1), EB: 1, Planes: 1},
+		"nominal planes 2^35": {Pipeline: "p", Dims: grid.D1(8), EB: 1, Planes: 1 << 35},
+	} {
+		if _, err := NewChunkedAssembly(h, []int{1}, []int{h.Dims.SlowExtent()}); !errors.Is(err, grid.ErrLimit) {
+			t.Errorf("%s: NewChunkedAssembly = %v, want grid.ErrLimit", name, err)
+		}
+		var out bytes.Buffer
+		if _, err := NewStreamWriter(&out, h); !errors.Is(err, grid.ErrLimit) || out.Len() != 0 {
+			t.Errorf("%s: NewStreamWriter = %v after %d bytes, want grid.ErrLimit and nothing written", name, err, out.Len())
+		}
+	}
+	n := grid.MaxChunks + 1
+	h := ChunkedHeader{Pipeline: "p", Dims: grid.D1(n), EB: 1, Planes: 1}
+	if _, err := NewChunkedAssembly(h, make([]int, n), make([]int, n)); !errors.Is(err, grid.ErrLimit) {
+		t.Errorf("2^20+1 chunks: NewChunkedAssembly = %v, want grid.ErrLimit", err)
 	}
 }

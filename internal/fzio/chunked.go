@@ -117,8 +117,8 @@ type ChunkedAssembly struct {
 // and writes the container prologue plus the chunk table (CRC slots
 // zeroed) into a single exact-size buffer.
 func NewChunkedAssembly(h ChunkedHeader, lengths, planes []int) (*ChunkedAssembly, error) {
-	if !h.Dims.Valid() {
-		return nil, fmt.Errorf("fzio: invalid dims %v", h.Dims)
+	if err := checkWriteHeader(h, len(lengths)); err != nil {
+		return nil, err
 	}
 	if len(lengths) == 0 {
 		return nil, fmt.Errorf("fzio: chunked container needs at least one chunk")

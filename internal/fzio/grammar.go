@@ -15,17 +15,8 @@ import (
 // and FZMS in its trailer. Each §1.1 hard limit is checked here, where its
 // production is parsed, so every door into the package — Unmarshal,
 // UnmarshalChunked, NewStreamReader, FetchIndex, SurveyArtifact — enforces
-// all of them.
-
-// maxChunksLimit bounds the chunk count a container may declare, so a
-// corrupt header cannot drive a huge allocation.
-const maxChunksLimit = 1 << 20
-
-// maxFieldElems bounds the element count a header may declare (16 Gi
-// elements = 64 GiB of float32), so a crafted header can neither overflow
-// int arithmetic nor drive an absurd output allocation before any payload
-// CRC has been checked. It also bounds every plane count.
-const maxFieldElems = 1 << 34
+// all of them. The geometry limits (field elements, plane counts, chunk
+// count) are grid.Geometry.CheckLimits, which the writers call too.
 
 // maxStreamChunkBytes bounds a single frame's declared payload length so a
 // corrupt length cannot drive an absurd allocation (1 GiB per chunk is far
@@ -159,33 +150,47 @@ func (c *cursor) header(magic string, maxVersion int) (h ChunkedHeader, version 
 		}
 	}
 	h.Pipeline = c.str()
-	dims := [3]uint64{c.uvarint(), c.uvarint(), c.uvarint()}
-	nElems := uint64(1)
-	for _, v := range dims {
-		// Overflow-safe product bound: decoders allocate Dims.N() output
-		// elements before any payload CRC is checked. Zero extents fall
-		// through to the Valid check below.
-		if v > maxFieldElems || (v > 0 && nElems > maxFieldElems/v) {
-			c.fail("declared field too large")
-			break
-		}
-		nElems *= max(v, 1)
+	x, y, z := c.uvarint(), c.uvarint(), c.uvarint()
+	h.EB, h.RelEB = c.f64(), c.f64()
+	nominal := uint64(0)
+	if magic != Magic {
+		nominal = c.uvarint()
 	}
-	h.Dims = grid.Dims{X: int(dims[0]), Y: int(dims[1]), Z: int(dims[2])}
+	// Decoders allocate Dims.N() output elements before any payload CRC is
+	// checked, so the limits are judged on the uint64s, ahead of the int
+	// conversions. Zero extents fall through to the Valid check.
+	c.limit(grid.Geometry{X: x, Y: y, Z: z, Planes: nominal})
+	h.Dims = grid.Dims{X: int(x), Y: int(y), Z: int(z)}
 	if !h.Dims.Valid() {
 		c.fail("invalid dims %v", h.Dims)
 	}
-	h.EB, h.RelEB = c.f64(), c.f64()
+	h.Planes = int(nominal)
 	if magic == Magic {
 		h.Planes = h.Dims.SlowExtent()
-	} else {
-		nominal := c.uvarint()
-		if nominal > maxFieldElems {
-			c.fail("nominal plane count %d exceeds limit", nominal)
-		}
-		h.Planes = int(nominal)
 	}
 	return h, version
+}
+
+// limit latches a violated geometry hard limit as corruption.
+func (c *cursor) limit(g grid.Geometry) {
+	if err := g.CheckLimits(); err != nil {
+		c.fail("%v", err)
+	}
+}
+
+// checkWriteHeader is what every writer of the shared header checks before
+// it serializes one: positive extents within the limits its own readers
+// enforce, so no writer can emit an artifact they would refuse.
+func checkWriteHeader(h ChunkedHeader, chunks int) error {
+	if !h.Dims.Valid() {
+		return fmt.Errorf("fzio: invalid dims %v", h.Dims)
+	}
+	g := h.Dims.Geometry()
+	g.Planes, g.Chunks = uint64(h.Planes), uint64(chunks)
+	if err := g.CheckLimits(); err != nil {
+		return fmt.Errorf("fzio: %w", err)
+	}
+	return nil
 }
 
 // appendHeader is header's inverse.
@@ -232,9 +237,10 @@ func headerSize(magic string, h ChunkedHeader) int {
 // a false one through checkRoot, the salvage survey records it.
 func (c *cursor) chunkIndex(version int, stream bool, slow int, base, limit int64) (chunks []ChunkRef, root []byte, rootOK bool) {
 	n := c.uvarint()
-	if n == 0 || n > maxChunksLimit {
+	if n == 0 {
 		c.fail("bad chunk count %d", n)
 	}
+	c.limit(grid.Geometry{Chunks: n})
 	if c.err != nil {
 		return nil, nil, false
 	}
@@ -263,9 +269,10 @@ func (c *cursor) chunkIndex(version int, stream bool, slow int, base, limit int6
 		if version >= 2 {
 			copy(ref.Hash[:], c.take(HashSize))
 		}
-		if planes == 0 || planes > maxFieldElems {
-			c.fail("chunk %d plane count %d out of range", i, planes)
+		if planes == 0 {
+			c.fail("chunk %d covers no planes", i)
 		}
+		c.limit(grid.Geometry{Planes: planes})
 		// Overflow-safe accumulation: off stays ≤ limit, so neither it nor
 		// the caller's bounds arithmetic can wrap.
 		if off > limit || length > uint64(limit-off) {

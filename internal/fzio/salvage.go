@@ -3,6 +3,8 @@ package fzio
 import (
 	"fmt"
 	"hash/crc32"
+
+	"fzmod/internal/grid"
 )
 
 // This file is the salvage path for damaged artifacts: where the normal
@@ -199,7 +201,7 @@ func surveyStream(blob []byte) (*Survey, error) {
 		// A frame header out of range means the walk has derailed (the
 		// previous frame's length field was damaged); everything from here
 		// on is unrecoverable.
-		if c.err != nil || length > maxStreamChunkBytes || planes == 0 || planes > maxFieldElems {
+		if c.err != nil || length > maxStreamChunkBytes || planes == 0 || planes > grid.MaxElems {
 			s.Truncated = true
 			break
 		}

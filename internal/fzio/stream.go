@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"fzmod/internal/grid"
 )
 
 // This file defines the streaming (append-mode) variant of the chunked
@@ -71,8 +73,8 @@ type StreamWriter struct {
 
 // NewStreamWriter validates the header and writes the stream prologue.
 func NewStreamWriter(w io.Writer, h ChunkedHeader) (*StreamWriter, error) {
-	if !h.Dims.Valid() {
-		return nil, fmt.Errorf("fzio: invalid dims %v", h.Dims)
+	if err := checkWriteHeader(h, 0); err != nil {
+		return nil, err
 	}
 	out := appendStreamPrologueV(nil, h, StreamVersion)
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
@@ -103,6 +105,13 @@ func (sw *StreamWriter) WriteChunk(payload []byte, planes int) error {
 	}
 	if len(payload) == 0 {
 		return fmt.Errorf("fzio: empty chunk payload")
+	}
+	// A frame or a trailer the readers would refuse is never written.
+	if len(payload) > maxStreamChunkBytes {
+		return fmt.Errorf("fzio: chunk length %d exceeds limit", len(payload))
+	}
+	if err := (grid.Geometry{Chunks: uint64(len(sw.refs) + 1)}).CheckLimits(); err != nil {
+		return fmt.Errorf("fzio: %w", err)
 	}
 	if planes <= 0 {
 		return fmt.Errorf("fzio: chunk covers %d planes", planes)
@@ -293,7 +302,7 @@ func (sr *StreamReader) Next(dst []byte) ([]byte, int, error) {
 	}
 	// Bound before the int conversion: a crafted >= 2^63 value would wrap
 	// negative and slip past the tiling check below.
-	if planes == 0 || planes > maxFieldElems {
+	if planes == 0 || planes > grid.MaxElems {
 		return nil, 0, fmt.Errorf("fzio: bad chunk plane count %d", planes)
 	}
 	if sr.planes+int(planes) > sr.header.Dims.SlowExtent() {

@@ -3,6 +3,7 @@ package fzio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -295,5 +296,19 @@ func TestStreamCraftedHugeDims(t *testing.T) {
 		if _, err := NewStreamReader(bytes.NewReader(out)); err == nil {
 			t.Errorf("dims %v should be rejected", dims)
 		}
+	}
+}
+
+// TestStreamWriterRefusesChunkBeyondLimit: the 2^20+1st frame is refused by
+// the writer, not written for the trailer parser to refuse.
+func TestStreamWriterRefusesChunkBeyondLimit(t *testing.T) {
+	sw, err := NewStreamWriter(io.Discard, ChunkedHeader{Pipeline: "p", Dims: grid.D1(grid.MaxChunks + 1), EB: 1, Planes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.refs = make([]ChunkRef, grid.MaxChunks) // as if 2^20 frames were out
+	sw.planes = grid.MaxChunks
+	if err := sw.WriteChunk([]byte{1}, 1); !errors.Is(err, grid.ErrLimit) {
+		t.Fatalf("WriteChunk = %v, want grid.ErrLimit", err)
 	}
 }

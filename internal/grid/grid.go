@@ -4,6 +4,7 @@
 package grid
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -26,6 +27,58 @@ func D3(x, y, z int) Dims { return Dims{x, y, z} }
 
 // N returns the total element count.
 func (d Dims) N() int { return d.X * d.Y * d.Z }
+
+// The geometry hard limits of the container formats (docs/FORMAT.md §1.1).
+const (
+	// MaxElems bounds a field's element count X·Y·Z (16 Gi elements = 64 GiB
+	// of float32) and, with it, every plane count: nothing sized by geometry
+	// can overflow int arithmetic or drive an absurd allocation.
+	MaxElems = 1 << 34
+	// MaxChunks bounds the slabs a field may be cut into, and so every
+	// chunk table.
+	MaxChunks = 1 << 20
+)
+
+// ErrLimit marks geometry beyond a hard limit; test for it with errors.Is.
+var ErrLimit = errors.New("beyond the format's hard limit")
+
+// Geometry is the part of a container's shape the hard limits bound:
+// the field's extents, a plane count (nominal per chunk, or of one chunk)
+// and a chunk count. Values are uint64 so that what a parser has just read
+// is judged before any conversion to int.
+type Geometry struct {
+	X, Y, Z, Planes, Chunks uint64
+}
+
+// Geometry returns d's extents as the Geometry to check, plane and chunk
+// counts left for the caller to add. A negative extent becomes a value far
+// beyond every limit.
+func (d Dims) Geometry() Geometry {
+	return Geometry{X: uint64(d.X), Y: uint64(d.Y), Z: uint64(d.Z)}
+}
+
+// CheckLimits is the one definition of the §1.1 geometry limits, binding
+// on writers (before a task is declared or a byte sliced) exactly as on
+// readers (before anything is allocated): X·Y·Z ≤ MaxElems with the product
+// computed without overflow, Planes ≤ MaxElems, Chunks ≤ MaxChunks. It
+// judges magnitude only — a zero field passes, and is the caller's to
+// refuse where the grammar wants a positive value.
+func (g Geometry) CheckLimits() error {
+	n := uint64(1)
+	for _, v := range [3]uint64{g.X, g.Y, g.Z} {
+		if v > MaxElems || (v > 0 && n > MaxElems/v) {
+			return fmt.Errorf("field of %dx%dx%d elements exceeds %d: %w", g.X, g.Y, g.Z, uint64(MaxElems), ErrLimit)
+		}
+		n *= max(v, 1)
+	}
+	if g.Planes > MaxElems {
+		return fmt.Errorf("plane count %d exceeds %d: %w", g.Planes, uint64(MaxElems), ErrLimit)
+	}
+	if g.Chunks > MaxChunks {
+		return fmt.Errorf("chunk count %d exceeds %d: %w", g.Chunks, MaxChunks, ErrLimit)
+	}
+	return nil
+}
 
 // Rank returns 1, 2 or 3 according to the trailing singleton dimensions.
 func (d Dims) Rank() int {
@@ -147,7 +200,9 @@ func (d Dims) String() string {
 
 // ParseDims parses String's "XxYxZ" form: one to three positive extents, x
 // fastest, omitted trailing extents being 1. The separator is x or X and
-// blanks around an extent are ignored.
+// blanks around an extent are ignored. Extents whose product exceeds
+// MaxElems (or overflows) are refused with an error wrapping ErrLimit, so a
+// parsed Dims' N() is always the true element count.
 func ParseDims(s string) (Dims, error) {
 	if s == "" {
 		return Dims{}, fmt.Errorf("missing dims")
@@ -164,5 +219,9 @@ func ParseDims(s string) (Dims, error) {
 		}
 		ext[i] = v
 	}
-	return Dims{X: ext[0], Y: ext[1], Z: ext[2]}, nil
+	d := Dims{X: ext[0], Y: ext[1], Z: ext[2]}
+	if err := d.Geometry().CheckLimits(); err != nil {
+		return Dims{}, fmt.Errorf("dims %q: %w", s, err)
+	}
+	return d, nil
 }

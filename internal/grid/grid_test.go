@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -127,6 +128,58 @@ func TestParseDims(t *testing.T) {
 	for _, bad := range []string{"", "axb", "4x0", "-3", "1x2x3x4", "4x"} {
 		if _, err := ParseDims(bad); err == nil {
 			t.Errorf("ParseDims(%q) accepted", bad)
+		}
+	}
+}
+
+// TestParseDimsHardLimit: an extent product that overflows int or exceeds
+// MaxElems is refused, so Dims.N() of a parsed value is always the true
+// element count — 4611686018427387920x4 used to parse to a Dims whose N()
+// is 64.
+func TestParseDimsHardLimit(t *testing.T) {
+	for _, tc := range []struct {
+		in string
+		ok bool
+	}{
+		{"4294967296x4294967296x1", false}, // product wraps to 0
+		{"4611686018427387920x4x1", false}, // product wraps to 64
+		{"2097152x2097152x2097152", false}, // 2^63: wraps negative
+		{"9223372036854775807", false},     // one extent beyond the limit
+		{"17179869184", true},              // 2^34 exactly
+		{"131072x131072", true},            // 2^34 as a product
+		{"17179869185", false},             // 2^34 + 1
+		{"131072x131072x2", false},         // 2^35
+		{"4294967296x4x1", true},           // 2^34 from a 2^32 extent
+	} {
+		d, err := ParseDims(tc.in)
+		switch {
+		case tc.ok && (err != nil || uint64(d.N()) > MaxElems):
+			t.Errorf("ParseDims(%q) = %v, %v; want accepted", tc.in, d, err)
+		case !tc.ok && err == nil:
+			t.Errorf("ParseDims(%q) = %v (N = %d), want refused", tc.in, d, d.N())
+		case !tc.ok && !errors.Is(err, ErrLimit):
+			t.Errorf("ParseDims(%q): error %v does not wrap ErrLimit", tc.in, err)
+		}
+	}
+}
+
+func TestGeometryCheckLimits(t *testing.T) {
+	for _, tc := range []struct {
+		g  Geometry
+		ok bool
+	}{
+		{Geometry{}, true}, // zero is the caller's to refuse
+		{Geometry{X: MaxElems, Y: 1, Z: 1, Planes: MaxElems, Chunks: MaxChunks}, true},
+		{Geometry{X: 1 << 32, Y: 1 << 32, Z: 1}, false},
+		{Geometry{X: 1 << 63, Y: 2, Z: 1}, false},
+		{Geometry{X: MaxElems, Y: 0, Z: 2}, false}, // a zero extent hides nothing
+		{Geometry{Planes: MaxElems + 1}, false},
+		{Geometry{Planes: 1 << 63}, false},
+		{Geometry{Chunks: MaxChunks + 1}, false},
+	} {
+		err := tc.g.CheckLimits()
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrLimit)) {
+			t.Errorf("%+v.CheckLimits() = %v, want ok=%v (wrapping ErrLimit)", tc.g, err, tc.ok)
 		}
 	}
 }

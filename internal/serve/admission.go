@@ -3,9 +3,11 @@
 // endpoints over one warm shared device.Platform, BufPool and SlabCache.
 // An admission controller treats the platform's worker count as a global
 // parallelism budget — every request leases a slice of it, excess requests
-// queue with a max-wait and are shed with 429 beyond a bound — and small
-// compress requests coalesce into batches. /metrics exports flat counters
-// fed from the serve-level request accounting plus Platform.Snapshot.
+// queue with a max-wait and are shed with 429 beyond a bound. Every
+// data-plane request takes the same path on its handler's own goroutine:
+// parse and validate, lease, execute at the leased width, respond.
+// /metrics exports flat counters fed from the serve-level request
+// accounting plus Platform.Snapshot.
 package serve
 
 import (

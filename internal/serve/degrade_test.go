@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,8 +14,7 @@ import (
 
 // This file tests graceful degradation: live worker-budget resizing that
 // never drops queued requests, drain-aware shutdown that completes
-// in-flight work, Retry-After on every shed/unavailable response, and the
-// batcher owning zero goroutines after close.
+// in-flight work, and Retry-After on every shed/unavailable response.
 
 func TestAdmissionResizeGrowGrantsQueued(t *testing.T) {
 	a := NewAdmission(2, 8, 0)
@@ -81,9 +79,9 @@ func TestAdmissionResizeShrinkClampsQueued(t *testing.T) {
 }
 
 func TestServerDrainCompletesInFlight(t *testing.T) {
-	// One worker, infinite queue patience, no batching: a held lease pins
-	// a request in flight deterministically.
-	s, ts := testServer(t, Config{Workers: 1, MaxQueue: 8, MaxWait: -1, BatchThreshold: -1})
+	// One worker, infinite queue patience: a held lease pins a request in
+	// flight deterministically.
+	s, ts := testServer(t, Config{Workers: 1, MaxQueue: 8, MaxWait: -1})
 	dims := grid.D3(16, 12, 10)
 	_, body := testFieldBytes(t, dims)
 
@@ -154,7 +152,7 @@ func TestServerDrainCompletesInFlight(t *testing.T) {
 }
 
 func TestServerDrainDeadline(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, MaxQueue: 8, MaxWait: -1, BatchThreshold: -1})
+	s, ts := testServer(t, Config{Workers: 1, MaxQueue: 8, MaxWait: -1})
 	dims := grid.D3(16, 12, 10)
 	_, body := testFieldBytes(t, dims)
 
@@ -177,7 +175,7 @@ func TestServerDrainDeadline(t *testing.T) {
 
 func TestRetryAfterOnShed(t *testing.T) {
 	// MaxQueue -1 sheds immediately once the budget is leased out.
-	s, ts := testServer(t, Config{Workers: 1, MaxQueue: -1, BatchThreshold: -1})
+	s, ts := testServer(t, Config{Workers: 1, MaxQueue: -1})
 	dims := grid.D3(16, 12, 10)
 	_, body := testFieldBytes(t, dims)
 
@@ -217,52 +215,6 @@ func TestAdminBudgetEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(metricsBody), "fzmodd_admission_budget 5") {
 		t.Fatal("resized budget not visible in /metrics")
 	}
-}
-
-// TestBatcherCloseReleasesGoroutines asserts the satellite contract: a
-// part-filled batch with its max-wait timer armed is flushed by close,
-// every item gets a result, and no batcher goroutine (run workers or
-// timer callbacks) outlives close.
-func TestBatcherCloseReleasesGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	results := make(chan int, 8)
-	b := newBatcher(100, 1<<30, time.Hour, func(items []*batchItem) {
-		for _, it := range items {
-			it.resp <- batchResult{}
-		}
-		results <- len(items)
-	})
-	for i := 0; i < 3; i++ {
-		it := &batchItem{req: &compressReq{ctx: context.Background()}, resp: make(chan batchResult, 1)}
-		if err := b.enqueue(it); err != nil {
-			t.Fatal(err)
-		}
-	}
-	func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.timer == nil {
-			t.Fatal("max-wait timer not armed on a part-filled batch")
-		}
-	}()
-
-	b.close() // must flush the pending 3 and wait for the run to deliver
-	if n := <-results; n != 3 {
-		t.Fatalf("close flushed a batch of %d, want 3", n)
-	}
-	func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.timer != nil {
-			t.Fatal("max-wait timer still armed after close")
-		}
-	}()
-	if err := b.enqueue(&batchItem{}); err != ErrClosed {
-		t.Fatalf("enqueue after close = %v, want ErrClosed", err)
-	}
-	waitFor(t, "batcher goroutines exit", func() bool {
-		return runtime.NumGoroutine() <= before
-	})
 }
 
 // waitFor polls cond up to 5s; the chaos and drain tests use it instead

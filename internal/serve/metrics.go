@@ -10,7 +10,7 @@ import (
 // single-struct metrics block: one atomic per fact, no registry. The
 // /metrics endpoint renders them in the Prometheus text exposition
 // format together with gauges read live from the admission controller,
-// the batcher, the slab cache and Platform.Snapshot.
+// the slab cache and Platform.Snapshot.
 type metrics struct {
 	reqCompress   atomic.Int64
 	reqDecompress atomic.Int64
@@ -36,7 +36,7 @@ type metrics struct {
 }
 
 // writeMetrics renders the full exposition: serve counters, admission
-// and batcher state, slab-cache accounting, and the platform snapshot.
+// state, slab-cache accounting, and the platform snapshot.
 func (s *Server) writeMetrics(w io.Writer) {
 	m := &s.met
 	snap := s.p.Snapshot()
@@ -85,13 +85,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP fzmodd_shed_total Requests refused by the admission controller.\n")
 	fmt.Fprintf(w, "# TYPE fzmodd_shed_total counter\n")
 	fmt.Fprintf(w, "fzmodd_shed_total %d\n", s.adm.Shed())
-
-	fmt.Fprintf(w, "# HELP fzmodd_batches_total Coalesced batches, by flush trigger.\n")
-	fmt.Fprintf(w, "# TYPE fzmodd_batches_total counter\n")
-	fmt.Fprintf(w, "fzmodd_batches_total{trigger=%q} %d\n", "size", s.batch.FlushesBySize())
-	fmt.Fprintf(w, "fzmodd_batches_total{trigger=%q} %d\n", "wait", s.batch.FlushesByWait())
-	fmt.Fprintf(w, "# TYPE fzmodd_batched_requests_total counter\n")
-	fmt.Fprintf(w, "fzmodd_batched_requests_total %d\n", s.batch.Items())
 
 	fmt.Fprintf(w, "# HELP fzmodd_pool_hit_rate Scratch-pool slab reuse rate.\n")
 	fmt.Fprintf(w, "# TYPE fzmodd_pool_hit_rate gauge\n")

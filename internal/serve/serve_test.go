@@ -8,11 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"fzmod/internal/core"
 	"fzmod/internal/device"
 	"fzmod/internal/grid"
 	fzmetrics "fzmod/internal/metrics"
@@ -25,10 +29,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(device.NewTestPlatform(), cfg)
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 
@@ -97,14 +98,16 @@ func TestServeCompressDecompressRoundtrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compress status %d: %s", resp.StatusCode, blob)
 	}
-	if resp.Header.Get("X-Fzmod-Ratio") == "" || resp.Header.Get("X-Fzmod-Queue-Ns") == "" {
-		t.Fatal("compress response missing ratio/timing headers")
+	if resp.Header.Get("X-Fzmod-Ratio") == "" {
+		t.Fatal("compress response missing the ratio header")
 	}
+	requireTimingHeaders(t, resp)
 
 	resp, raw := doPost(t, ts.URL+"/v1/decompress", blob)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decompress status %d: %s", resp.StatusCode, raw)
 	}
+	requireTimingHeaders(t, resp)
 	if got := resp.Header.Get("X-Fzmod-Dims"); got != "16x12x10" {
 		t.Fatalf("X-Fzmod-Dims = %q, want 16x12x10", got)
 	}
@@ -128,31 +131,166 @@ func relResolved(t *testing.T, vals []float32, rel float64) float64 {
 	return abs
 }
 
-func TestServeCompressBatchedAndDirectAgree(t *testing.T) {
-	// Threshold between the two payload sizes: the small field batches,
-	// the same field compressed with batching disabled must byte-match.
-	sBatched, tsBatched := testServer(t, Config{BatchThreshold: 1 << 20})
-	_, tsDirect := testServer(t, Config{BatchThreshold: -1})
+// TestServeCompressMatchesLibrary: the daemon adds nothing to the bytes. At
+// every payload size — a 32³ body, one above the retired 256 KiB coalescing
+// threshold, and one with an explicit chunk= — and for every preset, the
+// response is the container the preset's library call returns for the same
+// input, and it carries both timing headers.
+func TestServeCompressMatchesLibrary(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	p := device.NewTestPlatform()
+	for _, tc := range []struct {
+		dims  grid.Dims
+		chunk int
+	}{
+		{grid.D3(32, 32, 32), 0},
+		{grid.D3(48, 48, 32), 0}, // 288 KiB
+		{grid.D3(24, 20, 32), 24 * 20 * 8},
+	} {
+		vals, body := testFieldBytes(t, tc.dims)
+		for _, preset := range []string{"default", "speed", "quality"} {
+			pl, err := core.PresetByName(preset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eb := preprocess.RelBound(1e-3)
+			url := fmt.Sprintf("%s/v1/compress?dims=%v&eb=1e-3&preset=%s", ts.URL, tc.dims, preset)
+			var want []byte
+			if tc.chunk > 0 {
+				url += fmt.Sprintf("&chunk=%d", tc.chunk)
+				want, err = pl.CompressChunked(p, vals, tc.dims, eb, core.ChunkOpts{ChunkElems: tc.chunk, Workers: 1})
+			} else {
+				want, err = pl.Compress(p.WithWorkers(1), vals, tc.dims, eb)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, got := doPost(t, url, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%v %s chunk=%d: status %d: %s", tc.dims, preset, tc.chunk, resp.StatusCode, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v %s chunk=%d: response (%d bytes) differs from the library's container (%d bytes)",
+					tc.dims, preset, tc.chunk, len(got), len(want))
+			}
+			requireTimingHeaders(t, resp)
+		}
+	}
+}
+
+// requireTimingHeaders: every data-plane reply carries the admission wait
+// and the execution time.
+func requireTimingHeaders(t *testing.T, resp *http.Response) {
+	t.Helper()
+	for _, h := range []string{"X-Fzmod-Queue-Ns", "X-Fzmod-Execute-Ns"} {
+		if ns, err := strconv.ParseInt(resp.Header.Get(h), 10, 64); err != nil || ns < 0 {
+			t.Errorf("%s %s: header %s = %q, want a nanosecond count", resp.Request.Method, resp.Request.URL.Path, h, resp.Header.Get(h))
+		}
+	}
+	for h := range resp.Header {
+		if h == "X-Fzmod-Flush-Ns" || h == "X-Fzmod-Batched" {
+			t.Errorf("retired header %s still sent", h)
+		}
+	}
+}
+
+// TestServeSmallRequestFanIn: many small compresses against a small budget
+// all ride the one request path — queued on their handler goroutines, never
+// shed, never over budget — and the daemon owns no goroutine once drained.
+func TestServeSmallRequestFanIn(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 2, MaxQueue: 64, MaxWait: time.Minute})
 	dims := grid.D3(16, 12, 10)
 	_, body := testFieldBytes(t, dims)
-	url := "/v1/compress?dims=16x12x10&eb=1e-3"
+	baseline := runtime.NumGoroutine()
 
-	respB, blobB := doPost(t, tsBatched.URL+url, body)
-	respD, blobD := doPost(t, tsDirect.URL+url, body)
-	if respB.StatusCode != http.StatusOK || respD.StatusCode != http.StatusOK {
-		t.Fatalf("status %d / %d", respB.StatusCode, respD.StatusCode)
+	const clients, each = 16, 50
+	tr := &http.Transport{MaxIdleConnsPerHost: clients}
+	hc := &http.Client{Transport: tr}
+	var (
+		wg     sync.WaitGroup
+		queued atomic.Int64
+	)
+	errs := make([]error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for it := 0; it < each; it++ {
+				resp, err := hc.Post(ts.URL+"/v1/compress?dims=16x12x10&eb=1e-3", "application/octet-stream", bytes.NewReader(body))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				out, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs[i] = fmt.Errorf("client %d request %d: status %d: %s", i, it, resp.StatusCode, bytes.TrimSpace(out))
+					return
+				}
+				if ns, _ := strconv.ParseInt(resp.Header.Get("X-Fzmod-Queue-Ns"), 10, 64); ns > 0 {
+					queued.Add(1)
+				}
+			}
+		}(i)
 	}
-	if respB.Header.Get("X-Fzmod-Batched") != "true" {
-		t.Fatal("small payload did not take the batched path")
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if respD.Header.Get("X-Fzmod-Batched") != "false" {
-		t.Fatal("batching-disabled server still batched")
+	if peak := s.adm.Peak(); peak > 2 {
+		t.Errorf("peak %d workers leased against a budget of 2", peak)
 	}
-	if !bytes.Equal(blobB, blobD) {
-		t.Fatal("batched and direct compression produced different containers")
+	if shed := s.adm.Shed(); shed != 0 {
+		t.Errorf("%d requests shed", shed)
 	}
-	if sBatched.batch.Items() == 0 {
-		t.Fatal("batcher saw no items")
+	if got := s.adm.Granted(); got != clients*each {
+		t.Errorf("%d leases granted for %d requests", got, clients*each)
+	}
+	if queued.Load() == 0 {
+		t.Error("no reply reported a non-zero X-Fzmod-Queue-Ns")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tr.CloseIdleConnections()
+	waitFor(t, "goroutines back at baseline", func() bool { return runtime.NumGoroutine() <= baseline })
+}
+
+// TestServeRefusesOverLimitGeometry: geometry beyond the format's hard
+// limits is the client's error, refused before a byte is sliced or a lease
+// taken — dims whose product wraps int used to panic the compressor (and,
+// off the handler goroutine, end the process), chunk=1 on a 2^20+8-element
+// field used to write an artifact no reader accepts.
+func TestServeRefusesOverLimitGeometry(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	big := make([]byte, 4*(1<<20+8)) // refused on its geometry, before the body is read
+	for _, tc := range []struct {
+		name, query string
+		body        []byte
+	}{
+		{"dims product wraps to 64", "dims=4611686018427387920x4x1&eb=1e-3&mode=abs", make([]byte, 256)},
+		{"dims product wraps to 0", "dims=4294967296x4294967296x1&eb=1e-3&mode=abs", nil},
+		{"dims product 2^34+1 rows", "dims=17179869185x1x1&eb=1e-3&mode=abs", nil},
+		{"more than 2^20 chunks", fmt.Sprintf("dims=%d&eb=1e-2&mode=abs&chunk=1", 1<<20+8), big},
+	} {
+		start := time.Now()
+		resp, out := doPost(t, ts.URL+"/v1/compress?"+tc.query, tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, bytes.TrimSpace(out))
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%s: refused only after %v", tc.name, d)
+		}
+		if resp, _ := doReq(t, http.MethodGet, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /healthz status %d afterwards", tc.name, resp.StatusCode)
+		}
+	}
+	if g := s.adm.Granted(); g != 0 {
+		t.Errorf("%d leases spent on requests that could only be refused", g)
 	}
 }
 
@@ -210,6 +348,7 @@ func TestServeObjectsAndRegion(t *testing.T) {
 	if resp.Header.Get("X-Fzmod-Region-Chunks") == "" {
 		t.Fatal("region response missing chunk accounting headers")
 	}
+	requireTimingHeaders(t, resp)
 	dec := decodeF32(t, raw)
 	absEB := relResolved(t, vals, 1e-3)
 	i := 0
@@ -301,9 +440,46 @@ func TestServeRegionSelectionOutOfBounds(t *testing.T) {
 	}
 }
 
+// TestServeRegionBadSelCostsNoLease: with the whole budget in use, a
+// region request that can only ever be a 400 is refused at once — it used
+// to queue for a lease first.
+func TestServeRegionBadSelCostsNoLease(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1, MaxQueue: 8, MaxWait: -1})
+	dims := grid.D3(24, 20, 32)
+	_, body := testFieldBytes(t, dims)
+	_, blob := doPost(t, ts.URL+"/v1/compress?dims=24x20x32&eb=1e-3", body)
+	doReq(t, http.MethodPut, ts.URL+"/v1/objects/f", blob)
+
+	hold, err := s.adm.Acquire(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold.Release()
+	for _, sel := range []string{"9:3", "0:100", "a:b"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/objects/f/region?sel="+sel, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			cancel()
+			t.Fatalf("sel %q: %v (queue depth %d: the request is waiting for a lease)", sel, err, s.adm.QueueDepth())
+		}
+		resp.Body.Close()
+		cancel()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("sel %q: status %d, want 400", sel, resp.StatusCode)
+		}
+		if d := s.adm.QueueDepth(); d != 0 {
+			t.Errorf("sel %q: queue depth %d, want 0", sel, d)
+		}
+	}
+	if g := s.adm.Granted(); g != 2 { // the compress above and the held lease
+		t.Errorf("%d leases granted, want 2: a refused selection cost one", g)
+	}
+}
+
 func TestServeShedsWith429(t *testing.T) {
-	// Budget 1, no queue, batching off: a held lease sheds everyone else.
-	s, ts := testServer(t, Config{Workers: 1, MaxQueue: -1, BatchThreshold: -1})
+	// Budget 1, no queue: a held lease sheds everyone else.
+	s, ts := testServer(t, Config{Workers: 1, MaxQueue: -1})
 	lease, err := s.adm.Acquire(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -329,12 +505,15 @@ func TestServeShedsWith429(t *testing.T) {
 // mid-flight with 503, and the shared pool still balances (no slab leak,
 // no stuck workers).
 func TestServeRequestTimeoutAbortsGraph(t *testing.T) {
-	s, ts := testServer(t, Config{RequestTimeout: time.Nanosecond, BatchThreshold: -1})
-	dims := grid.D3(24, 20, 32)
-	_, body := testFieldBytes(t, dims)
-	resp, out := doPost(t, ts.URL+"/v1/compress?dims=24x20x32&eb=1e-3", body)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d (%s), want 503", resp.StatusCode, bytes.TrimSpace(out))
+	s, ts := testServer(t, Config{RequestTimeout: time.Nanosecond})
+	// A small body — the case that used to leave the handler goroutine —
+	// and one above the retired coalescing threshold.
+	for _, dims := range []grid.Dims{grid.D3(16, 12, 10), grid.D3(48, 48, 32)} {
+		_, body := testFieldBytes(t, dims)
+		resp, out := doPost(t, fmt.Sprintf("%s/v1/compress?dims=%v&eb=1e-3", ts.URL, dims), body)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%v: status %d (%s), want 503", dims, resp.StatusCode, bytes.TrimSpace(out))
+		}
 	}
 	// The canceled graph must return every pooled slab it checked out.
 	deadline := time.Now().Add(5 * time.Second)
@@ -370,11 +549,13 @@ func TestServeMetricsExposition(t *testing.T) {
 		"fzmodd_pool_hit_rate",
 		"fzmodd_kernel_tier{tier=",
 		"fzmodd_compression_ratio",
-		"fzmodd_batches_total{trigger=",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	if strings.Contains(text, "fzmodd_batch") {
+		t.Error("metrics still export a fzmodd_batch* series")
 	}
 	// Every exposition line is `name[{labels}] value` or a comment — the
 	// flat-text contract scrapers rely on.

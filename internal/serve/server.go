@@ -44,16 +44,6 @@ type Config struct {
 	// MaxWait bounds how long a request may queue before shedding with
 	// 429. Default 2s; negative waits forever.
 	MaxWait time.Duration
-	// BatchItems / BatchBytes are the batcher's size triggers (pending
-	// requests / pending raw payload bytes). Defaults 8 and 4 MiB.
-	BatchItems int
-	BatchBytes int
-	// BatchWait is the batcher's max-wait trigger. Default 2ms.
-	BatchWait time.Duration
-	// BatchThreshold routes compress payloads of at most this many raw
-	// bytes through the batcher. Default 256 KiB; negative disables
-	// coalescing.
-	BatchThreshold int
 	// CacheBytes budgets the shared decoded-slab cache serving region
 	// reads. Default 256 MiB.
 	CacheBytes int64
@@ -87,18 +77,6 @@ func (c Config) withDefaults(p *device.Platform) Config {
 	case c.MaxWait < 0:
 		c.MaxWait = 0
 	}
-	if c.BatchItems <= 0 {
-		c.BatchItems = 8
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 4 << 20
-	}
-	if c.BatchWait <= 0 {
-		c.BatchWait = 2 * time.Millisecond
-	}
-	if c.BatchThreshold == 0 {
-		c.BatchThreshold = 256 << 10
-	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 256 << 20
 	}
@@ -115,7 +93,6 @@ type Server struct {
 	cfg   Config
 	p     *device.Platform
 	adm   *Admission
-	batch *Batcher
 	cache *core.SlabCache
 	met   metrics
 	mux   *http.ServeMux
@@ -143,7 +120,6 @@ func New(p *device.Platform, cfg Config) *Server {
 		cache:   core.NewSlabCache(cfg.CacheBytes),
 		objects: make(map[string][]byte),
 	}
-	s.batch = newBatcher(cfg.BatchItems, cfg.BatchBytes, cfg.BatchWait, s.runBatch)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/compress", s.handleCompress)
 	mux.HandleFunc("/v1/decompress", s.handleDecompress)
@@ -197,17 +173,15 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 func (s *Server) InFlight() int64 { return s.inflightN.Load() }
 
 // Drain gracefully shuts the server down: stop accepting data-plane
-// requests (503 + Retry-After; /readyz flips not-ready), flush the
-// batcher and wait for its runs to deliver, then wait for every in-flight
-// request to finish. The ctx deadline bounds the wait; on expiry Drain
-// returns the ctx error with requests still in flight. Idempotent —
-// later calls wait on the same shutdown.
+// requests (503 + Retry-After; /readyz flips not-ready), then wait for
+// every in-flight request to finish. The ctx deadline bounds the wait; on
+// expiry Drain returns the ctx error with requests still in flight.
+// Idempotent — later calls wait on the same shutdown.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	done := make(chan struct{})
 	go func() {
-		s.batch.close()   // flush pending items; wait for batch runs
-		s.inflight.Wait() // wait for every admitted request
+		s.inflight.Wait()
 		close(done)
 	}()
 	select {
@@ -226,19 +200,6 @@ func (s *Server) Platform() *device.Platform { return s.p }
 // counters).
 func (s *Server) Admission() *Admission { return s.adm }
 
-// Close flushes the batcher and waits for its runs; in-flight requests
-// finish on their own. Prefer Drain for a full graceful shutdown.
-func (s *Server) Close() { s.batch.close() }
-
-// reqCtx derives the request execution context, applying the configured
-// per-request timeout.
-func (s *Server) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.cfg.RequestTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	}
-	return r.Context(), func() {}
-}
-
 // retryAfterSecs is the Retry-After hint on every 429/503: long enough
 // for a load balancer to rotate away, short enough that a retrying client
 // rides out a transient overload.
@@ -250,7 +211,7 @@ const retryAfterSecs = "1"
 // instead of hammering an overloaded or draining daemon.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrOverloaded) || errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrOverloaded):
 		s.met.errShed.Add(1)
 		w.Header().Set("Retry-After", retryAfterSecs)
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
@@ -308,20 +269,47 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	return body, nil
 }
 
-// timingHeaders exposes the batch lifecycle to the caller.
-func timingHeaders(h http.Header, t BatchTiming, batched bool) {
-	h.Set("X-Fzmod-Queue-Ns", strconv.FormatInt(t.Queued().Nanoseconds(), 10))
-	h.Set("X-Fzmod-Flush-Ns", strconv.FormatInt(t.Flush().Nanoseconds(), 10))
-	h.Set("X-Fzmod-Execute-Ns", strconv.FormatInt(t.Execute().Nanoseconds(), 10))
-	h.Set("X-Fzmod-Batched", strconv.FormatBool(batched))
+// run is the one way a data-plane request executes. The handler has
+// parsed and validated everything it can refuse with a 400; run leases
+// workers from the admission controller (queueing, or shedding, under the
+// request's deadline), calls fn at the leased width, hands the lease back
+// even if fn panics, and stamps the two timing headers every data-plane
+// reply carries: X-Fzmod-Queue-Ns, the time spent inside Acquire, and
+// X-Fzmod-Execute-Ns, the time inside fn. It reports whether fn succeeded;
+// when it did not, the error response is already written.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, workers int, fn func(ctx context.Context, width int) error) bool {
+	ctx := r.Context()
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+	queued := time.Now()
+	lease, err := s.adm.Acquire(ctx, workers)
+	if err != nil {
+		s.fail(w, err)
+		return false
+	}
+	started := time.Now()
+	err = func() error {
+		defer lease.Release()
+		return fn(ctx, lease.Workers())
+	}()
+	h := w.Header()
+	h.Set("X-Fzmod-Queue-Ns", strconv.FormatInt(started.Sub(queued).Nanoseconds(), 10))
+	h.Set("X-Fzmod-Execute-Ns", strconv.FormatInt(time.Since(started).Nanoseconds(), 10))
+	if err != nil {
+		s.fail(w, err)
+		return false
+	}
+	return true
 }
 
 // handleCompress serves POST /v1/compress: the body is the raw
 // little-endian float32 field, geometry and bound ride in query
 // parameters (dims=XxYxZ, eb=1e-4, mode=rel|abs, preset=..., workers=N,
-// chunk=ELEMS), and the response body is the container. Payloads at most
-// BatchThreshold bytes coalesce through the batcher; the response
-// headers carry the queue/flush/execute split either way.
+// chunk=ELEMS), and the response body is the container — the bytes the
+// preset's library call returns for the same input, at every payload size.
 func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -343,7 +331,8 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	if preset == "" {
 		preset = s.cfg.Preset
 	}
-	if _, err := core.PresetByName(preset); err != nil {
+	pl, err := core.PresetByName(preset)
+	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
 	}
@@ -352,6 +341,8 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "%v", err)
 		return
 	}
+	// Fields below the auto-chunk size stay one chunk (the monolithic
+	// container) unless the request names a granularity.
 	chunkElems := 0
 	if c := q.Get("chunk"); c != "" {
 		chunkElems, err = strconv.Atoi(c)
@@ -359,15 +350,18 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			s.badRequest(w, "chunk %q: want a positive element count", c)
 			return
 		}
+	} else if dims.N() < core.AutoChunkElems {
+		chunkElems = dims.N()
+	}
+	if _, err := core.ChunkPlanes(dims, chunkElems); err != nil {
+		s.badRequest(w, "%v", err)
+		return
 	}
 	rawBytes := dims.N() * 4
 	if int64(rawBytes) > s.cfg.MaxBodyBytes {
 		s.badRequest(w, "dims %v: %d raw bytes exceed the %d-byte body cap", dims, rawBytes, s.cfg.MaxBodyBytes)
 		return
 	}
-
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
 
 	// The field stages through a pooled slab: request churn rides the
 	// platform's warm BufPool, not the garbage collector.
@@ -388,91 +382,21 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.bytesIn.Add(int64(rawBytes))
 
-	req := &compressReq{
-		ctx:        ctx,
-		preset:     preset,
-		vals:       valsSlab.Data,
-		dims:       dims,
-		eb:         eb,
-		chunkElems: chunkElems,
-		workers:    workers,
-	}
-
-	var res batchResult
-	if s.cfg.BatchThreshold > 0 && rawBytes <= s.cfg.BatchThreshold {
-		// Coalesced path: wait for the batch to deliver on our channel.
-		it := &batchItem{req: req, resp: make(chan batchResult, 1)}
-		if err := s.batch.enqueue(it); err != nil {
-			s.fail(w, err)
-			return
-		}
-		res = <-it.resp
-	} else {
-		lease, err := s.adm.Acquire(ctx, workers)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		now := time.Now()
-		res.timing = BatchTiming{Enqueued: now, Flushed: now, Started: now}
-		res.blob, res.err = s.compressOne(req, lease.Workers())
-		res.timing.Done = time.Now()
-		lease.Release()
-	}
-	if res.err != nil {
-		s.fail(w, res.err)
+	var blob []byte
+	if !s.run(w, r, workers, func(ctx context.Context, width int) (err error) {
+		blob, err = pl.CompressChunkedCtx(ctx, s.p.WithWorkers(width), valsSlab.Data, dims, eb,
+			core.ChunkOpts{Workers: width, ChunkElems: chunkElems})
+		return err
+	}) {
 		return
 	}
 	s.met.rawBytes.Add(int64(rawBytes))
-	s.met.compressedBytes.Add(int64(len(res.blob)))
-	s.met.bytesOut.Add(int64(len(res.blob)))
+	s.met.compressedBytes.Add(int64(len(blob)))
+	s.met.bytesOut.Add(int64(len(blob)))
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Fzmod-Ratio", strconv.FormatFloat(ratio(int64(rawBytes), int64(len(res.blob))), 'g', 5, 64))
-	timingHeaders(h, res.timing, s.cfg.BatchThreshold > 0 && rawBytes <= s.cfg.BatchThreshold)
-	w.Write(res.blob)
-}
-
-// compressOne runs one parsed request at the leased width.
-func (s *Server) compressOne(req *compressReq, width int) ([]byte, error) {
-	pl, err := core.PresetByName(req.preset)
-	if err != nil {
-		return nil, err
-	}
-	opts := core.ChunkOpts{Workers: width, ChunkElems: req.chunkElems}
-	if req.chunkElems > 0 || req.dims.N() >= core.AutoChunkElems {
-		return pl.CompressChunkedCtx(req.ctx, s.p, req.vals, req.dims, req.eb, opts)
-	}
-	return pl.CompressCtx(req.ctx, s.p.WithWorkers(width), req.vals, req.dims, req.eb)
-}
-
-// runBatch executes one sealed batch under a single lease sized to the
-// batch (clamped to the budget), delivering every item's result on its
-// own channel. A caller that canceled while queued is skipped, not
-// compressed.
-func (s *Server) runBatch(items []*batchItem) {
-	lease, err := s.adm.Acquire(context.Background(), len(items))
-	if err != nil {
-		now := time.Now()
-		for _, it := range items {
-			it.timing.Started, it.timing.Done = now, now
-			it.resp <- batchResult{timing: it.timing, err: err}
-		}
-		return
-	}
-	defer lease.Release()
-	for _, it := range items {
-		it.timing.Started = time.Now()
-		var res batchResult
-		if err := it.req.ctx.Err(); err != nil {
-			res.err = err
-		} else {
-			res.blob, res.err = s.compressOne(it.req, lease.Workers())
-		}
-		it.timing.Done = time.Now()
-		res.timing = it.timing
-		it.resp <- res
-	}
+	h.Set("X-Fzmod-Ratio", strconv.FormatFloat(ratio(int64(rawBytes), int64(len(blob))), 'g', 5, 64))
+	w.Write(blob)
 }
 
 // handleDecompress serves POST /v1/decompress: the body is any FZModules
@@ -500,17 +424,14 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "not an FZModules container: %v", err)
 		return
 	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	lease, err := s.adm.Acquire(ctx, workers)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	vals, dims, err := core.DecompressWithOptsCtx(ctx, s.p, blob, core.DecompressOpts{Workers: lease.Workers()})
-	lease.Release()
-	if err != nil {
-		s.fail(w, err)
+	var (
+		vals []float32
+		dims grid.Dims
+	)
+	if !s.run(w, r, workers, func(ctx context.Context, width int) (err error) {
+		vals, dims, err = core.DecompressWithOptsCtx(ctx, s.p, blob, core.DecompressOpts{Workers: width})
+		return err
+	}) {
 		return
 	}
 	s.writeField(w, vals, dims)
@@ -657,22 +578,16 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request, name strin
 		http.Error(w, fmt.Sprintf("no object %q", name), http.StatusNotFound)
 		return
 	}
-	workers, err := s.parseWorkers(r.URL.Query().Get("workers"))
+	q := r.URL.Query()
+	workers, err := s.parseWorkers(q.Get("workers"))
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
 	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	lease, err := s.adm.Acquire(ctx, workers)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	defer lease.Release()
+	// Open the index and refuse a bad selection before spending a lease: a
+	// request that can only ever be a 400 must not queue behind real work.
 	reg, err := core.OpenRegion(s.p, fzio.NewBytesFetcher(blob), core.RegionOpts{
-		Workers: lease.Workers(),
-		Cache:   s.cache,
+		Cache: s.cache,
 		// Stored objects are opaque tenant uploads; proof-check every
 		// chunk against the container's Merkle root (vacuous on v1 and
 		// monolithic artifacts, which carry none).
@@ -682,21 +597,22 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request, name strin
 		s.fail(w, err)
 		return
 	}
-	d := reg.Dims()
-	sel, err := core.ParseRegionSel(r.URL.Query().Get("sel"), d)
+	sel, err := core.ParseRegionSel(q.Get("sel"), reg.Dims())
+	if err == nil {
+		err = sel.Validate(reg.Dims())
+	}
 	if err != nil {
 		s.badRequest(w, "%v", err)
 		return
 	}
-	if sel.X0 < 0 || sel.X1 > d.X || sel.X0 >= sel.X1 ||
-		sel.Y0 < 0 || sel.Y1 > d.Y || sel.Y0 >= sel.Y1 ||
-		sel.Z0 < 0 || sel.Z1 > d.Z || sel.Z0 >= sel.Z1 {
-		s.badRequest(w, "sel %v: outside field %dx%dx%d", sel, d.X, d.Y, d.Z)
-		return
-	}
-	vals, rep, err := reg.ReadReportCtx(ctx, sel)
-	if err != nil {
-		s.fail(w, err)
+	var (
+		vals []float32
+		rep  *core.ExecReport
+	)
+	if !s.run(w, r, workers, func(ctx context.Context, width int) (err error) {
+		vals, rep, err = reg.WithWorkers(width).ReadReportCtx(ctx, sel)
+		return err
+	}) {
 		return
 	}
 	h := w.Header()

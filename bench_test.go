@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"fzmod"
-	"fzmod/internal/baseline/cuzfp"
 	"fzmod/internal/bench"
 	"fzmod/internal/core"
 	"fzmod/internal/device"
@@ -413,30 +412,4 @@ func BenchmarkEndToEnd(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkModuleZFP measures the fixed-rate transform codec extension.
-func BenchmarkModuleZFP(b *testing.B) {
-	data, dims := bench.Data(sdrbench.HURR, bench.Small)
-	c := cuzfp.Compressor{Rate: 8}
-	b.Run("encode", func(b *testing.B) {
-		reportThroughput(b, 4*dims.N())
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Compress(benchPlatform, data, dims); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	blob, err := c.Compress(benchPlatform, data, dims)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("decode", func(b *testing.B) {
-		reportThroughput(b, 4*dims.N())
-		for i := 0; i < b.N; i++ {
-			if _, _, err := c.Decompress(benchPlatform, blob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

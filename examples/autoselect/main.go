@@ -1,5 +1,5 @@
 // Autoselect: the module auto-selection mechanism the paper lists as
-// future work (§5, item 3), implemented over the framework's registry.
+// future work (§5, item 3), implemented over the framework's module table.
 // The example profiles each synthetic dataset, shows which pipeline the
 // selector composes under each objective, and compares the auto-selected
 // pipeline against the three fixed presets.

@@ -21,7 +21,7 @@
 // elements (64 MiB of float32) are partitioned into independent slabs
 // along the slowest dimension automatically; smaller fields lower to a
 // one-chunk graph producing a monolithic container. Decompress accepts
-// both container flavors. To control chunking explicitly — chunk size in
+// all three container flavors. To control chunking explicitly — chunk size in
 // elements, scheduler width, or chunking below the automatic threshold —
 // call CompressChunked:
 //
@@ -69,7 +69,7 @@
 // (Lorenzo + histogram + CPU Huffman), Speed (Lorenzo + FZ-GPU
 // bitshuffle/dictionary), and Quality (G-Interp spline interpolation +
 // top-k histogram + Huffman). Custom pipelines are assembled from the
-// module registry; see the examples directory.
+// module table; see the examples directory.
 package fzmod
 
 import (
@@ -238,7 +238,7 @@ func DecompressStreamCtx(ctx context.Context, p *Platform, r io.Reader, w io.Wri
 }
 
 // Decompress reconstructs a field from any FZModules container using the
-// module registry; the container is self-describing.
+// module table; the container is self-describing.
 func Decompress(p *Platform, blob []byte) ([]float32, Dims, error) {
 	return core.Decompress(p, blob)
 }

@@ -63,11 +63,3 @@ func (c *Compressor) Compress(p *device.Platform, data []float32, dims grid.Dims
 func (c *Compressor) Decompress(p *device.Platform, blob []byte) ([]float32, grid.Dims, error) {
 	return c.pl.Decompress(p, blob)
 }
-
-func init() {
-	// SZ3's predictor configuration must be resolvable from containers it
-	// wrote; the registry key comes from SplinePredictor.Name() ("spline-
-	// auto"), which presets.go registers with the default radius. Radius
-	// travels in the container header, so the registered instance decodes
-	// SZ3 streams too — nothing further to register here.
-}

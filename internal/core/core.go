@@ -7,18 +7,17 @@
 //
 // A pipeline is data, not code: it is assembled from named modules, and
 // the module names are recorded in the compressed container so any
-// FZModules build with the same modules registered can decompress the
-// stream. New modules register themselves in the package registry exactly
-// the way the paper describes extending the framework.
+// FZModules build with the same module table can decompress the stream.
+// Extending the framework the way the paper describes is adding a module
+// to that table.
 package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"fzmod/internal/device"
 	"fzmod/internal/grid"
+	"fzmod/internal/predictor/spline"
 	"fzmod/internal/preprocess"
 )
 
@@ -36,7 +35,7 @@ type Prediction struct {
 
 // Predictor is the prediction+quantization stage contract.
 type Predictor interface {
-	// Name is the registry key recorded in compressed containers.
+	// Name is the module-table key recorded in compressed containers.
 	Name() string
 	// Predict quantizes data within absolute bound eb at place.
 	Predict(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64) (*Prediction, error)
@@ -67,84 +66,36 @@ type Compressor interface {
 	Decompress(p *device.Platform, blob []byte) ([]float32, grid.Dims, error)
 }
 
-// Registry maps module names to implementations so containers are
-// self-describing. Registration normally happens in init functions.
+// The module table maps the names containers record to implementations,
+// which is what makes a container self-describing. It is fixed at build
+// time: adding a module is one line here, and the golden corpus
+// (testdata/golden) then covers every composition it enables.
 var (
-	regMu      sync.RWMutex
-	predictors = map[string]Predictor{}
-	encoders   = map[string]CodesEncoder{}
-	secondary  = map[string]Secondary{}
+	predictors = []Predictor{
+		LorenzoPredictor{},
+		SplinePredictor{Config: spline.Config{Mode: spline.Cubic, TuneOrder: true}},
+		SplinePredictor{Config: spline.Config{Mode: spline.Auto, TuneOrder: true}},
+	}
+	encoders = []CodesEncoder{
+		HuffmanEncoder{Hist: HistStandard},
+		HuffmanEncoder{Hist: HistTopK},
+		FZGEncoder{},
+	}
+	secondaries = []Secondary{LZSecondary{}}
 )
 
-// RegisterPredictor adds a predictor to the registry; it panics on
-// duplicate names, which are programmer error.
-func RegisterPredictor(pr Predictor) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := predictors[pr.Name()]; dup {
-		panic("core: duplicate predictor " + pr.Name())
+// lookup resolves a name a container records against one column of the
+// module table.
+func lookup[M interface{ Name() string }](kind string, table []M, name string) (M, error) {
+	for _, m := range table {
+		if m.Name() == name {
+			return m, nil
+		}
 	}
-	predictors[pr.Name()] = pr
-}
-
-// RegisterEncoder adds a primary encoder to the registry.
-func RegisterEncoder(e CodesEncoder) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := encoders[e.Name()]; dup {
-		panic("core: duplicate encoder " + e.Name())
+	known := make([]string, len(table))
+	for i, m := range table {
+		known[i] = m.Name()
 	}
-	encoders[e.Name()] = e
-}
-
-// RegisterSecondary adds a secondary encoder to the registry.
-func RegisterSecondary(s Secondary) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := secondary[s.Name()]; dup {
-		panic("core: duplicate secondary " + s.Name())
-	}
-	secondary[s.Name()] = s
-}
-
-// LookupPredictor resolves a registry name.
-func LookupPredictor(name string) (Predictor, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	pr, ok := predictors[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown predictor %q (known: %v)", name, keys(predictors))
-	}
-	return pr, nil
-}
-
-// LookupEncoder resolves a registry name.
-func LookupEncoder(name string) (CodesEncoder, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := encoders[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown encoder %q (known: %v)", name, keys(encoders))
-	}
-	return e, nil
-}
-
-// LookupSecondary resolves a registry name.
-func LookupSecondary(name string) (Secondary, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := secondary[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown secondary %q (known: %v)", name, keys(secondary))
-	}
-	return s, nil
-}
-
-func keys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	var zero M
+	return zero, fmt.Errorf("core: unknown %s %q (known: %v)", kind, name, known)
 }

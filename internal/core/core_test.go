@@ -174,36 +174,22 @@ func TestCompressBadBound(t *testing.T) {
 
 func TestRegistryLookups(t *testing.T) {
 	for _, name := range []string{"lorenzo", "spline", "spline-auto"} {
-		if _, err := LookupPredictor(name); err != nil {
+		if _, err := lookup("predictor", predictors, name); err != nil {
 			t.Errorf("predictor %q: %v", name, err)
 		}
 	}
 	for _, name := range []string{"huffman", "huffman-topk", "fzg"} {
-		if _, err := LookupEncoder(name); err != nil {
+		if _, err := lookup("encoder", encoders, name); err != nil {
 			t.Errorf("encoder %q: %v", name, err)
 		}
 	}
-	if _, err := LookupSecondary("lz"); err != nil {
+	if _, err := lookup("secondary", secondaries, "lz"); err != nil {
 		t.Errorf("secondary lz: %v", err)
 	}
-	if _, err := LookupPredictor("nope"); err == nil {
-		t.Error("unknown predictor should fail")
+	_, err := lookup("encoder", encoders, "nope")
+	if err == nil || !strings.Contains(err.Error(), "huffman-topk") {
+		t.Errorf("unknown encoder: error %v does not list the known ones", err)
 	}
-	if _, err := LookupEncoder("nope"); err == nil {
-		t.Error("unknown encoder should fail")
-	}
-	if _, err := LookupSecondary("nope"); err == nil {
-		t.Error("unknown secondary should fail")
-	}
-}
-
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration should panic")
-		}
-	}()
-	RegisterPredictor(LorenzoPredictor{})
 }
 
 func TestDescribe(t *testing.T) {
@@ -217,7 +203,7 @@ func TestDescribe(t *testing.T) {
 
 func TestCrossPipelineDecompression(t *testing.T) {
 	// A container produced by one Pipeline value decompresses through
-	// another (registry-driven): the container is self-describing.
+	// another (module-table driven): the container is self-describing.
 	data, dims := testField()
 	blob, err := NewQuality().Compress(tp, data, dims, preprocess.RelBound(1e-3))
 	if err != nil {

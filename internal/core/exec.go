@@ -410,43 +410,30 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 }
 
 // decompressReport lowers a whole-container decode onto one read sub-graph
-// per chunk, each reconstructing into its window of the output field; the
+// per entry of the container's chunk index — the same fzio.FetchIndex a
+// region read plans against, so FZMD, FZMC and FZMS blobs all take this
+// path — each reconstructing into its window of the output field; the
 // chunks share no logical data, so they decode fully in parallel. An FZMD
-// blob is a one-entry chunk list covering every plane (its integrity is
-// the per-segment CRCs the builder's parse verifies); an FZMC blob's
-// entries come from its chunk table, each payload CRC-checked as it is
-// fetched.
+// blob is a one-entry index covering every plane (its integrity is the
+// per-segment CRCs the builder's parse verifies); FZMC and FZMS payloads
+// are CRC-checked against the index as they are fetched.
 func decompressReport(gctx context.Context, p *device.Platform, blob []byte, workers int) ([]float32, grid.Dims, *ExecReport, error) {
-	var (
-		dims   grid.Dims
-		planes []int
-		fetch  func(i int) ([]byte, error)
-	)
-	if fzio.IsChunked(blob) {
-		cc, err := fzio.UnmarshalChunked(blob)
-		if err != nil {
-			return nil, grid.Dims{}, nil, err
-		}
-		dims, fetch = cc.Header.Dims, cc.Chunk
-		for _, ref := range cc.Chunks {
-			planes = append(planes, ref.Planes)
-		}
-	} else {
-		hdr, err := fzio.ParseMonolithicHeader(blob)
-		if err != nil {
-			return nil, grid.Dims{}, nil, err
-		}
-		dims, planes = hdr.Dims, []int{hdr.Dims.SlowExtent()}
-		fetch = func(int) ([]byte, error) { return blob, nil }
+	ix, err := fzio.FetchIndex(fzio.NewBytesFetcher(blob))
+	if err != nil {
+		return nil, grid.Dims{}, nil, err
 	}
+	dims := ix.Header.Dims
 	out := make([]float32, dims.N())
-	ctx := newCtx(gctx, p, device.Accel, workers, len(planes))
+	ctx := newCtx(gctx, p, device.Accel, workers, len(ix.Chunks))
 	lo := 0
-	for i, k := range planes {
-		i := i
-		want := dims.WithSlowExtent(k)
+	for i, ref := range ix.Chunks {
+		i, ref := i, ref
+		want := dims.WithSlowExtent(ref.Planes)
 		addDecompressTasks(ctx, chunkPrefix(i), i, want, out[lo:lo+want.N()],
-			func() ([]byte, error) { return fetch(i) }, nil)
+			func() ([]byte, error) {
+				payload := blob[ref.Offset : ref.Offset+ref.Length]
+				return payload, ix.VerifyChunk(i, payload)
+			}, nil)
 		lo += want.N()
 	}
 	report, err := finish(ctx)

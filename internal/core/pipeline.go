@@ -12,7 +12,7 @@ import (
 	"fzmod/internal/preprocess"
 )
 
-// Pipeline composes registered modules into a compressor, the framework's
+// Pipeline composes modules into a compressor, the framework's
 // central object (§3.3). PredPlace and EncPlace assign each stage to an
 // execution place, expressing hybrid designs like FZMod-Default's
 // GPU-predictor + CPU-Huffman split. Every entry point lowers to an STF
@@ -136,14 +136,14 @@ func (pl *Pipeline) wrapSecondary(p *device.Platform, place device.Place, blob [
 }
 
 // Decompress implements Compressor. It ignores the receiver's module
-// configuration: containers are self-describing, so any registered module
-// set can decode them.
+// configuration: containers are self-describing, so the module table
+// decodes them.
 func (pl *Pipeline) Decompress(p *device.Platform, blob []byte) ([]float32, grid.Dims, error) {
 	return Decompress(p, blob)
 }
 
 // Decompress reconstructs a field from any FZModules container using the
-// module registry, through the same task-graph engine as compression.
+// module table, through the same task-graph engine as compression.
 func Decompress(p *device.Platform, blob []byte) ([]float32, grid.Dims, error) {
 	vals, dims, _, err := DecompressReport(p, blob)
 	return vals, dims, err
@@ -192,7 +192,7 @@ func DecompressReportWithOptsCtx(gctx context.Context, p *device.Platform, blob 
 // inner container it wraps.
 func unwrapSecondary(p *device.Platform, c *fzio.Container) (*fzio.Container, error) {
 	secName, _ := c.Segment(segSec)
-	sec, err := LookupSecondary(string(secName))
+	sec, err := lookup("secondary", secondaries, string(secName))
 	if err != nil {
 		return nil, err
 	}
@@ -217,11 +217,11 @@ func containerModules(c *fzio.Container) (Predictor, CodesEncoder, error) {
 	if len(names) != 2 {
 		return nil, nil, fmt.Errorf("core: malformed modules segment")
 	}
-	pr, err := LookupPredictor(names[0])
+	pr, err := lookup("predictor", predictors, names[0])
 	if err != nil {
 		return nil, nil, err
 	}
-	enc, err := LookupEncoder(names[1])
+	enc, err := lookup("encoder", encoders, names[1])
 	if err != nil {
 		return nil, nil, err
 	}

@@ -67,13 +67,3 @@ func PresetByName(name string) (*Pipeline, error) {
 	}
 	return nil, fmt.Errorf("unknown preset %q (want default, speed, quality)", name)
 }
-
-func init() {
-	RegisterPredictor(LorenzoPredictor{})
-	RegisterPredictor(SplinePredictor{Config: spline.Config{Mode: spline.Cubic, TuneOrder: true}})
-	RegisterPredictor(SplinePredictor{Config: spline.Config{Mode: spline.Auto, TuneOrder: true}})
-	RegisterEncoder(HuffmanEncoder{Hist: HistStandard})
-	RegisterEncoder(HuffmanEncoder{Hist: HistTopK})
-	RegisterEncoder(FZGEncoder{})
-	RegisterSecondary(LZSecondary{})
-}

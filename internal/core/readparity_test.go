@@ -25,7 +25,7 @@ type readDoor struct {
 // below holds them to.
 func readDoors(t *testing.T) []readDoor {
 	return []readDoor{
-		{"Decompress", "DC", func(blob []byte) ([]float32, error) {
+		{"Decompress", "DCS", func(blob []byte) ([]float32, error) {
 			vals, _, err := Decompress(tp, blob)
 			return vals, err
 		}},

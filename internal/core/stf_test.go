@@ -56,7 +56,7 @@ func TestSTFCompressInteroperates(t *testing.T) {
 	if len(report.Trace) != 4 {
 		t.Errorf("expected 4-task compression trace, got %d", len(report.Trace))
 	}
-	// Standard registry decompression must read the STF container.
+	// Standard decompression must read the STF container.
 	got, _, err := Decompress(tp, blob)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestSTFRejectsUnsupportedContainers(t *testing.T) {
 
 // TestSTFDecompressSecondary checks the secondary-decode task insertion:
 // a +lz container decodes through the STF graph and matches the standard
-// registry path bit for bit.
+// module-table path bit for bit.
 func TestSTFDecompressSecondary(t *testing.T) {
 	data, dims := testField()
 	blob, err := NewDefault().WithSecondary(LZSecondary{}).Compress(tp, data, dims, preprocess.RelBound(1e-3))

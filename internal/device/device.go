@@ -123,8 +123,8 @@ func (p *Platform) WithWorkers(n int) *Platform {
 	}
 	cp := &Platform{
 		Name:          p.Name,
-		AccelWorkers:  minInt(p.workersFor(Accel), n),
-		HostWorkers:   minInt(p.workersFor(Host), n),
+		AccelWorkers:  minInt(p.Workers(Accel), n),
+		HostWorkers:   minInt(p.Workers(Host), n),
 		LinkBandwidth: p.LinkBandwidth,
 	}
 	cp.shared.Store(p.state())
@@ -172,8 +172,8 @@ func (p *Platform) ScratchPool() *BufPool { return &p.state().scratch }
 func (p *Platform) workChan(place Place) chan gridJob {
 	s := p.state()
 	s.workersOnce.Do(func() {
-		hostW := maxInt(p.workersFor(Host), runtime.GOMAXPROCS(0))
-		accelW := maxInt(p.workersFor(Accel), runtime.GOMAXPROCS(0))
+		hostW := maxInt(p.Workers(Host), runtime.GOMAXPROCS(0))
+		accelW := maxInt(p.Workers(Accel), runtime.GOMAXPROCS(0))
 		s.quit = make(chan struct{})
 		s.hostCh = make(chan gridJob, 4*hostW)
 		s.accelCh = make(chan gridJob, 4*accelW)
@@ -335,8 +335,8 @@ func (p *Platform) ResetStats() {
 	st.RegionCacheEvict.Store(0)
 }
 
-// workersFor returns the kernel width for a place.
-func (p *Platform) workersFor(place Place) int {
+// Workers reports the kernel width for a place: an operation's default budget.
+func (p *Platform) Workers(place Place) int {
 	if place == Accel {
 		if p.AccelWorkers > 0 {
 			return p.AccelWorkers
@@ -355,7 +355,7 @@ func (p *Platform) workersFor(place Place) int {
 // fixed worker count so results are reproducible.
 //
 // LaunchGrid blocks until every chunk has completed ("stream-synchronous"
-// launch); use a Stream for asynchronous launches.
+// launch); stages overlap through the STF scheduler, not through LaunchGrid.
 func (p *Platform) LaunchGrid(place Place, n int, kernel func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -365,7 +365,7 @@ func (p *Platform) LaunchGrid(place Place, n int, kernel func(lo, hi int)) {
 	} else {
 		p.Stats().HostLaunch.Add(1)
 	}
-	workers := p.workersFor(place)
+	workers := p.Workers(place)
 	if workers == 1 || n < 2*minChunk {
 		kernel(0, n)
 		return
@@ -394,7 +394,7 @@ func (p *Platform) LaunchBlocks(place Place, n int, kernel func(lo, hi int)) {
 	} else {
 		p.Stats().HostLaunch.Add(1)
 	}
-	workers := p.workersFor(place)
+	workers := p.Workers(place)
 	if workers == 1 || n == 1 {
 		kernel(0, n)
 		return

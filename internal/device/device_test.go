@@ -117,42 +117,6 @@ func TestSliceConversionsRoundtrip(t *testing.T) {
 	}
 }
 
-func TestStreamOrdering(t *testing.T) {
-	p := NewTestPlatform()
-	s := p.NewStream(Accel)
-	var order []int
-	for i := 0; i < 50; i++ {
-		i := i
-		s.Enqueue(func() { order = append(order, i) })
-	}
-	s.Sync()
-	if len(order) != 50 {
-		t.Fatalf("executed %d ops, want 50", len(order))
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("out-of-order execution at %d: got %d", i, v)
-		}
-	}
-}
-
-func TestStreamLaunch(t *testing.T) {
-	p := NewTestPlatform()
-	s := p.NewStream(Accel)
-	data := make([]int32, 10_000)
-	s.Launch(len(data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			data[i] = int32(i)
-		}
-	})
-	s.Sync()
-	for i, v := range data {
-		if v != int32(i) {
-			t.Fatalf("data[%d] = %d", i, v)
-		}
-	}
-}
-
 func TestPlatformConstructors(t *testing.T) {
 	h := NewH100Platform()
 	v := NewV100Platform()

@@ -94,13 +94,13 @@ func TestWithWorkersViewSharesState(t *testing.T) {
 	p := NewTestPlatform()
 	defer p.Close()
 	v := p.WithWorkers(1)
-	if v.workersFor(Accel) != 1 || v.workersFor(Host) != 1 {
-		t.Fatalf("view widths = %d/%d, want 1/1", v.workersFor(Accel), v.workersFor(Host))
+	if v.Workers(Accel) != 1 || v.Workers(Host) != 1 {
+		t.Fatalf("view widths = %d/%d, want 1/1", v.Workers(Accel), v.Workers(Host))
 	}
 	// Wider budgets clamp at the parent's width.
 	wide := p.WithWorkers(64)
-	if wide.workersFor(Accel) != p.workersFor(Accel) {
-		t.Errorf("wide view accel width %d, want %d", wide.workersFor(Accel), p.workersFor(Accel))
+	if wide.Workers(Accel) != p.Workers(Accel) {
+		t.Errorf("wide view accel width %d, want %d", wide.Workers(Accel), p.Workers(Accel))
 	}
 	if p.WithWorkers(0) != p {
 		t.Error("WithWorkers(0) should return the receiver")
@@ -136,7 +136,7 @@ func TestWithWorkersOneRunsInline(t *testing.T) {
 	// The parent keeps its own decomposition.
 	var parentCalls atomic.Int32
 	p.LaunchGrid(Accel, 1<<16, func(lo, hi int) { parentCalls.Add(1) })
-	if parentCalls.Load() != int32(p.workersFor(Accel)) {
-		t.Errorf("parent made %d calls, want %d", parentCalls.Load(), p.workersFor(Accel))
+	if parentCalls.Load() != int32(p.Workers(Accel)) {
+		t.Errorf("parent made %d calls, want %d", parentCalls.Load(), p.Workers(Accel))
 	}
 }

@@ -6,84 +6,32 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
-	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fzmod/internal/grid"
 )
 
-// The pre-integrity format version of FZMC and FZMS (no leaf hashes, no
-// root), which every reader still accepts.
-const (
-	chunkedVersionLegacy = 1
-	streamVersionLegacy  = 1
-)
-
-// buildV1Chunked hand-serializes a version-1 FZMC container — the
-// pre-integrity layout with no leaf hashes and no Merkle root — exactly
-// as the v1 writer emitted it. The compatibility tests parse these bytes
-// through every current reader.
-func buildV1Chunked(h ChunkedHeader, chunks [][]byte, planes []int) []byte {
-	out := []byte(ChunkedMagic)
-	out = binary.LittleEndian.AppendUint16(out, chunkedVersionLegacy)
-	out = appendString(out, h.Pipeline)
-	out = binary.AppendUvarint(out, uint64(h.Dims.X))
-	out = binary.AppendUvarint(out, uint64(h.Dims.Y))
-	out = binary.AppendUvarint(out, uint64(h.Dims.Z))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(h.EB))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(h.RelEB))
-	out = binary.AppendUvarint(out, uint64(h.Planes))
-	out = binary.AppendUvarint(out, uint64(len(chunks)))
-	off := 0
-	for i, c := range chunks {
-		out = binary.AppendUvarint(out, uint64(off))
-		out = binary.AppendUvarint(out, uint64(len(c)))
-		out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(c))
-		out = binary.AppendUvarint(out, uint64(planes[i]))
-		off += len(c)
-	}
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out
-}
-
-// buildV1Stream hand-serializes a version-1 FZMS stream: v1 prologue,
-// self-describing frames, end marker, and the v1 trailer (no hashes, no
-// root).
-func buildV1Stream(t *testing.T, h ChunkedHeader, chunks [][]byte, planes []int) []byte {
+// v1Fixture reads a version-1 artifact (no leaf hashes, no root) written
+// by the last tree before the Merkle trees. The fixtures live in core's
+// golden corpus, which also decodes them through every read door against
+// the field that tree decoded; here they go through every container-level
+// reader.
+func v1Fixture(t *testing.T, name string) []byte {
 	t.Helper()
-	out := appendStreamPrologueV(nil, h, streamVersionLegacy)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-	refs := make([]ChunkRef, len(chunks))
-	for i, c := range chunks {
-		crc := crc32.ChecksumIEEE(c)
-		out = binary.AppendUvarint(out, uint64(len(c)))
-		out = binary.AppendUvarint(out, uint64(planes[i]))
-		out = binary.LittleEndian.AppendUint32(out, crc)
-		out = append(out, c...)
-		refs[i] = ChunkRef{Length: len(c), Planes: planes[i], CRC: crc}
-	}
-	out = binary.AppendUvarint(out, 0) // end marker
-	trailer, err := appendIndexV(nil, refs, streamVersionLegacy)
+	blob, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden", name))
 	if err != nil {
-		t.Fatalf("appendIndexV: %v", err)
+		t.Fatal(err)
 	}
-	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.ChecksumIEEE(trailer))
-	trailer = binary.LittleEndian.AppendUint64(trailer, uint64(len(trailer)))
-	trailer = append(trailer, streamEndMagic...)
-	return append(out, trailer...)
+	return blob
 }
 
-// Version-1 artifacts — no hashes, no root — must still parse and decode
-// through every current reader: UnmarshalChunked, FetchIndex (with
-// vacuous proofs), and the salvage survey.
+// Version-1 artifacts must still parse through every current reader:
+// UnmarshalChunked, FetchIndex (with vacuous proofs), and the salvage
+// survey, all agreeing on every chunk payload.
 func TestV1ChunkedCompat(t *testing.T) {
-	dims := grid.Dims{X: 4, Y: 4, Z: 4}
-	h := ChunkedHeader{Pipeline: "test-pipe", Dims: dims, EB: 1e-3, Planes: 2}
-	chunks := [][]byte{bytes.Repeat([]byte{0xAA}, 40), bytes.Repeat([]byte{0xBB}, 56)}
-	blob := buildV1Chunked(h, chunks, []int{2, 2})
-
+	blob := v1Fixture(t, "v1-default-hurr.fzmc")
 	c, err := UnmarshalChunked(blob)
 	if err != nil {
 		t.Fatalf("UnmarshalChunked(v1): %v", err)
@@ -91,16 +39,6 @@ func TestV1ChunkedCompat(t *testing.T) {
 	if c.Root != nil {
 		t.Fatalf("v1 container reports a Merkle root: %x", c.Root)
 	}
-	for i, want := range chunks {
-		got, err := c.Chunk(i)
-		if err != nil {
-			t.Fatalf("Chunk(%d): %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("chunk %d bytes diverge", i)
-		}
-	}
-
 	ix, err := FetchIndex(NewBytesFetcher(blob))
 	if err != nil {
 		t.Fatalf("FetchIndex(v1): %v", err)
@@ -108,29 +46,43 @@ func TestV1ChunkedCompat(t *testing.T) {
 	if ix.HasProofs() {
 		t.Fatal("v1 index claims proofs")
 	}
-	// Proof verification on a rootless artifact is vacuous, not an error.
-	if err := ix.VerifyProof(0, chunks[0]); err != nil {
-		t.Fatalf("vacuous VerifyProof: %v", err)
-	}
-	if err := ix.VerifyChunk(1, chunks[1]); err != nil {
-		t.Fatalf("VerifyChunk: %v", err)
-	}
-
 	s, err := SurveyArtifact(NewBytesFetcher(blob))
 	if err != nil {
 		t.Fatalf("SurveyArtifact(v1): %v", err)
 	}
-	if s.Damaged() || s.Intact() != 2 || s.Root != nil {
+	if s.Damaged() || s.Intact() != 4 || s.Root != nil {
 		t.Fatalf("v1 survey = damaged=%v intact=%d root=%x", s.Damaged(), s.Intact(), s.Root)
+	}
+	if c.NumChunks() != 4 || ix.NumChunks() != 4 {
+		t.Fatalf("v1 chunk counts: table %d, index %d, want 4", c.NumChunks(), ix.NumChunks())
+	}
+	for i := range c.Chunks {
+		payload, err := c.Chunk(i)
+		if err != nil {
+			t.Fatalf("Chunk(%d): %v", i, err)
+		}
+		ref := ix.Chunks[i]
+		if !bytes.Equal(payload, blob[ref.Offset:ref.Offset+ref.Length]) || !bytes.Equal(payload, s.Chunks[i].Payload()) {
+			t.Fatalf("chunk %d: table, index and survey disagree on the payload", i)
+		}
+		if err := ix.VerifyChunk(i, payload); err != nil {
+			t.Fatalf("VerifyChunk(%d): %v", i, err)
+		}
+		// Proof verification on a rootless artifact is vacuous, not an error.
+		if err := ix.VerifyProof(i, payload); err != nil {
+			t.Fatalf("vacuous VerifyProof(%d): %v", i, err)
+		}
 	}
 }
 
+// The v1 stream carries the same chunk payloads as the v1 chunked
+// container its writer produced from the same field.
 func TestV1StreamCompat(t *testing.T) {
-	dims := grid.Dims{X: 4, Y: 4, Z: 6}
-	h := ChunkedHeader{Pipeline: "test-pipe", Dims: dims, EB: 1e-3, Planes: 2}
-	chunks := [][]byte{bytes.Repeat([]byte{1}, 33), bytes.Repeat([]byte{2}, 47), bytes.Repeat([]byte{3}, 21)}
-	blob := buildV1Stream(t, h, chunks, []int{2, 2, 2})
-
+	blob := v1Fixture(t, "v1-default-hurr.fzms")
+	c, err := UnmarshalChunked(v1Fixture(t, "v1-default-hurr.fzmc"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sr, err := NewStreamReader(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatalf("NewStreamReader(v1): %v", err)
@@ -138,13 +90,17 @@ func TestV1StreamCompat(t *testing.T) {
 	for i := 0; ; i++ {
 		payload, planes, err := sr.Next(nil)
 		if err != nil {
-			if i == len(chunks) && errors.Is(err, io.EOF) {
+			if i == c.NumChunks() && errors.Is(err, io.EOF) {
 				break
 			}
 			t.Fatalf("Next(%d): %v", i, err)
 		}
-		if planes != 2 || !bytes.Equal(payload, chunks[i]) {
-			t.Fatalf("frame %d diverges", i)
+		want, err := c.Chunk(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if planes != c.Chunks[i].Planes || !bytes.Equal(payload, want) {
+			t.Fatalf("frame %d diverges from chunk %d of the v1 chunked container", i, i)
 		}
 	}
 
@@ -152,15 +108,14 @@ func TestV1StreamCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FetchIndex(v1 stream): %v", err)
 	}
-	if ix.HasProofs() {
-		t.Fatal("v1 stream index claims proofs")
+	if ix.HasProofs() || ix.NumChunks() != c.NumChunks() {
+		t.Fatalf("v1 stream index: proofs=%v chunks=%d", ix.HasProofs(), ix.NumChunks())
 	}
-
 	s, err := SurveyArtifact(NewBytesFetcher(blob))
 	if err != nil {
 		t.Fatalf("SurveyArtifact(v1 stream): %v", err)
 	}
-	if s.Damaged() || s.Intact() != 3 {
+	if s.Damaged() || s.Intact() != c.NumChunks() {
 		t.Fatalf("v1 stream survey = damaged=%v intact=%d", s.Damaged(), s.Intact())
 	}
 }

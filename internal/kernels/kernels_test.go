@@ -75,23 +75,6 @@ func TestSumF64(t *testing.T) {
 	}
 }
 
-func TestCountU16(t *testing.T) {
-	codes := make([]uint16, 50_000)
-	for i := range codes {
-		codes[i] = uint16(i % 7)
-	}
-	got := CountU16(tp, device.Accel, codes, 3)
-	want := 0
-	for _, c := range codes {
-		if c == 3 {
-			want++
-		}
-	}
-	if got != want {
-		t.Errorf("CountU16 = %d, want %d", got, want)
-	}
-}
-
 func TestExclusiveScanMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{0, 1, 5, 4095, 4096, 4097, 20_000} {
@@ -123,29 +106,6 @@ func TestCompactU32(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("compact[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestGatherScatterInverse(t *testing.T) {
-	n := 10_000
-	rng := rand.New(rand.NewSource(3))
-	src := make([]float32, n)
-	for i := range src {
-		src[i] = rng.Float32()
-	}
-	idx := make([]uint32, n/4)
-	perm := rng.Perm(n)
-	for i := range idx {
-		idx[i] = uint32(perm[i])
-	}
-	gathered := make([]float32, len(idx))
-	GatherF32(tp, device.Accel, gathered, src, idx)
-	dst := make([]float32, n)
-	ScatterF32(tp, device.Accel, dst, gathered, idx)
-	for j, i := range idx {
-		if dst[i] != src[i] {
-			t.Fatalf("scatter∘gather not identity at idx[%d]=%d", j, i)
 		}
 	}
 }

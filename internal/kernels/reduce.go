@@ -74,21 +74,3 @@ func SumF64(p *device.Platform, place device.Place, data []float64) float64 {
 	})
 	return total
 }
-
-// CountU16 counts occurrences of target in codes with a grid reduction.
-func CountU16(p *device.Platform, place device.Place, codes []uint16, target uint16) int {
-	var mu sync.Mutex
-	var total int
-	p.LaunchGrid(place, len(codes), func(lo, hi int) {
-		local := 0
-		for _, c := range codes[lo:hi] {
-			if c == target {
-				local++
-			}
-		}
-		mu.Lock()
-		total += local
-		mu.Unlock()
-	})
-	return total
-}

@@ -91,22 +91,3 @@ func CompactU32(p *device.Platform, place device.Place, keep []uint32) []uint32 
 	pool.PutU32(off)
 	return out
 }
-
-// GatherF32 writes dst[j] = src[idx[j]] in parallel.
-func GatherF32(p *device.Platform, place device.Place, dst, src []float32, idx []uint32) {
-	p.LaunchGrid(place, len(idx), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[j] = src[idx[j]]
-		}
-	})
-}
-
-// ScatterF32 writes dst[idx[j]] = src[j] in parallel. Indices must be
-// unique, as they are for outlier scatter in decompression.
-func ScatterF32(p *device.Platform, place device.Place, dst, src []float32, idx []uint32) {
-	p.LaunchGrid(place, len(idx), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dst[idx[j]] = src[j]
-		}
-	})
-}

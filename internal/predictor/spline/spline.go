@@ -129,7 +129,7 @@ func Encode(p *device.Platform, place device.Place, data []float32, dims grid.Di
 			code := int32(math.Round(err / (2 * ebL)))
 			if code > -r32 && code < r32 {
 				codes[i] = uint16(code + r32)
-				work[i] = pred + float64(code)*2*ebL
+				work[i] = pred + float64(float64(code)*2*ebL)
 			} else {
 				flags[i] = 1 // codes[i] stays 0: outlier escape
 				work[i] = float64(data[i])
@@ -204,7 +204,7 @@ func Decode(p *device.Platform, place device.Place, q *Quantized, dims grid.Dims
 				work[i] = outliers[uint32(i)]
 				return
 			}
-			work[i] = pred + float64(int32(c)-r32)*2*LevelEB(eb, level)
+			work[i] = pred + float64(float64(int32(c)-r32)*2*LevelEB(eb, level))
 		})
 
 	out := make([]float32, n)
@@ -321,7 +321,7 @@ func tuneOrder(data []float32, work []float64, dims grid.Dims, s, h int) byte {
 				i := base + c*ph.step
 				pr := predict(work, i, c, ph.length, ph.step, h, true)
 				dd := float64(data[i]) - pr
-				sse[d] += dd * dd
+				sse[d] += float64(dd * dd)
 				samples++
 				if samples >= 512 {
 					break
@@ -408,7 +408,7 @@ func predict(work []float64, i, c, length, step, h int, cubic bool) float64 {
 	}
 	b := work[i+h*step]
 	if cubic && c-3*h >= 0 && c+3*h < length {
-		return (-work[i-3*h*step] + 9*a + 9*b - work[i+3*h*step]) / 16
+		return (-work[i-3*h*step] + float64(9*a) + float64(9*b) - work[i+3*h*step]) / 16
 	}
 	return (a + b) / 2
 }
@@ -437,8 +437,8 @@ func resolveMode(m InterpMode, data []float32, work []float64, dims grid.Dims, p
 			pc := predict(work, i, c, ph.length, ph.step, ph.h, true)
 			pl := predict(work, i, c, ph.length, ph.step, ph.h, false)
 			d := float64(data[i])
-			sseCubic += (d - pc) * (d - pc)
-			sseLinear += (d - pl) * (d - pl)
+			sseCubic += float64((d - pc) * (d - pc))
+			sseLinear += float64((d - pl) * (d - pl))
 			samples++
 			if samples >= maxSamples {
 				break

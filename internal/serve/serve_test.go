@@ -120,6 +120,43 @@ func TestServeCompressDecompressRoundtrip(t *testing.T) {
 	}
 }
 
+// TestServeDecompressStreamArtifact: /v1/decompress takes an FZMS artifact
+// like the other two flavors, and answers with the floats a full-region
+// read of the same stored artifact returns.
+func TestServeDecompressStreamArtifact(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	dims := grid.D3(24, 20, 32)
+	vals, body := testFieldBytes(t, dims)
+	absEB := relResolved(t, vals, 1e-3)
+	var fzms bytes.Buffer
+	if _, err := core.NewDefault().CompressStream(device.NewTestPlatform(), bytes.NewReader(body), dims,
+		preprocess.AbsBound(absEB), &fzms, core.StreamOpts{ChunkElems: 24 * 20 * 8}); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, raw := doPost(t, ts.URL+"/v1/decompress", fzms.Bytes())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("decompress status %d: %s", resp.StatusCode, raw)
+	}
+	if got := resp.Header.Get("X-Fzmod-Dims"); got != "24x20x32" {
+		t.Fatalf("X-Fzmod-Dims = %q, want 24x20x32", got)
+	}
+	if i := fzmetrics.VerifyBound(vals, decodeF32(t, raw), absEB); i != -1 {
+		t.Fatalf("bound violated at %d", i)
+	}
+
+	if resp, _ := doReq(t, http.MethodPut, ts.URL+"/v1/objects/stream", fzms.Bytes()); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("put status %d, want 201", resp.StatusCode)
+	}
+	resp, region := doReq(t, http.MethodGet, ts.URL+"/v1/objects/stream/region?sel=0:24,0:20,0:32", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("region status %d: %s", resp.StatusCode, region)
+	}
+	if !bytes.Equal(raw, region) {
+		t.Fatal("decompress and a full-region read of the same FZMS artifact differ")
+	}
+}
+
 // relResolved resolves a relative bound the way the pipeline does.
 func relResolved(t *testing.T, vals []float32, rel float64) float64 {
 	t.Helper()

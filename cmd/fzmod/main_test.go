@@ -468,7 +468,8 @@ func TestCLIVerifyAndSalvage(t *testing.T) {
 }
 
 // A proof-checked region read over a CRC-collision-tampered store must
-// refuse with the proof error, not a CRC or decode error.
+// refuse with the proof error, not a CRC or decode error; over a plainly
+// flipped payload byte, with the CRC error.
 func TestCLIRegionProofs(t *testing.T) {
 	in, _, _ := writeField(t)
 	fz := filepath.Join(t.TempDir(), "field.fzc")
@@ -488,6 +489,8 @@ func TestCLIRegionProofs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flipped := append([]byte(nil), blob...)
+	flipped[ix.Chunks[2].Offset+7] ^= 0x08
 	ref := ix.Chunks[1]
 	if !fzio.CorruptPreservingCRC32(blob[ref.Offset:ref.Offset+ref.Length], 3) {
 		t.Fatal("could not build a CRC-preserving tamper")
@@ -506,6 +509,17 @@ func TestCLIRegionProofs(t *testing.T) {
 	}
 	if !errors.Is(err, fzio.ErrProofMismatch) {
 		t.Fatalf("got %v, want ErrProofMismatch", err)
+	}
+	damaged := filepath.Join(t.TempDir(), "damaged.fzc")
+	if err := os.WriteFile(damaged, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(config{
+		decompress: true, region: "0:16,0:16,0:12", proofs: true,
+		in: damaged, out: sub, stdout: io.Discard,
+	})
+	if !errors.Is(err, fzio.ErrCRCMismatch) {
+		t.Fatalf("proof-checked read of a flipped byte: got %v, want ErrCRCMismatch", err)
 	}
 	// -proofs outside a region read is a usage error.
 	if err := run(config{decompress: true, proofs: true, in: fz, out: sub, stdout: io.Discard}); err == nil {

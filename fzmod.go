@@ -366,11 +366,10 @@ func OverallSpeedup(throughputGBs, bandwidthGBs, ratio float64) float64 {
 // ErrProofMismatch marks bytes that contradict a container's Merkle
 // tree: a fetched payload whose inclusion proof does not fold to the
 // recorded root, or an index whose root disagrees with its own entries.
-// Never retried (the stored bytes are wrong; refetching cannot help).
 var ErrProofMismatch = fzio.ErrProofMismatch
 
 // ErrCRCMismatch marks a payload whose CRC32 contradicts the container
-// index — corruption detected before decode, never retried.
+// index — corruption detected before decode.
 var ErrCRCMismatch = fzio.ErrCRCMismatch
 
 type (

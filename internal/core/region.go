@@ -250,12 +250,6 @@ type RegionStats struct {
 	// DedupHits is how many were served by joining another reader's
 	// in-flight decode (single-flight) instead of fetching redundantly.
 	DedupHits int
-	// FetchAttempts / FetchRetries count the fetcher tries behind the
-	// decoded chunks: attempts is every try issued, retries the tries
-	// beyond each fetch's first. Both stay at Decoded/0 unless the
-	// Region's fetcher is (or wraps) an fzio.RetryFetcher.
-	FetchAttempts int64
-	FetchRetries  int64
 	// ProofVerified counts the fetched payloads this read checked against
 	// the container's Merkle root (substantive checks only — reads over
 	// rootless v1 or monolithic artifacts report 0 even with verification
@@ -385,8 +379,6 @@ func (r *Region) ReadReportCtx(gctx context.Context, sel RegionSel) ([]float32, 
 		report, decodeErr = r.decodeMisses(gctx, out, sel, misses, &acct)
 		report.Region = stats
 		stats.DedupHits = int(acct.dedup.Load())
-		stats.FetchAttempts = acct.attempts.Load()
-		stats.FetchRetries = acct.retries.Load()
 		stats.PayloadBytes = acct.payloadBytes.Load()
 		stats.ProofVerified = acct.proofVerified.Load()
 	}
@@ -414,16 +406,8 @@ type regionNeed struct {
 // running task bodies; ReadReportCtx folds it into RegionStats.
 type fetchAccounting struct {
 	dedup         atomic.Int64 // chunks served by another reader's flight
-	attempts      atomic.Int64 // fetcher tries issued by this read
-	retries       atomic.Int64 // tries beyond each fetch's first
 	payloadBytes  atomic.Int64 // compressed bytes actually fetched
 	proofVerified atomic.Int64 // payloads checked against the Merkle root
-}
-
-// attemptFetcher is the optional per-call attempt reporting surface of
-// fzio.RetryFetcher; plain fetchers fall back to one attempt per fetch.
-type attemptFetcher interface {
-	ReadRangeAttempts(off int64, n int) ([]byte, int, error)
 }
 
 // decodeMisses runs the read sub-graphs (exec.go) for the chunks not served
@@ -492,21 +476,15 @@ func (r *Region) decodeMisses(gctx context.Context, out []float32, sel RegionSel
 	return report, err
 }
 
-// fetchChunk fetches and verifies one chunk payload, recording attempt
-// and byte accounting.
+// fetchChunk fetches one chunk payload with a single ReadRange and
+// verifies it, recording byte and proof accounting.
 func (r *Region) fetchChunk(chunk int, acct *fetchAccounting) ([]byte, error) {
 	ref := r.ix.Chunks[chunk]
-	var payload []byte
-	var err error
-	if af, ok := r.f.(attemptFetcher); ok {
-		var attempts int
-		payload, attempts, err = af.ReadRangeAttempts(int64(ref.Offset), ref.Length)
-		acct.attempts.Add(int64(attempts))
-		acct.retries.Add(int64(attempts - 1))
-	} else {
-		payload, err = r.f.ReadRange(int64(ref.Offset), ref.Length)
-		acct.attempts.Add(1)
+	if r.ix.Flavor == fzio.FlavorMonolithic && ref.Length > fzio.MaxMonolithicFetchBytes {
+		return nil, fmt.Errorf("core: monolithic artifact of %d bytes exceeds the %d-byte fetch limit",
+			ref.Length, fzio.MaxMonolithicFetchBytes)
 	}
+	payload, err := r.f.ReadRange(int64(ref.Offset), ref.Length)
 	if err != nil {
 		return nil, fmt.Errorf("core: fetching chunk %d: %w", chunk, err)
 	}

@@ -16,13 +16,13 @@ import (
 	"fzmod/internal/sdrbench"
 )
 
-// This file is the chaos suite: region reads driven through the seeded
-// fault injector (fzio.FaultFetcher) behind the retry layer
-// (fzio.RetryFetcher), concurrent readers sharing one SlabCache through
-// the single-flight protocol, and the pool-balance / bit-identity
-// invariants that must hold under every injected failure. Run under
-// -race: the flight map, the LRU and the per-read accounting are exactly
-// the shared mutable state the detector exists for.
+// This file is the chaos suite: region reads over a store that fails or
+// delays chosen fetches, concurrent readers sharing one SlabCache
+// through the single-flight protocol, and the pool-balance / bit-identity
+// invariants that must hold under every failure. A read asks its fetcher
+// for each chunk exactly once and trusts only the CRC and Merkle checks.
+// Run under -race: the flight map, the LRU and the per-read accounting
+// are exactly the shared mutable state the detector exists for.
 
 // chaosContainer compresses a deterministic field into an 8-chunk FZMC
 // container and returns it with its fault-free full decompression.
@@ -42,94 +42,94 @@ func chaosContainer(t *testing.T) ([]byte, []float32, grid.Dims) {
 	return blob, full, dims
 }
 
-// retryOver wraps a fetcher in the chaos suite's retry policy: enough
-// attempts that a 30% per-attempt fault rate cannot plausibly exhaust
-// them, and a no-op sleep so the suite spends its time decoding, not
-// backing off.
-func retryOver(f fzio.ChunkFetcher) *fzio.RetryFetcher {
-	return fzio.NewRetryFetcher(f, fzio.RetryPolicy{
-		MaxAttempts: 16,
-		Sleep:       func(time.Duration) {},
-	})
+// flakyFetcher serves a blob and fails or delays the ReadRange calls its
+// plan picks. plan sees each call's 1-based sequence number and offset;
+// a nil plan serves every call cleanly.
+type flakyFetcher struct {
+	inner fzio.ChunkFetcher
+	plan  func(call, off int64) (time.Duration, error)
+	calls atomic.Int64
 }
 
-// TestChaosRegionBitIdentical is the acceptance criterion: with the
-// injector at a 30% or 50% transient error rate plus truncation faults,
-// every region read over every selection shape returns bytes identical to
-// the fault-free full decompression, with the retries — and, on a
-// proof-checked read, the Merkle verifications — visible in RegionStats.
+func (f *flakyFetcher) ReadRange(off int64, n int) ([]byte, error) {
+	call := f.calls.Add(1)
+	if f.plan != nil {
+		delay, err := f.plan(call, off)
+		time.Sleep(delay)
+		if err != nil {
+			return nil, fmt.Errorf("flaky: call %d at %d: %w", call, off, err)
+		}
+	}
+	return f.inner.ReadRange(off, n)
+}
+
+func (f *flakyFetcher) Size() (int64, error) { return f.inner.Size() }
+
+// errDeadStore is the failure the chaos stores inject.
+var errDeadStore = errors.New("dead store")
+
+// TestChaosRegionBitIdentical: with 30% or 50% of fetches delayed, so
+// parallel chunk fetches complete out of order, every region read over
+// every selection shape returns bytes identical to the full
+// decompression, asks the store exactly once per decoded chunk, and — on
+// a proof-checked read — counts its Merkle verifications in RegionStats.
 func TestChaosRegionBitIdentical(t *testing.T) {
 	blob, full, dims := chaosContainer(t)
 	for _, tc := range []struct {
-		name      string
-		errorRate float64
-		attempts  int // sized so the fault rate cannot plausibly exhaust them
-		proofs    bool
+		name   string
+		every  int64 // delay calls whose number mod 10 is below this
+		proofs bool
 	}{
-		{"faults-30", 0.3, 16, false},
-		{"faults-50-proofs", 0.5, 40, true},
+		{"faults-30", 3, false},
+		{"faults-50-proofs", 5, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			faulty := fzio.NewFaultFetcher(fzio.NewBytesFetcher(blob), fzio.FaultConfig{
-				Seed:         99,
-				ErrorRate:    tc.errorRate,
-				TruncateRate: 0.1,
-			})
-			retrying := fzio.NewRetryFetcher(faulty, fzio.RetryPolicy{
-				MaxAttempts: tc.attempts,
-				Sleep:       func(time.Duration) {},
-			})
-			reg, err := OpenRegion(tp, retrying, RegionOpts{Workers: 4, VerifyProofs: tc.proofs})
+			slow := &flakyFetcher{inner: fzio.NewBytesFetcher(blob), plan: func(call, _ int64) (time.Duration, error) {
+				if call%10 < tc.every {
+					return time.Duration(call%4) * time.Millisecond, nil
+				}
+				return 0, nil
+			}}
+			reg, err := OpenRegion(tp, slow, RegionOpts{Workers: 4, VerifyProofs: tc.proofs})
 			if err != nil {
-				t.Fatalf("OpenRegion over faulty store: %v", err)
+				t.Fatalf("OpenRegion over slow store: %v", err)
 			}
-			var attempts, retries, proofs int64
+			var proofs int64
 			for _, sel := range regionSels(dims) {
+				before := slow.calls.Load()
 				got, rep, err := reg.ReadReport(sel)
 				if err != nil {
-					t.Fatalf("read %v under faults: %v", sel, err)
+					t.Fatalf("read %v over slow store: %v", sel, err)
 				}
 				want := naiveExtract(full, dims, sel)
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("read %v: byte-diverged at element %d under faults", sel, i)
+						t.Fatalf("read %v: byte-diverged at element %d", sel, i)
 					}
 				}
-				attempts += rep.Region.FetchAttempts
-				retries += rep.Region.FetchRetries
+				if calls := slow.calls.Load() - before; calls != int64(rep.Region.Decoded) {
+					t.Fatalf("read %v issued %d fetches for %d decoded chunks", sel, calls, rep.Region.Decoded)
+				}
 				proofs += rep.Region.ProofVerified
-			}
-			if retries == 0 {
-				t.Fatalf("no retries recorded at a %g fault rate — RegionStats accounting broken", tc.errorRate)
-			}
-			if attempts <= retries {
-				t.Fatalf("attempts=%d retries=%d: attempts must include every fetch's first try", attempts, retries)
 			}
 			if (proofs > 0) != tc.proofs {
 				t.Fatalf("ProofVerified=%d with VerifyProofs=%v on a Merkle-rooted container", proofs, tc.proofs)
-			}
-			injected, _, truncated, _ := faulty.Injected()
-			if injected == 0 || truncated == 0 {
-				t.Fatalf("injector inert: %d errors, %d truncations", injected, truncated)
 			}
 		})
 	}
 }
 
 // TestChaosSingleFlightLoad is the concurrent-reader load test: 16
-// goroutines share one SlabCache over one flaky fetcher, and the
-// single-flight protocol must hold the distinct-slab fetch count to
-// exactly one successful fetch per distinct slab, every reader
-// bit-identical to the serial decode.
+// goroutines share one SlabCache over one slow fetcher, and the
+// single-flight protocol must hold the fetch count to exactly one per
+// distinct slab, every reader bit-identical to the full decode.
 func TestChaosSingleFlightLoad(t *testing.T) {
 	blob, full, dims := chaosContainer(t)
-	faulty := fzio.NewFaultFetcher(fzio.NewBytesFetcher(blob), fzio.FaultConfig{
-		Seed:      7,
-		ErrorRate: 0.3,
-	})
-	// The counter sits above the retry layer: it sees region-level
-	// fetches (one per led flight), not per-attempt traffic.
-	counting := fzio.NewCountingFetcher(retryOver(faulty))
+	// Every fetch takes a millisecond, so the readers' flights overlap.
+	slow := &flakyFetcher{inner: fzio.NewBytesFetcher(blob), plan: func(_, _ int64) (time.Duration, error) {
+		return time.Millisecond, nil
+	}}
+	counting := fzio.NewCountingFetcher(slow)
 	cache := NewSlabCache(int64(len(full)) * 8)
 	reg, err := OpenRegion(tp, counting, RegionOpts{Workers: 2, Cache: cache})
 	if err != nil {
@@ -162,7 +162,7 @@ func TestChaosSingleFlightLoad(t *testing.T) {
 		}
 		for j := range full {
 			if outs[i][j] != full[j] {
-				t.Fatalf("reader %d diverged from the serial decode at element %d", i, j)
+				t.Fatalf("reader %d diverged from the full decode at element %d", i, j)
 			}
 		}
 		if got := stats[i].Decoded + stats[i].CacheHits + stats[i].DedupHits; got != nChunks {
@@ -170,11 +170,10 @@ func TestChaosSingleFlightLoad(t *testing.T) {
 				i, stats[i].Decoded, stats[i].CacheHits, stats[i].DedupHits, nChunks)
 		}
 	}
-	// The single-flight guarantee: every distinct slab was fetched through
-	// the region path exactly once, however the 16 readers interleaved.
+	// The single-flight guarantee: every distinct slab was fetched exactly
+	// once, however the 16 readers interleaved.
 	if counting.Reads() != int64(nChunks) {
-		t.Fatalf("region-level fetches = %d, want exactly %d (one per distinct slab)",
-			counting.Reads(), nChunks)
+		t.Fatalf("slab fetches = %d, want exactly %d (one per distinct slab)", counting.Reads(), nChunks)
 	}
 	var dedup int
 	for i := range stats {
@@ -188,39 +187,47 @@ func TestChaosSingleFlightLoad(t *testing.T) {
 	}
 }
 
-// TestChaosPoolBalancedAfterFailures: every failing read — retries
-// exhausted, CRC corruption — must leave the platform's scratch pool
-// balanced (gets == puts), or the daemon would leak slabs under sustained
-// faults.
+// TestChaosPoolBalancedAfterFailures: every failing read — a failed
+// fetch, a CRC refusal — must leave the platform's scratch pool balanced
+// (gets == puts), or the daemon would leak slabs under sustained
+// failures. A failed fetch fails the read with the store's own error and
+// is never asked for a second time.
 func TestChaosPoolBalancedAfterFailures(t *testing.T) {
 	blob, full, dims := chaosContainer(t)
 	p := device.NewTestPlatform() // private platform: pool deltas are ours alone
 	sel := FullRegion(dims)
-
-	// Exhausted retries: 100% error rate, so every fetch fails after its
-	// last attempt.
-	dead := retryOver(fzio.NewFaultFetcher(fzio.NewBytesFetcher(blob), fzio.FaultConfig{ErrorRate: 1}))
-	if _, err := DecompressRegion(p, dead, sel, RegionOpts{Workers: 2}); err == nil {
-		t.Fatal("read over a dead store succeeded")
-	} else if !fzio.Transient(err) {
-		t.Fatalf("exhausted-retries error %v must stay transient-classified for callers", err)
+	ix, err := fzio.FetchIndex(fzio.NewBytesFetcher(blob))
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Corruption: the CRC check must refuse the bytes (never silently
-	// decode) and must not be retried — the store's bytes are wrong.
-	corrupting := fzio.NewFaultFetcher(fzio.NewBytesFetcher(blob), fzio.FaultConfig{Seed: 3, CorruptRate: 1})
-	corrRetry := retryOver(corrupting)
-	if _, err := DecompressRegion(p, corrRetry, sel, RegionOpts{Workers: 2}); err == nil {
-		t.Fatal("corrupted payload decoded silently")
-	} else if !errors.Is(err, fzio.ErrCRCMismatch) {
+	// A store that fails every fetch of chunk 3.
+	victim := int64(ix.Chunks[3].Offset)
+	var victimCalls atomic.Int64
+	failing := &flakyFetcher{inner: fzio.NewBytesFetcher(blob), plan: func(_, off int64) (time.Duration, error) {
+		if off == victim {
+			victimCalls.Add(1)
+			return 0, errDeadStore
+		}
+		return 0, nil
+	}}
+	if _, err := DecompressRegion(p, failing, sel, RegionOpts{Workers: 2}); !errors.Is(err, errDeadStore) {
+		t.Fatalf("read over a failing store: got %v, want the store's error", err)
+	}
+	if n := victimCalls.Load(); n != 1 {
+		t.Fatalf("failing chunk fetched %d times, want exactly 1", n)
+	}
+
+	// Corruption: the CRC check must refuse the bytes, never silently
+	// decode them.
+	corrupt := append([]byte(nil), blob...)
+	corrupt[ix.Chunks[2].Offset+ix.Chunks[2].Length/2] ^= 0x10
+	if _, err := DecompressRegion(p, fzio.NewBytesFetcher(corrupt), sel, RegionOpts{Workers: 2}); !errors.Is(err, fzio.ErrCRCMismatch) {
 		t.Fatalf("corrupted payload: got %v, want ErrCRCMismatch", err)
-	}
-	if corrRetry.Retries() != 0 {
-		t.Fatalf("CRC failures were retried %d times; the taxonomy forbids it", corrRetry.Retries())
 	}
 
 	if st := p.ScratchPool().Stats(); st.Gets != st.Puts {
-		t.Fatalf("scratch pool unbalanced after injected failures: gets=%d puts=%d", st.Gets, st.Puts)
+		t.Fatalf("scratch pool unbalanced after failed reads: gets=%d puts=%d", st.Gets, st.Puts)
 	}
 
 	// And after the failures, the same platform still serves a clean read.
@@ -241,27 +248,23 @@ func TestChaosPoolBalancedAfterFailures(t *testing.T) {
 func TestChaosLeaderFailurePromotesFollower(t *testing.T) {
 	blob, full, dims := chaosContainer(t)
 	// A store that — once armed, after OpenRegion has fetched the index —
-	// fails the FIRST fetch of every offset fatally (404, never retried),
-	// then serves cleanly.
-	inner := fzio.NewBytesFetcher(blob)
+	// fails the FIRST fetch of every offset with a 404, then serves
+	// cleanly.
 	var armed atomic.Bool
 	var mu sync.Mutex
 	seen := make(map[int64]bool)
-	fickle := fetcherFunc{
-		read: func(off int64, n int) ([]byte, error) {
-			if armed.Load() {
-				mu.Lock()
-				first := !seen[off]
-				seen[off] = true
-				mu.Unlock()
-				if first {
-					return nil, fmt.Errorf("fickle: %w", &fzio.HTTPStatusError{Code: 404, Status: "404 Not Found"})
-				}
-			}
-			return inner.ReadRange(off, n)
-		},
-		size: inner.Size,
-	}
+	fickle := &flakyFetcher{inner: fzio.NewBytesFetcher(blob), plan: func(_, off int64) (time.Duration, error) {
+		if !armed.Load() {
+			return 0, nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[off] {
+			return 0, nil
+		}
+		seen[off] = true
+		return 0, &fzio.HTTPStatusError{Code: 404, Status: "404 Not Found"}
+	}}
 	cache := NewSlabCache(int64(len(full)) * 8)
 	reg, err := OpenRegion(tp, fickle, RegionOpts{Workers: 1, Cache: cache})
 	if err != nil {
@@ -311,11 +314,11 @@ func TestChaosLeaderFailurePromotesFollower(t *testing.T) {
 }
 
 // TestChaosProofCatchesCRCCollision is the adversarial acceptance
-// criterion: corruption crafted to preserve each range's CRC32 slips
-// past the checksum, so the proof-checked read must refuse it with
-// ErrProofMismatch (not a CRC or decode error), without retries — while
-// a salvage pass over the same damaged artifact still recovers every
-// untampered chunk bit-identically.
+// criterion: a stored chunk tampered so its CRC32 is unchanged slips past
+// the checksum, so the proof-checked read must refuse it with
+// ErrProofMismatch (not a CRC or decode error) — while a salvage pass
+// over the same damaged artifact still recovers every untampered chunk
+// bit-identically.
 func TestChaosProofCatchesCRCCollision(t *testing.T) {
 	blob, full, dims := chaosContainer(t)
 
@@ -325,13 +328,12 @@ func TestChaosProofCatchesCRCCollision(t *testing.T) {
 	}
 	victim := 3
 	ref := ix.Chunks[victim]
+	tampered := append([]byte(nil), blob...)
+	if !fzio.CorruptPreservingCRC32(tampered[ref.Offset:ref.Offset+ref.Length], 41) {
+		t.Fatal("could not build a CRC-preserving tamper")
+	}
 
-	// Live tampering: the injector corrupts every fetched range while
-	// preserving its CRC32, so only proof verification can object.
-	faulty := fzio.NewFaultFetcher(fzio.NewBytesFetcher(blob), fzio.FaultConfig{Seed: 41, CollideCRCRate: 1})
-	colliding := retryOver(faulty)
-
-	_, err = DecompressRegion(tp, colliding, FullRegion(dims), RegionOpts{Workers: 2, VerifyProofs: true})
+	_, err = DecompressRegion(tp, fzio.NewBytesFetcher(tampered), FullRegion(dims), RegionOpts{Workers: 2, VerifyProofs: true})
 	if err == nil {
 		t.Fatal("CRC-colliding corruption decoded silently")
 	}
@@ -340,12 +342,6 @@ func TestChaosProofCatchesCRCCollision(t *testing.T) {
 	}
 	if errors.Is(err, fzio.ErrCRCMismatch) {
 		t.Fatalf("proof-checked read failed as a CRC mismatch: %v", err)
-	}
-	if colliding.Retries() != 0 {
-		t.Fatalf("proof failures were retried %d times; the taxonomy forbids it", colliding.Retries())
-	}
-	if faulty.CRCCollisions() == 0 {
-		t.Fatal("injector never collided a CRC — the test exercised nothing")
 	}
 
 	// The accounting side: a clean proof-checked read counts one
@@ -360,25 +356,16 @@ func TestChaosProofCatchesCRCCollision(t *testing.T) {
 			rep.Region.ProofVerified, rep.Region.Decoded)
 	}
 
-	// Salvage the persistently tampered artifact: one chunk is lost, the
-	// rest come back bit-identical.
-	tampered2 := append([]byte(nil), blob...)
-	payload := tampered2[ref.Offset : ref.Offset+ref.Length]
-	ok := false
-	for delta := uint32(1); delta < 16 && !ok; delta++ {
-		ok = fzio.CorruptPreservingCRC32(payload, delta)
-	}
-	if !ok {
-		t.Fatal("could not build a CRC-preserving tamper")
-	}
-	salvaged, survey, err := fzio.SalvageChunked(fzio.NewBytesFetcher(tampered2))
+	// Salvage the tampered artifact: one chunk is lost, the rest come
+	// back bit-identical.
+	salvaged, survey, err := fzio.SalvageChunked(fzio.NewBytesFetcher(tampered))
 	if err != nil {
 		t.Fatalf("SalvageChunked: %v", err)
 	}
 	if survey.Intact() != len(ix.Chunks)-1 || survey.Chunks[victim].State != fzio.ChunkCorrupt {
 		t.Fatalf("survey = %d intact, victim %q", survey.Intact(), survey.Chunks[victim].State)
 	}
-	out, mask, err := DecompressSalvage(tp, fzio.NewBytesFetcher(tampered2), DecompressOpts{})
+	out, mask, err := DecompressSalvage(tp, fzio.NewBytesFetcher(tampered), DecompressOpts{})
 	if err != nil {
 		t.Fatalf("DecompressSalvage: %v", err)
 	}
@@ -417,13 +404,3 @@ func TestChaosProofCatchesCRCCollision(t *testing.T) {
 		t.Fatalf("salvaged decode has %d elements, want %d", len(recovered), wantElems)
 	}
 }
-
-// fetcherFunc adapts closures to fzio.ChunkFetcher for fault shaping the
-// injector doesn't model.
-type fetcherFunc struct {
-	read func(off int64, n int) ([]byte, error)
-	size func() (int64, error)
-}
-
-func (f fetcherFunc) ReadRange(off int64, n int) ([]byte, error) { return f.read(off, n) }
-func (f fetcherFunc) Size() (int64, error)                       { return f.size() }

@@ -141,6 +141,55 @@ func TestRegionMonolithic(t *testing.T) {
 	}
 }
 
+// hugeMonolith poses as an FZMD artifact of 2^30+64 bytes: its prefix is
+// a real FZMD container, the rest reads as zeros. Any ReadRange long
+// enough to fetch the whole artifact fails the test instead of
+// allocating it.
+type hugeMonolith struct {
+	t      *testing.T
+	prefix []byte
+}
+
+func (h hugeMonolith) Size() (int64, error) { return 1<<30 + 64, nil }
+
+func (h hugeMonolith) ReadRange(off int64, n int) ([]byte, error) {
+	if n > fzio.MaxMonolithicFetchBytes {
+		h.t.Errorf("ReadRange(%d, %d) fetches past the monolithic fetch limit", off, n)
+		return nil, fmt.Errorf("oversized fetch")
+	}
+	out := make([]byte, n)
+	if off < int64(len(h.prefix)) {
+		copy(out, h.prefix[off:])
+	}
+	return out, nil
+}
+
+// An FZMD artifact over 1 GiB indexes as one chunk (so in-memory
+// Decompress and probe read it), but a region read refuses to fetch it
+// whole through a fetcher.
+func TestRegionMonolithicOverFetchLimit(t *testing.T) {
+	dims := grid.D3(16, 12, 10)
+	blob, err := NewDefault().CompressMonolithic(tp, sdrbench.GenHURR(dims, 7), dims, preprocess.RelBound(1e-4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := hugeMonolith{t: t, prefix: blob}
+	ix, err := fzio.FetchIndex(f)
+	if err != nil {
+		t.Fatalf("FetchIndex over a 1 GiB+ FZMD: %v", err)
+	}
+	if ix.Flavor != fzio.FlavorMonolithic || len(ix.Chunks) != 1 || ix.Chunks[0].Length != 1<<30+64 {
+		t.Fatalf("index = %s with %d chunks, want one monolithic chunk of the whole artifact", ix.Flavor, len(ix.Chunks))
+	}
+	reg, err := OpenRegion(tp, f, RegionOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Read(FullRegion(dims)); err == nil || !strings.Contains(err.Error(), "fetch limit") {
+		t.Fatalf("region read of a 1 GiB+ FZMD: got %v, want the fetch-limit refusal", err)
+	}
+}
+
 // 2-D fields partition along y; the window copy must handle the rank-2
 // slab-local coordinates.
 func TestRegion2D(t *testing.T) {

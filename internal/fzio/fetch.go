@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // This file defines the pluggable byte-range storage abstraction the
@@ -21,58 +20,19 @@ import (
 // transfers the whole container.
 
 // ErrRangeViolation marks a request for bytes outside the artifact — a
-// caller bug or a poisoned index, never a storage hiccup, so Transient
-// reports false and RetryFetcher fails it without retrying.
+// caller bug or a poisoned index.
 var ErrRangeViolation = errors.New("fzio: range violation")
 
 // HTTPStatusError is a non-success HTTP response surfaced by HTTPFetcher.
-// It preserves the status code so the retry taxonomy can separate server
-// trouble (5xx and 429, worth retrying) from request trouble (other
-// 4xx, never), and the server's Retry-After hint so the retry loop can
-// honor the server's own backoff request instead of guessing.
+// It preserves the status code so callers can tell server trouble (5xx)
+// from request trouble (4xx).
 type HTTPStatusError struct {
 	Code   int
 	Status string
-	// RetryAfter is the parsed Retry-After header of a 429 or 503
-	// response (0 when absent or unparseable). RetryFetcher uses it as
-	// the backoff before the next attempt.
-	RetryAfter time.Duration
 }
 
 // Error implements error.
 func (e *HTTPStatusError) Error() string { return "fzio: http status " + e.Status }
-
-// newHTTPStatusError captures a non-success response, including the
-// Retry-After hint on the status codes that conventionally carry one.
-func newHTTPStatusError(resp *http.Response) *HTTPStatusError {
-	e := &HTTPStatusError{Code: resp.StatusCode, Status: resp.Status}
-	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-		e.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
-	}
-	return e
-}
-
-// parseRetryAfter parses a Retry-After value: delay-seconds or an
-// HTTP-date (RFC 9110 §10.2.3). Absent, unparseable or past values
-// report 0.
-func parseRetryAfter(v string) time.Duration {
-	v = strings.TrimSpace(v)
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(v); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	if t, err := http.ParseTime(v); err == nil {
-		if d := time.Until(t); d > 0 {
-			return d
-		}
-	}
-	return 0
-}
 
 // ChunkFetcher serves byte ranges of one container artifact. Implementations
 // must be safe for concurrent ReadRange calls: the region read path fetches
@@ -210,7 +170,7 @@ func (h *HTTPFetcher) ReadRange(off int64, n int) ([]byte, error) {
 		}
 	default:
 		return nil, fmt.Errorf("fzio: range request for [%d,%d): %w",
-			off, off+int64(n), newHTTPStatusError(resp))
+			off, off+int64(n), &HTTPStatusError{Code: resp.StatusCode, Status: resp.Status})
 	}
 	out := make([]byte, n)
 	if k, err := io.ReadFull(resp.Body, out); k < n {
@@ -233,7 +193,7 @@ func (h *HTTPFetcher) Size() (int64, error) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return h.sizeViaRange(fmt.Errorf("fzio: HEAD: %w", newHTTPStatusError(resp)))
+		return h.sizeViaRange(fmt.Errorf("fzio: HEAD: %w", &HTTPStatusError{Code: resp.StatusCode, Status: resp.Status}))
 	}
 	if resp.ContentLength < 0 {
 		return h.sizeViaRange(errors.New("fzio: HEAD response carries no Content-Length"))
@@ -329,9 +289,9 @@ func (c *CountingFetcher) Reset() {
 	c.bytes.Store(0)
 }
 
-// WrappedFetcher is implemented by fetcher decorators (RetryFetcher,
-// CountingFetcher, FaultFetcher) that delegate to an inner fetcher, so
-// policy code can inspect the base storage behind a decoration stack.
+// WrappedFetcher is implemented by fetcher decorators (CountingFetcher)
+// that delegate to an inner fetcher, so policy code can inspect the base
+// storage behind a decoration stack.
 type WrappedFetcher interface {
 	// Inner returns the fetcher this one wraps.
 	Inner() ChunkFetcher

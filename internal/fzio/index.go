@@ -2,6 +2,7 @@ package fzio
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/crc64"
@@ -69,6 +70,10 @@ type ContainerIndex struct {
 
 // NumChunks returns the chunk count.
 func (ix *ContainerIndex) NumChunks() int { return len(ix.Chunks) }
+
+// ErrCRCMismatch marks a payload whose CRC32 contradicts the container
+// index: corruption or tampering, detected and never silently decoded.
+var ErrCRCMismatch = errors.New("fzio: CRC mismatch")
 
 // VerifyChunk checks a fetched payload for chunk i against the index:
 // exact length, and — for flavors whose index records payload CRCs — the
@@ -320,6 +325,12 @@ func fetchStreamTrailer(f ChunkFetcher, size int64, hdr ChunkedHeader, version, 
 	return chunks, root, rootOK, nil
 }
 
+// MaxMonolithicFetchBytes bounds the one whole-artifact ReadRange a
+// region read issues for an FZMD container. Larger FZMD artifacts still
+// index here and decode in memory; only fetching one through a
+// ChunkFetcher is refused.
+const MaxMonolithicFetchBytes = maxStreamChunkBytes
+
 // monolithicIndex maps an FZMD container to a one-chunk index covering
 // the whole artifact, so the region planner serves monolithic containers
 // through the same path. The payload has no container-level CRC
@@ -329,9 +340,6 @@ func monolithicIndex(prefix []byte, size int64) (*ContainerIndex, error) {
 	hdr, err := ParseMonolithicHeader(prefix)
 	if err != nil {
 		return nil, err
-	}
-	if size > int64(maxStreamChunkBytes) {
-		return nil, fmt.Errorf("fzio: monolithic artifact of %d bytes exceeds the single-chunk limit", size)
 	}
 	chunks := []ChunkRef{{Offset: 0, Length: int(size), Planes: hdr.Dims.SlowExtent()}}
 	return finishIndex(FlavorMonolithic, hdr, chunks, nil, size), nil

@@ -2,8 +2,11 @@ package fzio
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/bits"
 )
 
 // This file is the integrity layer of the container formats: a Merkle
@@ -34,9 +37,8 @@ const (
 
 // ErrProofMismatch marks a payload (or chunk table) whose hash
 // contradicts the container's Merkle root: tampering or corruption that
-// slipped past — or was crafted to pass — the CRC32 check. Like
-// ErrCRCMismatch it is never retried: the store's bytes are wrong, and
-// fetching them again cannot help.
+// slipped past — or was crafted to pass — the CRC32 check (see
+// CorruptPreservingCRC32).
 var ErrProofMismatch = errors.New("fzio: Merkle proof mismatch")
 
 // LeafHash computes the content hash of one chunk payload:
@@ -158,4 +160,104 @@ func merkleRoot(refs []ChunkRef) ([HashSize]byte, error) {
 		return [HashSize]byte{}, err
 	}
 	return t.Root(), nil
+}
+
+// CorruptPreservingCRC32 XORs a nonzero error pattern into the last 8
+// bytes of out, chosen so crc32.ChecksumIEEE(out) is unchanged, and
+// reports whether it applied (ranges shorter than 8 bytes are left
+// untouched): the adversarial tamper a 32-bit checksum cannot see and
+// only Merkle proof verification catches. Integrity tests use it to
+// build a CRC-colliding artifact. delta seeds the first half of the
+// pattern; the second half is solved for.
+//
+// CRC32 is affine over GF(2): crc(a⊕b) = crc(a) ⊕ crc(b) ⊕ crc(0^len)
+// for equal-length inputs, so the checksum is preserved exactly when
+// the error pattern E (zeros outside the 8-byte tail window) satisfies
+// crc(E) = crc(0^len). Writing E's window as d‖c with d fixed from
+// delta, the condition is linear in c, and the 32×32 system over the
+// window's last four bytes is invertible (its columns are the CRC
+// residues of x^0..x^31 at the message end), so a compensation c always
+// exists and is found by Gaussian elimination.
+func CorruptPreservingCRC32(out []byte, delta uint32) bool {
+	if delta == 0 || len(out) < 8 {
+		return false
+	}
+	// CRC state after the unchanged zero prefix; φ(e) is then the CRC of
+	// the full-length pattern 0^{len-8} ‖ e.
+	base := crc32OfZeros(len(out) - 8)
+	phi := func(e *[8]byte) uint32 { return crc32.Update(base, crc32.IEEETable, e[:]) }
+	var zero [8]byte
+	phi0 := phi(&zero)
+
+	var d8 [8]byte
+	binary.LittleEndian.PutUint32(d8[:4], delta)
+	target := phi(&d8) ^ phi0 // ψ(d‖0): the CRC delta the tail must cancel
+
+	// Basis: the CRC delta of each single bit of the window's last four
+	// bytes.
+	var cols [32]uint32
+	for k := 0; k < 32; k++ {
+		var b [8]byte
+		b[4+k/8] = 1 << (k % 8)
+		cols[k] = phi(&b) ^ phi0
+	}
+	x, ok := solveGF2(cols, target)
+	if !ok {
+		return false // unreachable: the system is invertible
+	}
+	w := out[len(out)-8:]
+	for i := 0; i < 4; i++ {
+		w[i] ^= d8[i]
+	}
+	for k := 0; k < 32; k++ {
+		if x&(1<<k) != 0 {
+			w[4+k/8] ^= 1 << (k % 8)
+		}
+	}
+	return true
+}
+
+// crc32OfZeros returns the IEEE CRC32 state after n zero bytes.
+func crc32OfZeros(n int) uint32 {
+	var zeros [4096]byte
+	crc := uint32(0)
+	for n > 0 {
+		k := n
+		if k > len(zeros) {
+			k = len(zeros)
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, zeros[:k])
+		n -= k
+	}
+	return crc
+}
+
+// solveGF2 solves A·x = target over GF(2), where A's k-th column is
+// cols[k], by Gaussian elimination with combination tracking. Reports
+// false when target is outside A's span.
+func solveGF2(cols [32]uint32, target uint32) (uint32, bool) {
+	var vec [32]uint32   // reduced vectors, indexed by leading bit
+	var combo [32]uint32 // original columns composing each reduced vector
+	for k := 0; k < 32; k++ {
+		v, c := cols[k], uint32(1)<<k
+		for v != 0 {
+			b := bits.Len32(v) - 1
+			if vec[b] == 0 {
+				vec[b], combo[b] = v, c
+				break
+			}
+			v ^= vec[b]
+			c ^= combo[b]
+		}
+	}
+	var x uint32
+	for t := target; t != 0; {
+		b := bits.Len32(t) - 1
+		if vec[b] == 0 {
+			return 0, false
+		}
+		t ^= vec[b]
+		x ^= combo[b]
+	}
+	return x, true
 }

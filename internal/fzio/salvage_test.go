@@ -201,7 +201,7 @@ func TestSurveyCatchesCRCCollision(t *testing.T) {
 	bad := append([]byte(nil), blob...)
 	ref := ix.Chunks[1]
 	payload := bad[ref.Offset : ref.Offset+ref.Length]
-	if !corruptPreservingCRC32(payload, 1) {
+	if !CorruptPreservingCRC32(payload, 1) {
 		t.Fatal("collision injector declined the payload")
 	}
 	if crc32.ChecksumIEEE(payload) != ref.CRC {
@@ -382,7 +382,7 @@ func TestStreamSurveyCatchesTampering(t *testing.T) {
 
 	collide := append([]byte(nil), blob...)
 	payload := collide[frame0Payload : frame0Payload+64]
-	if !corruptPreservingCRC32(payload, 2) {
+	if !CorruptPreservingCRC32(payload, 2) {
 		t.Fatal("collision injector declined the payload")
 	}
 	s, err = SurveyArtifact(NewBytesFetcher(collide))

@@ -621,7 +621,6 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request, name strin
 		h.Set("X-Fzmod-Region-Decoded", strconv.Itoa(rep.Region.Decoded))
 		h.Set("X-Fzmod-Region-Cache-Hits", strconv.Itoa(rep.Region.CacheHits))
 		h.Set("X-Fzmod-Region-Dedup-Hits", strconv.Itoa(rep.Region.DedupHits))
-		h.Set("X-Fzmod-Region-Fetch-Attempts", strconv.FormatInt(rep.Region.FetchAttempts, 10))
 		h.Set("X-Fzmod-Region-Proof-Verified", strconv.FormatInt(rep.Region.ProofVerified, 10))
 		s.met.proofVerified.Add(rep.Region.ProofVerified)
 	}

@@ -28,8 +28,11 @@ import (
 	"fzmod"
 )
 
+// n is declared at package level so that main can run more than once in
+// one process (main_test.go calls it).
+var n = flag.Int("n", 256, "field extent per axis")
+
 func main() {
-	n := flag.Int("n", 256, "field extent per axis")
 	flag.Parse()
 
 	platform := fzmod.NewPlatform()

@@ -111,8 +111,10 @@ func (pl *Pipeline) CompressChunkedReport(p *device.Platform, data []float32, di
 }
 
 // CompressChunkedReportCtx is CompressChunkedCtx returning the executor
-// report. It is the single write lowering: validate → resolve the bound →
-// budget → one sub-graph per slab → layout → scatter-write into the sink.
+// report. It is the single write lowering: validate → budget → resolve the
+// bound → one sub-graph per slab → layout → scatter-write into the sink.
+// The bound is resolved on the budgeted platform view, so Opts.Workers caps
+// that launch too.
 func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound, opts ChunkOpts) ([]byte, *ExecReport, error) {
 	planes, err := ChunkPlanes(dims, opts.ChunkElems)
 	if err != nil {
@@ -121,8 +123,11 @@ func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Pla
 	if dims.N() != len(data) {
 		return nil, nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
 	}
-	absEB, _, err := preprocess.Resolve(p, pl.PredPlace, data, eb)
+	slabs := grid.SplitSlabs(dims, planes)
+	ctx := newCtx(gctx, p, pl.PredPlace, opts.Workers, len(slabs))
+	absEB, _, err := preprocess.Resolve(ctx.Platform(), pl.PredPlace, data, eb)
 	if err != nil {
+		ctx.Release()
 		return nil, nil, err
 	}
 	hdr := fzio.ChunkedHeader{
@@ -134,14 +139,12 @@ func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Pla
 	if eb.Mode == preprocess.Rel {
 		hdr.RelEB = eb.Value
 	}
-	slabs := grid.SplitSlabs(dims, hdr.Planes)
 	// The relative bound is recorded once, in the outermost header: the
 	// FZMC table's for a multi-slab field, the container's own at one slab.
 	chunkRelEB := 0.0
 	if len(slabs) == 1 {
 		chunkRelEB = hdr.RelEB
 	}
-	ctx := newCtx(gctx, p, pl.PredPlace, opts.Workers, len(slabs))
 
 	// One sub-graph per slab; each chunk is compressed under the globally
 	// resolved absolute bound, so per-chunk containers are byte-identical
@@ -165,12 +168,12 @@ func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Pla
 	)
 	ready := jobs[0].tok
 	if len(jobs) > 1 {
-		sized := make([]stf.DataRef, len(jobs))
+		sized := make([]*stf.Token, len(jobs))
 		for i, job := range jobs {
 			sized[i] = job.tok
 		}
 		layoutTok := stf.NewToken(ctx, "layout")
-		ctx.Task("layout").On(device.Host).Reads(sized...).Writes(layoutTok.D()).
+		ctx.Task("layout").On(device.Host).Reads(sized...).Writes(layoutTok).
 			Do(func(ti *stf.TaskInstance) error {
 				sizes, perPlanes := make([]int, len(jobs)), make([]int, len(jobs))
 				for i, job := range jobs {
@@ -180,7 +183,7 @@ func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Pla
 				asm = a
 				return err
 			})
-		ready = layoutTok.D()
+		ready = layoutTok
 	}
 	for i := range jobs {
 		i := i

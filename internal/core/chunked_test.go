@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -234,5 +235,27 @@ func TestWriteRefusesWhatReadRefuses(t *testing.T) {
 		if _, err := ChunkPlanes(dims, dims.N()>>20); err != nil {
 			t.Errorf("%v in 2^20 chunks refused: %v", dims, err)
 		}
+	}
+}
+
+// TestWorkersOneResolvesSerially holds the Opts.Workers contract for the
+// whole operation, error-bound resolution included: a Workers=1 compress
+// on a fresh platform must never start the platform's grid workers (they
+// live until Close) and must join its scheduler workers before returning,
+// so the goroutine count is unchanged. Resolve's min/max reduction over
+// the whole field splits into 65,536-element blocks, so the field is two
+// blocks long.
+func TestWorkersOneResolvesSerially(t *testing.T) {
+	p := device.NewTestPlatform()
+	defer p.Close()
+	dims := grid.D3(64, 64, 32)
+	data := sdrbench.GenHURR(dims, 5)
+	before := runtime.NumGoroutine()
+	if _, err := NewDefault().CompressChunked(p, data, dims, preprocess.RelBound(1e-3),
+		ChunkOpts{Workers: 1, ChunkElems: dims.N() / 4}); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("a Workers=1 compress left %d goroutines running, want %d", after, before)
 	}
 }

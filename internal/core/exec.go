@@ -96,7 +96,7 @@ func newCtx(gctx context.Context, p *device.Platform, place device.Place, worker
 	if workers <= 0 {
 		workers = p.Workers(place)
 	}
-	return stf.NewCtxN(p.WithWorkers(workers), min(workers, chunks)).Bind(gctx)
+	return stf.NewCtx(p.WithWorkers(workers), min(workers, chunks)).Bind(gctx)
 }
 
 // compressJob carries one chunk's dynamically sized intermediates through
@@ -113,7 +113,7 @@ type compressJob struct {
 	// tok is written by the last task declared for the job so far; a
 	// consumer reading it runs once the job's size (and blob, if staged)
 	// is final.
-	tok stf.DataRef
+	tok *stf.Token
 	// codesSlab is the pooled quantization-code buffer when the pipeline's
 	// predictor supports PredictInto; the encode task returns it to the
 	// pool once the code stream has been consumed.
@@ -180,16 +180,16 @@ func sweepJobs(bp *device.BufPool, jobs []*compressJob) {
 // predictor place and primary encoding at the encoder place, which also
 // assembles the (unserialized) container view over the stage outputs. Task
 // and token names are prefixed so the sub-graphs of several chunks coexist
-// in one context; chunks share no logical data, so the scheduler is free
+// in one context; chunks share no token, so the scheduler is free
 // to overlap them.
 func (pl *Pipeline) addPredictEncodeTasks(ctx *stf.Ctx, prefix string, data []float32, dims grid.Dims, absEB, relEB float64) *compressJob {
 	p := ctx.Platform()
 	job := &compressJob{}
 	predTok := stf.NewToken(ctx, prefix+"pred")
 	encTok := stf.NewToken(ctx, prefix+"enc")
-	job.tok = encTok.D()
+	job.tok = encTok
 
-	ctx.Task(prefix + "predict").On(pl.PredPlace).Writes(predTok.D()).
+	ctx.Task(prefix + "predict").On(pl.PredPlace).Writes(predTok).
 		Do(func(ti *stf.TaskInstance) error {
 			var (
 				pred *Prediction
@@ -212,7 +212,7 @@ func (pl *Pipeline) addPredictEncodeTasks(ctx *stf.Ctx, prefix string, data []fl
 			return nil
 		})
 
-	ctx.Task(prefix + "encode").On(pl.EncPlace).Reads(predTok.D()).Writes(encTok.D()).
+	ctx.Task(prefix + "encode").On(pl.EncPlace).Reads(predTok).Writes(encTok).
 		Do(func(ti *stf.TaskInstance) error {
 			defer func() {
 				// The code stream is dead after encoding (serialization only
@@ -241,7 +241,7 @@ func (pl *Pipeline) addStageTasks(ctx *stf.Ctx, prefix string, job *compressJob)
 	p := ctx.Platform()
 	blobTok := stf.NewToken(ctx, prefix+"blob")
 
-	ctx.Task(prefix + "stage").On(device.Host).Reads(job.tok).Writes(blobTok.D()).
+	ctx.Task(prefix + "stage").On(device.Host).Reads(job.tok).Writes(blobTok).
 		Do(func(ti *stf.TaskInstance) error {
 			job.blobSlab = ti.Shard().GetBytes(job.inner.MarshaledSize(), false)
 			n, err := job.inner.MarshalInto(job.blobSlab.Data)
@@ -251,10 +251,10 @@ func (pl *Pipeline) addStageTasks(ctx *stf.Ctx, prefix string, job *compressJob)
 			job.blob = job.blobSlab.Data[:n]
 			return nil
 		})
-	job.tok = blobTok.D()
+	job.tok = blobTok
 
 	if pl.Sec != nil {
-		ctx.Task(prefix + "secondary").On(pl.EncPlace).ReadsWrites(blobTok.D()).
+		ctx.Task(prefix + "secondary").On(pl.EncPlace).ReadsWrites(blobTok).
 			Do(func(ti *stf.TaskInstance) error {
 				blob, err := pl.wrapSecondary(p, ti.Place(), job.blob, job.inner.Header)
 				if err != nil {
@@ -364,7 +364,7 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 	fetchTok := stf.NewToken(ctx, prefix+"container")
 	codesTok := stf.NewToken(ctx, prefix+"codes")
 
-	ctx.Task(prefix + "fetch").On(device.Host).Writes(fetchTok.D()).
+	ctx.Task(prefix + "fetch").On(device.Host).Writes(fetchTok).
 		Do(func(ti *stf.TaskInstance) error {
 			payload, err := fetch()
 			if err != nil || payload == nil {
@@ -388,14 +388,14 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 			job.c = c
 			return nil
 		})
-	ctx.Task(prefix + "decode").On(device.Accel).Reads(fetchTok.D()).Writes(codesTok.D()).
+	ctx.Task(prefix + "decode").On(device.Accel).Reads(fetchTok).Writes(codesTok).
 		Do(func(ti *stf.TaskInstance) error {
 			if job.c == nil {
 				return nil
 			}
 			return job.decode(p)
 		})
-	ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok.D()).
+	ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok).
 		Do(func(ti *stf.TaskInstance) error {
 			if job.c != nil {
 				if err := job.reconstruct(p); err != nil {
@@ -413,7 +413,7 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 // per entry of the container's chunk index — the same fzio.FetchIndex a
 // region read plans against, so FZMD, FZMC and FZMS blobs all take this
 // path — each reconstructing into its window of the output field; the
-// chunks share no logical data, so they decode fully in parallel. An FZMD
+// chunks share no token, so they decode fully in parallel. An FZMD
 // blob is a one-entry index covering every plane (its integrity is the
 // per-segment CRCs the builder's parse verifies); FZMC and FZMS payloads
 // are CRC-checked against the index as they are fetched.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,8 @@ import (
 // TestExecReportShape checks the evidence the unified executor surfaces:
 // per-chunk sub-graphs joined by the layout barrier with scatter-serialize
 // tails, a critical path of one chunk chain through layout and serialize,
-// and live buffer-pool counters.
+// and live buffer-pool counters. No edge joins two chunks' sub-graphs, on
+// either side: that is the branch-level concurrency of §3.3.1.
 func TestExecReportShape(t *testing.T) {
 	data, dims := chunkField()
 	opts := ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 4}
@@ -40,10 +42,24 @@ func TestExecReportShape(t *testing.T) {
 	if report.Pool.Gets == 0 {
 		t.Error("report carries no buffer-pool traffic")
 	}
-	if _, _, decReport, err := DecompressReport(tp, blob); err != nil {
+	if e := crossChunkEdges("  t0 [label=\"c0.a@host\"];\n  t1 [label=\"c1.b@host\"];\n  t0 -> t1;\n"); len(e) != 1 {
+		t.Fatalf("crossChunkEdges misses a cross-chunk edge: %v", e)
+	}
+	if e := crossChunkEdges(report.DOT); len(e) != 0 {
+		t.Errorf("compress DAG joins chunks directly: %v\n%s", e, report.DOT)
+	}
+	_, _, decReport, err := DecompressReport(tp, blob)
+	if err != nil {
 		t.Fatal(err)
-	} else if want := 3 * nChunks; decReport.Tasks != want {
+	}
+	if want := 3 * nChunks; decReport.Tasks != want {
 		t.Errorf("decompress report.Tasks = %d, want %d (3 per chunk)", decReport.Tasks, want)
+	}
+	if decReport.CriticalPath != 3 {
+		t.Errorf("decompress critical path = %d, want 3 (fetch→decode→reconstruct)", decReport.CriticalPath)
+	}
+	if e := crossChunkEdges(decReport.DOT); len(e) != 0 {
+		t.Errorf("decompress DAG joins chunks directly: %v\n%s", e, decReport.DOT)
 	}
 
 	// Secondary-encoded chunks stage their bytes ahead of the same layout →
@@ -56,6 +72,29 @@ func TestExecReportShape(t *testing.T) {
 	if want := 5*nChunks + 1; secReport.Tasks != want {
 		t.Errorf("secondary report.Tasks = %d, want %d (5 per chunk + layout)", secReport.Tasks, want)
 	}
+}
+
+var (
+	dotNode = regexp.MustCompile(`(?m)^\s*(t\d+) \[label="(c\d+)\.`)
+	dotEdge = regexp.MustCompile(`(?m)^\s*(t\d+) -> (t\d+);`)
+)
+
+// crossChunkEdges lists the edges of a DOT export whose two tasks belong to
+// different chunks' sub-graphs (task names "c<i>.<stage>"); edges through
+// unprefixed join tasks such as layout do not count.
+func crossChunkEdges(dot string) []string {
+	chunk := map[string]string{}
+	for _, m := range dotNode.FindAllStringSubmatch(dot, -1) {
+		chunk[m[1]] = m[2]
+	}
+	var out []string
+	for _, m := range dotEdge.FindAllStringSubmatch(dot, -1) {
+		from, to := chunk[m[1]], chunk[m[2]]
+		if from != "" && to != "" && from != to {
+			out = append(out, m[1]+"->"+m[2])
+		}
+	}
+	return out
 }
 
 // TestConcurrentCompressSharedPlatform stresses concurrent Compress /

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"fzmod/internal/device"
+	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
 	"fzmod/internal/metrics"
 	"fzmod/internal/preprocess"
@@ -213,16 +214,21 @@ func TestGoldenManifest(t *testing.T) {
 }
 
 // goldenFixtures are whole artifacts, each with the field the tree that
-// wrote it decoded and the container version that tree emitted.
+// wrote it decoded and the container version that tree emitted. A case
+// with forge set reads the artifact as forge rewrites it, and must still
+// decode to the same field.
 var goldenFixtures = []struct {
 	artifact, field string
 	version         uint16
+	forge           func(t *testing.T, blob []byte) []byte
 }{
-	{"v1-default-hurr.fzmc", "v1-default-hurr.f32", 1},
-	{"v1-default-hurr.fzms", "v1-default-hurr.f32", 1},
-	{"v2-quality-cesm.fzmd", "v2-quality-cesm.f32", 1},
-	{"v2-default-lz-hurr.fzmc", "v2-default-lz-hurr.f32", 2},
-	{"v2-speed-hacc.fzms", "v2-speed-hacc.f32", 2},
+	{"v1-default-hurr.fzmc", "v1-default-hurr.f32", 1, nil},
+	{"v1-default-hurr.fzms", "v1-default-hurr.f32", 1, nil},
+	{"v2-quality-cesm.fzmd", "v2-quality-cesm.f32", 1, nil},
+	{"v2-default-lz-hurr.fzmc", "v2-default-lz-hurr.f32", 2, nil},
+	{"v2-speed-hacc.fzms", "v2-speed-hacc.f32", 2, nil},
+	{"v2-stf-default-hurr.fzmd", "v2-stf-default-hurr.f32", 1, nil},
+	{"v2-stf-default-hurr.fzmd", "v2-stf-default-hurr.f32", 1, wrongOutIdx},
 }
 
 // TestGoldenFixtures reads every fixture through every read door that
@@ -236,6 +242,11 @@ func TestGoldenFixtures(t *testing.T) {
 		if len(blob) < 6 || binary.LittleEndian.Uint16(blob[4:6]) != fx.version {
 			t.Fatalf("%s is not a version-%d container", fx.artifact, fx.version)
 		}
+		name := fx.artifact
+		if fx.forge != nil {
+			blob = fx.forge(t, blob)
+			name += " (forged)"
+		}
 		flavor := rune(blob[3]) // the last letter of FZMD, FZMC or FZMS
 		for _, door := range doors {
 			if !strings.ContainsRune(door.flavors, flavor) {
@@ -243,12 +254,51 @@ func TestGoldenFixtures(t *testing.T) {
 			}
 			got, err := door.read(blob)
 			if err != nil {
-				t.Errorf("%s via %s: %v", fx.artifact, door.name, err)
+				t.Errorf("%s via %s: %v", name, door.name, err)
 				continue
 			}
 			if !bytes.Equal(device.F32Bytes(got), want) {
-				t.Errorf("%s via %s: decoded field differs from the one its writer decoded", fx.artifact, door.name)
+				t.Errorf("%s via %s: decoded field differs from the one its writer decoded", name, door.name)
 			}
 		}
 	}
+}
+
+// wrongOutIdx rewrites an FZMD container's pred.outidx segment — a
+// redundant outlier index stream an earlier writer emitted — with wrong,
+// in-range indices and re-seals it under valid CRCs. Decoders take outlier
+// positions from the escape codes alone, so the field must not change.
+func wrongOutIdx(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	c, err := fzio.Unmarshal(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Has(predPrefix + "outidx") {
+		t.Fatal("container has no pred.outidx segment")
+	}
+	n := uint32(c.Header.Dims.N())
+	forged := fzio.New(c.Header)
+	for _, name := range c.Names() {
+		seg, err := c.Segment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == predPrefix+"outidx" {
+			idx := device.BytesU32(seg)
+			wrong := make([]uint32, len(idx))
+			for i, v := range idx {
+				wrong[i] = (v + 1) % n
+			}
+			seg = device.U32Bytes(wrong)
+		}
+		if err := forged.Add(name, seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := forged.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -85,18 +85,11 @@ func (LorenzoPredictor) ReconstructInto(p *device.Platform, place device.Place, 
 	for i, v := range outValU {
 		outVal[i] = int32(v)
 	}
-	// STF containers carry an explicit index side-channel (it is what
-	// lets outlier scatter run concurrently with Huffman decode); plain
-	// containers omit it and the indices are rebuilt from the escapes.
-	var outIdx []uint32
-	if raw, ok := pred.Extras["outidx"]; ok {
-		outIdx = device.BytesU32(raw)
-	} else {
-		outIdx = outlierIndices(pred.Codes, len(outVal))
-	}
+	// Outlier positions come from the escape codes alone; a pred.outidx
+	// segment that older writers emitted is redundant and ignored.
 	q := &lorenzo.Quantized{
 		Codes:  pred.Codes,
-		OutIdx: outIdx,
+		OutIdx: outlierIndices(pred.Codes, len(outVal)),
 		OutVal: outVal,
 		Radius: pred.Radius,
 	}

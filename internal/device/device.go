@@ -7,12 +7,13 @@
 //  1. An execution place with massive flat parallelism. Kernels are written
 //     as grid-stride functions and launched over a worker pool via
 //     LaunchGrid, exactly mirroring how the CUDA kernels partition work.
-//  2. A distinct memory space. The package itself holds no device buffers:
-//     the task-flow runtime (internal/stf) tracks which place each logical
-//     datum is valid at and, when a task needs it elsewhere, moves it and
-//     adds the bytes to Stats.BytesH2D/BytesD2H here — the H2D/D2H
-//     discipline behind the paper's Measured Bandwidth row (Table 1).
-//     LinkBandwidth carries that row as the BW term of Eq. 1.
+//  2. A distinct memory space. The package holds no device buffers and
+//     nothing moves data between places: host and accelerator tasks share
+//     one address space and hand each other values directly, so no
+//     operation charges Stats.BytesH2D/BytesD2H (they stay only until the
+//     engineering benchmark drops the metric that reads them). The paper's
+//     Measured Bandwidth row (Table 1) survives as LinkBandwidth, the BW
+//     term of Eq. 1.
 //
 // Two standard platforms are provided, modeled on Table 1 of the paper:
 // NewH100Platform and NewV100Platform. They differ in modeled kernel width

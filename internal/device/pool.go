@@ -17,7 +17,7 @@ import (
 // Platform carries one (see Platform.ScratchPool) so concurrent compressions
 // sharing a platform also share its warm slabs.
 type BufPool struct {
-	bytes, u16, u32, i32, i64, f32, f64 classPools
+	bytes, u16, u32, i32, i64, f32 classPools
 
 	gets stripedCounter
 	hits stripedCounter
@@ -181,11 +181,3 @@ func (bp *BufPool) GetF32(n int, zeroed bool) *Slab[float32] {
 
 // PutF32 returns a float32 slab.
 func (bp *BufPool) PutF32(s *Slab[float32]) { putSlab(bp, &bp.f32, s) }
-
-// GetF64 checks out a float64 slab of length n.
-func (bp *BufPool) GetF64(n int, zeroed bool) *Slab[float64] {
-	return getSlab[float64](bp, &bp.f64, n, zeroed)
-}
-
-// PutF64 returns a float64 slab.
-func (bp *BufPool) PutF64(s *Slab[float64]) { putSlab(bp, &bp.f64, s) }

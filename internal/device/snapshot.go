@@ -11,7 +11,7 @@ package device
 // per counter, not across counters.
 type Snapshot struct {
 	// BytesH2D and BytesD2H are the simulated host-to-device and
-	// device-to-host transfer volumes.
+	// device-to-host transfer volumes; nothing charges them, so they read 0.
 	BytesH2D, BytesD2H int64
 	// KernelLaunches and HostLaunches count grid launches at each place.
 	KernelLaunches, HostLaunches int64

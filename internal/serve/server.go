@@ -384,7 +384,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 
 	var blob []byte
 	if !s.run(w, r, workers, func(ctx context.Context, width int) (err error) {
-		blob, err = pl.CompressChunkedCtx(ctx, s.p.WithWorkers(width), valsSlab.Data, dims, eb,
+		blob, err = pl.CompressChunkedCtx(ctx, s.p, valsSlab.Data, dims, eb,
 			core.ChunkOpts{Workers: width, ChunkElems: chunkElems})
 		return err
 	}) {

@@ -9,26 +9,27 @@ import (
 
 // TestCtxReset drives one context through several windowed batches, the
 // usage pattern of the streaming compressor: declare a batch of tasks,
-// Reset, declare the next batch over fresh logical data.
+// Reset, declare the next batch over fresh tokens.
 func TestCtxReset(t *testing.T) {
 	p := device.NewTestPlatform()
 	defer p.Close()
-	ctx := NewCtxN(p, 2)
+	ctx := NewCtx(p, 2)
 	total := 0
 	for batch := 0; batch < 4; batch++ {
 		sum := 0
-		in := NewData(ctx, "in", []uint32{1, 2, 3, 4})
-		out := NewScratch[uint32](ctx, "out", 4)
-		ctx.Task("double").Reads(in.D()).Writes(out.D()).On(device.Accel).
+		in := []uint32{1, 2, 3, 4}
+		out := make([]uint32, len(in))
+		outTok := NewToken(ctx, "out")
+		ctx.Task("double").Writes(outTok).On(device.Accel).
 			Do(func(ti *TaskInstance) error {
-				for i, v := range in.Acc(ti) {
-					out.Acc(ti)[i] = 2 * v
+				for i, v := range in {
+					out[i] = 2 * v
 				}
 				return nil
 			})
-		ctx.Task("sum").Reads(out.D()).On(device.Host).
+		ctx.Task("sum").Reads(outTok).On(device.Host).
 			Do(func(ti *TaskInstance) error {
-				for _, v := range out.Acc(ti) {
+				for _, v := range out {
 					sum += int(v)
 				}
 				return nil
@@ -51,11 +52,11 @@ func TestCtxReset(t *testing.T) {
 func TestCtxResetErrorIsolation(t *testing.T) {
 	p := device.NewTestPlatform()
 	defer p.Close()
-	ctx := NewCtx(p)
+	ctx := NewCtx(p, 0)
 	boom := errors.New("boom")
 	tok := NewToken(ctx, "t")
-	ctx.Task("fail").Writes(tok.D()).Do(func(ti *TaskInstance) error { return boom })
-	ctx.Task("skipped").Reads(tok.D()).Do(func(ti *TaskInstance) error { return nil })
+	ctx.Task("fail").Writes(tok).Do(func(ti *TaskInstance) error { return boom })
+	ctx.Task("skipped").Reads(tok).Do(func(ti *TaskInstance) error { return nil })
 	if err := ctx.Reset(); !errors.Is(err, boom) {
 		t.Fatalf("Reset = %v, want %v", err, boom)
 	}

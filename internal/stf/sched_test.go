@@ -15,11 +15,11 @@ import (
 // busy-ness assertion is deterministic.
 func skewedResults(t *testing.T, p *device.Platform, workers, nTiny int) ([]uint64, []TaskTrace) {
 	t.Helper()
-	ctx := NewCtxN(p, workers)
+	ctx := NewCtx(p, workers)
 	results := make([]uint64, nTiny+1)
 	declare := func(i, iters int, pause time.Duration) {
 		tok := NewToken(ctx, fmt.Sprintf("tok%d", i))
-		ctx.Task(fmt.Sprintf("task%d", i)).On(device.Host).Writes(tok.D()).
+		ctx.Task(fmt.Sprintf("task%d", i)).On(device.Host).Writes(tok).
 			Do(func(ti *TaskInstance) error {
 				h := uint64(14695981039346656037)
 				for k := 0; k < iters; k++ {
@@ -93,13 +93,13 @@ func TestSkewStressManyRounds(t *testing.T) {
 	p := device.NewTestPlatform()
 	defer p.Close()
 	for round := 0; round < 8; round++ {
-		ctx := NewCtxN(p, 3)
+		ctx := NewCtx(p, 3)
 		total := 0
 		sink := make([]int, 24)
 		for i := range sink {
 			i := i
 			tok := NewToken(ctx, fmt.Sprintf("r%d", i))
-			ctx.Task(fmt.Sprintf("r%d", i)).On(device.Host).Writes(tok.D()).
+			ctx.Task(fmt.Sprintf("r%d", i)).On(device.Host).Writes(tok).
 				Do(func(ti *TaskInstance) error {
 					sink[i] = i + 1
 					return nil
@@ -126,10 +126,10 @@ func TestTaskInstanceShard(t *testing.T) {
 	p := device.NewTestPlatform()
 	defer p.Close()
 	before := p.ScratchPool().Stats()
-	ctx := NewCtxN(p, 2)
+	ctx := NewCtx(p, 2)
 	for i := 0; i < 8; i++ {
 		tok := NewToken(ctx, fmt.Sprintf("s%d", i))
-		ctx.Task(fmt.Sprintf("s%d", i)).On(device.Host).Writes(tok.D()).
+		ctx.Task(fmt.Sprintf("s%d", i)).On(device.Host).Writes(tok).
 			Do(func(ti *TaskInstance) error {
 				sh := ti.Shard()
 				if sh == nil {

@@ -1,55 +1,45 @@
-// Package stf is a sequential-task-flow execution engine, a from-scratch
-// reproduction of the role CUDASTF plays in the paper (§3.3.1): users
-// declare tasks together with the logical data each task touches and an
-// access mode; the engine infers the dependency DAG, schedules tasks
-// asynchronously onto execution places, and performs host/device memory
-// movement automatically with an MSI-style coherence protocol.
+// Package stf is a sequential-task-flow dependency engine, a from-scratch
+// reproduction of the role CUDASTF plays in the paper (§3.3.1): callers
+// declare tasks in program order together with the tokens each task reads
+// and writes; the engine infers the dependency DAG from those declarations
+// and schedules ready tasks asynchronously onto execution places.
 //
-// The programming model mirrors CUDASTF:
+// Tokens carry dependencies only. A task's payloads travel through values
+// its body captures (module outputs have sizes unknown at graph-build
+// time — the pattern CUDASTF handles with oversized logical buffers):
 //
-//	ctx := stf.NewCtx(platform)
-//	quant := stf.NewData(ctx, "quant", codes)
-//	out := stf.NewScratch[float32](ctx, "out", n)
-//	ctx.Task("decode").Reads(quant.D()).Writes(out.D()).On(device.Host).
-//	    Do(func(ti *stf.TaskInstance) error {
-//	        ... quant.Acc(ti) ... out.Acc(ti) ...
-//	        return nil
-//	    })
+//	ctx := stf.NewCtx(platform, 0)
+//	codes := stf.NewToken(ctx, "codes")
+//	var decoded []uint16
+//	ctx.Task("decode").Writes(codes).On(device.Accel).
+//	    Do(func(ti *stf.TaskInstance) error { decoded = ...; return nil })
+//	ctx.Task("reconstruct").Reads(codes).On(device.Accel).
+//	    Do(func(ti *stf.TaskInstance) error { ... decoded ...; return nil })
 //	err := ctx.Finalize()
-//	... read results ...
 //	ctx.Release()
 //
-// Tasks whose data sets do not conflict run concurrently — this is what
-// gives FZMod-Default's decompression its branch-level concurrency
-// (outlier scatter on the accelerator ∥ Huffman decode on the host).
+// Tasks whose token sets do not conflict run concurrently. Branch
+// concurrency in the product graph comes from chunk sub-graphs sharing no
+// token: the chunks of one compress or decompress proceed independently,
+// so one chunk's accelerator prediction overlaps another's host encoding.
 // Ready tasks execute on per-place work-stealing worker pools (see
 // sched.go): each worker owns a bounded deque plus a private scratch-pool
 // shard, and idle workers steal, so skewed chunk sub-graphs rebalance
 // instead of convoying behind the slowest worker.
-//
-// Scratch data and device-side copies are drawn from the platform's
-// size-classed buffer pool (device.BufPool) and returned by Ctx.Release,
-// so steady-state graph execution performs near-zero scratch allocation;
-// Data.Detach transfers a scratch slab's ownership out of the pool when a
-// result must outlive the context.
 package stf
 
 import (
 	"errors"
 	"fmt"
-	"sync"
-
-	"fzmod/internal/device"
 )
 
-// AccessMode declares how a task uses a piece of logical data.
+// AccessMode declares how a task uses a token.
 type AccessMode int
 
 const (
-	// Read: the task only reads the data.
+	// Read: the task only reads the data the token stands for.
 	Read AccessMode = iota
-	// Write: the task fully overwrites the data; prior contents need not
-	// be transferred to the task's place.
+	// Write: the task fully overwrites the data.
 	Write
 	// ReadWrite: the task reads and modifies the data.
 	ReadWrite
@@ -69,225 +59,21 @@ func (m AccessMode) String() string {
 	}
 }
 
-// Element is the set of element types logical data may hold.
-type Element interface {
-	~byte | ~uint16 | ~uint32 | ~int32 | ~float32 | ~float64
-}
-
-// dataMeta is the type-erased dependency-tracking state of one logical
-// datum. The scheduler only ever touches dataMeta; typed storage lives in
-// Data[T].
-type dataMeta struct {
-	id   int
-	name string
-
-	// Dependency frontier, maintained at task-declaration time (the
-	// "sequential" in sequential task flow): the last task that wrote the
-	// datum, and all readers admitted since that write.
+// Token is a logical datum of a Ctx that carries dependencies between the
+// tasks declaring access to it. Its dependency frontier is maintained at
+// task-declaration time (the "sequential" in sequential task flow): the
+// last task that wrote the token, and all readers admitted since that
+// write.
+type Token struct {
+	name       string // debug name
 	lastWriter *task
 	readers    []*task
 }
 
-// Data is a typed logical datum managed by a Ctx. The host slice passed at
-// creation (or drawn from the platform pool for scratch data) is the home
-// location; a separate device-place copy is materialized on demand.
-// Validity of each copy is tracked so transfers happen only when a task
-// actually needs stale data.
-type Data[T Element] struct {
-	ctx  *Ctx
-	meta dataMeta
-
-	mu        sync.Mutex
-	host      []T
-	dev       []T
-	hostValid bool
-	devValid  bool
-	hostPut   func() // returns the pooled host slab; nil when caller-owned
-	devPut    func() // returns the pooled device copy
-	detached  bool   // host ownership transferred out via Detach
-}
-
-// DataRef is the type-erased handle used when declaring task accesses.
-type DataRef interface {
-	metaRef() *dataMeta
-	ensureAt(place device.Place, mode AccessMode)
-	writeBackLocked()
-}
-
-// NewData registers host as logical data with the context. The slice is
-// initially valid at the host place and remains caller-owned.
-func NewData[T Element](ctx *Ctx, name string, host []T) *Data[T] {
-	d := &Data[T]{ctx: ctx, host: host, hostValid: true}
-	ctx.register(&d.meta, name)
-	ctx.addCleanup(d.release)
-	return d
-}
-
-// NewScratch registers a zero-initialized logical datum of n elements whose
-// storage is drawn from the platform's buffer pool; Ctx.Release returns it
-// unless Detach has transferred ownership.
-func NewScratch[T Element](ctx *Ctx, name string, n int) *Data[T] {
-	host, put := poolSlice[T](ctx.p.ScratchPool(), n)
-	d := &Data[T]{ctx: ctx, host: host, hostPut: put}
-	ctx.register(&d.meta, name)
-	ctx.addCleanup(d.release)
-	return d
-}
-
-// NewToken registers a zero-length logical datum used purely to carry a
-// dependency between tasks whose real payloads travel outside the engine
-// (dynamically sized module outputs captured in plan structs — the pattern
-// CUDASTF handles with oversized logical buffers).
-func NewToken(ctx *Ctx, name string) *Data[byte] {
-	d := &Data[byte]{ctx: ctx, hostValid: true}
-	ctx.register(&d.meta, name)
-	return d
-}
-
-// release returns pooled storage; registered with the Ctx at creation.
-func (d *Data[T]) release() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.hostPut != nil && !d.detached {
-		d.hostPut()
-	}
-	d.hostPut = nil
-	d.host = nil
-	if d.devPut != nil {
-		d.devPut()
-	}
-	d.devPut = nil
-	d.dev = nil
-}
-
-// D returns the type-erased reference used in task declarations.
-func (d *Data[T]) D() DataRef { return d }
-
-func (d *Data[T]) metaRef() *dataMeta { return &d.meta }
-
-// Len returns the element count.
-func (d *Data[T]) Len() int { return len(d.host) }
-
-// Name returns the debug name given at creation.
-func (d *Data[T]) Name() string { return d.meta.name }
-
-// Acc resolves the datum for use inside a task body, returning the slice
-// valid at the task's execution place. It panics if the task did not
-// declare access to this datum — the same misuse CUDASTF rejects.
-func (d *Data[T]) Acc(ti *TaskInstance) []T {
-	if _, ok := ti.access[&d.meta]; !ok {
-		panic(fmt.Sprintf("stf: task %q accesses undeclared data %q", ti.name, d.meta.name))
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if ti.place == device.Accel {
-		return d.dev
-	}
-	return d.host
-}
-
-// ensureAt implements the coherence protocol: make a copy of the datum
-// valid at place for the given access mode, transferring from the other
-// place when the local copy is stale, and invalidating the remote copy on
-// writes. Byte traffic is charged to the platform so end-to-end accounting
-// includes STF-managed movement.
-func (d *Data[T]) ensureAt(place device.Place, mode AccessMode) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	needValid := mode != Write // Write discards previous contents.
-	if place == device.Accel {
-		if d.dev == nil && len(d.host) > 0 {
-			d.dev, d.devPut = poolSlice[T](d.ctx.p.ScratchPool(), len(d.host))
-		}
-		if needValid && !d.devValid && d.hostValid {
-			copy(d.dev, d.host)
-			d.ctx.p.Stats().BytesH2D.Add(int64(len(d.host)) * int64(elemSize[T]()))
-		}
-		d.devValid = true
-		if mode != Read {
-			d.hostValid = false
-		}
-	} else {
-		if needValid && !d.hostValid && d.devValid {
-			copy(d.host, d.dev)
-			d.ctx.p.Stats().BytesD2H.Add(int64(len(d.host)) * int64(elemSize[T]()))
-		}
-		d.hostValid = true
-		if mode != Read {
-			d.devValid = false
-		}
-	}
-}
-
-// writeBackLocked flushes the device copy to the host if the host copy is
-// stale. Called by Finalize with the scheduler quiesced.
-func (d *Data[T]) writeBackLocked() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !d.hostValid && d.devValid {
-		copy(d.host, d.dev)
-		d.ctx.p.Stats().BytesD2H.Add(int64(len(d.host)) * int64(elemSize[T]()))
-		d.hostValid = true
-	}
-}
-
-// Host returns the host slice. Call after Finalize (which writes back all
-// device-dirty data) and before Release to read results.
-func (d *Data[T]) Host() []T { return d.host }
-
-// Detach transfers ownership of the host storage to the caller and returns
-// it: Release will no longer recycle the slab, so the slice may safely
-// outlive the context. Call after Finalize.
-func (d *Data[T]) Detach() []T {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.detached = true
-	return d.host
-}
-
-// poolSlice draws a zeroed n-element slice from the pool for the exact base
-// element types the pool stocks, returning the slice and its return
-// closure; derived element types fall back to plain allocation (nil put).
-func poolSlice[T Element](bp *device.BufPool, n int) ([]T, func()) {
-	var z T
-	switch any(z).(type) {
-	case byte:
-		s := bp.GetBytes(n, true)
-		return any(s.Data).([]T), func() { bp.PutBytes(s) }
-	case uint16:
-		s := bp.GetU16(n, true)
-		return any(s.Data).([]T), func() { bp.PutU16(s) }
-	case uint32:
-		s := bp.GetU32(n, true)
-		return any(s.Data).([]T), func() { bp.PutU32(s) }
-	case int32:
-		s := bp.GetI32(n, true)
-		return any(s.Data).([]T), func() { bp.PutI32(s) }
-	case float32:
-		s := bp.GetF32(n, true)
-		return any(s.Data).([]T), func() { bp.PutF32(s) }
-	case float64:
-		s := bp.GetF64(n, true)
-		return any(s.Data).([]T), func() { bp.PutF64(s) }
-	default:
-		return make([]T, n), nil
-	}
-}
-
-func elemSize[T Element]() int {
-	var z T
-	switch any(z).(type) {
-	case byte:
-		return 1
-	case uint16:
-		return 2
-	case uint32, int32, float32:
-		return 4
-	case float64:
-		return 8
-	default:
-		return 1
-	}
+// NewToken declares a named token of ctx's graph. Tokens do not survive
+// Reset: declare fresh ones for the next batch.
+func NewToken(_ *Ctx, name string) *Token {
+	return &Token{name: name}
 }
 
 // ErrSkipped marks tasks not executed because an upstream dependency

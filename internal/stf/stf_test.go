@@ -12,15 +12,18 @@ import (
 	"fzmod/internal/device"
 )
 
-func newCtx() *Ctx { return NewCtx(device.NewTestPlatform()) }
+// The tests declare tokens for the dependencies and let task bodies touch
+// captured slices, the way the product graph moves its payloads.
+
+func newCtx() *Ctx { return NewCtx(device.NewTestPlatform(), 0) }
 
 func TestSingleTaskRuns(t *testing.T) {
 	ctx := newCtx()
-	d := NewData(ctx, "d", []float32{1, 2, 3})
-	ctx.Task("double").ReadsWrites(d.D()).On(device.Accel).Do(func(ti *TaskInstance) error {
-		buf := d.Acc(ti)
-		for i := range buf {
-			buf[i] *= 2
+	d := []float32{1, 2, 3}
+	tok := NewToken(ctx, "d")
+	ctx.Task("double").ReadsWrites(tok).On(device.Accel).Do(func(ti *TaskInstance) error {
+		for i := range d {
+			d[i] *= 2
 		}
 		return nil
 	})
@@ -28,81 +31,83 @@ func TestSingleTaskRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []float32{2, 4, 6}
-	for i, v := range d.Host() {
+	for i, v := range d {
 		if v != want[i] {
-			t.Errorf("host[%d] = %v, want %v", i, v, want[i])
+			t.Errorf("d[%d] = %v, want %v", i, v, want[i])
 		}
 	}
 }
 
 func TestRAWDependency(t *testing.T) {
 	ctx := newCtx()
-	a := NewScratch[int32](ctx, "a", 1)
-	b := NewScratch[int32](ctx, "b", 1)
-	ctx.Task("produce").Writes(a.D()).On(device.Accel).Do(func(ti *TaskInstance) error {
+	var a, b int32
+	aTok, bTok := NewToken(ctx, "a"), NewToken(ctx, "b")
+	ctx.Task("produce").Writes(aTok).On(device.Accel).Do(func(ti *TaskInstance) error {
 		time.Sleep(5 * time.Millisecond) // force consumer to actually wait
-		a.Acc(ti)[0] = 41
+		a = 41
 		return nil
 	})
-	ctx.Task("consume").Reads(a.D()).Writes(b.D()).On(device.Host).Do(func(ti *TaskInstance) error {
-		b.Acc(ti)[0] = a.Acc(ti)[0] + 1
+	ctx.Task("consume").Reads(aTok).Writes(bTok).On(device.Host).Do(func(ti *TaskInstance) error {
+		b = a + 1
 		return nil
 	})
 	if err := ctx.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Host()[0] != 42 {
-		t.Errorf("b = %d, want 42 (RAW dependency violated)", b.Host()[0])
+	if b != 42 {
+		t.Errorf("b = %d, want 42 (RAW dependency violated)", b)
 	}
 }
 
 func TestWARDependency(t *testing.T) {
 	// A reader admitted before a writer must complete before the write.
 	ctx := newCtx()
-	d := NewData(ctx, "d", []int32{7})
+	var d atomic.Int32
+	d.Store(7)
+	tok := NewToken(ctx, "d")
 	var observed int32
-	ctx.Task("reader").Reads(d.D()).On(device.Host).Do(func(ti *TaskInstance) error {
+	ctx.Task("reader").Reads(tok).On(device.Host).Do(func(ti *TaskInstance) error {
 		time.Sleep(10 * time.Millisecond)
-		atomic.StoreInt32(&observed, d.Acc(ti)[0])
+		observed = d.Load()
 		return nil
 	})
-	ctx.Task("writer").Writes(d.D()).On(device.Host).Do(func(ti *TaskInstance) error {
-		d.Acc(ti)[0] = 99
+	ctx.Task("writer").Writes(tok).On(device.Host).Do(func(ti *TaskInstance) error {
+		d.Store(99)
 		return nil
 	})
 	if err := ctx.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if atomic.LoadInt32(&observed) != 7 {
+	if observed != 7 {
 		t.Errorf("reader observed %d, want 7 (WAR dependency violated)", observed)
 	}
-	if d.Host()[0] != 99 {
-		t.Errorf("final value %d, want 99", d.Host()[0])
+	if d.Load() != 99 {
+		t.Errorf("final value %d, want 99", d.Load())
 	}
 }
 
 func TestWAWOrdering(t *testing.T) {
 	ctx := newCtx()
-	d := NewScratch[int32](ctx, "d", 1)
+	var d int32
+	tok := NewToken(ctx, "d")
 	for i := int32(1); i <= 20; i++ {
 		i := i
-		ctx.Task(fmt.Sprintf("w%d", i)).Writes(d.D()).On(device.Accel).Do(func(ti *TaskInstance) error {
-			d.Acc(ti)[0] = i
+		ctx.Task(fmt.Sprintf("w%d", i)).Writes(tok).On(device.Accel).Do(func(ti *TaskInstance) error {
+			d = i
 			return nil
 		})
 	}
 	if err := ctx.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Host()[0] != 20 {
-		t.Errorf("final = %d, want 20 (WAW order violated)", d.Host()[0])
+	if d != 20 {
+		t.Errorf("final = %d, want 20 (WAW order violated)", d)
 	}
 }
 
 func TestIndependentTasksOverlap(t *testing.T) {
 	ctx := newCtx()
-	a := NewScratch[int32](ctx, "a", 1)
-	b := NewScratch[int32](ctx, "b", 1)
+	a, b := NewToken(ctx, "a"), NewToken(ctx, "b")
 	var inA, inB atomic.Bool
 	var sawOverlap atomic.Bool
 	spin := func(self, other *atomic.Bool) {
@@ -117,11 +122,11 @@ func TestIndependentTasksOverlap(t *testing.T) {
 		}
 		self.Store(false)
 	}
-	ctx.Task("A").Writes(a.D()).On(device.Accel).Do(func(ti *TaskInstance) error {
+	ctx.Task("A").Writes(a).On(device.Accel).Do(func(ti *TaskInstance) error {
 		spin(&inA, &inB)
 		return nil
 	})
-	ctx.Task("B").Writes(b.D()).On(device.Host).Do(func(ti *TaskInstance) error {
+	ctx.Task("B").Writes(b).On(device.Host).Do(func(ti *TaskInstance) error {
 		spin(&inB, &inA)
 		return nil
 	})
@@ -136,96 +141,13 @@ func TestIndependentTasksOverlap(t *testing.T) {
 	}
 }
 
-func TestCoherenceTransfersOnlyWhenStale(t *testing.T) {
-	p := device.NewTestPlatform()
-	ctx := NewCtx(p)
-	d := NewData(ctx, "d", make([]float32, 1000))
-	// Two consecutive accel readers: one H2D transfer, not two.
-	for i := 0; i < 2; i++ {
-		ctx.Task(fmt.Sprintf("r%d", i)).Reads(d.D()).On(device.Accel).Do(func(ti *TaskInstance) error {
-			_ = d.Acc(ti)
-			return nil
-		})
-	}
-	if err := ctx.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Stats().BytesH2D.Load(); got != 4000 {
-		t.Errorf("BytesH2D = %d, want 4000 (single transfer for two reads)", got)
-	}
-}
-
-func TestWriteModeSkipsTransferIn(t *testing.T) {
-	p := device.NewTestPlatform()
-	ctx := NewCtx(p)
-	d := NewData(ctx, "d", make([]float32, 1000))
-	ctx.Task("w").Writes(d.D()).On(device.Accel).Do(func(ti *TaskInstance) error {
-		buf := d.Acc(ti)
-		for i := range buf {
-			buf[i] = 1
-		}
-		return nil
-	})
-	if err := ctx.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Stats().BytesH2D.Load(); got != 0 {
-		t.Errorf("BytesH2D = %d, want 0 (Write mode must not transfer in)", got)
-	}
-	// But the result must be written back.
-	if d.Host()[500] != 1 {
-		t.Error("device write not flushed to host")
-	}
-	if p.Stats().BytesD2H.Load() == 0 {
-		t.Error("no D2H traffic recorded for write-back")
-	}
-}
-
-func TestHostDeviceRoundtripThroughTasks(t *testing.T) {
-	ctx := newCtx()
-	n := 10_000
-	in := make([]float32, n)
-	for i := range in {
-		in[i] = float32(i)
-	}
-	d := NewData(ctx, "d", in)
-	s := NewScratch[float32](ctx, "s", n)
-	ctx.Task("dev-scale").Reads(d.D()).Writes(s.D()).On(device.Accel).Do(func(ti *TaskInstance) error {
-		src, dst := d.Acc(ti), s.Acc(ti)
-		ti.Launch(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dst[i] = src[i] * 3
-			}
-		})
-		return nil
-	})
-	ctx.Task("host-add").ReadsWrites(s.D()).On(device.Host).Do(func(ti *TaskInstance) error {
-		buf := s.Acc(ti)
-		ti.Launch(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				buf[i] += 1
-			}
-		})
-		return nil
-	})
-	if err := ctx.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i += 997 {
-		want := float32(i)*3 + 1
-		if s.Host()[i] != want {
-			t.Fatalf("s[%d] = %v, want %v", i, s.Host()[i], want)
-		}
-	}
-}
-
 func TestErrorPropagationSkipsDownstream(t *testing.T) {
 	ctx := newCtx()
-	d := NewScratch[int32](ctx, "d", 1)
+	tok := NewToken(ctx, "d")
 	boom := errors.New("boom")
-	ctx.Task("fail").Writes(d.D()).Do(func(ti *TaskInstance) error { return boom })
+	ctx.Task("fail").Writes(tok).Do(func(ti *TaskInstance) error { return boom })
 	ran := false
-	ctx.Task("after").Reads(d.D()).Do(func(ti *TaskInstance) error {
+	ctx.Task("after").Reads(tok).Do(func(ti *TaskInstance) error {
 		ran = true
 		return nil
 	})
@@ -240,8 +162,8 @@ func TestErrorPropagationSkipsDownstream(t *testing.T) {
 
 func TestPanicInTaskBecomesError(t *testing.T) {
 	ctx := newCtx()
-	d := NewScratch[int32](ctx, "d", 1)
-	ctx.Task("panics").Writes(d.D()).Do(func(ti *TaskInstance) error {
+	tok := NewToken(ctx, "d")
+	ctx.Task("panics").Writes(tok).Do(func(ti *TaskInstance) error {
 		panic("kaboom")
 	})
 	err := ctx.Finalize()
@@ -250,25 +172,11 @@ func TestPanicInTaskBecomesError(t *testing.T) {
 	}
 }
 
-func TestUndeclaredAccessPanics(t *testing.T) {
-	ctx := newCtx()
-	a := NewScratch[int32](ctx, "a", 1)
-	b := NewScratch[int32](ctx, "b", 1)
-	ctx.Task("sneaky").Writes(a.D()).Do(func(ti *TaskInstance) error {
-		_ = b.Acc(ti) // not declared
-		return nil
-	})
-	err := ctx.Finalize()
-	if err == nil || !strings.Contains(err.Error(), "undeclared") {
-		t.Errorf("expected undeclared-access panic to surface, got %v", err)
-	}
-}
-
 func TestDOTExport(t *testing.T) {
 	ctx := newCtx()
-	a := NewScratch[int32](ctx, "a", 1)
-	ctx.Task("w").Writes(a.D()).On(device.Accel).Do(func(ti *TaskInstance) error { return nil })
-	ctx.Task("r").Reads(a.D()).Do(func(ti *TaskInstance) error { return nil })
+	a := NewToken(ctx, "a")
+	ctx.Task("w").Writes(a).On(device.Accel).Do(func(ti *TaskInstance) error { return nil })
+	ctx.Task("r").Reads(a).Do(func(ti *TaskInstance) error { return nil })
 	if err := ctx.Finalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -282,13 +190,12 @@ func TestDOTExport(t *testing.T) {
 
 func TestCriticalPath(t *testing.T) {
 	ctx := newCtx()
-	a := NewScratch[int32](ctx, "a", 1)
-	b := NewScratch[int32](ctx, "b", 1)
+	a, b := NewToken(ctx, "a"), NewToken(ctx, "b")
 	nop := func(ti *TaskInstance) error { return nil }
-	ctx.Task("w1").Writes(a.D()).Do(nop)
-	ctx.Task("w2").ReadsWrites(a.D()).Do(nop)
-	ctx.Task("w3").ReadsWrites(a.D()).Do(nop)
-	ctx.Task("indep").Writes(b.D()).Do(nop)
+	ctx.Task("w1").Writes(a).Do(nop)
+	ctx.Task("w2").ReadsWrites(a).Do(nop)
+	ctx.Task("w3").ReadsWrites(a).Do(nop)
+	ctx.Task("indep").Writes(b).Do(nop)
 	if err := ctx.Finalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -307,25 +214,27 @@ func TestAccessModeString(t *testing.T) {
 }
 
 // TestRandomDAGMatchesSequential builds random task programs over several
-// logical data and checks the parallel engine computes exactly what a
-// sequential interpretation of the same program computes. This is the core
-// correctness property of dependency inference.
+// tokens, each guarding one captured slice, and checks the parallel engine
+// computes exactly what a sequential interpretation of the same program
+// computes. This is the core correctness property of dependency inference.
 func TestRandomDAGMatchesSequential(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		const nData = 4
 		const nTasks = 25
 
-		// Sequential reference state.
+		// Sequential reference state, and the state the graph mutates.
 		ref := make([][]int32, nData)
+		data := make([][]int32, nData)
 		for i := range ref {
 			ref[i] = make([]int32, 8)
+			data[i] = make([]int32, 8)
 		}
 
 		ctx := newCtx()
-		data := make([]*Data[int32], nData)
-		for i := range data {
-			data[i] = NewScratch[int32](ctx, fmt.Sprintf("d%d", i), 8)
+		toks := make([]*Token, nData)
+		for i := range toks {
+			toks[i] = NewToken(ctx, fmt.Sprintf("d%d", i))
 		}
 
 		for k := 0; k < nTasks; k++ {
@@ -335,23 +244,21 @@ func TestRandomDAGMatchesSequential(t *testing.T) {
 			place := device.Place(rng.Intn(2))
 			// Reference: dst[j] = src[j]*mul + j
 			for j := range ref[dst] {
-				newv := ref[src][j]*mul + int32(j)
-				ref[dst][j] = newv
+				ref[dst][j] = ref[src][j]*mul + int32(j)
 			}
 			// Parallel program. Note src may equal dst; declare RW then.
-			s, d2, m := data[src], data[dst], mul
+			sv, dv := data[src], data[dst]
 			tb := ctx.Task(fmt.Sprintf("t%d", k)).On(place)
 			if src == dst {
-				tb = tb.ReadsWrites(d2.D())
+				tb = tb.ReadsWrites(toks[dst])
 			} else {
-				tb = tb.Reads(s.D()).ReadsWrites(d2.D())
+				tb = tb.Reads(toks[src]).ReadsWrites(toks[dst])
 			}
 			tb.Do(func(ti *TaskInstance) error {
-				sv, dv := s.Acc(ti), d2.Acc(ti)
 				tmp := make([]int32, len(sv))
 				copy(tmp, sv)
 				for j := range dv {
-					dv[j] = tmp[j]*m + int32(j)
+					dv[j] = tmp[j]*mul + int32(j)
 				}
 				return nil
 			})
@@ -359,21 +266,14 @@ func TestRandomDAGMatchesSequential(t *testing.T) {
 		if err := ctx.Finalize(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		ctx.Release()
 		for i := range data {
 			for j, want := range ref[i] {
-				if got := data[i].Host()[j]; got != want {
+				if got := data[i][j]; got != want {
 					t.Fatalf("trial %d: d%d[%d] = %d, want %d", trial, i, j, got, want)
 				}
 			}
 		}
-	}
-}
-
-func TestScratchDataNameAndLen(t *testing.T) {
-	ctx := newCtx()
-	d := NewScratch[float64](ctx, "scratch", 17)
-	if d.Len() != 17 || d.Name() != "scratch" {
-		t.Errorf("Len/Name = %d/%q", d.Len(), d.Name())
 	}
 }
 
@@ -384,26 +284,52 @@ func TestFinalizeWithNoTasks(t *testing.T) {
 	}
 }
 
-func TestManyElementsTypes(t *testing.T) {
+// TestTokenCarriesDependency checks that tokens order tasks.
+func TestTokenCarriesDependency(t *testing.T) {
 	ctx := newCtx()
-	db := NewData(ctx, "b", []byte{1, 2})
-	du := NewData(ctx, "u16", []uint16{3})
-	dw := NewData(ctx, "u32", []uint32{4})
-	di := NewData(ctx, "i32", []int32{-5})
-	df := NewData(ctx, "f64", []float64{6.5})
-	ctx.Task("touch").ReadsWrites(db.D(), du.D(), dw.D(), di.D(), df.D()).On(device.Accel).
-		Do(func(ti *TaskInstance) error {
-			db.Acc(ti)[0]++
-			du.Acc(ti)[0]++
-			dw.Acc(ti)[0]++
-			di.Acc(ti)[0]--
-			df.Acc(ti)[0] += 0.5
-			return nil
-		})
+	tok := NewToken(ctx, "tok")
+	order := make(chan int, 2)
+	ctx.Task("producer").Writes(tok).Do(func(ti *TaskInstance) error {
+		order <- 1
+		return nil
+	})
+	ctx.Task("consumer").Reads(tok).Do(func(ti *TaskInstance) error {
+		order <- 2
+		return nil
+	})
 	if err := ctx.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if db.Host()[0] != 2 || du.Host()[0] != 4 || dw.Host()[0] != 5 || di.Host()[0] != -6 || df.Host()[0] != 7.0 {
-		t.Error("typed data roundtrip failed")
+	if first := <-order; first != 1 {
+		t.Error("consumer ran before producer")
 	}
+}
+
+// TestBoundedConcurrency checks the pool width actually caps in-flight
+// task bodies per place.
+func TestBoundedConcurrency(t *testing.T) {
+	ctx := NewCtx(device.NewTestPlatform(), 2)
+	var cur, peak atomic.Int32
+	for i := 0; i < 12; i++ {
+		tok := NewToken(ctx, "d")
+		ctx.Task("t").Writes(tok).On(device.Accel).Do(func(ti *TaskInstance) error {
+			n := cur.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			cur.Add(-1)
+			return nil
+		})
+	}
+	if err := ctx.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got > 2 {
+		t.Errorf("observed %d concurrent bodies, pool width is 2", got)
+	}
+	ctx.Release()
 }

@@ -10,12 +10,11 @@ import (
 	"fzmod/internal/device"
 )
 
-// Ctx owns a task graph: logical data registration, dependency inference,
-// and asynchronous execution. Create with NewCtx, submit tasks, then call
-// Finalize exactly once (Barrier may be used to drain mid-build). Release
-// returns pooled scratch to the platform pool and retires the worker
-// pools once results have been read; a Ctx is not reusable after Finalize
-// (Reset is the reuse path and keeps the workers warm).
+// Ctx owns a task graph: dependency inference over declared tokens and
+// asynchronous execution. Create with NewCtx, submit tasks, then call
+// Finalize exactly once. Release retires the worker pools once results
+// have been read; a Ctx is not reusable after Finalize (Reset is the reuse
+// path and keeps the workers warm).
 //
 // Execution model: each place owns a bounded work-stealing worker pool. A
 // task becomes ready the moment its last dependency completes (dependency
@@ -34,28 +33,21 @@ type Ctx struct {
 	gctx context.Context
 
 	mu       sync.Mutex
-	nextData int
 	nextTask int
 	tasks    []*task
 	edges    map[[2]int]struct{} // dedup for DOT export
 	scheds   map[device.Place]*sched
 	maxConc  int
-	cleanups []func() // pooled-slab returns, run by Release
 }
 
 // Platform is the subset of device.Platform the engine needs; using the
 // concrete type keeps call sites simple.
 type Platform = device.Platform
 
-// NewCtx creates a task-flow context over a platform with the platform's
-// worker width as the per-place stream-pool size.
-func NewCtx(p *Platform) *Ctx {
-	return NewCtxN(p, 0)
-}
-
-// NewCtxN creates a context with an explicit per-place worker-pool width
-// bounding in-flight task bodies; n <= 0 selects the platform worker width.
-func NewCtxN(p *Platform, maxConcurrent int) *Ctx {
+// NewCtx creates a task-flow context over a platform whose per-place
+// worker-pool width, bounding in-flight task bodies, is maxConcurrent;
+// maxConcurrent <= 0 selects the platform's worker width at each place.
+func NewCtx(p *Platform, maxConcurrent int) *Ctx {
 	return &Ctx{
 		p:       p,
 		edges:   make(map[[2]int]struct{}),
@@ -104,30 +96,15 @@ func (c *Ctx) ctxErr() error {
 	}
 }
 
-func (c *Ctx) register(m *dataMeta, name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m.id = c.nextData
-	c.nextData++
-	m.name = name
-}
-
-func (c *Ctx) addCleanup(fn func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cleanups = append(c.cleanups, fn)
-}
-
 // task is one node of the DAG.
 type task struct {
-	id     int
-	name   string
-	place  device.Place
-	deps   []*task
-	access []taskAccess
-	body   func(*TaskInstance) error
-	done   chan struct{}
-	err    error
+	id    int
+	name  string
+	place device.Place
+	deps  []*task
+	body  func(*TaskInstance) error
+	done  chan struct{}
+	err   error
 
 	// Scheduler state, guarded by Ctx.mu: the count of incomplete
 	// dependencies, the tasks to notify on completion, and whether this
@@ -142,7 +119,7 @@ type task struct {
 }
 
 type taskAccess struct {
-	data DataRef
+	tok  *Token
 	mode AccessMode
 }
 
@@ -166,40 +143,35 @@ func (b *TaskBuilder) On(place device.Place) *TaskBuilder {
 	return b
 }
 
-// Reads declares read access to each datum.
-func (b *TaskBuilder) Reads(ds ...DataRef) *TaskBuilder {
-	for _, d := range ds {
-		b.access = append(b.access, taskAccess{d, Read})
-	}
-	return b
+// Reads declares read access to each token.
+func (b *TaskBuilder) Reads(toks ...*Token) *TaskBuilder {
+	return b.declare(Read, toks)
 }
 
-// Writes declares full-overwrite access to each datum.
-func (b *TaskBuilder) Writes(ds ...DataRef) *TaskBuilder {
-	for _, d := range ds {
-		b.access = append(b.access, taskAccess{d, Write})
-	}
-	return b
+// Writes declares full-overwrite access to each token.
+func (b *TaskBuilder) Writes(toks ...*Token) *TaskBuilder {
+	return b.declare(Write, toks)
 }
 
-// ReadsWrites declares read-modify-write access to each datum.
-func (b *TaskBuilder) ReadsWrites(ds ...DataRef) *TaskBuilder {
-	for _, d := range ds {
-		b.access = append(b.access, taskAccess{d, ReadWrite})
+// ReadsWrites declares read-modify-write access to each token.
+func (b *TaskBuilder) ReadsWrites(toks ...*Token) *TaskBuilder {
+	return b.declare(ReadWrite, toks)
+}
+
+func (b *TaskBuilder) declare(mode AccessMode, toks []*Token) *TaskBuilder {
+	for _, tok := range toks {
+		b.access = append(b.access, taskAccess{tok, mode})
 	}
 	return b
 }
 
 // TaskInstance is passed to a task body: it identifies the resolved
-// execution place and the declared access set (used by Data.Acc for
-// misuse detection), and gives the body a grid-launch helper at its place
-// plus the executing worker's private scratch-pool shard.
+// execution place and gives the body the executing worker's private
+// scratch-pool shard.
 type TaskInstance struct {
-	ctx    *Ctx
-	name   string
-	place  device.Place
-	access map[*dataMeta]AccessMode
-	shard  *device.PoolShard
+	name  string
+	place device.Place
+	shard *device.PoolShard
 }
 
 // Place reports where the task is executing.
@@ -207,11 +179,6 @@ func (ti *TaskInstance) Place() device.Place { return ti.place }
 
 // Name reports the task's debug name.
 func (ti *TaskInstance) Name() string { return ti.name }
-
-// Launch runs a grid kernel over [0, n) at the task's place.
-func (ti *TaskInstance) Launch(n int, kernel func(lo, hi int)) {
-	ti.ctx.p.LaunchGrid(ti.place, n, kernel)
-}
 
 // Shard returns the executing worker's private scratch-pool shard: slab
 // checkouts through it skip the shared pool when the worker has a cached
@@ -231,11 +198,10 @@ func (ti *TaskInstance) Shard() *device.PoolShard { return ti.shard }
 func (b *TaskBuilder) Do(body func(*TaskInstance) error) {
 	c := b.ctx
 	t := &task{
-		name:   b.name,
-		place:  b.place,
-		access: b.access,
-		body:   body,
-		done:   make(chan struct{}),
+		name:  b.name,
+		place: b.place,
+		body:  body,
+		done:  make(chan struct{}),
 	}
 
 	c.mu.Lock()
@@ -243,24 +209,24 @@ func (b *TaskBuilder) Do(body func(*TaskInstance) error) {
 	c.nextTask++
 	depSet := make(map[*task]struct{})
 	for _, a := range b.access {
-		m := a.data.metaRef()
+		tok := a.tok
 		switch a.mode {
 		case Read:
-			if m.lastWriter != nil {
-				depSet[m.lastWriter] = struct{}{}
+			if tok.lastWriter != nil {
+				depSet[tok.lastWriter] = struct{}{}
 			}
-			m.readers = append(m.readers, t)
+			tok.readers = append(tok.readers, t)
 		case Write, ReadWrite:
-			if m.lastWriter != nil {
-				depSet[m.lastWriter] = struct{}{}
+			if tok.lastWriter != nil {
+				depSet[tok.lastWriter] = struct{}{}
 			}
-			for _, r := range m.readers {
+			for _, r := range tok.readers {
 				if r != t {
 					depSet[r] = struct{}{}
 				}
 			}
-			m.lastWriter = t
-			m.readers = m.readers[:0]
+			tok.lastWriter = t
+			tok.readers = tok.readers[:0]
 		}
 	}
 	delete(depSet, t)
@@ -323,20 +289,7 @@ func (c *Ctx) runOn(t *task, w *schedWorker) {
 		// every not-yet-started task into one reported cancellation.
 		t.err = fmt.Errorf("stf: graph canceled: %w", gerr)
 	} else {
-		// Coherence: materialize every declared datum at the task's place.
-		for _, a := range t.access {
-			a.data.ensureAt(t.place, a.mode)
-		}
-		ti := &TaskInstance{
-			ctx:    c,
-			name:   t.name,
-			place:  t.place,
-			access: make(map[*dataMeta]AccessMode, len(t.access)),
-			shard:  w.shard,
-		}
-		for _, a := range t.access {
-			ti.access[a.data.metaRef()] = a.mode
-		}
+		ti := &TaskInstance{name: t.name, place: t.place, shard: w.shard}
 		t.started = time.Now()
 		func() {
 			defer func() {
@@ -367,24 +320,9 @@ func (c *Ctx) runOn(t *task, w *schedWorker) {
 	}
 }
 
-// Barrier blocks until every task submitted so far has completed, the STF
-// equivalent of a stream synchronize. Unlike Finalize it performs no
-// write-back and the context remains usable, so graph construction can
-// consume intermediate results (e.g. a decoded container that determines
-// the shape of downstream tasks).
-func (c *Ctx) Barrier() {
-	c.mu.Lock()
-	tasks := append([]*task(nil), c.tasks...)
-	c.mu.Unlock()
-	for _, t := range tasks {
-		<-t.done
-	}
-}
-
-// Finalize waits for every submitted task, writes device-dirty data back to
-// the host, and returns the joined errors of all failed tasks (skips are
-// folded into their root cause). The Ctx must not be used afterwards except
-// to read results and call Release.
+// Finalize waits for every submitted task and returns the joined errors of
+// all failed tasks (skips are folded into their root cause). The Ctx must
+// not be used afterwards except to read its trace and call Release.
 func (c *Ctx) Finalize() error {
 	c.mu.Lock()
 	tasks := c.tasks
@@ -408,60 +346,30 @@ func (c *Ctx) Finalize() error {
 			}
 		}
 	}
-	// Flush all data home so Host() observes results.
-	flushed := make(map[DataRef]bool)
-	for _, t := range tasks {
-		for _, a := range t.access {
-			if !flushed[a.data] {
-				flushed[a.data] = true
-				a.data.writeBackLocked()
-			}
-		}
-	}
 	return errors.Join(errs...)
 }
 
-// Reset drains the graph like Finalize, returns pooled scratch like
-// Release, and then clears the task and data registry so the context can
-// be reused for the next batch of a windowed pipeline: the per-place
-// worker pools stay warm across batches, which is what lets a streaming
-// compressor run thousands of window-sized graphs over one context.
-// Logical data created before Reset must not be used afterwards (register
-// fresh Data for the next batch); results must be copied out first.
+// Reset drains the graph like Finalize and then clears the task registry
+// so the context can be reused for the next batch of a windowed pipeline:
+// the per-place worker pools stay warm across batches, which is what lets
+// a streaming compressor run thousands of window-sized graphs over one
+// context. Tokens declared before Reset must not be used afterwards.
 // Returns the joined errors of the drained batch, exactly as Finalize
 // reports them.
 func (c *Ctx) Reset() error {
 	err := c.Finalize()
-	c.releaseData()
 	c.mu.Lock()
 	c.tasks = nil
 	c.edges = make(map[[2]int]struct{})
 	c.nextTask = 0
-	c.nextData = 0
 	c.mu.Unlock()
 	return err
 }
 
-// releaseData returns every pooled scratch slab and device-side copy owned
-// by the context to the platform's buffer pool.
-func (c *Ctx) releaseData() {
-	c.mu.Lock()
-	fns := c.cleanups
-	c.cleanups = nil
-	c.mu.Unlock()
-	for _, fn := range fns {
-		fn()
-	}
-}
-
-// Release returns every pooled scratch slab and device-side copy owned by
-// the context to the platform's buffer pool and retires the worker pools
-// (their shard caches drain back to the shared pool). Call after Finalize
-// or Reset, once all results have been copied out or Detach-ed; data
-// accessors must not be used and no further tasks may be submitted
-// afterwards. Release is idempotent.
+// Release retires the worker pools (their shard caches drain back to the
+// shared pool). Call after Finalize or Reset; no further tasks may be
+// submitted afterwards. Release is idempotent.
 func (c *Ctx) Release() {
-	c.releaseData()
 	c.mu.Lock()
 	scheds := c.scheds
 	c.scheds = make(map[device.Place]*sched)

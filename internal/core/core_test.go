@@ -154,6 +154,38 @@ func TestSplinePredictsBetterThanLorenzoOnSmoothData(t *testing.T) {
 	}
 }
 
+// TestLorenzoReconstructOutvalLength hands ReconstructInto an outval
+// segment one value short and one value long of the escape count; both
+// are errors, and the exact segment reconstructs.
+func TestLorenzoReconstructOutvalLength(t *testing.T) {
+	dims := grid.D3(21, 9, 5)
+	data := sdrbench.GenHACC(dims.N(), 3) // rough: many outliers
+	pred, err := LorenzoPredictor{}.Predict(tp, device.Accel, data, dims, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outval := pred.Extras["outval"]
+	if len(outval) < 8 {
+		t.Fatalf("want at least two outliers, got %d outval bytes", len(outval))
+	}
+	dst := make([]float32, dims.N())
+	for _, tc := range []struct {
+		name    string
+		seg     []byte
+		wantErr bool
+	}{
+		{"exact", outval, false},
+		{"one value short", outval[:len(outval)-4], true},
+		{"one value long", append(append([]byte(nil), outval...), 1, 0, 0, 0), true},
+	} {
+		p := &Prediction{Codes: pred.Codes, Radius: pred.Radius, Extras: map[string][]byte{"outval": tc.seg}}
+		err := LorenzoPredictor{}.ReconstructInto(tp, device.Accel, p, dims, 1e-3, dst)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
 func TestDecompressForeignContainerFails(t *testing.T) {
 	if _, _, err := Decompress(tp, []byte("not a container")); err == nil {
 		t.Error("garbage input should fail")

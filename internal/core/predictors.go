@@ -85,17 +85,10 @@ func (LorenzoPredictor) ReconstructInto(p *device.Platform, place device.Place, 
 	for i, v := range outValU {
 		outVal[i] = int32(v)
 	}
-	// Outlier positions come from the escape codes alone; a pred.outidx
-	// segment that older writers emitted is redundant and ignored.
-	q := &lorenzo.Quantized{
-		Codes:  pred.Codes,
-		OutIdx: outlierIndices(pred.Codes, len(outVal)),
-		OutVal: outVal,
-		Radius: pred.Radius,
-	}
-	if len(q.OutIdx) != len(outVal) {
-		return fmt.Errorf("core: %d outlier escapes in codes, %d values", len(q.OutIdx), len(outVal))
-	}
+	// Outlier positions come from the escape codes alone, which the decoder
+	// reads in the same pass; a pred.outidx segment that older writers
+	// emitted is redundant and ignored.
+	q := &lorenzo.Quantized{Codes: pred.Codes, OutVal: outVal, Radius: pred.Radius}
 	return lorenzo.DecodeInto(p, place, q, dims, eb, dst)
 }
 

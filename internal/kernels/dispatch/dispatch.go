@@ -1,7 +1,9 @@
 // Package dispatch selects a SIMD implementation tier for the framework's
-// hottest per-element loops — Lorenzo fused quantize+residual rows,
-// histogram accumulation, MinMaxF32, outlier code scanning, the Huffman
-// encode length-summing pre-pass, and the bitshuffle / unbitshuffle
+// hottest per-element loops — Lorenzo fused quantize+residual rows, the
+// one-pass Lorenzo reconstruct row (code → residual → x-scan → + row
+// above → + plane behind → scale → store), histogram accumulation,
+// MinMaxF32, outlier code scanning, the Huffman encode length-summing
+// pre-pass, and the bitshuffle / unbitshuffle
 // bit-matrix transposes of the fzg encoder (16-bit, with its recentring)
 // and the PFPL baseline (32-bit) — at process start, keeping the pure-Go
 // word-level kernels as the always-available fallback.
@@ -69,6 +71,25 @@ var (
 	// DiffCodes3 is DiffCodes1 for the full 3-D stencil:
 	// d = q[i+1]-q[i] - up[i+1]+up[i] - back[i+1]+back[i] + backUp[i+1]-backUp[i].
 	DiffCodes3 func(q, up, back, backUp []int32, codes []uint16, r32 int32) = diffCodes3PureGo
+
+	// LorenzoRow reconstructs one row of a Lorenzo-coded field, inverting
+	// the separable difference with running sums. For each i from 0 it
+	// takes the residual d = int32(codes[i]) - r32, or at an escape
+	// (codes[i] == 0) the next unused outlier value from vals, and does
+	//
+	//	acc += d; v := acc
+	//	if len(above) > 0  { above[i] += v; v = above[i] }
+	//	if len(behind) > 0 { behind[i] += v; v = behind[i] }
+	//	out[i] = float32(float64(v) * scale)
+	//
+	// with wrapping int32 sums. It stops at an escape when vals is spent
+	// and returns the new acc, the number of codes done (len(codes) when
+	// it did not stop) and the number of vals used. acc is the x-scan
+	// carried in from the left; above holds the y-scan of the row above
+	// and behind the z-scan of the plane behind, each updated in place to
+	// this row's. Empty accumulators are absent (rank 1 has neither, rank
+	// 2 no behind); present ones and out must be at least len(codes) long.
+	LorenzoRow func(codes []uint16, vals []int32, r32 int32, scale float64, acc int32, above, behind []int32, out []float32) (next int32, done, used int) = lorenzoRowPureGo
 
 	// MinMaxF32 returns the minimum and maximum of a non-empty slice with
 	// the comparison semantics of the scalar accumulator loop: NaN values
@@ -153,6 +174,7 @@ func pureGoKernels() map[string]string {
 	return map[string]string{
 		"quantize":     PureGo,
 		"diff_codes":   PureGo,
+		"lorenzo_row":  PureGo,
 		"minmax":       PureGo,
 		"hist_accum":   PureGo,
 		"hist_merge":   PureGo,
@@ -203,6 +225,7 @@ func installPureGo() {
 	DiffCodes1 = diffCodes1PureGo
 	DiffCodes2 = diffCodes2PureGo
 	DiffCodes3 = diffCodes3PureGo
+	LorenzoRow = lorenzoRowPureGo
 	MinMaxF32 = minMaxF32PureGo
 	HistAccum = histAccumPureGo
 	HistMerge = histMergePureGo

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -165,6 +166,107 @@ func TestDiffCodesEquivalence(t *testing.T) {
 					if got[i] != want[i] {
 						t.Fatalf("diff3 n=%d off=%d r=%d i=%d: %d want %d", n, off, r32, i, got[i], want[i])
 					}
+				}
+			}
+		}
+	})
+}
+
+// checkLorenzoRow runs LorenzoRow and its pure-Go twin on copies of the
+// same accumulators (the installed tier's at element offset off, so vector
+// heads start unaligned) and requires the same carry, counts, output bits
+// and accumulator contents. A nil above or behind stays absent.
+func checkLorenzoRow(t *testing.T, codes []uint16, vals []int32, r32 int32, scale float64, acc int32, above, behind []int32, off int) {
+	t.Helper()
+	n := len(codes)
+	clone := func(s []int32, off int) []int32 {
+		if s == nil {
+			return nil
+		}
+		c := offsetI32(len(s), off)
+		copy(c, s)
+		return c
+	}
+	gotAbove, gotBehind := clone(above, off), clone(behind, off)
+	wantAbove, wantBehind := clone(above, 0), clone(behind, 0)
+	gotOut, wantOut := offsetF32(n, off), make([]float32, n)
+	gotAcc, gotDone, gotUsed := LorenzoRow(codes, vals, r32, scale, acc, gotAbove, gotBehind, gotOut)
+	wantAcc, wantDone, wantUsed := lorenzoRowPureGo(codes, vals, r32, scale, acc, wantAbove, wantBehind, wantOut)
+	if gotAcc != wantAcc || gotDone != wantDone || gotUsed != wantUsed {
+		t.Fatalf("lorenzoRow n=%d vals=%d off=%d r=%d above=%v behind=%v: (acc %d, done %d, used %d) want (%d, %d, %d)",
+			n, len(vals), off, r32, above != nil, behind != nil, gotAcc, gotDone, gotUsed, wantAcc, wantDone, wantUsed)
+	}
+	for i := range wantOut {
+		if math.Float32bits(gotOut[i]) != math.Float32bits(wantOut[i]) {
+			t.Fatalf("lorenzoRow n=%d off=%d out[%d] = %x want %x",
+				n, off, i, math.Float32bits(gotOut[i]), math.Float32bits(wantOut[i]))
+		}
+	}
+	for i := range wantAbove {
+		if gotAbove[i] != wantAbove[i] {
+			t.Fatalf("lorenzoRow n=%d off=%d above[%d] = %d want %d", n, off, i, gotAbove[i], wantAbove[i])
+		}
+	}
+	for i := range wantBehind {
+		if gotBehind[i] != wantBehind[i] {
+			t.Fatalf("lorenzoRow n=%d off=%d behind[%d] = %d want %d", n, off, i, gotBehind[i], wantBehind[i])
+		}
+	}
+}
+
+// TestLorenzoRowEquivalence covers every accumulator shape on odd lengths
+// and alignments, with escapes from none to every code, outlier values
+// that run out early, just in time or never, sums that wrap int32, and
+// scales from a tight bound to one whose products round in f32.
+func TestLorenzoRowEquivalence(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		radii := []int32{0, 1, 512, 32768, 40000, math.MaxInt32}
+		scales := []float64{2e-4, 1, 0.1, 3.0000001e-7, 1e30}
+		// escape probability per code: none, rare, dense, every code
+		densities := []int{0, 1000, 3, 1}
+		for n := 0; n <= 200; n++ {
+			for off := 0; off < 4; off++ {
+				codes := offsetU16(n, off)
+				every := densities[rng.Intn(len(densities))]
+				escapes := 0
+				for i := range codes {
+					codes[i] = uint16(1 + rng.Intn(1023))
+					if every > 0 && rng.Intn(every) == 0 {
+						codes[i] = 0
+					}
+				}
+				if n > 0 && rng.Intn(4) == 0 {
+					codes[n-1] = 0 // an escape in the tail or the last group
+				}
+				for _, c := range codes {
+					if c == 0 {
+						escapes++
+					}
+				}
+				mk := func(n int) []int32 {
+					s := make([]int32, n)
+					for i := range s {
+						if rng.Intn(4) == 0 {
+							s[i] = int32(rng.Uint32()) // sums that wrap
+						} else {
+							s[i] = int32(rng.Intn(1<<20) - 1<<19)
+						}
+					}
+					return s
+				}
+				acc := int32(rng.Intn(2000) - 1000)
+				if rng.Intn(4) == 0 {
+					acc = math.MaxInt32 - int32(rng.Intn(100))
+				}
+				r32 := radii[rng.Intn(len(radii))]
+				scale := scales[rng.Intn(len(scales))]
+				for _, nv := range []int{escapes, escapes + 3, rng.Intn(escapes + 1)} {
+					vals := mk(nv)
+					checkLorenzoRow(t, codes, vals, r32, scale, acc, nil, nil, off)
+					checkLorenzoRow(t, codes, vals, r32, scale, acc, mk(n), nil, off)
+					checkLorenzoRow(t, codes, vals, r32, scale, acc, nil, mk(n), off)
+					checkLorenzoRow(t, codes, vals, r32, scale, acc, mk(n), mk(n), off)
 				}
 			}
 		}
@@ -471,6 +573,35 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 		}
 
+		// LorenzoRow: the code view as codes (zeros are escapes), the
+		// raw words as the carry, radius, scale, outlier values (as many
+		// as the fuzzer's first byte says) and accumulators.
+		if len(us) > 0 {
+			word := func(i int) uint32 {
+				if len(raw) < 4 {
+					return uint32(raw[0]) * 0x01010101
+				}
+				i %= len(raw) - 3
+				return uint32(raw[i]) | uint32(raw[i+1])<<8 | uint32(raw[i+2])<<16 | uint32(raw[i+3])<<24
+			}
+			acc := int32(word(1))
+			r32 := int32(word(2) >> uint(raw[0]%32))
+			scale := math.Abs(float64(math.Float32frombits(word(3)&0x7f7fffff))) + 1e-300
+			above := make([]int32, len(us))
+			behind := make([]int32, len(us))
+			for i := range above {
+				above[i] = int32(word(i*7 + 5))
+				behind[i] = int32(word(i*5 + 3))
+			}
+			vals := make([]int32, int(raw[0])%(len(us)+1))
+			for i := range vals {
+				vals[i] = int32(word(i*3 + 1))
+			}
+			for _, shape := range [][2][]int32{{nil, nil}, {above, nil}, {above, behind}} {
+				checkLorenzoRow(t, us, vals, r32, scale, acc, shape[0], shape[1], int(raw[0]%4))
+			}
+		}
+
 		const bins = 256
 		masked := make([]uint16, len(us))
 		for i, c := range us {
@@ -613,6 +744,39 @@ func BenchmarkDiffCodes3(b *testing.B) {
 			DiffCodes3(q, up, q, up, codes, 512)
 		}
 	})
+}
+
+// BenchmarkLorenzoRow reconstructs one interior row of a 3-D field (both
+// accumulators), with no escapes and with one code in eight an escape:
+// bytes are codes in and floats out.
+func BenchmarkLorenzoRow(b *testing.B) {
+	const n = 1 << 12
+	rng := rand.New(rand.NewSource(13))
+	above := make([]int32, n)
+	behind := make([]int32, n)
+	out := make([]float32, n)
+	vals := make([]int32, n)
+	for _, every := range []int{0, 8} {
+		codes := make([]uint16, n)
+		for i := range codes {
+			codes[i] = uint16(510 + rng.Intn(5))
+			if every > 0 && rng.Intn(every) == 0 {
+				codes[i] = 0
+			}
+		}
+		name := "no-escapes"
+		if every > 0 {
+			name = fmt.Sprintf("escapes-1in%d", every)
+		}
+		b.Run(name, func(b *testing.B) {
+			benchTiers(b, func(b *testing.B) {
+				b.SetBytes(int64(6 * n))
+				for i := 0; i < b.N; i++ {
+					LorenzoRow(codes, vals, 512, 2e-4, 0, above, behind, out)
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkMinMaxF32Kernel(b *testing.B) {

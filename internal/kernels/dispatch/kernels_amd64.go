@@ -12,6 +12,7 @@ func quantAVX2Asm(data []float32, q []int32, scale, lim float64) bool
 func diff1AVX2Asm(q []int32, codes []uint16, r32 int32)
 func diff2AVX2Asm(q, up []int32, codes []uint16, r32 int32)
 func diff3AVX2Asm(q, up, back, backUp []int32, codes []uint16, r32 int32)
+func lorenzoRowAVX2Asm(codes []uint16, vals []int32, r32 int32, scale float64, acc int32, above, behind []int32, out []float32) (next int32, done, used int)
 func minMaxAVX2Asm(data []float32) (mn, mx float32)
 func histAccumAVX2Asm(tabs []uint32, codes []uint16, bins int) bool
 func histMergeAVX2Asm(out, tabs []uint32, stride int)
@@ -71,6 +72,48 @@ func diffCodes3AVX2(q, up, back, backUp []int32, codes []uint16, r32 int32) {
 		diff3AVX2Asm(q, up, back, backUp, codes[:n8], r32)
 	}
 	diffCodes3PureGo(q[n8:], up[n8:], back[n8:], backUp[n8:], codes[n8:], r32)
+}
+
+// lorenzoRowAVX2 runs the asm core over whole groups of eight codes. The
+// core patches outlier values into escape groups itself while at least
+// eight values are left; a group it leaves (at most the last few escapes
+// of a field) and the tail run through the reference.
+func lorenzoRowAVX2(codes []uint16, vals []int32, r32 int32, scale float64, acc int32, above, behind []int32, out []float32) (int32, int, int) {
+	n8 := len(codes) &^ 7
+	// Slicing the accumulators to n8 bounds-checks them for the core.
+	ab, bh := above, behind
+	if len(ab) > 0 {
+		ab = ab[:n8]
+	}
+	if len(bh) > 0 {
+		bh = bh[:n8]
+	}
+	out8 := out[:n8]
+	done, used := 0, 0
+	for done < n8 {
+		var k, u int
+		acc, k, u = lorenzoRowAVX2Asm(codes[done:n8], vals[used:], r32, scale, acc, tail(ab, done), tail(bh, done), out8[done:])
+		done, used = done+k, used+u
+		if done == n8 {
+			break
+		}
+		acc, k, u = lorenzoRowPureGo(codes[done:done+8], vals[used:], r32, scale, acc, tail(ab, done), tail(bh, done), out8[done:])
+		done, used = done+k, used+u
+		if k < 8 {
+			return acc, done, used // vals spent
+		}
+	}
+	acc, k, u := lorenzoRowPureGo(codes[done:], vals[used:], r32, scale, acc, tail(above, done), tail(behind, done), out[done:])
+	return acc, done + k, used + u
+}
+
+// tail is s[from:] for a present accumulator and leaves an absent one
+// absent.
+func tail(s []int32, from int) []int32 {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[from:]
 }
 
 func minMaxF32AVX2(data []float32) (float32, float32) {

@@ -473,3 +473,119 @@ sumfail:
 	MOVB $0, ok+56(FP)
 	VZEROUPPER
 	RET
+
+// func lorenzoRowAVX2Asm(codes []uint16, vals []int32, r32 int32, scale float64, acc int32, above, behind []int32, out []float32) (next int32, done, used int)
+//
+// LorenzoRow over whole groups of eight codes. Per group: widen the codes
+// and subtract the radius; in a group holding an escape (code 0), blend
+// the next outlier values into the escape lanes, each lane's value picked
+// by VPERMD with the count of escapes before it (a prefix sum like the
+// x-scan's) — or stop before the group when fewer than eight values are
+// left, so a group is never half-consumed. Then x-scan the residuals
+// (in-lane log-step prefix, the low lane's total carried into the high
+// lane, the running carry from the groups before), add the row above and
+// the plane behind (storing each back) when present, and scale through
+// float64: int32→f64 is exact and the multiply and the f64→f32 narrowing
+// each round once under the default MXCSR, exactly as the scalar
+// float32(float64(v)*scale). done is a multiple of 8. len(codes) a
+// multiple of 8; above and behind are empty or len(codes) long, out
+// len(codes) long.
+TEXT ·lorenzoRowAVX2Asm(SB), NOSPLIT, $0-168
+	MOVQ codes_base+0(FP), SI
+	MOVQ vals_base+24(FP), R9
+	MOVQ vals_len+32(FP), R13
+	MOVQ above_base+72(FP), DX
+	MOVQ above_len+80(FP), AX
+	TESTQ AX, AX
+	CMOVQEQ AX, DX                     // absent row above: DX = 0
+	MOVQ behind_base+96(FP), R8
+	MOVQ behind_len+104(FP), AX
+	TESTQ AX, AX
+	CMOVQEQ AX, R8                     // absent plane behind: R8 = 0
+	MOVQ out_base+120(FP), DI
+	MOVL r32+48(FP), AX
+	VMOVD AX, X0
+	VPBROADCASTD X0, Y8                // r32
+	VBROADCASTSD scale+56(FP), Y9
+	MOVL acc+64(FP), AX
+	VMOVD AX, X0
+	VPBROADCASTD X0, Y10               // running x-sum, every lane
+	MOVL $7, AX
+	VMOVD AX, X0
+	VPBROADCASTD X0, Y12               // VPERMD index: lane 7
+	VPXOR Y11, Y11, Y11                // zero
+	XORQ BX, BX                        // codes done
+	XORQ R12, R12                      // vals used
+
+rowloop:
+	CMPQ BX, codes_len+8(FP)
+	JGE  rowdone
+	VPMOVZXWD (SI)(BX*2), Y0           // 8 codes -> int32
+	VPCMPEQD Y11, Y0, Y1               // escape lanes
+	VPSUBD   Y8, Y0, Y0                // residuals
+	VPTEST   Y1, Y1
+	JNZ      rowpatch
+
+rowscan:
+	VPSLLDQ  $4, Y0, Y1                // in-lane prefix, step 1
+	VPADDD   Y1, Y0, Y0
+	VPSLLDQ  $8, Y0, Y1                // in-lane prefix, step 2
+	VPADDD   Y1, Y0, Y0
+	VPSHUFD  $0xFF, Y0, Y1             // each lane's total, broadcast in-lane
+	VPERM2I128 $0x08, Y1, Y1, Y1       // low lane's total into the high lane
+	VPADDD   Y1, Y0, Y0
+	VPADDD   Y10, Y0, Y0               // + carry from the groups before
+	VPERMD   Y0, Y12, Y10              // new carry: lane 7
+	TESTQ    DX, DX
+	JZ       rownoabove
+	VPADDD   (DX)(BX*4), Y0, Y0        // + row above
+	VMOVDQU  Y0, (DX)(BX*4)
+
+rownoabove:
+	TESTQ    R8, R8
+	JZ       rownobehind
+	VPADDD   (R8)(BX*4), Y0, Y0        // + plane behind
+	VMOVDQU  Y0, (R8)(BX*4)
+
+rownobehind:
+	VCVTDQ2PD X0, Y2                   // lanes 0-3 -> f64
+	VEXTRACTI128 $1, Y0, X3
+	VCVTDQ2PD X3, Y3                   // lanes 4-7 -> f64
+	VMULPD   Y9, Y2, Y2
+	VMULPD   Y9, Y3, Y3
+	VCVTPD2PSY Y2, X2
+	VCVTPD2PSY Y3, X3
+	VINSERTF128 $1, X3, Y2, Y2
+	VMOVUPS  Y2, (DI)(BX*4)
+	ADDQ     $8, BX
+	JMP      rowloop
+
+rowpatch:
+	MOVQ R13, AX
+	SUBQ R12, AX
+	CMPQ AX, $8
+	JLT  rowdone                       // too few values left: the caller takes this group
+	VMOVDQU (R9)(R12*4), Y4            // the next eight outlier values
+	VPSRLD   $31, Y1, Y5               // 1 in each escape lane
+	VPSLLDQ  $4, Y5, Y6                // escapes up to each lane: the x-scan's prefix
+	VPADDD   Y6, Y5, Y5
+	VPSLLDQ  $8, Y5, Y6
+	VPADDD   Y6, Y5, Y5
+	VPSHUFD  $0xFF, Y5, Y6
+	VPERM2I128 $0x08, Y6, Y6, Y6
+	VPADDD   Y6, Y5, Y5
+	VPADDD   Y1, Y5, Y6                // escape lanes: escapes before them
+	VPERMD   Y4, Y6, Y7                // each escape lane's outlier value
+	VPBLENDVB Y1, Y7, Y0, Y0
+	VEXTRACTI128 $1, Y5, X6
+	VPEXTRD  $3, X6, AX                // escapes in the group
+	ADDQ     AX, R12
+	JMP      rowscan
+
+rowdone:
+	VMOVD X10, AX
+	MOVL  AX, next+144(FP)
+	MOVQ  BX, done+152(FP)
+	MOVQ  R12, used+160(FP)
+	VZEROUPPER
+	RET

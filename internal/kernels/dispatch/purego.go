@@ -53,6 +53,41 @@ func diffCodes3PureGo(q, up, back, backUp []int32, codes []uint16, r32 int32) {
 	}
 }
 
+// lorenzoRowPureGo is the LorenzoRow specification, one element at a time.
+// The accumulator tests are loop-invariant, so they predict perfectly.
+func lorenzoRowPureGo(codes []uint16, vals []int32, r32 int32, scale float64, acc int32, above, behind []int32, out []float32) (int32, int, int) {
+	out = out[:len(codes)]
+	if len(above) > 0 {
+		above = above[:len(codes)]
+	}
+	if len(behind) > 0 {
+		behind = behind[:len(codes)]
+	}
+	used := 0
+	for i, c := range codes {
+		d := int32(c) - r32
+		if c == 0 {
+			if used == len(vals) {
+				return acc, i, used
+			}
+			d = vals[used]
+			used++
+		}
+		acc += d
+		v := acc
+		if len(above) > 0 {
+			v += above[i]
+			above[i] = v
+		}
+		if len(behind) > 0 {
+			v += behind[i]
+			behind[i] = v
+		}
+		out[i] = float32(float64(v) * scale)
+	}
+	return acc, len(codes), used
+}
+
 // minMaxF32PureGo scans with four independent accumulator lanes, breaking
 // the compare-update dependency chain. All lanes seed from data[0], so NaN
 // elements (which never win a comparison) cannot leak into the result

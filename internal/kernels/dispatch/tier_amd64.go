@@ -47,6 +47,7 @@ func installTier(name string) bool {
 	DiffCodes1 = diffCodes1AVX2
 	DiffCodes2 = diffCodes2AVX2
 	DiffCodes3 = diffCodes3AVX2
+	LorenzoRow = lorenzoRowAVX2
 	MinMaxF32 = minMaxF32AVX2
 	HistAccum = histAccumAVX2
 	HistMerge = histMergeAVX2

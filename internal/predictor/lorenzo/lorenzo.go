@@ -14,15 +14,20 @@
 //
 // Because the residual operator is the separable difference
 // (1-Sx)(1-Sy)(1-Sz) over lattice codes, reconstruction is exact: the
-// decoder applies prefix sums along each dimension, so the only error in
-// the pipeline is the initial lattice rounding, which is ≤ eb by
+// decoder inverts it with running sums along each dimension, so the only
+// error in the pipeline is the initial lattice rounding, which is ≤ eb by
 // construction. That is what makes the bound strict end to end.
 //
-// Kernel structure: the hot loops are rank-specialized row kernels. With a
-// SIMD dispatch tier installed (dispatch.VectorRows) each row runs in two
-// vector phases — quantize the row onto the lattice, then emit codes from
-// the stored lattice with the stencil difference kernel, recovering the
-// rare outliers afterwards by re-deriving the residual at each escape
+// The decoder is one pass per row through the dispatched LorenzoRow
+// kernel (code → residual → x-scan → + row above → + plane behind →
+// scale → store); the y- and z-sums live in one pooled row and one pooled
+// plane, and the escape codes say where each outlier value goes.
+//
+// Encoder kernel structure: the hot loops are rank-specialized row kernels.
+// With a SIMD dispatch tier installed (dispatch.VectorRows) each row runs
+// in two vector phases — quantize the row onto the lattice, then emit codes
+// from the stored lattice with the stencil difference kernel, recovering
+// the rare outliers afterwards by re-deriving the residual at each escape
 // (in-range codes are always nonzero, so code 0 identifies escapes
 // exactly). Without a vector tier the rows fuse pre-quantization with
 // residual+code emission in one scalar pass, so the lattice is walked once
@@ -59,7 +64,7 @@ const maxLattice = 1 << 29
 // format every primary encoder in the framework consumes.
 type Quantized struct {
 	Codes  []uint16 // len = Dims.N(); 0 means "outlier at this index"
-	OutIdx []uint32 // sorted indices of outliers
+	OutIdx []uint32 // sorted indices of outliers (Encode fills it; decode reads the escapes)
 	OutVal []int32  // lattice residual at each outlier index
 	Radius int
 }
@@ -539,6 +544,18 @@ func Decode(p *device.Platform, place device.Place, q *Quantized, dims grid.Dims
 // exactly dims.N() elements, so executors can scatter chunk results
 // straight into the assembled output field instead of copying through a
 // per-chunk allocation.
+//
+// The escape codes (code 0) give the outlier positions, and q.OutVal is
+// consumed in storage order; q.OutIdx is not read. More escapes than
+// values, or fewer, is an error.
+//
+// Decoding walks the field once, plane by plane and row by row, through
+// the dispatched LorenzoRow kernel, which inverts the separable difference
+// with running sums: the x-scan in a register, the y-scan in one pooled
+// row (rank ≥ 2), the z-scan in one pooled plane (rank 3). Per element the
+// sums are the same wrapping int32 additions as three whole-field prefix
+// sums, so the field is identical. A chunk decodes serially; chunks run in
+// parallel in the executor's task graph.
 func DecodeInto(p *device.Platform, place device.Place, q *Quantized, dims grid.Dims, eb float64, out []float32) error {
 	n := dims.N()
 	if len(out) != n {
@@ -550,101 +567,46 @@ func DecodeInto(p *device.Platform, place device.Place, q *Quantized, dims grid.
 	if q.Radius <= 0 {
 		return fmt.Errorf("lorenzo: invalid radius %d", q.Radius)
 	}
-	if len(q.OutIdx) != len(q.OutVal) {
-		return fmt.Errorf("lorenzo: outlier index/value length mismatch %d vs %d", len(q.OutIdx), len(q.OutVal))
-	}
 	r32 := int32(q.Radius)
-
-	// Residuals from codes; outlier escapes filled by scatter. Pooled:
-	// the lattice is dead once the float field is materialized. Both
-	// branches store, so the slab needs no pre-clearing.
-	pool := p.ScratchPool()
-	latticeSlab := pool.GetI32(n, false)
-	lattice := latticeSlab.Data
-	codes := q.Codes
-	p.LaunchGrid(place, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if c := codes[i]; c != 0 {
-				lattice[i] = int32(c) - r32
-			} else {
-				lattice[i] = 0
-			}
-		}
-	})
-	for j, idx := range q.OutIdx {
-		if int(idx) >= n {
-			pool.PutI32(latticeSlab)
-			return fmt.Errorf("lorenzo: outlier index %d out of range %d", idx, n)
-		}
-		lattice[idx] = q.OutVal[j]
-	}
-
-	// Invert the separable difference with per-dimension prefix sums,
-	// parallel across the independent lines of each sweep.
-	prefixSums(p, place, lattice, dims)
-
 	scale := 2 * eb
-	p.LaunchGrid(place, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = float32(float64(lattice[i]) * scale)
-		}
-	})
-	pool.PutI32(latticeSlab)
-	return nil
-}
-
-// addSpan accumulates src into dst element-wise, the unit-stride inner
-// kernel all y- and z-sweeps reduce to.
-func addSpan(dst, src []int32) {
-	_ = src[len(dst)-1]
-	for i := range dst {
-		dst[i] += src[i]
-	}
-}
-
-// prefixSums applies cumulative sums along x, then y, then z in place.
-// Every sweep is expressed over unit-stride row operations: the y-sweep
-// adds each row to the row below it within a plane, and the z-sweep adds
-// each plane to the plane behind it, so the lattice is always walked in
-// storage order instead of striding per element through Idx arithmetic.
-// Integer addition is associative, so the sums — and therefore the
-// reconstruction — are identical to the per-line walks they replace.
-func prefixSums(p *device.Platform, place device.Place, q []int32, dims grid.Dims) {
 	nx, ny, nz := dims.X, dims.Y, dims.Z
-	// Along x: one independent line per (y, z).
-	p.LaunchGrid(place, ny*nz, func(lo, hi int) {
-		for l := lo; l < hi; l++ {
-			base := l * nx
-			var acc int32
-			for x := 0; x < nx; x++ {
-				acc += q[base+x]
-				q[base+x] = acc
-			}
-		}
-	})
+
+	// The y- and z-scan accumulators are pooled scratch, zeroed on
+	// checkout: the first row of each plane and the first plane see zero
+	// sums behind them.
+	pool := p.ScratchPool()
+	var above, behind []int32
 	if dims.Rank() >= 2 {
-		// Along y: planes are independent; within a plane, row y
-		// accumulates row y-1 with a unit-stride add.
-		nxy := nx * ny
-		p.LaunchBlocks(place, nz, func(zlo, zhi int) {
-			for z := zlo; z < zhi; z++ {
-				plane := q[z*nxy : (z+1)*nxy]
-				for y := 1; y < ny; y++ {
-					addSpan(plane[y*nx:(y+1)*nx], plane[(y-1)*nx:y*nx])
-				}
-			}
-		})
+		s := pool.GetI32(nx, true)
+		defer pool.PutI32(s)
+		above = s.Data
 	}
 	if dims.Rank() >= 3 {
-		// Along z: plane z accumulates plane z-1, parallel within each
-		// plane, sequential across the dependent planes.
-		nxy := nx * ny
-		for z := 1; z < nz; z++ {
-			cur := q[z*nxy : (z+1)*nxy]
-			prev := q[(z-1)*nxy : z*nxy]
-			p.LaunchGrid(place, nxy, func(lo, hi int) {
-				addSpan(cur[lo:hi], prev[lo:hi])
-			})
+		s := pool.GetI32(nx*ny, true)
+		defer pool.PutI32(s)
+		behind = s.Data
+	}
+
+	codes, vals := q.Codes, q.OutVal
+	for z := 0; z < nz; z++ {
+		if z > 0 {
+			clear(above)
+		}
+		for y := 0; y < ny; y++ {
+			base := (z*ny + y) * nx
+			var bh []int32
+			if behind != nil {
+				bh = behind[y*nx : (y+1)*nx]
+			}
+			_, k, used := dispatch.LorenzoRow(codes[base:base+nx], vals, r32, scale, 0, above, bh, out[base:base+nx])
+			if k < nx {
+				return fmt.Errorf("lorenzo: more outlier escapes than the %d values", len(q.OutVal))
+			}
+			vals = vals[used:]
 		}
 	}
+	if len(vals) != 0 {
+		return fmt.Errorf("lorenzo: %d outlier values but only %d escapes", len(q.OutVal), len(q.OutVal)-len(vals))
+	}
+	return nil
 }

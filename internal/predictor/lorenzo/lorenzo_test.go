@@ -1,6 +1,7 @@
 package lorenzo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"fzmod/internal/device"
 	"fzmod/internal/grid"
 	"fzmod/internal/kernels/dispatch"
+	"fzmod/internal/sdrbench"
 )
 
 var tp = device.NewTestPlatform()
@@ -179,6 +181,63 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(tp, device.Accel, q4, grid.D1(4), 1e-3); err == nil {
 		t.Error("outlier length mismatch should fail")
 	}
+
+	// Hostile payloads against the escape stream, on a shape whose rows
+	// run whole vector groups and a scalar tail, under every tier. Each
+	// must come back as an error, never a panic or an out-of-range read.
+	dims := grid.D3(19, 3, 2)
+	withEscapes := func(at ...int) []uint16 {
+		codes := make([]uint16, dims.N())
+		for i := range codes {
+			codes[i] = 512
+		}
+		for _, i := range at {
+			codes[i] = 0
+		}
+		return codes
+	}
+	last := dims.N() - 1
+	for _, tc := range []struct {
+		name string
+		q    *Quantized
+	}{
+		{"more escapes than values", &Quantized{Codes: withEscapes(3, 40, 77), OutVal: []int32{1, 2}, Radius: 512}},
+		{"fewer escapes than values", &Quantized{Codes: withEscapes(3, 40), OutVal: []int32{1, 2, 3}, Radius: 512}},
+		{"escape in the last element without a value", &Quantized{Codes: withEscapes(last), Radius: 512}},
+		{"every code an escape, one value short", &Quantized{Codes: make([]uint16, dims.N()), OutVal: make([]int32, last), Radius: 512}},
+		{"radius 0", &Quantized{Codes: withEscapes(3), OutVal: []int32{1}, Radius: 0}},
+		{"negative radius", &Quantized{Codes: withEscapes(3), OutVal: []int32{1}, Radius: -512}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			forEachKernelTier(t, func(t *testing.T) {
+				if _, err := Decode(tp, device.Accel, tc.q, dims, 1e-3); err == nil {
+					t.Error("decoded without error")
+				}
+			})
+		})
+	}
+	// The well-formed neighbour of the last-element case decodes.
+	q5 := &Quantized{Codes: withEscapes(last), OutVal: []int32{7}, Radius: 512}
+	if _, err := Decode(tp, device.Accel, q5, dims, 1e-3); err != nil {
+		t.Errorf("escape in the last element with its value: %v", err)
+	}
+}
+
+// forEachKernelTier runs f under every kernel tier this build supports,
+// restoring auto-detection afterwards.
+func forEachKernelTier(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer func() {
+		if err := dispatch.Use("auto"); err != nil {
+			t.Fatalf("restoring auto tier: %v", err)
+		}
+	}()
+	for _, tier := range dispatch.Tiers() {
+		if err := dispatch.Use(tier); err != nil {
+			t.Fatalf("Use(%q): %v", tier, err)
+		}
+		t.Run(tier, f)
+	}
 }
 
 func TestCustomRadius(t *testing.T) {
@@ -329,6 +388,97 @@ func TestFusedMatchesReference(t *testing.T) {
 	}
 }
 
+// refDecode is the historical five-pass decoder, kept as the reference
+// the one-pass row decoder must match bit for bit: residuals from the
+// codes into a field-sized int32 lattice, outlier values scattered by
+// index, prefix sums along x, then y, then z (wrapping int32), then the
+// scale to float32.
+func refDecode(q *Quantized, dims grid.Dims, eb float64) []float32 {
+	n := dims.N()
+	lat := make([]int32, n)
+	r32 := int32(q.Radius)
+	for i, c := range q.Codes {
+		if c != 0 {
+			lat[i] = int32(c) - r32
+		}
+	}
+	for j, idx := range q.OutIdx {
+		lat[idx] = q.OutVal[j]
+	}
+	for z := 0; z < dims.Z; z++ {
+		for y := 0; y < dims.Y; y++ {
+			for x := 1; x < dims.X; x++ {
+				lat[dims.Idx(x, y, z)] += lat[dims.Idx(x-1, y, z)]
+			}
+		}
+	}
+	for z := 0; z < dims.Z; z++ {
+		for y := 1; y < dims.Y; y++ {
+			for x := 0; x < dims.X; x++ {
+				lat[dims.Idx(x, y, z)] += lat[dims.Idx(x, y-1, z)]
+			}
+		}
+	}
+	for z := 1; z < dims.Z; z++ {
+		for y := 0; y < dims.Y; y++ {
+			for x := 0; x < dims.X; x++ {
+				lat[dims.Idx(x, y, z)] += lat[dims.Idx(x, y, z-1)]
+			}
+		}
+	}
+	out := make([]float32, n)
+	scale := 2 * eb
+	for i, v := range lat {
+		out[i] = float32(float64(v) * scale)
+	}
+	return out
+}
+
+// TestDecodeMatchesReference pins the one-pass decoder to refDecode under
+// every kernel tier: ranks 1–3, row widths through the vector group size
+// and around 64, escape densities from none to every code, and outlier
+// values near ±maxLattice so the running sums wrap int32.
+func TestDecodeMatchesReference(t *testing.T) {
+	widths := []int{63, 64, 65}
+	for nx := 1; nx <= 17; nx++ {
+		widths = append(widths, nx)
+	}
+	densities := []int{0, 1000, 3, 1} // one escape in this many codes; 0 = none
+	const eb = 1e-3
+	forEachKernelTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(30))
+		for _, nx := range widths {
+			for _, dims := range []grid.Dims{grid.D1(nx), grid.D2(nx, 5), grid.D3(nx, 4, 3)} {
+				for _, every := range densities {
+					q := &Quantized{Codes: make([]uint16, dims.N()), Radius: DefaultRadius}
+					for i := range q.Codes {
+						if every > 0 && rng.Intn(every) == 0 {
+							q.OutIdx = append(q.OutIdx, uint32(i))
+							v := int32(maxLattice - rng.Intn(1000))
+							if rng.Intn(2) == 0 {
+								v = -v
+							}
+							q.OutVal = append(q.OutVal, v)
+							continue
+						}
+						q.Codes[i] = uint16(1 + rng.Intn(2*DefaultRadius-1))
+					}
+					want := refDecode(q, dims, eb)
+					got, err := Decode(tp, device.Accel, q, dims, eb)
+					if err != nil {
+						t.Fatalf("%v 1/%d escapes: %v", dims, every, err)
+					}
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%v 1/%d escapes: out[%d] = %v, want %v", dims, every, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestOverflowContract exercises the documented overflow contract: any
 // pre-quantized magnitude beyond the lattice guard yields an error — no
 // matter which block of a parallel decomposition the point (or the halo
@@ -419,19 +569,37 @@ func BenchmarkLorenzoQuantize(b *testing.B) {
 	})
 }
 
+// BenchmarkLorenzoReconstruct decodes a 128³ field, a 160×160×8 chunk
+// (the shape of hurr-speed's chunks) and a 512Ki-value HACC chunk at
+// hacc-default's bound (1-D, about one escape in eight codes) under every
+// kernel tier.
 func BenchmarkLorenzoReconstruct(b *testing.B) {
-	dims := grid.D3(128, 128, 128)
-	data := benchField(dims)
-	q, err := Encode(tp, device.Accel, data, dims, 1e-3, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := make([]float32, dims.N())
-	b.SetBytes(int64(4 * dims.N()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeInto(tp, device.Accel, q, dims, 1e-3, out); err != nil {
+	hacc := sdrbench.GenHACC(1<<19, 1)
+	mn, mx := dispatch.MinMaxF32(hacc)
+	for _, c := range []struct {
+		dims grid.Dims
+		data []float32
+		eb   float64
+	}{
+		{grid.D3(128, 128, 128), benchField(grid.D3(128, 128, 128)), 1e-3},
+		{grid.D3(160, 160, 8), benchField(grid.D3(160, 160, 8)), 1e-3},
+		{grid.D1(len(hacc)), hacc, 1e-4 * float64(mx-mn)},
+	} {
+		dims := c.dims
+		q, err := Encode(tp, device.Accel, c.data, dims, c.eb, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		out := make([]float32, dims.N())
+		b.Run(fmt.Sprintf("%dx%dx%d", dims.X, dims.Y, dims.Z), func(b *testing.B) {
+			benchKernelTiers(b, func(b *testing.B) {
+				b.SetBytes(int64(4 * dims.N()))
+				for i := 0; i < b.N; i++ {
+					if err := DecodeInto(tp, device.Accel, q, dims, c.eb, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
 	}
 }

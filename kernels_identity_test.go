@@ -2,6 +2,7 @@ package fzmod_test
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -14,9 +15,11 @@ import (
 // TestKernelTierContainerIdentity compresses the same fields under the
 // pure-Go kernels and under the auto-detected SIMD tier and requires the
 // container bytes to match exactly — the dispatch layer's whole contract
-// is that the tiers are bit-identical, not merely error-bounded. On hosts
-// without a vector tier the two runs collapse to the same path and the
-// test degenerates to a determinism check.
+// is that the tiers are bit-identical, not merely error-bounded. It then
+// decompresses every container under both tiers and requires the same
+// float bits. The odd-width field runs every row kernel's scalar tail. On
+// hosts without a vector tier the two runs collapse to the same path and
+// the test degenerates to a determinism check.
 func TestKernelTierContainerIdentity(t *testing.T) {
 	if err := dispatch.Use("purego"); err != nil {
 		t.Fatal(err)
@@ -33,35 +36,57 @@ func TestKernelTierContainerIdentity(t *testing.T) {
 	defer restore()
 
 	p := fzmod.NewPlatform()
-	dims := fzmod.Dims3(48, 40, 20)
-	fields := map[string][]float32{
-		"hurr": sdrbench.GenHURR(dims, 11),
-		"nyx":  sdrbench.GenNYX(dims, 12),
+	type field struct {
+		dims fzmod.Dims
+		data []float32
+	}
+	dims, odd := fzmod.Dims3(48, 40, 20), fzmod.Dims3(45, 37, 11)
+	fields := map[string]field{
+		"hurr":     {dims, sdrbench.GenHURR(dims, 11)},
+		"nyx":      {dims, sdrbench.GenNYX(dims, 12)},
+		"hurr-odd": {odd, sdrbench.GenHURR(odd, 13)},
 	}
 	type key struct{ pipeline, field string }
 	ref := map[key][]byte{}
+	refField := map[key][]float32{}
 	for _, pl := range fzmod.Presets() {
-		for name, data := range fields {
-			blob, err := pl.Compress(p, data, dims, fzmod.Rel(1e-3))
+		for name, f := range fields {
+			k := key{pl.Name(), name}
+			blob, err := pl.Compress(p, f.data, f.dims, fzmod.Rel(1e-3))
 			if err != nil {
 				t.Fatalf("purego %s/%s: %v", pl.Name(), name, err)
 			}
-			ref[key{pl.Name(), name}] = blob
+			ref[k] = blob
+			if refField[k], _, err = fzmod.Decompress(p, blob); err != nil {
+				t.Fatalf("purego decompress %s/%s: %v", pl.Name(), name, err)
+			}
 		}
 	}
 
 	restore()
 	t.Logf("comparing purego against tier %q", dispatch.Active())
 	for _, pl := range fzmod.Presets() {
-		for name, data := range fields {
-			blob, err := pl.Compress(p, data, dims, fzmod.Rel(1e-3))
+		for name, f := range fields {
+			k := key{pl.Name(), name}
+			blob, err := pl.Compress(p, f.data, f.dims, fzmod.Rel(1e-3))
 			if err != nil {
 				t.Fatalf("%s %s/%s: %v", dispatch.Active(), pl.Name(), name, err)
 			}
-			want := ref[key{pl.Name(), name}]
+			want := ref[k]
 			if !bytes.Equal(blob, want) {
 				t.Errorf("%s/%s: container bytes differ between purego (%d bytes) and %s (%d bytes)",
 					pl.Name(), name, len(want), dispatch.Active(), len(blob))
+			}
+			got, _, err := fzmod.Decompress(p, want)
+			if err != nil {
+				t.Fatalf("%s decompress %s/%s: %v", dispatch.Active(), pl.Name(), name, err)
+			}
+			for i, v := range refField[k] {
+				if math.Float32bits(got[i]) != math.Float32bits(v) {
+					t.Errorf("%s/%s: decoded value %d is %v under %s, %v under purego",
+						pl.Name(), name, i, got[i], dispatch.Active(), v)
+					break
+				}
 			}
 		}
 	}

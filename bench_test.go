@@ -11,6 +11,7 @@
 package fzmod_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -174,7 +175,7 @@ func BenchmarkChunkedExecutor(b *testing.B) {
 	b.Run("compress/monolithic", func(b *testing.B) {
 		reportThroughput(b, 4*dims.N())
 		for i := 0; i < b.N; i++ {
-			if _, err := pl.CompressMonolithic(benchPlatform, data, dims, eb); err != nil {
+			if _, err := pl.Compress(benchPlatform, data, dims, eb); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -184,35 +185,35 @@ func BenchmarkChunkedExecutor(b *testing.B) {
 		b.Run(fmt.Sprintf("compress/chunked-w%d", workers), func(b *testing.B) {
 			reportThroughput(b, 4*dims.N())
 			for i := 0; i < b.N; i++ {
-				if _, err := pl.CompressChunked(benchPlatform, data, dims, eb, opts); err != nil {
+				if _, _, err := pl.CompressChunkedReport(benchPlatform, data, dims, eb, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
 
-	monoBlob, err := pl.CompressMonolithic(benchPlatform, data, dims, eb)
+	monoBlob, err := pl.Compress(benchPlatform, data, dims, eb)
 	if err != nil {
 		b.Fatal(err)
 	}
-	chunkedBlob, err := pl.CompressChunked(benchPlatform, data, dims, eb, fzmod.ChunkOpts{ChunkElems: chunkElems})
+	chunkedBlob, _, err := pl.CompressChunkedReport(benchPlatform, data, dims, eb, fzmod.ChunkOpts{ChunkElems: chunkElems})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("decompress/monolithic", func(b *testing.B) {
 		reportThroughput(b, 4*dims.N())
 		for i := 0; i < b.N; i++ {
-			if _, _, err := fzmod.Decompress(benchPlatform, monoBlob); err != nil {
+			if _, _, _, err := fzmod.Decompress(context.Background(), benchPlatform, monoBlob, fzmod.Opts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	for _, workers := range budgets {
-		opts := fzmod.DecompressOpts{Workers: workers}
+		opts := fzmod.Opts{Workers: workers}
 		b.Run(fmt.Sprintf("decompress/chunked-w%d", workers), func(b *testing.B) {
 			reportThroughput(b, 4*dims.N())
 			for i := 0; i < b.N; i++ {
-				if _, _, err := fzmod.DecompressWithOpts(benchPlatform, chunkedBlob, opts); err != nil {
+				if _, _, _, err := fzmod.Decompress(context.Background(), benchPlatform, chunkedBlob, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -231,7 +232,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := fzmod.Decompress(benchPlatform, blob); err != nil {
+				if _, _, _, err := fzmod.Decompress(context.Background(), benchPlatform, blob, fzmod.Opts{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -54,6 +54,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -109,7 +110,7 @@ func main() {
 	flag.StringVar(&cfg.dims, "dims", "", "field dims, e.g. 512x512x512 (x fastest)")
 	flag.Float64Var(&cfg.eb, "eb", 1e-4, "error bound")
 	flag.StringVar(&cfg.mode, "mode", "rel", "bound mode: rel (value-range relative) or abs")
-	flag.StringVar(&cfg.pipeline, "pipeline", "default", "pipeline: default, speed, quality, auto, auto-ratio, auto-throughput")
+	flag.StringVar(&cfg.pipeline, "pipeline", "default", "pipeline: default, speed, quality")
 	flag.BoolVar(&cfg.secondary, "secondary", false, "attach the secondary (zstd-slot) encoder")
 	flag.BoolVar(&cfg.verify, "verify", true, "verify roundtrip after compression (in-memory paths)")
 	flag.IntVar(&cfg.chunk, "chunk", 0, "chunk granularity in elements (0 = default; forces the chunked executor)")
@@ -361,7 +362,7 @@ func compressInMemory(cfg config, p *fzmod.Platform) error {
 	if err != nil {
 		return err
 	}
-	pl, err := resolvePipeline(cfg, p, data, dims, bound)
+	pl, err := resolvePipeline(cfg)
 	if err != nil {
 		return err
 	}
@@ -400,7 +401,7 @@ func compressInMemory(cfg config, p *fzmod.Platform) error {
 		printReport(cfg.status(), "compress", report)
 	}
 	if cfg.verify {
-		dec, _, err := fzmod.Decompress(p, cblob)
+		dec, _, err := pl.Decompress(p, cblob)
 		if err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
@@ -427,18 +428,12 @@ func compressStream(cfg config, p *fzmod.Platform) error {
 	if bound.Mode != preprocess.Abs {
 		return fmt.Errorf("-stream requires -mode abs (a relative bound needs the whole field's value range before the first chunk can be emitted)")
 	}
-	pl, err := pipelineByName(cfg.pipeline)
+	pl, err := resolvePipeline(cfg)
 	if err != nil {
 		return err
 	}
-	if pl == nil {
-		return fmt.Errorf("-stream requires an explicit -pipeline (auto-selection samples the whole field)")
-	}
-	if cfg.secondary && pl.Sec == nil {
-		pl = fzmod.WithZstdSlot(pl)
-	}
 	if cfg.in != "-" {
-		// CompressStream reads exactly dims-many values; on a regular file
+		// The stream write reads exactly dims-many values; on a regular file
 		// a size mismatch means the declared geometry is wrong, and
 		// proceeding would silently truncate (or fail partway through) —
 		// reject it up front exactly like the in-memory path does.
@@ -467,7 +462,7 @@ func compressStream(cfg config, p *fzmod.Platform) error {
 	t0 := time.Now()
 	if err := cfg.writeOut(func(w io.Writer) error {
 		var werr error
-		written, werr = pl.CompressStream(p, bufio.NewReaderSize(r, 1<<20), dims, bound, w, opts)
+		written, werr = fzmod.CompressStream(p, pl, bufio.NewReaderSize(r, 1<<20), dims, bound, w, opts)
 		return werr
 	}); err != nil {
 		return err
@@ -529,7 +524,7 @@ func decompress(cfg config, p *fzmod.Platform) error {
 		return err
 	}
 	t0 := time.Now()
-	data, dims, report, err := fzmod.DecompressReport(p, blob)
+	data, dims, report, err := fzmod.Decompress(context.Background(), p, blob, fzmod.Opts{})
 	decSec := time.Since(t0).Seconds()
 	if err != nil {
 		return err
@@ -686,28 +681,12 @@ func parseBound(eb float64, mode string) (preprocess.ErrorBound, error) {
 	}
 }
 
-// resolvePipeline picks the preset (or runs data-driven auto-selection)
-// and attaches the secondary encoder when requested.
-func resolvePipeline(cfg config, p *fzmod.Platform, data []float32, dims grid.Dims, bound preprocess.ErrorBound) (*core.Pipeline, error) {
-	pl, err := pipelineByName(cfg.pipeline)
+// resolvePipeline picks the preset and attaches the secondary encoder
+// when requested.
+func resolvePipeline(cfg config) (*core.Pipeline, error) {
+	pl, err := core.PresetByName(cfg.pipeline)
 	if err != nil {
 		return nil, err
-	}
-	if pl == nil { // auto-selection objectives
-		obj := core.Balanced
-		switch cfg.pipeline {
-		case "auto-throughput":
-			obj = core.MaxThroughput
-		case "auto-ratio":
-			obj = core.MaxRatio
-		}
-		var prof core.DataProfile
-		pl, prof, err = core.AutoSelect(p, data, dims, bound, obj)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(cfg.status(), "auto-selected %s (delta %.2f quanta, spline advantage %.2fx, zero-delta %.0f%%)\n",
-			pl.Name(), prof.DeltaQuanta, prof.SplineAdvantage, 100*prof.ZeroDeltaFrac)
 	}
 	if cfg.secondary && pl.Sec == nil {
 		pl = fzmod.WithZstdSlot(pl)
@@ -722,14 +701,4 @@ func printReport(w io.Writer, phase string, r *core.ExecReport) {
 		phase, r.Tasks, r.CriticalPath, r.Overlapped())
 	fmt.Fprintf(w, "  buffer pool: %d gets, %d hits (%.0f%% hit rate)\n",
 		r.Pool.Gets, r.Pool.Hits, 100*r.Pool.HitRate())
-}
-
-// pipelineByName resolves preset names; auto objectives return nil so the
-// caller runs data-driven selection.
-func pipelineByName(name string) (*core.Pipeline, error) {
-	switch name {
-	case "auto", "auto-ratio", "auto-throughput":
-		return nil, nil
-	}
-	return core.PresetByName(name)
 }

@@ -264,7 +264,6 @@ func TestCLIErrors(t *testing.T) {
 		"bad mode":          {compress: true, in: in, dims: "16x16x12", eb: 1e-3, mode: "nope", pipeline: "default"},
 		"bad pipeline":      {compress: true, in: in, dims: "16x16x12", eb: 1e-3, mode: "rel", pipeline: "nope"},
 		"stream rel bound":  {compress: true, stream: true, in: in, dims: "16x16x12", eb: 1e-3, mode: "rel", pipeline: "default"},
-		"stream auto":       {compress: true, stream: true, in: in, dims: "16x16x12", eb: 1, mode: "abs", pipeline: "auto"},
 		"stdin without -":   {compress: true, in: "-", dims: "16x16x12", eb: 1e-3, mode: "rel", pipeline: "default"},
 		"missing file":      {decompress: true, in: filepath.Join(t.TempDir(), "absent.fz")},
 		"region without -d": {compress: true, region: "0:4", in: in, dims: "16x16x12", eb: 1e-3, mode: "rel", pipeline: "default"},

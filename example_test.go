@@ -2,6 +2,7 @@ package fzmod_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -35,7 +36,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	back, gotDims, err := fzmod.Decompress(platform, blob)
+	back, gotDims, _, err := fzmod.Decompress(context.Background(), platform, blob, fzmod.Opts{})
 	if err != nil {
 		panic(err)
 	}
@@ -50,12 +51,12 @@ func ExampleChunkOpts() {
 	platform := fzmod.NewPlatform()
 	data, dims := exampleField()
 
-	blob, err := fzmod.Default().CompressChunked(platform, data, dims, fzmod.Abs(1e-3),
+	blob, _, err := fzmod.Default().CompressChunkedReport(platform, data, dims, fzmod.Abs(1e-3),
 		fzmod.ChunkOpts{ChunkElems: dims.X * dims.Y * 4, Workers: 4})
 	if err != nil {
 		panic(err)
 	}
-	back, gotDims, err := fzmod.Decompress(platform, blob)
+	back, gotDims, _, err := fzmod.Decompress(context.Background(), platform, blob, fzmod.Opts{})
 	if err != nil {
 		panic(err)
 	}
@@ -76,7 +77,7 @@ func ExampleStreamOpts() {
 		binary.Write(raw, binary.LittleEndian, v)
 	}
 	compressed := new(bytes.Buffer)
-	_, err := fzmod.Default().CompressStream(platform, raw, dims, fzmod.Abs(1e-3), compressed,
+	_, err := fzmod.CompressStream(platform, fzmod.Default(), raw, dims, fzmod.Abs(1e-3), compressed,
 		fzmod.StreamOpts{ChunkElems: dims.X * dims.Y * 4, Window: 2})
 	if err != nil {
 		panic(err)
@@ -90,18 +91,19 @@ func ExampleStreamOpts() {
 	// Output: 32x32x16 true
 }
 
-// ExampleDecompressOpts caps a full decompression's parallelism budget:
-// Workers bounds the chunk-level scheduler width and every kernel launch.
-func ExampleDecompressOpts() {
+// ExampleDecompress caps a full decompression's parallelism budget:
+// Opts.Workers bounds the chunk-level scheduler width and every kernel
+// launch.
+func ExampleDecompress() {
 	platform := fzmod.NewPlatform()
 	data, dims := exampleField()
 
-	blob, err := fzmod.Default().CompressChunked(platform, data, dims, fzmod.Abs(1e-3),
+	blob, _, err := fzmod.Default().CompressChunkedReport(platform, data, dims, fzmod.Abs(1e-3),
 		fzmod.ChunkOpts{ChunkElems: dims.X * dims.Y * 4})
 	if err != nil {
 		panic(err)
 	}
-	back, gotDims, err := fzmod.DecompressWithOpts(platform, blob, fzmod.DecompressOpts{Workers: 1})
+	back, gotDims, _, err := fzmod.Decompress(context.Background(), platform, blob, fzmod.Opts{Workers: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -109,25 +111,28 @@ func ExampleDecompressOpts() {
 	// Output: 32x32x16 first-violation: -1
 }
 
-// ExampleDecompressRegion reads one subvolume out of a chunked container
-// without decoding the rest: only the slab chunks the selection intersects
-// are fetched and decoded.
-func ExampleDecompressRegion() {
+// ExampleOpenRegion reads one subvolume out of a chunked container without
+// decoding the rest: only the slab chunks the selection intersects are
+// fetched and decoded.
+func ExampleOpenRegion() {
 	platform := fzmod.NewPlatform()
 	data, dims := exampleField()
 
-	blob, err := fzmod.Default().CompressChunked(platform, data, dims, fzmod.Abs(1e-3),
+	blob, _, err := fzmod.Default().CompressChunkedReport(platform, data, dims, fzmod.Abs(1e-3),
 		fzmod.ChunkOpts{ChunkElems: dims.X * dims.Y * 4}) // 4 chunks of 4 planes
 	if err != nil {
 		panic(err)
 	}
-	sel := fzmod.RegionSel{X0: 8, X1: 24, Y0: 8, Y1: 24, Z0: 5, Z1: 7}
-	region, report, err := fzmod.DecompressRegionReport(platform,
-		fzmod.NewBytesFetcher(blob), sel, fzmod.RegionOpts{})
+	region, err := fzmod.OpenRegion(platform, fzmod.NewBytesFetcher(blob), fzmod.RegionOpts{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(len(region), "values from", report.Region.Decoded, "of 4 chunks")
+	sel := fzmod.RegionSel{X0: 8, X1: 24, Y0: 8, Y1: 24, Z0: 5, Z1: 7}
+	vals, report, err := region.ReadReportCtx(context.Background(), sel)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(len(vals), "values from", report.Region.Decoded, "of 4 chunks")
 	// Output: 512 values from 1 of 4 chunks
 }
 
@@ -137,7 +142,7 @@ func ExampleRegionOpts() {
 	platform := fzmod.NewPlatform()
 	data, dims := exampleField()
 
-	blob, err := fzmod.Default().CompressChunked(platform, data, dims, fzmod.Abs(1e-3),
+	blob, _, err := fzmod.Default().CompressChunkedReport(platform, data, dims, fzmod.Abs(1e-3),
 		fzmod.ChunkOpts{ChunkElems: dims.X * dims.Y * 4})
 	if err != nil {
 		panic(err)
@@ -148,7 +153,7 @@ func ExampleRegionOpts() {
 		panic(err)
 	}
 	sel := fzmod.RegionSel{X0: 0, X1: 32, Y0: 0, Y1: 32, Z0: 2, Z1: 4}
-	if _, err := region.Read(sel); err != nil {
+	if _, _, err := region.ReadReport(sel); err != nil {
 		panic(err)
 	}
 	_, report, err := region.ReadReport(sel)

@@ -34,7 +34,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("%s: %v", pl.Name(), err)
 			}
-			back, _, err := fzmod.Decompress(platform, blob)
+			back, _, err := pl.Decompress(platform, blob)
 			if err != nil {
 				log.Fatalf("%s: %v", pl.Name(), err)
 			}

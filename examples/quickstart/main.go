@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -31,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	back, _, err := fzmod.Decompress(platform, blob)
+	back, _, _, err := fzmod.Decompress(context.Background(), platform, blob, fzmod.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func main() {
 	}
 
 	// Eight slab chunks along z, written to disk as one FZMC container.
-	blob, err := fzmod.Default().CompressChunked(platform, data, dims, fzmod.Rel(1e-4),
+	blob, _, err := fzmod.Default().CompressChunkedReport(platform, data, dims, fzmod.Rel(1e-4),
 		fzmod.ChunkOpts{ChunkElems: dims.X * dims.Y * (dims.Z / 8)})
 	if err != nil {
 		log.Fatal(err)

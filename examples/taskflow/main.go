@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -37,7 +38,7 @@ func main() {
 	fmt.Println("Compression task graph (per chunk: predict → encode → serialize; layout joins the chunks):")
 	fmt.Println(compReport.DOT)
 
-	back, _, decReport, err := fzmod.DecompressReport(platform, blob)
+	back, _, decReport, err := fzmod.Decompress(context.Background(), platform, blob, fzmod.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}

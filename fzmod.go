@@ -10,7 +10,7 @@
 //	pipeline := fzmod.Default()
 //	blob, err := pipeline.Compress(platform, data, fzmod.Dims3(512, 512, 512), fzmod.Rel(1e-4))
 //	...
-//	back, dims, err := fzmod.Decompress(platform, blob)
+//	back, dims, report, err := fzmod.Decompress(ctx, platform, blob, fzmod.Opts{})
 //
 // Every call lowers to one sequential-task-flow (STF) graph executed by a
 // single scheduler (§3.3.1): compression declares per-chunk
@@ -23,47 +23,49 @@
 // one-chunk graph producing a monolithic container. Decompress accepts
 // all three container flavors. To control chunking explicitly — chunk size in
 // elements, scheduler width, or chunking below the automatic threshold —
-// call CompressChunked:
+// call CompressChunkedReportCtx:
 //
-//	blob, err := pipeline.CompressChunked(platform, data, dims, fzmod.Rel(1e-4),
-//	    fzmod.ChunkOpts{ChunkElems: 1 << 21, Workers: 8})
+//	blob, report, err := pipeline.CompressChunkedReportCtx(ctx, platform, data, dims,
+//	    fzmod.Rel(1e-4), fzmod.Opts{ChunkElems: 1 << 21, Workers: 8})
 //
 // Fields larger than memory (or arriving over a socket or pipe) stream
 // through the same engine: CompressStream consumes an io.Reader slab
 // window by slab window into an append-mode streaming container, and
 // DecompressStream mirrors it, with resident memory bounded by
-// StreamOpts.Window rather than the field size:
+// Opts.Window rather than the field size:
 //
-//	_, err := pipeline.CompressStream(platform, file, dims, fzmod.Abs(absEB), out,
-//	    fzmod.StreamOpts{Window: 4})
+//	_, err := fzmod.CompressStream(platform, pipeline, file, dims, fzmod.Abs(absEB), out,
+//	    fzmod.Opts{Window: 4})
 //
 // The relative bound is resolved against the whole field's value range
 // before chunking, so chunked and monolithic compression enforce the
-// identical error tolerance. The Report variants
-// (CompressChunkedReport, DecompressReport) additionally return an
+// identical error tolerance. Every operation returns, or can return, an
 // ExecReport with the executed task trace, the dependency DAG in Graphviz
-// dot syntax, and buffer-pool reuse statistics.
+// dot syntax, and buffer-pool reuse statistics; every operation that takes
+// a context stops its unstarted task bodies once the context is canceled
+// and returns the context's error.
 //
 // # Random-access region reads
 //
-// Containers need not be decoded whole: DecompressRegion serves an
-// arbitrary subvolume by fetching and decoding only the slab chunks the
-// selection intersects, against any storage backend implementing
-// ChunkFetcher — an in-memory blob (NewBytesFetcher), a local file
-// (NewFileFetcher), or an HTTP object behind Range requests
-// (NewHTTPFetcher):
+// Containers need not be decoded whole: OpenRegion parses the chunk index
+// of an artifact behind any storage backend implementing ChunkFetcher — an
+// in-memory blob (NewBytesFetcher), a local file (NewFileFetcher), or an
+// HTTP object behind Range requests (NewHTTPFetcher) — and
+// Region.ReadReportCtx serves an arbitrary subvolume by fetching and
+// decoding only the slab chunks the selection intersects:
 //
 //	fetcher := fzmod.NewHTTPFetcher("https://data.example/field.fzmc", nil)
-//	region, err := fzmod.DecompressRegion(platform, fetcher,
-//	    fzmod.RegionSel{X0: 0, X1: 64, Y0: 0, Y1: 64, Z0: 128, Z1: 160},
-//	    fzmod.RegionOpts{})
+//	region, err := fzmod.OpenRegion(platform, fetcher, fzmod.Opts{})
+//	...
+//	vals, report, err := region.ReadReportCtx(ctx,
+//	    fzmod.RegionSel{X0: 0, X1: 64, Y0: 0, Y1: 64, Z0: 128, Z1: 160})
 //
-// For repeated selections from one artifact, OpenRegion parses the chunk
-// index once and an optional SlabCache (RegionOpts.Cache) keeps decoded
-// slabs resident across reads — and across Regions, since entries are
-// keyed by container content — so overlapping requests pay each chunk's
-// fetch-and-decode cost once. The byte-level container layout the region
-// planner indexes against is specified normatively in docs/FORMAT.md.
+// For repeated selections, keep the Region open: an optional SlabCache
+// (Opts.Cache) keeps decoded slabs resident across reads — and across
+// Regions, since entries are keyed by container content — so overlapping
+// requests pay each chunk's fetch-and-decode cost once. The byte-level
+// container layout the region planner indexes against is specified
+// normatively in docs/FORMAT.md.
 //
 // Three preset pipelines reproduce the paper's §3.3 designs: Default
 // (Lorenzo + histogram + CPU Huffman), Speed (Lorenzo + FZ-GPU
@@ -104,14 +106,14 @@ type (
 	// Opts is the unified options surface shared by every entry point:
 	// Workers (total parallelism budget), ChunkElems (write-path chunk
 	// granularity), Window (streaming slabs in flight) and Cache (decoded
-	// slabs shared across region reads). ChunkOpts, StreamOpts,
-	// DecompressOpts and RegionOpts are aliases of it, so one struct can
+	// slabs shared across region reads). Three historical aliases of it are
+	// left — ChunkOpts, StreamOpts and RegionOpts — so one struct can
 	// configure a whole request pipeline — the fzmodd daemon maps its
 	// request parameters 1:1 onto this type. The zero value always selects
 	// an operation's documented defaults.
 	Opts = core.Opts
 	// ChunkOpts configures the chunked task graph (see
-	// Pipeline.CompressChunked); an alias of the unified Opts — the zero
+	// Pipeline.CompressChunkedReportCtx); an alias of the unified Opts — the zero
 	// value selects sane defaults.
 	ChunkOpts = core.ChunkOpts
 	// StreamOpts configures the streaming (out-of-core) entry points:
@@ -123,7 +125,7 @@ type (
 	// reads — the chunk and slab-cache accounting in its Region field.
 	ExecReport = core.ExecReport
 	// RegionSel selects the half-open subvolume [X0,X1)×[Y0,Y1)×[Z0,Z1) of
-	// a field in its native x-fastest coordinates (see DecompressRegion).
+	// a field in its native x-fastest coordinates (see OpenRegion).
 	RegionSel = core.RegionSel
 	// RegionOpts configures region reads: the Workers parallelism budget
 	// and an optional shared SlabCache. The zero value decodes with the
@@ -134,7 +136,7 @@ type (
 	RegionStats = core.RegionStats
 	// Region is an open container positioned for random-access reads: the
 	// chunk index is parsed once and selections are served with per-chunk
-	// fetch → decode → reconstruct sub-graphs. Safe for concurrent Reads.
+	// fetch → decode → reconstruct sub-graphs. Safe for concurrent reads.
 	Region = core.Region
 	// SlabCache is the size-bounded LRU of decoded slabs shared between
 	// region reads; create with NewSlabCache.
@@ -207,69 +209,30 @@ func Abs(v float64) ErrorBound { return preprocess.AbsBound(v) }
 // most opts.Window slabs in memory — the out-of-core path for fields
 // larger than RAM, network sockets and shell pipes. The bound must be
 // absolute (resolve a relative bound first); per-chunk output is
-// bit-identical to CompressChunked on the same field. Returns the
-// compressed bytes written. Equivalent to pl.CompressStream.
-func CompressStream(p *Platform, pl *Pipeline, r io.Reader, dims Dims, eb ErrorBound, w io.Writer, opts StreamOpts) (int64, error) {
-	return pl.CompressStream(p, r, dims, eb, w, opts)
-}
-
-// CompressStreamCtx is CompressStream bounded by ctx: once the context is
-// canceled or its deadline passes, task bodies not yet started are
-// abandoned at their dispatch boundary, the current window drains, pooled
-// intermediates are swept back, and the context's error is returned —
-// canceling a request stops its work instead of orphaning it. Every
-// non-ctx entry point is equivalent to its Ctx variant with
+// bit-identical to the in-memory write on the same field. Returns the
+// compressed bytes written. Equivalent to pl.CompressStreamCtx with
 // context.Background().
-func CompressStreamCtx(ctx context.Context, p *Platform, pl *Pipeline, r io.Reader, dims Dims, eb ErrorBound, w io.Writer, opts StreamOpts) (int64, error) {
-	return pl.CompressStreamCtx(ctx, p, r, dims, eb, w, opts)
+func CompressStream(p *Platform, pl *Pipeline, r io.Reader, dims Dims, eb ErrorBound, w io.Writer, opts StreamOpts) (int64, error) {
+	return pl.CompressStreamCtx(context.Background(), p, r, dims, eb, w, opts)
 }
 
 // DecompressStream reconstructs a streaming container read from r,
 // writing the field to w as little-endian float32 bytes in storage order
 // with at most opts.Window chunks in flight. Returns the field geometry.
+// Equivalent to core.DecompressStreamCtx with context.Background().
 func DecompressStream(p *Platform, r io.Reader, w io.Writer, opts StreamOpts) (Dims, error) {
-	return core.DecompressStream(p, r, w, opts)
-}
-
-// DecompressStreamCtx is DecompressStream bounded by ctx, with the
-// cancellation semantics of CompressStreamCtx.
-func DecompressStreamCtx(ctx context.Context, p *Platform, r io.Reader, w io.Writer, opts StreamOpts) (Dims, error) {
-	return core.DecompressStreamCtx(ctx, p, r, w, opts)
+	return core.DecompressStreamCtx(context.Background(), p, r, w, opts)
 }
 
 // Decompress reconstructs a field from any FZModules container using the
-// module table; the container is self-describing.
-func Decompress(p *Platform, blob []byte) ([]float32, Dims, error) {
-	return core.Decompress(p, blob)
-}
-
-// DecompressCtx is Decompress bounded by ctx, with the cancellation
-// semantics of CompressStreamCtx: unstarted task bodies are abandoned at
-// their dispatch boundary and the context's error is returned.
-func DecompressCtx(ctx context.Context, p *Platform, blob []byte) ([]float32, Dims, error) {
-	return core.DecompressCtx(ctx, p, blob)
-}
-
-// DecompressOpts configures the decompression executor; the zero value
-// selects the platform's full worker width.
-type DecompressOpts = core.DecompressOpts
-
-// DecompressWithOpts is Decompress with an explicit parallelism budget:
-// opts.Workers bounds both the chunk-level scheduler width and every
-// kernel launch of the operation, mirroring ChunkOpts.Workers on the
-// write path.
-func DecompressWithOpts(p *Platform, blob []byte, opts DecompressOpts) ([]float32, Dims, error) {
-	return core.DecompressWithOpts(p, blob, opts)
-}
-
-// DecompressWithOptsCtx is DecompressWithOpts bounded by ctx.
-func DecompressWithOptsCtx(ctx context.Context, p *Platform, blob []byte, opts DecompressOpts) ([]float32, Dims, error) {
-	return core.DecompressWithOptsCtx(ctx, p, blob, opts)
-}
-
-// DecompressReport is Decompress returning the executor report.
-func DecompressReport(p *Platform, blob []byte) ([]float32, Dims, *ExecReport, error) {
-	return core.DecompressReport(p, blob)
+// module table (the container is self-describing) and returns its
+// geometry and the executor report. opts.Workers bounds both the
+// chunk-level scheduler width and every kernel launch of the operation.
+// Once ctx is canceled or its deadline passes, unstarted task bodies are
+// abandoned at their dispatch boundary and the context's error is
+// returned.
+func Decompress(ctx context.Context, p *Platform, blob []byte, opts Opts) ([]float32, Dims, *ExecReport, error) {
+	return core.DecompressReportWithOptsCtx(ctx, p, blob, opts)
 }
 
 // FullRegion selects a field's entire extent.
@@ -294,33 +257,12 @@ func NewHTTPFetcher(url string, client *http.Client) ChunkFetcher {
 }
 
 // OpenRegion fetches the container index behind f (never the chunk
-// payloads) and returns a Region serving subvolume reads. Works on chunked
-// (FZMC), streamed (FZMS) and monolithic (FZMD) artifacts.
+// payloads) and returns a Region serving subvolume reads
+// (Region.ReadReportCtx), fetching and decoding only the slab chunks a
+// selection intersects. Works on chunked (FZMC), streamed (FZMS) and
+// monolithic (FZMD) artifacts.
 func OpenRegion(p *Platform, f ChunkFetcher, opts RegionOpts) (*Region, error) {
 	return core.OpenRegion(p, f, opts)
-}
-
-// DecompressRegion decodes the selected subvolume of the container behind
-// f, fetching and decoding only the slab chunks the selection intersects.
-// The result is a sel.Dims()-shaped field in x-fastest order. One-shot
-// convenience over OpenRegion + Region.Read; open a Region (with a
-// SlabCache in opts) when serving repeated selections from one artifact.
-func DecompressRegion(p *Platform, f ChunkFetcher, sel RegionSel, opts RegionOpts) ([]float32, error) {
-	return core.DecompressRegion(p, f, sel, opts)
-}
-
-// DecompressRegionCtx is DecompressRegion bounded by ctx, with the
-// cancellation semantics of CompressStreamCtx: unstarted fetch/decode
-// bodies are abandoned at their dispatch boundary and the context's error
-// is returned.
-func DecompressRegionCtx(ctx context.Context, p *Platform, f ChunkFetcher, sel RegionSel, opts RegionOpts) ([]float32, error) {
-	return core.DecompressRegionCtx(ctx, p, f, sel, opts)
-}
-
-// DecompressRegionReport is DecompressRegion returning the executor
-// report; report.Region carries the chunk and cache accounting.
-func DecompressRegionReport(p *Platform, f ChunkFetcher, sel RegionSel, opts RegionOpts) ([]float32, *ExecReport, error) {
-	return core.DecompressRegionReport(p, f, sel, opts)
 }
 
 // Stats snapshots the platform's live counters into a read-only value:
@@ -413,7 +355,8 @@ func SalvageChunked(f ChunkFetcher) ([]byte, *Survey, error) { return fzio.Salva
 // its full recorded geometry: planes covered by intact chunks decode
 // normally, damaged or missing planes come back zero-filled, and the
 // DamageMask says which is which. Values are never silently wrong — the
-// mask is the only place uncertainty lives.
-func DecompressSalvage(p *Platform, f ChunkFetcher, opts DecompressOpts) ([]float32, *DamageMask, error) {
-	return core.DecompressSalvage(p, f, opts)
+// mask is the only place uncertainty lives. A canceled ctx returns its
+// error.
+func DecompressSalvage(ctx context.Context, p *Platform, f ChunkFetcher, opts Opts) ([]float32, *DamageMask, error) {
+	return core.DecompressSalvageCtx(ctx, p, f, opts)
 }

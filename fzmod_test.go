@@ -2,14 +2,25 @@ package fzmod_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
 	"fzmod"
+	"fzmod/internal/device"
 	"fzmod/internal/fzio"
+	"fzmod/internal/preprocess"
 	"fzmod/internal/sdrbench"
+	"fzmod/internal/serve"
 )
 
 func facadeField() ([]float32, fzmod.Dims) {
@@ -25,7 +36,7 @@ func TestFacadeRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
 		}
-		back, gotDims, err := fzmod.Decompress(p, blob)
+		back, gotDims, _, err := fzmod.Decompress(context.Background(), p, blob, fzmod.Opts{})
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
 		}
@@ -65,7 +76,7 @@ func TestFacadeSecondary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := fzmod.Decompress(p, blob)
+	back, _, _, err := fzmod.Decompress(context.Background(), p, blob, fzmod.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +178,63 @@ func TestFacadeSegmentLengthWrap(t *testing.T) {
 	if !s.Damaged() || len(s.Chunks) != 1 || s.Chunks[0].State != fzmod.ChunkCorrupt {
 		t.Errorf("survey = %+v, want one corrupt chunk", s.Chunks)
 	}
-	_, _, err = fzmod.Decompress(fzmod.NewPlatform(), hostile)
+	_, _, _, err = fzmod.Decompress(context.Background(), fzmod.NewPlatform(), hostile, fzmod.Opts{})
 	if err == nil {
 		t.Fatal("Decompress accepted the artifact")
 	}
 	if strings.Contains(err.Error(), "panicked") {
 		t.Errorf("Decompress reached a panic: %v", err)
+	}
+}
+
+// TestUnenforceableBoundRefused: a bound that is not finite and positive —
+// or a relative bound whose resolved absolute value overflows — is refused
+// up front by the chunked write (every preset), the stream write and a
+// daemon POST (400). None may reach the quantizer: +Inf used to compress
+// to an all-NaN field and NaN to fail deep in Lorenzo.
+func TestUnenforceableBoundRefused(t *testing.T) {
+	p := fzmod.NewPlatform()
+	defer p.Close()
+	data, dims := exampleField() // value range ≈ 3.9
+	raw := device.F32Bytes(data)
+	srv := httptest.NewServer(serve.New(p, serve.Config{}).Handler())
+	defer srv.Close()
+
+	for _, tc := range []struct {
+		name string
+		eb   fzmod.ErrorBound
+	}{
+		{"NaN", fzmod.Abs(math.NaN())},
+		{"+Inf", fzmod.Abs(math.Inf(1))},
+		{"-Inf", fzmod.Abs(math.Inf(-1))},
+		{"zero", fzmod.Abs(0)},
+		{"negative", fzmod.Abs(-1e-3)},
+		{"relative overflow", fzmod.Rel(1e308)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, pl := range fzmod.Presets() {
+				_, _, err := pl.CompressChunkedReport(p, data, dims, tc.eb, fzmod.ChunkOpts{ChunkElems: dims.X * dims.Y * 4})
+				if !errors.Is(err, preprocess.ErrBadBound) {
+					t.Errorf("%s chunked write: err = %v, want ErrBadBound", pl.Name(), err)
+				}
+			}
+			_, err := fzmod.CompressStream(p, fzmod.Default(), bytes.NewReader(raw), dims, tc.eb, io.Discard, fzmod.StreamOpts{})
+			if err == nil || (tc.eb.Mode == preprocess.Abs && !errors.Is(err, preprocess.ErrBadBound)) {
+				t.Errorf("stream write: err = %v, want a refusal", err)
+			}
+			q := url.Values{
+				"dims": {fmt.Sprintf("%dx%dx%d", dims.X, dims.Y, dims.Z)},
+				"eb":   {strconv.FormatFloat(tc.eb.Value, 'g', -1, 64)},
+				"mode": {tc.eb.Mode.String()},
+			}
+			resp, err := http.Post(srv.URL+"/v1/compress?"+q.Encode(), "application/octet-stream", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("daemon POST eb=%s: status %d, want 400", q.Get("eb"), resp.StatusCode)
+			}
+		})
 	}
 }

@@ -65,7 +65,7 @@ func TestCorruptionDetectedByCRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := core.Decompress(tp, blob)
+	want, _, _, err := core.DecompressReportWithOpts(tp, blob, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCorruptionDetectedByCRC(t *testing.T) {
 		// every flip hits a CRC-protected segment.
 		pos := 64 + rng.Intn(len(mut)-64)
 		mut[pos] ^= 0xA5
-		got, _, err := core.Decompress(tp, mut)
+		got, _, _, err := core.DecompressReportWithOpts(tp, mut, core.Opts{})
 		if err != nil {
 			continue
 		}

@@ -22,7 +22,7 @@ import (
 // same way.
 func STFAblation(w io.Writer, p *device.Platform, sc Scale) error {
 	data, dims := Data(sdrbench.CESM, sc)
-	blob, err := core.NewDefault().CompressChunked(p, data, dims, preprocess.RelBound(1e-4),
+	blob, _, err := core.NewDefault().CompressChunkedReport(p, data, dims, preprocess.RelBound(1e-4),
 		core.ChunkOpts{ChunkElems: dims.N() / 2})
 	if err != nil {
 		return err
@@ -41,8 +41,8 @@ func STFAblation(w io.Writer, p *device.Platform, sc Scale) error {
 			return fmt.Errorf("stf ablation: results diverge at %d", i)
 		}
 	}
-	serialSec := medianSec(func() { core.DecompressWithOpts(p, blob, serialOpts) })
-	wideSec := medianSec(func() { core.DecompressWithOpts(p, blob, core.DecompressOpts{}) })
+	serialSec := medianSec(func() { core.DecompressReportWithOpts(p, blob, serialOpts) })
+	wideSec := medianSec(func() { core.DecompressReportWithOpts(p, blob, core.DecompressOpts{}) })
 	fmt.Fprintf(w, "STF ablation (FZMod-Default two-chunk decompression, %s, %v):\n", sdrbench.CESM, dims)
 	fmt.Fprintf(w, "  workers=%-3d %8.1f ms\n", 1, serialSec*1e3)
 	fmt.Fprintf(w, "  workers=%-3d %8.1f ms  (branches overlapped: %v, tasks: %d, critical path: %d)\n",
@@ -145,7 +145,7 @@ func PlaceAblation(w io.Writer, p *device.Platform, sc Scale) error {
 			return err
 		}
 		sec := medianSec(func() { pl.Compress(p, data, dims, preprocess.RelBound(1e-4)) })
-		if _, _, err := core.Decompress(p, blob); err != nil {
+		if _, _, err := pl.Decompress(p, blob); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "  huffman@%-6v %8.1f ms  %8d B\n", place, sec*1e3, len(blob))

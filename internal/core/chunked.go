@@ -87,34 +87,21 @@ func ChunkPlanes(dims grid.Dims, chunkElems int) (int, error) {
 // chunkPrefix names chunk i's tasks and tokens within a graph.
 func chunkPrefix(i int) string { return "c" + strconv.Itoa(i) + "." }
 
-// CompressChunked compresses the field through the chunked task graph.
-// Fields that fit in a single chunk lower to the monolithic one-chunk
-// graph (producing a monolithic container); Decompress handles both.
-func (pl *Pipeline) CompressChunked(p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound, opts ChunkOpts) ([]byte, error) {
-	blob, _, err := pl.CompressChunkedReportCtx(context.Background(), p, data, dims, eb, opts)
-	return blob, err
-}
-
-// CompressChunkedCtx is CompressChunked bounded by gctx: once the context
-// is canceled or its deadline passes, task bodies not yet started are
-// abandoned at their dispatch boundary, the graph drains, and the
-// context's error is returned (pooled intermediates are swept back, so a
-// canceled request leaks neither goroutines nor slabs).
-func (pl *Pipeline) CompressChunkedCtx(gctx context.Context, p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound, opts ChunkOpts) ([]byte, error) {
-	blob, _, err := pl.CompressChunkedReportCtx(gctx, p, data, dims, eb, opts)
-	return blob, err
-}
-
-// CompressChunkedReport is CompressChunked returning the executor report.
+// CompressChunkedReport is CompressChunkedReportCtx without a context.
 func (pl *Pipeline) CompressChunkedReport(p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound, opts ChunkOpts) ([]byte, *ExecReport, error) {
 	return pl.CompressChunkedReportCtx(context.Background(), p, data, dims, eb, opts)
 }
 
-// CompressChunkedReportCtx is CompressChunkedCtx returning the executor
-// report. It is the single write lowering: validate → budget → resolve the
-// bound → one sub-graph per slab → layout → scatter-write into the sink.
-// The bound is resolved on the budgeted platform view, so Opts.Workers caps
-// that launch too.
+// CompressChunkedReportCtx compresses the field through the chunked task
+// graph and returns the container with the executor report. It is the
+// single write lowering: validate → budget → resolve the bound → one
+// sub-graph per slab → layout → scatter-write into the sink. A field that
+// fits one chunk yields a monolithic (FZMD) container. The bound is
+// resolved on the budgeted platform view, so Opts.Workers caps that launch
+// too. Once gctx is canceled or its deadline passes, task bodies not yet
+// started are abandoned at their dispatch boundary, the graph drains,
+// pooled intermediates are swept back, and the context's error is
+// returned — a canceled request leaks neither goroutines nor slabs.
 func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound, opts ChunkOpts) ([]byte, *ExecReport, error) {
 	planes, err := ChunkPlanes(dims, opts.ChunkElems)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -27,7 +28,7 @@ func TestCompressChunkedRoundtrip(t *testing.T) {
 	eb := preprocess.RelBound(1e-4)
 	for _, pl := range Presets() {
 		opts := ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 4}
-		blob, err := pl.CompressChunked(tp, data, dims, eb, opts)
+		blob, _, err := pl.CompressChunkedReport(tp, data, dims, eb, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
 		}
@@ -41,7 +42,7 @@ func TestCompressChunkedRoundtrip(t *testing.T) {
 		if want := dims.SlowExtent() / 8; cc.NumChunks() != want {
 			t.Errorf("%s: %d chunks, want %d", pl.Name(), cc.NumChunks(), want)
 		}
-		got, gotDims, err := Decompress(tp, blob)
+		got, gotDims, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 		if err != nil {
 			t.Fatalf("%s decompress: %v", pl.Name(), err)
 		}
@@ -65,11 +66,11 @@ func TestChunkedMatchesMonolithicPerChunk(t *testing.T) {
 	pl := NewDefault()
 	planes := 8
 	opts := ChunkOpts{ChunkElems: dims.PlaneElems() * planes, Workers: 3}
-	blob, err := pl.CompressChunked(tp, data, dims, eb, opts)
+	blob, _, err := pl.CompressChunkedReport(tp, data, dims, eb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Decompress(tp, blob)
+	got, _, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +80,11 @@ func TestChunkedMatchesMonolithicPerChunk(t *testing.T) {
 	}
 	for i, sl := range grid.SplitSlabs(dims, planes) {
 		chunk := data[sl.Lo : sl.Lo+sl.Dims.N()]
-		monoBlob, err := pl.CompressMonolithic(tp, chunk, sl.Dims, preprocess.AbsBound(absEB))
+		monoBlob, err := pl.Compress(tp, chunk, sl.Dims, preprocess.AbsBound(absEB))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := Decompress(tp, monoBlob)
+		want, _, _, err := DecompressReportWithOpts(tp, monoBlob, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +100,11 @@ func TestChunkedDeterministic(t *testing.T) {
 	data, dims := chunkField()
 	eb := preprocess.RelBound(1e-3)
 	opts := ChunkOpts{ChunkElems: dims.PlaneElems() * 5, Workers: 4}
-	a, err := NewDefault().CompressChunked(tp, data, dims, eb, opts)
+	a, _, err := NewDefault().CompressChunkedReport(tp, data, dims, eb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewDefault().CompressChunked(tp, data, dims, eb, opts)
+	b, _, err := NewDefault().CompressChunkedReport(tp, data, dims, eb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestChunkedDeterministic(t *testing.T) {
 		t.Error("chunked compression is nondeterministic")
 	}
 	// Worker count must not change the bytes, only the schedule.
-	c, err := NewDefault().CompressChunked(tp, data, dims, eb, ChunkOpts{ChunkElems: opts.ChunkElems, Workers: 1})
+	c, _, err := NewDefault().CompressChunkedReport(tp, data, dims, eb, ChunkOpts{ChunkElems: opts.ChunkElems, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +123,14 @@ func TestChunkedDeterministic(t *testing.T) {
 
 func TestChunkedSingleSlabFallsBackToMonolithic(t *testing.T) {
 	data, dims := testField()
-	blob, err := NewDefault().CompressChunked(tp, data, dims, preprocess.RelBound(1e-4), ChunkOpts{ChunkElems: dims.N() * 2})
+	blob, _, err := NewDefault().CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4), ChunkOpts{ChunkElems: dims.N() * 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fzio.IsChunked(blob) {
 		t.Error("single-slab input should produce a monolithic container")
 	}
-	if _, _, err := Decompress(tp, blob); err != nil {
+	if _, _, _, err := DecompressReportWithOpts(tp, blob, Opts{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -137,14 +138,14 @@ func TestChunkedSingleSlabFallsBackToMonolithic(t *testing.T) {
 func TestChunkedWithSecondary(t *testing.T) {
 	data, dims := chunkField()
 	pl := NewDefault().WithSecondary(LZSecondary{})
-	blob, err := pl.CompressChunked(tp, data, dims, preprocess.RelBound(1e-3), ChunkOpts{ChunkElems: dims.PlaneElems() * 8})
+	blob, _, err := pl.CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-3), ChunkOpts{ChunkElems: dims.PlaneElems() * 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fzio.IsChunked(blob) {
 		t.Fatal("expected chunked container")
 	}
-	got, gotDims, err := Decompress(tp, blob)
+	got, gotDims, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +156,13 @@ func TestChunkedWithSecondary(t *testing.T) {
 
 func TestChunkedCorruptChunkSurfacesError(t *testing.T) {
 	data, dims := chunkField()
-	blob, err := NewDefault().CompressChunked(tp, data, dims, preprocess.RelBound(1e-3), ChunkOpts{ChunkElems: dims.PlaneElems() * 8})
+	blob, _, err := NewDefault().CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-3), ChunkOpts{ChunkElems: dims.PlaneElems() * 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mut := append([]byte(nil), blob...)
 	mut[len(mut)-10] ^= 0x5A // payload region of the last chunk
-	if _, _, err := Decompress(tp, mut); err == nil {
+	if _, _, _, err := DecompressReportWithOpts(tp, mut, Opts{}); err == nil {
 		t.Error("corrupt chunk payload should fail decompression")
 	}
 }
@@ -180,7 +181,7 @@ func TestCompressAutoChunksLargeInputs(t *testing.T) {
 	if !fzio.IsChunked(blob) {
 		t.Error("Compress should auto-chunk at AutoChunkElems")
 	}
-	got, gotDims, err := Decompress(tp, blob)
+	got, gotDims, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +217,14 @@ func TestWriteRefusesWhatReadRefuses(t *testing.T) {
 	} {
 		data := make([]float32, tc.elems)
 		start := time.Now()
-		blob, err := pl.CompressChunked(tp, data, tc.dims, eb, ChunkOpts{ChunkElems: tc.chunk})
+		blob, _, err := pl.CompressChunkedReport(tp, data, tc.dims, eb, ChunkOpts{ChunkElems: tc.chunk})
 		if !errors.Is(err, grid.ErrLimit) || blob != nil {
-			t.Errorf("%s: CompressChunked = %d bytes, %v; want an error wrapping grid.ErrLimit", tc.name, len(blob), err)
+			t.Errorf("%s: CompressChunkedReport = %d bytes, %v; want an error wrapping grid.ErrLimit", tc.name, len(blob), err)
 		}
 		var out bytes.Buffer
-		n, err := pl.CompressStream(tp, bytes.NewReader(device.F32Bytes(data)), tc.dims, eb, &out, StreamOpts{ChunkElems: tc.chunk})
+		n, err := pl.CompressStreamCtx(context.Background(), tp, bytes.NewReader(device.F32Bytes(data)), tc.dims, eb, &out, StreamOpts{ChunkElems: tc.chunk})
 		if !errors.Is(err, grid.ErrLimit) || n != 0 || out.Len() != 0 {
-			t.Errorf("%s: CompressStream wrote %d bytes, %v; want nothing written and an error wrapping grid.ErrLimit", tc.name, out.Len(), err)
+			t.Errorf("%s: CompressStreamCtx wrote %d bytes, %v; want nothing written and an error wrapping grid.ErrLimit", tc.name, out.Len(), err)
 		}
 		if d := time.Since(start); d > 2*time.Second {
 			t.Errorf("%s: refused only after %v", tc.name, d)
@@ -251,7 +252,7 @@ func TestWorkersOneResolvesSerially(t *testing.T) {
 	dims := grid.D3(64, 64, 32)
 	data := sdrbench.GenHURR(dims, 5)
 	before := runtime.NumGoroutine()
-	if _, err := NewDefault().CompressChunked(p, data, dims, preprocess.RelBound(1e-3),
+	if _, _, err := NewDefault().CompressChunkedReport(p, data, dims, preprocess.RelBound(1e-3),
 		ChunkOpts{Workers: 1, ChunkElems: dims.N() / 4}); err != nil {
 		t.Fatal(err)
 	}

@@ -187,7 +187,7 @@ func TestLorenzoReconstructOutvalLength(t *testing.T) {
 }
 
 func TestDecompressForeignContainerFails(t *testing.T) {
-	if _, _, err := Decompress(tp, []byte("not a container")); err == nil {
+	if _, _, _, err := DecompressReportWithOpts(tp, []byte("not a container"), Opts{}); err == nil {
 		t.Error("garbage input should fail")
 	}
 }
@@ -248,7 +248,7 @@ func TestCorruptContainerSurfacesError(t *testing.T) {
 	}
 	mut := append([]byte(nil), blob...)
 	mut[len(mut)-10] ^= 0x55
-	if _, _, err := Decompress(tp, mut); err == nil {
+	if _, _, _, err := DecompressReportWithOpts(tp, mut, Opts{}); err == nil {
 		t.Error("corrupt container should fail CRC or decode")
 	}
 }

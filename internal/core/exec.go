@@ -409,22 +409,26 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 		})
 }
 
-// decompressReport lowers a whole-container decode onto one read sub-graph
-// per entry of the container's chunk index — the same fzio.FetchIndex a
-// region read plans against, so FZMD, FZMC and FZMS blobs all take this
-// path — each reconstructing into its window of the output field; the
-// chunks share no token, so they decode fully in parallel. An FZMD
-// blob is a one-entry index covering every plane (its integrity is the
-// per-segment CRCs the builder's parse verifies); FZMC and FZMS payloads
-// are CRC-checked against the index as they are fetched.
-func decompressReport(gctx context.Context, p *device.Platform, blob []byte, workers int) ([]float32, grid.Dims, *ExecReport, error) {
+// DecompressReportWithOptsCtx reconstructs a field from any FZModules
+// container using the module table. It lowers a whole-container decode
+// onto one read sub-graph per entry of the container's chunk index — the
+// same fzio.FetchIndex a region read plans against, so FZMD, FZMC and FZMS
+// blobs all take this path — each reconstructing into its window of the
+// output field; the chunks share no token, so they decode fully in
+// parallel. An FZMD blob is a one-entry index covering every plane (its
+// integrity is the per-segment CRCs the builder's parse verifies); FZMC
+// and FZMS payloads are CRC-checked against the index as they are fetched.
+// opts.Workers is the parallelism budget; a cancellation or deadline on
+// gctx abandons unstarted task bodies at their dispatch boundary and
+// returns the context's error.
+func DecompressReportWithOptsCtx(gctx context.Context, p *device.Platform, blob []byte, opts DecompressOpts) ([]float32, grid.Dims, *ExecReport, error) {
 	ix, err := fzio.FetchIndex(fzio.NewBytesFetcher(blob))
 	if err != nil {
 		return nil, grid.Dims{}, nil, err
 	}
 	dims := ix.Header.Dims
 	out := make([]float32, dims.N())
-	ctx := newCtx(gctx, p, device.Accel, workers, len(ix.Chunks))
+	ctx := newCtx(gctx, p, device.Accel, opts.Workers, len(ix.Chunks))
 	lo := 0
 	for i, ref := range ix.Chunks {
 		i, ref := i, ref

@@ -48,7 +48,7 @@ func TestExecReportShape(t *testing.T) {
 	if e := crossChunkEdges(report.DOT); len(e) != 0 {
 		t.Errorf("compress DAG joins chunks directly: %v\n%s", e, report.DOT)
 	}
-	_, _, decReport, err := DecompressReport(tp, blob)
+	_, _, decReport, err := DecompressReportWithOpts(tp, blob, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestConcurrentCompressSharedPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewDefault().CompressChunked(tp, data, dims, eb, ChunkOpts{ChunkElems: dims.PlaneElems() * 5})
+	want, _, err := NewDefault().CompressChunkedReport(tp, data, dims, eb, ChunkOpts{ChunkElems: dims.PlaneElems() * 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +122,12 @@ func TestConcurrentCompressSharedPlatform(t *testing.T) {
 			for iter := 0; iter < 3; iter++ {
 				pl := Presets()[g%len(Presets())]
 				opts := ChunkOpts{ChunkElems: dims.PlaneElems() * 5, Workers: 1 + g%4}
-				blob, err := pl.CompressChunked(tp, data, dims, eb, opts)
+				blob, _, err := pl.CompressChunkedReport(tp, data, dims, eb, opts)
 				if err != nil {
 					errs[g] = err
 					return
 				}
-				dec, _, err := Decompress(tp, blob)
+				dec, _, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 				if err != nil {
 					errs[g] = err
 					return
@@ -139,7 +139,7 @@ func TestConcurrentCompressSharedPlatform(t *testing.T) {
 			}
 			// Determinism under contention: the default preset's bytes
 			// must match the quiet-run reference.
-			blob, err := NewDefault().CompressChunked(tp, data, dims, eb, ChunkOpts{ChunkElems: dims.PlaneElems() * 5})
+			blob, _, err := NewDefault().CompressChunkedReport(tp, data, dims, eb, ChunkOpts{ChunkElems: dims.PlaneElems() * 5})
 			if err != nil {
 				errs[g] = err
 				return
@@ -178,7 +178,7 @@ func TestSteadyStateChunkedAllocs(t *testing.T) {
 	eb := preprocess.RelBound(1e-4)
 	opts := ChunkOpts{ChunkElems: dims.N() / 8, Workers: 4}
 	compress := func() {
-		if _, err := pl.CompressChunked(tp, data, dims, eb, opts); err != nil {
+		if _, _, err := pl.CompressChunkedReport(tp, data, dims, eb, opts); err != nil {
 			t.Fatal(err)
 		}
 	}

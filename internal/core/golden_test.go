@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
@@ -59,12 +60,13 @@ func goldenWrite(flavor string, pl *Pipeline, data []float32, dims grid.Dims, eb
 	opts := Opts{ChunkElems: len(data) / 4}
 	switch flavor {
 	case "FZMD":
-		return pl.CompressMonolithic(tp, data, dims, eb)
+		return pl.Compress(tp, data, dims, eb)
 	case "FZMC":
-		return pl.CompressChunked(tp, data, dims, eb, opts)
+		blob, _, err := pl.CompressChunkedReport(tp, data, dims, eb, opts)
+		return blob, err
 	}
 	var buf bytes.Buffer
-	_, err := pl.CompressStream(tp, bytes.NewReader(device.F32Bytes(data)), dims, eb, &buf, opts)
+	_, err := pl.CompressStreamCtx(context.Background(), tp, bytes.NewReader(device.F32Bytes(data)), dims, eb, &buf, opts)
 	return buf.Bytes(), err
 }
 
@@ -132,7 +134,7 @@ func goldenRows(t *testing.T) map[string]string {
 						t.Errorf("%s: compress: %v", id, err)
 						continue
 					}
-					vals, dims, err := Decompress(tp, blob)
+					vals, dims, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 					if err != nil {
 						t.Errorf("%s: decompress: %v", id, err)
 						continue

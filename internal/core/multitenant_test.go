@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func TestMultiTenantSharedPlatform(t *testing.T) {
 	opts := ChunkOpts{ChunkElems: dims.PlaneElems() * 5, Workers: 2}
 
 	// Serial references, computed before any concurrency starts.
-	refChunk, err := pl.CompressChunked(p, data, dims, eb, opts)
+	refChunk, _, err := pl.CompressChunkedReport(p, data, dims, eb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +45,14 @@ func TestMultiTenantSharedPlatform(t *testing.T) {
 	}
 	absEB := preprocess.AbsBound(absVal)
 	var refStreamBuf bytes.Buffer
-	if _, err := pl.CompressStream(p, bytes.NewReader(raw.Bytes()), dims, absEB,
+	if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(raw.Bytes()), dims, absEB,
 		&refStreamBuf, StreamOpts{Window: dims.PlaneElems() * 4, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	refStream := refStreamBuf.Bytes()
 	cache := NewSlabCache(1 << 22)
 	sel := RegionSel{X0: 3, X1: dims.X - 2, Y0: 1, Y1: dims.Y, Z0: 5, Z1: dims.Z - 4}
-	refRegion, err := DecompressRegion(p, fzio.NewBytesFetcher(refChunk), sel, RegionOpts{Cache: cache})
+	refRegion, _, err := readRegion(p, fzio.NewBytesFetcher(refChunk), sel, RegionOpts{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestMultiTenantSharedPlatform(t *testing.T) {
 			for it := 0; it < iters; it++ {
 				switch (i + it) % 3 {
 				case 0: // chunked compress
-					blob, err := pl.CompressChunked(p, data, dims, eb, opts)
+					blob, _, err := pl.CompressChunkedReport(p, data, dims, eb, opts)
 					if err != nil {
 						errs[i] = err
 						return
@@ -78,7 +79,7 @@ func TestMultiTenantSharedPlatform(t *testing.T) {
 					}
 				case 1: // stream compress
 					var buf bytes.Buffer
-					if _, err := pl.CompressStream(p, bytes.NewReader(raw.Bytes()), dims, absEB,
+					if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(raw.Bytes()), dims, absEB,
 						&buf, StreamOpts{Window: dims.PlaneElems() * 4, Workers: 2}); err != nil {
 						errs[i] = err
 						return
@@ -88,7 +89,7 @@ func TestMultiTenantSharedPlatform(t *testing.T) {
 						return
 					}
 				case 2: // region read through the shared cache
-					got, err := DecompressRegion(p, fzio.NewBytesFetcher(refChunk), sel,
+					got, _, err := readRegion(p, fzio.NewBytesFetcher(refChunk), sel,
 						RegionOpts{Workers: 2, Cache: cache})
 					if err != nil {
 						errs[i] = err
@@ -146,11 +147,23 @@ func TestCompressCtxCancellation(t *testing.T) {
 	// Warm every execution path once so the platform's persistent worker
 	// pools exist before the goroutine baseline: the leak check below must
 	// catch graphs that fail to drain, not lazily created pool workers.
-	warmBlob, err := pl.CompressChunked(p, data, dims, eb, opts)
+	warmBlob, _, err := pl.CompressChunkedReport(p, data, dims, eb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressRegion(p, fzio.NewBytesFetcher(warmBlob), FullRegion(dims), RegionOpts{}); err != nil {
+	if _, _, err := readRegion(p, fzio.NewBytesFetcher(warmBlob), FullRegion(dims), RegionOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	raw := device.F32Bytes(data)
+	streamOpts := StreamOpts{ChunkElems: opts.ChunkElems, Workers: 2, Window: 2}
+	var streamBlob bytes.Buffer
+	if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(raw), dims, preprocess.AbsBound(1e-3), &streamBlob, streamOpts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecompressStreamCtx(context.Background(), p, bytes.NewReader(streamBlob.Bytes()), io.Discard, streamOpts); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecompressSalvageCtx(context.Background(), p, fzio.NewBytesFetcher(warmBlob), opts); err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
@@ -158,7 +171,7 @@ func TestCompressCtxCancellation(t *testing.T) {
 	t.Run("expired deadline", func(t *testing.T) {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
-		if _, err := pl.CompressChunkedCtx(ctx, p, data, dims, eb, opts); !errors.Is(err, context.DeadlineExceeded) {
+		if _, _, err := pl.CompressChunkedReportCtx(ctx, p, data, dims, eb, opts); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 		}
 		waitBalanced(t, p)
@@ -167,7 +180,7 @@ func TestCompressCtxCancellation(t *testing.T) {
 	t.Run("pre-canceled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := pl.CompressChunkedCtx(ctx, p, data, dims, eb, opts); !errors.Is(err, context.Canceled) {
+		if _, _, err := pl.CompressChunkedReportCtx(ctx, p, data, dims, eb, opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		if _, _, _, err := DecompressReportWithOptsCtx(ctx, p, nil, DecompressOpts{}); err == nil {
@@ -185,13 +198,13 @@ func TestCompressCtxCancellation(t *testing.T) {
 				time.Sleep(time.Duration(i) * 200 * time.Microsecond)
 				cancel()
 			}()
-			blob, err := pl.CompressChunkedCtx(ctx, p, data, dims, eb, opts)
+			blob, _, err := pl.CompressChunkedReportCtx(ctx, p, data, dims, eb, opts)
 			cancel()
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("iter %d: err = %v, want nil or context.Canceled", i, err)
 			}
 			if err == nil {
-				if _, _, derr := Decompress(p, blob); derr != nil {
+				if _, _, _, derr := DecompressReportWithOpts(p, blob, Opts{}); derr != nil {
 					t.Fatalf("iter %d: uncanceled result does not roundtrip: %v", i, derr)
 				}
 			}
@@ -200,14 +213,44 @@ func TestCompressCtxCancellation(t *testing.T) {
 	})
 
 	t.Run("region read canceled", func(t *testing.T) {
-		blob, err := pl.CompressChunked(p, data, dims, eb, opts)
+		blob, _, err := pl.CompressChunkedReport(p, data, dims, eb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := DecompressRegionCtx(ctx, p, fzio.NewBytesFetcher(blob),
-			FullRegion(dims), RegionOpts{}); !errors.Is(err, context.Canceled) {
+		r, err := OpenRegion(p, fzio.NewBytesFetcher(blob), RegionOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.ReadReportCtx(ctx, FullRegion(dims)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		waitBalanced(t, p)
+	})
+
+	t.Run("stream compress canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := pl.CompressStreamCtx(ctx, p, bytes.NewReader(raw), dims, preprocess.AbsBound(1e-3), io.Discard, streamOpts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		waitBalanced(t, p)
+	})
+
+	t.Run("stream decompress canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := DecompressStreamCtx(ctx, p, bytes.NewReader(streamBlob.Bytes()), io.Discard, streamOpts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		waitBalanced(t, p)
+	})
+
+	t.Run("salvage canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, err := DecompressSalvageCtx(ctx, p, fzio.NewBytesFetcher(warmBlob), opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		waitBalanced(t, p)

@@ -50,43 +50,14 @@ const (
 
 // Compress implements Compressor. Fields of at least AutoChunkElems
 // elements are cut into DefaultChunkElems-sized chunks (an FZMC container);
-// smaller fields go through the same lowering (chunked.go) as a single
-// chunk (an FZMD container).
+// smaller fields are one chunk of the same lowering (an FZMD container).
 func (pl *Pipeline) Compress(p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound) ([]byte, error) {
-	return pl.CompressCtx(context.Background(), p, data, dims, eb)
-}
-
-// CompressCtx is Compress bounded by gctx: a cancellation or deadline
-// stops task bodies not yet started at their dispatch boundary, drains
-// the graph, sweeps pooled intermediates back, and returns the context's
-// error — the entry point a server maps request contexts onto.
-func (pl *Pipeline) CompressCtx(gctx context.Context, p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound) ([]byte, error) {
-	if dims.N() >= AutoChunkElems {
-		return pl.CompressChunkedCtx(gctx, p, data, dims, eb, ChunkOpts{})
+	opts := ChunkOpts{}
+	if dims.N() < AutoChunkElems {
+		opts.ChunkElems = len(data)
 	}
-	blob, _, err := pl.CompressMonolithicReportCtx(gctx, p, data, dims, eb)
+	blob, _, err := pl.CompressChunkedReportCtx(context.Background(), p, data, dims, eb, opts)
 	return blob, err
-}
-
-// CompressMonolithic compresses the whole field as one block — the write
-// lowering's single-chunk graph — producing a monolithic container. It is
-// the explicit opt-out from auto-chunking.
-func (pl *Pipeline) CompressMonolithic(p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound) ([]byte, error) {
-	blob, _, err := pl.CompressMonolithicReportCtx(context.Background(), p, data, dims, eb)
-	return blob, err
-}
-
-// CompressMonolithicReport is CompressMonolithic returning the executor
-// report alongside the container.
-func (pl *Pipeline) CompressMonolithicReport(p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound) ([]byte, *ExecReport, error) {
-	return pl.CompressMonolithicReportCtx(context.Background(), p, data, dims, eb)
-}
-
-// CompressMonolithicReportCtx is CompressMonolithicReport bounded by
-// gctx, with the cancellation semantics of CompressCtx: the write lowering
-// at a chunk size of the whole field.
-func (pl *Pipeline) CompressMonolithicReportCtx(gctx context.Context, p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound) ([]byte, *ExecReport, error) {
-	return pl.CompressChunkedReportCtx(gctx, p, data, dims, eb, ChunkOpts{ChunkElems: len(data)})
 }
 
 // buildInner assembles one block's stages into the monolithic fzio
@@ -139,53 +110,14 @@ func (pl *Pipeline) wrapSecondary(p *device.Platform, place device.Place, blob [
 // configuration: containers are self-describing, so the module table
 // decodes them.
 func (pl *Pipeline) Decompress(p *device.Platform, blob []byte) ([]float32, grid.Dims, error) {
-	return Decompress(p, blob)
-}
-
-// Decompress reconstructs a field from any FZModules container using the
-// module table, through the same task-graph engine as compression.
-func Decompress(p *device.Platform, blob []byte) ([]float32, grid.Dims, error) {
-	vals, dims, _, err := DecompressReport(p, blob)
+	vals, dims, _, err := DecompressReportWithOptsCtx(context.Background(), p, blob, DecompressOpts{})
 	return vals, dims, err
 }
 
-// DecompressCtx is Decompress bounded by gctx, with the cancellation
-// semantics of CompressCtx: unstarted task bodies are abandoned at their
-// dispatch boundary and the context's error is returned.
-func DecompressCtx(gctx context.Context, p *device.Platform, blob []byte) ([]float32, grid.Dims, error) {
-	vals, dims, _, err := DecompressReportWithOptsCtx(gctx, p, blob, DecompressOpts{})
-	return vals, dims, err
-}
-
-// DecompressWithOpts is Decompress with an explicit parallelism budget.
-func DecompressWithOpts(p *device.Platform, blob []byte, opts DecompressOpts) ([]float32, grid.Dims, error) {
-	vals, dims, _, err := DecompressReportWithOpts(p, blob, opts)
-	return vals, dims, err
-}
-
-// DecompressWithOptsCtx is DecompressWithOpts bounded by gctx.
-func DecompressWithOptsCtx(gctx context.Context, p *device.Platform, blob []byte, opts DecompressOpts) ([]float32, grid.Dims, error) {
-	vals, dims, _, err := DecompressReportWithOptsCtx(gctx, p, blob, opts)
-	return vals, dims, err
-}
-
-// DecompressReport is Decompress returning the executor report: every
-// container lowers to per-chunk fetch → decode → reconstruct sub-graphs, a
-// monolithic container being a single chunk.
-func DecompressReport(p *device.Platform, blob []byte) ([]float32, grid.Dims, *ExecReport, error) {
-	return DecompressReportWithOpts(p, blob, DecompressOpts{})
-}
-
-// DecompressReportWithOpts is DecompressReport with an explicit
-// parallelism budget.
+// DecompressReportWithOpts is DecompressReportWithOptsCtx without a
+// context.
 func DecompressReportWithOpts(p *device.Platform, blob []byte, opts DecompressOpts) ([]float32, grid.Dims, *ExecReport, error) {
 	return DecompressReportWithOptsCtx(context.Background(), p, blob, opts)
-}
-
-// DecompressReportWithOptsCtx is DecompressReportWithOpts bounded by
-// gctx.
-func DecompressReportWithOptsCtx(gctx context.Context, p *device.Platform, blob []byte, opts DecompressOpts) ([]float32, grid.Dims, *ExecReport, error) {
-	return decompressReport(gctx, p, blob, opts.Workers)
 }
 
 // unwrapSecondary decodes a container's secondary layer and parses the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -26,26 +27,27 @@ type readDoor struct {
 func readDoors(t *testing.T) []readDoor {
 	return []readDoor{
 		{"Decompress", "DCS", func(blob []byte) ([]float32, error) {
-			vals, _, err := Decompress(tp, blob)
+			vals, _, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 			return vals, err
 		}},
-		{"Region.Read", "DCS", func(blob []byte) ([]float32, error) {
+		{"Region.ReadReport", "DCS", func(blob []byte) ([]float32, error) {
 			r, err := OpenRegion(tp, fzio.NewBytesFetcher(blob), RegionOpts{VerifyProofs: true})
 			if err != nil {
 				return nil, err
 			}
-			return r.Read(FullRegion(r.Dims()))
+			vals, _, err := r.ReadReport(FullRegion(r.Dims()))
+			return vals, err
 		}},
-		{"DecompressSalvage", "DCS", func(blob []byte) ([]float32, error) {
-			vals, mask, err := DecompressSalvage(tp, fzio.NewBytesFetcher(blob), DecompressOpts{})
+		{"DecompressSalvageCtx", "DCS", func(blob []byte) ([]float32, error) {
+			vals, mask, err := DecompressSalvageCtx(context.Background(), tp, fzio.NewBytesFetcher(blob), DecompressOpts{})
 			if err == nil && mask.Any() {
 				t.Errorf("salvage masked %d planes of an undamaged artifact", mask.DamagedPlanes())
 			}
 			return vals, err
 		}},
-		{"DecompressStream", "S", func(blob []byte) ([]float32, error) {
+		{"DecompressStreamCtx", "S", func(blob []byte) ([]float32, error) {
 			var out bytes.Buffer
-			if _, err := DecompressStream(tp, bytes.NewReader(blob), &out, StreamOpts{Window: 2}); err != nil {
+			if _, err := DecompressStreamCtx(context.Background(), tp, bytes.NewReader(blob), &out, StreamOpts{Window: 2}); err != nil {
 				return nil, err
 			}
 			return device.BytesF32(out.Bytes()), nil
@@ -91,16 +93,16 @@ func TestReadPathsParity(t *testing.T) {
 	doors := readDoors(t)
 
 	for _, pl := range []*Pipeline{NewDefault(), NewDefault().WithSecondary(LZSecondary{})} {
-		fzmd, err := pl.CompressMonolithic(tp, data, dims, eb)
+		fzmd, err := pl.Compress(tp, data, dims, eb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fzmc, err := pl.CompressChunked(tp, data, dims, eb, opts)
+		fzmc, _, err := pl.CompressChunkedReport(tp, data, dims, eb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var sbuf bytes.Buffer
-		if _, err := pl.CompressStream(tp, bytes.NewReader(device.F32Bytes(data)), dims, eb, &sbuf, opts); err != nil {
+		if _, err := pl.CompressStreamCtx(context.Background(), tp, bytes.NewReader(device.F32Bytes(data)), dims, eb, &sbuf, opts); err != nil {
 			t.Fatal(err)
 		}
 		artifacts := map[byte][]byte{'D': fzmd, 'C': fzmc, 'S': sbuf.Bytes()}
@@ -139,7 +141,7 @@ func TestReadPathsParity(t *testing.T) {
 		planes := chunkPlanes(cc)
 		slab := dims.WithSlowExtent(planes[1])
 		turned := grid.D3(slab.Y, slab.X, slab.Z) // same element count, wrong shape
-		wrongDims, err := pl.CompressMonolithic(tp, data[:turned.N()], turned, eb)
+		wrongDims, err := pl.Compress(tp, data[:turned.N()], turned, eb)
 		if err != nil {
 			t.Fatal(err)
 		}

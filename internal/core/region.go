@@ -303,30 +303,18 @@ func (r *Region) Dims() grid.Dims { return r.ix.Header.Dims }
 // Index returns the parsed container index.
 func (r *Region) Index() *fzio.ContainerIndex { return r.ix }
 
-// Read decodes the selected subvolume into a freshly allocated
-// sel.Dims().N()-element field (x-fastest, like every field in the
-// framework).
-func (r *Region) Read(sel RegionSel) ([]float32, error) {
-	vals, _, err := r.ReadReportCtx(context.Background(), sel)
-	return vals, err
-}
-
-// ReadCtx is Read bounded by gctx: a cancellation or deadline stops
-// fetch/decode task bodies not yet started at their dispatch boundary,
-// drains the sub-graphs, and returns the context's error. Chunks already
-// decoded are still admitted to the cache.
-func (r *Region) ReadCtx(gctx context.Context, sel RegionSel) ([]float32, error) {
-	vals, _, err := r.ReadReportCtx(gctx, sel)
-	return vals, err
-}
-
-// ReadReport is Read returning the executor report; report.Region carries
-// the chunk and cache accounting.
+// ReadReport is ReadReportCtx without a context.
 func (r *Region) ReadReport(sel RegionSel) ([]float32, *ExecReport, error) {
 	return r.ReadReportCtx(context.Background(), sel)
 }
 
-// ReadReportCtx is ReadCtx returning the executor report.
+// ReadReportCtx decodes the selected subvolume into a freshly allocated
+// sel.Dims().N()-element field (x-fastest, like every field in the
+// framework) and returns the executor report; report.Region carries the
+// chunk and cache accounting. A cancellation or deadline on gctx stops
+// fetch/decode task bodies not yet started at their dispatch boundary,
+// drains the sub-graphs, and returns the context's error. Chunks already
+// decoded are still admitted to the cache.
 func (r *Region) ReadReportCtx(gctx context.Context, sel RegionSel) ([]float32, *ExecReport, error) {
 	dims := r.ix.Header.Dims
 	if err := sel.Validate(dims); err != nil {
@@ -547,34 +535,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// DecompressRegion decodes the selected subvolume of the container behind
-// f, fetching only the chunks the selection intersects. One-shot
-// convenience over OpenRegion + Read; use a Region (and a SlabCache in
-// opts) when serving repeated selections from the same artifact.
-func DecompressRegion(p *device.Platform, f fzio.ChunkFetcher, sel RegionSel, opts RegionOpts) ([]float32, error) {
-	vals, _, err := DecompressRegionReport(p, f, sel, opts)
-	return vals, err
-}
-
-// DecompressRegionCtx is DecompressRegion bounded by gctx, with the
-// cancellation semantics of Region.ReadCtx.
-func DecompressRegionCtx(gctx context.Context, p *device.Platform, f fzio.ChunkFetcher, sel RegionSel, opts RegionOpts) ([]float32, error) {
-	r, err := OpenRegion(p, f, opts)
-	if err != nil {
-		return nil, err
-	}
-	vals, _, err := r.ReadReportCtx(gctx, sel)
-	return vals, err
-}
-
-// DecompressRegionReport is DecompressRegion returning the executor
-// report; report.Region carries the chunk and cache accounting.
-func DecompressRegionReport(p *device.Platform, f fzio.ChunkFetcher, sel RegionSel, opts RegionOpts) ([]float32, *ExecReport, error) {
-	r, err := OpenRegion(p, f, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.ReadReport(sel)
 }

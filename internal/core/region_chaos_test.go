@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -30,12 +31,12 @@ func chaosContainer(t *testing.T) ([]byte, []float32, grid.Dims) {
 	t.Helper()
 	dims := grid.D3(24, 20, 32)
 	data := sdrbench.GenHURR(dims, 31)
-	blob, err := NewDefault().CompressChunked(tp, data, dims, preprocess.RelBound(1e-4),
+	blob, _, err := NewDefault().CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
 		ChunkOpts{ChunkElems: dims.PlaneElems() * 4, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := Decompress(tp, blob)
+	full, _, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestChaosPoolBalancedAfterFailures(t *testing.T) {
 		}
 		return 0, nil
 	}}
-	if _, err := DecompressRegion(p, failing, sel, RegionOpts{Workers: 2}); !errors.Is(err, errDeadStore) {
+	if _, _, err := readRegion(p, failing, sel, RegionOpts{Workers: 2}); !errors.Is(err, errDeadStore) {
 		t.Fatalf("read over a failing store: got %v, want the store's error", err)
 	}
 	if n := victimCalls.Load(); n != 1 {
@@ -222,7 +223,7 @@ func TestChaosPoolBalancedAfterFailures(t *testing.T) {
 	// decode them.
 	corrupt := append([]byte(nil), blob...)
 	corrupt[ix.Chunks[2].Offset+ix.Chunks[2].Length/2] ^= 0x10
-	if _, err := DecompressRegion(p, fzio.NewBytesFetcher(corrupt), sel, RegionOpts{Workers: 2}); !errors.Is(err, fzio.ErrCRCMismatch) {
+	if _, _, err := readRegion(p, fzio.NewBytesFetcher(corrupt), sel, RegionOpts{Workers: 2}); !errors.Is(err, fzio.ErrCRCMismatch) {
 		t.Fatalf("corrupted payload: got %v, want ErrCRCMismatch", err)
 	}
 
@@ -231,7 +232,7 @@ func TestChaosPoolBalancedAfterFailures(t *testing.T) {
 	}
 
 	// And after the failures, the same platform still serves a clean read.
-	got, err := DecompressRegion(p, fzio.NewBytesFetcher(blob), sel, RegionOpts{Workers: 2})
+	got, _, err := readRegion(p, fzio.NewBytesFetcher(blob), sel, RegionOpts{Workers: 2})
 	if err != nil {
 		t.Fatalf("clean read after failures: %v", err)
 	}
@@ -280,7 +281,7 @@ func TestChaosLeaderFailurePromotesFollower(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = reg.Read(sel)
+			outs[i], _, errs[i] = reg.ReadReport(sel)
 		}(i)
 	}
 	wg.Wait()
@@ -333,7 +334,7 @@ func TestChaosProofCatchesCRCCollision(t *testing.T) {
 		t.Fatal("could not build a CRC-preserving tamper")
 	}
 
-	_, err = DecompressRegion(tp, fzio.NewBytesFetcher(tampered), FullRegion(dims), RegionOpts{Workers: 2, VerifyProofs: true})
+	_, _, err = readRegion(tp, fzio.NewBytesFetcher(tampered), FullRegion(dims), RegionOpts{Workers: 2, VerifyProofs: true})
 	if err == nil {
 		t.Fatal("CRC-colliding corruption decoded silently")
 	}
@@ -346,7 +347,7 @@ func TestChaosProofCatchesCRCCollision(t *testing.T) {
 
 	// The accounting side: a clean proof-checked read counts one
 	// substantive verification per decoded chunk.
-	_, rep, err := DecompressRegionReport(tp, fzio.NewBytesFetcher(blob), FullRegion(dims),
+	_, rep, err := readRegion(tp, fzio.NewBytesFetcher(blob), FullRegion(dims),
 		RegionOpts{Workers: 2, VerifyProofs: true})
 	if err != nil {
 		t.Fatal(err)
@@ -365,9 +366,9 @@ func TestChaosProofCatchesCRCCollision(t *testing.T) {
 	if survey.Intact() != len(ix.Chunks)-1 || survey.Chunks[victim].State != fzio.ChunkCorrupt {
 		t.Fatalf("survey = %d intact, victim %q", survey.Intact(), survey.Chunks[victim].State)
 	}
-	out, mask, err := DecompressSalvage(tp, fzio.NewBytesFetcher(tampered), DecompressOpts{})
+	out, mask, err := DecompressSalvageCtx(context.Background(), tp, fzio.NewBytesFetcher(tampered), DecompressOpts{})
 	if err != nil {
-		t.Fatalf("DecompressSalvage: %v", err)
+		t.Fatalf("DecompressSalvageCtx: %v", err)
 	}
 	if !mask.Any() {
 		t.Fatal("damage mask empty for a tampered artifact")
@@ -395,7 +396,7 @@ func TestChaosProofCatchesCRCCollision(t *testing.T) {
 	}
 	// The rebuilt container decodes end to end and matches the surviving
 	// planes of the original decode exactly.
-	recovered, _, err := Decompress(tp, salvaged)
+	recovered, _, _, err := DecompressReportWithOpts(tp, salvaged, Opts{})
 	if err != nil {
 		t.Fatalf("decoding the salvaged container: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fzmod/internal/device"
 	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
 	"fzmod/internal/preprocess"
@@ -25,6 +26,15 @@ func naiveExtract(full []float32, dims grid.Dims, sel RegionSel) []float32 {
 		}
 	}
 	return out
+}
+
+// readRegion opens the container behind f and reads one selection from it.
+func readRegion(p *device.Platform, f fzio.ChunkFetcher, sel RegionSel, opts RegionOpts) ([]float32, *ExecReport, error) {
+	r, err := OpenRegion(p, f, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.ReadReport(sel)
 }
 
 // streamFromChunked rewrites an FZMC container as its FZMS serialization;
@@ -70,18 +80,18 @@ func regionSels(dims grid.Dims) []RegionSel {
 }
 
 // TestRegionMatchesFullDecompress is the acceptance criterion: every
-// preset × FZMC/FZMS, DecompressRegion must be bit-identical to slicing
+// preset × FZMC/FZMS, a region read must be bit-identical to slicing
 // the same selection out of a full Decompress.
 func TestRegionMatchesFullDecompress(t *testing.T) {
 	dims := grid.D3(24, 20, 32)
 	data := sdrbench.GenHURR(dims, 31)
 	eb := preprocess.RelBound(1e-4)
 	for _, pl := range Presets() {
-		blob, err := pl.CompressChunked(tp, data, dims, eb, ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 4})
+		blob, _, err := pl.CompressChunkedReport(tp, data, dims, eb, ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
 		}
-		full, _, err := Decompress(tp, blob)
+		full, _, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
 		}
@@ -95,7 +105,7 @@ func TestRegionMatchesFullDecompress(t *testing.T) {
 				t.Fatalf("%s/%s: Dims = %v, want %v", pl.Name(), flavor, r.Dims(), dims)
 			}
 			for _, sel := range regionSels(dims) {
-				got, err := r.Read(sel)
+				got, _, err := r.ReadReport(sel)
 				if err != nil {
 					t.Fatalf("%s/%s sel %v: %v", pl.Name(), flavor, sel, err)
 				}
@@ -120,16 +130,16 @@ func TestRegionMonolithic(t *testing.T) {
 	dims := grid.D3(16, 12, 10)
 	data := sdrbench.GenHURR(dims, 7)
 	pl := NewDefault()
-	blob, err := pl.CompressMonolithic(tp, data, dims, preprocess.RelBound(1e-4))
+	blob, err := pl.Compress(tp, data, dims, preprocess.RelBound(1e-4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := Decompress(tp, blob)
+	full, _, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sel := RegionSel{X0: 1, X1: 9, Y0: 2, Y1: 11, Z0: 3, Z1: 7}
-	got, err := DecompressRegion(tp, fzio.NewBytesFetcher(blob), sel, RegionOpts{})
+	got, _, err := readRegion(tp, fzio.NewBytesFetcher(blob), sel, RegionOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +179,7 @@ func (h hugeMonolith) ReadRange(off int64, n int) ([]byte, error) {
 // whole through a fetcher.
 func TestRegionMonolithicOverFetchLimit(t *testing.T) {
 	dims := grid.D3(16, 12, 10)
-	blob, err := NewDefault().CompressMonolithic(tp, sdrbench.GenHURR(dims, 7), dims, preprocess.RelBound(1e-4))
+	blob, err := NewDefault().Compress(tp, sdrbench.GenHURR(dims, 7), dims, preprocess.RelBound(1e-4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +195,7 @@ func TestRegionMonolithicOverFetchLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Read(FullRegion(dims)); err == nil || !strings.Contains(err.Error(), "fetch limit") {
+	if _, _, err := reg.ReadReport(FullRegion(dims)); err == nil || !strings.Contains(err.Error(), "fetch limit") {
 		t.Fatalf("region read of a 1 GiB+ FZMD: got %v, want the fetch-limit refusal", err)
 	}
 }
@@ -196,12 +206,12 @@ func TestRegion2D(t *testing.T) {
 	dims := grid.D2(40, 48)
 	data := sdrbench.GenHURR(dims, 13)
 	pl := NewDefault()
-	blob, err := pl.CompressChunked(tp, data, dims, preprocess.RelBound(1e-4),
+	blob, _, err := pl.CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
 		ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := Decompress(tp, blob)
+	full, _, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +220,7 @@ func TestRegion2D(t *testing.T) {
 		{X0: 0, X1: 40, Y0: 6, Y1: 20, Z0: 0, Z1: 1}, // crosses slab boundaries
 		FullRegion(dims),
 	} {
-		got, err := DecompressRegion(tp, fzio.NewBytesFetcher(blob), sel, RegionOpts{})
+		got, _, err := readRegion(tp, fzio.NewBytesFetcher(blob), sel, RegionOpts{})
 		if err != nil {
 			t.Fatalf("sel %v: %v", sel, err)
 		}
@@ -230,7 +240,7 @@ func TestRegionPartialFetch(t *testing.T) {
 	dims := grid.D3(48, 48, 64) // 8 chunks of 8 planes
 	data := sdrbench.GenHURR(dims, 5)
 	pl := NewDefault()
-	blob, err := pl.CompressChunked(tp, data, dims, preprocess.RelBound(1e-4),
+	blob, _, err := pl.CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
 		ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +291,7 @@ func TestRegionCacheOverlap(t *testing.T) {
 	dims := grid.D3(24, 20, 32)
 	data := sdrbench.GenHURR(dims, 31)
 	pl := NewDefault()
-	blob, err := pl.CompressChunked(tp, data, dims, preprocess.RelBound(1e-4),
+	blob, _, err := pl.CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
 		ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +330,7 @@ func TestRegionCacheOverlap(t *testing.T) {
 func TestRegionSelValidation(t *testing.T) {
 	dims := grid.D3(16, 12, 10)
 	data := sdrbench.GenHURR(dims, 7)
-	blob, err := NewDefault().CompressMonolithic(tp, data, dims, preprocess.RelBound(1e-4))
+	blob, err := NewDefault().Compress(tp, data, dims, preprocess.RelBound(1e-4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +347,7 @@ func TestRegionSelValidation(t *testing.T) {
 		{}, // all-empty
 	}
 	for _, sel := range bad {
-		if _, err := r.Read(sel); err == nil {
+		if _, _, err := r.ReadReport(sel); err == nil {
 			t.Errorf("selection %v accepted against dims %v", sel, dims)
 		} else if !strings.Contains(err.Error(), "region") {
 			t.Errorf("selection %v: unhelpful error %v", sel, err)
@@ -379,7 +389,7 @@ func TestRegionCorruption(t *testing.T) {
 	dims := grid.D3(24, 20, 32)
 	data := sdrbench.GenHURR(dims, 31)
 	pl := NewDefault()
-	blob, err := pl.CompressChunked(tp, data, dims, preprocess.RelBound(1e-4),
+	blob, _, err := pl.CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
 		ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -393,20 +403,20 @@ func TestRegionCorruption(t *testing.T) {
 	t.Run("crc flip in fetched chunk", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[ix.Chunks[0].Offset+ix.Chunks[0].Length/2] ^= 0x10
-		_, err := DecompressRegion(tp, fzio.NewBytesFetcher(bad), sel, RegionOpts{})
+		_, _, err := readRegion(tp, fzio.NewBytesFetcher(bad), sel, RegionOpts{})
 		if err == nil || !strings.Contains(err.Error(), "CRC") {
 			t.Fatalf("flipped payload: got %v, want CRC error", err)
 		}
 	})
 	t.Run("truncated range response", func(t *testing.T) {
 		tf := truncatingFetcher{inner: fzio.NewBytesFetcher(blob), cut: int64(ix.Chunks[0].Offset)}
-		_, err := DecompressRegion(tp, tf, sel, RegionOpts{})
+		_, _, err := readRegion(tp, tf, sel, RegionOpts{})
 		if err == nil || !strings.Contains(err.Error(), "fetching chunk") {
 			t.Fatalf("truncated response: got %v, want wrapped fetch error", err)
 		}
 	})
 	t.Run("short reads", func(t *testing.T) {
-		_, err := DecompressRegion(tp, limitedShortFetcher{fzio.NewBytesFetcher(blob)}, sel, RegionOpts{})
+		_, _, err := readRegion(tp, limitedShortFetcher{fzio.NewBytesFetcher(blob)}, sel, RegionOpts{})
 		if err == nil {
 			t.Fatal("short-read fetcher: silent acceptance")
 		}
@@ -425,17 +435,17 @@ func TestRegionWorkersBudget(t *testing.T) {
 	dims := grid.D3(24, 20, 32)
 	data := sdrbench.GenHURR(dims, 31)
 	pl := NewDefault()
-	blob, err := pl.CompressChunked(tp, data, dims, preprocess.RelBound(1e-4),
+	blob, _, err := pl.CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
 		ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := Decompress(tp, blob)
+	full, _, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sel := FullRegion(dims)
-	got, err := DecompressRegion(tp, fzio.NewBytesFetcher(blob), sel, RegionOpts{Workers: 1})
+	got, _, err := readRegion(tp, fzio.NewBytesFetcher(blob), sel, RegionOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

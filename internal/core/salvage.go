@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the salvage read: where every normal decode path refuses a
-// damaged artifact outright, DecompressSalvage surveys it
+// damaged artifact outright, DecompressSalvageCtx surveys it
 // (fzio.SurveyArtifact), decodes the chunks that survived, and returns
 // the full-geometry field with the damaged planes zero-filled plus a
 // DamageMask saying exactly which planes are fabrication. The caller gets
@@ -44,20 +44,16 @@ func (m *DamageMask) DamagedPlanes() int {
 // Any reports whether the mask flags any damage at all.
 func (m *DamageMask) Any() bool { return m.DamagedPlanes() > 0 }
 
-// DecompressSalvage decodes whatever survives of the (possibly damaged)
-// artifact behind f: the field comes back at the artifact's full recorded
-// geometry with every plane an intact chunk covers decoded normally and
-// every damaged or missing plane zero-filled, as recorded by the returned
-// DamageMask. Intact chunks pass the same integrity checks as a normal
-// read (CRC32 plus, on version ≥ 2 artifacts, the recorded leaf hash), so
-// salvaged values are never silently wrong — the mask is the only place
-// uncertainty lives. Errors only when the artifact is unsalvageable
-// (unrecognizable, or no chunk survived).
-func DecompressSalvage(p *device.Platform, f fzio.ChunkFetcher, opts DecompressOpts) ([]float32, *DamageMask, error) {
-	return DecompressSalvageCtx(context.Background(), p, f, opts)
-}
-
-// DecompressSalvageCtx is DecompressSalvage bounded by gctx.
+// DecompressSalvageCtx decodes whatever survives of the (possibly
+// damaged) artifact behind f: the field comes back at the artifact's full
+// recorded geometry with every plane an intact chunk covers decoded
+// normally and every damaged or missing plane zero-filled, as recorded by
+// the returned DamageMask. Intact chunks pass the same integrity checks as
+// a normal read (CRC32 plus, on version ≥ 2 artifacts, the recorded leaf
+// hash), so salvaged values are never silently wrong — the mask is the
+// only place uncertainty lives. Errors only when the artifact is
+// unsalvageable (unrecognizable, or no chunk survived), or with the
+// context's error once gctx is canceled.
 func DecompressSalvageCtx(gctx context.Context, p *device.Platform, f fzio.ChunkFetcher, opts DecompressOpts) ([]float32, *DamageMask, error) {
 	s, err := fzio.SurveyArtifact(f)
 	if err != nil {

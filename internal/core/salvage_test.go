@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -27,7 +28,7 @@ func TestDecompressSalvageTruncatedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDefault().CompressStream(tp, bytes.NewReader(raw), dims,
+	if _, err := NewDefault().CompressStreamCtx(context.Background(), tp, bytes.NewReader(raw), dims,
 		preprocess.AbsBound(absEB), &buf, StreamOpts{ChunkElems: dims.PlaneElems() * 4, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestDecompressSalvageTruncatedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := Decompress(tp, reassembled)
+	full, _, _, err := DecompressReportWithOpts(tp, reassembled, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +53,9 @@ func TestDecompressSalvageTruncatedStream(t *testing.T) {
 			survey.Truncated, survey.Intact())
 	}
 
-	out, mask, err := DecompressSalvage(tp, fzio.NewBytesFetcher(cut), DecompressOpts{Workers: 2})
+	out, mask, err := DecompressSalvageCtx(context.Background(), tp, fzio.NewBytesFetcher(cut), DecompressOpts{Workers: 2})
 	if err != nil {
-		t.Fatalf("DecompressSalvage: %v", err)
+		t.Fatalf("DecompressSalvageCtx: %v", err)
 	}
 	if len(out) != dims.N() || len(mask.Planes) != dims.SlowExtent() {
 		t.Fatalf("salvage geometry = %d elems / %d planes, want %d / %d",
@@ -89,16 +90,16 @@ func TestDecompressSalvageTruncatedStream(t *testing.T) {
 func TestDecompressSalvageEdges(t *testing.T) {
 	dims := grid.D3(12, 10, 8)
 	data := sdrbench.GenNYX(dims, 9)
-	blob, err := NewDefault().CompressChunked(tp, data, dims, preprocess.RelBound(1e-4),
+	blob, _, err := NewDefault().CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
 		ChunkOpts{ChunkElems: dims.PlaneElems() * 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := Decompress(tp, blob)
+	full, _, _, err := DecompressReportWithOpts(tp, blob, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, mask, err := DecompressSalvage(tp, fzio.NewBytesFetcher(blob), DecompressOpts{})
+	out, mask, err := DecompressSalvageCtx(context.Background(), tp, fzio.NewBytesFetcher(blob), DecompressOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestDecompressSalvageEdges(t *testing.T) {
 	for _, ref := range ix.Chunks {
 		dead[ref.Offset] ^= 0xFF
 	}
-	if _, _, err := DecompressSalvage(tp, fzio.NewBytesFetcher(dead), DecompressOpts{}); err == nil {
-		t.Fatal("DecompressSalvage succeeded with zero intact chunks")
+	if _, _, err := DecompressSalvageCtx(context.Background(), tp, fzio.NewBytesFetcher(dead), DecompressOpts{}); err == nil {
+		t.Fatal("DecompressSalvageCtx succeeded with zero intact chunks")
 	}
 }

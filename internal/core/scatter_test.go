@@ -11,7 +11,7 @@ import (
 )
 
 // TestScatterAssemblyMatchesGather is the byte-identity proof of the
-// zero-copy container assembly: CompressChunked (scatter-write path) must
+// zero-copy container assembly: CompressChunkedReport (scatter-write path) must
 // emit exactly the container the PR-1/PR-4 gather path produced —
 // MarshalChunked over the per-slab monolithic containers compressed under
 // the same resolved absolute bound. The +lz variants are the proof that
@@ -26,7 +26,7 @@ func TestScatterAssemblyMatchesGather(t *testing.T) {
 	}
 	for _, pl := range pipelines {
 		opts := ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 3}
-		scatter, err := pl.CompressChunked(tp, data, dims, eb, opts)
+		scatter, _, err := pl.CompressChunkedReport(tp, data, dims, eb, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)
 		}
@@ -41,7 +41,7 @@ func TestScatterAssemblyMatchesGather(t *testing.T) {
 		perPlanes := make([]int, len(slabs))
 		for i, sl := range slabs {
 			chunk := data[sl.Lo : sl.Lo+sl.Dims.N()]
-			b, err := pl.CompressMonolithic(tp, chunk, sl.Dims, preprocess.AbsBound(absEB))
+			b, err := pl.Compress(tp, chunk, sl.Dims, preprocess.AbsBound(absEB))
 			if err != nil {
 				t.Fatalf("%s slab %d: %v", pl.Name(), i, err)
 			}
@@ -75,12 +75,12 @@ func TestScatterAssemblyMatchesGather(t *testing.T) {
 // for gather-built containers.
 func TestScatterContainerCorruptionDetected(t *testing.T) {
 	data, dims := chunkField()
-	blob, err := NewDefault().CompressChunked(tp, data, dims, preprocess.RelBound(1e-4),
+	blob, _, err := NewDefault().CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
 		ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress(tp, blob); err != nil {
+	if _, _, _, err := DecompressReportWithOpts(tp, blob, Opts{}); err != nil {
 		t.Fatalf("pristine container: %v", err)
 	}
 
@@ -98,7 +98,7 @@ func TestScatterContainerCorruptionDetected(t *testing.T) {
 	for i, ref := range cc.Chunks {
 		mut := append([]byte(nil), blob...)
 		mut[payloadStart+ref.Offset+ref.Length/2] ^= 0x01
-		if _, _, err := Decompress(tp, mut); err == nil {
+		if _, _, _, err := DecompressReportWithOpts(tp, mut, Opts{}); err == nil {
 			t.Errorf("payload flip in chunk %d not detected", i)
 		} else if !strings.Contains(err.Error(), "CRC") {
 			t.Errorf("chunk %d: expected a CRC error, got %v", i, err)
@@ -107,7 +107,7 @@ func TestScatterContainerCorruptionDetected(t *testing.T) {
 
 	// Truncation inside the payload area.
 	for _, cut := range []int{1, payloadLen / 3} {
-		if _, _, err := Decompress(tp, blob[:len(blob)-cut]); err == nil {
+		if _, _, _, err := DecompressReportWithOpts(tp, blob[:len(blob)-cut], Opts{}); err == nil {
 			t.Errorf("truncation by %d bytes not detected", cut)
 		}
 	}
@@ -125,7 +125,7 @@ func TestScatterContainerCorruptionDetected(t *testing.T) {
 	}
 	mut := append([]byte(nil), blob...)
 	mut[payloadStart-2] ^= 0xff // inside the last chunk's planes/CRC tail
-	if _, _, err := Decompress(tp, mut); err == nil {
+	if _, _, _, err := DecompressReportWithOpts(tp, mut, Opts{}); err == nil {
 		t.Error("table tail flip not detected")
 	}
 }
@@ -157,12 +157,12 @@ func chunkPlanes(cc *fzio.ChunkedContainer) []int {
 // worker width reconstructs the identical field.
 func TestDecompressWithWorkersBudget(t *testing.T) {
 	data, dims := chunkField()
-	blob, err := NewDefault().CompressChunked(tp, data, dims, preprocess.RelBound(1e-4),
+	blob, _, err := NewDefault().CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
 		ChunkOpts{ChunkElems: dims.PlaneElems() * 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, refDims, err := DecompressWithOpts(tp, blob, DecompressOpts{Workers: 1})
+	ref, refDims, _, err := DecompressReportWithOpts(tp, blob, DecompressOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDecompressWithWorkersBudget(t *testing.T) {
 		t.Fatalf("dims %v, want %v", refDims, dims)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		got, _, err := DecompressWithOpts(tp, blob, DecompressOpts{Workers: workers})
+		got, _, _, err := DecompressReportWithOpts(tp, blob, DecompressOpts{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -189,13 +189,13 @@ func TestChunkedWorkerBudgetBitIdentical(t *testing.T) {
 	data, dims := chunkField()
 	eb := preprocess.RelBound(1e-4)
 	opts := ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 1}
-	ref, err := NewDefault().CompressChunked(tp, data, dims, eb, opts)
+	ref, _, err := NewDefault().CompressChunkedReport(tp, data, dims, eb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		opts.Workers = workers
-		got, err := NewDefault().CompressChunked(tp, data, dims, eb, opts)
+		got, _, err := NewDefault().CompressChunkedReport(tp, data, dims, eb, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

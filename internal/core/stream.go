@@ -13,10 +13,10 @@ import (
 
 // This file is the out-of-core layer over the task-graph engine: instead
 // of requiring the whole field (and the whole compressed blob) resident in
-// memory, CompressStream consumes an io.Reader slab window by slab window
-// and DecompressStream produces an io.Writer the same way. Each window
-// lowers onto the identical per-chunk sub-graphs the in-memory chunked
-// path declares (so per-chunk output is bit-identical to CompressChunked),
+// memory, CompressStreamCtx consumes an io.Reader slab window by slab
+// window and DecompressStreamCtx produces an io.Writer the same way. Each
+// window lowers onto the identical per-chunk sub-graphs the in-memory
+// chunked path declares (so per-chunk output is bit-identical to it),
 // executed over one reused stf context whose worker pools stay warm across
 // windows; slab inputs, staging buffers and quantization codes all cycle
 // through the platform's BufPool, keeping resident memory O(window)
@@ -36,20 +36,15 @@ const (
 	streamStageBytes = 256 << 10
 )
 
-// CompressStream compresses a dims-shaped field of little-endian float32
-// values read from r into a streaming (FZMS) container written to w,
-// holding at most opts.Window slabs in memory at a time. The error bound
+// CompressStreamCtx compresses a dims-shaped field of little-endian
+// float32 values read from r into a streaming (FZMS) container written to
+// w, holding at most opts.Window slabs in memory at a time. The error bound
 // must be absolute: a value-range-relative bound needs a pass over the
 // whole field, which an out-of-core compressor by definition cannot take —
 // resolve it first (preprocess.Resolve) and pass the absolute bound.
-// Per-chunk payloads are bit-identical to CompressChunked on the same
-// field, so reassembling the stream yields that container byte for byte.
-// Returns the compressed bytes written.
-func (pl *Pipeline) CompressStream(p *device.Platform, r io.Reader, dims grid.Dims, eb preprocess.ErrorBound, w io.Writer, opts StreamOpts) (int64, error) {
-	return pl.CompressStreamCtx(context.Background(), p, r, dims, eb, w, opts)
-}
-
-// CompressStreamCtx is CompressStream bounded by gctx: cancellation stops
+// Per-chunk payloads are bit-identical to CompressChunkedReportCtx on the
+// same field, so reassembling the stream yields that container byte for
+// byte. Returns the compressed bytes written. Cancellation of gctx stops
 // the current window's unstarted task bodies at their dispatch boundary,
 // drains the graph, sweeps pooled intermediates back, and returns the
 // context's error with the bytes written so far (the stream is left
@@ -60,11 +55,11 @@ func (pl *Pipeline) CompressStreamCtx(gctx context.Context, p *device.Platform, 
 	if err != nil {
 		return 0, err
 	}
+	if err := eb.Validate(); err != nil {
+		return 0, err
+	}
 	if eb.Mode != preprocess.Abs {
 		return 0, fmt.Errorf("core: streaming compression requires an absolute error bound (a relative bound needs the whole field's value range; resolve it first)")
-	}
-	if eb.Value <= 0 {
-		return 0, fmt.Errorf("core: error bound must be positive, got %g", eb.Value)
 	}
 	absEB := eb.Value
 	slabs := grid.SplitSlabs(dims, planes)
@@ -142,19 +137,14 @@ func (pl *Pipeline) CompressStreamCtx(gctx context.Context, p *device.Platform, 
 	return sw.BytesWritten(), nil
 }
 
-// DecompressStream reconstructs a streaming (FZMS) container read from r,
-// writing the field to w as little-endian float32 bytes in storage order,
-// with at most opts.Window chunks in flight. Chunks within a window decode
-// in parallel through the same fetch → decode → reconstruct sub-graphs the
-// in-memory chunked read path uses; output is flushed in order as each
-// window completes. Returns the decoded field geometry.
-func DecompressStream(p *device.Platform, r io.Reader, w io.Writer, opts StreamOpts) (grid.Dims, error) {
-	return DecompressStreamCtx(context.Background(), p, r, w, opts)
-}
-
-// DecompressStreamCtx is DecompressStream bounded by gctx, with the
-// cancellation semantics of CompressStreamCtx: the current window drains,
-// nothing further is read, and the context's error is returned.
+// DecompressStreamCtx reconstructs a streaming (FZMS) container read from
+// r, writing the field to w as little-endian float32 bytes in storage
+// order, with at most opts.Window chunks in flight. Chunks within a window
+// decode in parallel through the same fetch → decode → reconstruct
+// sub-graphs the in-memory read path uses; output is flushed in order as
+// each window completes. Returns the decoded field geometry. Cancellation
+// of gctx drains the current window, reads nothing further, and returns
+// the context's error.
 func DecompressStreamCtx(gctx context.Context, p *device.Platform, r io.Reader, w io.Writer, opts StreamOpts) (grid.Dims, error) {
 	sr, err := fzio.NewStreamReader(r)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestCompressStreamEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				eb := preprocess.AbsBound(absEB)
-				chunked, err := pl.CompressChunked(p, data, dims, eb, ChunkOpts{ChunkElems: chunkElems})
+				chunked, _, err := pl.CompressChunkedReport(p, data, dims, eb, ChunkOpts{ChunkElems: chunkElems})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -51,7 +52,7 @@ func TestCompressStreamEquivalence(t *testing.T) {
 					t.Fatal("reference path did not produce a chunked container")
 				}
 				var streamBuf bytes.Buffer
-				written, err := pl.CompressStream(p, bytes.NewReader(device.F32Bytes(data)), dims, eb,
+				written, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(device.F32Bytes(data)), dims, eb,
 					&streamBuf, StreamOpts{ChunkElems: chunkElems, Window: 2})
 				if err != nil {
 					t.Fatal(err)
@@ -60,24 +61,24 @@ func TestCompressStreamEquivalence(t *testing.T) {
 					t.Errorf("written = %d, buffer has %d", written, streamBuf.Len())
 				}
 				if !fzio.IsStream(streamBuf.Bytes()) {
-					t.Fatal("CompressStream did not produce a stream container")
+					t.Fatal("CompressStreamCtx did not produce a stream container")
 				}
 				re, err := fzio.ReassembleChunked(bytes.NewReader(streamBuf.Bytes()))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(re, chunked) {
-					t.Error("reassembled stream differs from CompressChunked output")
+					t.Error("reassembled stream differs from CompressChunkedReport output")
 				}
 
 				// The streaming read path must reconstruct bit-identically
 				// to the in-memory decoder.
-				want, wantDims, err := Decompress(p, chunked)
+				want, wantDims, _, err := DecompressReportWithOpts(p, chunked, Opts{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				var out bytes.Buffer
-				gotDims, err := DecompressStream(p, bytes.NewReader(streamBuf.Bytes()), &out, StreamOpts{Window: 2})
+				gotDims, err := DecompressStreamCtx(context.Background(), p, bytes.NewReader(streamBuf.Bytes()), &out, StreamOpts{Window: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,13 +111,13 @@ func TestCompressStreamWindows(t *testing.T) {
 	}
 	eb := preprocess.AbsBound(absEB)
 	var ref bytes.Buffer
-	if _, err := pl.CompressStream(p, bytes.NewReader(device.F32Bytes(data)), dims, eb,
+	if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(device.F32Bytes(data)), dims, eb,
 		&ref, StreamOpts{ChunkElems: chunkElems, Window: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, window := range []int{1, 3, 4, 99} {
 		var buf bytes.Buffer
-		if _, err := pl.CompressStream(p, bytes.NewReader(device.F32Bytes(data)), dims, eb,
+		if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(device.F32Bytes(data)), dims, eb,
 			&buf, StreamOpts{ChunkElems: chunkElems, Window: window}); err != nil {
 			t.Fatalf("window %d: %v", window, err)
 		}
@@ -124,7 +125,7 @@ func TestCompressStreamWindows(t *testing.T) {
 			t.Errorf("window %d: stream differs from window 2", window)
 		}
 		var out bytes.Buffer
-		if _, err := DecompressStream(p, bytes.NewReader(buf.Bytes()), &out, StreamOpts{Window: window}); err != nil {
+		if _, err := DecompressStreamCtx(context.Background(), p, bytes.NewReader(buf.Bytes()), &out, StreamOpts{Window: window}); err != nil {
 			t.Fatalf("window %d decompress: %v", window, err)
 		}
 		got := device.BytesF32(out.Bytes())
@@ -135,7 +136,7 @@ func TestCompressStreamWindows(t *testing.T) {
 }
 
 // TestCompressStreamSingleChunk: a field that fits one chunk still streams
-// (unlike CompressChunked, which falls back to a monolithic container, the
+// (unlike CompressChunkedReportCtx, which falls back to a monolithic container, the
 // stream format always frames).
 func TestCompressStreamSingleChunk(t *testing.T) {
 	p := device.NewTestPlatform()
@@ -147,12 +148,12 @@ func TestCompressStreamSingleChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := NewDefault().CompressStream(p, bytes.NewReader(device.F32Bytes(data)), dims,
+	if _, err := NewDefault().CompressStreamCtx(context.Background(), p, bytes.NewReader(device.F32Bytes(data)), dims,
 		preprocess.AbsBound(absEB), &buf, StreamOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	gotDims, err := DecompressStream(p, bytes.NewReader(buf.Bytes()), &out, StreamOpts{})
+	gotDims, err := DecompressStreamCtx(context.Background(), p, bytes.NewReader(buf.Bytes()), &out, StreamOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,28 +180,28 @@ func TestCompressStreamErrors(t *testing.T) {
 	eb := preprocess.AbsBound(absEB)
 
 	// Relative bounds need the whole field; streaming must refuse.
-	if _, err := pl.CompressStream(p, bytes.NewReader(raw), dims, preprocess.RelBound(1e-3), io.Discard, StreamOpts{}); err == nil {
+	if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(raw), dims, preprocess.RelBound(1e-3), io.Discard, StreamOpts{}); err == nil {
 		t.Error("relative bound should be rejected")
 	}
-	if _, err := pl.CompressStream(p, bytes.NewReader(raw), dims, preprocess.AbsBound(0), io.Discard, StreamOpts{}); err == nil {
+	if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(raw), dims, preprocess.AbsBound(0), io.Discard, StreamOpts{}); err == nil {
 		t.Error("zero bound should be rejected")
 	}
-	if _, err := pl.CompressStream(p, bytes.NewReader(raw), grid.Dims{}, eb, io.Discard, StreamOpts{}); err == nil {
+	if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(raw), grid.Dims{}, eb, io.Discard, StreamOpts{}); err == nil {
 		t.Error("invalid dims should be rejected")
 	}
 	// Input shorter than dims: the slab read must fail cleanly.
-	if _, err := pl.CompressStream(p, bytes.NewReader(raw[:len(raw)/2]), dims, eb, io.Discard, StreamOpts{ChunkElems: 128}); err == nil {
+	if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(raw[:len(raw)/2]), dims, eb, io.Discard, StreamOpts{ChunkElems: 128}); err == nil {
 		t.Error("short input should be rejected")
 	}
 	// Truncated stream into the decoder.
 	var buf bytes.Buffer
-	if _, err := pl.CompressStream(p, bytes.NewReader(raw), dims, eb, &buf, StreamOpts{ChunkElems: 128}); err != nil {
+	if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(raw), dims, eb, &buf, StreamOpts{ChunkElems: 128}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecompressStream(p, bytes.NewReader(buf.Bytes()[:buf.Len()-9]), io.Discard, StreamOpts{}); err == nil {
+	if _, err := DecompressStreamCtx(context.Background(), p, bytes.NewReader(buf.Bytes()[:buf.Len()-9]), io.Discard, StreamOpts{}); err == nil {
 		t.Error("truncated stream should be rejected")
 	}
-	if _, err := DecompressStream(p, bytes.NewReader([]byte("FZMDnope")), io.Discard, StreamOpts{}); err == nil {
+	if _, err := DecompressStreamCtx(context.Background(), p, bytes.NewReader([]byte("FZMDnope")), io.Discard, StreamOpts{}); err == nil {
 		t.Error("non-stream input should be rejected")
 	}
 }
@@ -234,7 +235,7 @@ func TestCompressStreamMemoryBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		if _, err := pl.CompressStream(p, bytes.NewReader(raw), dims, preprocess.AbsBound(absEB), io.Discard, opts); err != nil {
+		if _, err := pl.CompressStreamCtx(context.Background(), p, bytes.NewReader(raw), dims, preprocess.AbsBound(absEB), io.Discard, opts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ package preprocess
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fzmod/internal/device"
 	"fzmod/internal/kernels"
@@ -40,6 +41,19 @@ type ErrorBound struct {
 	Mode  BoundMode
 }
 
+// ErrBadBound marks an error bound that cannot be enforced: not finite and
+// positive as given, or not finite once a relative bound is resolved.
+var ErrBadBound = errors.New("preprocess: error bound must be finite and positive")
+
+// Validate refuses a bound that cannot be enforced with an error wrapping
+// ErrBadBound. NaN and ±Inf would otherwise reach the quantizer.
+func (eb ErrorBound) Validate() error {
+	if !(eb.Value > 0) || math.IsInf(eb.Value, 1) {
+		return fmt.Errorf("%w, got %g", ErrBadBound, eb.Value)
+	}
+	return nil
+}
+
 // RelBound constructs a value-range-relative bound (the paper's setting).
 func RelBound(v float64) ErrorBound { return ErrorBound{Value: v, Mode: Rel} }
 
@@ -56,8 +70,8 @@ type Stats struct {
 // Resolve computes the effective absolute error bound for data, running the
 // min/max reduction kernel at place when the mode is relative.
 func Resolve(p *device.Platform, place device.Place, data []float32, eb ErrorBound) (float64, Stats, error) {
-	if eb.Value <= 0 {
-		return 0, Stats{}, fmt.Errorf("preprocess: error bound must be positive, got %g", eb.Value)
+	if err := eb.Validate(); err != nil {
+		return 0, Stats{}, err
 	}
 	if len(data) == 0 {
 		return 0, Stats{}, errors.New("preprocess: empty input")
@@ -73,5 +87,9 @@ func Resolve(p *device.Platform, place device.Place, data []float32, eb ErrorBou
 		// the raw value so the quantizer still produces all-zero codes.
 		r = 1
 	}
-	return eb.Value * r, st, nil
+	abs := eb.Value * r
+	if math.IsInf(abs, 0) {
+		return 0, st, fmt.Errorf("%w: relative bound %g over value range %g overflows", ErrBadBound, eb.Value, r)
+	}
+	return abs, st, nil
 }

@@ -129,7 +129,7 @@ func TestServeDecompressStreamArtifact(t *testing.T) {
 	vals, body := testFieldBytes(t, dims)
 	absEB := relResolved(t, vals, 1e-3)
 	var fzms bytes.Buffer
-	if _, err := core.NewDefault().CompressStream(device.NewTestPlatform(), bytes.NewReader(body), dims,
+	if _, err := core.NewDefault().CompressStreamCtx(context.Background(), device.NewTestPlatform(), bytes.NewReader(body), dims,
 		preprocess.AbsBound(absEB), &fzms, core.StreamOpts{ChunkElems: 24 * 20 * 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestServeCompressMatchesLibrary(t *testing.T) {
 			var want []byte
 			if tc.chunk > 0 {
 				url += fmt.Sprintf("&chunk=%d", tc.chunk)
-				want, err = pl.CompressChunked(p, vals, tc.dims, eb, core.ChunkOpts{ChunkElems: tc.chunk, Workers: 1})
+				want, _, err = pl.CompressChunkedReport(p, vals, tc.dims, eb, core.ChunkOpts{ChunkElems: tc.chunk, Workers: 1})
 			} else {
 				want, err = pl.Compress(p.WithWorkers(1), vals, tc.dims, eb)
 			}

@@ -205,12 +205,15 @@ func (s *Server) Admission() *Admission { return s.adm }
 // rides out a transient overload.
 const retryAfterSecs = "1"
 
-// fail maps an execution error onto its status class: 429 for admission
-// shed, 503 for canceled/expired requests, 500 otherwise. The retryable
+// fail maps an execution error onto its status class: 400 for a bound the
+// data makes unenforceable, 429 for admission shed, 503 for
+// canceled/expired requests, 500 otherwise. The retryable
 // classes (429, 503) carry Retry-After so well-behaved clients back off
 // instead of hammering an overloaded or draining daemon.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, preprocess.ErrBadBound):
+		s.badRequest(w, "%v", err)
 	case errors.Is(err, ErrOverloaded):
 		s.met.errShed.Add(1)
 		w.Header().Set("Retry-After", retryAfterSecs)
@@ -234,17 +237,22 @@ func (s *Server) badRequest(w http.ResponseWriter, format string, args ...any) {
 // parseBound parses eb + mode query params into an error bound.
 func parseBound(ebStr, mode string) (preprocess.ErrorBound, error) {
 	v, err := strconv.ParseFloat(ebStr, 64)
-	if err != nil || v <= 0 {
+	if err != nil {
 		return preprocess.ErrorBound{}, fmt.Errorf("eb %q: want a positive float", ebStr)
 	}
+	var eb preprocess.ErrorBound
 	switch mode {
 	case "", "rel":
-		return preprocess.RelBound(v), nil
+		eb = preprocess.RelBound(v)
 	case "abs":
-		return preprocess.AbsBound(v), nil
+		eb = preprocess.AbsBound(v)
 	default:
 		return preprocess.ErrorBound{}, fmt.Errorf("mode %q: want rel or abs", mode)
 	}
+	if err := eb.Validate(); err != nil {
+		return preprocess.ErrorBound{}, fmt.Errorf("eb %q: %w", ebStr, err)
+	}
+	return eb, nil
 }
 
 // parseWorkers resolves the request's lease size (its Opts.Workers).
@@ -384,7 +392,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 
 	var blob []byte
 	if !s.run(w, r, workers, func(ctx context.Context, width int) (err error) {
-		blob, err = pl.CompressChunkedCtx(ctx, s.p, valsSlab.Data, dims, eb,
+		blob, _, err = pl.CompressChunkedReportCtx(ctx, s.p, valsSlab.Data, dims, eb,
 			core.ChunkOpts{Workers: width, ChunkElems: chunkElems})
 		return err
 	}) {
@@ -429,7 +437,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		dims grid.Dims
 	)
 	if !s.run(w, r, workers, func(ctx context.Context, width int) (err error) {
-		vals, dims, err = core.DecompressWithOptsCtx(ctx, s.p, blob, core.DecompressOpts{Workers: width})
+		vals, dims, _, err = core.DecompressReportWithOptsCtx(ctx, s.p, blob, core.DecompressOpts{Workers: width})
 		return err
 	}) {
 		return

@@ -2,6 +2,7 @@ package fzmod_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -57,7 +58,7 @@ func TestKernelTierContainerIdentity(t *testing.T) {
 				t.Fatalf("purego %s/%s: %v", pl.Name(), name, err)
 			}
 			ref[k] = blob
-			if refField[k], _, err = fzmod.Decompress(p, blob); err != nil {
+			if refField[k], _, _, err = fzmod.Decompress(context.Background(), p, blob, fzmod.Opts{}); err != nil {
 				t.Fatalf("purego decompress %s/%s: %v", pl.Name(), name, err)
 			}
 		}
@@ -77,7 +78,7 @@ func TestKernelTierContainerIdentity(t *testing.T) {
 				t.Errorf("%s/%s: container bytes differ between purego (%d bytes) and %s (%d bytes)",
 					pl.Name(), name, len(want), dispatch.Active(), len(blob))
 			}
-			got, _, err := fzmod.Decompress(p, want)
+			got, _, _, err := fzmod.Decompress(context.Background(), p, want, fzmod.Opts{})
 			if err != nil {
 				t.Fatalf("%s decompress %s/%s: %v", dispatch.Active(), pl.Name(), name, err)
 			}

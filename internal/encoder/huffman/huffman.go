@@ -2,8 +2,10 @@
 // primary lossless encoder of FZMod-Default and FZMod-Quality. Following
 // the paper's design (§3.3: "CPU-based Huffman encoding due to low GPU
 // performance of Huffman encoders"), encoding is chunked so independent
-// chunks are processed in parallel on the host, and decoding uses a
-// table-accelerated canonical decoder per chunk.
+// chunks are processed in parallel on the host. Decoding runs two chunks
+// in lockstep, each lane a bit position that indexes a multi-symbol and a
+// single-symbol lookup table; codes longer than the table index take the
+// canonical MSB-first walk over per-length code counts.
 //
 // The codec is built from a histogram of the quantization codes (provided
 // by the histogram module) and never inspects the code stream itself, so an
@@ -28,7 +30,7 @@ import (
 const maxCodeLen = 32
 
 // tableBits sizes the fast decode table: codes up to this length decode in
-// one lookup, longer ones fall back to the canonical bit-by-bit path.
+// one lookup, longer ones take the canonical walk in longCode.
 const tableBits = 12
 
 // multiBits sizes the multi-symbol decode table: every multiBits-wide
@@ -60,8 +62,9 @@ type Codec struct {
 
 	// Canonical decode state.
 	minLen, maxLen int
-	firstCode      []uint32 // by length
-	firstIdx       []int    // by length
+	firstCode      []uint32               // by length
+	firstIdx       []int                  // by length
+	count          [maxCodeLen + 1]uint32 // codes per length
 	symByIdx       []uint16
 	fast           []fastEntry
 	multi          []multiEntry
@@ -267,7 +270,7 @@ func fromLengths(lengths []uint8) (*Codec, error) {
 		c.lengths32[s] = uint32(l)
 	}
 	c.minLen, c.maxLen = maxCodeLen+1, 0
-	count := make([]int, maxCodeLen+1)
+	count := &c.count
 	for _, l := range lengths {
 		if l == 0 {
 			continue
@@ -299,8 +302,8 @@ func fromLengths(lengths []uint8) (*Codec, error) {
 	for l := c.minLen; l <= c.maxLen; l++ {
 		c.firstCode[l] = code
 		c.firstIdx[l] = idx
-		code = (code + uint32(count[l])) << 1
-		idx += count[l]
+		code = (code + count[l]) << 1
+		idx += int(count[l])
 	}
 	// Symbols sorted by (length, symbol) get consecutive canonical codes.
 	c.symByIdx = make([]uint16, idx)
@@ -585,7 +588,9 @@ func (c *Codec) encodeChunk(codes []uint16, buf []byte) []byte {
 }
 
 // Decode expands a chunked bitstream produced by Encode back into n codes,
-// decoding chunks in parallel at place.
+// decoding chunks in parallel at place. Each LaunchBlocks range decodes its
+// chunks two at a time (decodePair), so two independent lookup → shift
+// chains overlap in one loop; an odd last chunk runs the single-lane loop.
 func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte) ([]uint16, error) {
 	total, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -597,7 +602,13 @@ func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte) ([]u
 		return nil, fmt.Errorf("huffman: truncated chunk count")
 	}
 	pos += k
-	if want := (total + chunkSize - 1) / chunkSize; nChunks != want && !(total == 0 && nChunks == 0) {
+	// Bound both counts by the bytes behind them before anything is
+	// allocated: every chunk size takes at least one varint byte, and every
+	// symbol at least minLen bits.
+	if rest := uint64(len(data) - pos); nChunks > rest || total > 8*rest/uint64(c.minLen) {
+		return nil, fmt.Errorf("huffman: header claims %d symbols in %d chunks, more than %d bytes can hold", total, nChunks, rest)
+	}
+	if want := (total + chunkSize - 1) / chunkSize; nChunks != want {
 		return nil, fmt.Errorf("huffman: chunk count %d inconsistent with %d symbols", nChunks, total)
 	}
 	// Per-chunk payload offsets, pooled: Decode runs once per codec chunk
@@ -633,19 +644,27 @@ func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte) ([]u
 	var errMu sync.Mutex
 	var firstErr error
 	p.LaunchBlocks(place, int(nChunks), func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
+		chunk := func(ci int) ([]byte, []uint16) {
 			start := ci * chunkSize
-			end := start + chunkSize
-			if end > int(total) {
-				end = int(total)
+			return data[offsets[ci]:offsets[ci+1]], out[start:min(start+chunkSize, int(total))]
+		}
+		var err error
+		ci := lo
+		for ; ci+1 < hi && err == nil; ci += 2 {
+			a, outA := chunk(ci)
+			b, outB := chunk(ci + 1)
+			err = c.decodePair(a, outA, b, outB)
+		}
+		if ci < hi && err == nil {
+			d, o := chunk(ci)
+			err = c.decodeLane(d, o, 0, 0)
+		}
+		if err != nil {
+			errMu.Lock()
+			if firstErr == nil {
+				firstErr = err
 			}
-			if err := c.decodeChunk(data[offsets[ci]:offsets[ci+1]], out[start:end]); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
+			errMu.Unlock()
 		}
 	})
 	pool.PutI64(offSlab)
@@ -657,29 +676,87 @@ func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte) ([]u
 	return out, nil
 }
 
-// decodeChunk expands one chunk's bitstream through a 64-bit bit reservoir:
-// eight bytes are loaded per refill with a single little-endian read, the
-// multi-symbol table decodes every complete code inside the lookahead
-// window per lookup (with the single-symbol fast table as fallback at
-// window boundaries), and the reservoir refills only once it drops below
-// 32 bits (a byte-wise scalar tail takes over inside the last word of the
-// stream). The canonical slow path for codes longer than tableBits reads
-// its bits from the same reservoir, so no per-bit byte indexing survives
-// anywhere in the loop.
-func (c *Codec) decodeChunk(data []byte, out []uint16) error {
-	n := len(data)
-	tb := c.maxLen
-	if tb > tableBits {
-		tb = tableBits
+// decodePair decodes two chunks in lockstep: the two lookup → advance
+// chains are independent, so their latencies overlap. Each lane is a bit
+// position held in locals. A step loads the 8 bytes at the lane's byte and
+// shifts out the bits of that byte already consumed, which leaves at least
+// 57 stream bits: more than any one table entry or long code consumes.
+// There is nothing to refill, so a lane step is one load and one variable
+// shift. With two lanes the loop is bound by issue slots, not latency: the
+// fewer instructions per code, the faster it runs and the less it slows
+// when another hardware thread shares the core. The loop runs while both
+// lanes have 8 readable bytes and room for a full multi-table entry, so its
+// body needs no input or output checks, and a multi-table hit is one
+// unconditional maxMultiSyms-wide store. Each lane then finishes in
+// decodeLane from where it stopped.
+func (c *Codec) decodePair(a []byte, outA []uint16, b []byte, outB []uint16) error {
+	fast, multi := c.fast, c.multi
+	mask, mmask := uint64(len(fast)-1), uint64(len(multi)-1)
+	var bitA, bitB uint
+	var oiA, oiB int
+	for bitA>>3+8 <= uint(len(a)) && bitB>>3+8 <= uint(len(b)) && oiA+maxMultiSyms <= len(outA) && oiB+maxMultiSyms <= len(outB) {
+		accA := binary.LittleEndian.Uint64(a[bitA>>3:]) >> (bitA & 7)
+		accB := binary.LittleEndian.Uint64(b[bitB>>3:]) >> (bitB & 7)
+		if me := &multi[accA&mmask]; me.n > 0 {
+			*(*[maxMultiSyms]uint16)(outA[oiA:]) = me.syms
+			oiA += int(me.n)
+			bitA += uint(me.bits)
+		} else if e := fast[accA&mask]; e.len > 0 {
+			outA[oiA] = e.sym
+			oiA++
+			bitA += uint(e.len)
+		} else if sym, l := c.longCode(accA, 57); l > 0 {
+			outA[oiA] = sym
+			oiA++
+			bitA += l
+		} else {
+			return fmt.Errorf("huffman: corrupt chunk at symbol %d", oiA)
+		}
+		if me := &multi[accB&mmask]; me.n > 0 {
+			*(*[maxMultiSyms]uint16)(outB[oiB:]) = me.syms
+			oiB += int(me.n)
+			bitB += uint(me.bits)
+		} else if e := fast[accB&mask]; e.len > 0 {
+			outB[oiB] = e.sym
+			oiB++
+			bitB += uint(e.len)
+		} else if sym, l := c.longCode(accB, 57); l > 0 {
+			outB[oiB] = sym
+			oiB++
+			bitB += l
+		} else {
+			return fmt.Errorf("huffman: corrupt chunk at symbol %d", oiB)
+		}
 	}
-	mask := uint64(1)<<uint(tb) - 1
-	fast := c.fast
-	multi := c.multi
-	mmask := uint64(len(multi) - 1)
-	var acc uint64 // stream bits, LSB-first; bits ≥ navail are zero
+	if err := c.decodeLane(a, outA, bitA, oiA); err != nil {
+		return err
+	}
+	return c.decodeLane(b, outB, bitB, oiB)
+}
+
+// decodeLane decodes one chunk from stream bit position bit and output
+// index oi to its end; a fresh chunk starts from zero. It runs a 64-bit bit
+// reservoir whose bits at and above navail are zero or already-counted
+// stream bits, so every table hit is checked against navail here. Eight
+// bytes are loaded per refill with a single little-endian read, and a
+// byte-wise scalar refill takes over inside the last word of the chunk. A
+// multi-table hit is one unconditional array store while a whole entry
+// fits in out, and a copy of its n symbols at the very end.
+func (c *Codec) decodeLane(data []byte, out []uint16, bit uint, oi int) error {
+	n := len(data)
+	pos := int(bit >> 3)
+	var acc uint64
 	var navail uint
-	pos := 0
-	for oi := 0; oi < len(out); {
+	if skip := bit & 7; skip != 0 {
+		// The byte at pos is partly consumed: its remaining bits start
+		// the reservoir.
+		acc, navail = uint64(data[pos])>>skip, 8-skip
+		pos++
+	}
+	mask := uint64(len(c.fast) - 1)
+	fast, multi := c.fast, c.multi
+	mmask := uint64(len(multi) - 1)
+	for oi < len(out) {
 		if navail < 32 {
 			if pos+8 <= n {
 				// Word refill: absorb as many whole bytes as fit; the
@@ -689,7 +766,6 @@ func (c *Codec) decodeChunk(data []byte, out []uint16) error {
 				pos += int(adv)
 				navail += adv << 3
 			} else {
-				// Scalar tail: byte-wise refill over the final few bytes.
 				for navail <= 56 && pos < n {
 					acc |= uint64(data[pos]) << navail
 					pos++
@@ -697,11 +773,11 @@ func (c *Codec) decodeChunk(data []byte, out []uint16) error {
 				}
 			}
 		}
-		// Multi-symbol path: one lookup decodes every complete code in
-		// the lookahead window.
 		if me := &multi[acc&mmask]; me.n > 0 && uint(me.bits) <= navail && oi+int(me.n) <= len(out) {
-			for k := 0; k < int(me.n); k++ {
-				out[oi+k] = me.syms[k]
+			if oi+maxMultiSyms <= len(out) {
+				*(*[maxMultiSyms]uint16)(out[oi:]) = me.syms
+			} else {
+				copy(out[oi:oi+int(me.n)], me.syms[:])
 			}
 			oi += int(me.n)
 			acc >>= me.bits
@@ -715,43 +791,34 @@ func (c *Codec) decodeChunk(data []byte, out []uint16) error {
 			navail -= uint(e.len)
 			continue
 		}
-		// Slow canonical path for long codes (and the stream tail, where
-		// fewer than a full lookahead's bits remain).
-		var code uint32
-		l := 0
-		lMax := c.maxLen
-		if uint(lMax) > navail {
-			lMax = int(navail)
-		}
-		matched := false
-		for l < lMax {
-			code = code<<1 | uint32(acc>>uint(l))&1
-			l++
-			if l < c.minLen {
-				continue
-			}
-			rel := int(code) - int(c.firstCode[l])
-			if rel >= 0 && c.firstIdx[l]+rel < firstIdxEnd(c, l) {
-				out[oi] = c.symByIdx[c.firstIdx[l]+rel]
-				oi++
-				acc >>= uint(l)
-				navail -= uint(l)
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		sym, l := c.longCode(acc, navail)
+		if l == 0 {
 			return fmt.Errorf("huffman: corrupt chunk at symbol %d", oi)
 		}
+		out[oi] = sym
+		oi++
+		acc >>= l
+		navail -= l
 	}
 	return nil
 }
 
-func firstIdxEnd(c *Codec, l int) int {
-	if l+1 <= c.maxLen {
-		return c.firstIdx[l+1]
+// longCode decodes a code longer than the fast table's index from the low
+// navail stream bits of acc with the canonical MSB-first walk: acc is
+// bit-reversed once so the next l stream bits are the top l bits, and length l matches when code − firstCode[l] < count[l] (unsigned,
+// so codes below firstCode[l] wrap and miss). It returns l = 0 when no code
+// of at most min(maxLen, navail) bits matches. A code no longer than the
+// fast index never reaches here: the fast table holds every such code.
+func (c *Codec) longCode(acc uint64, navail uint) (uint16, uint) {
+	rev := bits.Reverse64(acc)
+	lMax := min(uint(c.maxLen), navail)
+	// len(c.fast) is 1<<tb, so the walk starts at length tb+1.
+	for l := uint(bits.Len(uint(len(c.fast)))); l <= lMax; l++ {
+		if rel := uint32(rev>>(64-l)) - c.firstCode[l]; rel < c.count[l] {
+			return c.symByIdx[c.firstIdx[l]+int(rel)], l
+		}
 	}
-	return len(c.symByIdx)
+	return 0, 0
 }
 
 // Compress is the single-shot convenience: builds the codec from hist,

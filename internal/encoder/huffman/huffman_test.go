@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -492,21 +493,61 @@ func BenchmarkHuffmanEncode(b *testing.B) {
 	})
 }
 
+// genLaplace draws n codes around the centre 512 of a 1024-symbol
+// alphabet: a two-sided geometric residual of scale b, with a tail share
+// of codes drawn uniformly from the whole alphabet (the outlier-like codes
+// that get long Huffman codes).
+func genLaplace(n int, b, tail float64, seed int64) []uint16 {
+	rng := rand.New(rand.NewSource(seed))
+	codes := make([]uint16, n)
+	for i := range codes {
+		if rng.Float64() < tail {
+			codes[i] = uint16(rng.Intn(1024))
+			continue
+		}
+		v := math.Round(rng.ExpFloat64() * b)
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		codes[i] = uint16(min(max(512+v, 0), 1023))
+	}
+	return codes
+}
+
+// BenchmarkHuffmanDecode decodes 2 Mi codes at Workers=1 and reports
+// ns/code and the stream's bits/code. "centre80" is 80 % one symbol; the
+// field-shaped streams match the two Default workloads' code statistics:
+// "nyx" about 1.4 bits/code, all codes within the fast table, and "hacc"
+// about 7 bits/code with about 3 % of codes longer than tableBits.
 func BenchmarkHuffmanDecode(b *testing.B) {
-	codes, h := benchCodes(1 << 21)
-	c, err := Build(h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload, err := c.Encode(tp, device.Host, codes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(2 * len(codes)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(tp, device.Host, payload); err != nil {
+	centre, _ := benchCodes(1 << 21)
+	p := tp.WithWorkers(1)
+	for _, bc := range []struct {
+		name  string
+		codes []uint16
+	}{
+		{"centre80", centre},
+		{"nyx", genLaplace(1<<21, 0.35, 0, 1)},
+		{"hacc", genLaplace(1<<21, 20, 0.03, 1)},
+	} {
+		h := histOf(bc.codes, 1024)
+		c, err := Build(h)
+		if err != nil {
 			b.Fatal(err)
 		}
+		payload, err := c.Encode(p, device.Host, bc.codes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(2 * len(bc.codes)))
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Decode(p, device.Host, payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bc.codes)), "ns/code")
+			b.ReportMetric(float64(c.ExpectedBits(h))/float64(len(bc.codes)), "bits/code")
+		})
 	}
 }

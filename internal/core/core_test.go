@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -183,6 +184,41 @@ func TestLorenzoReconstructOutvalLength(t *testing.T) {
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
 		}
+	}
+}
+
+// TestSplineMetaHostile hands SplinePredictor.Reconstruct meta segments
+// whose choice or order counts are uvarints ≥ 2^63, which wrapped the old
+// int bound check negative and panicked the slice, and a max level past the
+// spline limit; each must be an error.
+func TestSplineMetaHostile(t *testing.T) {
+	dims := grid.D2(21, 9)
+	pred, err := SplinePredictor{}.Predict(tp, device.Accel, sdrbench.GenCESM(dims, 3), dims, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := uint64(1) << 63
+	uv := binary.AppendUvarint
+	for _, tc := range []struct {
+		name string
+		meta []byte
+	}{
+		{"choices count", append(uv(uv(nil, 4), huge), make([]byte, 16)...)},
+		{"orders count", append(uv(append(uv(uv(nil, 4), 12), make([]byte, 12)...), huge), make([]byte, 16)...)},
+		{"max level", uv(uv(uv(nil, 63), 0), 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := &Prediction{Codes: pred.Codes, Radius: pred.Radius, Extras: map[string][]byte{
+				"anchors": pred.Extras["anchors"], "outval": pred.Extras["outval"], "meta": tc.meta,
+			}}
+			if _, err := (SplinePredictor{}).Reconstruct(tp, device.Accel, p, dims, 1e-3); err == nil {
+				t.Error("hostile meta accepted")
+			}
+		})
+	}
+	// The unmodified prediction reconstructs.
+	if _, err := (SplinePredictor{}).Reconstruct(tp, device.Accel, pred, dims, 1e-3); err != nil {
+		t.Fatal(err)
 	}
 }
 

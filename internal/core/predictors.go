@@ -6,7 +6,6 @@ import (
 
 	"fzmod/internal/device"
 	"fzmod/internal/grid"
-	"fzmod/internal/kernels/dispatch"
 	"fzmod/internal/predictor/lorenzo"
 	"fzmod/internal/predictor/spline"
 )
@@ -92,25 +91,6 @@ func (LorenzoPredictor) ReconstructInto(p *device.Platform, place device.Place, 
 	return lorenzo.DecodeInto(p, place, q, dims, eb, dst)
 }
 
-// outlierIndices rebuilds the ascending outlier index stream from the
-// escape codes (code 0). cap bounds the scan so a corrupt stream cannot
-// allocate unboundedly. Escapes are rare, so the scan hops zero to zero
-// with the dispatched NextZero kernel (one vector compare covers sixteen
-// codes on AVX2; the pure-Go fallback keeps the branch-free borrow-trick
-// word scan) instead of testing every code.
-func outlierIndices(codes []uint16, cap int) []uint32 {
-	out := make([]uint32, 0, cap)
-	base := 0
-	for {
-		k := dispatch.NextZero(codes[base:])
-		if k < 0 {
-			return out
-		}
-		out = append(out, uint32(base+k))
-		base += k + 1
-	}
-}
-
 // SplinePredictor adapts the G-Interp interpolation module (package
 // spline) — the prediction stage of FZMod-Quality, and with Mode=Auto the
 // SZ3 baseline's predictor.
@@ -150,38 +130,38 @@ func (sp SplinePredictor) Predict(p *device.Platform, place device.Place, data [
 
 // Reconstruct implements Predictor.
 func (sp SplinePredictor) Reconstruct(p *device.Platform, place device.Place, pred *Prediction, dims grid.Dims, eb float64) ([]float32, error) {
+	// Counts are compared as uint64 against the bytes left, so a hostile
+	// uvarint cannot wrap a slice bound negative.
 	meta := pred.Extras["meta"]
 	maxLevel, k := binary.Uvarint(meta)
 	if k <= 0 {
 		return nil, fmt.Errorf("core: spline meta segment corrupt")
 	}
-	pos := k
-	nChoices, k2 := binary.Uvarint(meta[pos:])
-	if k2 <= 0 || pos+k2+int(nChoices) > len(meta) {
+	if maxLevel > spline.MaxLevelLimit {
+		return nil, fmt.Errorf("core: spline max level %d exceeds %d", maxLevel, spline.MaxLevelLimit)
+	}
+	rest := meta[k:]
+	nChoices, k2 := binary.Uvarint(rest)
+	if k2 <= 0 || nChoices > uint64(len(rest)-k2) {
 		return nil, fmt.Errorf("core: spline choices corrupt")
 	}
-	pos += k2
-	choices := meta[pos : pos+int(nChoices)]
-	pos += int(nChoices)
-	nOrders, k3 := binary.Uvarint(meta[pos:])
-	if k3 <= 0 || pos+k3+int(nOrders) > len(meta) {
+	choices := rest[k2 : k2+int(nChoices)]
+	rest = rest[k2+int(nChoices):]
+	nOrders, k3 := binary.Uvarint(rest)
+	if k3 <= 0 || nOrders > uint64(len(rest)-k3) {
 		return nil, fmt.Errorf("core: spline orders corrupt")
 	}
-	pos += k3
-	orders := meta[pos : pos+int(nOrders)]
-	outVal := device.BytesF32(pred.Extras["outval"])
+	orders := rest[k3 : k3+int(nOrders)]
+	// Outlier positions come from the escape codes; spline.Decode checks
+	// their count against the values.
 	q := &spline.Quantized{
 		Codes:    pred.Codes,
 		Anchors:  device.BytesF32(pred.Extras["anchors"]),
-		OutIdx:   outlierIndices(pred.Codes, len(outVal)),
-		OutVal:   outVal,
+		OutVal:   device.BytesF32(pred.Extras["outval"]),
 		Choices:  choices,
 		Orders:   orders,
 		Radius:   pred.Radius,
 		MaxLevel: int(maxLevel),
-	}
-	if len(q.OutIdx) != len(outVal) {
-		return nil, fmt.Errorf("core: %d outlier escapes in codes, %d values", len(q.OutIdx), len(outVal))
 	}
 	return spline.Decode(p, place, q, dims, eb)
 }

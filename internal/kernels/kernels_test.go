@@ -96,20 +96,6 @@ func TestExclusiveScanMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestCompactU32(t *testing.T) {
-	keep := []uint32{0, 1, 0, 0, 1, 1, 0, 1}
-	got := CompactU32(tp, device.Accel, keep)
-	want := []uint32{1, 4, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("compact len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("compact[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestPackUnpackBitsRoundtrip(t *testing.T) {
 	for width := 0; width <= 32; width++ {
 		rng := rand.New(rand.NewSource(int64(width)))

@@ -7,9 +7,8 @@ import (
 // ExclusiveScan computes the exclusive prefix sum of src into a new slice
 // and returns it together with the total. The implementation is the classic
 // three-phase GPU scan: per-block sequential scan producing block sums, a
-// scan over the block sums, then a per-block offset add. Stream compaction
-// in the FZ-GPU dictionary encoder and the outlier compaction in the Lorenzo
-// module are built on it.
+// scan over the block sums, then a per-block offset add. The cuSZp2 and
+// FZ-GPU baselines place their variable-size blocks with it.
 func ExclusiveScan(p *device.Platform, place device.Place, src []uint32) (out []uint32, total uint32) {
 	out = make([]uint32, len(src))
 	total = ExclusiveScanInto(p, place, src, out)
@@ -69,25 +68,4 @@ func ExclusiveScanInto(p *device.Platform, place device.Place, src, out []uint32
 	})
 	p.ScratchPool().PutU32(sums)
 	return total
-}
-
-// CompactU32 performs stream compaction: it writes the indices i for which
-// keep[i] != 0 into a dense output array using an exclusive scan of the
-// keep flags, the standard GPU compaction idiom. The offset array is pooled
-// scratch; only the compacted result is a fresh allocation.
-func CompactU32(p *device.Platform, place device.Place, keep []uint32) []uint32 {
-	pool := p.ScratchPool()
-	off := pool.GetU32(len(keep), false)
-	offsets := off.Data
-	total := ExclusiveScanInto(p, place, keep, offsets)
-	out := make([]uint32, total)
-	p.LaunchGrid(place, len(keep), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if keep[i] != 0 {
-				out[offsets[i]] = uint32(i)
-			}
-		}
-	})
-	pool.PutU32(off)
-	return out
 }

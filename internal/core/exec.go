@@ -196,11 +196,10 @@ func (pl *Pipeline) addPredictEncodeTasks(ctx *stf.Ctx, prefix string, data []fl
 				err  error
 			)
 			if pi, ok := pl.Pred.(PredictorInto); ok {
-				// Pooled codes drawn through the worker's shard: the slab is
-				// recycled by the encode task, so a many-chunk run reuses a
-				// window's worth of code buffers instead of allocating
-				// 2 bytes per field element.
-				job.codesSlab = ti.Shard().GetU16(dims.N(), false)
+				// Pooled codes: the slab is recycled by the encode task,
+				// so a many-chunk run reuses a window's worth of code
+				// buffers instead of allocating 2 bytes per field element.
+				job.codesSlab = p.ScratchPool().GetU16(dims.N(), false)
 				pred, err = pi.PredictInto(p, ti.Place(), data, dims, absEB, job.codesSlab.Data)
 			} else {
 				pred, err = pl.Pred.Predict(p, ti.Place(), data, dims, absEB)
@@ -218,7 +217,7 @@ func (pl *Pipeline) addPredictEncodeTasks(ctx *stf.Ctx, prefix string, data []fl
 				// The code stream is dead after encoding (serialization only
 				// touches Extras and Radius); recycle the pooled buffer.
 				if job.codesSlab != nil {
-					ti.Shard().PutU16(job.codesSlab)
+					p.ScratchPool().PutU16(job.codesSlab)
 					job.codesSlab = nil
 					job.pred.Codes = nil
 				}
@@ -243,7 +242,7 @@ func (pl *Pipeline) addStageTasks(ctx *stf.Ctx, prefix string, job *compressJob)
 
 	ctx.Task(prefix + "stage").On(device.Host).Reads(job.tok).Writes(blobTok).
 		Do(func(ti *stf.TaskInstance) error {
-			job.blobSlab = ti.Shard().GetBytes(job.inner.MarshaledSize(), false)
+			job.blobSlab = p.ScratchPool().GetBytes(job.inner.MarshaledSize(), false)
 			n, err := job.inner.MarshalInto(job.blobSlab.Data)
 			if err != nil {
 				return err
@@ -261,7 +260,7 @@ func (pl *Pipeline) addStageTasks(ctx *stf.Ctx, prefix string, job *compressJob)
 					return err
 				}
 				// The inner blob is dead once wrapped; recycle its slab.
-				ti.Shard().PutBytes(job.blobSlab)
+				p.ScratchPool().PutBytes(job.blobSlab)
 				job.blobSlab = nil
 				job.blob = blob
 				return nil

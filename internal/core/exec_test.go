@@ -169,9 +169,6 @@ func TestSteadyStateChunkedAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
-	if device.RaceEnabled {
-		t.Skip("sync.Pool drops puts nondeterministically under the race detector")
-	}
 	dims := grid.D3(64, 64, 64)
 	data := sdrbench.GenNYX(dims, 7)
 	pl := NewDefault()

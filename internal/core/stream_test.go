@@ -209,15 +209,11 @@ func TestCompressStreamErrors(t *testing.T) {
 // TestCompressStreamMemoryBounded is the out-of-core guarantee: steady-state
 // compression of a field 8× larger than the window allocates a small
 // multiple of the window, not of the field. The first run warms the
-// platform pool; device.MeasureAllocs then measures with the GC held off,
-// so a collection cannot demote the warmed sync.Pool slabs mid-measurement
-// whatever ran before this test.
+// platform pool, whose free lists keep every returned slab, so the
+// measured runs reuse the warm slabs whatever ran before this test.
 func TestCompressStreamMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
-	}
-	if device.RaceEnabled {
-		t.Skip("sync.Pool drops puts nondeterministically under the race detector")
 	}
 	p := device.NewTestPlatform()
 	defer p.Close()

@@ -127,3 +127,54 @@ func TestPlatformConstructors(t *testing.T) {
 		t.Error("platforms should be named")
 	}
 }
+
+func TestWithWorkersViewSharesState(t *testing.T) {
+	p := NewTestPlatform()
+	defer p.Close()
+	v := p.WithWorkers(1)
+	if v.Workers(Accel) != 1 || v.Workers(Host) != 1 {
+		t.Fatalf("view widths = %d/%d, want 1/1", v.Workers(Accel), v.Workers(Host))
+	}
+	// Wider budgets clamp at the parent's width.
+	wide := p.WithWorkers(64)
+	if wide.Workers(Accel) != p.Workers(Accel) {
+		t.Errorf("wide view accel width %d, want %d", wide.Workers(Accel), p.Workers(Accel))
+	}
+	if p.WithWorkers(0) != p {
+		t.Error("WithWorkers(0) should return the receiver")
+	}
+
+	// Counters and scratch pool are shared.
+	if v.ScratchPool() != p.ScratchPool() {
+		t.Error("view has a different scratch pool")
+	}
+	if v.Stats() != p.Stats() {
+		t.Error("view has different stats")
+	}
+	v.LaunchGrid(Accel, 10_000, func(lo, hi int) {})
+	if p.Stats().KernelLaunch.Load() == 0 {
+		t.Error("view launch not charged to the shared stats")
+	}
+}
+
+func TestWithWorkersOneRunsInline(t *testing.T) {
+	p := NewTestPlatform()
+	defer p.Close()
+	v := p.WithWorkers(1)
+	var calls atomic.Int32
+	v.LaunchGrid(Host, 1<<16, func(lo, hi int) {
+		calls.Add(1)
+		if lo != 0 || hi != 1<<16 {
+			t.Errorf("width-1 view split the range: [%d,%d)", lo, hi)
+		}
+	})
+	if calls.Load() != 1 {
+		t.Errorf("width-1 view made %d kernel calls, want 1", calls.Load())
+	}
+	// The parent keeps its own decomposition.
+	var parentCalls atomic.Int32
+	p.LaunchGrid(Accel, 1<<16, func(lo, hi int) { parentCalls.Add(1) })
+	if parentCalls.Load() != int32(p.Workers(Accel)) {
+		t.Errorf("parent made %d calls, want %d", parentCalls.Load(), p.Workers(Accel))
+	}
+}

@@ -3,13 +3,21 @@ package device
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // BufPool is a size-classed scratch-slab pool, the reproduction of the
 // pooled device-buffer allocator a GPU compressor keeps so per-chunk kernels
 // never hit cudaMalloc on the hot path. Slabs are grouped into power-of-two
-// size classes per element kind, each class backed by a sync.Pool arena.
+// size classes per element kind, each class a LIFO free list; one mutex
+// guards every list and the traffic counters, so a Stats snapshot is one
+// consistent moment.
+//
+// A slab is allocated only when its class list is empty, and a list only
+// ever holds slabs that were returned to it, so each class retains at most
+// its peak number of concurrent checkouts: the pool's footprint is the
+// high-water mark of the work it serves, with no cap to tune. The lists are
+// never emptied behind the caller's back (a garbage collection leaves them
+// intact), so whether a get hits depends on the code, not on scheduling.
 //
 // A checked-out slab travels inside a *Slab box; returning the box recycles
 // both the storage and the box itself, so steady-state Get/Put cycles
@@ -17,39 +25,14 @@ import (
 // Platform carries one (see Platform.ScratchPool) so concurrent compressions
 // sharing a platform also share its warm slabs.
 type BufPool struct {
-	bytes, u16, u32, i32, i64, f32 classPools
-
-	gets stripedCounter
-	hits stripedCounter
-	puts stripedCounter
-}
-
-// counterStripes is the stripe count of the pool's traffic counters. The
-// slab storage itself is already P-local (sync.Pool keeps per-P free
-// lists), so under concurrent get/put the only shared-write hot spots are
-// these counters; striping them by size class and padding each cell to a
-// cache line keeps concurrent workers — which typically touch different
-// classes at any instant — off each other's lines.
-const counterStripes = 8
-
-// stripedCounter is a cache-line padded, striped event counter.
-type stripedCounter struct {
-	cells [counterStripes]struct {
-		v atomic.Int64
-		_ [56]byte
-	}
-}
-
-func (c *stripedCounter) add(stripe int) {
-	c.cells[stripe&(counterStripes-1)].v.Add(1)
-}
-
-func (c *stripedCounter) load() int64 {
-	var total int64
-	for i := range c.cells {
-		total += c.cells[i].v.Load()
-	}
-	return total
+	mu               sync.Mutex
+	bytes            freeLists[byte]
+	u16              freeLists[uint16]
+	u32              freeLists[uint32]
+	i32              freeLists[int32]
+	i64              freeLists[int64]
+	f32              freeLists[float32]
+	gets, hits, puts int64
 }
 
 // PoolStats is a point-in-time snapshot of pool traffic.
@@ -72,7 +55,9 @@ func (s PoolStats) HitRate() float64 {
 
 // Stats snapshots the cumulative pool counters.
 func (bp *BufPool) Stats() PoolStats {
-	return PoolStats{Gets: bp.gets.load(), Hits: bp.hits.load(), Puts: bp.puts.load()}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return PoolStats{Gets: bp.gets, Hits: bp.hits, Puts: bp.puts}
 }
 
 const (
@@ -84,7 +69,8 @@ const (
 	poolMaxClass = 30
 )
 
-type classPools [poolMaxClass + 1]sync.Pool
+// freeLists holds one element kind's returned slabs, one list per class.
+type freeLists[T any] [poolMaxClass + 1][]*Slab[T]
 
 // Slab is one checked-out pool slab: Data has the requested length and a
 // power-of-two capacity. Keep the box and hand it back with the matching
@@ -106,31 +92,39 @@ func classFor(n int) int {
 	return c
 }
 
-func getSlab[T any](bp *BufPool, cp *classPools, n int, zeroed bool) *Slab[T] {
+func getSlab[T any](bp *BufPool, fl *freeLists[T], n int, zeroed bool) *Slab[T] {
 	c := classFor(n)
-	bp.gets.add(c)
+	bp.mu.Lock()
+	bp.gets++
 	if n > 1<<poolMaxClass {
+		bp.mu.Unlock()
 		return &Slab[T]{Data: make([]T, n), class: -1}
 	}
-	if v := cp[c].Get(); v != nil {
-		bp.hits.add(c)
-		s := v.(*Slab[T])
+	if k := len(fl[c]); k > 0 {
+		s := fl[c][k-1]
+		fl[c][k-1] = nil
+		fl[c] = fl[c][:k-1]
+		bp.hits++
+		bp.mu.Unlock()
 		s.Data = s.Data[:n]
 		if zeroed {
 			clear(s.Data)
 		}
 		return s
 	}
+	bp.mu.Unlock()
 	// Fresh slabs arrive zeroed from the allocator.
 	return &Slab[T]{Data: make([]T, n, 1<<c), class: int8(c)}
 }
 
-func putSlab[T any](bp *BufPool, cp *classPools, s *Slab[T]) {
+func putSlab[T any](bp *BufPool, fl *freeLists[T], s *Slab[T]) {
 	if s == nil || s.class < 0 {
 		return
 	}
-	bp.puts.add(int(s.class))
-	cp[s.class].Put(s)
+	bp.mu.Lock()
+	bp.puts++
+	fl[s.class] = append(fl[s.class], s)
+	bp.mu.Unlock()
 }
 
 // GetBytes checks out a byte slab of length n; zeroed selects cleared

@@ -1,11 +1,11 @@
 package device
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestBufPoolRecyclesSlabs(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops puts nondeterministically under the race detector")
-	}
 	var bp BufPool
 	s1 := bp.GetU32(1500, false)
 	if len(s1.Data) != 1500 || cap(s1.Data) != 2048 {
@@ -54,9 +54,6 @@ func TestBufPoolTinyAndHugeRequests(t *testing.T) {
 }
 
 func TestBufPoolSteadyStateAllocFree(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("sync.Pool drops puts nondeterministically under the race detector")
-	}
 	var bp BufPool
 	bp.PutI32(bp.GetI32(4096, false)) // warm the class
 	allocs := testing.AllocsPerRun(100, func() {
@@ -65,6 +62,86 @@ func TestBufPoolSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state get/put cycle allocates %.1f objects", allocs)
+	}
+}
+
+// TestBufPoolRetention pins the pool's footprint contract: a class list
+// holds exactly the slabs returned to it, which is the peak number checked
+// out at once, and a repeat of the same work is served entirely from it.
+func TestBufPoolRetention(t *testing.T) {
+	const k, m, n = 4, 3, 3000
+	var bp BufPool
+	round := func() {
+		var held, done sync.WaitGroup
+		held.Add(k)
+		done.Add(k)
+		for g := 0; g < k; g++ {
+			go func() {
+				defer done.Done()
+				slabs := make([]*Slab[uint32], m)
+				for i := range slabs {
+					slabs[i] = bp.GetU32(n, false)
+				}
+				held.Done()
+				held.Wait() // all k·m slabs are out at once
+				for _, s := range slabs {
+					bp.PutU32(s)
+				}
+			}()
+		}
+		done.Wait()
+	}
+	retained := func() int {
+		bp.mu.Lock()
+		defer bp.mu.Unlock()
+		return len(bp.u32[classFor(n)])
+	}
+
+	round()
+	if got := retained(); got != k*m {
+		t.Fatalf("after the first round the class holds %d slabs, want %d", got, k*m)
+	}
+	before := bp.Stats()
+	round()
+	after := bp.Stats()
+	gets, hits := after.Gets-before.Gets, after.Hits-before.Hits
+	if gets != k*m || hits != gets {
+		t.Errorf("second round: %d gets, %d hits; want %d of each", gets, hits, k*m)
+	}
+	if got := retained(); got != k*m {
+		t.Errorf("after the second round the class holds %d slabs, want %d", got, k*m)
+	}
+}
+
+// TestPoolStatsCoherent samples Stats while several goroutines cycle
+// slabs: every snapshot must be one consistent moment, in which a hit
+// consumes an earlier put and a put returns an earlier get.
+func TestPoolStatsCoherent(t *testing.T) {
+	var bp BufPool
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				bp.PutU16(bp.GetU16(2048, false))
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 200_000; i++ {
+		if s := bp.Stats(); s.Hits > s.Puts || s.Puts > s.Gets {
+			t.Fatalf("snapshot %d is incoherent: %+v", i, s)
+		}
 	}
 }
 

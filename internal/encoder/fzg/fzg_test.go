@@ -192,9 +192,6 @@ func TestDecodeErrors(t *testing.T) {
 // a constant that does not grow with the tile count: the returned slice, the
 // launch closure and what a fan-out over the place's workers costs.
 func TestSteadyStateAllocs(t *testing.T) {
-	if device.RaceEnabled {
-		t.Skip("sync.Pool drops puts nondeterministically under the race detector")
-	}
 	rng := rand.New(rand.NewSource(5))
 	var perSize [2][2]uint64
 	for i, tiles := range []int{2 * spanTiles, 32 * spanTiles} {

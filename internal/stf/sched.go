@@ -1,16 +1,12 @@
 package stf
 
-import (
-	"sync"
-
-	"fzmod/internal/device"
-)
+import "sync"
 
 // This file is the engine's scheduler: one work-stealing worker pool per
-// execution place. Each worker owns a bounded deque of ready tasks and a
-// private scratch-pool shard; tasks made ready by a completion are pushed
-// onto the completing worker's own deque (the chunk sub-graph keeps
-// executing on the worker whose caches are warm), idle workers first drain
+// execution place. Each worker owns a bounded deque of ready tasks; tasks
+// made ready by a completion are pushed onto the completing worker's own
+// deque (the chunk sub-graph keeps executing on the worker whose caches
+// are warm), idle workers first drain
 // the shared inject queue and then steal the oldest task from a sibling,
 // so chunk sub-graphs with uneven stage costs redistribute instead of
 // convoying behind the slowest worker. The pool width is the per-place
@@ -38,9 +34,8 @@ type sched struct {
 // own mutex (the critical sections are a few pointer moves); padding keeps
 // neighbouring workers' hot state off one cache line.
 type schedWorker struct {
-	id    int
-	s     *sched
-	shard *device.PoolShard
+	id int
+	s  *sched
 
 	mu sync.Mutex
 	dq []*task // owner pushes/pops the tail; thieves pop the head
@@ -54,10 +49,9 @@ func newSched(c *Ctx, n int) *sched {
 	}
 	s := &sched{c: c}
 	s.cond = sync.NewCond(&s.mu)
-	bp := c.p.ScratchPool()
 	s.ws = make([]*schedWorker, n)
 	for i := range s.ws {
-		s.ws[i] = &schedWorker{id: i, s: s, shard: bp.NewShard(), dq: make([]*task, 0, workerQueueCap)}
+		s.ws[i] = &schedWorker{id: i, s: s, dq: make([]*task, 0, workerQueueCap)}
 	}
 	s.exited.Add(n)
 	for _, w := range s.ws {
@@ -181,12 +175,9 @@ func (s *sched) acquire(w *schedWorker) *task {
 }
 
 // loop is the worker body: drain own deque, then the shared queues, then
-// park. On exit the worker's pool shard drains back to the shared pool.
+// park.
 func (w *schedWorker) loop() {
-	defer func() {
-		w.shard.Drain()
-		w.s.exited.Done()
-	}()
+	defer w.s.exited.Done()
 	for {
 		t := w.popTail()
 		if t == nil {
@@ -199,8 +190,7 @@ func (w *schedWorker) loop() {
 	}
 }
 
-// close wakes every worker and waits for them to exit (draining their
-// shards), so pool accounting is settled when it returns. All submitted
+// close wakes every worker and waits for them to exit. All submitted
 // tasks must have completed (Finalize/Reset) before closing.
 func (s *sched) close() {
 	s.mu.Lock()

@@ -117,44 +117,3 @@ func TestSkewStressManyRounds(t *testing.T) {
 		}
 	}
 }
-
-// TestTaskInstanceShard checks that task bodies receive a usable private
-// pool shard and that slabs cycled through it are accounted exactly like
-// direct pool traffic (gets and puts balance after Release drains the
-// worker shards).
-func TestTaskInstanceShard(t *testing.T) {
-	p := device.NewTestPlatform()
-	defer p.Close()
-	before := p.ScratchPool().Stats()
-	ctx := NewCtx(p, 2)
-	for i := 0; i < 8; i++ {
-		tok := NewToken(ctx, fmt.Sprintf("s%d", i))
-		ctx.Task(fmt.Sprintf("s%d", i)).On(device.Host).Writes(tok).
-			Do(func(ti *TaskInstance) error {
-				sh := ti.Shard()
-				if sh == nil {
-					return fmt.Errorf("nil shard")
-				}
-				a := sh.GetU16(4096, true)
-				b := sh.GetBytes(1<<14, false)
-				a.Data[0] = 7
-				b.Data[0] = 7
-				sh.PutBytes(b)
-				sh.PutU16(a)
-				return nil
-			})
-	}
-	if err := ctx.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	ctx.Release()
-	after := p.ScratchPool().Stats()
-	gets := after.Gets - before.Gets
-	puts := after.Puts - before.Puts
-	if gets != puts {
-		t.Errorf("shard traffic unbalanced: %d gets, %d puts", gets, puts)
-	}
-	if gets < 16 {
-		t.Errorf("expected at least 16 checkouts, saw %d", gets)
-	}
-}

@@ -23,9 +23,9 @@
 // token: the chunks of one compress or decompress proceed independently,
 // so one chunk's accelerator prediction overlaps another's host encoding.
 // Ready tasks execute on per-place work-stealing worker pools (see
-// sched.go): each worker owns a bounded deque plus a private scratch-pool
-// shard, and idle workers steal, so skewed chunk sub-graphs rebalance
-// instead of convoying behind the slowest worker.
+// sched.go): each worker owns a bounded deque, and idle workers steal, so
+// skewed chunk sub-graphs rebalance instead of convoying behind the slowest
+// worker.
 package stf
 
 import (

@@ -20,8 +20,8 @@ import (
 // task becomes ready the moment its last dependency completes (dependency
 // counting, no waiting goroutines) and is pushed onto the completing
 // worker's own deque — the chunk sub-graph stays on the worker whose
-// caches (and scratch-pool shard) are warm — while idle workers steal the
-// oldest ready task from a sibling, so uneven sub-graphs rebalance. The
+// caches are warm — while idle workers steal the oldest ready task from a
+// sibling, so uneven sub-graphs rebalance. The
 // pool width bounds in-flight task bodies per place, the bounded-worker
 // discipline a finite ring of CUDA streams imposes.
 type Ctx struct {
@@ -166,12 +166,10 @@ func (b *TaskBuilder) declare(mode AccessMode, toks []*Token) *TaskBuilder {
 }
 
 // TaskInstance is passed to a task body: it identifies the resolved
-// execution place and gives the body the executing worker's private
-// scratch-pool shard.
+// execution place.
 type TaskInstance struct {
 	name  string
 	place device.Place
-	shard *device.PoolShard
 }
 
 // Place reports where the task is executing.
@@ -179,11 +177,6 @@ func (ti *TaskInstance) Place() device.Place { return ti.place }
 
 // Name reports the task's debug name.
 func (ti *TaskInstance) Name() string { return ti.name }
-
-// Shard returns the executing worker's private scratch-pool shard: slab
-// checkouts through it skip the shared pool when the worker has a cached
-// slab of the right class. The shard must not escape the task body.
-func (ti *TaskInstance) Shard() *device.PoolShard { return ti.shard }
 
 // Do finalizes the declaration and submits the task for asynchronous
 // execution. Dependencies are inferred from the access declarations against
@@ -289,7 +282,7 @@ func (c *Ctx) runOn(t *task, w *schedWorker) {
 		// every not-yet-started task into one reported cancellation.
 		t.err = fmt.Errorf("stf: graph canceled: %w", gerr)
 	} else {
-		ti := &TaskInstance{name: t.name, place: t.place, shard: w.shard}
+		ti := &TaskInstance{name: t.name, place: t.place}
 		t.started = time.Now()
 		func() {
 			defer func() {
@@ -366,9 +359,8 @@ func (c *Ctx) Reset() error {
 	return err
 }
 
-// Release retires the worker pools (their shard caches drain back to the
-// shared pool). Call after Finalize or Reset; no further tasks may be
-// submitted afterwards. Release is idempotent.
+// Release retires the worker pools. Call after Finalize or Reset; no
+// further tasks may be submitted afterwards. Release is idempotent.
 func (c *Ctx) Release() {
 	c.mu.Lock()
 	scheds := c.scheds

@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -363,7 +364,8 @@ const decodeAllocSlack = 1 << 15
 // decodes the second with it. Any input decodes or returns an error, never
 // panics, allocates at most 16 bytes per stream byte (plus
 // decodeAllocSlack), and agrees with the reference decoder. The stream
-// bytes read as a code slice must round-trip through Compress.
+// bytes read as a code slice must round-trip through Compress, whose
+// stream must equal the reference encoder's byte for byte.
 func FuzzHuffmanDecode(f *testing.F) {
 	// The two hostile headers are checked in under testdata. The seeds stay
 	// single-chunk and small: the fuzzer minimizes every input that finds
@@ -417,6 +419,14 @@ func FuzzHuffmanDecode(f *testing.F) {
 		blob, err := Compress(tp, device.Host, codes, hist)
 		if err != nil {
 			t.Fatal(err)
+		}
+		c, err := Build(hist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(c.SerializeTable(), refEncode(c, codes)...); !bytes.Equal(blob, want) {
+			t.Fatalf("%d codes: Compress gives %d bytes, reference %d, first difference at %d",
+				len(codes), len(blob), len(want), firstDiff(blob, want))
 		}
 		got, err := Decompress(tp, device.Host, blob)
 		if err != nil || len(got) != len(codes) {

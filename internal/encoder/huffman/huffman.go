@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"fzmod/internal/device"
@@ -53,12 +52,11 @@ type Codec struct {
 	// encode sizing pre-pass (dispatch.SumLengths gathers 32-bit table
 	// entries; a uint8 table would need per-lane masking).
 	lengths32 []uint32
-	codes     []uint32 // canonical code bits (MSB-first semantics)
-	// revCodes holds each code with its bits reversed into stream order
-	// (the stream packs code bits MSB-first at increasing LSB-first bit
-	// positions), precomputed once at table-build time so the encoder's
-	// inner loop is a single lookup+shift instead of a per-bit reversal.
-	revCodes []uint32
+	// enc packs each symbol's code as revCode<<8 | len, where revCode is
+	// the canonical code with its bits reversed into stream order (the
+	// stream packs code bits MSB-first at increasing LSB-first bit
+	// positions). One load gives the emitter both halves.
+	enc []uint64
 
 	// Canonical decode state.
 	minLen, maxLen int
@@ -264,7 +262,7 @@ func buildLengths(freqs []uint64, sc *buildScratch) []uint8 {
 
 // fromLengths assigns canonical codes and builds decode structures.
 func fromLengths(lengths []uint8) (*Codec, error) {
-	c := &Codec{lengths: lengths, codes: make([]uint32, len(lengths))}
+	c := &Codec{lengths: lengths}
 	c.lengths32 = make([]uint32, len(lengths))
 	for s, l := range lengths {
 		c.lengths32[s] = uint32(l)
@@ -305,40 +303,21 @@ func fromLengths(lengths []uint8) (*Codec, error) {
 		code = (code + count[l]) << 1
 		idx += int(count[l])
 	}
-	// Symbols sorted by (length, symbol) get consecutive canonical codes.
+	// Symbols ordered by (length, symbol) get consecutive canonical codes:
+	// one ascending pass over the symbols hands each length its codes and
+	// index slots in that order.
 	c.symByIdx = make([]uint16, idx)
-	type ls struct {
-		sym int
-		l   uint8
-	}
-	syms := make([]ls, 0, idx)
+	c.enc = make([]uint64, len(lengths))
+	var next [maxCodeLen + 1]uint32
 	for s, l := range lengths {
-		if l > 0 {
-			syms = append(syms, ls{s, l})
+		if l == 0 {
+			continue
 		}
-	}
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].l != syms[j].l {
-			return syms[i].l < syms[j].l
-		}
-		return syms[i].sym < syms[j].sym
-	})
-	perLen := make([]int, c.maxLen+1)
-	for _, e := range syms {
-		l := int(e.l)
-		offset := perLen[l]
-		perLen[l]++
-		c.codes[e.sym] = c.firstCode[l] + uint32(offset)
-		c.symByIdx[c.firstIdx[l]+offset] = uint16(e.sym)
-	}
-
-	// Stream-order codes: the per-symbol bit reversal happens here, once,
-	// instead of per emitted symbol in encodeChunk.
-	c.revCodes = make([]uint32, len(lengths))
-	for s, l := range lengths {
-		if l > 0 {
-			c.revCodes[s] = bits.Reverse32(c.codes[s]) >> (32 - uint(l))
-		}
+		off := next[l]
+		next[l]++
+		c.symByIdx[c.firstIdx[l]+int(off)] = uint16(s)
+		rev := bits.Reverse32(c.firstCode[l]+off) >> (32 - uint(l))
+		c.enc[s] = uint64(rev)<<8 | uint64(l)
 	}
 
 	// Fast table.
@@ -352,8 +331,8 @@ func fromLengths(lengths []uint8) (*Codec, error) {
 			continue
 		}
 		// Stream packs code bits MSB-first at increasing bit positions;
-		// lookahead index packs stream bits LSB-first — exactly revCodes.
-		base := c.revCodes[s]
+		// lookahead index packs stream bits LSB-first — exactly revCode.
+		base := uint32(c.enc[s] >> 8)
 		for fill := 0; fill < 1<<uint(tb-int(l)); fill++ {
 			c.fast[base|uint32(fill)<<uint(l)] = fastEntry{uint16(s), l}
 		}
@@ -455,85 +434,63 @@ func ParseTable(data []byte) (*Codec, int, error) {
 	return c, pos, nil
 }
 
-// Encode compresses codes into a chunked bitstream (table not included).
-// Chunks are encoded in parallel at place (LaunchBlocks, so even a few
-// chunks fan out) into pooled scratch slabs released once assembled. A
-// cheap length-summing pre-pass sizes each chunk's slab exactly (plus word
-// headroom) and validates the symbols, so the emission loop itself is
-// branch-light and never reallocates; every checked-out slab is returned to
-// the pool on both the success and the error path.
+// Encode compresses codes into a chunked bitstream (table not included) in
+// two passes at place (LaunchBlocks, so even a few chunks fan out). The
+// first sizes every chunk exactly and validates its symbols; the header is
+// then written and the output allocated once. The second emits each chunk
+// straight into its own window of that output, so no chunk is copied and
+// no scratch slab is taken.
 func (c *Codec) Encode(p *device.Platform, place device.Place, codes []uint16) ([]byte, error) {
-	return c.encodePrefixed(p, place, codes, nil)
+	return c.encode(p, place, codes, nil)
 }
 
-// encodePrefixed is Encode emitting into a buffer that starts with prefix,
-// sized exactly up front — Compress uses it to lay the stream directly
-// behind the serialized table instead of concatenating two full buffers.
-func (c *Codec) encodePrefixed(p *device.Platform, place device.Place, codes []uint16, prefix []byte) ([]byte, error) {
-	pool := p.ScratchPool()
+// encode is Encode laying the stream behind prefix in the same buffer —
+// Compress passes the serialized table, so table and stream are never
+// concatenated.
+func (c *Codec) encode(p *device.Platform, place device.Place, codes []uint16, prefix []byte) ([]byte, error) {
 	nChunks := (len(codes) + chunkSize - 1) / chunkSize
-	chunkBufs := make([][]byte, nChunks)
-	slabs := make([]*device.Slab[byte], nChunks)
-	var errMu sync.Mutex
-	var firstErr error
+	chunk := func(ci int) []uint16 { return codes[ci*chunkSize : min((ci+1)*chunkSize, len(codes))] }
+	// Chunk sizes go into the tail slots and are folded into offsets in
+	// place once the header is written: chunk ci spans offs[ci]:offs[ci+1].
+	offs := make([]int, nChunks+1)
+	errs := make([]error, nChunks)
 	p.LaunchBlocks(place, nChunks, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
-			start, end := ci*chunkSize, (ci+1)*chunkSize
-			if end > len(codes) {
-				end = len(codes)
-			}
-			bits, err := c.chunkBits(codes[start:end])
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			// Exact payload bytes plus 8 bytes of headroom for the 64-bit
-			// flushes, which store a full word at the last partial position.
-			slab := pool.GetBytes(int(bits>>3)+9, false)
-			chunkBufs[ci] = c.encodeChunk(codes[start:end], slab.Data)
-			slabs[ci] = slab
+			bits, err := c.chunkBits(chunk(ci))
+			offs[ci+1], errs[ci] = int((bits+7)>>3), err
 		}
 	})
-	release := func() {
-		for _, slab := range slabs {
-			if slab != nil {
-				pool.PutBytes(slab)
-			}
-		}
-	}
-	errMu.Lock()
-	firstErr2 := firstErr
-	errMu.Unlock()
-	if firstErr2 != nil {
-		// A mid-stream failure leaves earlier chunks' slabs checked out;
-		// hand every one back before surfacing the error.
-		release()
-		return nil, firstErr2
-	}
 	size := len(prefix) + binary.MaxVarintLen64*(2+nChunks)
-	for _, buf := range chunkBufs {
-		size += len(buf)
+	for ci, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+		size += offs[ci+1]
 	}
 	out := append(make([]byte, 0, size), prefix...)
 	out = binary.AppendUvarint(out, uint64(len(codes)))
 	out = binary.AppendUvarint(out, uint64(nChunks))
-	for _, buf := range chunkBufs {
-		out = binary.AppendUvarint(out, uint64(len(buf)))
+	for _, n := range offs[1:] {
+		out = binary.AppendUvarint(out, uint64(n))
 	}
-	for _, buf := range chunkBufs {
-		out = append(out, buf...)
+	offs[0] = len(out)
+	for ci := 1; ci <= nChunks; ci++ {
+		offs[ci] += offs[ci-1]
 	}
-	release()
+	out = out[:offs[nChunks]]
+	p.LaunchBlocks(place, nChunks, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			// Cap-limited: a store past the window panics instead of
+			// racing the next chunk's emitter.
+			emitChunk(c.enc, chunk(ci), out[offs[ci]:offs[ci+1]:offs[ci+1]])
+		}
+	})
 	return out, nil
 }
 
 // chunkBits returns the exact encoded size of a chunk in bits, failing on
 // any symbol the codebook has no code for. It doubles as the validation
-// pass: encodeChunk afterwards assumes every symbol is coded. The sum runs
+// pass: emitChunk afterwards assumes every symbol is coded. The sum runs
 // through the dispatched SIMD kernel (a gather-accumulate on AVX2); only
 // when that reports a bad symbol does the scalar re-scan run to name the
 // exact offender in the error.
@@ -549,42 +506,63 @@ func (c *Codec) chunkBits(codes []uint16) (uint64, error) {
 	return 0, fmt.Errorf("huffman: sizing pre-pass failed without an uncoded symbol")
 }
 
-// encodeChunk emits the chunk's bitstream into buf word-at-a-time: codes
-// are looked up in stream order (revCodes), packed into a 64-bit
-// accumulator, and flushed eight bytes at a time with a single
-// little-endian store. buf must be sized by chunkBits (content + 8 bytes of
-// headroom) and every symbol must be coded; the filled prefix is returned.
-// The byte stream is identical to the historical bit-by-bit emission.
-func (c *Codec) encodeChunk(codes []uint16, buf []byte) []byte {
+// emitChunk writes the bitstream of codes into out, which chunkBits sized
+// exactly; every symbol must be coded. acc holds the nbits < 8 pending
+// stream bits, and out is resliced past every completed byte. Codes go four
+// at a time: their codes are merged into one word w and their lengths
+// summed into n, off the carried chain. When n is at most 56 the group
+// costs one shift into acc and one unconditional 8-byte store; a wider
+// group (rare: real codebooks stop at 15–19 bits) drops w and stores once
+// per code. A store may write bytes past the completed ones, which later
+// stores or the tail rewrite, so word stores run while 32 bytes remain and
+// a byte-wise tail finishes the chunk. Shifts are masked to 63 so none
+// needs a range check; a w built with larger shifts is never used.
+func emitChunk(enc []uint64, codes []uint16, out []byte) {
 	var acc uint64
 	var nbits uint
-	pos := 0
-	for _, s := range codes {
-		acc |= uint64(c.revCodes[s]) << nbits
-		nbits += uint(c.lengths[s])
-		if nbits >= 32 {
-			// Store the whole accumulator; only the complete low bytes
-			// advance pos, so the partial tail is rewritten by the next
-			// flush. nbits stays < 32 before the next merge, which keeps
-			// the shift above in range for codes up to maxCodeLen bits.
-			binary.LittleEndian.PutUint64(buf[pos:], acc)
-			adv := nbits >> 3
-			pos += int(adv)
-			acc >>= adv << 3
+	for ; len(codes) >= 4 && len(out) >= 32; codes = codes[4:] {
+		e := enc[codes[0]]
+		w, n := e>>8, uint(e&0xff)
+		e = enc[codes[1]]
+		w |= e >> 8 << (n & 63)
+		n += uint(e & 0xff)
+		e = enc[codes[2]]
+		w |= e >> 8 << (n & 63)
+		n += uint(e & 0xff)
+		e = enc[codes[3]]
+		w |= e >> 8 << (n & 63)
+		n += uint(e & 0xff)
+		if n <= 56 {
+			acc |= w << (nbits & 63)
+			nbits += n
+			binary.LittleEndian.PutUint64(out, acc)
+			out = out[nbits>>3:]
+			acc >>= nbits &^ 7 & 63
+			nbits &= 7
+			continue
+		}
+		for _, s := range codes[:4] {
+			e := enc[s]
+			acc |= e >> 8 << (nbits & 63)
+			nbits += uint(e & 0xff)
+			binary.LittleEndian.PutUint64(out, acc)
+			out = out[nbits>>3:]
+			acc >>= nbits &^ 7 & 63
 			nbits &= 7
 		}
 	}
-	for nbits > 0 {
-		buf[pos] = byte(acc)
-		pos++
-		acc >>= 8
-		if nbits >= 8 {
-			nbits -= 8
-		} else {
-			nbits = 0
+	for _, s := range codes {
+		e := enc[s]
+		acc |= e >> 8 << (nbits & 63)
+		for nbits += uint(e & 0xff); nbits >= 8; nbits -= 8 {
+			out[0] = byte(acc)
+			out = out[1:]
+			acc >>= 8
 		}
 	}
-	return buf[:pos]
+	if nbits > 0 {
+		out[0] = byte(acc)
+	}
 }
 
 // Decode expands a chunked bitstream produced by Encode back into n codes,
@@ -830,7 +808,7 @@ func Compress(p *device.Platform, place device.Place, codes []uint16, hist []uin
 	if err != nil {
 		return nil, err
 	}
-	return c.encodePrefixed(p, place, codes, c.SerializeTable())
+	return c.encode(p, place, codes, c.SerializeTable())
 }
 
 // Decompress inverts Compress.

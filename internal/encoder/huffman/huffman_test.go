@@ -477,20 +477,40 @@ func benchKernelTiers(b *testing.B, f func(b *testing.B)) {
 	}
 }
 
+// BenchmarkHuffmanEncode encodes 2 Mi codes at Workers=1 under every
+// kernel tier and reports ns/code and the stream's bits/code. "centre80"
+// is 80 % one symbol; "nyx" (about 1.4 bits/code, maxLen 17) and "hacc"
+// (about 7 bits/code, maxLen 16) are shaped like the two Default
+// workloads' codes, whose codebooks stop at 15–19 bits.
 func BenchmarkHuffmanEncode(b *testing.B) {
-	codes, h := benchCodes(1 << 21)
-	c, err := Build(h)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchKernelTiers(b, func(b *testing.B) {
-		b.SetBytes(int64(2 * len(codes)))
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Encode(tp, device.Host, codes); err != nil {
-				b.Fatal(err)
-			}
+	centre, _ := benchCodes(1 << 21)
+	p := tp.WithWorkers(1)
+	for _, bc := range []struct {
+		name  string
+		codes []uint16
+	}{
+		{"centre80", centre},
+		{"nyx", genLaplace(1<<21, 0.35, 0.0008, 1)},
+		{"hacc", genLaplace(1<<21, 20, 0.03, 1)},
+	} {
+		h := histOf(bc.codes, 1024)
+		c, err := Build(h)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.Run(bc.name, func(b *testing.B) {
+			benchKernelTiers(b, func(b *testing.B) {
+				b.SetBytes(int64(2 * len(bc.codes)))
+				for i := 0; i < b.N; i++ {
+					if _, err := c.Encode(p, device.Host, bc.codes); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bc.codes)), "ns/code")
+				b.ReportMetric(float64(c.ExpectedBits(h))/float64(len(bc.codes)), "bits/code")
+			})
+		})
+	}
 }
 
 // genLaplace draws n codes around the centre 512 of a 1024-symbol

@@ -147,8 +147,9 @@ type (
 	ChunkFetcher = fzio.ChunkFetcher
 	// Snapshot is a read-only, point-in-time copy of a platform's
 	// counters — transfer and launch traffic, scratch-pool gets/hits/puts,
-	// region slab-cache hits, and the active SIMD kernel tier. Obtain one
-	// with Stats; it is plain data, safe to export.
+	// and the active SIMD kernel tier. Obtain one with Stats; it is plain
+	// data, safe to export. Region slab-cache traffic is counted by the
+	// SlabCache itself (SlabCache.Stats).
 	Snapshot = device.Snapshot
 	// PoolStats is the scratch-pool traffic snapshot carried in
 	// Snapshot.Pool (gets, hits, puts; HitRate derives reuse).

@@ -23,8 +23,9 @@ import (
 // once the secondary pass has run, so that pass simply precedes the layout.
 // A field that fits one slab is the same graph at n=1 and emits the bare
 // FZMD container instead of a one-entry FZMC table. The STF scheduler
-// executes the graph over per-place work-stealing worker pools, so chunk
-// concurrency is a property of the engine, not of this builder.
+// executes the graph over one worker pool per place with one shared ready
+// queue each, so chunk concurrency is a property of the engine, not of
+// this builder.
 // Decompression mirrors this shape (see exec.go): every chunk decodes
 // through its own sub-graph, so the read path is fully parallel.
 //

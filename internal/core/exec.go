@@ -13,8 +13,10 @@ import (
 // This file is the framework's single execution engine: every public
 // compress/decompress entry point lowers its pipeline to an STF task graph
 // built from the two per-chunk sub-graph builders below, and the stf
-// scheduler executes it over per-place work-stealing worker pools with
-// pooled scratch buffers.
+// scheduler executes it with pooled scratch buffers over one worker pool
+// per place, whose workers share one ready queue: a stage readied by a
+// worker of its own place runs next, so a chunk's sub-graph runs back to
+// back, and other ready stages wait in declaration order.
 //
 // Write side: predict → encode per block (addPredictEncodeTasks), then
 // stage (→ secondary) where the sink needs the block's bytes staged

@@ -18,7 +18,7 @@ import (
 // container, a region read plans against the container's chunk index
 // (fzio.FetchIndex), fetches and decodes only the slab chunks a requested
 // subvolume intersects — through the same per-chunk read sub-graph builder
-// (exec.go) and work-stealing executor as full decompression —
+// (exec.go) and STF executor as full decompression —
 // and assembles the caller-sized output by copying each slab's overlap
 // window, handling the halo where a selection crosses slab boundaries.
 // Decoded slabs can be kept in a shared size-bounded LRU (SlabCache), so
@@ -339,11 +339,6 @@ func (r *Region) ReadReportCtx(gctx context.Context, sel RegionSel) ([]float32, 
 
 	out := make([]float32, sel.Dims().N())
 	stats := &RegionStats{Sel: sel, Chunks: len(needs)}
-	st := r.p.Stats()
-	var before SlabCacheStats
-	if r.opts.Cache != nil {
-		before = r.opts.Cache.Stats()
-	}
 
 	// Serve cache hits by direct window copy; collect the misses for the
 	// decode graph.
@@ -353,10 +348,8 @@ func (r *Region) ReadReportCtx(gctx context.Context, sel RegionSel) ([]float32, 
 			if slab, ok := r.opts.Cache.lru.Get(slabKey{r.ix.Key, nd.chunk}); ok {
 				copyWindow(out, sel, dims, slab, nd.lo, nd.planes)
 				stats.CacheHits++
-				st.RegionCacheHits.Add(1)
 				continue
 			}
-			st.RegionCacheMiss.Add(1)
 		}
 		misses = append(misses, nd)
 	}
@@ -372,9 +365,7 @@ func (r *Region) ReadReportCtx(gctx context.Context, sel RegionSel) ([]float32, 
 	}
 	stats.Decoded = len(misses) - stats.DedupHits
 	if r.opts.Cache != nil {
-		after := r.opts.Cache.Stats()
-		st.RegionCacheEvict.Add(after.Evictions - before.Evictions)
-		stats.Cache = after
+		stats.Cache = r.opts.Cache.Stats()
 	}
 	if decodeErr != nil {
 		return nil, report, decodeErr
@@ -499,7 +490,7 @@ func copyWindow(out []float32, sel RegionSel, dims grid.Dims, slab []float32, sl
 	switch dims.Rank() {
 	case 3:
 		sd := grid.Dims{X: dims.X, Y: dims.Y, Z: planes}
-		z0, z1 := maxInt(sel.Z0, slabLo), minInt(sel.Z1, slabLo+planes)
+		z0, z1 := max(sel.Z0, slabLo), min(sel.Z1, slabLo+planes)
 		nx := sel.X1 - sel.X0
 		for z := z0; z < z1; z++ {
 			for y := sel.Y0; y < sel.Y1; y++ {
@@ -510,7 +501,7 @@ func copyWindow(out []float32, sel RegionSel, dims grid.Dims, slab []float32, sl
 		}
 	case 2:
 		sd := grid.Dims{X: dims.X, Y: planes, Z: 1}
-		y0, y1 := maxInt(sel.Y0, slabLo), minInt(sel.Y1, slabLo+planes)
+		y0, y1 := max(sel.Y0, slabLo), min(sel.Y1, slabLo+planes)
 		nx := sel.X1 - sel.X0
 		for y := y0; y < y1; y++ {
 			src := sd.Idx(sel.X0, y-slabLo, 0)
@@ -518,21 +509,7 @@ func copyWindow(out []float32, sel RegionSel, dims grid.Dims, slab []float32, sl
 			copy(out[dst:dst+nx], slab[src:src+nx])
 		}
 	default:
-		x0, x1 := maxInt(sel.X0, slabLo), minInt(sel.X1, slabLo+planes)
+		x0, x1 := max(sel.X0, slabLo), min(sel.X1, slabLo+planes)
 		copy(out[x0-sel.X0:x1-sel.X0], slab[x0-slabLo:x1-slabLo])
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

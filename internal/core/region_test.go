@@ -265,7 +265,6 @@ func TestRegionPartialFetch(t *testing.T) {
 
 		// Repeated read: served from the LRU, no further payload fetches.
 		fetched := cf.BytesRead()
-		tp.ResetStats()
 		_, report, err := r.ReadReport(sel)
 		if err != nil {
 			t.Fatalf("%s: repeat read: %v", flavor, err)
@@ -275,9 +274,6 @@ func TestRegionPartialFetch(t *testing.T) {
 		}
 		if cf.BytesRead() != fetched {
 			t.Errorf("%s: repeat read fetched %d more bytes", flavor, cf.BytesRead()-fetched)
-		}
-		if hits := tp.Stats().RegionCacheHits.Load(); hits != 1 {
-			t.Errorf("%s: platform hit counter = %d, want 1", flavor, hits)
 		}
 		if s := cache.Stats(); s.Hits != 1 || s.Entries != 1 {
 			t.Errorf("%s: cache stats %+v, want 1 hit / 1 entry", flavor, s)

@@ -124,19 +124,12 @@ func (p *Platform) WithWorkers(n int) *Platform {
 	}
 	cp := &Platform{
 		Name:          p.Name,
-		AccelWorkers:  minInt(p.Workers(Accel), n),
-		HostWorkers:   minInt(p.Workers(Host), n),
+		AccelWorkers:  min(p.Workers(Accel), n),
+		HostWorkers:   min(p.Workers(Host), n),
 		LinkBandwidth: p.LinkBandwidth,
 	}
 	cp.shared.Store(p.state())
 	return cp
-}
-
-func minInt(a, b int) int {
-	if b < a {
-		return b
-	}
-	return a
 }
 
 // Close stops the platform's persistent grid workers, the analogue of
@@ -173,8 +166,8 @@ func (p *Platform) ScratchPool() *BufPool { return &p.state().scratch }
 func (p *Platform) workChan(place Place) chan gridJob {
 	s := p.state()
 	s.workersOnce.Do(func() {
-		hostW := maxInt(p.Workers(Host), runtime.GOMAXPROCS(0))
-		accelW := maxInt(p.Workers(Accel), runtime.GOMAXPROCS(0))
+		hostW := max(p.Workers(Host), runtime.GOMAXPROCS(0))
+		accelW := max(p.Workers(Accel), runtime.GOMAXPROCS(0))
 		s.quit = make(chan struct{})
 		s.hostCh = make(chan gridJob, 4*hostW)
 		s.accelCh = make(chan gridJob, 4*accelW)
@@ -189,13 +182,6 @@ func (p *Platform) workChan(place Place) chan gridJob {
 		return s.accelCh
 	}
 	return s.hostCh
-}
-
-func maxInt(a, b int) int {
-	if b > a {
-		return b
-	}
-	return a
 }
 
 func gridWorker(ch chan gridJob, quit chan struct{}) {
@@ -256,14 +242,6 @@ type Stats struct {
 	_            [56]byte
 	HostLaunch   atomic.Int64
 	_            [56]byte
-	// Region-read slab-cache counters, bumped by the region planner
-	// (internal/core) as selections hit or miss decoded-slab cache entries.
-	RegionCacheHits  atomic.Int64
-	_                [56]byte
-	RegionCacheMiss  atomic.Int64
-	_                [56]byte
-	RegionCacheEvict atomic.Int64
-	_                [56]byte
 }
 
 // NewH100Platform returns a platform modeled on the paper's Quartz H100 node
@@ -331,9 +309,6 @@ func (p *Platform) ResetStats() {
 	st.BytesD2H.Store(0)
 	st.KernelLaunch.Store(0)
 	st.HostLaunch.Store(0)
-	st.RegionCacheHits.Store(0)
-	st.RegionCacheMiss.Store(0)
-	st.RegionCacheEvict.Store(0)
 }
 
 // Workers reports the kernel width for a place: an operation's default budget.

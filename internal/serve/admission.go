@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -152,21 +153,22 @@ func (a *Admission) grantLocked(n int) {
 }
 
 // abandon removes w from the queue, counting it as shed when the
-// controller (not the caller's context) gave up on it; false means w was
+// controller (not the caller's context) gave up on it, and grants the
+// waiters behind it that now reach the head and fit; false means w was
 // already granted (its channel is, or is about to be, closed).
 func (a *Admission) abandon(w *waiter, shed bool) bool {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, q := range a.queue {
-		if q == w {
-			a.queue = append(a.queue[:i], a.queue[i+1:]...)
-			if shed {
-				a.shed++
-			}
-			return true
-		}
+	i := slices.Index(a.queue, w)
+	if i < 0 {
+		a.mu.Unlock()
+		return false
 	}
-	return false
+	a.queue = slices.Delete(a.queue, i, i+1)
+	if shed {
+		a.shed++
+	}
+	a.grantFittingUnlock()
+	return true
 }
 
 // release returns n workers and grants waiters from the head while their
@@ -174,16 +176,13 @@ func (a *Admission) abandon(w *waiter, shed bool) bool {
 func (a *Admission) release(n int) {
 	a.mu.Lock()
 	a.inUse -= n
-	grants := a.grantFittingLocked()
-	a.mu.Unlock()
-	for _, w := range grants {
-		close(w.granted)
-	}
+	a.grantFittingUnlock()
 }
 
-// grantFittingLocked dequeues waiters from the head while their leases
-// fit the budget, returning them for the caller to signal outside mu.
-func (a *Admission) grantFittingLocked() []*waiter {
+// grantFittingUnlock dequeues waiters from the head while their leases
+// fit the budget, unlocks mu (which the caller holds) and then signals
+// them.
+func (a *Admission) grantFittingUnlock() {
 	var grants []*waiter
 	for len(a.queue) > 0 {
 		w := a.queue[0]
@@ -194,7 +193,10 @@ func (a *Admission) grantFittingLocked() []*waiter {
 		a.queue = a.queue[1:]
 		grants = append(grants, w)
 	}
-	return grants
+	a.mu.Unlock()
+	for _, w := range grants {
+		close(w.granted)
+	}
 }
 
 // Resize hot-reloads the worker budget without dropping queued requests.
@@ -213,11 +215,7 @@ func (a *Admission) Resize(budget int) {
 			w.n = budget
 		}
 	}
-	grants := a.grantFittingLocked()
-	a.mu.Unlock()
-	for _, w := range grants {
-		close(w.granted)
-	}
+	a.grantFittingUnlock()
 }
 
 // Budget returns the total leasable workers.

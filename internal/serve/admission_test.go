@@ -143,6 +143,70 @@ func TestAdmissionContextCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// TestAdmissionAbandonGrantsWaitersBehind: when the head waiter leaves the
+// queue — its caller cancels, or it outwaits maxWait — the waiters behind
+// it that now fit are granted at once, not at the next unrelated release.
+func TestAdmissionAbandonGrantsWaitersBehind(t *testing.T) {
+	for _, exit := range []string{"cancel", "maxWait"} {
+		t.Run(exit, func(t *testing.T) {
+			var maxWait time.Duration
+			wantHead := context.Canceled
+			if exit == "maxWait" {
+				maxWait, wantHead = 200*time.Millisecond, ErrOverloaded
+			}
+			a := NewAdmission(4, 8, maxWait)
+			hold, err := a.Acquire(context.Background(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hold.Release()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			headErr := make(chan error, 1)
+			go func() {
+				_, err := a.Acquire(ctx, 4)
+				headErr <- err
+			}()
+			for a.QueueDepth() < 1 {
+				time.Sleep(time.Millisecond)
+			}
+			// The waiter behind queues well after the head, so its own
+			// max-wait runs out long after the head's.
+			time.Sleep(maxWait / 2)
+			type result struct {
+				l   *Lease
+				err error
+			}
+			behind := make(chan result, 1)
+			go func() {
+				l, err := a.Acquire(context.Background(), 1)
+				behind <- result{l, err}
+			}()
+			for a.QueueDepth() < 2 {
+				time.Sleep(time.Millisecond)
+			}
+			if exit == "cancel" {
+				cancel()
+			}
+			if err := <-headErr; !errors.Is(err, wantHead) {
+				t.Fatalf("head waiter: err = %v, want %v", err, wantHead)
+			}
+			select {
+			case r := <-behind:
+				if r.err != nil {
+					t.Fatalf("1-worker waiter: %v, want a grant once the head left", r.err)
+				}
+				if a.InUse() != 4 {
+					t.Errorf("in use %d, want 4 (3 held + 1 granted)", a.InUse())
+				}
+				r.l.Release()
+			case <-time.After(time.Second):
+				t.Fatalf("1-worker waiter still queued with %d of 4 workers in use", a.InUse())
+			}
+		})
+	}
+}
+
 // TestAdmissionBudgetNeverExceeded hammers the controller from many
 // goroutines with mixed lease widths and verifies the core invariant via
 // the peak high-water mark.

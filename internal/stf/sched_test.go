@@ -2,6 +2,7 @@ package stf
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,9 +47,9 @@ func skewedResults(t *testing.T, p *device.Platform, workers, nTiny int) ([]uint
 
 // TestWorkStealingSkewedCosts is the scheduler stress test (run under
 // -race in CI): a pathologically skewed graph must keep every worker of
-// the pool busy — the huge task pins one worker while the rest drain and
-// steal the tiny tasks — and the results must match the serial (one
-// worker) executor bit for bit.
+// the pool busy — the huge task pins one worker while the rest drain the
+// tiny tasks from the shared ready queue — and the results must match the
+// serial (one worker) executor bit for bit.
 func TestWorkStealingSkewedCosts(t *testing.T) {
 	p := device.NewTestPlatform()
 	defer p.Close()
@@ -115,5 +116,38 @@ func TestSkewStressManyRounds(t *testing.T) {
 		if want := len(sink) * (len(sink) + 1) / 2; total != want {
 			t.Fatalf("round %d: sum %d, want %d", round, total, want)
 		}
+	}
+}
+
+// TestReadyOrderPerPlace pins the ready-queue order at one worker per
+// place: a task readied by the place's own worker runs before anything
+// declared earlier (LIFO), so a chunk's sub-graph stays contiguous, and
+// declared tasks run in declaration order (FIFO).
+func TestReadyOrderPerPlace(t *testing.T) {
+	p := device.NewTestPlatform()
+	defer p.Close()
+	ctx := NewCtx(p, 1)
+	defer ctx.Release()
+	declared := make(chan struct{})
+	a := NewToken(ctx, "a")
+	ctx.Task("A").On(device.Host).Writes(a).
+		Do(func(ti *TaskInstance) error { <-declared; return nil })
+	for _, name := range []string{"B", "C"} {
+		tok := NewToken(ctx, name)
+		ctx.Task(name).On(device.Host).Writes(tok).
+			Do(func(ti *TaskInstance) error { return nil })
+	}
+	ctx.Task("A'").On(device.Host).Reads(a).
+		Do(func(ti *TaskInstance) error { return nil })
+	close(declared)
+	if err := ctx.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, tr := range ctx.Trace() {
+		order = append(order, tr.Name)
+	}
+	if got, want := strings.Join(order, " "), "A A' B C"; got != want {
+		t.Fatalf("start order %q, want %q", got, want)
 	}
 }

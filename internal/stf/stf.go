@@ -22,10 +22,11 @@
 // concurrency in the product graph comes from chunk sub-graphs sharing no
 // token: the chunks of one compress or decompress proceed independently,
 // so one chunk's accelerator prediction overlaps another's host encoding.
-// Ready tasks execute on per-place work-stealing worker pools (see
-// sched.go): each worker owns a bounded deque, and idle workers steal, so
-// skewed chunk sub-graphs rebalance instead of convoying behind the slowest
-// worker.
+// Ready tasks execute on one worker pool per place (see sched.go), whose
+// workers share one ready queue: a task readied by a worker of its own
+// place runs next (LIFO), so each chunk's sub-graph runs back to back;
+// declared tasks and tasks readied by the other place wait their turn
+// (FIFO).
 package stf
 
 import (

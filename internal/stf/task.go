@@ -16,14 +16,14 @@ import (
 // have been read; a Ctx is not reusable after Finalize (Reset is the reuse
 // path and keeps the workers warm).
 //
-// Execution model: each place owns a bounded work-stealing worker pool. A
+// Execution model: each place owns a worker pool with one ready queue. A
 // task becomes ready the moment its last dependency completes (dependency
-// counting, no waiting goroutines) and is pushed onto the completing
-// worker's own deque — the chunk sub-graph stays on the worker whose
-// caches are warm — while idle workers steal the oldest ready task from a
-// sibling, so uneven sub-graphs rebalance. The
-// pool width bounds in-flight task bodies per place, the bounded-worker
-// discipline a finite ring of CUDA streams imposes.
+// counting, no waiting goroutines). If a worker of the same place readied
+// it, it goes on the queue's LIFO stack and runs next, so a chunk's
+// sub-graph runs back to back while its data is warm; a task readied at
+// declaration or by the other place joins the queue's FIFO. The pool width
+// bounds in-flight task bodies per place, the bounded-worker discipline a
+// finite ring of CUDA streams imposes.
 type Ctx struct {
 	p *Platform
 
@@ -186,8 +186,8 @@ func (ti *TaskInstance) Name() string { return ti.name }
 //   - Write/ReadWrite depends on the last writer (WAW) and on every reader
 //     admitted since (WAR), then becomes the new last writer.
 //
-// Do returns immediately; the task is dispatched onto one of its place's
-// streams once every dependency has completed.
+// Do returns immediately; the task joins its place's ready queue once
+// every dependency has completed.
 func (b *TaskBuilder) Do(body func(*TaskInstance) error) {
 	c := b.ctx
 	t := &task{
@@ -236,15 +236,8 @@ func (b *TaskBuilder) Do(body func(*TaskInstance) error) {
 	c.mu.Unlock()
 
 	if ready {
-		c.dispatch(t, nil)
+		c.schedFor(t.place).submit(t, nil)
 	}
-}
-
-// dispatch hands a ready task to its place's worker pool; from is the
-// worker that made it ready (nil for declaration-time submissions), so
-// same-pool completions keep the sub-graph on the warm worker.
-func (c *Ctx) dispatch(t *task, from *schedWorker) {
-	c.schedFor(t.place).submit(t, from)
 }
 
 // schedFor returns the worker pool of a place, spawning it on first use
@@ -264,9 +257,10 @@ func (c *Ctx) schedFor(place device.Place) *sched {
 	return s
 }
 
-// runOn executes a dispatched task body on a pool worker and notifies
-// dependents. All dependencies are complete when it is called.
-func (c *Ctx) runOn(t *task, w *schedWorker) {
+// runOn executes a ready task body on worker slot id of pool s and queues
+// the dependents it makes ready. All dependencies are complete when it is
+// called.
+func (c *Ctx) runOn(t *task, id int, s *sched) {
 	var depErr error
 	for _, d := range t.deps {
 		if d.err != nil {
@@ -297,7 +291,7 @@ func (c *Ctx) runOn(t *task, w *schedWorker) {
 
 	c.mu.Lock()
 	t.completed = true
-	t.worker = w.id
+	t.worker = id
 	var ready []*task
 	for _, dep := range t.dependents {
 		dep.pending--
@@ -309,7 +303,7 @@ func (c *Ctx) runOn(t *task, w *schedWorker) {
 	c.mu.Unlock()
 	close(t.done)
 	for _, r := range ready {
-		c.dispatch(r, w)
+		c.schedFor(r.place).submit(r, s)
 	}
 }
 

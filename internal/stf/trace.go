@@ -13,7 +13,7 @@ type TaskTrace struct {
 	ID    int
 	Name  string
 	Place string
-	// Worker is the pool slot of the place's work-stealing pool that
+	// Worker is the slot, 0…n−1, of the place's n-worker pool that
 	// executed the task; the scaling tests use it to check that skewed
 	// graphs still keep every worker busy.
 	Worker int

@@ -17,11 +17,11 @@
 // and the measured throughput. -chunk and -workers drive the concurrent
 // chunked executor explicitly (chunk granularity in elements, scheduler
 // stream-pool width); -v prints the executor report — task count, stage
-// overlap, critical path, and the buffer-pool hit rate.
+// overlap, critical path, worker slots used, and the buffer-pool hit rate.
 //
-// -stream switches to the out-of-core path: the input is consumed slab
-// window by slab window (at most -window slabs resident) and chunks flush
-// to the output as they finish, so files far larger than memory — or data
+// -stream switches to the out-of-core path: the input is consumed chunk by
+// chunk (at most -window chunks in flight) and chunks flush to the output
+// in order as they finish, so files far larger than memory — or data
 // arriving on stdin — compress in bounded memory. "-" as the input or
 // output names stdin/stdout, so fzmod composes in shell pipelines:
 //
@@ -116,7 +116,7 @@ func main() {
 	flag.IntVar(&cfg.chunk, "chunk", 0, "chunk granularity in elements (0 = default; forces the chunked executor)")
 	flag.IntVar(&cfg.workers, "workers", 0, "scheduler stream-pool width (0 = platform width; forces the chunked executor)")
 	flag.BoolVar(&cfg.stream, "stream", false, "stream out-of-core: bounded-memory compression/decompression over files or pipes")
-	flag.IntVar(&cfg.window, "window", 0, "streaming: max slabs in flight (0 = default)")
+	flag.IntVar(&cfg.window, "window", 0, "streaming: max chunks in flight (0 = default)")
 	flag.StringVar(&cfg.region, "region", "", "decompress only the subvolume i0:i1,j0:j1,k0:k1 (half-open, x fastest; needs a seekable -i)")
 	flag.BoolVar(&cfg.proofs, "proofs", false, "region reads: verify every fetched chunk against the container's Merkle root (automatic for http(s) inputs)")
 	flag.BoolVar(&cfg.salvage, "salvage", false, "rebuild a valid chunked container from every intact chunk of a damaged artifact")
@@ -414,8 +414,8 @@ func compressInMemory(cfg config, p *fzmod.Platform) error {
 	return nil
 }
 
-// compressStream is the out-of-core write path: input read slab window by
-// slab window, chunks flushed as they finish, memory O(window).
+// compressStream is the out-of-core write path: input read chunk by chunk,
+// at most -window chunks in flight, memory O(window).
 func compressStream(cfg config, p *fzmod.Platform) error {
 	dims, err := grid.ParseDims(cfg.dims)
 	if err != nil {
@@ -502,7 +502,7 @@ func decompress(cfg config, p *fzmod.Platform) error {
 	}
 
 	if fzio.IsStream(magic) {
-		// Out-of-core read path: window-bounded, output flushed in order.
+		// Out-of-core read path: at most -window chunks in flight.
 		cfg.out = out
 		opts := core.StreamOpts{Window: cfg.window, Workers: cfg.workers}
 		var dims grid.Dims
@@ -524,7 +524,7 @@ func decompress(cfg config, p *fzmod.Platform) error {
 		return err
 	}
 	t0 := time.Now()
-	data, dims, report, err := fzmod.Decompress(context.Background(), p, blob, fzmod.Opts{})
+	data, dims, report, err := fzmod.Decompress(context.Background(), p, blob, fzmod.Opts{Workers: cfg.workers})
 	decSec := time.Since(t0).Seconds()
 	if err != nil {
 		return err
@@ -695,10 +695,14 @@ func resolvePipeline(cfg config) (*core.Pipeline, error) {
 }
 
 // printReport summarizes an executor report: graph shape, observed stage
-// overlap, and buffer-pool reuse.
+// overlap, worker slots used, and buffer-pool reuse.
 func printReport(w io.Writer, phase string, r *core.ExecReport) {
-	fmt.Fprintf(w, "%s executor: %d tasks, critical path %d, overlapped %v\n",
-		phase, r.Tasks, r.CriticalPath, r.Overlapped())
+	slots := 0
+	for _, t := range r.Trace {
+		slots = max(slots, t.Worker+1)
+	}
+	fmt.Fprintf(w, "%s executor: %d tasks, critical path %d, overlapped %v, worker slots used %d\n",
+		phase, r.Tasks, r.CriticalPath, r.Overlapped(), slots)
 	fmt.Fprintf(w, "  buffer pool: %d gets, %d hits (%.0f%% hit rate)\n",
 		r.Pool.Gets, r.Pool.Hits, 100*r.Pool.HitRate())
 }

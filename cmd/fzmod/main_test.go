@@ -112,6 +112,34 @@ func TestCLIRoundtripFiles(t *testing.T) {
 	}
 }
 
+// TestCLIDecompressWorkers: -workers bounds the in-memory decompress of a
+// multi-chunk container, as it does every other path; the -v report shows
+// the worker slots the graph used.
+func TestCLIDecompressWorkers(t *testing.T) {
+	in, _, _ := writeField(t)
+	fz := filepath.Join(t.TempDir(), "field.fz")
+	var out bytes.Buffer
+	if err := run(config{
+		compress: true, in: in, out: fz,
+		dims: "16x16x12", eb: 1e-3, mode: "rel",
+		pipeline: "default", chunk: 16 * 16 * 2,
+		stdout: &out,
+	}); err != nil {
+		t.Fatalf("compress: %v\n%s", err, out.String())
+	}
+	out.Reset()
+	if err := run(config{
+		decompress: true, in: fz, out: filepath.Join(t.TempDir(), "back.f32"),
+		workers: 1, verbose: true, stdout: &out,
+	}); err != nil {
+		t.Fatalf("decompress: %v", err)
+	}
+	if !strings.Contains(out.String(), "decompress executor: 18 tasks") ||
+		!strings.Contains(out.String(), "worker slots used 1\n") {
+		t.Errorf("-workers 1 decompress of a 6-chunk container: %q", out.String())
+	}
+}
+
 // TestCLIStreamRoundtripFiles: -stream compression to a file, stream
 // probe, then decompression (flavor detected from the magic).
 func TestCLIStreamRoundtripFiles(t *testing.T) {

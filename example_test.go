@@ -65,7 +65,7 @@ func ExampleChunkOpts() {
 }
 
 // ExampleStreamOpts runs the out-of-core path: the field streams in from
-// an io.Reader slab window by slab window and back out through
+// an io.Reader chunk by chunk and back out through
 // DecompressStream, with resident memory bounded by the window, not the
 // field size.
 func ExampleStreamOpts() {

@@ -29,10 +29,10 @@
 //	    fzmod.Rel(1e-4), fzmod.Opts{ChunkElems: 1 << 21, Workers: 8})
 //
 // Fields larger than memory (or arriving over a socket or pipe) stream
-// through the same engine: CompressStream consumes an io.Reader slab
-// window by slab window into an append-mode streaming container, and
-// DecompressStream mirrors it, with resident memory bounded by
-// Opts.Window rather than the field size:
+// through the same engine: CompressStream consumes an io.Reader chunk by
+// chunk into an append-mode streaming container, and DecompressStream
+// mirrors it; each builds one task graph with at most Opts.Window chunks
+// in flight, so resident memory is bounded by the window, not the field:
 //
 //	_, err := fzmod.CompressStream(platform, pipeline, file, dims, fzmod.Abs(absEB), out,
 //	    fzmod.Opts{Window: 4})
@@ -105,7 +105,7 @@ type (
 	Quality = metrics.Quality
 	// Opts is the unified options surface shared by every entry point:
 	// Workers (total parallelism budget), ChunkElems (write-path chunk
-	// granularity), Window (streaming slabs in flight) and Cache (decoded
+	// granularity), Window (streaming chunks in flight) and Cache (decoded
 	// slabs shared across region reads). Three historical aliases of it are
 	// left — ChunkOpts, StreamOpts and RegionOpts — so one struct can
 	// configure a whole request pipeline — the fzmodd daemon maps its
@@ -117,7 +117,7 @@ type (
 	// value selects sane defaults.
 	ChunkOpts = core.ChunkOpts
 	// StreamOpts configures the streaming (out-of-core) entry points:
-	// chunk granularity, slabs in flight, scheduler width. The zero value
+	// chunk granularity, chunks in flight, scheduler width. The zero value
 	// selects sane defaults.
 	StreamOpts = core.StreamOpts
 	// ExecReport is the execution evidence of one task-graph run: trace,
@@ -206,8 +206,8 @@ func Rel(v float64) ErrorBound { return preprocess.RelBound(v) }
 func Abs(v float64) ErrorBound { return preprocess.AbsBound(v) }
 
 // CompressStream compresses a dims-shaped field of little-endian float32
-// values read from r into a streaming container written to w, holding at
-// most opts.Window slabs in memory — the out-of-core path for fields
+// values read from r into a streaming container written to w, with at
+// most opts.Window chunks in flight — the out-of-core path for fields
 // larger than RAM, network sockets and shell pipes. The bound must be
 // absolute (resolve a relative bound first); per-chunk output is
 // bit-identical to the in-memory write on the same field. Returns the
@@ -218,8 +218,9 @@ func CompressStream(p *Platform, pl *Pipeline, r io.Reader, dims Dims, eb ErrorB
 }
 
 // DecompressStream reconstructs a streaming container read from r,
-// writing the field to w as little-endian float32 bytes in storage order
-// with at most opts.Window chunks in flight. Returns the field geometry.
+// writing the field to w as little-endian float32 bytes in storage order,
+// each chunk as soon as it and every chunk before it are decoded, with at
+// most opts.Window chunks in flight. Returns the field geometry.
 // Equivalent to core.DecompressStreamCtx with context.Background().
 func DecompressStream(p *Platform, r io.Reader, w io.Writer, opts StreamOpts) (Dims, error) {
 	return core.DecompressStreamCtx(context.Background(), p, r, w, opts)

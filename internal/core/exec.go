@@ -22,8 +22,8 @@ import (
 // stage (→ secondary) where the sink needs the block's bytes staged
 // (addStageTasks). The in-memory lowering (chunked.go) joins the blocks
 // with a layout task and scatter-writes them into the FZMD or FZMC output;
-// the streaming lowering (stream.go) flushes each staged block as an FZMS
-// frame.
+// the streaming lowering (stream.go) keeps declaring blocks into one graph
+// as a sliding window and flushes each staged block as an FZMS frame.
 //
 // Read side: addDecompressTasks is the only place a chunk payload is
 // parsed, secondary-unwrapped, decoded, dims-checked and reconstructed.
@@ -109,8 +109,9 @@ func newCtx(gctx context.Context, p *device.Platform, place device.Place, worker
 type compressJob struct {
 	pred  *Prediction
 	inner *fzio.Container // built once encode finishes; sized, not copied
-	// blob is the chunk's staged serialized form, set only when the
-	// sub-graph includes addStageTasks.
+	// blob is the chunk's staged serialized form, set by addStageTasks'
+	// last task once it succeeds: nil after the sub-graph completed means
+	// the chunk failed.
 	blob []byte
 	// tok is written by the last task declared for the job so far; a
 	// consumer reading it runs once the job's size (and blob, if staged)
@@ -124,6 +125,7 @@ type compressJob struct {
 	// task once the inner blob is wrapped, or by the streaming path after
 	// the frame is flushed.
 	blobSlab *device.Slab[byte]
+	in       *device.Slab[float32] // a streamed chunk's pooled input
 }
 
 // size and writeInto are the view the scatter-assembly tail has of a
@@ -151,9 +153,9 @@ func (job *compressJob) writeInto(dst []byte) error {
 // releaseSlabs hands back any pooled slab the sub-graph still holds. The
 // encode and secondary task bodies normally recycle codesSlab/blobSlab,
 // but a failed or canceled graph skips those bodies — the caller must
-// sweep after Finalize/Reset reports an error, or the checkout leaks and
-// the pool's gets==puts accounting breaks. Safe only once the graph is
-// drained (no task body can still touch the job).
+// sweep after Finalize reports an error, or the checkout leaks and the
+// pool's gets==puts accounting breaks. Safe only once the job's sub-graph
+// has completed (no task body can still touch the job).
 func (job *compressJob) releaseSlabs(bp *device.BufPool) {
 	if job.codesSlab != nil {
 		bp.PutU16(job.codesSlab)
@@ -165,6 +167,10 @@ func (job *compressJob) releaseSlabs(bp *device.BufPool) {
 	if job.blobSlab != nil {
 		bp.PutBytes(job.blobSlab)
 		job.blobSlab = nil
+	}
+	if job.in != nil {
+		bp.PutF32(job.in)
+		job.in = nil
 	}
 }
 
@@ -237,27 +243,26 @@ func (pl *Pipeline) addPredictEncodeTasks(ctx *stf.Ctx, prefix string, data []fl
 // addStageTasks stages the block's bytes in the graph: container
 // serialization on the host into an exact-size pooled buffer, and — when
 // the pipeline carries a secondary encoder — the secondary pass rewriting
-// the serialized blob.
-func (pl *Pipeline) addStageTasks(ctx *stf.Ctx, prefix string, job *compressJob) {
+// the serialized blob. It returns the done channel of the last task.
+func (pl *Pipeline) addStageTasks(ctx *stf.Ctx, prefix string, job *compressJob) <-chan struct{} {
 	p := ctx.Platform()
 	blobTok := stf.NewToken(ctx, prefix+"blob")
 
-	ctx.Task(prefix + "stage").On(device.Host).Reads(job.tok).Writes(blobTok).
+	done := ctx.Task(prefix + "stage").On(device.Host).Reads(job.tok).Writes(blobTok).
 		Do(func(ti *stf.TaskInstance) error {
 			job.blobSlab = p.ScratchPool().GetBytes(job.inner.MarshaledSize(), false)
-			n, err := job.inner.MarshalInto(job.blobSlab.Data)
-			if err != nil {
-				return err
+			_, err := job.inner.MarshalInto(job.blobSlab.Data)
+			if err == nil && pl.Sec == nil {
+				job.blob = job.blobSlab.Data
 			}
-			job.blob = job.blobSlab.Data[:n]
-			return nil
+			return err
 		})
 	job.tok = blobTok
 
 	if pl.Sec != nil {
-		ctx.Task(prefix + "secondary").On(pl.EncPlace).ReadsWrites(blobTok).
+		done = ctx.Task(prefix + "secondary").On(pl.EncPlace).ReadsWrites(blobTok).
 			Do(func(ti *stf.TaskInstance) error {
-				blob, err := pl.wrapSecondary(p, ti.Place(), job.blob, job.inner.Header)
+				blob, err := pl.wrapSecondary(p, ti.Place(), job.blobSlab.Data, job.inner.Header)
 				if err != nil {
 					return err
 				}
@@ -268,6 +273,7 @@ func (pl *Pipeline) addStageTasks(ctx *stf.Ctx, prefix string, job *compressJob)
 				return nil
 			})
 	}
+	return done
 }
 
 // addCompressTasks declares one block's sub-graph up to the point its final
@@ -357,9 +363,10 @@ func (job *decompressJob) reconstruct(p *device.Platform) error {
 // would recurse without bound), optionally secondary-wrapped, recording
 // exactly want. The values are reconstructed into dst (len want.N()) when
 // it is non-nil, else into a fresh slice; after, when non-nil, then runs
-// with them (nil for a skipped chunk) inside the reconstruct task.
+// with them (nil for a skipped chunk) inside the reconstruct task. It
+// returns the done channel of the reconstruct task.
 func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, dst []float32,
-	fetch func() ([]byte, error), after func(vals []float32) error) {
+	fetch func() ([]byte, error), after func(vals []float32) error) <-chan struct{} {
 	p := ctx.Platform()
 	job := &decompressJob{dst: dst}
 	fetchTok := stf.NewToken(ctx, prefix+"container")
@@ -396,7 +403,7 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 			}
 			return job.decode(p)
 		})
-	ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok).
+	return ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok).
 		Do(func(ti *stf.TaskInstance) error {
 			if job.c != nil {
 				if err := job.reconstruct(p); err != nil {

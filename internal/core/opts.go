@@ -28,10 +28,10 @@ type Opts struct {
 	// ignore it (chunk geometry is recorded in the container).
 	ChunkElems int
 
-	// Window caps the slabs in flight on the streaming entry points (and
-	// with them resident memory: the pipeline holds at most Window input
-	// slabs plus their intermediates). 0 selects DefaultStreamWindow.
-	// Non-streaming entry points ignore it.
+	// Window caps the chunks in flight on the streaming entry points, and
+	// with them resident memory: chunk i is read only once chunk i−Window
+	// has been written out. 0 selects DefaultStreamWindow. Non-streaming
+	// entry points ignore it.
 	Window int
 
 	// Cache, when non-nil, holds decoded slabs across region reads (and

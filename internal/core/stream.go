@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -9,23 +10,20 @@ import (
 	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
 	"fzmod/internal/preprocess"
+	"fzmod/internal/stf"
 )
 
-// This file is the out-of-core layer over the task-graph engine: instead
-// of requiring the whole field (and the whole compressed blob) resident in
-// memory, CompressStreamCtx consumes an io.Reader slab window by slab
-// window and DecompressStreamCtx produces an io.Writer the same way. Each
-// window lowers onto the identical per-chunk sub-graphs the in-memory
-// chunked path declares (so per-chunk output is bit-identical to it),
-// executed over one reused stf context whose worker pools stay warm across
-// windows; slab inputs, staging buffers and quantization codes all cycle
-// through the platform's BufPool, keeping resident memory O(window)
-// regardless of field size. The on-wire format is the FZMS streaming
-// container (see fzio/stream.go): chunks flush as they finish, the index
-// rides in a trailer.
+// This file is the out-of-core layer: CompressStreamCtx consumes an
+// io.Reader and DecompressStreamCtx produces an io.Writer chunk by chunk.
+// Each door declares the in-memory chunked path's per-chunk sub-graphs (so
+// per-chunk output is bit-identical to it) into one graph and slides a
+// window of chunks over it (slide), overlapping reading, computing and
+// writing with resident memory O(window). The on-wire format is the FZMS
+// streaming container (see fzio/stream.go): chunks flush as they finish,
+// the index rides in a trailer.
 
 const (
-	// DefaultStreamWindow is the default number of slabs in flight: deep
+	// DefaultStreamWindow is the default number of chunks in flight: deep
 	// enough to keep every stage of the per-chunk graphs busy, shallow
 	// enough that resident memory stays a small multiple of the chunk
 	// size.
@@ -36,20 +34,60 @@ const (
 	streamStageBytes = 256 << 10
 )
 
+// errChunkFailed marks a chunk whose sub-graph completed without output;
+// the graph's own error, from Finalize, says why.
+var errChunkFailed = errors.New("core: stream chunk failed")
+
+// slide runs both stream doors' window protocol over one graph.
+// declare(i, slot) reads chunk i into ring slot i%window and declares its
+// sub-graph, returning its last task's done channel (nil at the end of the
+// input); it runs once chunk i−window has been emitted, unless gctx is
+// canceled. emit(i, slot) writes chunk i on the caller, in order, once its
+// sub-graph has completed, or returns errChunkFailed if it left no output.
+// The graph is finalized and released once; the caller's own read or write
+// error wins over the graph's.
+func slide(ctx *stf.Ctx, window int, declare func(i, slot int) (<-chan struct{}, error),
+	emit func(i, slot int) error) error {
+	done := make([]<-chan struct{}, window)
+	var err error
+	// end is the index of the first chunk not declared, -1 until then.
+	for i, end := 0, -1; err == nil && (end < 0 || i < end+window); i++ {
+		slot := i % window
+		if done[slot] != nil {
+			<-done[slot]
+			if err = emit(i-window, slot); err != nil {
+				break
+			}
+		}
+		done[slot] = nil
+		if end < 0 {
+			if err = ctx.Context().Err(); err == nil {
+				done[slot], err = declare(i, slot)
+			}
+			if done[slot] == nil {
+				end = i
+			}
+		}
+	}
+	if ferr := ctx.Finalize(); ferr != nil && (err == nil || err == errChunkFailed) {
+		err = ferr
+	}
+	ctx.Release()
+	return err
+}
+
 // CompressStreamCtx compresses a dims-shaped field of little-endian
 // float32 values read from r into a streaming (FZMS) container written to
-// w, holding at most opts.Window slabs in memory at a time. The error bound
-// must be absolute: a value-range-relative bound needs a pass over the
-// whole field, which an out-of-core compressor by definition cannot take —
-// resolve it first (preprocess.Resolve) and pass the absolute bound.
-// Per-chunk payloads are bit-identical to CompressChunkedReportCtx on the
-// same field, so reassembling the stream yields that container byte for
-// byte. Returns the compressed bytes written. Cancellation of gctx stops
-// the current window's unstarted task bodies at their dispatch boundary,
-// drains the graph, sweeps pooled intermediates back, and returns the
-// context's error with the bytes written so far (the stream is left
-// truncated mid-container, exactly as any other mid-stream error leaves
-// it).
+// w, with at most opts.Window chunks in flight. The error bound must be
+// absolute: a value-range-relative bound needs a pass over the whole
+// field, which an out-of-core compressor cannot take — resolve it first
+// (preprocess.Resolve). Per-chunk payloads are bit-identical to
+// CompressChunkedReportCtx on the same field, so reassembling the stream
+// yields that container byte for byte. Returns the compressed bytes
+// written. Cancellation of gctx stops unstarted task bodies, drains the
+// graph, sweeps pooled intermediates back and returns the context's error
+// with the bytes written so far: the stream is left truncated, as any
+// other mid-stream error leaves it.
 func (pl *Pipeline) CompressStreamCtx(gctx context.Context, p *device.Platform, r io.Reader, dims grid.Dims, eb preprocess.ErrorBound, w io.Writer, opts StreamOpts) (int64, error) {
 	planes, err := ChunkPlanes(dims, opts.ChunkElems)
 	if err != nil {
@@ -79,124 +117,91 @@ func (pl *Pipeline) CompressStreamCtx(gctx context.Context, p *device.Platform, 
 	stage := bp.GetBytes(streamStageBytes, false)
 	defer bp.PutBytes(stage)
 	ctx := newCtx(gctx, p, pl.PredPlace, opts.Workers, window)
-	defer ctx.Release()
-
-	for start := 0; start < len(slabs); start += window {
-		batch := slabs[start:min(start+window, len(slabs))]
-		bufs := make([]*device.Slab[float32], len(batch))
-		jobs := make([]*compressJob, len(batch))
-		var readErr error
-		for i, sl := range batch {
-			bufs[i] = bp.GetF32(sl.Elems(), false)
-			if err := device.ReadF32(r, bufs[i].Data, stage.Data); err != nil {
-				readErr = fmt.Errorf("core: reading slab %d (%d values): %w", start+i, sl.Elems(), err)
-				break
+	jobs := make([]*compressJob, window)
+	err = slide(ctx, window,
+		func(i, slot int) (<-chan struct{}, error) {
+			if i == len(slabs) {
+				return nil, nil
+			}
+			in := bp.GetF32(slabs[i].Elems(), false)
+			if err := device.ReadF32(r, in.Data, stage.Data); err != nil {
+				bp.PutF32(in)
+				return nil, fmt.Errorf("core: reading slab %d (%d values): %w", i, slabs[i].Elems(), err)
 			}
 			// Staged in the graph: each chunk's container is serialized
-			// into an exact-size pooled slab, flushed as a frame below, and
-			// the slab recycled — the window's staging cost is the frames
-			// themselves, not a fresh blob per chunk.
-			prefix := fmt.Sprintf("s%d.", start+i)
-			jobs[i] = pl.addPredictEncodeTasks(ctx, prefix, bufs[i].Data, sl.Dims, absEB, 0)
-			pl.addStageTasks(ctx, prefix, jobs[i])
-		}
-		// Reset drains whatever was declared (possibly a partial batch on a
-		// read error) before the input slabs go back to the pool.
-		err := ctx.Reset()
-		for _, b := range bufs {
-			bp.PutF32(b)
-		}
-		release := func(from int) {
-			// Failed or canceled sub-graphs may still hold their pooled code
-			// buffers as well as the container slab; sweep both.
-			sweepJobs(bp, jobs[from:])
-		}
-		if readErr != nil {
-			release(0)
-			return sw.BytesWritten(), readErr
-		}
-		if err != nil {
-			release(0)
-			return sw.BytesWritten(), err
-		}
-		for i, sl := range batch {
-			werr := sw.WriteChunk(jobs[i].blob, sl.Planes)
-			if jobs[i].blobSlab != nil {
-				bp.PutBytes(jobs[i].blobSlab)
-				jobs[i].blobSlab = nil
+			// into an exact-size pooled slab, recycled once flushed.
+			prefix := fmt.Sprintf("s%d.", i)
+			jobs[slot] = pl.addPredictEncodeTasks(ctx, prefix, in.Data, slabs[i].Dims, absEB, 0)
+			jobs[slot].in = in
+			return pl.addStageTasks(ctx, prefix, jobs[slot]), nil
+		},
+		func(i, slot int) error {
+			if jobs[slot].blob == nil {
+				return errChunkFailed
 			}
-			if werr != nil {
-				release(i + 1)
-				return sw.BytesWritten(), werr
-			}
-		}
+			werr := sw.WriteChunk(jobs[slot].blob, slabs[i].Planes)
+			jobs[slot].releaseSlabs(bp)
+			return werr
+		})
+	// Failed or unemitted chunks may still hold their pooled input, code
+	// and container slabs.
+	sweepJobs(bp, jobs)
+	if err == nil {
+		err = sw.Close()
 	}
-	if err := sw.Close(); err != nil {
-		return sw.BytesWritten(), err
-	}
-	return sw.BytesWritten(), nil
+	return sw.BytesWritten(), err
 }
 
 // DecompressStreamCtx reconstructs a streaming (FZMS) container read from
 // r, writing the field to w as little-endian float32 bytes in storage
-// order, with at most opts.Window chunks in flight. Chunks within a window
-// decode in parallel through the same fetch → decode → reconstruct
-// sub-graphs the in-memory read path uses; output is flushed in order as
-// each window completes. Returns the decoded field geometry. Cancellation
-// of gctx drains the current window, reads nothing further, and returns
-// the context's error.
+// order, with at most opts.Window chunks in flight. Each chunk decodes
+// through the sub-graph the in-memory read path uses and is written out as
+// soon as it and every chunk before it are done. Returns the field
+// geometry. Cancellation of gctx stops the in-flight chunks, reads nothing
+// further, and returns the context's error.
 func DecompressStreamCtx(gctx context.Context, p *device.Platform, r io.Reader, w io.Writer, opts StreamOpts) (grid.Dims, error) {
 	sr, err := fzio.NewStreamReader(r)
 	if err != nil {
 		return grid.Dims{}, err
 	}
 	dims := sr.Header().Dims
-	nChunks := 1
-	if sr.Header().Planes > 0 {
-		nChunks = (dims.SlowExtent() + sr.Header().Planes - 1) / sr.Header().Planes
-	}
-	window := opts.window(nChunks)
+	window := opts.window(dims.SlowExtent()) // a chunk has at least one plane
 	bp := p.ScratchPool()
 	stage := bp.GetBytes(streamStageBytes, false)
 	defer bp.PutBytes(stage)
 	ctx := newCtx(gctx, p, device.Accel, opts.Workers, window)
-	defer ctx.Release()
 
-	// Per-slot payload buffers are reused across windows; they grow to the
-	// largest chunk seen and stay there, so steady-state reading allocates
-	// nothing.
+	// Per-slot payload buffers grow to the largest chunk seen and stay
+	// there, so steady-state reading allocates nothing.
 	payloads := make([][]byte, window)
 	vals := make([][]float32, window)
-	chunkIdx := 0
-	for done := false; !done; {
-		n := 0 // chunks in this window
-		for ; n < window; n++ {
-			payload, planes, err := sr.Next(payloads[n])
+	err = slide(ctx, window,
+		func(i, slot int) (<-chan struct{}, error) {
+			payload, planes, err := sr.Next(payloads[slot])
 			if err == io.EOF {
-				done = true
-				break
+				return nil, nil
 			}
 			if err != nil {
-				// Drain any already-declared sub-graphs before returning.
-				ctx.Reset()
-				return grid.Dims{}, err
+				return nil, err
 			}
-			payloads[n] = payload
-			n := n
-			addDecompressTasks(ctx, fmt.Sprintf("s%d.", chunkIdx+n), chunkIdx+n, dims.WithSlowExtent(planes), nil,
+			payloads[slot] = payload
+			return addDecompressTasks(ctx, fmt.Sprintf("s%d.", i), i, dims.WithSlowExtent(planes), nil,
 				func() ([]byte, error) { return payload, nil }, // sr.Next verified the frame CRC
-				func(v []float32) error { vals[n] = v; return nil })
-		}
-		if err := ctx.Reset(); err != nil {
-			return grid.Dims{}, err
-		}
-		for i := 0; i < n; i++ {
-			if err := device.WriteF32(w, vals[i], stage.Data); err != nil {
-				return grid.Dims{}, fmt.Errorf("core: writing chunk %d: %w", chunkIdx+i, err)
+				func(v []float32) error { vals[slot] = v; return nil }), nil
+		},
+		func(i, slot int) error {
+			v := vals[slot]
+			vals[slot] = nil
+			if v == nil {
+				return errChunkFailed
 			}
-			vals[i] = nil
-		}
-		chunkIdx += n
+			if err := device.WriteF32(w, v, stage.Data); err != nil {
+				return fmt.Errorf("core: writing chunk %d: %w", i, err)
+			}
+			return nil
+		})
+	if err != nil {
+		return grid.Dims{}, err
 	}
 	return dims, nil
 }

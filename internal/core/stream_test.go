@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
+	"time"
 
 	"fzmod/internal/device"
 	"fzmod/internal/fzio"
@@ -251,4 +255,171 @@ func TestCompressStreamMemoryBounded(t *testing.T) {
 			bytesPerOp, 3*windowBytes, windowBytes)
 	}
 	t.Logf("field %d bytes, window %d bytes, steady-state bytes/op %d", fieldBytes, windowBytes, bytesPerOp)
+}
+
+// errInjected is the cause every stream fault below injects.
+var errInjected = errors.New("injected fault")
+
+// failReader yields the first n bytes of r, then fails with errInjected.
+type failReader struct {
+	r io.Reader
+	n int
+}
+
+func (f *failReader) Read(b []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, errInjected
+	}
+	k, err := f.r.Read(b[:min(len(b), f.n)])
+	f.n -= k
+	return k, err
+}
+
+// failWriter accepts n Write calls, then fails every later one with
+// errInjected.
+type failWriter struct{ n int }
+
+func (f *failWriter) Write(b []byte) (int, error) {
+	if f.n == 0 {
+		return 0, errInjected
+	}
+	f.n--
+	return len(b), nil
+}
+
+// TestStreamFaults walks every failure point of both stream doors' input
+// and output: a reader that fails after k bytes and a writer that fails on
+// its k-th Write, for k = 0, 1, … until the operation succeeds, over a
+// 3-chunk field at every mix of one or two workers and a window of one or
+// two chunks. Each failed run must return an error wrapping the injected
+// cause, give every pooled slab back and leave no goroutine behind.
+func TestStreamFaults(t *testing.T) {
+	p := device.NewTestPlatform()
+	defer p.Close()
+	dims := grid.D3(8, 8, 6)
+	data := sdrbench.GenNYX(dims, 5)
+	raw := device.F32Bytes(data)
+	absEB, _, err := preprocess.Resolve(p, device.Host, data, preprocess.RelBound(1e-3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb := preprocess.AbsBound(absEB)
+	pl := NewDefault()
+	gctx := context.Background()
+	compress := func(r io.Reader, w io.Writer, opts StreamOpts) error {
+		_, err := pl.CompressStreamCtx(gctx, p, r, dims, eb, w, opts)
+		return err
+	}
+	decompress := func(r io.Reader, w io.Writer, opts StreamOpts) error {
+		_, err := DecompressStreamCtx(gctx, p, r, w, opts)
+		return err
+	}
+	var stream bytes.Buffer
+	if err := compress(bytes.NewReader(raw), &stream, StreamOpts{ChunkElems: 2 * dims.PlaneElems()}); err != nil {
+		t.Fatal(err)
+	}
+
+	faults := []struct {
+		name string
+		op   func(r io.Reader, w io.Writer, opts StreamOpts) error
+		in   []byte
+		// step is the stride of k for a reader fault: the compress input
+		// fails the same way at every byte of a slab read, while every
+		// byte of the stream meets a different parse step.
+		step   int
+		writer bool
+	}{
+		{name: "compress/reader", op: compress, in: raw, step: 61},
+		{name: "compress/writer", op: compress, in: raw, writer: true},
+		{name: "decompress/reader", op: decompress, in: stream.Bytes(), step: 1},
+		{name: "decompress/writer", op: decompress, in: stream.Bytes(), writer: true},
+	}
+	configs := []StreamOpts{}
+	for _, workers := range []int{1, 2} {
+		for _, window := range []int{1, 2} {
+			opts := StreamOpts{ChunkElems: 2 * dims.PlaneElems(), Workers: workers, Window: window}
+			configs = append(configs, opts)
+			// Warm every path before the goroutine baseline.
+			if err := decompress(bytes.NewReader(stream.Bytes()), io.Discard, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, f := range faults {
+		for _, opts := range configs {
+			t.Run(fmt.Sprintf("%s/w%d/win%d", f.name, opts.Workers, opts.Window), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				for k := 0; ; k++ {
+					r, w := io.Reader(bytes.NewReader(f.in)), io.Writer(io.Discard)
+					if f.writer {
+						w = &failWriter{n: k}
+					} else {
+						r = &failReader{r: r, n: k * f.step}
+					}
+					err := f.op(r, w, opts)
+					if st := p.ScratchPool().Stats(); st.Gets != st.Puts {
+						t.Fatalf("k=%d: scratch pool unbalanced: gets=%d puts=%d", k, st.Gets, st.Puts)
+					}
+					for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("k=%d: %d goroutines, %d before", k, runtime.NumGoroutine(), before)
+						}
+					}
+					if err == nil {
+						return
+					}
+					if !errors.Is(err, errInjected) {
+						t.Fatalf("k=%d: error %q does not wrap the injected cause", k, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDecompressStreamRetention: the stream's one graph outlives every
+// chunk, so a chunk's decoded values and codes must become garbage once it
+// is written. The live heap sampled at each Write grows far less than the
+// field while 64 low-ratio chunks stream through a window of 2.
+func TestDecompressStreamRetention(t *testing.T) {
+	p := device.NewTestPlatform()
+	defer p.Close()
+	const n = 1 << 20 // 4 MiB of float32
+	data := sdrbench.GenHACC(n, 3)
+	dims := grid.D1(n)
+	var stream bytes.Buffer
+	if _, err := NewDefault().CompressStreamCtx(context.Background(), p, bytes.NewReader(device.F32Bytes(data)), dims,
+		preprocess.AbsBound(1e-3), &stream, StreamOpts{ChunkElems: n / 64}); err != nil {
+		t.Fatal(err)
+	}
+	w := &heapSampler{}
+	if _, err := DecompressStreamCtx(context.Background(), p, bytes.NewReader(stream.Bytes()), w, StreamOpts{Window: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes < 64 {
+		t.Fatalf("%d writes, want one per chunk at least", w.writes)
+	}
+	if growth, field := w.max-w.first, uint64(4*n); growth > field/4 {
+		t.Errorf("live heap grew %d bytes over the stream, want < field/4 = %d", growth, field/4)
+	}
+	t.Logf("live heap grew %d bytes over %d writes; stream %d bytes", w.max-w.first, w.writes, stream.Len())
+}
+
+// heapSampler discards what it is written and samples the live heap at
+// every Write.
+type heapSampler struct {
+	writes     int
+	first, max uint64
+}
+
+func (h *heapSampler) Write(b []byte) (int, error) {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if h.writes == 0 {
+		h.first = ms.HeapAlloc
+	}
+	h.max = max(h.max, ms.HeapAlloc)
+	h.writes++
+	return len(b), nil
 }

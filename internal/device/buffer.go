@@ -33,7 +33,7 @@ func BytesF32(src []byte) []float32 {
 // ReadF32 fills dst with len(dst) little-endian float32 values read from
 // r, staging through buf (any length ≥ 4; only whole 4-byte groups are
 // used). Neither slice is retained, so both can come from a pool: the
-// streaming compressor reads slab windows this way without allocating.
+// streaming compressor reads its chunks this way without allocating.
 func ReadF32(r io.Reader, dst []float32, buf []byte) error {
 	if len(buf) < 4 {
 		return fmt.Errorf("device: staging buffer too small (%d bytes)", len(buf))

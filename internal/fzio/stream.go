@@ -199,7 +199,7 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 		lo := len(buf)
 		buf = append(buf, make([]byte, short)...)
 		if _, err := io.ReadFull(br, buf[lo:]); err != nil {
-			return nil, fmt.Errorf("fzio: truncated stream prologue")
+			return nil, fmt.Errorf("fzio: truncated stream prologue: %w", err)
 		}
 		hdr, version, _, err := parseStreamPrologue(buf)
 		var t truncatedErr
@@ -284,7 +284,7 @@ func (sr *StreamReader) Next(dst []byte) ([]byte, int, error) {
 	}
 	length, err := binary.ReadUvarint(sr.r)
 	if err != nil {
-		return nil, 0, fmt.Errorf("fzio: truncated stream: missing frame header")
+		return nil, 0, fmt.Errorf("fzio: truncated stream: missing frame header: %w", err)
 	}
 	if length == 0 {
 		sr.done = true
@@ -298,7 +298,7 @@ func (sr *StreamReader) Next(dst []byte) ([]byte, int, error) {
 	}
 	planes, err := binary.ReadUvarint(sr.r)
 	if err != nil {
-		return nil, 0, fmt.Errorf("fzio: truncated chunk planes")
+		return nil, 0, fmt.Errorf("fzio: truncated chunk planes: %w", err)
 	}
 	// Bound before the int conversion: a crafted >= 2^63 value would wrap
 	// negative and slip past the tiling check below.
@@ -311,7 +311,7 @@ func (sr *StreamReader) Next(dst []byte) ([]byte, int, error) {
 	}
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(sr.r, crcBuf[:]); err != nil {
-		return nil, 0, fmt.Errorf("fzio: truncated chunk CRC")
+		return nil, 0, fmt.Errorf("fzio: truncated chunk CRC: %w", err)
 	}
 	crc := binary.LittleEndian.Uint32(crcBuf[:])
 	payload, err := readN(sr.r, dst, int(length))
@@ -351,7 +351,7 @@ func (sr *StreamReader) verifyTrailer() error {
 	}
 	got := make([]byte, len(want))
 	if _, err := io.ReadFull(sr.r, got); err != nil {
-		return fmt.Errorf("fzio: truncated stream trailer")
+		return fmt.Errorf("fzio: truncated stream trailer: %w", err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -360,7 +360,7 @@ func (sr *StreamReader) verifyTrailer() error {
 	}
 	var tail [16]byte // trailer CRC (4) + trailer length (8) + end magic (4)
 	if _, err := io.ReadFull(sr.r, tail[:]); err != nil {
-		return fmt.Errorf("fzio: truncated stream trailer")
+		return fmt.Errorf("fzio: truncated stream trailer: %w", err)
 	}
 	if binary.LittleEndian.Uint32(tail[:4]) != crc32.ChecksumIEEE(want) {
 		return fmt.Errorf("fzio: stream trailer CRC mismatch")

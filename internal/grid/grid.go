@@ -150,7 +150,7 @@ type Slab struct {
 func (s Slab) Elems() int { return s.Dims.N() }
 
 // Bytes returns the slab's size in bytes as float32 storage, the amount a
-// streaming executor reads per slab window.
+// streaming executor reads per chunk.
 func (s Slab) Bytes() int { return 4 * s.Dims.N() }
 
 // WithSlowExtent returns d with the slowest-varying dimension replaced,

@@ -89,7 +89,7 @@ func (s *sched) loop(id int) {
 }
 
 // close wakes every worker and waits for them to exit. All submitted
-// tasks must have completed (Finalize/Reset) before closing.
+// tasks must have completed (Finalize) before closing.
 func (s *sched) close() {
 	s.mu.Lock()
 	s.closed = true

@@ -71,8 +71,7 @@ type Token struct {
 	readers    []*task
 }
 
-// NewToken declares a named token of ctx's graph. Tokens do not survive
-// Reset: declare fresh ones for the next batch.
+// NewToken declares a named token of ctx's graph.
 func NewToken(_ *Ctx, name string) *Token {
 	return &Token{name: name}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -332,4 +333,49 @@ func TestBoundedConcurrency(t *testing.T) {
 		t.Errorf("observed %d concurrent bodies, pool width is 2", got)
 	}
 	ctx.Release()
+}
+
+// TestTaskBodyRelease: a graph may stay open long after a task
+// completes (a stream declares into one graph until its end), so a
+// completed task must drop its body and what the body captured, whether
+// it ran, failed or was skipped. Its done channel closes in every case.
+func TestTaskBodyRelease(t *testing.T) {
+	p := device.NewTestPlatform()
+	defer p.Close()
+	ctx := NewCtx(p, 0)
+	defer ctx.Release()
+	var freed atomic.Int32
+	for _, done := range declareCapturing(ctx, &freed) {
+		<-done
+	}
+	for i := 0; freed.Load() < 3; i++ {
+		if i == 100 {
+			t.Fatalf("%d of 3 captured values collected while the graph is open", freed.Load())
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if err := ctx.Finalize(); err == nil {
+		t.Fatal("Finalize lost the failed task")
+	}
+}
+
+// declareCapturing declares a task that runs, one that fails and one that
+// is skipped, each capturing a value whose finalizer counts into freed,
+// and returns their done channels. Nothing but the task bodies refers to
+// the values once it returns.
+func declareCapturing(ctx *Ctx, freed *atomic.Int32) []<-chan struct{} {
+	type captured struct{ buf [64]byte }
+	capture := func() *captured {
+		v := &captured{}
+		runtime.SetFinalizer(v, func(*captured) { freed.Add(1) })
+		return v
+	}
+	ran, failed, skipped := capture(), capture(), capture()
+	tok := NewToken(ctx, "t")
+	return []<-chan struct{}{
+		ctx.Task("ran").Do(func(*TaskInstance) error { ran.buf[0]++; return nil }),
+		ctx.Task("failed").Writes(tok).Do(func(*TaskInstance) error { failed.buf[0]++; return errors.New("boom") }),
+		ctx.Task("skipped").Reads(tok).Do(func(*TaskInstance) error { skipped.buf[0]++; return nil }),
+	}
 }

@@ -13,8 +13,8 @@ import (
 // Ctx owns a task graph: dependency inference over declared tokens and
 // asynchronous execution. Create with NewCtx, submit tasks, then call
 // Finalize exactly once. Release retires the worker pools once results
-// have been read; a Ctx is not reusable after Finalize (Reset is the reuse
-// path and keeps the workers warm).
+// have been read. A Ctx is single-use; a long-lived graph (a stream's) may
+// keep declaring tasks, since a completed task drops its body's captures.
 //
 // Execution model: each place owns a worker pool with one ready queue. A
 // task becomes ready the moment its last dependency completes (dependency
@@ -32,12 +32,10 @@ type Ctx struct {
 	// deadline stops declared-but-not-started work instead of orphaning it.
 	gctx context.Context
 
-	mu       sync.Mutex
-	nextTask int
-	tasks    []*task
-	edges    map[[2]int]struct{} // dedup for DOT export
-	scheds   map[device.Place]*sched
-	maxConc  int
+	mu      sync.Mutex
+	tasks   []*task
+	scheds  map[device.Place]*sched
+	maxConc int
 }
 
 // Platform is the subset of device.Platform the engine needs; using the
@@ -50,7 +48,6 @@ type Platform = device.Platform
 func NewCtx(p *Platform, maxConcurrent int) *Ctx {
 	return &Ctx{
 		p:       p,
-		edges:   make(map[[2]int]struct{}),
 		scheds:  make(map[device.Place]*sched),
 		maxConc: maxConcurrent,
 	}
@@ -63,7 +60,7 @@ func (c *Ctx) Platform() *Platform { return c.p }
 // for chaining. Once gctx is done, every task body not yet started fails
 // with the context's error at its dispatch boundary (already-running
 // bodies finish normally), dependents skip through the usual ErrSkipped
-// chain, and Finalize/Reset drain the whole graph and surface the
+// chain, and Finalize drains the whole graph and surfaces the
 // cancellation once — so no goroutine or pooled buffer is orphaned, work
 // just stops being done. Bind before submitting tasks; a nil gctx (or not
 // calling Bind) leaves the graph unbounded, exactly as context.Background.
@@ -187,8 +184,9 @@ func (ti *TaskInstance) Name() string { return ti.name }
 //     admitted since (WAR), then becomes the new last writer.
 //
 // Do returns immediately; the task joins its place's ready queue once
-// every dependency has completed.
-func (b *TaskBuilder) Do(body func(*TaskInstance) error) {
+// every dependency has completed. The returned channel closes when the
+// task completes, whether it ran, failed or was skipped.
+func (b *TaskBuilder) Do(body func(*TaskInstance) error) <-chan struct{} {
 	c := b.ctx
 	t := &task{
 		name:  b.name,
@@ -198,8 +196,7 @@ func (b *TaskBuilder) Do(body func(*TaskInstance) error) {
 	}
 
 	c.mu.Lock()
-	t.id = c.nextTask
-	c.nextTask++
+	t.id = len(c.tasks)
 	depSet := make(map[*task]struct{})
 	for _, a := range b.access {
 		tok := a.tok
@@ -225,7 +222,6 @@ func (b *TaskBuilder) Do(body func(*TaskInstance) error) {
 	delete(depSet, t)
 	for d := range depSet {
 		t.deps = append(t.deps, d)
-		c.edges[[2]int{d.id, t.id}] = struct{}{}
 		if !d.completed {
 			t.pending++
 			d.dependents = append(d.dependents, t)
@@ -238,6 +234,7 @@ func (b *TaskBuilder) Do(body func(*TaskInstance) error) {
 	if ready {
 		c.schedFor(t.place).submit(t, nil)
 	}
+	return t.done
 }
 
 // schedFor returns the worker pool of a place, spawning it on first use
@@ -288,6 +285,7 @@ func (c *Ctx) runOn(t *task, id int, s *sched) {
 		}()
 		t.ended = time.Now()
 	}
+	t.body = nil // free its captures: the graph outlives its tasks
 
 	c.mu.Lock()
 	t.completed = true
@@ -336,24 +334,7 @@ func (c *Ctx) Finalize() error {
 	return errors.Join(errs...)
 }
 
-// Reset drains the graph like Finalize and then clears the task registry
-// so the context can be reused for the next batch of a windowed pipeline:
-// the per-place worker pools stay warm across batches, which is what lets
-// a streaming compressor run thousands of window-sized graphs over one
-// context. Tokens declared before Reset must not be used afterwards.
-// Returns the joined errors of the drained batch, exactly as Finalize
-// reports them.
-func (c *Ctx) Reset() error {
-	err := c.Finalize()
-	c.mu.Lock()
-	c.tasks = nil
-	c.edges = make(map[[2]int]struct{})
-	c.nextTask = 0
-	c.mu.Unlock()
-	return err
-}
-
-// Release retires the worker pools. Call after Finalize or Reset; no
+// Release retires the worker pools. Call after Finalize; no
 // further tasks may be submitted afterwards. Release is idempotent.
 func (c *Ctx) Release() {
 	c.mu.Lock()

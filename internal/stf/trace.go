@@ -70,9 +70,11 @@ func (c *Ctx) DOT() string {
 		fmt.Fprintf(&b, "  t%d [label=%q shape=%s];\n", t.id, fmt.Sprintf("%s@%s", t.name, t.place), shape)
 	}
 	type edge struct{ from, to int }
-	edges := make([]edge, 0, len(c.edges))
-	for e := range c.edges {
-		edges = append(edges, edge{e[0], e[1]})
+	var edges []edge
+	for _, t := range c.tasks {
+		for _, d := range t.deps {
+			edges = append(edges, edge{d.id, t.id})
+		}
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].from != edges[j].from {

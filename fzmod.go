@@ -179,7 +179,7 @@ func Default() *Pipeline { return core.NewDefault() }
 // Speed returns the FZMod-Speed preset pipeline.
 func Speed() *Pipeline { return core.NewSpeed() }
 
-// Quality returns the FZMod-Quality preset pipeline.
+// QualityPipeline returns the FZMod-Quality preset pipeline.
 func QualityPipeline() *Pipeline { return core.NewQuality() }
 
 // Presets returns the three evaluated pipelines in paper order.
@@ -269,9 +269,9 @@ func OpenRegion(p *Platform, f ChunkFetcher, opts RegionOpts) (*Region, error) {
 
 // Stats snapshots the platform's live counters into a read-only value:
 // simulated transfer volumes, kernel/host launch counts, scratch-pool
-// traffic (Pool.Gets == Pool.Puts when every checkout has been returned),
-// region slab-cache accounting, and the active SIMD kernel tier. This is
-// the supported way to observe a platform — metrics endpoints and
+// traffic (Pool.Gets == Pool.Puts when every checkout has been returned)
+// and the active SIMD kernel tier; slab-cache traffic is SlabCache.Stats.
+// This is the supported way to observe a platform — metrics endpoints and
 // external users need never reach into internals.
 func Stats(p *Platform) Snapshot { return p.Snapshot() }
 

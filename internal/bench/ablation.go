@@ -70,7 +70,7 @@ func HistAblation(w io.Writer, p *device.Platform, sc Scale) error {
 	}
 	fmt.Fprintf(w, "Histogram ablation (%s @1e-4): build time and induced Huffman size\n", sdrbench.CESM)
 	for _, pd := range preds {
-		pred, err := pd.pr.Predict(p, device.Accel, data, dims, absEB)
+		pred, err := pd.pr.Predict(p, device.Accel, data, dims, absEB, nil)
 		if err != nil {
 			return err
 		}

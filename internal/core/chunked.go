@@ -136,11 +136,16 @@ func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Pla
 
 	// One sub-graph per slab; each chunk is compressed under the globally
 	// resolved absolute bound, so per-chunk containers are byte-identical
-	// to a one-slab run on that slab.
+	// to a one-slab run on that slab. A secondary encoder's output size only
+	// exists once that pass has run, so such a pipeline stages its blocks
+	// in the graph; the tail sees a block through size/writeInto.
 	jobs := make([]*compressJob, len(slabs))
 	for i, sl := range slabs {
 		chunk := data[sl.Lo : sl.Lo+sl.Dims.N()]
-		jobs[i] = pl.addCompressTasks(ctx, chunkPrefix(i), chunk, sl.Dims, absEB, chunkRelEB)
+		jobs[i] = pl.addPredictEncodeTasks(ctx, chunkPrefix(i), chunk, sl.Dims, absEB, chunkRelEB)
+		if pl.Sec != nil {
+			pl.addStageTasks(ctx, chunkPrefix(i), jobs[i])
+		}
 	}
 
 	// Zero-copy scatter assembly: every chunk's exact serialized size is
@@ -189,9 +194,8 @@ func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Pla
 			})
 	}
 
-	report, err := finish(ctx)
+	report, err := finish(ctx, jobs)
 	if err != nil {
-		sweepJobs(p.ScratchPool(), jobs)
 		return nil, report, err
 	}
 	if asm != nil {

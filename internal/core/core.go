@@ -33,14 +33,17 @@ type Prediction struct {
 	Extras map[string][]byte
 }
 
-// Predictor is the prediction+quantization stage contract.
+// Predictor is the prediction+quantization stage contract. Both stages
+// write into a caller-owned buffer that may hold any bytes on entry (the
+// executor's come from the scratch pool): every element or an error.
 type Predictor interface {
 	// Name is the module-table key recorded in compressed containers.
 	Name() string
-	// Predict quantizes data within absolute bound eb at place.
-	Predict(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64) (*Prediction, error)
-	// Reconstruct inverts Predict.
-	Reconstruct(p *device.Platform, place device.Place, pred *Prediction, dims grid.Dims, eb float64) ([]float32, error)
+	// Predict quantizes data within absolute bound eb at place into codes
+	// (dims.N() elements; nil allocates). The Prediction aliases codes.
+	Predict(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64, codes []uint16) (*Prediction, error)
+	// Reconstruct inverts Predict into dst (dims.N() values).
+	Reconstruct(p *device.Platform, place device.Place, pred *Prediction, dims grid.Dims, eb float64, dst []float32) error
 }
 
 // CodesEncoder is the primary lossless stage contract: it compresses the
@@ -48,7 +51,10 @@ type Predictor interface {
 type CodesEncoder interface {
 	Name() string
 	EncodeCodes(p *device.Platform, place device.Place, codes []uint16, radius int) ([]byte, error)
-	DecodeCodes(p *device.Platform, place device.Place, blob []byte) ([]uint16, error)
+	// DecodeCodes decodes blob into dst, whose length must be the stream's
+	// code count: any other count is refused before decoding, and on
+	// success every element is written.
+	DecodeCodes(p *device.Platform, place device.Place, blob []byte, dst []uint16) error
 }
 
 // Secondary is the optional second lossless pass (the zstd slot).

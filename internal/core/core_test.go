@@ -131,11 +131,11 @@ func TestSplinePredictsBetterThanLorenzoOnSmoothData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lq, err := LorenzoPredictor{}.Predict(tp, device.Accel, data, dims, absEB)
+	lq, err := LorenzoPredictor{}.Predict(tp, device.Accel, data, dims, absEB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq, err := NewQuality().Pred.Predict(tp, device.Accel, data, dims, absEB)
+	sq, err := NewQuality().Pred.Predict(tp, device.Accel, data, dims, absEB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +155,13 @@ func TestSplinePredictsBetterThanLorenzoOnSmoothData(t *testing.T) {
 	}
 }
 
-// TestLorenzoReconstructOutvalLength hands ReconstructInto an outval
+// TestLorenzoReconstructOutvalLength hands Reconstruct an outval
 // segment one value short and one value long of the escape count; both
 // are errors, and the exact segment reconstructs.
 func TestLorenzoReconstructOutvalLength(t *testing.T) {
 	dims := grid.D3(21, 9, 5)
 	data := sdrbench.GenHACC(dims.N(), 3) // rough: many outliers
-	pred, err := LorenzoPredictor{}.Predict(tp, device.Accel, data, dims, 1e-3)
+	pred, err := LorenzoPredictor{}.Predict(tp, device.Accel, data, dims, 1e-3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestLorenzoReconstructOutvalLength(t *testing.T) {
 		{"one value long", append(append([]byte(nil), outval...), 1, 0, 0, 0), true},
 	} {
 		p := &Prediction{Codes: pred.Codes, Radius: pred.Radius, Extras: map[string][]byte{"outval": tc.seg}}
-		err := LorenzoPredictor{}.ReconstructInto(tp, device.Accel, p, dims, 1e-3, dst)
+		err := LorenzoPredictor{}.Reconstruct(tp, device.Accel, p, dims, 1e-3, dst)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
 		}
@@ -193,10 +193,11 @@ func TestLorenzoReconstructOutvalLength(t *testing.T) {
 // spline limit; each must be an error.
 func TestSplineMetaHostile(t *testing.T) {
 	dims := grid.D2(21, 9)
-	pred, err := SplinePredictor{}.Predict(tp, device.Accel, sdrbench.GenCESM(dims, 3), dims, 1e-3)
+	pred, err := SplinePredictor{}.Predict(tp, device.Accel, sdrbench.GenCESM(dims, 3), dims, 1e-3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dst := make([]float32, dims.N())
 	huge := uint64(1) << 63
 	uv := binary.AppendUvarint
 	for _, tc := range []struct {
@@ -211,13 +212,13 @@ func TestSplineMetaHostile(t *testing.T) {
 			p := &Prediction{Codes: pred.Codes, Radius: pred.Radius, Extras: map[string][]byte{
 				"anchors": pred.Extras["anchors"], "outval": pred.Extras["outval"], "meta": tc.meta,
 			}}
-			if _, err := (SplinePredictor{}).Reconstruct(tp, device.Accel, p, dims, 1e-3); err == nil {
+			if err := (SplinePredictor{}).Reconstruct(tp, device.Accel, p, dims, 1e-3, dst); err == nil {
 				t.Error("hostile meta accepted")
 			}
 		})
 	}
 	// The unmodified prediction reconstructs.
-	if _, err := (SplinePredictor{}).Reconstruct(tp, device.Accel, pred, dims, 1e-3); err != nil {
+	if err := (SplinePredictor{}).Reconstruct(tp, device.Accel, pred, dims, 1e-3, dst); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -69,8 +69,9 @@ func (h HuffmanEncoder) EncodeCodes(p *device.Platform, place device.Place, code
 }
 
 // DecodeCodes implements CodesEncoder.
-func (HuffmanEncoder) DecodeCodes(p *device.Platform, place device.Place, blob []byte) ([]uint16, error) {
-	return huffman.Decompress(p, place, blob)
+func (HuffmanEncoder) DecodeCodes(p *device.Platform, place device.Place, blob []byte, dst []uint16) error {
+	_, err := huffman.DecompressInto(p, place, blob, dst)
+	return err
 }
 
 // FZGEncoder is the FZ-GPU bitshuffle+dictionary primary encoder module —
@@ -88,8 +89,9 @@ func (FZGEncoder) EncodeCodes(p *device.Platform, place device.Place, codes []ui
 }
 
 // DecodeCodes implements CodesEncoder.
-func (FZGEncoder) DecodeCodes(p *device.Platform, place device.Place, blob []byte) ([]uint16, error) {
-	return fzg.Decode(p, place, blob)
+func (FZGEncoder) DecodeCodes(p *device.Platform, place device.Place, blob []byte, dst []uint16) error {
+	_, err := fzg.DecodeInto(p, place, blob, dst)
+	return err
 }
 
 // LZSecondary is the zstd-slot secondary encoder backed by the lzr module.

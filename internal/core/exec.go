@@ -29,10 +29,15 @@ import (
 // parsed, secondary-unwrapped, decoded, dims-checked and reconstructed.
 // Full decompress, region reads, salvage and stream decode each plan their
 // chunk list, hand every chunk to the builder with a fetch closure that
-// returns integrity-checked bytes, and finalize — so a hostile payload
-// meets the same checks whichever door it comes through. There is no
-// other executor: a monolithic (FZMD) container is simply a one-chunk
-// graph.
+// returns integrity-checked bytes and the destination its values land in,
+// and finalize — so a hostile payload meets the same checks whichever door
+// it comes through. There is no other executor: a monolithic (FZMD)
+// container is simply a one-chunk graph.
+//
+// Modules write into buffers the executor owns: predict and decode fill a
+// pooled code slab, reconstruct fills the door's destination. A failed or
+// canceled graph skips the task that returns a slab, so every door sweeps
+// its jobs once the graph has drained.
 //
 // Every operation runs under one parallelism budget, resolved by newCtx.
 
@@ -63,25 +68,25 @@ type ExecReport struct {
 // Overlapped reports whether any two tasks ran concurrently.
 func (r *ExecReport) Overlapped() bool { return stf.Overlapped(r.Trace) }
 
-// execReport assembles the report for a finalized context.
-func execReport(ctx *stf.Ctx) *ExecReport {
+// finish drains the graph, sweeps the pooled slabs a failed graph left in
+// its jobs (sweepJobs), snapshots its report and retires the context's
+// workers.
+func finish[J interface{ releaseSlabs(*device.BufPool) }](ctx *stf.Ctx, jobs []J) (*ExecReport, error) {
+	err := ctx.Finalize()
+	p := ctx.Platform()
+	if err != nil {
+		sweepJobs(p.ScratchPool(), jobs)
+	}
 	trace := ctx.Trace()
-	return &ExecReport{
+	report := &ExecReport{
 		Trace:        trace,
 		DOT:          ctx.DOT(),
 		Tasks:        len(trace),
 		CriticalPath: ctx.CriticalPath(),
-		Pool:         ctx.Platform().ScratchPool().Stats(),
-		Kernels:      ctx.Platform().KernelImpl(),
-		KernelDetail: ctx.Platform().KernelDetail(),
+		Pool:         p.ScratchPool().Stats(),
+		Kernels:      p.KernelImpl(),
+		KernelDetail: p.KernelDetail(),
 	}
-}
-
-// finish drains the graph, snapshots its report and retires the context's
-// workers.
-func finish(ctx *stf.Ctx) (*ExecReport, error) {
-	err := ctx.Finalize()
-	report := execReport(ctx)
 	ctx.Release()
 	return report, err
 }
@@ -117,9 +122,9 @@ type compressJob struct {
 	// consumer reading it runs once the job's size (and blob, if staged)
 	// is final.
 	tok *stf.Token
-	// codesSlab is the pooled quantization-code buffer when the pipeline's
-	// predictor supports PredictInto; the encode task returns it to the
-	// pool once the code stream has been consumed.
+	// codesSlab is the pooled quantization-code buffer the predict task
+	// fills; the encode task returns it to the pool once the code stream
+	// has been consumed.
 	codesSlab *device.Slab[uint16]
 	// blobSlab backs the stage task's output: recycled by the secondary
 	// task once the inner blob is wrapped, or by the streaming path after
@@ -155,8 +160,12 @@ func (job *compressJob) writeInto(dst []byte) error {
 // but a failed or canceled graph skips those bodies — the caller must
 // sweep after Finalize reports an error, or the checkout leaks and the
 // pool's gets==puts accounting breaks. Safe only once the job's sub-graph
-// has completed (no task body can still touch the job).
+// has completed (no task body can still touch the job); a nil job holds
+// nothing.
 func (job *compressJob) releaseSlabs(bp *device.BufPool) {
+	if job == nil {
+		return
+	}
 	if job.codesSlab != nil {
 		bp.PutU16(job.codesSlab)
 		job.codesSlab = nil
@@ -175,11 +184,9 @@ func (job *compressJob) releaseSlabs(bp *device.BufPool) {
 }
 
 // sweepJobs releaseSlabs-es every declared job after a failed graph.
-func sweepJobs(bp *device.BufPool, jobs []*compressJob) {
+func sweepJobs[J interface{ releaseSlabs(*device.BufPool) }](bp *device.BufPool, jobs []J) {
 	for _, job := range jobs {
-		if job != nil {
-			job.releaseSlabs(bp)
-		}
+		job.releaseSlabs(bp)
 	}
 }
 
@@ -199,19 +206,11 @@ func (pl *Pipeline) addPredictEncodeTasks(ctx *stf.Ctx, prefix string, data []fl
 
 	ctx.Task(prefix + "predict").On(pl.PredPlace).Writes(predTok).
 		Do(func(ti *stf.TaskInstance) error {
-			var (
-				pred *Prediction
-				err  error
-			)
-			if pi, ok := pl.Pred.(PredictorInto); ok {
-				// Pooled codes: the slab is recycled by the encode task,
-				// so a many-chunk run reuses a window's worth of code
-				// buffers instead of allocating 2 bytes per field element.
-				job.codesSlab = p.ScratchPool().GetU16(dims.N(), false)
-				pred, err = pi.PredictInto(p, ti.Place(), data, dims, absEB, job.codesSlab.Data)
-			} else {
-				pred, err = pl.Pred.Predict(p, ti.Place(), data, dims, absEB)
-			}
+			// Pooled codes: the slab is recycled by the encode task, so a
+			// many-chunk run reuses a window's worth of code buffers
+			// instead of allocating 2 bytes per field element.
+			job.codesSlab = p.ScratchPool().GetU16(dims.N(), false)
+			pred, err := pl.Pred.Predict(p, ti.Place(), data, dims, absEB, job.codesSlab.Data)
 			if err != nil {
 				return fmt.Errorf("core: %s predict: %w", pl.Pred.Name(), err)
 			}
@@ -224,11 +223,8 @@ func (pl *Pipeline) addPredictEncodeTasks(ctx *stf.Ctx, prefix string, data []fl
 			defer func() {
 				// The code stream is dead after encoding (serialization only
 				// touches Extras and Radius); recycle the pooled buffer.
-				if job.codesSlab != nil {
-					p.ScratchPool().PutU16(job.codesSlab)
-					job.codesSlab = nil
-					job.pred.Codes = nil
-				}
+				p.ScratchPool().PutU16(job.codesSlab)
+				job.codesSlab, job.pred.Codes = nil, nil
 			}()
 			payload, err := pl.Enc.EncodeCodes(p, ti.Place(), job.pred.Codes, job.pred.Radius)
 			if err != nil {
@@ -276,77 +272,30 @@ func (pl *Pipeline) addStageTasks(ctx *stf.Ctx, prefix string, job *compressJob)
 	return done
 }
 
-// addCompressTasks declares one block's sub-graph up to the point its final
-// serialized size is known, for the in-memory sinks: predict → encode, plus
-// stage → secondary for pipelines with a secondary encoder, whose
-// output size only exists once that pass has run. Consumers read job.tok
-// and see the block through size/writeInto.
-func (pl *Pipeline) addCompressTasks(ctx *stf.Ctx, prefix string, data []float32, dims grid.Dims, absEB, relEB float64) *compressJob {
-	job := pl.addPredictEncodeTasks(ctx, prefix, data, dims, absEB, relEB)
-	if pl.Sec != nil {
-		pl.addStageTasks(ctx, prefix, job)
-	}
-	return job
-}
-
-// decompressJob carries one container's decode state through its task
-// chain; sizes and module identities only become known as tasks execute.
+// decompressJob carries one chunk's decode state through its task chain;
+// sizes and module identities only become known as tasks execute. codes is
+// the pooled slab the decode task fills and the reconstruct task returns.
 type decompressJob struct {
-	c    *fzio.Container
-	pr   Predictor
-	pred *Prediction
-	vals []float32
-	// dst, when set, is the destination slice reconstruction writes into —
-	// directly for predictors supporting ReconstructInto (the chunked path
-	// points it at the chunk's window of the assembled output field).
-	dst []float32
+	c     *fzio.Container
+	pr    Predictor
+	codes *device.Slab[uint16]
+	out   *device.Slab[float32] // a streamed chunk's pooled destination
+	done  <-chan struct{}       // closed once the reconstruct task has run
 }
 
-// decode resolves the container's modules and decodes the primary code
-// stream (at the accelerator place, as the presets assign it), populating
-// the job for reconstruction.
-func (job *decompressJob) decode(p *device.Platform) error {
-	pr, enc, err := containerModules(job.c)
-	if err != nil {
-		return err
+// releaseSlabs is compressJob.releaseSlabs for the read side.
+func (job *decompressJob) releaseSlabs(bp *device.BufPool) {
+	if job == nil {
+		return
 	}
-	payload, err := job.c.Segment(segCodes)
-	if err != nil {
-		return err
+	if job.codes != nil {
+		bp.PutU16(job.codes)
+		job.codes = nil
 	}
-	codes, err := enc.DecodeCodes(p, device.Accel, payload)
-	if err != nil {
-		return fmt.Errorf("core: %s decode: %w", enc.Name(), err)
+	if job.out != nil {
+		bp.PutF32(job.out)
+		job.out = nil
 	}
-	if dims := job.c.Header.Dims; len(codes) != dims.N() {
-		return fmt.Errorf("core: %d codes for dims %v", len(codes), dims)
-	}
-	job.pr = pr
-	job.pred = containerPrediction(job.c, codes)
-	return nil
-}
-
-// reconstruct inverts the prediction stage; with job.dst set the values
-// land there, in place when the predictor supports it.
-func (job *decompressJob) reconstruct(p *device.Platform) error {
-	dims, eb := job.c.Header.Dims, job.c.Header.EB
-	if ri, ok := job.pr.(ReconstructorInto); ok && job.dst != nil {
-		if err := ri.ReconstructInto(p, device.Accel, job.pred, dims, eb, job.dst); err != nil {
-			return fmt.Errorf("core: %s reconstruct: %w", job.pr.Name(), err)
-		}
-		job.vals = job.dst
-		return nil
-	}
-	vals, err := job.pr.Reconstruct(p, device.Accel, job.pred, dims, eb)
-	if err != nil {
-		return fmt.Errorf("core: %s reconstruct: %w", job.pr.Name(), err)
-	}
-	if job.dst != nil {
-		copy(job.dst, vals)
-		vals = job.dst
-	}
-	job.vals = vals
-	return nil
 }
 
 // addDecompressTasks declares one chunk's read sub-graph, fetch → decode →
@@ -361,14 +310,14 @@ func (job *decompressJob) reconstruct(p *device.Platform) error {
 // chunk was served some other way, and the sub-graph skips straight to
 // after. The payload must be a plain FZMD container (a nested FZMC or FZMS
 // would recurse without bound), optionally secondary-wrapped, recording
-// exactly want. The values are reconstructed into dst (len want.N()) when
-// it is non-nil, else into a fresh slice; after, when non-nil, then runs
-// with them (nil for a skipped chunk) inside the reconstruct task. It
-// returns the done channel of the reconstruct task.
+// exactly want. The values are reconstructed into dst (len want.N(), any
+// contents); after, when non-nil, then runs with dst (nil for a skipped
+// chunk) inside the reconstruct task. The returned job's pooled slabs are
+// the caller's to sweep once the graph has drained.
 func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, dst []float32,
-	fetch func() ([]byte, error), after func(vals []float32) error) <-chan struct{} {
+	fetch func() ([]byte, error), after func(vals []float32) error) *decompressJob {
 	p := ctx.Platform()
-	job := &decompressJob{dst: dst}
+	job := &decompressJob{}
 	fetchTok := stf.NewToken(ctx, prefix+"container")
 	codesTok := stf.NewToken(ctx, prefix+"codes")
 
@@ -396,25 +345,47 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 			job.c = c
 			return nil
 		})
+	// The primary code stream decodes at the accelerator place, as the
+	// presets assign it, into a slab of exactly want.N() codes.
 	ctx.Task(prefix + "decode").On(device.Accel).Reads(fetchTok).Writes(codesTok).
 		Do(func(ti *stf.TaskInstance) error {
 			if job.c == nil {
 				return nil
 			}
-			return job.decode(p)
+			pr, enc, err := containerModules(job.c)
+			if err != nil {
+				return err
+			}
+			payload, err := job.c.Segment(segCodes)
+			if err != nil {
+				return err
+			}
+			job.pr, job.codes = pr, p.ScratchPool().GetU16(want.N(), false)
+			if err := enc.DecodeCodes(p, ti.Place(), payload, job.codes.Data); err != nil {
+				return fmt.Errorf("core: %s decode: %w", enc.Name(), err)
+			}
+			return nil
 		})
-	return ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok).
+	job.done = ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok).
 		Do(func(ti *stf.TaskInstance) error {
-			if job.c != nil {
-				if err := job.reconstruct(p); err != nil {
-					return err
+			vals := dst
+			if job.c == nil {
+				vals = nil
+			} else {
+				codes := job.codes
+				job.codes = nil
+				defer p.ScratchPool().PutU16(codes)
+				pred := containerPrediction(job.c, codes.Data)
+				if err := job.pr.Reconstruct(p, ti.Place(), pred, want, job.c.Header.EB, dst); err != nil {
+					return fmt.Errorf("core: %s reconstruct: %w", job.pr.Name(), err)
 				}
 			}
 			if after == nil {
 				return nil
 			}
-			return after(job.vals)
+			return after(vals)
 		})
+	return job
 }
 
 // DecompressReportWithOptsCtx reconstructs a field from any FZModules
@@ -437,18 +408,19 @@ func DecompressReportWithOptsCtx(gctx context.Context, p *device.Platform, blob 
 	dims := ix.Header.Dims
 	out := make([]float32, dims.N())
 	ctx := newCtx(gctx, p, device.Accel, opts.Workers, len(ix.Chunks))
+	jobs := make([]*decompressJob, len(ix.Chunks))
 	lo := 0
 	for i, ref := range ix.Chunks {
 		i, ref := i, ref
 		want := dims.WithSlowExtent(ref.Planes)
-		addDecompressTasks(ctx, chunkPrefix(i), i, want, out[lo:lo+want.N()],
+		jobs[i] = addDecompressTasks(ctx, chunkPrefix(i), i, want, out[lo:lo+want.N()],
 			func() ([]byte, error) {
 				payload := blob[ref.Offset : ref.Offset+ref.Length]
 				return payload, ix.VerifyChunk(i, payload)
 			}, nil)
 		lo += want.N()
 	}
-	report, err := finish(ctx)
+	report, err := finish(ctx, jobs)
 	if err != nil {
 		return nil, grid.Dims{}, report, err
 	}

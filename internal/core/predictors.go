@@ -21,24 +21,8 @@ type LorenzoPredictor struct {
 // Name implements Predictor.
 func (LorenzoPredictor) Name() string { return "lorenzo" }
 
-// PredictorInto is the optional extension of Predictor for modules that
-// can quantize into a caller-provided codes buffer: the executor draws the
-// buffer from the platform pool and recycles it once the encoder has
-// consumed the codes, so per-chunk compression allocates O(chunk) scratch
-// instead of O(field) across a run. The buffer may hold garbage; the
-// predictor clears it. The returned Prediction aliases codes.
-type PredictorInto interface {
-	Predictor
-	PredictInto(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64, codes []uint16) (*Prediction, error)
-}
-
 // Predict implements Predictor.
-func (lp LorenzoPredictor) Predict(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64) (*Prediction, error) {
-	return lp.PredictInto(p, place, data, dims, eb, nil)
-}
-
-// PredictInto implements PredictorInto.
-func (lp LorenzoPredictor) PredictInto(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64, codes []uint16) (*Prediction, error) {
+func (lp LorenzoPredictor) Predict(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64, codes []uint16) (*Prediction, error) {
 	q, err := lorenzo.EncodeInto(p, place, data, dims, eb, lp.Radius, codes)
 	if err != nil {
 		return nil, err
@@ -59,26 +43,8 @@ func (lp LorenzoPredictor) PredictInto(p *device.Platform, place device.Place, d
 	}, nil
 }
 
-// ReconstructorInto is the optional extension of Predictor for modules
-// that can reconstruct into a caller-provided output buffer: chunked
-// decompression scatters each chunk's field straight into the assembled
-// result instead of copying through a per-chunk allocation.
-type ReconstructorInto interface {
-	Predictor
-	ReconstructInto(p *device.Platform, place device.Place, pred *Prediction, dims grid.Dims, eb float64, dst []float32) error
-}
-
 // Reconstruct implements Predictor.
-func (lp LorenzoPredictor) Reconstruct(p *device.Platform, place device.Place, pred *Prediction, dims grid.Dims, eb float64) ([]float32, error) {
-	out := make([]float32, dims.N())
-	if err := lp.ReconstructInto(p, place, pred, dims, eb, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReconstructInto implements ReconstructorInto.
-func (LorenzoPredictor) ReconstructInto(p *device.Platform, place device.Place, pred *Prediction, dims grid.Dims, eb float64, dst []float32) error {
+func (LorenzoPredictor) Reconstruct(p *device.Platform, place device.Place, pred *Prediction, dims grid.Dims, eb float64, dst []float32) error {
 	outValU := device.BytesU32(pred.Extras["outval"])
 	outVal := make([]int32, len(outValU))
 	for i, v := range outValU {
@@ -107,8 +73,8 @@ func (sp SplinePredictor) Name() string {
 }
 
 // Predict implements Predictor.
-func (sp SplinePredictor) Predict(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64) (*Prediction, error) {
-	q, err := spline.Encode(p, place, data, dims, eb, sp.Config)
+func (sp SplinePredictor) Predict(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64, codes []uint16) (*Prediction, error) {
+	q, err := spline.EncodeInto(p, place, data, dims, eb, sp.Config, codes)
 	if err != nil {
 		return nil, err
 	}
@@ -129,31 +95,31 @@ func (sp SplinePredictor) Predict(p *device.Platform, place device.Place, data [
 }
 
 // Reconstruct implements Predictor.
-func (sp SplinePredictor) Reconstruct(p *device.Platform, place device.Place, pred *Prediction, dims grid.Dims, eb float64) ([]float32, error) {
+func (sp SplinePredictor) Reconstruct(p *device.Platform, place device.Place, pred *Prediction, dims grid.Dims, eb float64, dst []float32) error {
 	// Counts are compared as uint64 against the bytes left, so a hostile
 	// uvarint cannot wrap a slice bound negative.
 	meta := pred.Extras["meta"]
 	maxLevel, k := binary.Uvarint(meta)
 	if k <= 0 {
-		return nil, fmt.Errorf("core: spline meta segment corrupt")
+		return fmt.Errorf("core: spline meta segment corrupt")
 	}
 	if maxLevel > spline.MaxLevelLimit {
-		return nil, fmt.Errorf("core: spline max level %d exceeds %d", maxLevel, spline.MaxLevelLimit)
+		return fmt.Errorf("core: spline max level %d exceeds %d", maxLevel, spline.MaxLevelLimit)
 	}
 	rest := meta[k:]
 	nChoices, k2 := binary.Uvarint(rest)
 	if k2 <= 0 || nChoices > uint64(len(rest)-k2) {
-		return nil, fmt.Errorf("core: spline choices corrupt")
+		return fmt.Errorf("core: spline choices corrupt")
 	}
 	choices := rest[k2 : k2+int(nChoices)]
 	rest = rest[k2+int(nChoices):]
 	nOrders, k3 := binary.Uvarint(rest)
 	if k3 <= 0 || nOrders > uint64(len(rest)-k3) {
-		return nil, fmt.Errorf("core: spline orders corrupt")
+		return fmt.Errorf("core: spline orders corrupt")
 	}
 	orders := rest[k3 : k3+int(nOrders)]
-	// Outlier positions come from the escape codes; spline.Decode checks
-	// their count against the values.
+	// Outlier positions come from the escape codes; spline.DecodeInto
+	// checks their count against the values.
 	q := &spline.Quantized{
 		Codes:    pred.Codes,
 		Anchors:  device.BytesF32(pred.Extras["anchors"]),
@@ -163,5 +129,6 @@ func (sp SplinePredictor) Reconstruct(p *device.Platform, place device.Place, pr
 		Radius:   pred.Radius,
 		MaxLevel: int(maxLevel),
 	}
-	return spline.Decode(p, place, q, dims, eb)
+	_, err := spline.DecodeInto(p, place, q, dims, eb, dst)
+	return err
 }

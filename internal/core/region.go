@@ -405,6 +405,7 @@ func (r *Region) decodeMisses(gctx context.Context, out []float32, sel RegionSel
 	// claimed one (nil when the chunk is decoded privately or served by
 	// someone else's flight).
 	flights := make([]*slabFlight, len(misses))
+	jobs := make([]*decompressJob, len(misses))
 
 	for i, nd := range misses {
 		i, nd := i, nd
@@ -436,10 +437,10 @@ func (r *Region) decodeMisses(gctx context.Context, out []float32, sel RegionSel
 			copyWindow(out, sel, dims, vals, nd.lo, nd.planes)
 			return nil
 		}
-		addDecompressTasks(ctx, fmt.Sprintf("r%d.", nd.chunk), nd.chunk, want, slab, fetch, after)
+		jobs[i] = addDecompressTasks(ctx, fmt.Sprintf("r%d.", nd.chunk), nd.chunk, want, slab, fetch, after)
 	}
 
-	report, err := finish(ctx)
+	report, err := finish(ctx, jobs)
 	// Flights this read still leads — its tasks failed, were canceled, or
 	// never dispatched — must complete with the graph's error, or waiters
 	// (and every future joiner) would hang on an abandoned flight.

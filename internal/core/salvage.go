@@ -92,23 +92,21 @@ func DecompressSalvageCtx(gctx context.Context, p *device.Platform, f fzio.Chunk
 	}
 
 	ctx := newCtx(gctx, p, device.Accel, opts.Workers, len(needs))
-	for _, nd := range needs {
+	jobs := make([]*decompressJob, len(needs))
+	for i, nd := range needs {
 		nd := nd
 		want := dims.WithSlowExtent(nd.sc.Planes)
 		o := nd.lo * plane
-		addDecompressTasks(ctx, fmt.Sprintf("s%d.", nd.sc.Index), nd.sc.Index, want, out[o:o+want.N()],
-			func() ([]byte, error) { return nd.sc.Payload(), nil }, // the survey already integrity-checked it
-			func([]float32) error {
-				for z := nd.lo; z < nd.lo+nd.sc.Planes; z++ {
-					mask.Planes[z] = false
-				}
-				return nil
-			})
+		jobs[i] = addDecompressTasks(ctx, fmt.Sprintf("s%d.", nd.sc.Index), nd.sc.Index, want, out[o:o+want.N()],
+			func() ([]byte, error) { return nd.sc.Payload(), nil }, nil) // the survey already integrity-checked it
 	}
-	err = ctx.Finalize()
-	ctx.Release()
-	if err != nil {
+	if _, err := finish(ctx, jobs); err != nil {
 		return nil, nil, err
+	}
+	for _, nd := range needs {
+		for z := nd.lo; z < nd.lo+nd.sc.Planes; z++ {
+			mask.Planes[z] = false // an intact chunk decoded it
+		}
 	}
 	return out, mask, nil
 }

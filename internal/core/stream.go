@@ -172,9 +172,11 @@ func DecompressStreamCtx(gctx context.Context, p *device.Platform, r io.Reader, 
 	ctx := newCtx(gctx, p, device.Accel, opts.Workers, window)
 
 	// Per-slot payload buffers grow to the largest chunk seen and stay
-	// there, so steady-state reading allocates nothing.
+	// there, and each slot's values land in a pooled slab returned once
+	// written, so steady-state decoding allocates nothing field-sized.
 	payloads := make([][]byte, window)
-	vals := make([][]float32, window)
+	jobs := make([]*decompressJob, window)
+	decoded := make([]bool, window)
 	err = slide(ctx, window,
 		func(i, slot int) (<-chan struct{}, error) {
 			payload, planes, err := sr.Next(payloads[slot])
@@ -185,21 +187,28 @@ func DecompressStreamCtx(gctx context.Context, p *device.Platform, r io.Reader, 
 				return nil, err
 			}
 			payloads[slot] = payload
-			return addDecompressTasks(ctx, fmt.Sprintf("s%d.", i), i, dims.WithSlowExtent(planes), nil,
+			want := dims.WithSlowExtent(planes)
+			out := bp.GetF32(want.N(), false)
+			jobs[slot] = addDecompressTasks(ctx, fmt.Sprintf("s%d.", i), i, want, out.Data,
 				func() ([]byte, error) { return payload, nil }, // sr.Next verified the frame CRC
-				func(v []float32) error { vals[slot] = v; return nil }), nil
+				func([]float32) error { decoded[slot] = true; return nil })
+			jobs[slot].out = out
+			return jobs[slot].done, nil
 		},
 		func(i, slot int) error {
-			v := vals[slot]
-			vals[slot] = nil
-			if v == nil {
+			if !decoded[slot] {
 				return errChunkFailed
 			}
-			if err := device.WriteF32(w, v, stage.Data); err != nil {
-				return fmt.Errorf("core: writing chunk %d: %w", i, err)
+			decoded[slot] = false
+			werr := device.WriteF32(w, jobs[slot].out.Data, stage.Data)
+			jobs[slot].releaseSlabs(bp)
+			if werr != nil {
+				return fmt.Errorf("core: writing chunk %d: %w", i, werr)
 			}
 			return nil
 		})
+	// Failed or unemitted chunks may still hold their code and value slabs.
+	sweepJobs(bp, jobs)
 	if err != nil {
 		return grid.Dims{}, err
 	}

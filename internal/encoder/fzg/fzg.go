@@ -172,11 +172,17 @@ func Encode(p *device.Platform, place device.Place, codes []uint16, center int) 
 	return out
 }
 
-// Decode inverts Encode. The header's code count is checked against the
-// bitmap table actually present before anything is allocated, so the
-// decoded size is at most 128 codes per byte of blob; every error wraps
-// ErrCorrupt.
+// Decode inverts Encode.
 func Decode(p *device.Platform, place device.Place, blob []byte) ([]uint16, error) {
+	return DecodeInto(p, place, blob, nil)
+}
+
+// DecodeInto is Decode writing every code into dst, of any contents, and
+// returning it; a stream whose count is not len(dst) is refused before
+// decoding, and nil dst allocates. The count is checked against the bitmap
+// table actually present first, so the decoded size is at most 128 codes
+// per byte of blob; every error wraps ErrCorrupt.
+func DecodeInto(p *device.Platform, place device.Place, blob []byte, dst []uint16) ([]uint16, error) {
 	n64, k := binary.Uvarint(blob)
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
@@ -202,7 +208,11 @@ func Decode(p *device.Platform, place device.Place, blob []byte) ([]uint16, erro
 		return nil, fmt.Errorf("%w: stream shorter than payload (%d < %d)", ErrCorrupt, len(payload), need)
 	}
 
-	out := make([]uint16, n)
+	if dst == nil {
+		dst = make([]uint16, n)
+	} else if len(dst) != n {
+		return nil, fmt.Errorf("%w: stream holds %d codes, destination %d", ErrCorrupt, n, len(dst))
+	}
 	nSpans := (nTiles + spanTiles - 1) / spanTiles
 	pool := p.ScratchPool()
 	p.LaunchBlocks(place, nSpans, func(slo, shi int) {
@@ -211,13 +221,13 @@ func Decode(p *device.Platform, place device.Place, blob []byte) ([]uint16, erro
 		blocks := payload[payloadBytes(table[:8*lo]):]
 		for t := lo; t < hi; t++ {
 			bm := binary.LittleEndian.Uint64(table[8*t:])
-			unpackTile(out[t*tileValues:min((t+1)*tileValues, n)], blocks, bm, center, planes.Data, tile.Data)
+			unpackTile(dst[t*tileValues:min((t+1)*tileValues, n)], blocks, bm, center, planes.Data, tile.Data)
 			blocks = blocks[bits.OnesCount64(bm)*blockBytes:]
 		}
 		pool.PutBytes(planes)
 		pool.PutU16(tile)
 	})
-	return out, nil
+	return dst, nil
 }
 
 // CompressedSize reports what Encode would produce without materializing

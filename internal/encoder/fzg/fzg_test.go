@@ -188,6 +188,61 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// checkDecodeInto decodes blob into a dst of length l (if l ≥ 0) that
+// holds sentinels and sits in front of a sentinel guard. It must give
+// Decode's codes when Decode succeeds with l codes, and otherwise an error
+// wrapping ErrCorrupt with dst untouched; the guard is never written.
+func checkDecodeInto(t *testing.T, blob []byte, l int) {
+	t.Helper()
+	if l < 0 {
+		return
+	}
+	want, werr := Decode(tp, device.Accel, blob)
+	buf := make([]uint16, l+tileValues)
+	for i := range buf {
+		buf[i] = 0xFFFF
+	}
+	got, err := DecodeInto(tp, device.Accel, blob, buf[:l:l])
+	switch {
+	case werr == nil && len(want) == l:
+		if err != nil {
+			t.Fatalf("%d codes into a dst of %d: %v", len(want), l, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("code %d is %d, Decode gives %d", i, got[i], want[i])
+			}
+		}
+	case err == nil:
+		t.Fatalf("dst of %d accepted a stream Decode gives %d codes, %v", l, len(want), werr)
+	case !errors.Is(err, ErrCorrupt):
+		t.Fatalf("DecodeInto error %v does not wrap ErrCorrupt", err)
+	}
+	from := l
+	if err != nil {
+		from = 0
+	}
+	for i := from; i < len(buf); i++ {
+		if buf[i] != 0xFFFF {
+			t.Fatalf("dst of %d: slot %d written (%d) by a refused or finished decode", l, i, buf[i])
+		}
+	}
+}
+
+// TestDecodeIntoCount: a destination one code shorter or longer than the
+// stream holds is refused before anything is written; the exact length
+// decodes in place.
+func TestDecodeIntoCount(t *testing.T) {
+	for _, n := range []int{1, tileValues - 1, tileValues, 3*tileValues + 17} {
+		codes := make([]uint16, n)
+		predictorLike(rand.New(rand.NewSource(int64(n))), codes)
+		blob := Encode(tp, device.Accel, codes, 512)
+		for _, l := range []int{n - 1, n, n + 1} {
+			checkDecodeInto(t, blob, l)
+		}
+	}
+}
+
 // TestSteadyStateAllocs pins the allocations of a warm Encode and Decode to
 // a constant that does not grow with the tile count: the returned slice, the
 // launch closure and what a fan-out over the place's workers costs.
@@ -254,6 +309,10 @@ func FuzzFZGDecode(f *testing.F) {
 		} else if len(got) > 128*len(raw) {
 			t.Fatalf("%d bytes decoded to %d codes", len(raw), len(got))
 		}
+		// The destination entry point, with a length next to the header's
+		// count drawn from pick.
+		n, _ := binary.Uvarint(raw)
+		checkDecodeInto(t, raw, int(min(n, 128*uint64(len(raw))))+int(pick/3%3)-1)
 		codes := make([]uint16, len(raw)/2)
 		for i := range codes {
 			codes[i] = binary.LittleEndian.Uint16(raw[2*i:])

@@ -171,7 +171,7 @@ func checkAgainstRef(t *testing.T, name string, c *Codec, data []byte) {
 	t.Helper()
 	want, werr := refDecode(c, data)
 	for _, p := range []*device.Platform{tp, tp.WithWorkers(1)} {
-		got, err := c.Decode(p, device.Host, data)
+		got, err := c.Decode(p, device.Host, data, nil)
 		switch {
 		case werr != nil && err == nil:
 			t.Errorf("%s (workers %d): reference fails (%v), Decode returned %d codes", name, p.Workers(device.Host), werr, len(got))
@@ -345,7 +345,7 @@ func TestDecodeHostileHeader(t *testing.T) {
 		data := hostileHeader(total)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := c.Decode(tp, device.Host, data)
+		_, err := c.Decode(tp, device.Host, data, nil)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("total=%d: hostile header decoded", total)
@@ -359,6 +359,78 @@ func TestDecodeHostileHeader(t *testing.T) {
 // decodeAllocSlack covers what Decode allocates whatever the input: a
 // cold pool's smallest offset slab (2^10 int64) and the launch bookkeeping.
 const decodeAllocSlack = 1 << 15
+
+// checkDecodeInto decodes stream into a dst of length l (if l ≥ 0) that
+// holds sentinels and sits in front of a sentinel guard. It must give
+// Decode's codes when Decode succeeds with l codes, and otherwise an error
+// with dst untouched; the guard is never written.
+func checkDecodeInto(t *testing.T, c *Codec, stream []byte, l int) {
+	t.Helper()
+	if l < 0 {
+		return
+	}
+	want, werr := c.Decode(tp, device.Host, stream, nil)
+	buf := make([]uint16, l+chunkSize)
+	for i := range buf {
+		buf[i] = 0xFFFF
+	}
+	got, err := c.Decode(tp, device.Host, stream, buf[:l:l])
+	if werr == nil && len(want) == l {
+		if err != nil {
+			t.Fatalf("%d codes into a dst of %d: %v", len(want), l, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("code %d is %d, nil-dst Decode gives %d", i, got[i], want[i])
+			}
+		}
+	} else if err == nil {
+		t.Fatalf("dst of %d accepted a stream nil-dst Decode gives %d codes, %v", l, len(want), werr)
+	}
+	from := l
+	if err != nil && (werr == nil || uint64(l) != headerCount(stream)) {
+		from = 0 // refused on the count: nothing may be decoded
+	}
+	for i := from; i < len(buf); i++ {
+		if buf[i] != 0xFFFF {
+			t.Fatalf("dst of %d: slot %d written (%d)", l, i, buf[i])
+		}
+	}
+}
+
+// headerCount is the code count a stream's header claims.
+func headerCount(stream []byte) uint64 {
+	n, _ := binary.Uvarint(stream)
+	return n
+}
+
+// TestDecompressIntoCount: a destination one code shorter or longer than
+// the stream holds is refused before anything is written, on one chunk and
+// on several; the exact length decodes in place.
+func TestDecompressIntoCount(t *testing.T) {
+	for _, n := range []int{1, 600, chunkSize, 2*chunkSize + 5} {
+		c, err := fromLengths(chainLengths(17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := genForCodec(c, n, int64(n))
+		blob, err := Compress(tp, device.Host, codes, histOf(codes, c.Alphabet()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2, k, err := ParseTable(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []int{n - 1, n, n + 1} {
+			checkDecodeInto(t, c2, blob[k:], l)
+			dst := make([]uint16, l)
+			if _, err := DecompressInto(tp, device.Host, blob, dst); (err == nil) != (l == n) {
+				t.Errorf("%d codes, dst of %d: err = %v", n, l, err)
+			}
+		}
+	}
+}
 
 // FuzzHuffmanDecode parses the first input as a code-length table and
 // decodes the second with it. Any input decodes or returns an error, never
@@ -392,7 +464,7 @@ func FuzzHuffmanDecode(f *testing.F) {
 		if c, _, err := ParseTable(table); err == nil {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			got, err := c.Decode(tp, device.Host, stream)
+			got, err := c.Decode(tp, device.Host, stream, nil)
 			runtime.ReadMemStats(&after)
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(stream))+decodeAllocSlack {
 				t.Fatalf("%d stream bytes: Decode allocated %d bytes", len(stream), alloc)
@@ -406,6 +478,10 @@ func FuzzHuffmanDecode(f *testing.F) {
 					t.Fatalf("code %d is %d, reference %d", i, got[i], want[i])
 				}
 			}
+			// The destination entry point, with a length next to the
+			// header's count drawn from the table bytes.
+			total, _ := binary.Uvarint(stream)
+			checkDecodeInto(t, c, stream, int(min(total, 8*uint64(len(stream))))+len(table)%3-1)
 		}
 		// Codes fold into the 1024-symbol alphabet of the default quantizer
 		// radius; a 64 Ki alphabet costs a codebook build per exec that

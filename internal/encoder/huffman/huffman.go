@@ -565,11 +565,13 @@ func emitChunk(enc []uint64, codes []uint16, out []byte) {
 	}
 }
 
-// Decode expands a chunked bitstream produced by Encode back into n codes,
-// decoding chunks in parallel at place. Each LaunchBlocks range decodes its
-// chunks two at a time (decodePair), so two independent lookup → shift
-// chains overlap in one loop; an odd last chunk runs the single-lane loop.
-func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte) ([]uint16, error) {
+// Decode expands a chunked bitstream produced by Encode into dst, writing
+// every slot (dst may hold any bytes), and returns it; a stream whose count
+// is not len(dst) is refused before decoding, and nil dst allocates.
+// Chunks decode in parallel at place, each LaunchBlocks range two at a
+// time (decodePair), so two independent lookup → shift chains overlap in
+// one loop; an odd last chunk runs the single-lane loop.
+func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte, dst []uint16) ([]uint16, error) {
 	total, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, fmt.Errorf("huffman: truncated stream header")
@@ -589,21 +591,25 @@ func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte) ([]u
 	if want := (total + chunkSize - 1) / chunkSize; nChunks != want {
 		return nil, fmt.Errorf("huffman: chunk count %d inconsistent with %d symbols", nChunks, total)
 	}
+	if dst == nil {
+		dst = make([]uint16, total)
+	} else if uint64(len(dst)) != total {
+		return nil, fmt.Errorf("huffman: stream holds %d codes, destination %d", total, len(dst))
+	}
 	// Per-chunk payload offsets, pooled: Decode runs once per codec chunk
 	// group on the decompression hot path, and the size/offset table was a
 	// steady-state allocation. Sizes are parsed into the tail slots and
 	// folded into offsets in place.
 	pool := p.ScratchPool()
 	offSlab := pool.GetI64(int(nChunks)+1, false)
+	defer pool.PutI64(offSlab)
 	offsets := offSlab.Data
 	for i := 0; i < int(nChunks); i++ {
 		sz, k := binary.Uvarint(data[pos:])
 		if k <= 0 {
-			pool.PutI64(offSlab)
 			return nil, fmt.Errorf("huffman: truncated chunk size table")
 		}
 		if sz > uint64(len(data)) {
-			pool.PutI64(offSlab)
 			return nil, fmt.Errorf("huffman: stream shorter than chunk table claims")
 		}
 		pos += k
@@ -614,17 +620,15 @@ func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte) ([]u
 		offsets[i] += offsets[i-1]
 	}
 	if offsets[nChunks] > int64(len(data)) {
-		pool.PutI64(offSlab)
 		return nil, fmt.Errorf("huffman: stream shorter than chunk table claims")
 	}
 
-	out := make([]uint16, total)
 	var errMu sync.Mutex
 	var firstErr error
 	p.LaunchBlocks(place, int(nChunks), func(lo, hi int) {
 		chunk := func(ci int) ([]byte, []uint16) {
 			start := ci * chunkSize
-			return data[offsets[ci]:offsets[ci+1]], out[start:min(start+chunkSize, int(total))]
+			return data[offsets[ci]:offsets[ci+1]], dst[start:min(start+chunkSize, int(total))]
 		}
 		var err error
 		ci := lo
@@ -645,13 +649,12 @@ func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte) ([]u
 			errMu.Unlock()
 		}
 	})
-	pool.PutI64(offSlab)
 	errMu.Lock()
 	defer errMu.Unlock()
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return out, nil
+	return dst, nil
 }
 
 // decodePair decodes two chunks in lockstep: the two lookup → advance
@@ -813,9 +816,14 @@ func Compress(p *device.Platform, place device.Place, codes []uint16, hist []uin
 
 // Decompress inverts Compress.
 func Decompress(p *device.Platform, place device.Place, blob []byte) ([]uint16, error) {
+	return DecompressInto(p, place, blob, nil)
+}
+
+// DecompressInto is Decompress into dst, under Codec.Decode's contract.
+func DecompressInto(p *device.Platform, place device.Place, blob []byte, dst []uint16) ([]uint16, error) {
 	c, n, err := ParseTable(blob)
 	if err != nil {
 		return nil, err
 	}
-	return c.Decode(p, place, blob[n:])
+	return c.Decode(p, place, blob[n:], dst)
 }

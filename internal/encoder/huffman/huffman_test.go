@@ -421,7 +421,7 @@ func TestDecodeCorruptChunkEndsMidRefill(t *testing.T) {
 		trunc = binary.AppendUvarint(trunc, 1)
 		trunc = binary.AppendUvarint(trunc, uint64(keep))
 		trunc = append(trunc, chunk[:keep]...)
-		if _, err := c.Decode(tp, device.Host, trunc); err == nil {
+		if _, err := c.Decode(tp, device.Host, trunc, nil); err == nil {
 			t.Errorf("keep=%d: truncated chunk must fail to decode", keep)
 		}
 	}
@@ -562,7 +562,7 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(2 * len(bc.codes)))
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Decode(p, device.Host, payload); err != nil {
+				if _, err := c.Decode(p, device.Host, payload, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

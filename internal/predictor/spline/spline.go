@@ -90,8 +90,20 @@ func (q *Quantized) OutlierCount() int { return len(q.OutVal) }
 
 // Encode predicts and quantizes data with absolute bound eb.
 func Encode(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64, cfg Config) (*Quantized, error) {
+	return EncodeInto(p, place, data, dims, eb, cfg, nil)
+}
+
+// EncodeInto is Encode quantizing into codes, dims.N() elements of any
+// contents (the anchors and the sweep write every one), which the result
+// aliases; nil codes allocates.
+func EncodeInto(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64, cfg Config, codes []uint16) (*Quantized, error) {
 	if !dims.Valid() || dims.N() != len(data) {
 		return nil, fmt.Errorf("spline: dims %v do not match %d values", dims, len(data))
+	}
+	if codes == nil {
+		codes = make([]uint16, len(data))
+	} else if len(codes) != len(data) {
+		return nil, fmt.Errorf("spline: codes buffer has %d elements, want %d", len(codes), len(data))
 	}
 	if eb <= 0 {
 		return nil, fmt.Errorf("spline: error bound must be positive, got %g", eb)
@@ -108,7 +120,6 @@ func Encode(p *device.Platform, place device.Place, data []float32, dims grid.Di
 	}
 	n := dims.N()
 	work := make([]float64, n)
-	codes := make([]uint16, n)
 
 	// Anchors: exact values on the coarse lattice.
 	anchors := make([]float32, 0, countAnchors(dims, maxLevel))
@@ -174,10 +185,16 @@ func gatherOutliers(codes []uint16, data []float32) ([]uint32, []float32) {
 	return idx, val
 }
 
-// Decode reconstructs the field from a Quantized stream. Outlier positions
-// come from the escape codes (q.OutIdx is not read); more or fewer escapes
-// than q.OutVal holds is an error.
+// Decode reconstructs the field from a Quantized stream.
 func Decode(p *device.Platform, place device.Place, q *Quantized, dims grid.Dims, eb float64) ([]float32, error) {
+	return DecodeInto(p, place, q, dims, eb, nil)
+}
+
+// DecodeInto is Decode writing every one of dst's dims.N() values and
+// returning dst; nil dst allocates. Outlier positions come from the escape
+// codes (q.OutIdx is not read); more or fewer escapes than q.OutVal holds
+// is an error.
+func DecodeInto(p *device.Platform, place device.Place, q *Quantized, dims grid.Dims, eb float64, dst []float32) ([]float32, error) {
 	n := dims.N()
 	if len(q.Codes) != n {
 		return nil, fmt.Errorf("spline: %d codes for dims %v (%d values)", len(q.Codes), dims, n)
@@ -201,6 +218,11 @@ func Decode(p *device.Platform, place device.Place, q *Quantized, dims grid.Dims
 	}
 	if want := countAnchors(dims, q.MaxLevel); len(q.Anchors) != want {
 		return nil, fmt.Errorf("spline: %d anchors, want %d", len(q.Anchors), want)
+	}
+	if dst == nil {
+		dst = make([]float32, n)
+	} else if len(dst) != n {
+		return nil, fmt.Errorf("spline: output buffer has %d elements, want %d", len(dst), n)
 	}
 	work := make([]float64, n)
 
@@ -238,13 +260,12 @@ func Decode(p *device.Platform, place device.Place, q *Quantized, dims grid.Dims
 			return d
 		})
 
-	out := make([]float32, n)
 	p.LaunchGrid(place, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			out[i] = float32(work[i])
+			dst[i] = float32(work[i])
 		}
 	})
-	return out, nil
+	return dst, nil
 }
 
 // LevelEB returns the tightened error bound used at a refinement level:

@@ -349,3 +349,59 @@ func TestLevelEB(t *testing.T) {
 		t.Error("LevelEB floor")
 	}
 }
+
+// TestIntoDirtyBuffers: EncodeInto and DecodeInto write every slot of the
+// caller's buffers, so slices full of sentinels (0xFFFF codes, NaN values)
+// give exactly what the allocating Encode and Decode give, over ranks,
+// extents off the anchor lattice and every interpolant mode; a buffer of
+// the wrong length is refused.
+func TestIntoDirtyBuffers(t *testing.T) {
+	for _, dims := range []grid.Dims{grid.D1(1), grid.D1(37), grid.D2(33, 17), grid.D3(19, 9, 5), grid.D3(16, 16, 16)} {
+		data := smoothField(dims, 9)
+		for _, cfg := range []Config{{}, {Mode: Linear}, {Mode: Auto, TuneOrder: true}, {MaxLevel: 2}} {
+			want, err := Encode(tp, device.Accel, data, dims, 1e-3, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			codes := make([]uint16, dims.N())
+			for i := range codes {
+				codes[i] = 0xFFFF
+			}
+			got, err := EncodeInto(tp, device.Accel, data, dims, 1e-3, cfg, codes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Codes {
+				if got.Codes[i] != want.Codes[i] {
+					t.Fatalf("%v %+v: code %d is %d, want %d", dims, cfg, i, got.Codes[i], want.Codes[i])
+				}
+			}
+			if len(got.OutVal) != len(want.OutVal) {
+				t.Fatalf("%v %+v: %d outliers, want %d", dims, cfg, len(got.OutVal), len(want.OutVal))
+			}
+			vals, err := Decode(tp, device.Accel, want, dims, 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]float32, dims.N())
+			for i := range dst {
+				dst[i] = float32(math.NaN())
+			}
+			if _, err := DecodeInto(tp, device.Accel, want, dims, 1e-3, dst); err != nil {
+				t.Fatal(err)
+			}
+			for i := range vals {
+				if math.Float32bits(dst[i]) != math.Float32bits(vals[i]) {
+					t.Fatalf("%v %+v: value %d is %v, want %v", dims, cfg, i, dst[i], vals[i])
+				}
+			}
+		}
+		if _, err := EncodeInto(tp, device.Accel, data, dims, 1e-3, Config{}, make([]uint16, dims.N()+1)); err == nil {
+			t.Errorf("%v: EncodeInto accepted a codes buffer one too long", dims)
+		}
+		q, _ := Encode(tp, device.Accel, data, dims, 1e-3, Config{})
+		if _, err := DecodeInto(tp, device.Accel, q, dims, 1e-3, make([]float32, dims.N()+1)); err == nil {
+			t.Errorf("%v: DecodeInto accepted an output buffer one too long", dims)
+		}
+	}
+}

@@ -8,7 +8,7 @@
 //	       [-chunk elems] [-workers n] [-v]
 //	fzmod -z  -stream -i data.f32 -o data.fzs -dims 512x512x512 -eb 1e-3 -mode abs [-window n]
 //	fzmod -d  -i data.fz  -o back.f32 [-v]
-//	fzmod -d  -region 0:64,0:64,8:16 [-proofs] -i data.fz -o sub.f32
+//	fzmod -d  -region 0:64,0:64,8:16 -i data.fz -o sub.f32
 //	fzmod -probe -i data.fz
 //	fzmod -verify  -i data.fzc
 //	fzmod -salvage -i damaged.fzc -o recovered.fzc
@@ -38,14 +38,15 @@
 // decoded (trailing axes may be omitted and span their full extent).
 // The input must be random-access — a local file or an http(s):// URL
 // served with Range support — so "-i -" is rejected. See docs/FORMAT.md
-// for the container layout that makes this possible. -proofs forces
-// Merkle proof verification of every fetched chunk (it is automatic over
-// http(s) inputs); tampered bytes are refused with a proof mismatch even
-// when the chunk CRC32 collides.
+// for the container layout that makes this possible. Every fetched chunk
+// is checked against its CRC32 and, on version ≥ 2 containers, its
+// SHA-256 leaf hash, so tampered bytes are refused with a hash mismatch
+// even when the chunk CRC32 collides. A whole-artifact -d checks each
+// payload's CRC32 only; -verify also checks the leaf hashes.
 //
 // -verify (without -z, -d or -probe) is the integrity audit: the whole
 // artifact is walked, every chunk is checked against its recorded CRC32
-// and (on version ≥ 2 containers) its Merkle leaf hash, and the exit
+// and (on version ≥ 2 containers) its SHA-256 leaf hash, and the exit
 // status is nonzero when any chunk is damaged — naming the chunk.
 // -salvage rebuilds a fully valid chunked container from every intact
 // chunk of a damaged artifact; recovered payloads are bit-identical to
@@ -87,7 +88,6 @@ type config struct {
 	stream                      bool
 	window                      int
 	region                      string
-	proofs                      bool
 	salvage                     bool
 	verbose                     bool
 	// verifyArtifact selects the integrity-audit mode: -verify given
@@ -118,7 +118,6 @@ func main() {
 	flag.BoolVar(&cfg.stream, "stream", false, "stream out-of-core: bounded-memory compression/decompression over files or pipes")
 	flag.IntVar(&cfg.window, "window", 0, "streaming: max chunks in flight (0 = default)")
 	flag.StringVar(&cfg.region, "region", "", "decompress only the subvolume i0:i1,j0:j1,k0:k1 (half-open, x fastest; needs a seekable -i)")
-	flag.BoolVar(&cfg.proofs, "proofs", false, "region reads: verify every fetched chunk against the container's Merkle root (automatic for http(s) inputs)")
 	flag.BoolVar(&cfg.salvage, "salvage", false, "rebuild a valid chunked container from every intact chunk of a damaged artifact")
 	flag.BoolVar(&cfg.verbose, "v", false, "print the executor report (tasks, overlap, pool hit rate)")
 	flag.Parse()
@@ -215,9 +214,6 @@ func run(cfg config) error {
 	}
 	if cfg.region != "" && !cfg.decompress {
 		return fmt.Errorf("-region only applies to decompression (-d)")
-	}
-	if cfg.proofs && cfg.region == "" {
-		return fmt.Errorf("-proofs only applies to region reads (-d -region)")
 	}
 	p := fzmod.NewPlatform()
 
@@ -554,7 +550,7 @@ func decompressRegion(cfg config, p *fzmod.Platform) error {
 		return err
 	}
 	defer cleanup()
-	region, err := fzmod.OpenRegion(p, fetcher, fzmod.RegionOpts{Workers: cfg.workers, VerifyProofs: cfg.proofs})
+	region, err := fzmod.OpenRegion(p, fetcher, fzmod.RegionOpts{Workers: cfg.workers})
 	if err != nil {
 		return err
 	}
@@ -593,7 +589,7 @@ func decompressRegion(cfg config, p *fzmod.Platform) error {
 		sel, region.Dims(), len(data), rs.Decoded, rs.Chunks,
 		metrics.Throughput(4*len(data), sec), out)
 	if cfg.verbose {
-		fmt.Fprintf(cfg.status(), "  fetched %d payload bytes, %d cache hits, %d proofs verified\n",
+		fmt.Fprintf(cfg.status(), "  fetched %d payload bytes, %d cache hits, %d leaf hashes verified\n",
 			rs.PayloadBytes, rs.CacheHits, rs.ProofVerified)
 	}
 	return nil

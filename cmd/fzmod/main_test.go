@@ -494,9 +494,9 @@ func TestCLIVerifyAndSalvage(t *testing.T) {
 	_ = dims
 }
 
-// A proof-checked region read over a CRC-collision-tampered store must
-// refuse with the proof error, not a CRC or decode error; over a plainly
-// flipped payload byte, with the CRC error.
+// A region read over a CRC-collision-tampered local file must refuse with
+// the leaf-hash error, not a CRC or decode error; over a plainly flipped
+// payload byte, with the CRC error. No flag turns either check on.
 func TestCLIRegionProofs(t *testing.T) {
 	in, _, _ := writeField(t)
 	fz := filepath.Join(t.TempDir(), "field.fzc")
@@ -528,11 +528,11 @@ func TestCLIRegionProofs(t *testing.T) {
 	}
 	sub := filepath.Join(t.TempDir(), "sub.f32")
 	err = run(config{
-		decompress: true, region: "0:16,0:16,0:12", proofs: true,
+		decompress: true, region: "0:16,0:16,0:12",
 		in: tampered, out: sub, stdout: io.Discard,
 	})
 	if err == nil {
-		t.Fatal("proof-checked read of a tampered store succeeded")
+		t.Fatal("region read of a tampered store succeeded")
 	}
 	if !errors.Is(err, fzio.ErrProofMismatch) {
 		t.Fatalf("got %v, want ErrProofMismatch", err)
@@ -542,14 +542,10 @@ func TestCLIRegionProofs(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = run(config{
-		decompress: true, region: "0:16,0:16,0:12", proofs: true,
+		decompress: true, region: "0:16,0:16,0:12",
 		in: damaged, out: sub, stdout: io.Discard,
 	})
 	if !errors.Is(err, fzio.ErrCRCMismatch) {
-		t.Fatalf("proof-checked read of a flipped byte: got %v, want ErrCRCMismatch", err)
-	}
-	// -proofs outside a region read is a usage error.
-	if err := run(config{decompress: true, proofs: true, in: fz, out: sub, stdout: io.Discard}); err == nil {
-		t.Fatal("-proofs without -region accepted")
+		t.Fatalf("region read of a flipped byte: got %v, want ErrCRCMismatch", err)
 	}
 }

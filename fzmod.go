@@ -296,20 +296,21 @@ func OverallSpeedup(throughputGBs, bandwidthGBs, ratio float64) float64 {
 }
 
 // Verifiable integrity and salvage. Version ≥ 2 chunked (FZMC) and
-// streamed (FZMS) artifacts carry a SHA-256 Merkle tree over their chunk
-// payloads: the per-chunk leaf hashes live in the chunk table, the root
-// after it, so a reader can prove any fetched payload belongs to the
-// artifact without trusting the byte transport. Region reads verify
-// proofs automatically over HTTP-backed fetchers (opt in elsewhere with
-// Opts.VerifyProofs) and refuse tampered bytes with ErrProofMismatch —
-// even bytes a 32-bit CRC collision would let through. For artifacts
+// streamed (FZMS) artifacts record a SHA-256 leaf hash per chunk payload
+// in the chunk table and a Merkle root over those hashes after it. Every
+// reader refuses a table whose root does not rebuild from its own leaf
+// hashes. Region reads then check every fetched payload against its leaf
+// hash, whatever the fetcher, and refuse tampered bytes with
+// ErrProofMismatch — even bytes a 32-bit CRC collision would let through.
+// Whole-blob Decompress checks each payload's CRC32 only. For artifacts
 // that are already damaged, SurveyArtifact classifies every chunk,
 // SalvageChunked rebuilds a valid container from the intact ones, and
 // DecompressSalvage decodes what survived behind a DamageMask.
 
-// ErrProofMismatch marks bytes that contradict a container's Merkle
-// tree: a fetched payload whose inclusion proof does not fold to the
-// recorded root, or an index whose root disagrees with its own entries.
+// ErrProofMismatch marks bytes that contradict a container's recorded
+// hashes: a fetched payload whose SHA-256 leaf hash differs from the one
+// its chunk table records, or a chunk table whose Merkle root does not
+// rebuild from its own leaf hashes.
 var ErrProofMismatch = fzio.ErrProofMismatch
 
 // ErrCRCMismatch marks a payload whose CRC32 contradicts the container

@@ -243,7 +243,8 @@ func TestWriteRefusesWhatReadRefuses(t *testing.T) {
 // whole operation, error-bound resolution included: a Workers=1 compress
 // on a fresh platform must never start the platform's grid workers (they
 // live until Close) and must join its scheduler workers before returning,
-// so the goroutine count is unchanged. Resolve's min/max reduction over
+// so the goroutine count settles back to where it was (a joined worker may
+// still be on its way out when the call returns). Resolve's min/max reduction over
 // the whole field splits into 65,536-element blocks, so the field is two
 // blocks long.
 func TestWorkersOneResolvesSerially(t *testing.T) {
@@ -256,7 +257,7 @@ func TestWorkersOneResolvesSerially(t *testing.T) {
 		ChunkOpts{Workers: 1, ChunkElems: dims.N() / 4}); err != nil {
 		t.Fatal(err)
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := settledGoroutines(before); after > before {
 		t.Errorf("a Workers=1 compress left %d goroutines running, want %d", after, before)
 	}
 }

@@ -156,8 +156,9 @@ func TestSplinePredictsBetterThanLorenzoOnSmoothData(t *testing.T) {
 }
 
 // TestLorenzoReconstructOutvalLength hands Reconstruct an outval
-// segment one value short and one value long of the escape count; both
-// are errors, and the exact segment reconstructs.
+// segment one value short and one value long of the escape count, and
+// one whose length is not a whole number of int32 values; all are
+// errors, and the exact segment reconstructs.
 func TestLorenzoReconstructOutvalLength(t *testing.T) {
 	dims := grid.D3(21, 9, 5)
 	data := sdrbench.GenHACC(dims.N(), 3) // rough: many outliers
@@ -178,6 +179,8 @@ func TestLorenzoReconstructOutvalLength(t *testing.T) {
 		{"exact", outval, false},
 		{"one value short", outval[:len(outval)-4], true},
 		{"one value long", append(append([]byte(nil), outval...), 1, 0, 0, 0), true},
+		{"a trailing partial value", append(append([]byte(nil), outval...), 0), true},
+		{"a value cut short", outval[:len(outval)-1], true},
 	} {
 		p := &Prediction{Codes: pred.Codes, Radius: pred.Radius, Extras: map[string][]byte{"outval": tc.seg}}
 		err := LorenzoPredictor{}.Reconstruct(tp, device.Accel, p, dims, 1e-3, dst)

@@ -306,7 +306,7 @@ func (job *decompressJob) releaseSlabs(bp *device.BufPool) {
 //
 // fetch runs in the Host-place task (it may block on I/O) and returns the
 // payload bytes with the container-level integrity checks — chunk CRC,
-// Merkle proof — already applied; a nil payload with a nil error means the
+// leaf hash — already applied; a nil payload with a nil error means the
 // chunk was served some other way, and the sub-graph skips straight to
 // after. The payload must be a plain FZMD container (a nested FZMC or FZMS
 // would recurse without bound), optionally secondary-wrapped, recording

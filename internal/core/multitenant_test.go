@@ -133,6 +133,17 @@ func waitBalanced(t *testing.T, p *device.Platform) {
 	}
 }
 
+// settledGoroutines waits, for up to 5 s, until the goroutine count is
+// back at baseline — a worker that has signaled its graph done still
+// takes a moment to return — and reports the last count it saw.
+func settledGoroutines(baseline int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > baseline && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
 // TestCompressCtxCancellation is the daemon's abort contract: an expired
 // or canceled context stops a compression task graph at its next dispatch
 // boundary, the error surfaces as the context's own error, no goroutines
@@ -234,11 +245,7 @@ func TestCompressCtxCancellation(t *testing.T) {
 	})
 
 	// No goroutine leak: canceled graphs must still drain their workers.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after cancellations", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	if n := settledGoroutines(before + 2); n > before+2 {
+		t.Fatalf("goroutines leaked: %d before, %d after cancellations", before, n)
 	}
 }

@@ -40,15 +40,9 @@ type Opts struct {
 	// points other than the region read path ignore it.
 	Cache *SlabCache
 
-	// VerifyProofs makes region reads check every fetched chunk payload
-	// against the container's Merkle root (fzio.ContainerIndex.VerifyProof)
-	// before decoding it, refusing tampered bytes with
-	// fzio.ErrProofMismatch even when the 32-bit chunk CRC happens to
-	// collide. Proof checking is on by default when the Region's fetcher
-	// is (or wraps) an fzio.HTTPFetcher — remote bytes are the threat
-	// model — and opt-in through this field otherwise. Artifacts without
-	// a Merkle root (format version 1, monolithic) verify vacuously
-	// either way. Entry points other than the region read path ignore it.
+	// Deprecated: VerifyProofs has no effect. Region reads always check
+	// every fetched chunk payload against the leaf hash its chunk table
+	// records (fzio.ContainerIndex.VerifyProof), whatever the fetcher.
 	VerifyProofs bool
 }
 

@@ -27,9 +27,9 @@ func (lp LorenzoPredictor) Predict(p *device.Platform, place device.Place, data 
 	if err != nil {
 		return nil, err
 	}
-	outVal := make([]uint32, len(q.OutVal))
+	outVal := make([]byte, 4*len(q.OutVal))
 	for i, v := range q.OutVal {
-		outVal[i] = uint32(v)
+		binary.LittleEndian.PutUint32(outVal[4*i:], uint32(v))
 	}
 	// The outlier index stream is redundant on the wire: code 0 marks
 	// outlier positions, and the compaction emits values in ascending
@@ -38,17 +38,22 @@ func (lp LorenzoPredictor) Predict(p *device.Platform, place device.Place, data 
 		Codes:  q.Codes,
 		Radius: q.Radius,
 		Extras: map[string][]byte{
-			"outval": device.U32Bytes(outVal),
+			"outval": outVal,
 		},
 	}, nil
 }
 
 // Reconstruct implements Predictor.
 func (LorenzoPredictor) Reconstruct(p *device.Platform, place device.Place, pred *Prediction, dims grid.Dims, eb float64, dst []float32) error {
-	outValU := device.BytesU32(pred.Extras["outval"])
-	outVal := make([]int32, len(outValU))
-	for i, v := range outValU {
-		outVal[i] = int32(v)
+	raw := pred.Extras["outval"]
+	if len(raw)%4 != 0 {
+		return fmt.Errorf("core: lorenzo outlier segment of %d bytes is not whole int32 values", len(raw))
+	}
+	slab := p.ScratchPool().GetI32(len(raw)/4, false)
+	defer p.ScratchPool().PutI32(slab)
+	outVal := slab.Data
+	for i := range outVal {
+		outVal[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	// Outlier positions come from the escape codes alone, which the decoder
 	// reads in the same pass; a pred.outidx segment that older writers

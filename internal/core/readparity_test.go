@@ -31,7 +31,7 @@ func readDoors(t *testing.T) []readDoor {
 			return vals, err
 		}},
 		{"Region.ReadReport", "DCS", func(blob []byte) ([]float32, error) {
-			r, err := OpenRegion(tp, fzio.NewBytesFetcher(blob), RegionOpts{VerifyProofs: true})
+			r, err := OpenRegion(tp, fzio.NewBytesFetcher(blob), RegionOpts{})
 			if err != nil {
 				return nil, err
 			}

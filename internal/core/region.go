@@ -251,9 +251,9 @@ type RegionStats struct {
 	// in-flight decode (single-flight) instead of fetching redundantly.
 	DedupHits int
 	// ProofVerified counts the fetched payloads this read checked against
-	// the container's Merkle root (substantive checks only — reads over
-	// rootless v1 or monolithic artifacts report 0 even with verification
-	// enabled).
+	// their recorded leaf hashes: every payload it fetches from an
+	// artifact that records them (format version ≥ 2 FZMC and FZMS),
+	// none from a v1 or monolithic artifact.
 	ProofVerified int64
 	// PayloadBytes is the compressed payload volume fetched for the
 	// decoded chunks (index bytes excluded).
@@ -266,25 +266,24 @@ type RegionStats struct {
 // parsed chunk index plus the fetcher and options to serve selections
 // with. Open once, read many; concurrent Reads are safe.
 type Region struct {
-	p      *device.Platform
-	f      fzio.ChunkFetcher
-	ix     *fzio.ContainerIndex
-	opts   RegionOpts
-	verify bool // proof-check fetched payloads (Opts.VerifyProofs or HTTP-backed)
+	p    *device.Platform
+	f    fzio.ChunkFetcher
+	ix   *fzio.ContainerIndex
+	opts RegionOpts
 }
 
 // OpenRegion fetches the container index behind f (never the payloads) and
 // returns a Region serving subvolume reads from it. Works on chunked
 // (FZMC), streamed (FZMS) and monolithic (FZMD) artifacts; a monolithic
-// artifact is treated as a single whole-field chunk. Merkle proof
-// verification of fetched payloads is enabled by opts.VerifyProofs, and
-// unconditionally when f is (or wraps) an fzio.HTTPFetcher.
+// artifact is treated as a single whole-field chunk. Every fetched payload
+// is checked against its chunk CRC and, where the artifact records one,
+// its SHA-256 leaf hash, whatever the fetcher.
 func OpenRegion(p *device.Platform, f fzio.ChunkFetcher, opts RegionOpts) (*Region, error) {
 	ix, err := fzio.FetchIndex(f)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening region reader: %w", err)
 	}
-	return &Region{p: p, f: f, ix: ix, opts: opts, verify: opts.VerifyProofs || fzio.IsHTTPBacked(f)}, nil
+	return &Region{p: p, f: f, ix: ix, opts: opts}, nil
 }
 
 // WithWorkers returns a view of the open region that reads under a budget
@@ -386,7 +385,7 @@ type regionNeed struct {
 type fetchAccounting struct {
 	dedup         atomic.Int64 // chunks served by another reader's flight
 	payloadBytes  atomic.Int64 // compressed bytes actually fetched
-	proofVerified atomic.Int64 // payloads checked against the Merkle root
+	proofVerified atomic.Int64 // payloads checked against their leaf hash
 }
 
 // decodeMisses runs the read sub-graphs (exec.go) for the chunks not served
@@ -472,7 +471,7 @@ func (r *Region) fetchChunk(chunk int, acct *fetchAccounting) ([]byte, error) {
 	if err := r.ix.VerifyChunk(chunk, payload); err != nil {
 		return nil, fmt.Errorf("core: fetching chunk %d: %w", chunk, err)
 	}
-	if r.verify && r.ix.HasProofs() {
+	if r.ix.HasProofs() {
 		if err := r.ix.VerifyProof(chunk, payload); err != nil {
 			return nil, fmt.Errorf("core: fetching chunk %d: %w", chunk, err)
 		}

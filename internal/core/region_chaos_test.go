@@ -21,7 +21,7 @@ import (
 // delays chosen fetches, concurrent readers sharing one SlabCache
 // through the single-flight protocol, and the pool-balance / bit-identity
 // invariants that must hold under every failure. A read asks its fetcher
-// for each chunk exactly once and trusts only the CRC and Merkle checks.
+// for each chunk exactly once and trusts only the CRC and leaf-hash checks.
 // Run under -race: the flight map, the LRU and the per-read accounting
 // are exactly the shared mutable state the detector exists for.
 
@@ -72,17 +72,16 @@ var errDeadStore = errors.New("dead store")
 // TestChaosRegionBitIdentical: with 30% or 50% of fetches delayed, so
 // parallel chunk fetches complete out of order, every region read over
 // every selection shape returns bytes identical to the full
-// decompression, asks the store exactly once per decoded chunk, and — on
-// a proof-checked read — counts its Merkle verifications in RegionStats.
+// decompression, asks the store exactly once per decoded chunk, and
+// checks every fetched payload's leaf hash.
 func TestChaosRegionBitIdentical(t *testing.T) {
 	blob, full, dims := chaosContainer(t)
 	for _, tc := range []struct {
-		name   string
-		every  int64 // delay calls whose number mod 10 is below this
-		proofs bool
+		name  string
+		every int64 // delay calls whose number mod 10 is below this
 	}{
-		{"faults-30", 3, false},
-		{"faults-50-proofs", 5, true},
+		{"faults-30", 3},
+		{"faults-50-proofs", 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			slow := &flakyFetcher{inner: fzio.NewBytesFetcher(blob), plan: func(call, _ int64) (time.Duration, error) {
@@ -91,11 +90,10 @@ func TestChaosRegionBitIdentical(t *testing.T) {
 				}
 				return 0, nil
 			}}
-			reg, err := OpenRegion(tp, slow, RegionOpts{Workers: 4, VerifyProofs: tc.proofs})
+			reg, err := OpenRegion(tp, slow, RegionOpts{Workers: 4})
 			if err != nil {
 				t.Fatalf("OpenRegion over slow store: %v", err)
 			}
-			var proofs int64
 			for _, sel := range regionSels(dims) {
 				before := slow.calls.Load()
 				got, rep, err := reg.ReadReport(sel)
@@ -111,10 +109,9 @@ func TestChaosRegionBitIdentical(t *testing.T) {
 				if calls := slow.calls.Load() - before; calls != int64(rep.Region.Decoded) {
 					t.Fatalf("read %v issued %d fetches for %d decoded chunks", sel, calls, rep.Region.Decoded)
 				}
-				proofs += rep.Region.ProofVerified
-			}
-			if (proofs > 0) != tc.proofs {
-				t.Fatalf("ProofVerified=%d with VerifyProofs=%v on a Merkle-rooted container", proofs, tc.proofs)
+				if rep.Region.ProofVerified != int64(rep.Region.Decoded) {
+					t.Fatalf("read %v checked %d leaf hashes for %d decoded chunks", sel, rep.Region.ProofVerified, rep.Region.Decoded)
+				}
 			}
 		})
 	}
@@ -316,7 +313,7 @@ func TestChaosLeaderFailurePromotesFollower(t *testing.T) {
 
 // TestChaosProofCatchesCRCCollision is the adversarial acceptance
 // criterion: a stored chunk tampered so its CRC32 is unchanged slips past
-// the checksum, so the proof-checked read must refuse it with
+// the checksum, so the region read must refuse it at its leaf hash with
 // ErrProofMismatch (not a CRC or decode error) — while a salvage pass
 // over the same damaged artifact still recovers every untampered chunk
 // bit-identically.
@@ -334,7 +331,7 @@ func TestChaosProofCatchesCRCCollision(t *testing.T) {
 		t.Fatal("could not build a CRC-preserving tamper")
 	}
 
-	_, _, err = readRegion(tp, fzio.NewBytesFetcher(tampered), FullRegion(dims), RegionOpts{Workers: 2, VerifyProofs: true})
+	_, _, err = readRegion(tp, fzio.NewBytesFetcher(tampered), FullRegion(dims), RegionOpts{Workers: 2})
 	if err == nil {
 		t.Fatal("CRC-colliding corruption decoded silently")
 	}
@@ -342,13 +339,12 @@ func TestChaosProofCatchesCRCCollision(t *testing.T) {
 		t.Fatalf("got %v, want ErrProofMismatch (not a CRC or decode error)", err)
 	}
 	if errors.Is(err, fzio.ErrCRCMismatch) {
-		t.Fatalf("proof-checked read failed as a CRC mismatch: %v", err)
+		t.Fatalf("region read failed as a CRC mismatch: %v", err)
 	}
 
-	// The accounting side: a clean proof-checked read counts one
-	// substantive verification per decoded chunk.
-	_, rep, err := readRegion(tp, fzio.NewBytesFetcher(blob), FullRegion(dims),
-		RegionOpts{Workers: 2, VerifyProofs: true})
+	// The accounting side: a clean read counts one leaf-hash check per
+	// decoded chunk.
+	_, rep, err := readRegion(tp, fzio.NewBytesFetcher(blob), FullRegion(dims), RegionOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -423,6 +424,42 @@ func TestRegionCorruption(t *testing.T) {
 			t.Fatal("truncated artifact: index accepted")
 		}
 	})
+}
+
+// TestRegionTamperZeroOpts: a region read through a plain BytesFetcher,
+// with no options set, refuses a chunk tampered so its CRC32 still
+// matches — at that chunk's leaf hash, with ErrProofMismatch — while a
+// selection that does not touch the chunk reads cleanly.
+func TestRegionTamperZeroOpts(t *testing.T) {
+	dims := grid.D3(24, 20, 32)
+	data := sdrbench.GenHURR(dims, 31)
+	fzmc, _, err := NewDefault().CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
+		ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched := RegionSel{X0: 0, X1: 24, Y0: 0, Y1: 20, Z0: 9, Z1: 12} // chunk 1 only
+	clean := RegionSel{X0: 0, X1: 24, Y0: 0, Y1: 20, Z0: 0, Z1: 6}    // chunk 0 only
+	for name, blob := range map[string][]byte{"FZMC": fzmc, "FZMS": streamFromChunked(t, fzmc)} {
+		t.Run(name, func(t *testing.T) {
+			ix, err := fzio.FetchIndex(fzio.NewBytesFetcher(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := ix.Chunks[1]
+			bad := bytes.Clone(blob)
+			if !fzio.CorruptPreservingCRC32(bad[ref.Offset:ref.Offset+ref.Length], 7) {
+				t.Fatal("could not build a CRC-preserving tamper")
+			}
+			_, _, err = readRegion(tp, fzio.NewBytesFetcher(bad), touched, RegionOpts{})
+			if !errors.Is(err, fzio.ErrProofMismatch) {
+				t.Fatalf("read of the tampered chunk: got %v, want ErrProofMismatch", err)
+			}
+			if _, _, err := readRegion(tp, fzio.NewBytesFetcher(bad), clean, RegionOpts{}); err != nil {
+				t.Fatalf("read of an untouched chunk: %v", err)
+			}
+		})
+	}
 }
 
 // Region reads honor the Workers budget (smoke: budget 1 must still be

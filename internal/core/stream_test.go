@@ -8,7 +8,6 @@ import (
 	"io"
 	"runtime"
 	"testing"
-	"time"
 
 	"fzmod/internal/device"
 	"fzmod/internal/fzio"
@@ -360,10 +359,8 @@ func TestStreamFaults(t *testing.T) {
 					if st := p.ScratchPool().Stats(); st.Gets != st.Puts {
 						t.Fatalf("k=%d: scratch pool unbalanced: gets=%d puts=%d", k, st.Gets, st.Puts)
 					}
-					for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-						if time.Now().After(deadline) {
-							t.Fatalf("k=%d: %d goroutines, %d before", k, runtime.NumGoroutine(), before)
-						}
+					if n := settledGoroutines(before); n > before {
+						t.Fatalf("k=%d: %d goroutines, %d before", k, n, before)
 					}
 					if err == nil {
 						return

@@ -208,16 +208,11 @@ func (a *ChunkedAssembly) SealChunk(i int) {
 // filled and sealed; idempotent (the root is recomputed from the table
 // slots each call).
 func (a *ChunkedAssembly) Bytes() []byte {
-	leaves := make([][HashSize]byte, len(a.lengths))
-	for i := range leaves {
-		copy(leaves[i][:], a.buf[a.hashOffs[i]:])
+	refs := make([]ChunkRef, len(a.lengths))
+	for i := range refs {
+		copy(refs[i].Hash[:], a.buf[a.hashOffs[i]:])
 	}
-	t, err := NewMerkleTree(leaves)
-	if err != nil {
-		// Unreachable: NewChunkedAssembly rejects zero-chunk layouts.
-		panic(err)
-	}
-	root := t.Root()
+	root := merkleRoot(refs)
 	copy(a.buf[a.rootOff:], root[:])
 	return a.buf
 }

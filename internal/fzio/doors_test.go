@@ -178,7 +178,7 @@ func (a crafted) build(flavor byte) []byte {
 		return binary.AppendUvarint(out, planes)
 	}
 	leaves := []ChunkRef{{Hash: LeafHash(payloads[0])}, {Hash: LeafHash(payloads[1])}}
-	root, _ := merkleRoot(leaves)
+	root := merkleRoot(leaves)
 
 	switch flavor {
 	case 'D':

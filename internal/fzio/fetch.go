@@ -289,34 +289,6 @@ func (c *CountingFetcher) Reset() {
 	c.bytes.Store(0)
 }
 
-// WrappedFetcher is implemented by fetcher decorators (CountingFetcher)
-// that delegate to an inner fetcher, so policy code can inspect the base
-// storage behind a decoration stack.
-type WrappedFetcher interface {
-	// Inner returns the fetcher this one wraps.
-	Inner() ChunkFetcher
-}
-
-// IsHTTPBacked reports whether f is an HTTPFetcher or a decoration
-// stack bottoming out in one — the untrusted-transport case where
-// region reads turn Merkle proof verification on by default.
-func IsHTTPBacked(f ChunkFetcher) bool {
-	for f != nil {
-		if _, ok := f.(*HTTPFetcher); ok {
-			return true
-		}
-		w, ok := f.(WrappedFetcher)
-		if !ok {
-			return false
-		}
-		f = w.Inner()
-	}
-	return false
-}
-
-// Inner returns the wrapped fetcher.
-func (c *CountingFetcher) Inner() ChunkFetcher { return c.inner }
-
 // checkRange validates a [off, off+n) window against an artifact size.
 func checkRange(off int64, n int, size int64) error {
 	if off < 0 || n <= 0 || off+int64(n) > size {

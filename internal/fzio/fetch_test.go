@@ -194,37 +194,6 @@ func TestCountingFetcher(t *testing.T) {
 	}
 }
 
-// IsHTTPBacked turns proofs on for HTTP storage, bare or behind a
-// CountingFetcher, and for nothing else.
-func TestIsHTTPBacked(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.fz")
-	if err := os.WriteFile(path, []byte("FZMD"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	file, err := NewFileFetcher(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	web := NewHTTPFetcher("http://127.0.0.1:1/a.fz", nil) // never dialed
-	bytesF := NewBytesFetcher([]byte("FZMD"))
-	for _, tc := range []struct {
-		name string
-		f    ChunkFetcher
-		want bool
-	}{
-		{"http", web, true},
-		{"counting(http)", NewCountingFetcher(web), true},
-		{"bytes", bytesF, false},
-		{"counting(bytes)", NewCountingFetcher(bytesF), false},
-		{"file", file, false},
-	} {
-		if got := IsHTTPBacked(tc.f); got != tc.want {
-			t.Errorf("IsHTTPBacked(%s) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 func TestFetchIndexChunked(t *testing.T) {
 	dims := grid.Dims{X: 8, Y: 8, Z: 8}
 	blob, h, chunks := testChunkedBlob(t, dims, 4)

@@ -290,8 +290,8 @@ func (c *cursor) chunkIndex(version int, stream bool, slow int, base, limit int6
 	}
 	if version >= 2 {
 		root = append([]byte(nil), c.take(HashSize)...)
-		want, err := merkleRoot(chunks)
-		rootOK = err == nil && string(root) == string(want[:])
+		want := merkleRoot(chunks)
+		rootOK = string(root) == string(want[:])
 	}
 	if c.err != nil {
 		return nil, nil, false

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/crc64"
-	"sync"
 )
 
 // This file builds a ContainerIndex — the chunk map a region read plans
@@ -53,7 +52,7 @@ type ContainerIndex struct {
 	// monolithic artifacts, which carry no integrity tree. FetchIndex
 	// has already checked a non-nil Root against the table's own leaf
 	// hashes, so the index is tamper-evident as a whole; per-payload
-	// verification is VerifyProof.
+	// verification is VerifyProof, a leaf-hash comparison.
 	Root []byte
 	// ArtifactSize is the container's total byte length.
 	ArtifactSize int64
@@ -62,10 +61,6 @@ type ContainerIndex struct {
 	// describe byte-identical chunk layouts, which is what lets a shared
 	// decoded-slab cache serve every reader of the same artifact.
 	Key uint64
-
-	treeOnce sync.Once
-	tree     *MerkleTree
-	treeErr  error
 }
 
 // NumChunks returns the chunk count.
@@ -96,42 +91,14 @@ func (ix *ContainerIndex) VerifyChunk(i int, payload []byte) error {
 	return nil
 }
 
-// merkleTree lazily builds (once) the Merkle tree over the index's leaf
-// hashes. Safe for concurrent use — the region read path verifies
-// chunks from many goroutines.
-func (ix *ContainerIndex) merkleTree() (*MerkleTree, error) {
-	ix.treeOnce.Do(func() {
-		leaves := make([][HashSize]byte, len(ix.Chunks))
-		for i, ref := range ix.Chunks {
-			leaves[i] = ref.Hash
-		}
-		ix.tree, ix.treeErr = NewMerkleTree(leaves)
-	})
-	return ix.tree, ix.treeErr
-}
-
-// Proof returns chunk i's Merkle inclusion proof — the per-level
-// sibling hashes a client folds a fetched payload's leaf hash through
-// to reproduce Root. Errors when the index carries no root (v1 or
-// monolithic artifact).
-func (ix *ContainerIndex) Proof(i int) ([]ProofStep, error) {
-	if ix.Root == nil {
-		return nil, fmt.Errorf("fzio: %s artifact carries no Merkle root", ix.Flavor)
-	}
-	t, err := ix.merkleTree()
-	if err != nil {
-		return nil, err
-	}
-	return t.Proof(i)
-}
-
-// VerifyProof checks a fetched payload for chunk i against the
-// container's Merkle root: the payload's leaf hash must match the
-// table's, and its inclusion proof must fold to Root. Returns an
-// ErrProofMismatch-wrapped error on divergence. Indexes without a root
-// (v1 or monolithic artifacts) verify vacuously — there is nothing to
-// prove against — so callers can apply it unconditionally; HasProofs
-// reports whether the check is substantive.
+// VerifyProof checks a fetched payload for chunk i against the leaf hash
+// the chunk table records for it, returning an ErrProofMismatch-wrapped
+// error on divergence. FetchIndex has already refused a table whose Root
+// does not rebuild from its leaf hashes, so a matching leaf hash ties the
+// payload to the root without an inclusion-proof fold. Indexes without a
+// root (v1 or monolithic artifacts) record no leaf hashes and verify
+// vacuously, so callers can apply it unconditionally; HasProofs reports
+// whether the check is substantive.
 func (ix *ContainerIndex) VerifyProof(i int, payload []byte) error {
 	if ix.Root == nil {
 		return nil
@@ -139,24 +106,15 @@ func (ix *ContainerIndex) VerifyProof(i int, payload []byte) error {
 	if i < 0 || i >= len(ix.Chunks) {
 		return fmt.Errorf("fzio: chunk index %d out of range [0,%d)", i, len(ix.Chunks))
 	}
-	leaf := LeafHash(payload)
-	if leaf != ix.Chunks[i].Hash {
+	if LeafHash(payload) != ix.Chunks[i].Hash {
 		return fmt.Errorf("%w: chunk %d payload hash diverges from the index", ErrProofMismatch, i)
-	}
-	proof, err := ix.Proof(i)
-	if err != nil {
-		return err
-	}
-	var root [HashSize]byte
-	copy(root[:], ix.Root)
-	if !VerifyProof(leaf, proof, root) {
-		return fmt.Errorf("%w: chunk %d inclusion proof does not fold to the root", ErrProofMismatch, i)
 	}
 	return nil
 }
 
-// HasProofs reports whether the index carries a Merkle root, i.e.
-// whether VerifyProof performs a substantive check.
+// HasProofs reports whether the index carries a Merkle root (and with
+// it per-chunk leaf hashes), i.e. whether VerifyProof performs a
+// substantive check.
 func (ix *ContainerIndex) HasProofs() bool { return ix.Root != nil }
 
 // FetchIndex reads just enough of the artifact behind f to build its

@@ -4,23 +4,22 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math/bits"
 )
 
-// This file is the integrity layer of the container formats: a Merkle
-// tree over per-chunk content hashes. Version 2 FZMC and FZMS artifacts
-// record each chunk's SHA-256 leaf hash in the chunk table and the
-// tree's root alongside it, so a reader holding only the index can
-// verify any subset of fetched chunks against the root via inclusion
-// proofs — tamper evidence a per-chunk CRC32 cannot give, because a
-// CRC is 32 bits, trivially forgeable, and stored next to the bytes it
-// covers. The tree shape follows the classic audit-log construction:
-// leaves are hashed with a 0x00 domain-separation prefix, interior
-// nodes with 0x01 (so a leaf can never be replayed as a node), levels
-// are built pairwise with the odd trailing node duplicated, and a
-// proof is the sibling hash plus its side (left/right) per level.
+// This file is the integrity layer of the container formats. Version 2
+// FZMC and FZMS artifacts record each chunk's SHA-256 leaf hash in the
+// chunk table and a Merkle root over those hashes after it. Every reader
+// parses the whole table and refuses one whose root does not rebuild from
+// its own leaf hashes, so the table is tamper-evident as a whole; a
+// fetched payload is then checked against its own leaf hash — tamper
+// evidence a per-chunk CRC32 cannot give, because a CRC is 32 bits,
+// trivially forgeable, and stored next to the bytes it covers. The tree
+// shape follows the classic audit-log construction: leaves are hashed
+// with a 0x00 domain-separation prefix, interior nodes with 0x01 (so a
+// leaf can never be replayed as a node), and levels are built pairwise
+// with the odd trailing node duplicated.
 
 // HashSize is the byte length of chunk leaf hashes and the Merkle root
 // (SHA-256).
@@ -35,11 +34,12 @@ const (
 	nodePrefix = 0x01
 )
 
-// ErrProofMismatch marks a payload (or chunk table) whose hash
-// contradicts the container's Merkle root: tampering or corruption that
+// ErrProofMismatch marks a payload whose SHA-256 leaf hash differs from
+// the one its chunk table records, or a chunk table whose Merkle root
+// does not rebuild from its own leaf hashes: tampering or corruption that
 // slipped past — or was crafted to pass — the CRC32 check (see
 // CorruptPreservingCRC32).
-var ErrProofMismatch = errors.New("fzio: Merkle proof mismatch")
+var ErrProofMismatch = errors.New("fzio: hash mismatch")
 
 // LeafHash computes the content hash of one chunk payload:
 // SHA-256(0x00 ‖ payload).
@@ -63,33 +63,24 @@ func nodeHash(left, right [HashSize]byte) [HashSize]byte {
 	return out
 }
 
-// ProofStep is one level of an inclusion proof: the sibling hash to
-// combine with, and the side it sits on (Left true means the sibling is
-// the left operand of the parent hash).
-type ProofStep struct {
-	Hash [HashSize]byte
-	Left bool
-}
-
-// MerkleTree is a complete Merkle tree over chunk leaf hashes. Level 0
-// holds the leaves; each higher level hashes adjacent pairs, with an
-// odd trailing node paired against a duplicate of itself, up to the
-// single root. Build once with NewMerkleTree; all methods are
-// read-only afterwards and safe for concurrent use.
-type MerkleTree struct {
-	levels [][][HashSize]byte
-}
-
-// NewMerkleTree builds the tree over leaves. At least one leaf is
-// required (containers always hold at least one chunk).
-func NewMerkleTree(leaves [][HashSize]byte) (*MerkleTree, error) {
-	if len(leaves) == 0 {
-		return nil, fmt.Errorf("fzio: Merkle tree needs at least one leaf")
+// merkleRoot returns the Merkle root over the chunk table's recorded
+// leaf hashes — the one root builder, shared by the writers that store it
+// and the readers that check a stored root against the table. Each level
+// hashes adjacent pairs, an odd trailing node paired with a duplicate of
+// itself, up to a single node. Containers always hold at least one chunk;
+// an empty table yields the zero hash, which no reader accepts.
+func merkleRoot(refs []ChunkRef) [HashSize]byte {
+	if len(refs) == 0 {
+		return [HashSize]byte{}
 	}
-	level := append([][HashSize]byte(nil), leaves...)
-	t := &MerkleTree{levels: [][][HashSize]byte{level}}
+	level := make([][HashSize]byte, len(refs))
+	for i, ref := range refs {
+		level[i] = ref.Hash
+	}
 	for len(level) > 1 {
-		next := make([][HashSize]byte, (len(level)+1)/2)
+		// In place: node i reads nodes 2i and 2i+1, never one already
+		// overwritten.
+		next := level[:(len(level)+1)/2]
 		for i := range next {
 			left := level[2*i]
 			right := left // odd trailing node: duplicated
@@ -98,75 +89,16 @@ func NewMerkleTree(leaves [][HashSize]byte) (*MerkleTree, error) {
 			}
 			next[i] = nodeHash(left, right)
 		}
-		t.levels = append(t.levels, next)
 		level = next
 	}
-	return t, nil
-}
-
-// NumLeaves returns the leaf count.
-func (t *MerkleTree) NumLeaves() int { return len(t.levels[0]) }
-
-// Root returns the tree's root hash.
-func (t *MerkleTree) Root() [HashSize]byte {
-	top := t.levels[len(t.levels)-1]
-	return top[0]
-}
-
-// Proof returns the inclusion proof for leaf i: one sibling per level,
-// bottom-up, such that folding the leaf hash through the steps
-// reproduces the root.
-func (t *MerkleTree) Proof(i int) ([]ProofStep, error) {
-	if i < 0 || i >= t.NumLeaves() {
-		return nil, fmt.Errorf("fzio: Merkle leaf %d out of range [0,%d)", i, t.NumLeaves())
-	}
-	var proof []ProofStep
-	for _, level := range t.levels[:len(t.levels)-1] {
-		sib := i ^ 1
-		if sib >= len(level) {
-			sib = i // odd trailing node pairs with itself
-		}
-		proof = append(proof, ProofStep{Hash: level[sib], Left: sib < i})
-		i /= 2
-	}
-	return proof, nil
-}
-
-// VerifyProof folds leaf through proof and reports whether the result
-// equals root — the check a client performs on a fetched chunk knowing
-// only the chunk bytes, the proof, and the trusted root.
-func VerifyProof(leaf [HashSize]byte, proof []ProofStep, root [HashSize]byte) bool {
-	cur := leaf
-	for _, step := range proof {
-		if step.Left {
-			cur = nodeHash(step.Hash, cur)
-		} else {
-			cur = nodeHash(cur, step.Hash)
-		}
-	}
-	return cur == root
-}
-
-// merkleRoot builds the tree over the chunk table's recorded leaf
-// hashes and returns its root — the value a v2 writer stores in the
-// container.
-func merkleRoot(refs []ChunkRef) ([HashSize]byte, error) {
-	leaves := make([][HashSize]byte, len(refs))
-	for i, ref := range refs {
-		leaves[i] = ref.Hash
-	}
-	t, err := NewMerkleTree(leaves)
-	if err != nil {
-		return [HashSize]byte{}, err
-	}
-	return t.Root(), nil
+	return level[0]
 }
 
 // CorruptPreservingCRC32 XORs a nonzero error pattern into the last 8
 // bytes of out, chosen so crc32.ChecksumIEEE(out) is unchanged, and
 // reports whether it applied (ranges shorter than 8 bytes are left
 // untouched): the adversarial tamper a 32-bit checksum cannot see and
-// only Merkle proof verification catches. Integrity tests use it to
+// only the leaf-hash check (ContainerIndex.VerifyProof) catches. Integrity tests use it to
 // build a CRC-colliding artifact. delta seeds the first half of the
 // pattern; the second half is solved for.
 //

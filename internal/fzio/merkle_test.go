@@ -3,8 +3,11 @@ package fzio
 import (
 	"bytes"
 	"crypto/sha256"
-	"fmt"
+	"encoding/hex"
+	"errors"
 	"testing"
+
+	"fzmod/internal/grid"
 )
 
 func merklePayloads(n int) [][]byte {
@@ -15,21 +18,12 @@ func merklePayloads(n int) [][]byte {
 	return ps
 }
 
-func merkleLeaves(payloads [][]byte) [][HashSize]byte {
-	leaves := make([][HashSize]byte, len(payloads))
+func merkleRefs(payloads [][]byte) []ChunkRef {
+	refs := make([]ChunkRef, len(payloads))
 	for i, p := range payloads {
-		leaves[i] = LeafHash(p)
+		refs[i].Hash = LeafHash(p)
 	}
-	return leaves
-}
-
-func buildTree(t *testing.T, leaves [][HashSize]byte) *MerkleTree {
-	t.Helper()
-	tree, err := NewMerkleTree(leaves)
-	if err != nil {
-		t.Fatalf("NewMerkleTree: %v", err)
-	}
-	return tree
+	return refs
 }
 
 func TestLeafHashDomainSeparation(t *testing.T) {
@@ -48,95 +42,116 @@ func TestLeafHashDomainSeparation(t *testing.T) {
 	}
 }
 
-func TestMerkleProofsVerify(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 31} {
-		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			payloads := merklePayloads(n)
-			tree := buildTree(t, merkleLeaves(payloads))
-			root := tree.Root()
-			if tree.NumLeaves() != n {
-				t.Fatalf("NumLeaves = %d, want %d", tree.NumLeaves(), n)
-			}
-			for i, p := range payloads {
-				proof, err := tree.Proof(i)
-				if err != nil {
-					t.Fatalf("Proof(%d): %v", i, err)
-				}
-				if !VerifyProof(LeafHash(p), proof, root) {
-					t.Fatalf("VerifyProof(%d) rejected a valid proof", i)
-				}
-			}
-			if _, err := tree.Proof(n); err == nil {
-				t.Fatal("Proof accepted out-of-range index")
-			}
-			if _, err := tree.Proof(-1); err == nil {
-				t.Fatal("Proof accepted negative index")
-			}
-		})
-	}
-}
-
-func TestMerkleProofRejectsTampering(t *testing.T) {
-	payloads := merklePayloads(8)
-	tree := buildTree(t, merkleLeaves(payloads))
-	root := tree.Root()
-	proof, err := tree.Proof(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Tampered payload.
-	bad := append([]byte(nil), payloads[3]...)
-	bad[0] ^= 0x80
-	if VerifyProof(LeafHash(bad), proof, root) {
-		t.Fatal("tampered payload verified")
-	}
-	// Right payload, wrong position: a proof binds the leaf to its index,
-	// so chunk 4's proof must not vouch for chunk 3's bytes.
-	wrongPos, err := tree.Proof(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if VerifyProof(LeafHash(payloads[3]), wrongPos, root) {
-		t.Fatal("payload verified at the wrong position")
-	}
-	// Tampered proof step.
-	crooked := append([]ProofStep(nil), proof...)
-	crooked[1].Hash[0] ^= 0x01
-	if VerifyProof(LeafHash(payloads[3]), crooked, root) {
-		t.Fatal("tampered proof verified")
-	}
-	// Tampered root.
-	badRoot := root
-	badRoot[31] ^= 0xFF
-	if VerifyProof(LeafHash(payloads[3]), proof, badRoot) {
-		t.Fatal("proof verified against the wrong root")
+// TestMerkleRootKnownAnswers pins the root over merklePayloads(n) for
+// tree shapes with and without odd levels. The roots are the ones every
+// v2 artifact written so far carries, so a change here is a format
+// change.
+func TestMerkleRootKnownAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		leaves int
+		root   string
+	}{
+		{1, "d420b622997f78a73d9fb81a263b2dbafd714d89e0ce06fc2061479ddaa53cde"},
+		{2, "d7f4d544f383400fcca47a39ad3064c5197279e8061cc29281059fbfd642d97b"},
+		{3, "af30e90799062c17d5842263d4782cdbcaf6a3ed184e53c6109d8a019f175ff8"},
+		{5, "53f4b997ce3efb7fa55982ed6df029ba3823c4bd0276101633efcfea06a17ae3"},
+		{8, "4ad6b805e586e70d3a67e0e47ec6702fb333abfdd07d5185200ab90d6344dc15"},
+	} {
+		root := merkleRoot(merkleRefs(merklePayloads(tc.leaves)))
+		if got := hex.EncodeToString(root[:]); got != tc.root {
+			t.Errorf("%d leaves: root %s, want %s", tc.leaves, got, tc.root)
+		}
 	}
 }
 
 // Odd-level duplication must not let [a b] and [a b b] collide — the
 // duplicated node changes the tree shape and therefore the root.
 func TestMerkleRootOddDuplication(t *testing.T) {
-	a, b := LeafHash([]byte("a")), LeafHash([]byte("b"))
-	two := buildTree(t, [][HashSize]byte{a, b}).Root()
-	three := buildTree(t, [][HashSize]byte{a, b, b}).Root()
-	if two == three {
+	a, b := ChunkRef{Hash: LeafHash([]byte("a"))}, ChunkRef{Hash: LeafHash([]byte("b"))}
+	if merkleRoot([]ChunkRef{a, b}) == merkleRoot([]ChunkRef{a, b, b}) {
 		t.Fatal("[a b] and [a b b] share a root")
 	}
 }
 
 func TestMerkleDeterministic(t *testing.T) {
 	payloads := merklePayloads(5)
-	r1 := buildTree(t, merkleLeaves(payloads)).Root()
-	r2 := buildTree(t, merkleLeaves(payloads)).Root()
-	if r1 != r2 {
+	refs := merkleRefs(payloads)
+	r1 := merkleRoot(refs)
+	if r2 := merkleRoot(refs); r2 != r1 {
 		t.Fatal("same leaves, different roots")
 	}
+	if refs[0].Hash != LeafHash(payloads[0]) {
+		t.Fatal("merkleRoot wrote into the caller's table")
+	}
 	payloads[2][0] ^= 1
-	if r3 := buildTree(t, merkleLeaves(payloads)).Root(); r3 == r1 {
+	if r3 := merkleRoot(merkleRefs(payloads)); r3 == r1 {
 		t.Fatal("changed leaf, unchanged root")
 	}
-	if _, err := NewMerkleTree(nil); err == nil {
-		t.Fatal("empty tree accepted")
+}
+
+// TestVerifyProofLeafHash is the per-payload integrity check a region
+// read applies: on an artifact that records leaf hashes, a payload
+// passes only if it hashes to the leaf its chunk table records for that
+// chunk; on v1 and monolithic artifacts the check is vacuous.
+func TestVerifyProofLeafHash(t *testing.T) {
+	dims := grid.Dims{X: 8, Y: 8, Z: 8}
+	fzmc, h, chunks := testChunkedBlob(t, dims, 4)
+	fzms := testStreamBlob(t, h, chunks, func(int) int { return 2 })
+	flip := func(p []byte) []byte { p[0] ^= 0x80; return p }
+	collide := func(p []byte) []byte {
+		if !CorruptPreservingCRC32(p, 1) {
+			t.Fatal("collision injector declined the payload")
+		}
+		return p
+	}
+	keep := func(p []byte) []byte { return p }
+	errRange := errors.New("out of range")
+	for _, tc := range []struct {
+		name   string
+		blob   []byte
+		proofs bool // HasProofs
+		chunk  int  // the chunk the payload is presented as
+		from   int  // the chunk whose payload is presented
+		tamper func([]byte) []byte
+		crcOK  bool  // the presented payload passes VerifyChunk
+		want   error // nil, ErrProofMismatch or errRange
+	}{
+		{"v1 FZMC tampered", v1Fixture(t, "v1-default-hurr.fzmc"), false, 1, 1, flip, false, nil},
+		{"FZMD tampered", v1Fixture(t, "v2-quality-cesm.fzmd"), false, 0, 0, flip, true, nil},
+		{"v2 FZMC intact", fzmc, true, 1, 1, keep, true, nil},
+		{"v2 FZMS intact", fzms, true, 3, 3, keep, true, nil},
+		{"v2 FZMC tampered", fzmc, true, 1, 1, flip, false, ErrProofMismatch},
+		{"v2 FZMS tampered", fzms, true, 2, 2, flip, false, ErrProofMismatch},
+		{"v2 FZMC CRC-preserving tamper", fzmc, true, 2, 2, collide, true, ErrProofMismatch},
+		{"v2 FZMS CRC-preserving tamper", fzms, true, 0, 0, collide, true, ErrProofMismatch},
+		{"v2 FZMC another chunk's payload", fzmc, true, 1, 2, keep, false, ErrProofMismatch},
+		{"v2 FZMC index past the end", fzmc, true, 4, 0, keep, false, errRange},
+		{"v2 FZMS negative index", fzms, true, -1, 0, keep, false, errRange},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := FetchIndex(NewBytesFetcher(tc.blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ix.HasProofs() != tc.proofs {
+				t.Fatalf("HasProofs = %v, want %v", ix.HasProofs(), tc.proofs)
+			}
+			ref := ix.Chunks[tc.from]
+			payload := tc.tamper(bytes.Clone(tc.blob[ref.Offset : ref.Offset+ref.Length]))
+			if tc.crcOK {
+				if err := ix.VerifyChunk(tc.chunk, payload); err != nil {
+					t.Fatalf("VerifyChunk: %v", err)
+				}
+			}
+			err = ix.VerifyProof(tc.chunk, payload)
+			switch {
+			case tc.want == nil && err != nil:
+				t.Fatalf("VerifyProof: %v", err)
+			case tc.want == ErrProofMismatch && !errors.Is(err, ErrProofMismatch):
+				t.Fatalf("VerifyProof = %v, want ErrProofMismatch", err)
+			case tc.want == errRange && (err == nil || errors.Is(err, ErrProofMismatch)):
+				t.Fatalf("VerifyProof = %v, want an index error", err)
+			}
+		})
 	}
 }

@@ -155,10 +155,7 @@ func (sw *StreamWriter) Close() error {
 	if err := sw.writeUvarint(0); err != nil { // end-of-chunks marker
 		return err
 	}
-	trailer, err := appendIndexV(nil, sw.refs, StreamVersion)
-	if err != nil {
-		return err
-	}
+	trailer := appendIndexV(nil, sw.refs, StreamVersion)
 	trailer = binary.LittleEndian.AppendUint32(trailer, crc32.ChecksumIEEE(trailer))
 	trailer = binary.LittleEndian.AppendUint64(trailer, uint64(len(trailer)))
 	trailer = append(trailer, streamEndMagic...)
@@ -239,7 +236,7 @@ func parseStreamPrologue(blob []byte) (ChunkedHeader, int, int, error) {
 // (cursor.chunkIndex is its inverse). Version 1 writes count, then
 // length/planes/CRC per chunk; version ≥ 2 additionally writes each
 // chunk's leaf hash and, after the entries, the Merkle root over them.
-func appendIndexV(out []byte, refs []ChunkRef, version int) ([]byte, error) {
+func appendIndexV(out []byte, refs []ChunkRef, version int) []byte {
 	out = binary.AppendUvarint(out, uint64(len(refs)))
 	for _, ref := range refs {
 		out = binary.AppendUvarint(out, uint64(ref.Length))
@@ -250,13 +247,10 @@ func appendIndexV(out []byte, refs []ChunkRef, version int) ([]byte, error) {
 		}
 	}
 	if version >= 2 {
-		root, err := merkleRoot(refs)
-		if err != nil {
-			return nil, err
-		}
+		root := merkleRoot(refs)
 		out = append(out, root[:]...)
 	}
-	return out, nil
+	return out
 }
 
 // appendStreamPrologueV serializes the prologue fields (everything the
@@ -345,10 +339,7 @@ func (sr *StreamReader) verifyTrailer() error {
 	// of the payloads actually read and the Merkle root over them — and
 	// compare byte-for-byte with what the stream carries; any divergence
 	// (count, entry, CRC, hash, root) surfaces.
-	want, err := appendIndexV(nil, sr.refs, sr.version)
-	if err != nil {
-		return err
-	}
+	want := appendIndexV(nil, sr.refs, sr.version)
 	got := make([]byte, len(want))
 	if _, err := io.ReadFull(sr.r, got); err != nil {
 		return fmt.Errorf("fzio: truncated stream trailer: %w", err)

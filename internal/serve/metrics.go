@@ -25,9 +25,9 @@ type metrics struct {
 
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
-	// proofVerified counts chunk payloads that passed Merkle inclusion
-	// verification during region reads (v2 artifacts only; v1 and
-	// monolithic containers carry no root and contribute nothing).
+	// proofVerified counts chunk payloads that matched their recorded
+	// SHA-256 leaf hash during region reads (v2 artifacts only; v1 and
+	// monolithic containers record no leaf hashes and contribute nothing).
 	proofVerified atomic.Int64
 	// rawBytes / compressedBytes feed the aggregate compression ratio:
 	// uncompressed field volume vs. container volume across compresses.
@@ -65,7 +65,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "fzmodd_raw_bytes_total %d\n", m.rawBytes.Load())
 	fmt.Fprintf(w, "# TYPE fzmodd_compressed_bytes_total counter\n")
 	fmt.Fprintf(w, "fzmodd_compressed_bytes_total %d\n", m.compressedBytes.Load())
-	fmt.Fprintf(w, "# HELP fzmodd_region_proofs_verified_total Chunk payloads that passed Merkle proof verification in region reads.\n")
+	fmt.Fprintf(w, "# HELP fzmodd_region_proofs_verified_total Chunk payloads that matched their recorded SHA-256 leaf hash in region reads (v2 artifacts; whole-blob decompress checks CRC32 only).\n")
 	fmt.Fprintf(w, "# TYPE fzmodd_region_proofs_verified_total counter\n")
 	fmt.Fprintf(w, "fzmodd_region_proofs_verified_total %d\n", m.proofVerified.Load())
 	fmt.Fprintf(w, "# HELP fzmodd_compression_ratio Aggregate raw/compressed volume.\n")

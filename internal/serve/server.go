@@ -594,13 +594,7 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request, name strin
 	}
 	// Open the index and refuse a bad selection before spending a lease: a
 	// request that can only ever be a 400 must not queue behind real work.
-	reg, err := core.OpenRegion(s.p, fzio.NewBytesFetcher(blob), core.RegionOpts{
-		Cache: s.cache,
-		// Stored objects are opaque tenant uploads; proof-check every
-		// chunk against the container's Merkle root (vacuous on v1 and
-		// monolithic artifacts, which carry none).
-		VerifyProofs: true,
-	})
+	reg, err := core.OpenRegion(s.p, fzio.NewBytesFetcher(blob), core.RegionOpts{Cache: s.cache})
 	if err != nil {
 		s.fail(w, err)
 		return

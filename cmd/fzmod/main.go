@@ -14,10 +14,15 @@
 //	fzmod -salvage -i damaged.fzc -o recovered.fzc
 //
 // After -z the tool verifies the roundtrip and prints CR, bitrate, PSNR
-// and the measured throughput. -chunk and -workers drive the concurrent
-// chunked executor explicitly (chunk granularity in elements, scheduler
-// stream-pool width); -v prints the executor report — task count, stage
-// overlap, critical path, worker slots used, and the buffer-pool hit rate.
+// and the measured throughput. -chunk sets the chunk granularity in
+// elements (0 applies the library's rule: in memory a field below
+// fzmod.AutoChunkElems elements is one chunk and a larger one is cut at
+// fzmod.DefaultChunkElems, as -stream always is); -workers caps the
+// operation's parallelism; -v prints the executor report — task count,
+// stage overlap, critical path, worker slots used, and the buffer-pool
+// hit rate. A container's bytes depend only on the input and on -dims,
+// -eb, -mode, -pipeline, -secondary, -chunk and -stream: -workers,
+// -window, -v, -verify and every other flag never change them.
 //
 // -stream switches to the out-of-core path: the input is consumed chunk by
 // chunk (at most -window chunks in flight) and chunks flush to the output
@@ -113,8 +118,8 @@ func main() {
 	flag.StringVar(&cfg.pipeline, "pipeline", "default", "pipeline: default, speed, quality")
 	flag.BoolVar(&cfg.secondary, "secondary", false, "attach the secondary (zstd-slot) encoder")
 	flag.BoolVar(&cfg.verify, "verify", true, "verify roundtrip after compression (in-memory paths)")
-	flag.IntVar(&cfg.chunk, "chunk", 0, "chunk granularity in elements (0 = default; forces the chunked executor)")
-	flag.IntVar(&cfg.workers, "workers", 0, "scheduler stream-pool width (0 = platform width; forces the chunked executor)")
+	flag.IntVar(&cfg.chunk, "chunk", 0, "chunk granularity in elements (0 = library default: one chunk below 16Mi elements, 2Mi-element chunks above and with -stream)")
+	flag.IntVar(&cfg.workers, "workers", 0, "parallelism budget (0 = platform width; never changes output bytes)")
 	flag.BoolVar(&cfg.stream, "stream", false, "stream out-of-core: bounded-memory compression/decompression over files or pipes")
 	flag.IntVar(&cfg.window, "window", 0, "streaming: max chunks in flight (0 = default)")
 	flag.StringVar(&cfg.region, "region", "", "decompress only the subvolume i0:i1,j0:j1,k0:k1 (half-open, x fastest; needs a seekable -i)")
@@ -354,7 +359,7 @@ func compressInMemory(cfg config, p *fzmod.Platform) error {
 	if dims.N() != len(data) {
 		return fmt.Errorf("dims %v describe %d values, file has %d", dims, dims.N(), len(data))
 	}
-	bound, err := parseBound(cfg.eb, cfg.mode)
+	bound, err := preprocess.ParseBound(cfg.eb, cfg.mode)
 	if err != nil {
 		return err
 	}
@@ -362,19 +367,8 @@ func compressInMemory(cfg config, p *fzmod.Platform) error {
 	if err != nil {
 		return err
 	}
-	var (
-		cblob  []byte
-		report *core.ExecReport
-	)
 	t0 := time.Now()
-	if cfg.chunk > 0 || cfg.workers > 0 || cfg.verbose {
-		// Explicit executor control (or report capture): lower through
-		// the chunked graph with the requested options.
-		opts := core.ChunkOpts{ChunkElems: cfg.chunk, Workers: cfg.workers}
-		cblob, report, err = pl.CompressChunkedReport(p, data, dims, bound, opts)
-	} else {
-		cblob, err = pl.Compress(p, data, dims, bound)
-	}
+	cblob, report, err := pl.CompressChunkedReport(p, data, dims, bound, core.Opts{ChunkElems: cfg.chunk, Workers: cfg.workers})
 	compSec := time.Since(t0).Seconds()
 	if err != nil {
 		return err
@@ -393,7 +387,7 @@ func compressInMemory(cfg config, p *fzmod.Platform) error {
 		metrics.CompressionRatio(len(blob), len(cblob)),
 		metrics.Bitrate(dims.N(), len(cblob)),
 		metrics.Throughput(len(blob), compSec))
-	if cfg.verbose && report != nil {
+	if cfg.verbose {
 		printReport(cfg.status(), "compress", report)
 	}
 	if cfg.verify {
@@ -417,12 +411,9 @@ func compressStream(cfg config, p *fzmod.Platform) error {
 	if err != nil {
 		return err
 	}
-	bound, err := parseBound(cfg.eb, cfg.mode)
+	bound, err := preprocess.ParseBound(cfg.eb, cfg.mode)
 	if err != nil {
 		return err
-	}
-	if bound.Mode != preprocess.Abs {
-		return fmt.Errorf("-stream requires -mode abs (a relative bound needs the whole field's value range before the first chunk can be emitted)")
 	}
 	pl, err := resolvePipeline(cfg)
 	if err != nil {
@@ -663,18 +654,6 @@ func probe(cfg config) error {
 		c.Header.Pipeline, c.Header.Dims, c.Header.EB, c.Header.RelEB,
 		strings.Join(c.Names(), ", "), c.Size())
 	return nil
-}
-
-// parseBound maps -eb/-mode to an ErrorBound.
-func parseBound(eb float64, mode string) (preprocess.ErrorBound, error) {
-	switch mode {
-	case "rel":
-		return preprocess.RelBound(eb), nil
-	case "abs":
-		return preprocess.AbsBound(eb), nil
-	default:
-		return preprocess.ErrorBound{}, fmt.Errorf("unknown -mode %q", mode)
-	}
 }
 
 // resolvePipeline picks the preset and attaches the secondary encoder

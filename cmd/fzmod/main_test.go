@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"fzmod"
 	"fzmod/internal/device"
 	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
@@ -353,10 +354,69 @@ func TestCLIOverLimitGeometry(t *testing.T) {
 	}
 }
 
+// TestCLIFlagsKeepContainerBytes: flags outside the container's recipe
+// never change its bytes. A field between DefaultChunkElems and
+// AutoChunkElems elements is one chunk (FZMD) under -z, -z -v and every
+// -workers; -v and -workers used to cut it into a chunked container.
+func TestCLIFlagsKeepContainerBytes(t *testing.T) {
+	dims := grid.D3(128, 128, 160)
+	if n := dims.N(); n <= fzmod.DefaultChunkElems || n >= fzmod.AutoChunkElems {
+		t.Fatalf("%v: %d elements, want one between the two chunking constants", dims, n)
+	}
+	dir := t.TempDir()
+	in := filepath.Join(dir, "field.f32")
+	if err := os.WriteFile(in, device.F32Bytes(sdrbench.GenNYX(dims, 5)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i, tc := range []struct {
+		name    string
+		verbose bool
+		workers int
+	}{
+		{"-z", false, 0},
+		{"-z -v", true, 0},
+		{"-z -workers 1", false, 1},
+		{"-z -workers 2", false, 2},
+	} {
+		fz := filepath.Join(dir, strconv.Itoa(i)+".fz")
+		if err := run(config{
+			compress: true, in: in, out: fz, dims: "128x128x160", eb: 1e-3, mode: "rel",
+			pipeline: "default", verbose: tc.verbose, workers: tc.workers, stdout: io.Discard,
+		}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := os.ReadFile(fz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:4]) != fzio.Magic {
+			t.Errorf("%s: wrote a %q container, want one chunk (FZMD)", tc.name, got[:4])
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes differ from -z's %d", tc.name, len(got), len(want))
+		}
+	}
+}
+
 // TestCLINoPartialOutputOnFailure: a failed streaming run must not leave a
 // truncated artifact on disk.
 func TestCLINoPartialOutputOnFailure(t *testing.T) {
 	in, _, data := writeField(t)
+	// A relative bound is refused by the stream door itself, after -o was
+	// created: the file must not survive.
+	refused := filepath.Join(t.TempDir(), "rel.fzs")
+	if err := run(config{
+		compress: true, stream: true, in: in, out: refused,
+		dims: "16x16x12", eb: 1e-3, mode: "rel", pipeline: "default", stdout: io.Discard,
+	}); err == nil || !strings.Contains(err.Error(), "absolute error bound") {
+		t.Errorf("-stream with a relative bound: error %v, want the stream door's refusal", err)
+	}
+	if _, err := os.Stat(refused); !os.IsNotExist(err) {
+		t.Errorf("refused stream left its output behind: stat err %v", err)
+	}
 	absEB := relAbs(data, 1e-3)
 	fzs := filepath.Join(t.TempDir(), "field.fzs")
 	if err := run(config{

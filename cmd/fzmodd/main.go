@@ -22,9 +22,8 @@
 //
 // SIGTERM/SIGINT drains gracefully: new requests are refused with 503 +
 // Retry-After while in-flight requests complete (bounded by
-// -drain-timeout). SIGHUP hot-reloads the worker budget from
-// FZMODD_WORKERS (falling back to -workers) without dropping queued
-// requests; POST /v1/admin/budget does the same over HTTP.
+// -drain-timeout). POST /v1/admin/budget?workers=N resizes the worker
+// budget without dropping queued requests.
 //
 // Example:
 //
@@ -42,7 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -103,30 +101,6 @@ func main() {
 	p := device.NewH100Platform()
 	srv := serve.New(p, o.cfg)
 	hs := &http.Server{Addr: o.listen, Handler: srv.Handler()}
-
-	// SIGHUP hot-reloads the worker budget: FZMODD_WORKERS if set, else
-	// the -workers flag (0 = platform width) — queued requests are never
-	// dropped by a reload.
-	reload := make(chan os.Signal, 1)
-	signal.Notify(reload, syscall.SIGHUP)
-	go func() {
-		for range reload {
-			budget := o.cfg.Workers
-			if env := os.Getenv("FZMODD_WORKERS"); env != "" {
-				if v, err := strconv.Atoi(env); err == nil && v > 0 {
-					budget = v
-				} else {
-					log.Printf("fzmodd: ignoring FZMODD_WORKERS=%q: want a positive integer", env)
-				}
-			}
-			if budget <= 0 {
-				budget = p.Workers(device.Accel)
-			}
-			srv.Admission().Resize(budget)
-			log.Printf("fzmodd: worker budget reloaded to %d (%d leased, %d queued)",
-				srv.Admission().Budget(), srv.Admission().InUse(), srv.Admission().QueueDepth())
-		}
-	}()
 
 	// SIGTERM/SIGINT drains: stop accepting (readyz flips, new requests
 	// get 503 + Retry-After), wait out in-flight requests up to

@@ -21,9 +21,10 @@
 // elements (64 MiB of float32) are partitioned into independent slabs
 // along the slowest dimension automatically; smaller fields lower to a
 // one-chunk graph producing a monolithic container. Decompress accepts
-// all three container flavors. To control chunking explicitly — chunk size in
-// elements, scheduler width, or chunking below the automatic threshold —
-// call CompressChunkedReportCtx:
+// all three container flavors. To set the chunk size in elements (chunking
+// below the automatic threshold included) or the worker budget, call
+// CompressChunkedReportCtx; its zero Opts apply the same automatic rule,
+// and the worker budget never changes the bytes:
 //
 //	blob, report, err := pipeline.CompressChunkedReportCtx(ctx, platform, data, dims,
 //	    fzmod.Rel(1e-4), fzmod.Opts{ChunkElems: 1 << 21, Workers: 8})
@@ -160,8 +161,8 @@ type (
 const (
 	// DefaultChunkElems is the default chunk granularity in elements.
 	DefaultChunkElems = core.DefaultChunkElems
-	// AutoChunkElems is the input size in elements at which Compress
-	// switches to the chunked executor automatically.
+	// AutoChunkElems is the input size in elements from which a compress
+	// with Opts.ChunkElems 0 cuts the field into DefaultChunkElems chunks.
 	AutoChunkElems = core.AutoChunkElems
 )
 

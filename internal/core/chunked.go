@@ -41,9 +41,10 @@ const (
 	// overhead, small enough to expose parallelism on modest fields).
 	DefaultChunkElems = 2 << 20
 
-	// AutoChunkElems is the input size, in elements, at which
-	// Pipeline.Compress switches to the chunked graph automatically
-	// (64 MiB of float32).
+	// AutoChunkElems is the input size, in elements, at which an
+	// in-memory compress with Opts.ChunkElems 0 starts cutting the field
+	// into DefaultChunkElems-sized chunks (64 MiB of float32); a smaller
+	// field is one chunk.
 	AutoChunkElems = 16 << 20
 )
 
@@ -97,12 +98,15 @@ func (pl *Pipeline) CompressChunkedReport(p *device.Platform, data []float32, di
 // graph and returns the container with the executor report. It is the
 // single write lowering: validate → budget → resolve the bound → one
 // sub-graph per slab → layout → scatter-write into the sink. A field that
-// fits one chunk yields a monolithic (FZMD) container. The bound is
-// resolved on the budgeted platform view, so Opts.Workers caps that launch
-// too. Once gctx is canceled or its deadline passes, task bodies not yet
-// started are abandoned at their dispatch boundary, the graph drains,
-// pooled intermediates are swept back, and the context's error is
-// returned — a canceled request leaks neither goroutines nor slabs.
+// fits one chunk yields a monolithic (FZMD) container. With
+// Opts.ChunkElems 0 (or less) the chunking is automatic: a field below
+// AutoChunkElems elements is one chunk, a larger one is cut at
+// DefaultChunkElems. The bound is resolved on the budgeted platform view,
+// so Opts.Workers caps that launch too. Once gctx is canceled or its
+// deadline passes, task bodies not yet started are abandoned at their
+// dispatch boundary, the graph drains, pooled intermediates are swept
+// back, and the context's error is returned — a canceled request leaks
+// neither goroutines nor slabs.
 func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound, opts ChunkOpts) ([]byte, *ExecReport, error) {
 	planes, err := ChunkPlanes(dims, opts.ChunkElems)
 	if err != nil {
@@ -110,6 +114,9 @@ func (pl *Pipeline) CompressChunkedReportCtx(gctx context.Context, p *device.Pla
 	}
 	if dims.N() != len(data) {
 		return nil, nil, fmt.Errorf("core: dims %v do not match %d values", dims, len(data))
+	}
+	if opts.ChunkElems <= 0 && len(data) < AutoChunkElems {
+		planes = dims.SlowExtent()
 	}
 	slabs := grid.SplitSlabs(dims, planes)
 	ctx := newCtx(gctx, p, pl.PredPlace, opts.Workers, len(slabs))

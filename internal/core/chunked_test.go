@@ -194,6 +194,35 @@ func TestCompressAutoChunksLargeInputs(t *testing.T) {
 	}
 }
 
+// TestZeroOptsIsCompress: CompressChunkedReportCtx with the zero Opts
+// applies the automatic chunking rule itself, so it writes Compress's bytes
+// at any worker budget — one chunk (FZMD) below AutoChunkElems, a field
+// above DefaultChunkElems included. A negative ChunkElems is unset too.
+func TestZeroOptsIsCompress(t *testing.T) {
+	pl := NewDefault()
+	eb := preprocess.RelBound(1e-3)
+	for _, dims := range []grid.Dims{grid.D3(64, 64, 32), grid.D3(128, 128, 130)} {
+		data := sdrbench.GenNYX(dims, 5)
+		want, err := pl.Compress(tp, data, dims, eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(want[:4]) != fzio.Magic {
+			t.Errorf("%v: Compress wrote %q, want one chunk (FZMD)", dims, want[:4])
+		}
+		for _, opts := range []Opts{{}, {Workers: 1}, {ChunkElems: -1}} {
+			got, _, err := pl.CompressChunkedReportCtx(context.Background(), tp, data, dims, eb, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v %+v: compress wrote %d bytes (%q), Compress %d (%q)",
+					dims, opts, len(got), got[:4], len(want), want[:4])
+			}
+		}
+	}
+}
+
 // TestWriteRefusesWhatReadRefuses: the FORMAT.md §1.1 geometry limits bind
 // both write lowerings exactly as they bind every reader. Geometry beyond
 // them is a typed error before a task is declared, a byte sliced or a byte

@@ -22,10 +22,14 @@ type Opts struct {
 	// serially. Output bytes never depend on it.
 	Workers int
 
-	// ChunkElems is the target elements per chunk for the chunked and
+	// ChunkElems is the target elements per chunk for the in-memory and
 	// streaming write paths; the builder rounds it to whole planes of the
-	// slowest-varying dimension. 0 selects DefaultChunkElems. Read paths
-	// ignore it (chunk geometry is recorded in the container).
+	// slowest-varying dimension. 0 (or less) selects the automatic rule: the
+	// in-memory door keeps a field below AutoChunkElems elements as one
+	// chunk and cuts a larger one at DefaultChunkElems; the streaming door
+	// always cuts at DefaultChunkElems, which its O(window) memory bound
+	// depends on. Read paths ignore it (chunk geometry is recorded in the
+	// container).
 	ChunkElems int
 
 	// Window caps the chunks in flight on the streaming entry points, and
@@ -48,8 +52,8 @@ type Opts struct {
 
 // ChunkOpts configures the chunked compression graph; it is an alias of
 // the unified Opts (ChunkElems and Workers are read, the zero value
-// selects DefaultChunkElems-sized chunks and a parallelism budget as wide
-// as the platform's worker count).
+// selects the automatic chunking rule and a parallelism budget as wide as
+// the platform's worker count).
 type ChunkOpts = Opts
 
 // StreamOpts configures the streaming entry points; it is an alias of the

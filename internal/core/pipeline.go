@@ -48,15 +48,10 @@ const (
 	predPrefix = "pred."
 )
 
-// Compress implements Compressor. Fields of at least AutoChunkElems
-// elements are cut into DefaultChunkElems-sized chunks (an FZMC container);
-// smaller fields are one chunk of the same lowering (an FZMD container).
+// Compress implements Compressor: CompressChunkedReportCtx with the zero
+// Opts, so the automatic chunking rule picks the container flavor.
 func (pl *Pipeline) Compress(p *device.Platform, data []float32, dims grid.Dims, eb preprocess.ErrorBound) ([]byte, error) {
-	opts := ChunkOpts{}
-	if dims.N() < AutoChunkElems {
-		opts.ChunkElems = len(data)
-	}
-	blob, _, err := pl.CompressChunkedReportCtx(context.Background(), p, data, dims, eb, opts)
+	blob, _, err := pl.CompressChunkedReportCtx(context.Background(), p, data, dims, eb, Opts{})
 	return blob, err
 }
 

@@ -81,10 +81,11 @@ func slide(ctx *stf.Ctx, window int, declare func(i, slot int) (<-chan struct{},
 // w, with at most opts.Window chunks in flight. The error bound must be
 // absolute: a value-range-relative bound needs a pass over the whole
 // field, which an out-of-core compressor cannot take — resolve it first
-// (preprocess.Resolve). Per-chunk payloads are bit-identical to
-// CompressChunkedReportCtx on the same field, so reassembling the stream
-// yields that container byte for byte. Returns the compressed bytes
-// written. Cancellation of gctx stops unstarted task bodies, drains the
+// (preprocess.Resolve). ChunkElems 0 cuts at DefaultChunkElems, whatever
+// the field size. Per-chunk payloads are bit-identical to
+// CompressChunkedReportCtx cutting the same field at the same planes, so
+// reassembling the stream yields that container byte for byte. Returns
+// the compressed bytes written. Cancellation of gctx stops unstarted task bodies, drains the
 // graph, sweeps pooled intermediates back and returns the context's error
 // with the bytes written so far: the stream is left truncated, as any
 // other mid-stream error leaves it.

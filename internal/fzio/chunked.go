@@ -255,8 +255,9 @@ func parseChunkedTable(blob []byte, maxPayload int64) (hdr ChunkedHeader, chunks
 // NumChunks returns the chunk count.
 func (c *ChunkedContainer) NumChunks() int { return len(c.Chunks) }
 
-// Chunk returns chunk i's payload after verifying its CRC. Safe to call
-// concurrently for distinct (or identical) indices.
+// Chunk returns chunk i's payload after verifying its CRC; a mismatch is an
+// error wrapping ErrCRCMismatch. Safe to call concurrently for distinct (or
+// identical) indices.
 func (c *ChunkedContainer) Chunk(i int) ([]byte, error) {
 	if i < 0 || i >= len(c.Chunks) {
 		return nil, fmt.Errorf("fzio: chunk index %d out of range [0,%d)", i, len(c.Chunks))
@@ -264,7 +265,7 @@ func (c *ChunkedContainer) Chunk(i int) ([]byte, error) {
 	ref := c.Chunks[i]
 	data := c.payload[ref.Offset : ref.Offset+ref.Length]
 	if crc32.ChecksumIEEE(data) != ref.CRC {
-		return nil, fmt.Errorf("fzio: chunk %d CRC mismatch (corrupt container)", i)
+		return nil, fmt.Errorf("%w: chunk %d (corrupt container)", ErrCRCMismatch, i)
 	}
 	return data, nil
 }

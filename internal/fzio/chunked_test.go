@@ -3,6 +3,7 @@ package fzio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -183,6 +184,9 @@ func TestChunkedCRCDetectsPayloadFlip(t *testing.T) {
 		for j := 0; j < c.NumChunks(); j++ {
 			if _, err := c.Chunk(j); err != nil {
 				sawErr = true
+				if !errors.Is(err, ErrCRCMismatch) {
+					t.Errorf("payload flip at -%d: chunk %d error %v does not wrap ErrCRCMismatch", i+1, j, err)
+				}
 			}
 		}
 		if !sawErr {

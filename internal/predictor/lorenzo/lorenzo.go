@@ -64,13 +64,13 @@ const maxLattice = 1 << 29
 // format every primary encoder in the framework consumes.
 type Quantized struct {
 	Codes  []uint16 // len = Dims.N(); 0 means "outlier at this index"
-	OutIdx []uint32 // sorted indices of outliers (Encode fills it; decode reads the escapes)
-	OutVal []int32  // lattice residual at each outlier index
+	OutIdx []uint32 // ignored: Encode leaves it nil and Decode locates outliers by their escape codes
+	OutVal []int32  // lattice residual at each escape code, in index order
 	Radius int
 }
 
 // OutlierCount returns the number of escape-coded points.
-func (q *Quantized) OutlierCount() int { return len(q.OutIdx) }
+func (q *Quantized) OutlierCount() int { return len(q.OutVal) }
 
 // Encode runs prediction+quantization over data at place with absolute
 // error bound eb. radius ≤ 0 selects DefaultRadius.
@@ -79,23 +79,20 @@ func Encode(p *device.Platform, place device.Place, data []float32, dims grid.Di
 }
 
 // encBlock is one parallel unit of the fused encode kernel: a contiguous
-// range of the field's slowest-varying dimension plus the pooled slabs its
-// outliers are collected into. Outliers are appended in index order inside
-// a block and blocks cover ascending index ranges, so concatenating the
-// per-block sets in block order yields the globally sorted outlier stream —
-// the same order the historical flag-scan-compact phase produced.
+// range of the field's slowest-varying dimension plus the pooled slab its
+// outlier values are collected into. Values are appended in index order
+// inside a block and blocks cover ascending index ranges, so concatenating
+// the per-block values in block order yields them in the order of the
+// escape codes.
 type encBlock struct {
 	lo, hi  int // slow-dimension range [lo, hi)
-	idxSlab *device.Slab[uint32]
 	valSlab *device.Slab[int32]
-	outIdx  []uint32
 	outVal  []int32
 }
 
-// add records one escape-coded point. idx/outVal capacity covers every
-// element of the block, so the appends never reallocate.
-func (b *encBlock) add(i int, d int32) {
-	b.outIdx = append(b.outIdx, uint32(i))
+// add records one escape-coded point's residual. outVal's capacity covers
+// every element of the block, so the append never reallocates.
+func (b *encBlock) add(d int32) {
 	b.outVal = append(b.outVal, d)
 }
 
@@ -159,11 +156,7 @@ func EncodeInto(p *device.Platform, place device.Place, data []float32, dims gri
 			hi = slow
 		}
 		elems := (hi - lo) * plane
-		b := encBlock{lo: lo, hi: hi,
-			idxSlab: pool.GetU32(elems, false),
-			valSlab: pool.GetI32(elems, false),
-		}
-		b.outIdx = b.idxSlab.Data[:0]
+		b := encBlock{lo: lo, hi: hi, valSlab: pool.GetI32(elems, false)}
 		b.outVal = b.valSlab.Data[:0]
 		blocks = append(blocks, b)
 	}
@@ -190,7 +183,6 @@ func EncodeInto(p *device.Platform, place device.Place, data []float32, dims gri
 	})
 	release := func() {
 		for i := range blocks {
-			pool.PutU32(blocks[i].idxSlab)
 			pool.PutI32(blocks[i].valSlab)
 		}
 		pool.PutI32(latticeSlab)
@@ -200,19 +192,17 @@ func EncodeInto(p *device.Platform, place device.Place, data []float32, dims gri
 		return nil, fmt.Errorf("lorenzo: error bound %g too tight for data magnitude (lattice overflow); relax the bound", eb)
 	}
 
-	// Concatenate the per-block outlier sets in block (= index) order.
+	// Concatenate the per-block outlier values in block (= index) order.
 	total := 0
 	for i := range blocks {
-		total += len(blocks[i].outIdx)
+		total += len(blocks[i].outVal)
 	}
-	outIdx := make([]uint32, 0, total)
 	outVal := make([]int32, 0, total)
 	for i := range blocks {
-		outIdx = append(outIdx, blocks[i].outIdx...)
 		outVal = append(outVal, blocks[i].outVal...)
 	}
 	release()
-	return &Quantized{Codes: codes, OutIdx: outIdx, OutVal: outVal, Radius: radius}, nil
+	return &Quantized{Codes: codes, OutVal: outVal, Radius: radius}, nil
 }
 
 // quantRow pre-quantizes one contiguous run of values onto the 2·eb
@@ -233,7 +223,7 @@ const minVecRow = 16
 // of a 1-D or 2-D field (and the first row of a 3-D field's first plane).
 // prev seeds the running chain: 0 at the field origin, the halo value at a
 // 1-D block edge. d = q[x] - q[x-1].
-func fusedRow1(data []float32, q []int32, codes []uint16, base int, prev int32, r32 int32, ebx2r float64, b *encBlock) bool {
+func fusedRow1(data []float32, q []int32, codes []uint16, prev int32, r32 int32, ebx2r float64, b *encBlock) bool {
 	for x, v := range data {
 		t := math.Round(float64(v) * ebx2r)
 		if !(t <= maxLattice && t >= -maxLattice) {
@@ -247,7 +237,7 @@ func fusedRow1(data []float32, q []int32, codes []uint16, base int, prev int32, 
 			codes[x] = uint16(d + r32)
 		} else {
 			codes[x] = 0
-			b.add(base+x, d)
+			b.add(d)
 		}
 	}
 	return true
@@ -258,7 +248,7 @@ func fusedRow1(data []float32, q []int32, codes []uint16, base int, prev int32, 
 // also the first row of every 3-D plane when up is the plane behind's
 // first row. d = q[i] - q[i-1] - up[x] + up[x-1]; at x = 0 the x-1 terms
 // are zero.
-func fusedRow2(data []float32, q, up []int32, codes []uint16, base int, r32 int32, ebx2r float64, b *encBlock) bool {
+func fusedRow2(data []float32, q, up []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
 	t := math.Round(float64(data[0]) * ebx2r)
 	if !(t <= maxLattice && t >= -maxLattice) {
 		return false
@@ -271,7 +261,7 @@ func fusedRow2(data []float32, q, up []int32, codes []uint16, base int, r32 int3
 		codes[0] = uint16(d + r32)
 	} else {
 		codes[0] = 0
-		b.add(base, d)
+		b.add(d)
 	}
 	for x := 1; x < len(data); x++ {
 		t := math.Round(float64(data[x]) * ebx2r)
@@ -287,7 +277,7 @@ func fusedRow2(data []float32, q, up []int32, codes []uint16, base int, r32 int3
 			codes[x] = uint16(d + r32)
 		} else {
 			codes[x] = 0
-			b.add(base+x, d)
+			b.add(d)
 		}
 	}
 	return true
@@ -298,7 +288,7 @@ func fusedRow2(data []float32, q, up []int32, codes []uint16, base int, r32 int3
 // the row above in the plane behind.
 // d = q[i] - q[i-1] - up[x] + up[x-1] - back[x] + back[x-1] + backUp[x] - backUp[x-1];
 // at x = 0 the x-1 terms are zero.
-func fusedRow3(data []float32, q, up, back, backUp []int32, codes []uint16, base int, r32 int32, ebx2r float64, b *encBlock) bool {
+func fusedRow3(data []float32, q, up, back, backUp []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
 	t := math.Round(float64(data[0]) * ebx2r)
 	if !(t <= maxLattice && t >= -maxLattice) {
 		return false
@@ -311,7 +301,7 @@ func fusedRow3(data []float32, q, up, back, backUp []int32, codes []uint16, base
 		codes[0] = uint16(d + r32)
 	} else {
 		codes[0] = 0
-		b.add(base, d)
+		b.add(d)
 	}
 	for x := 1; x < len(data); x++ {
 		t := math.Round(float64(data[x]) * ebx2r)
@@ -327,7 +317,7 @@ func fusedRow3(data []float32, q, up, back, backUp []int32, codes []uint16, base
 			codes[x] = uint16(d + r32)
 		} else {
 			codes[x] = 0
-			b.add(base+x, d)
+			b.add(d)
 		}
 	}
 	return true
@@ -342,7 +332,7 @@ func fusedRow3(data []float32, q, up, back, backUp []int32, codes []uint16, base
 // rows escape — the two structures emit bit-identical streams.
 
 // vecRow1 is fusedRow1 in two vector phases.
-func vecRow1(data []float32, q []int32, codes []uint16, base int, prev int32, r32 int32, ebx2r float64, b *encBlock) bool {
+func vecRow1(data []float32, q []int32, codes []uint16, prev int32, r32 int32, ebx2r float64, b *encBlock) bool {
 	if !quantRow(data, q, ebx2r) {
 		return false
 	}
@@ -350,7 +340,7 @@ func vecRow1(data []float32, q []int32, codes []uint16, base int, prev int32, r3
 		codes[0] = uint16(d + r32)
 	} else {
 		codes[0] = 0
-		b.add(base, d)
+		b.add(d)
 	}
 	dispatch.DiffCodes1(q, codes[1:], r32)
 	for x := 1; x < len(codes); x++ {
@@ -359,13 +349,13 @@ func vecRow1(data []float32, q []int32, codes []uint16, base int, prev int32, r3
 			break
 		}
 		x += k
-		b.add(base+x, q[x]-q[x-1])
+		b.add(q[x] - q[x-1])
 	}
 	return true
 }
 
 // vecRow2 is fusedRow2 in two vector phases.
-func vecRow2(data []float32, q, up []int32, codes []uint16, base int, r32 int32, ebx2r float64, b *encBlock) bool {
+func vecRow2(data []float32, q, up []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
 	if !quantRow(data, q, ebx2r) {
 		return false
 	}
@@ -373,7 +363,7 @@ func vecRow2(data []float32, q, up []int32, codes []uint16, base int, r32 int32,
 		codes[0] = uint16(d + r32)
 	} else {
 		codes[0] = 0
-		b.add(base, d)
+		b.add(d)
 	}
 	dispatch.DiffCodes2(q, up, codes[1:], r32)
 	for x := 1; x < len(codes); x++ {
@@ -382,13 +372,13 @@ func vecRow2(data []float32, q, up []int32, codes []uint16, base int, r32 int32,
 			break
 		}
 		x += k
-		b.add(base+x, q[x]-q[x-1]-up[x]+up[x-1])
+		b.add(q[x] - q[x-1] - up[x] + up[x-1])
 	}
 	return true
 }
 
 // vecRow3 is fusedRow3 in two vector phases.
-func vecRow3(data []float32, q, up, back, backUp []int32, codes []uint16, base int, r32 int32, ebx2r float64, b *encBlock) bool {
+func vecRow3(data []float32, q, up, back, backUp []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
 	if !quantRow(data, q, ebx2r) {
 		return false
 	}
@@ -396,7 +386,7 @@ func vecRow3(data []float32, q, up, back, backUp []int32, codes []uint16, base i
 		codes[0] = uint16(d + r32)
 	} else {
 		codes[0] = 0
-		b.add(base, d)
+		b.add(d)
 	}
 	dispatch.DiffCodes3(q, up, back, backUp, codes[1:], r32)
 	for x := 1; x < len(codes); x++ {
@@ -405,7 +395,7 @@ func vecRow3(data []float32, q, up, back, backUp []int32, codes []uint16, base i
 			break
 		}
 		x += k
-		b.add(base+x, q[x]-q[x-1]-up[x]+up[x-1]-back[x]+back[x-1]+backUp[x]-backUp[x-1])
+		b.add(q[x] - q[x-1] - up[x] + up[x-1] - back[x] + back[x-1] + backUp[x] - backUp[x-1])
 	}
 	return true
 }
@@ -413,25 +403,25 @@ func vecRow3(data []float32, q, up, back, backUp []int32, codes []uint16, base i
 // row1/row2/row3 route a row to the vector or fused structure. The tier
 // choice is uniform across a run (dispatch is fixed at init), so every
 // block takes the same path.
-func row1(data []float32, q []int32, codes []uint16, base int, prev int32, r32 int32, ebx2r float64, b *encBlock) bool {
+func row1(data []float32, q []int32, codes []uint16, prev int32, r32 int32, ebx2r float64, b *encBlock) bool {
 	if dispatch.VectorRows() && len(data) >= minVecRow {
-		return vecRow1(data, q, codes, base, prev, r32, ebx2r, b)
+		return vecRow1(data, q, codes, prev, r32, ebx2r, b)
 	}
-	return fusedRow1(data, q, codes, base, prev, r32, ebx2r, b)
+	return fusedRow1(data, q, codes, prev, r32, ebx2r, b)
 }
 
-func row2(data []float32, q, up []int32, codes []uint16, base int, r32 int32, ebx2r float64, b *encBlock) bool {
+func row2(data []float32, q, up []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
 	if dispatch.VectorRows() && len(data) >= minVecRow {
-		return vecRow2(data, q, up, codes, base, r32, ebx2r, b)
+		return vecRow2(data, q, up, codes, r32, ebx2r, b)
 	}
-	return fusedRow2(data, q, up, codes, base, r32, ebx2r, b)
+	return fusedRow2(data, q, up, codes, r32, ebx2r, b)
 }
 
-func row3(data []float32, q, up, back, backUp []int32, codes []uint16, base int, r32 int32, ebx2r float64, b *encBlock) bool {
+func row3(data []float32, q, up, back, backUp []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
 	if dispatch.VectorRows() && len(data) >= minVecRow {
-		return vecRow3(data, q, up, back, backUp, codes, base, r32, ebx2r, b)
+		return vecRow3(data, q, up, back, backUp, codes, r32, ebx2r, b)
 	}
-	return fusedRow3(data, q, up, back, backUp, codes, base, r32, ebx2r, b)
+	return fusedRow3(data, q, up, back, backUp, codes, r32, ebx2r, b)
 }
 
 // encodeBlock1D runs the fused kernel over a 1-D element range (a single
@@ -446,7 +436,7 @@ func encodeBlock1D(data []float32, lattice []int32, codes []uint16, b *encBlock,
 		}
 		prev = int32(t)
 	}
-	return row1(data[b.lo:b.hi], lattice[b.lo:b.hi], codes[b.lo:b.hi], b.lo, prev, r32, ebx2r, b)
+	return row1(data[b.lo:b.hi], lattice[b.lo:b.hi], codes[b.lo:b.hi], prev, r32, ebx2r, b)
 }
 
 // encodeBlock2D runs the fused kernel over a range of 2-D rows.
@@ -468,10 +458,10 @@ func encodeBlock2D(data []float32, lattice []int32, codes []uint16, b *encBlock,
 		base := y * nx
 		row := lattice[base : base+nx]
 		if y == 0 {
-			if !row1(data[base:base+nx], row, codes[base:base+nx], base, 0, r32, ebx2r, b) {
+			if !row1(data[base:base+nx], row, codes[base:base+nx], 0, r32, ebx2r, b) {
 				return false
 			}
-		} else if !row2(data[base:base+nx], row, up, codes[base:base+nx], base, r32, ebx2r, b) {
+		} else if !row2(data[base:base+nx], row, up, codes[base:base+nx], r32, ebx2r, b) {
 			return false
 		}
 		up = row
@@ -505,22 +495,22 @@ func encodeBlock3D(data []float32, lattice []int32, codes []uint16, b *encBlock,
 			cr := codes[base : base+nx]
 			switch {
 			case z == 0 && y == 0:
-				if !row1(dr, row, cr, base, 0, r32, ebx2r, b) {
+				if !row1(dr, row, cr, 0, r32, ebx2r, b) {
 					return false
 				}
 			case z == 0:
 				// First plane: the z-1 terms vanish, leaving the 2-D stencil.
-				if !row2(dr, row, cur[(y-1)*nx:y*nx], cr, base, r32, ebx2r, b) {
+				if !row2(dr, row, cur[(y-1)*nx:y*nx], cr, r32, ebx2r, b) {
 					return false
 				}
 			case y == 0:
 				// First row of a plane: the y-1 terms vanish, so the 2-D
 				// stencil applies against the plane behind's first row.
-				if !row2(dr, row, back[:nx], cr, base, r32, ebx2r, b) {
+				if !row2(dr, row, back[:nx], cr, r32, ebx2r, b) {
 					return false
 				}
 			default:
-				if !row3(dr, row, cur[(y-1)*nx:y*nx], back[y*nx:(y+1)*nx], back[(y-1)*nx:y*nx], cr, base, r32, ebx2r, b) {
+				if !row3(dr, row, cur[(y-1)*nx:y*nx], back[y*nx:(y+1)*nx], back[(y-1)*nx:y*nx], cr, r32, ebx2r, b) {
 					return false
 				}
 			}

@@ -291,7 +291,7 @@ func TestPropertyBoundHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(q1.OutIdx) != len(q2.OutIdx) {
+		if len(q1.OutVal) != len(q2.OutVal) {
 			t.Fatalf("trial %d: encoder nondeterministic", trial)
 		}
 		for i := range q1.Codes {
@@ -376,16 +376,28 @@ func TestFusedMatchesReference(t *testing.T) {
 				t.Fatalf("%v: code mismatch at %d: %d vs %d", dims, i, got.Codes[i], want.Codes[i])
 			}
 		}
-		if len(got.OutIdx) != len(want.OutIdx) {
-			t.Fatalf("%v: %d outliers, want %d", dims, len(got.OutIdx), len(want.OutIdx))
+		gotIdx := escapes(got.Codes)
+		if len(gotIdx) != len(want.OutIdx) || len(got.OutVal) != len(want.OutVal) {
+			t.Fatalf("%v: %d escapes and %d outlier values, want %d", dims, len(gotIdx), len(got.OutVal), len(want.OutIdx))
 		}
 		for j := range want.OutIdx {
-			if got.OutIdx[j] != want.OutIdx[j] || got.OutVal[j] != want.OutVal[j] {
+			if gotIdx[j] != want.OutIdx[j] || got.OutVal[j] != want.OutVal[j] {
 				t.Fatalf("%v: outlier %d = (%d,%d), want (%d,%d)", dims, j,
-					got.OutIdx[j], got.OutVal[j], want.OutIdx[j], want.OutVal[j])
+					gotIdx[j], got.OutVal[j], want.OutIdx[j], want.OutVal[j])
 			}
 		}
 	}
+}
+
+// escapes lists the positions of the escape codes (0) in index order.
+func escapes(codes []uint16) []uint32 {
+	var idx []uint32
+	for i, c := range codes {
+		if c == 0 {
+			idx = append(idx, uint32(i))
+		}
+	}
+	return idx
 }
 
 // refDecode is the historical five-pass decoder, kept as the reference

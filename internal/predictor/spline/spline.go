@@ -71,9 +71,9 @@ type Config struct {
 // Quantized is the encoder output: codes share the Lorenzo escape
 // convention (0 = outlier), anchors and outliers carry exact float32
 // values, and Choices records the per-phase interpolant so the decoder
-// replays auto-tuned decisions. OutIdx lists the escape positions in index
-// order; Decode does not read it, because the escape codes carry the same
-// positions.
+// replays auto-tuned decisions. OutVal lists the outlier values in the
+// order of their escape codes. OutIdx is ignored: Encode leaves it nil and
+// Decode locates outliers by their escape codes.
 type Quantized struct {
 	Codes    []uint16
 	Anchors  []float32
@@ -153,18 +153,17 @@ func EncodeInto(p *device.Platform, place device.Place, data []float32, dims gri
 			return e
 		})
 
-	outIdx, outVal := gatherOutliers(codes, data)
 	return &Quantized{
-		Codes: codes, Anchors: anchors, OutIdx: outIdx, OutVal: outVal,
+		Codes: codes, Anchors: anchors, OutVal: gatherOutliers(codes, data),
 		Choices: choices, Orders: orders, Radius: radius, MaxLevel: maxLevel,
 	}, nil
 }
 
-// gatherOutliers lists the escape-coded points (code 0) in index order with
-// their exact values. Escapes are rare, so both passes — one to size the
+// gatherOutliers lists the exact values of the escape-coded points (code
+// 0) in index order. Escapes are rare, so both passes — one to size the
 // result, one to fill it — hop zero to zero with the dispatched NextZero
 // kernel instead of testing every code.
-func gatherOutliers(codes []uint16, data []float32) ([]uint32, []float32) {
+func gatherOutliers(codes []uint16, data []float32) []float32 {
 	m := 0
 	for base := 0; ; m++ {
 		k := dispatch.NextZero(codes[base:])
@@ -173,16 +172,14 @@ func gatherOutliers(codes []uint16, data []float32) ([]uint32, []float32) {
 		}
 		base += k + 1
 	}
-	idx := make([]uint32, m)
 	val := make([]float32, m)
 	base := 0
-	for j := range idx {
+	for j := range val {
 		base += dispatch.NextZero(codes[base:])
-		idx[j] = uint32(base)
 		val[j] = data[base]
 		base++
 	}
-	return idx, val
+	return val
 }
 
 // Decode reconstructs the field from a Quantized stream.

@@ -267,7 +267,7 @@ func TestDeterministic(t *testing.T) {
 	data := smoothField(dims, 10)
 	q1, _ := Encode(tp, device.Accel, data, dims, 1e-3, Config{Mode: Auto})
 	q2, _ := Encode(tp, device.Accel, data, dims, 1e-3, Config{Mode: Auto})
-	if len(q1.Codes) != len(q2.Codes) || len(q1.OutIdx) != len(q2.OutIdx) {
+	if len(q1.Codes) != len(q2.Codes) || len(q1.OutVal) != len(q2.OutVal) {
 		t.Fatal("nondeterministic encode")
 	}
 	for i := range q1.Codes {

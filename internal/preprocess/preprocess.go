@@ -60,6 +60,26 @@ func RelBound(v float64) ErrorBound { return ErrorBound{Value: v, Mode: Rel} }
 // AbsBound constructs an absolute bound.
 func AbsBound(v float64) ErrorBound { return ErrorBound{Value: v, Mode: Abs} }
 
+// ParseBound returns the validated bound of value v in the named mode:
+// "rel" or "" for value-range relative, "abs" for absolute. It is the one
+// place a front end's bound mode is spelled; an unknown mode is an error,
+// and a value Validate refuses is an error wrapping ErrBadBound.
+func ParseBound(v float64, mode string) (ErrorBound, error) {
+	var eb ErrorBound
+	switch mode {
+	case "", "rel":
+		eb = RelBound(v)
+	case "abs":
+		eb = AbsBound(v)
+	default:
+		return ErrorBound{}, fmt.Errorf("mode %q: want rel or abs", mode)
+	}
+	if err := eb.Validate(); err != nil {
+		return ErrorBound{}, err
+	}
+	return eb, nil
+}
+
 // Stats captures the extrema gathered during preprocessing; downstream
 // modules reuse them (e.g. PSNR normalization).
 type Stats struct {

@@ -1,6 +1,8 @@
 package preprocess
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"fzmod/internal/device"
@@ -59,5 +61,32 @@ func TestResolveErrors(t *testing.T) {
 func TestBoundModeString(t *testing.T) {
 	if Abs.String() != "abs" || Rel.String() != "rel" {
 		t.Error("BoundMode.String mismatch")
+	}
+}
+
+// TestParseBound: the one spelling of a bound mode, shared by the CLI and
+// the daemon. An unknown mode is an error; a value that cannot be enforced
+// is an error wrapping ErrBadBound.
+func TestParseBound(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		mode string
+		want ErrorBound
+	}{
+		{1e-3, "", RelBound(1e-3)},
+		{1e-3, "rel", RelBound(1e-3)},
+		{2.5, "abs", AbsBound(2.5)},
+	} {
+		if got, err := ParseBound(tc.v, tc.mode); err != nil || got != tc.want {
+			t.Errorf("ParseBound(%g, %q) = %+v, %v; want %+v", tc.v, tc.mode, got, err, tc.want)
+		}
+	}
+	if _, err := ParseBound(1e-3, "wat"); err == nil || errors.Is(err, ErrBadBound) {
+		t.Errorf("unknown mode: error %v, want a mode error", err)
+	}
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := ParseBound(v, "abs"); !errors.Is(err, ErrBadBound) {
+			t.Errorf("ParseBound(%g, abs): error %v, want one wrapping ErrBadBound", v, err)
+		}
 	}
 }

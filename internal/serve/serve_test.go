@@ -18,6 +18,7 @@ import (
 
 	"fzmod/internal/core"
 	"fzmod/internal/device"
+	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
 	fzmetrics "fzmod/internal/metrics"
 	"fzmod/internal/preprocess"
@@ -117,6 +118,18 @@ func TestServeCompressDecompressRoundtrip(t *testing.T) {
 	}
 	if i := fzmetrics.VerifyBound(vals, dec, relResolved(t, vals, 1e-3)); i != -1 {
 		t.Fatalf("bound violated at %d", i)
+	}
+
+	// A constant field under an absolute bound, cut into chunks, comes back
+	// exactly.
+	zero := make([]byte, 4*32*32*32)
+	resp, blob = doPost(t, ts.URL+"/v1/compress?dims=32x32x32&eb=1e-3&mode=abs&chunk=8192", zero)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("zero-field compress status %d: %s", resp.StatusCode, blob)
+	}
+	requireTimingHeaders(t, resp)
+	if resp, raw = doPost(t, ts.URL+"/v1/decompress", blob); resp.StatusCode != http.StatusOK || !bytes.Equal(raw, zero) {
+		t.Fatalf("zero-field decompress: status %d, %d bytes; want the %d zero bytes sent", resp.StatusCode, len(raw), len(zero))
 	}
 }
 
@@ -387,6 +400,9 @@ func TestServeObjectsAndRegion(t *testing.T) {
 	}
 	requireTimingHeaders(t, resp)
 	dec := decodeF32(t, raw)
+	if len(dec) != 12*14*20 {
+		t.Fatalf("region returned %d values, want 12x14x20", len(dec))
+	}
 	absEB := relResolved(t, vals, 1e-3)
 	i := 0
 	for z := 6; z < 26; z++ {
@@ -422,6 +438,46 @@ func TestServeObjectsAndRegion(t *testing.T) {
 	}
 }
 
+// TestServeRegionReusesStoredIndex: a PUT opens the object's index once,
+// and region GETs read through that open Region instead of re-opening it.
+func TestServeRegionReusesStoredIndex(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	_, body := testFieldBytes(t, grid.D3(24, 20, 32))
+	_, blob := doPost(t, ts.URL+fmt.Sprintf("/v1/compress?dims=24x20x32&eb=1e-3&chunk=%d", 24*20*8), body)
+	if resp, _ := doReq(t, http.MethodPut, ts.URL+"/v1/objects/field", blob); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("put status %d, want 201", resp.StatusCode)
+	}
+	// Re-seat the stored object's reader on a counting fetcher: a GET that
+	// reads through it shows exactly one read per decoded chunk; one that
+	// re-opened the index would show none, or the index reads on top.
+	cf := fzio.NewCountingFetcher(fzio.NewBytesFetcher(blob))
+	reg, err := core.OpenRegion(s.p, cf, core.RegionOpts{Cache: s.cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.objMu.Lock()
+	obj := s.objects["field"]
+	if obj.reg == nil {
+		t.Fatal("PUT stored no open region")
+	}
+	obj.reg = reg
+	s.objects["field"] = obj
+	s.objMu.Unlock()
+	opened := cf.Reads()
+
+	resp, raw := doReq(t, http.MethodGet, ts.URL+"/v1/objects/field/region?sel=0:24,0:20,4:20", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("region status %d: %s", resp.StatusCode, raw)
+	}
+	decoded, _ := strconv.Atoi(resp.Header.Get("X-Fzmod-Region-Decoded"))
+	if decoded != 3 {
+		t.Fatalf("region decoded %d chunks, want 3", decoded)
+	}
+	if got := cf.Reads() - opened; got != int64(decoded) {
+		t.Errorf("region GET made %d reads through the stored region, want %d (one per decoded chunk)", got, decoded)
+	}
+}
+
 func TestServeMalformedRequests(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	dims := grid.D3(8, 8, 8)
@@ -434,6 +490,7 @@ func TestServeMalformedRequests(t *testing.T) {
 	}{
 		{"missing dims", http.MethodPost, "/v1/compress?eb=1e-3", body},
 		{"bad dims", http.MethodPost, "/v1/compress?dims=0x8x8&eb=1e-3", body},
+		{"zero dims", http.MethodPost, "/v1/compress?dims=0x0x0&eb=1e-3", body},
 		{"missing eb", http.MethodPost, "/v1/compress?dims=8x8x8", body},
 		{"negative eb", http.MethodPost, "/v1/compress?dims=8x8x8&eb=-1", body},
 		{"bad mode", http.MethodPost, "/v1/compress?dims=8x8x8&eb=1e-3&mode=wat", body},

@@ -106,7 +106,14 @@ type Server struct {
 	inflightN atomic.Int64
 
 	objMu   sync.RWMutex
-	objects map[string][]byte
+	objects map[string]object
+}
+
+// object is a stored container and the region reader opened over it once,
+// at PUT.
+type object struct {
+	blob []byte
+	reg  *core.Region
 }
 
 // New builds a server over the platform. The platform's pools stay warm
@@ -118,7 +125,7 @@ func New(p *device.Platform, cfg Config) *Server {
 		p:       p,
 		adm:     NewAdmission(cfg.Workers, cfg.MaxQueue, cfg.MaxWait),
 		cache:   core.NewSlabCache(cfg.CacheBytes),
-		objects: make(map[string][]byte),
+		objects: make(map[string]object),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/compress", s.handleCompress)
@@ -240,19 +247,11 @@ func parseBound(ebStr, mode string) (preprocess.ErrorBound, error) {
 	if err != nil {
 		return preprocess.ErrorBound{}, fmt.Errorf("eb %q: want a positive float", ebStr)
 	}
-	var eb preprocess.ErrorBound
-	switch mode {
-	case "", "rel":
-		eb = preprocess.RelBound(v)
-	case "abs":
-		eb = preprocess.AbsBound(v)
-	default:
-		return preprocess.ErrorBound{}, fmt.Errorf("mode %q: want rel or abs", mode)
-	}
-	if err := eb.Validate(); err != nil {
+	eb, err := preprocess.ParseBound(v, mode)
+	if errors.Is(err, preprocess.ErrBadBound) {
 		return preprocess.ErrorBound{}, fmt.Errorf("eb %q: %w", ebStr, err)
 	}
-	return eb, nil
+	return eb, err
 }
 
 // parseWorkers resolves the request's lease size (its Opts.Workers).
@@ -349,17 +348,13 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "%v", err)
 		return
 	}
-	// Fields below the auto-chunk size stay one chunk (the monolithic
-	// container) unless the request names a granularity.
-	chunkElems := 0
+	chunkElems := 0 // the library's automatic rule
 	if c := q.Get("chunk"); c != "" {
 		chunkElems, err = strconv.Atoi(c)
 		if err != nil || chunkElems < 1 {
 			s.badRequest(w, "chunk %q: want a positive element count", c)
 			return
 		}
-	} else if dims.N() < core.AutoChunkElems {
-		chunkElems = dims.N()
 	}
 	if _, err := core.ChunkPlanes(dims, chunkElems); err != nil {
 		s.badRequest(w, "%v", err)
@@ -540,25 +535,26 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 			s.badRequest(w, "%v", err)
 			return
 		}
-		if _, err := fzio.FetchIndex(fzio.NewBytesFetcher(blob)); err != nil {
+		reg, err := core.OpenRegion(s.p, fzio.NewBytesFetcher(blob), core.RegionOpts{Cache: s.cache})
+		if err != nil {
 			s.badRequest(w, "not an FZModules container: %v", err)
 			return
 		}
 		s.objMu.Lock()
-		s.objects[name] = blob
+		s.objects[name] = object{blob: blob, reg: reg}
 		s.objMu.Unlock()
 		w.WriteHeader(http.StatusCreated)
 	case http.MethodGet:
 		s.objMu.RLock()
-		blob, ok := s.objects[name]
+		obj, ok := s.objects[name]
 		s.objMu.RUnlock()
 		if !ok {
 			http.Error(w, fmt.Sprintf("no object %q", name), http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(blob)
-		s.met.bytesOut.Add(int64(len(blob)))
+		w.Write(obj.blob)
+		s.met.bytesOut.Add(int64(len(obj.blob)))
 	case http.MethodDelete:
 		s.objMu.Lock()
 		delete(s.objects, name)
@@ -580,7 +576,7 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request, name strin
 	}
 	s.met.reqRegion.Add(1)
 	s.objMu.RLock()
-	blob, ok := s.objects[name]
+	obj, ok := s.objects[name]
 	s.objMu.RUnlock()
 	if !ok {
 		http.Error(w, fmt.Sprintf("no object %q", name), http.StatusNotFound)
@@ -592,16 +588,11 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request, name strin
 		s.badRequest(w, "%v", err)
 		return
 	}
-	// Open the index and refuse a bad selection before spending a lease: a
-	// request that can only ever be a 400 must not queue behind real work.
-	reg, err := core.OpenRegion(s.p, fzio.NewBytesFetcher(blob), core.RegionOpts{Cache: s.cache})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	sel, err := core.ParseRegionSel(q.Get("sel"), reg.Dims())
+	// Refuse a bad selection before spending a lease: a request that can
+	// only ever be a 400 must not queue behind real work.
+	sel, err := core.ParseRegionSel(q.Get("sel"), obj.reg.Dims())
 	if err == nil {
-		err = sel.Validate(reg.Dims())
+		err = sel.Validate(obj.reg.Dims())
 	}
 	if err != nil {
 		s.badRequest(w, "%v", err)
@@ -612,7 +603,7 @@ func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request, name strin
 		rep  *core.ExecReport
 	)
 	if !s.run(w, r, workers, func(ctx context.Context, width int) (err error) {
-		vals, rep, err = reg.WithWorkers(width).ReadReportCtx(ctx, sel)
+		vals, rep, err = obj.reg.WithWorkers(width).ReadReportCtx(ctx, sel)
 		return err
 	}) {
 		return
@@ -655,8 +646,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleAdminBudget serves POST /v1/admin/budget?workers=N: hot-reload
 // the admission controller's worker budget without dropping queued
 // requests (growth grants queued waiters immediately; shrink takes
-// effect as leases release). GET returns the current budget. The same
-// reload path backs SIGHUP in cmd/fzmodd.
+// effect as leases release). GET returns the current budget.
 func (s *Server) handleAdminBudget(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:

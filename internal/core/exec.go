@@ -345,8 +345,10 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 			job.c = c
 			return nil
 		})
-	// The primary code stream decodes at the accelerator place, as the
-	// presets assign it, into a slab of exactly want.N() codes.
+	// The primary code stream decodes at the accelerator place, into a
+	// slab of exactly want.N() codes. The read side picks Accel itself:
+	// the presets place only the write side (Default and Quality encode
+	// Huffman on the host).
 	ctx.Task(prefix + "decode").On(device.Accel).Reads(fetchTok).Writes(codesTok).
 		Do(func(ti *stf.TaskInstance) error {
 			if job.c == nil {

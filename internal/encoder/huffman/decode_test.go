@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"fzmod/internal/device"
@@ -22,8 +23,8 @@ func (c *Codec) refDecodeChunk(data []byte, out []uint16) error {
 		tb = tableBits
 	}
 	mask := uint64(1)<<uint(tb) - 1
-	fast := c.fast
-	multi := c.multi
+	fast := c.fastTable()
+	multi := c.multiTable()
 	mmask := uint64(len(multi) - 1)
 	var acc uint64
 	var navail uint
@@ -164,26 +165,28 @@ func refDecode(c *Codec, data []byte) ([]uint16, error) {
 	return out, nil
 }
 
-// checkAgainstRef decodes data with Decode at two worker counts (which pair
-// the chunks differently) and with refDecode: Decode must succeed with the
-// same codes exactly where the reference does.
+// checkAgainstRef decodes data with both of Decode's loops at Workers 1
+// and 2 (which group the chunks differently) and with refDecode: each must
+// succeed with the same codes exactly where the reference does.
 func checkAgainstRef(t *testing.T, name string, c *Codec, data []byte) {
 	t.Helper()
 	want, werr := refDecode(c, data)
-	for _, p := range []*device.Platform{tp, tp.WithWorkers(1)} {
-		got, err := c.Decode(p, device.Host, data, nil)
-		switch {
-		case werr != nil && err == nil:
-			t.Errorf("%s (workers %d): reference fails (%v), Decode returned %d codes", name, p.Workers(device.Host), werr, len(got))
-		case werr == nil && err != nil:
-			t.Errorf("%s (workers %d): reference decodes, Decode fails: %v", name, p.Workers(device.Host), err)
-		case werr == nil:
-			if len(got) != len(want) {
-				t.Fatalf("%s: Decode returned %d codes, reference %d", name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s (workers %d): code %d is %d, reference %d", name, p.Workers(device.Host), i, got[i], want[i])
+	for _, p := range []*device.Platform{tp.WithWorkers(2), tp.WithWorkers(1)} {
+		for _, loop := range []decodeLoop{loopPair, loopQuad} {
+			got, err := c.decode(p, device.Host, data, nil, loop)
+			switch {
+			case werr != nil && err == nil:
+				t.Errorf("%s (workers %d, loop %d): reference fails (%v), Decode returned %d codes", name, p.Workers(device.Host), loop, werr, len(got))
+			case werr == nil && err != nil:
+				t.Errorf("%s (workers %d, loop %d): reference decodes, Decode fails: %v", name, p.Workers(device.Host), loop, err)
+			case werr == nil:
+				if len(got) != len(want) {
+					t.Fatalf("%s: Decode returned %d codes, reference %d", name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s (workers %d, loop %d): code %d is %d, reference %d", name, p.Workers(device.Host), loop, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -320,6 +323,163 @@ func TestDecodeMatchesReference(t *testing.T) {
 				rng.Read(junk[ci])
 			}
 			checkAgainstRef(t, name+"/junk", b.c, joinStream(total, junk))
+		}
+	}
+}
+
+// streamBits is a framed stream's payload in bits per code, the measure
+// Decode compares with fourLaneBits.
+func streamBits(t testing.TB, c *Codec, data []byte) float64 {
+	total, chunks, err := splitStream(c, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytes int
+	for _, ch := range chunks {
+		bytes += len(ch)
+	}
+	return 8 * float64(bytes) / float64(total)
+}
+
+// holeyLengths is a hacc-shaped codebook with one of its shortest codes
+// left unassigned: canonical assignment moves the hole to the top of the
+// code space, a prefix about minLen bits long that no symbol owns, so a
+// lane desynchronized by a flipped bit soon meets it mid-chunk, and a run
+// of 0xff bytes meets it at once.
+func holeyLengths(t testing.TB) []uint8 {
+	c := mustBuild(t, histOf(genLaplace(1<<18, 20, 0.03, 2), 1024))
+	lengths := append([]uint8(nil), c.lengths...)
+	for s, l := range lengths {
+		if int(l) == c.minLen {
+			lengths[s] = 0
+			break
+		}
+	}
+	return lengths
+}
+
+// TestDecodeLanesMatchReference corrupts streams of 5–9 chunks, long
+// enough for whole groups of four lanes and 1–3 leftover chunks at Workers
+// 1 and 2, under a hacc-shaped stream above fourLaneBits, a nyx-shaped one
+// below it and a holey book. Every chunk, so each of the four lanes and
+// every leftover, takes bit flips and a truncation that runs the lane dry
+// mid-symbol, inside the batch loop's reach (half the chunk) or in the
+// finishing loops (all but the last byte, or all but three). Both loops
+// must fail exactly where refDecodeChunk does, and otherwise return its
+// codes.
+func TestDecodeLanesMatchReference(t *testing.T) {
+	holey := mustFromLengths(t, holeyLengths(t))
+	for bi, b := range []struct {
+		name  string
+		gen   func(n int, seed int64) []uint16
+		book  *Codec // nil: built from the stream's histogram
+		above bool   // the stream's bits per code reach fourLaneBits
+	}{
+		{"hacc", func(n int, seed int64) []uint16 { return genLaplace(n, 20, 0.03, seed) }, nil, true},
+		{"nyx", func(n int, seed int64) []uint16 { return genLaplace(n, 0.35, 0.0008, seed) }, nil, false},
+		{"holey", func(n int, seed int64) []uint16 { return genForCodec(holey, n, seed) }, holey, true},
+	} {
+		for si, n := range []int{5*chunkSize - 777, 6*chunkSize - 1, 7 * chunkSize, 9*chunkSize - 60000} {
+			codes := b.gen(n, int64(10*bi+si))
+			c := b.book
+			if c == nil {
+				c = mustBuild(t, histOf(codes, 1024))
+			}
+			data, err := c.Encode(tp, device.Host, codes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/n=%d", b.name, n)
+			if bits := streamBits(t, c, data); (bits >= fourLaneBits) != b.above {
+				t.Fatalf("%s: %.2f bits/code is on the wrong side of fourLaneBits", name, bits)
+			}
+			checkAgainstRef(t, name, c, data)
+
+			total, chunks, err := splitStream(c, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(bi*31 + si)))
+			withChunk := func(ci int, ch []byte) []byte {
+				cs := append([][]byte(nil), chunks...)
+				cs[ci] = ch
+				return joinStream(total, cs)
+			}
+			for ci, ch := range chunks {
+				flips := 1 + 7*(ci%2)
+				bad := append([]byte(nil), ch...)
+				for f := 0; f < flips; f++ {
+					bit := rng.Intn(8 * len(bad))
+					bad[bit/8] ^= 1 << (bit % 8)
+				}
+				checkAgainstRef(t, fmt.Sprintf("%s/chunk%d/flip%d", name, ci, flips), c, withChunk(ci, bad))
+				keep := []int{len(ch) / 2, len(ch) - 1, 3}[(ci+si)%3]
+				checkAgainstRef(t, fmt.Sprintf("%s/chunk%d/keep%d", name, ci, keep), c, withChunk(ci, ch[:keep]))
+			}
+		}
+	}
+}
+
+// TestDecodeTablesOnFirstUse: a codec from Build carries no decode table
+// until a decode needs one, then builds each once, race-free, when its
+// first decodes run from several goroutines at once on streams of both
+// shapes; a long-code stream alone never builds the multi-symbol table.
+func TestDecodeTablesOnFirstUse(t *testing.T) {
+	// Symbol 0 takes most of the mass and a 1-bit code; the rest take
+	// 10–11 bits. A stream of symbol 0 decodes with the paired loop, one of
+	// the rest with the four-lane loop.
+	hist := make([]uint32, 1024)
+	for s := range hist {
+		hist[s] = 1
+	}
+	hist[0] = 1 << 20
+	short := make([]uint16, 4*chunkSize)
+	long := make([]uint16, 4*chunkSize)
+	for i := range long {
+		long[i] = uint16(1 + i%1023)
+	}
+	for _, both := range []bool{false, true} {
+		c := mustBuild(t, hist)
+		if c.fast != nil || c.multi != nil {
+			t.Fatal("Build built decode tables")
+		}
+		streams := [][]uint16{long}
+		if both {
+			streams = append(streams, short)
+		}
+		var payloads [][]byte
+		for _, codes := range streams {
+			data, err := c.Encode(tp, device.Host, codes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads = append(payloads, data)
+		}
+		if bits := streamBits(t, c, payloads[0]); bits < fourLaneBits {
+			t.Fatalf("long-code stream at %.2f bits/code", bits)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				i := g % len(streams)
+				got, err := c.Decode(tp, device.Host, payloads[i], nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k, s := range streams[i] {
+					if got[k] != s {
+						t.Errorf("stream %d code %d is %d, want %d", i, k, got[k], s)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if c.fast == nil || (c.multi != nil) != both {
+			t.Errorf("short-code stream decoded %v: fast table built %v, multi table built %v", both, c.fast != nil, c.multi != nil)
 		}
 	}
 }
@@ -511,6 +671,54 @@ func FuzzHuffmanDecode(f *testing.F) {
 		for i := range codes {
 			if got[i] != codes[i] {
 				t.Fatalf("code %d is %d, want %d", i, got[i], codes[i])
+			}
+		}
+	})
+}
+
+// FuzzHuffmanQuad drives decodeQuad itself: four short streams, the
+// fuzzer's bytes as they come, decode under one fixed book above
+// fourLaneBits (holeyLengths, so a lane can meet an unassigned prefix as
+// well as run dry), each lane wanting the code count its 10 bits of counts
+// give. decodeQuad must fail exactly when refDecodeChunk fails on some
+// lane, and otherwise write the reference's codes in every lane.
+func FuzzHuffmanQuad(f *testing.F) {
+	c := mustFromLengths(f, holeyLengths(f))
+	c.fastTable()
+	// Seeds: four encoded lanes, whole and with the third cut mid-code.
+	var seed [4][]byte
+	var counts uint64
+	for i := range seed {
+		n := 40 + 30*i
+		seed[i] = refEncodeChunk(refRevCodes(c), c.lengths, genForCodec(c, n, int64(i)), make([]byte, 4*n+9))
+		counts |= uint64(n) << (16 * i)
+	}
+	f.Add(seed[0], seed[1], seed[2], seed[3], counts)
+	f.Add(seed[0], seed[1], seed[2][:len(seed[2])/2], seed[3], counts)
+	f.Fuzz(func(t *testing.T, in0, in1, in2, in3 []byte, counts uint64) {
+		var lanes [4]lane
+		wantErr := false
+		want := make([][]uint16, 4)
+		for i, in := range [][]byte{in0, in1, in2, in3} {
+			n := int(counts >> (16 * i) & 0x3ff)
+			lanes[i] = lane{in: in, out: make([]uint16, n)}
+			want[i] = make([]uint16, n)
+			if c.refDecodeChunk(in, want[i]) != nil {
+				wantErr = true
+			}
+		}
+		err := c.decodeQuad(lanes[0], lanes[1], lanes[2], lanes[3])
+		if (err != nil) != wantErr {
+			t.Fatalf("decodeQuad error %v, reference fails: %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		for i, l := range lanes {
+			for k := range want[i] {
+				if l.out[k] != want[i][k] {
+					t.Fatalf("lane %d code %d is %d, reference %d", i, k, l.out[k], want[i][k])
+				}
 			}
 		}
 	})

@@ -88,7 +88,7 @@ func refEncode(c *Codec, codes []uint16) []byte {
 	return joinStream(uint64(len(codes)), chunks)
 }
 
-func mustFromLengths(t *testing.T, lengths []uint8) *Codec {
+func mustFromLengths(t testing.TB, lengths []uint8) *Codec {
 	t.Helper()
 	c, err := fromLengths(lengths)
 	if err != nil {
@@ -97,7 +97,7 @@ func mustFromLengths(t *testing.T, lengths []uint8) *Codec {
 	return c
 }
 
-func mustBuild(t *testing.T, hist []uint32) *Codec {
+func mustBuild(t testing.TB, hist []uint32) *Codec {
 	t.Helper()
 	c, err := Build(hist)
 	if err != nil {

@@ -2,10 +2,16 @@
 // primary lossless encoder of FZMod-Default and FZMod-Quality. Following
 // the paper's design (§3.3: "CPU-based Huffman encoding due to low GPU
 // performance of Huffman encoders"), encoding is chunked so independent
-// chunks are processed in parallel on the host. Decoding runs two chunks
-// in lockstep, each lane a bit position that indexes a multi-symbol and a
-// single-symbol lookup table; codes longer than the table index take the
-// canonical MSB-first walk over per-length code counts.
+// chunks are processed in parallel on the host. Decoding runs several
+// chunks in lockstep, each lane a bit position into its chunk, and picks
+// its loop by the stream's shape. A stream of short codes (below
+// fourLaneBits bits per code on average: smooth fields) decodes two chunks
+// at a time through a multi-symbol table that resolves a run of codes per
+// lookup. A stream of long codes (rough fields, where a multi-table window
+// mostly holds one code) decodes four chunks at a time through the
+// single-symbol table alone. Codes longer than the table index take the
+// canonical MSB-first walk over per-length code counts. Encoding reads
+// neither table, so they are built on the first decode that needs them.
 //
 // The codec is built from a histogram of the quantization codes (provided
 // by the histogram module) and never inspects the code stream itself, so an
@@ -42,6 +48,17 @@ const multiBits = 10
 // maxMultiSyms caps the symbols pre-decoded per window entry.
 const maxMultiSyms = 6
 
+// fourLaneBits is the average code length, in bits, from which Decode runs
+// the four-lane single-symbol loop (decodeQuad) instead of the paired
+// multi-symbol loop (decodePair): a stream takes it when 8·payload bytes ≥
+// fourLaneBits·codes. BenchmarkHuffmanDecode's shape sweep times both
+// loops on Laplace-shaped streams; on a 2-vCPU Xeon at Workers=1 the pair
+// loop wins at 3.0 and 3.9 bits/code (scale 1 and 2: 1.4× and 1.1×), the
+// quad loop from 4.8 (scale 4: 1.1×, scale 20 at 7.0 bits/code: 1.9×), so
+// the crossover lies between 3.9 and 4.8. Real streams sit far from it:
+// NYX and CESM codes average 1.2–2.0 bits, HACC codes 7.1.
+const fourLaneBits = 4
+
 // chunkSize is the number of symbols encoded per independent chunk.
 const chunkSize = 1 << 16
 
@@ -60,12 +77,18 @@ type Codec struct {
 
 	// Canonical decode state.
 	minLen, maxLen int
+	fastBits       int                    // fast table index width: min(maxLen, tableBits)
 	firstCode      []uint32               // by length
 	firstIdx       []int                  // by length
 	count          [maxCodeLen + 1]uint32 // codes per length
 	symByIdx       []uint16
-	fast           []fastEntry
-	multi          []multiEntry
+
+	// Decode tables, built by fastTable and multiTable on first use and
+	// read-only after: Decode builds the ones its loop reads before any
+	// lane runs.
+	fastOnce, multiOnce sync.Once
+	fast                []fastEntry
+	multi               []multiEntry
 }
 
 type fastEntry struct {
@@ -81,6 +104,11 @@ type multiEntry struct {
 	n    uint8
 	bits uint8
 }
+
+// noMulti stands in for the multi-symbol table where Decode has not built
+// it: its one entry has n == 0, so every lookup misses and the per-symbol
+// paths decode every code.
+var noMulti = []multiEntry{{}}
 
 // buildScratch holds the transient arrays of one codebook construction
 // (frequencies, parent links, heap). They are recycled through a
@@ -260,7 +288,8 @@ func buildLengths(freqs []uint64, sc *buildScratch) []uint8 {
 	return lengths
 }
 
-// fromLengths assigns canonical codes and builds decode structures.
+// fromLengths assigns canonical codes and the canonical decode state; the
+// decode tables wait for fastTable and multiTable.
 func fromLengths(lengths []uint8) (*Codec, error) {
 	c := &Codec{lengths: lengths}
 	c.lengths32 = make([]uint32, len(lengths))
@@ -320,50 +349,62 @@ func fromLengths(lengths []uint8) (*Codec, error) {
 		c.enc[s] = uint64(rev)<<8 | uint64(l)
 	}
 
-	// Fast table.
-	tb := c.maxLen
-	if tb > tableBits {
-		tb = tableBits
-	}
-	c.fast = make([]fastEntry, 1<<uint(tb))
-	for s, l := range lengths {
-		if l == 0 || int(l) > tb {
-			continue
-		}
-		// Stream packs code bits MSB-first at increasing bit positions;
-		// lookahead index packs stream bits LSB-first — exactly revCode.
-		base := uint32(c.enc[s] >> 8)
-		for fill := 0; fill < 1<<uint(tb-int(l)); fill++ {
-			c.fast[base|uint32(fill)<<uint(l)] = fastEntry{uint16(s), l}
-		}
-	}
-
-	// Multi-symbol table: simulate fast-path decoding inside each window.
-	// A symbol is committed only when its full code lies within the
-	// window's remaining bits, so a window never implies symbols the
-	// canonical decoder would not produce.
-	mb := c.maxLen
-	if mb > multiBits {
-		mb = multiBits
-	}
-	c.multi = make([]multiEntry, 1<<uint(mb))
-	for w := range c.multi {
-		acc := uint32(w)
-		rem := mb
-		me := &c.multi[w]
-		for me.n < maxMultiSyms {
-			e := c.fast[acc&uint32(len(c.fast)-1)]
-			if e.len == 0 || int(e.len) > rem {
-				break
-			}
-			me.syms[me.n] = e.sym
-			me.n++
-			me.bits += e.len
-			acc >>= e.len
-			rem -= int(e.len)
-		}
-	}
+	c.fastBits = min(c.maxLen, tableBits)
 	return c, nil
+}
+
+// fastTable returns the single-symbol decode table, building it on the
+// first call: entry w decodes the code at the front of the fastBits-wide
+// window w, or has len 0 when that code is longer than the window.
+func (c *Codec) fastTable() []fastEntry {
+	c.fastOnce.Do(func() {
+		tb := c.fastBits
+		fast := make([]fastEntry, 1<<uint(tb))
+		for s, l := range c.lengths {
+			if l == 0 || int(l) > tb {
+				continue
+			}
+			// Stream packs code bits MSB-first at increasing bit positions;
+			// lookahead index packs stream bits LSB-first — exactly revCode.
+			base := uint32(c.enc[s] >> 8)
+			for fill := 0; fill < 1<<uint(tb-int(l)); fill++ {
+				fast[base|uint32(fill)<<uint(l)] = fastEntry{uint16(s), l}
+			}
+		}
+		c.fast = fast
+	})
+	return c.fast
+}
+
+// multiTable returns the multi-symbol decode table, building it (and the
+// fast table it is simulated from) on the first call. Each window is
+// decoded the way the fast path would decode it; a symbol is committed only
+// when its full code lies within the window's remaining bits, so a window
+// never implies symbols the canonical decoder would not produce.
+func (c *Codec) multiTable() []multiEntry {
+	fast := c.fastTable()
+	c.multiOnce.Do(func() {
+		mb := min(c.maxLen, multiBits)
+		multi := make([]multiEntry, 1<<uint(mb))
+		for w := range multi {
+			acc := uint32(w)
+			rem := mb
+			me := &multi[w]
+			for me.n < maxMultiSyms {
+				e := fast[acc&uint32(len(fast)-1)]
+				if e.len == 0 || int(e.len) > rem {
+					break
+				}
+				me.syms[me.n] = e.sym
+				me.n++
+				me.bits += e.len
+				acc >>= e.len
+				rem -= int(e.len)
+			}
+		}
+		c.multi = multi
+	})
+	return c.multi
 }
 
 // Alphabet returns the dense alphabet size.
@@ -568,10 +609,28 @@ func emitChunk(enc []uint64, codes []uint16, out []byte) {
 // Decode expands a chunked bitstream produced by Encode into dst, writing
 // every slot (dst may hold any bytes), and returns it; a stream whose count
 // is not len(dst) is refused before decoding, and nil dst allocates.
-// Chunks decode in parallel at place, each LaunchBlocks range two at a
-// time (decodePair), so two independent lookup → shift chains overlap in
-// one loop; an odd last chunk runs the single-lane loop.
+// Chunks decode in parallel at place, several at a time per LaunchBlocks
+// range, so independent lookup → shift chains overlap in one loop. The
+// loop follows the stream's shape: below fourLaneBits bits per code, pairs
+// of chunks run decodePair over the multi-symbol table; from there on,
+// groups of four run decodeQuad over the single-symbol table, and any 1–3
+// chunks left in a range run decodePair without the multi table. An odd
+// last chunk runs the single-lane loop.
 func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte, dst []uint16) ([]uint16, error) {
+	return c.decode(p, place, data, dst, loopByShape)
+}
+
+// decodeLoop selects Decode's loop: by the stream's shape, or (for tests
+// and benchmarks that time one loop on another's stream) forced.
+type decodeLoop uint8
+
+const (
+	loopByShape decodeLoop = iota
+	loopPair               // decodePair over the multi-symbol table
+	loopQuad               // decodeQuad over the single-symbol table
+)
+
+func (c *Codec) decode(p *device.Platform, place device.Place, data []byte, dst []uint16, loop decodeLoop) ([]uint16, error) {
 	total, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, fmt.Errorf("huffman: truncated stream header")
@@ -622,24 +681,41 @@ func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte, dst 
 	if offsets[nChunks] > int64(len(data)) {
 		return nil, fmt.Errorf("huffman: stream shorter than chunk table claims")
 	}
+	if nChunks == 0 {
+		return dst, nil
+	}
+	if loop == loopByShape {
+		loop = loopPair
+		if 8*uint64(offsets[nChunks]-offsets[0]) >= fourLaneBits*total {
+			loop = loopQuad
+		}
+	}
+	// The tables the loop reads are built here, before any lane runs.
+	c.fastTable()
+	multi := noMulti
+	if loop == loopPair {
+		multi = c.multiTable()
+	}
 
 	var errMu sync.Mutex
 	var firstErr error
 	p.LaunchBlocks(place, int(nChunks), func(lo, hi int) {
-		chunk := func(ci int) ([]byte, []uint16) {
+		chunk := func(ci int) lane {
 			start := ci * chunkSize
-			return data[offsets[ci]:offsets[ci+1]], dst[start:min(start+chunkSize, int(total))]
+			return lane{in: data[offsets[ci]:offsets[ci+1]], out: dst[start:min(start+chunkSize, int(total))]}
 		}
 		var err error
 		ci := lo
+		if loop == loopQuad {
+			for ; ci+3 < hi && err == nil; ci += 4 {
+				err = c.decodeQuad(chunk(ci), chunk(ci+1), chunk(ci+2), chunk(ci+3))
+			}
+		}
 		for ; ci+1 < hi && err == nil; ci += 2 {
-			a, outA := chunk(ci)
-			b, outB := chunk(ci + 1)
-			err = c.decodePair(a, outA, b, outB)
+			err = c.decodePair(multi, chunk(ci), chunk(ci+1))
 		}
 		if ci < hi && err == nil {
-			d, o := chunk(ci)
-			err = c.decodeLane(d, o, 0, 0)
+			err = c.decodeLane(multi, chunk(ci))
 		}
 		if err != nil {
 			errMu.Lock()
@@ -657,24 +733,112 @@ func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte, dst 
 	return dst, nil
 }
 
-// decodePair decodes two chunks in lockstep: the two lookup → advance
-// chains are independent, so their latencies overlap. Each lane is a bit
-// position held in locals. A step loads the 8 bytes at the lane's byte and
-// shifts out the bits of that byte already consumed, which leaves at least
-// 57 stream bits: more than any one table entry or long code consumes.
-// There is nothing to refill, so a lane step is one load and one variable
-// shift. With two lanes the loop is bound by issue slots, not latency: the
-// fewer instructions per code, the faster it runs and the less it slows
-// when another hardware thread shares the core. The loop runs while both
-// lanes have 8 readable bytes and room for a full multi-table entry, so its
-// body needs no input or output checks, and a multi-table hit is one
-// unconditional maxMultiSyms-wide store. Each lane then finishes in
-// decodeLane from where it stopped.
-func (c *Codec) decodePair(a []byte, outA []uint16, b []byte, outB []uint16) error {
-	fast, multi := c.fast, c.multi
+// lane is one chunk's decode: its payload, its codes, and how far the
+// decode has got in each. A fresh chunk starts from zero.
+type lane struct {
+	in  []byte
+	out []uint16
+	bit uint // stream bits consumed
+	oi  int  // codes written
+}
+
+// corruptAt is the error of a lane that finds no code at code index oi.
+func corruptAt(oi int) error {
+	return fmt.Errorf("huffman: corrupt chunk at symbol %d", oi)
+}
+
+// decodeQuad decodes four chunks in lockstep through the single-symbol
+// table, for streams of long codes: there a multi-table window mostly holds
+// one code, so four short lookup → shift chains in flight beat two longer
+// ones. Lanes start fresh and advance together, so one output index serves
+// all four. A batch loads each lane's window as decodePair does (the 8
+// bytes at the lane's byte, shifted past the bits already consumed: at
+// least 57 stream bits) and takes steps = 57/maxLen steps from it, each a
+// fast-table lookup and a shift of the window, or longCode when the code is
+// longer than the table index. A step consumes at most maxLen bits and
+// writes one code, so the window never runs short inside a batch and the
+// bounds are checked once per batch: every lane must have 8 readable bytes
+// at its byte and steps free slots. Each pair of lanes then finishes in
+// decodePair from where it stopped.
+func (c *Codec) decodeQuad(l0, l1, l2, l3 lane) error {
+	fast := c.fast
+	mask := uint64(len(fast) - 1)
+	steps := 57 / c.maxLen
+	in0, in1, in2, in3 := l0.in, l1.in, l2.in, l3.in
+	out0, out1, out2, out3 := l0.out, l1.out, l2.out, l3.out
+	var bit0, bit1, bit2, bit3 uint
+	oi := 0
+	for bit0>>3+8 <= uint(len(in0)) && bit1>>3+8 <= uint(len(in1)) && bit2>>3+8 <= uint(len(in2)) && bit3>>3+8 <= uint(len(in3)) &&
+		oi+steps <= len(out0) && oi+steps <= len(out1) && oi+steps <= len(out2) && oi+steps <= len(out3) {
+		acc0 := binary.LittleEndian.Uint64(in0[bit0>>3:]) >> (bit0 & 7)
+		acc1 := binary.LittleEndian.Uint64(in1[bit1>>3:]) >> (bit1 & 7)
+		acc2 := binary.LittleEndian.Uint64(in2[bit2>>3:]) >> (bit2 & 7)
+		acc3 := binary.LittleEndian.Uint64(in3[bit3>>3:]) >> (bit3 & 7)
+		w0, w1, w2, w3 := out0[oi:oi+steps], out1[oi:oi+steps], out2[oi:oi+steps], out3[oi:oi+steps]
+		for k := range w0 {
+			e0, e1, e2, e3 := fast[acc0&mask], fast[acc1&mask], fast[acc2&mask], fast[acc3&mask]
+			if e0.len == 0 {
+				if e0 = c.longEntry(acc0); e0.len == 0 {
+					return corruptAt(oi + k)
+				}
+			}
+			if e1.len == 0 {
+				if e1 = c.longEntry(acc1); e1.len == 0 {
+					return corruptAt(oi + k)
+				}
+			}
+			if e2.len == 0 {
+				if e2 = c.longEntry(acc2); e2.len == 0 {
+					return corruptAt(oi + k)
+				}
+			}
+			if e3.len == 0 {
+				if e3 = c.longEntry(acc3); e3.len == 0 {
+					return corruptAt(oi + k)
+				}
+			}
+			w0[k], w1[k], w2[k], w3[k] = e0.sym, e1.sym, e2.sym, e3.sym
+			// Lengths are at most 32: the mask only spares the compiler's
+			// shift-by-64 guard.
+			acc0, acc1, acc2, acc3 = acc0>>(e0.len&63), acc1>>(e1.len&63), acc2>>(e2.len&63), acc3>>(e3.len&63)
+			bit0, bit1, bit2, bit3 = bit0+uint(e0.len), bit1+uint(e1.len), bit2+uint(e2.len), bit3+uint(e3.len)
+		}
+		oi += steps
+	}
+	l0.bit, l1.bit, l2.bit, l3.bit = bit0, bit1, bit2, bit3
+	l0.oi, l1.oi, l2.oi, l3.oi = oi, oi, oi, oi
+	if err := c.decodePair(noMulti, l0, l1); err != nil {
+		return err
+	}
+	return c.decodePair(noMulti, l2, l3)
+}
+
+// longEntry is longCode as a fast-table entry (len 0 when no code
+// matches), for a window that holds at least maxLen stream bits.
+func (c *Codec) longEntry(acc uint64) fastEntry {
+	sym, l := c.longCode(acc, uint(c.maxLen))
+	return fastEntry{sym, uint8(l)}
+}
+
+// decodePair decodes two chunks in lockstep from where each lane stands:
+// the two lookup → advance chains are independent, so their latencies
+// overlap. Each lane is a bit position held in locals. A step loads the 8
+// bytes at the lane's byte and shifts out the bits of that byte already
+// consumed, which leaves at least 57 stream bits: more than any one table
+// entry or long code consumes. There is nothing to refill, so a lane step
+// is one load and one variable shift. With two lanes the loop is bound by
+// issue slots, not latency: the fewer instructions per code, the faster it
+// runs and the less it slows when another hardware thread shares the core.
+// The loop runs while both lanes have 8 readable bytes and room for a full
+// multi-table entry, so its body needs no input or output checks, and a
+// multi-table hit is one unconditional maxMultiSyms-wide store. Each lane
+// then finishes in decodeLane from where it stopped. multi is the
+// multi-symbol table, or noMulti to decode code by code.
+func (c *Codec) decodePair(multi []multiEntry, x, y lane) error {
+	fast := c.fast
 	mask, mmask := uint64(len(fast)-1), uint64(len(multi)-1)
-	var bitA, bitB uint
-	var oiA, oiB int
+	a, outA, bitA, oiA := x.in, x.out, x.bit, x.oi
+	b, outB, bitB, oiB := y.in, y.out, y.bit, y.oi
 	for bitA>>3+8 <= uint(len(a)) && bitB>>3+8 <= uint(len(b)) && oiA+maxMultiSyms <= len(outA) && oiB+maxMultiSyms <= len(outB) {
 		accA := binary.LittleEndian.Uint64(a[bitA>>3:]) >> (bitA & 7)
 		accB := binary.LittleEndian.Uint64(b[bitB>>3:]) >> (bitB & 7)
@@ -691,7 +855,7 @@ func (c *Codec) decodePair(a []byte, outA []uint16, b []byte, outB []uint16) err
 			oiA++
 			bitA += l
 		} else {
-			return fmt.Errorf("huffman: corrupt chunk at symbol %d", oiA)
+			return corruptAt(oiA)
 		}
 		if me := &multi[accB&mmask]; me.n > 0 {
 			*(*[maxMultiSyms]uint16)(outB[oiB:]) = me.syms
@@ -706,37 +870,37 @@ func (c *Codec) decodePair(a []byte, outA []uint16, b []byte, outB []uint16) err
 			oiB++
 			bitB += l
 		} else {
-			return fmt.Errorf("huffman: corrupt chunk at symbol %d", oiB)
+			return corruptAt(oiB)
 		}
 	}
-	if err := c.decodeLane(a, outA, bitA, oiA); err != nil {
+	if err := c.decodeLane(multi, lane{a, outA, bitA, oiA}); err != nil {
 		return err
 	}
-	return c.decodeLane(b, outB, bitB, oiB)
+	return c.decodeLane(multi, lane{b, outB, bitB, oiB})
 }
 
-// decodeLane decodes one chunk from stream bit position bit and output
-// index oi to its end; a fresh chunk starts from zero. It runs a 64-bit bit
-// reservoir whose bits at and above navail are zero or already-counted
-// stream bits, so every table hit is checked against navail here. Eight
-// bytes are loaded per refill with a single little-endian read, and a
-// byte-wise scalar refill takes over inside the last word of the chunk. A
-// multi-table hit is one unconditional array store while a whole entry
-// fits in out, and a copy of its n symbols at the very end.
-func (c *Codec) decodeLane(data []byte, out []uint16, bit uint, oi int) error {
+// decodeLane decodes one chunk from where its lane stands to its end. It
+// runs a 64-bit bit reservoir whose bits at and above navail are zero or
+// already-counted stream bits, so every table hit is checked against
+// navail here. Eight bytes are loaded per refill with a single
+// little-endian read, and a byte-wise scalar refill takes over inside the
+// last word of the chunk. A multi-table hit is one unconditional array
+// store while a whole entry fits in out, and a copy of its n symbols at the
+// very end.
+func (c *Codec) decodeLane(multi []multiEntry, l lane) error {
+	data, out, oi := l.in, l.out, l.oi
 	n := len(data)
-	pos := int(bit >> 3)
+	pos := int(l.bit >> 3)
 	var acc uint64
 	var navail uint
-	if skip := bit & 7; skip != 0 {
+	if skip := l.bit & 7; skip != 0 {
 		// The byte at pos is partly consumed: its remaining bits start
 		// the reservoir.
 		acc, navail = uint64(data[pos])>>skip, 8-skip
 		pos++
 	}
-	mask := uint64(len(c.fast) - 1)
-	fast, multi := c.fast, c.multi
-	mmask := uint64(len(multi) - 1)
+	fast := c.fast
+	mask, mmask := uint64(len(fast)-1), uint64(len(multi)-1)
 	for oi < len(out) {
 		if navail < 32 {
 			if pos+8 <= n {
@@ -774,7 +938,7 @@ func (c *Codec) decodeLane(data []byte, out []uint16, bit uint, oi int) error {
 		}
 		sym, l := c.longCode(acc, navail)
 		if l == 0 {
-			return fmt.Errorf("huffman: corrupt chunk at symbol %d", oi)
+			return corruptAt(oi)
 		}
 		out[oi] = sym
 		oi++
@@ -786,15 +950,15 @@ func (c *Codec) decodeLane(data []byte, out []uint16, bit uint, oi int) error {
 
 // longCode decodes a code longer than the fast table's index from the low
 // navail stream bits of acc with the canonical MSB-first walk: acc is
-// bit-reversed once so the next l stream bits are the top l bits, and length l matches when code − firstCode[l] < count[l] (unsigned,
-// so codes below firstCode[l] wrap and miss). It returns l = 0 when no code
-// of at most min(maxLen, navail) bits matches. A code no longer than the
-// fast index never reaches here: the fast table holds every such code.
+// bit-reversed once so the next l stream bits are the top l bits, and
+// length l matches when code − firstCode[l] < count[l] (unsigned, so codes
+// below firstCode[l] wrap and miss). It returns l = 0 when no code of at
+// most min(maxLen, navail) bits matches. A code no longer than the fast
+// index never reaches here: the fast table holds every such code.
 func (c *Codec) longCode(acc uint64, navail uint) (uint16, uint) {
 	rev := bits.Reverse64(acc)
 	lMax := min(uint(c.maxLen), navail)
-	// len(c.fast) is 1<<tb, so the walk starts at length tb+1.
-	for l := uint(bits.Len(uint(len(c.fast)))); l <= lMax; l++ {
+	for l := uint(c.fastBits) + 1; l <= lMax; l++ {
 		if rel := uint32(rev>>(64-l)) - c.firstCode[l]; rel < c.count[l] {
 			return c.symByIdx[c.firstIdx[l]+int(rel)], l
 		}

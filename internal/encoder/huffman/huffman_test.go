@@ -2,13 +2,18 @@ package huffman
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"fzmod/internal/device"
+	"fzmod/internal/grid"
 	"fzmod/internal/kernels/dispatch"
+	"fzmod/internal/predictor/lorenzo"
+	"fzmod/internal/preprocess"
+	"fzmod/internal/sdrbench"
 )
 
 var tp = device.NewTestPlatform()
@@ -538,10 +543,40 @@ func genLaplace(n int, b, tail float64, seed int64) []uint16 {
 // ns/code and the stream's bits/code. "centre80" is 80 % one symbol; the
 // field-shaped streams match the two Default workloads' code statistics:
 // "nyx" about 1.4 bits/code, all codes within the fast table, and "hacc"
-// about 7 bits/code with about 3 % of codes longer than tableBits.
+// about 7 bits/code with about 3 % of codes longer than tableBits. These
+// decode by shape, as Decode does.
+//
+// "shape/b=…" sweeps the Laplace scale of genLaplace (3 % uniform tail)
+// from NYX-like to HACC-like streams and times both loops on each, "pair"
+// (decodePair over the multi-symbol table) and "quad" (decodeQuad over the
+// single-symbol table): the bits/code at which quad starts to win backs
+// fourLaneBits. "hacc-lorenzo" times both on the Lorenzo codes of a HACC
+// field at relative bound 1e-4, whose 12 % escape code the synthetic
+// streams lack.
 func BenchmarkHuffmanDecode(b *testing.B) {
 	centre, _ := benchCodes(1 << 21)
 	p := tp.WithWorkers(1)
+	run := func(b *testing.B, codes []uint16, loop decodeLoop) {
+		h := histOf(codes, 1024)
+		c, err := Build(h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payload, err := c.Encode(p, device.Host, codes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst := make([]uint16, len(codes))
+		b.SetBytes(int64(2 * len(codes)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.decode(p, device.Host, payload, dst, loop); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(codes)), "ns/code")
+		b.ReportMetric(float64(c.ExpectedBits(h))/float64(len(codes)), "bits/code")
+	}
 	for _, bc := range []struct {
 		name  string
 		codes []uint16
@@ -550,24 +585,37 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 		{"nyx", genLaplace(1<<21, 0.35, 0, 1)},
 		{"hacc", genLaplace(1<<21, 20, 0.03, 1)},
 	} {
-		h := histOf(bc.codes, 1024)
-		c, err := Build(h)
-		if err != nil {
-			b.Fatal(err)
-		}
-		payload, err := c.Encode(p, device.Host, bc.codes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(int64(2 * len(bc.codes)))
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Decode(p, device.Host, payload, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bc.codes)), "ns/code")
-			b.ReportMetric(float64(c.ExpectedBits(h))/float64(len(bc.codes)), "bits/code")
-		})
+		b.Run(bc.name, func(b *testing.B) { run(b, bc.codes, loopByShape) })
 	}
+	loops := []struct {
+		name string
+		loop decodeLoop
+	}{{"pair", loopPair}, {"quad", loopQuad}}
+	for _, scale := range []float64{0.35, 1, 2, 4, 8, 20} {
+		codes := genLaplace(1<<21, scale, 0.03, 1)
+		for _, l := range loops {
+			b.Run(fmt.Sprintf("shape/b=%g/%s", scale, l.name), func(b *testing.B) { run(b, codes, l.loop) })
+		}
+	}
+	hacc := haccLorenzoCodes(b, 1<<21)
+	for _, l := range loops {
+		b.Run("hacc-lorenzo/"+l.name, func(b *testing.B) { run(b, hacc, l.loop) })
+	}
+}
+
+// haccLorenzoCodes returns the Lorenzo quantization codes of an n-value
+// sdrbench HACC field at relative bound 1e-4, the hacc-default workload's
+// codes.
+func haccLorenzoCodes(tb testing.TB, n int) []uint16 {
+	tb.Helper()
+	data := sdrbench.GenHACC(n, 7)
+	eb, _, err := preprocess.Resolve(tp, device.Host, data, preprocess.RelBound(1e-4))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q, err := lorenzo.Encode(tp, device.Host, data, grid.D1(n), eb, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return q.Codes
 }

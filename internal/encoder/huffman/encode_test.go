@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fzmod/internal/device"
+	"fzmod/internal/kernels/dispatch"
 )
 
 // refRevCodes assigns canonical codes the way fromLengths did before it
@@ -116,13 +117,18 @@ func flatLengths() []uint8 {
 	return lengths
 }
 
+// TestEncodeMatchesReference encodes every book under every kernel tier,
+// by shape and with each emitter forced, against refEncode. "chain3" is a
+// short-code book, whose chunks run dispatch.EmitCodes by shape;
+// "chain32"'s streams put most eight-code groups past 56 bits, so the
+// forced kernel runs the vector tier's code-by-code path.
 func TestEncodeMatchesReference(t *testing.T) {
 	type book struct {
 		name string
 		c    *Codec
 	}
 	var books []book
-	for _, m := range []int{11, 13, 17, 32} {
+	for _, m := range []int{3, 11, 13, 17, 32} {
 		books = append(books, book{fmt.Sprintf("chain%d", m), mustFromLengths(t, chainLengths(m))})
 	}
 	single := make([]uint32, 16)
@@ -133,25 +139,66 @@ func TestEncodeMatchesReference(t *testing.T) {
 		book{"hacc", mustBuild(t, histOf(genLaplace(1<<18, 20, 0.03, 2), 1024))},
 		book{"flat16", mustFromLengths(t, flatLengths())},
 	)
-	// Short streams run only the byte-wise tail; the rest cover one to
+	// Short streams run only the byte-wise tail; 8k+1 to 8k+7 codes end
+	// the eight-code groups with every remainder; the rest cover one to
 	// five chunks with full and short last chunks.
-	sizes := []int{1, 3, 5, 37, chunkSize, chunkSize + 3, 2*chunkSize - 5000, 3*chunkSize - 1, 4 * chunkSize, 5*chunkSize - 60000}
-	platforms := []*device.Platform{tp.WithWorkers(1), tp.WithWorkers(2)}
+	sizes := []int{1, 3, 5, 37}
+	for r := 1; r < 8; r++ {
+		sizes = append(sizes, 8*125+r)
+	}
+	sizes = append(sizes, chunkSize, chunkSize+3, 2*chunkSize-5000, 3*chunkSize-1, 4*chunkSize, 5*chunkSize-60000)
+	loops := []struct {
+		name string
+		loop emitLoop
+	}{{"by-shape", emitByShape}, {"kernel", emitKernel}, {"scalar", emitScalar}}
+	streams := make([][][]uint16, len(books))
+	wants := make([][][]byte, len(books))
 	for bi, b := range books {
 		for si, n := range sizes {
 			codes := genForCodec(b.c, n, int64(100*bi+si))
-			want := refEncode(b.c, codes)
-			for _, p := range platforms {
-				got, err := b.c.Encode(p, device.Host, codes)
-				if err != nil {
-					t.Fatalf("%s/n=%d: %v", b.name, n, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s/n=%d (workers %d): Encode gives %d bytes, reference %d, first difference at %d",
-						b.name, n, p.Workers(device.Host), len(got), len(want), firstDiff(got, want))
+			streams[bi] = append(streams[bi], codes)
+			wants[bi] = append(wants[bi], refEncode(b.c, codes))
+		}
+	}
+	platforms := []*device.Platform{tp.WithWorkers(1), tp.WithWorkers(2)}
+	forEachTier(t, func(t *testing.T) {
+		for bi, b := range books {
+			for si, n := range sizes {
+				codes, want := streams[bi][si], wants[bi][si]
+				for _, p := range platforms {
+					for _, l := range loops {
+						if l.loop != emitByShape && p.Workers(device.Host) != 1 {
+							continue
+						}
+						got, err := b.c.encode(p, device.Host, codes, nil, l.loop)
+						if err != nil {
+							t.Fatalf("%s/n=%d: %v", b.name, n, err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Errorf("%s/n=%d (workers %d, %s): Encode gives %d bytes, reference %d, first difference at %d",
+								b.name, n, p.Workers(device.Host), l.name, len(got), len(want), firstDiff(got, want))
+						}
+					}
 				}
 			}
 		}
+	})
+}
+
+// forEachTier runs f once under every kernel tier this build supports,
+// restoring auto-detection afterwards.
+func forEachTier(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer func() {
+		if err := dispatch.Use("auto"); err != nil {
+			t.Fatalf("restoring auto tier: %v", err)
+		}
+	}()
+	for _, tier := range dispatch.Tiers() {
+		if err := dispatch.Use(tier); err != nil {
+			t.Fatalf("Use(%q): %v", tier, err)
+		}
+		t.Run(tier, f)
 	}
 }
 

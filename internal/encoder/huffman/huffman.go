@@ -11,7 +11,8 @@
 // mostly holds one code) decodes four chunks at a time through the
 // single-symbol table alone. Codes longer than the table index take the
 // canonical MSB-first walk over per-length code counts. Encoding reads
-// neither table, so they are built on the first decode that needs them.
+// neither table, so they are built on the first decode that needs them;
+// it picks its emitter by the same shape rule, per chunk (emitByShape).
 //
 // The codec is built from a histogram of the quantization codes (provided
 // by the histogram module) and never inspects the code stream itself, so an
@@ -24,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"fzmod/internal/device"
@@ -110,15 +112,16 @@ type multiEntry struct {
 // paths decode every code.
 var noMulti = []multiEntry{{}}
 
-// buildScratch holds the transient arrays of one codebook construction
-// (frequencies, parent links, heap). They are recycled through a
-// package-level pool: a chunked or streaming run builds one codebook per
-// chunk, and without recycling the tree scratch dominates steady-state
-// allocation.
+// buildScratch holds the transient arrays of one codebook construction:
+// frequencies, the sorted leaf keys, the internal-node weights (then
+// depths) and the parent links. They are recycled through a package-level
+// pool: a chunked or streaming run builds one codebook per chunk, and
+// without recycling the tree scratch dominates steady-state allocation.
 type buildScratch struct {
 	freqs  []uint64
+	keys   []uint64
+	inner  []uint64
 	parent []int32
-	heap   nodeHeap
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
@@ -173,117 +176,60 @@ func maxOf(lengths []uint8) int {
 	return m
 }
 
-// node heap for tree construction. A hand-rolled binary min-heap rather
-// than container/heap: the interface-based API boxes every Push/Pop
-// element, which dominated allocation counts on the chunked hot path. The
-// comparator is a strict total order (idx is unique), so the pop sequence —
-// and therefore the tree — is identical to the boxed implementation.
-type hnode struct {
-	freq uint64
-	idx  int // < len(alphabet): leaf symbol; else internal
-}
-type nodeHeap []hnode
-
-func (h nodeHeap) less(i, j int) bool {
-	if h[i].freq != h[j].freq {
-		return h[i].freq < h[j].freq
-	}
-	return h[i].idx < h[j].idx // deterministic tie-break
-}
-
-func (h nodeHeap) down(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h.less(r, l) {
-			m = r
-		}
-		if !h.less(m, i) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-func (h nodeHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-func (h *nodeHeap) push(x hnode) {
-	a := append(*h, x)
-	*h = a
-	for i := len(a) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !a.less(i, p) {
-			break
-		}
-		a[i], a[p] = a[p], a[i]
-		i = p
-	}
-}
-
-func (h *nodeHeap) pop() hnode {
-	a := *h
-	n := len(a) - 1
-	a[0], a[n] = a[n], a[0]
-	x := a[n]
-	*h = a[:n]
-	a[:n].down(0)
-	return x
-}
-
-// buildLengths runs the classic heap construction and returns per-symbol
-// code lengths. The parent table and heap live in sc; the returned lengths
-// are freshly allocated (they outlive the call inside the Codec).
+// buildLengths builds the Huffman tree by merging two queues (van Leeuwen
+// 1976) and returns per-symbol code lengths. The leaves are sorted once as
+// freq<<16 | sym keys; internal nodes are made in order of non-decreasing
+// weight, so the second queue is their creation order. Each step joins the
+// two lightest heads in (freq, idx) order, where a leaf's idx is its
+// symbol and the k-th internal node's is n+k: a leaf wins a weight tie.
+// That is the order a binary heap of all nodes pops, so the tree is the
+// heap construction's. The scratch lives in sc; the returned lengths are
+// freshly allocated (they outlive the call inside the Codec).
 func buildLengths(freqs []uint64, sc *buildScratch) []uint8 {
 	n := len(freqs)
-	// Capacity is sufficient for every append below (≤ 2n parent entries,
-	// ≤ n heap nodes), so the backing arrays stored back into sc are the
-	// ones the appends fill.
-	sc.parent = grow(sc.parent, 2*n)
-	sc.heap = grow(sc.heap, n)
-	parent := sc.parent[:0]
-	h := sc.heap[:0]
-	for i, f := range freqs {
-		parent = append(parent, -1)
+	keys := grow(sc.keys, n)[:0]
+	for s, f := range freqs {
 		if f > 0 {
-			h = append(h, hnode{f, i})
+			keys = append(keys, f<<16|uint64(s))
 		}
 	}
-	if len(h) == 1 {
+	sc.keys = keys
+	lengths := make([]uint8, n)
+	m := len(keys)
+	if m == 1 {
 		// Single symbol: give it a 1-bit code.
-		lengths := make([]uint8, n)
-		lengths[h[0].idx] = 1
+		lengths[keys[0]&0xffff] = 1
 		return lengths
 	}
-	h.init()
-	next := n
-	for len(h) > 1 {
-		a := h.pop()
-		b := h.pop()
-		parent = append(parent, -1)
-		parent[a.idx] = int32(next)
-		parent[b.idx] = int32(next)
-		h.push(hnode{a.freq + b.freq, next})
-		next++
+	slices.Sort(keys)
+	sc.inner = grow(sc.inner, m-1)
+	sc.parent = grow(sc.parent, n+m-1)
+	inner, parent := sc.inner, sc.parent
+	li, ii := 0, 0
+	for k := range inner {
+		var w uint64
+		for j := 0; j < 2; j++ {
+			if li < m && (ii == k || keys[li]>>16 <= inner[ii]) {
+				w += keys[li] >> 16
+				parent[keys[li]&0xffff] = int32(n + k)
+				li++
+			} else {
+				w += inner[ii]
+				parent[n+ii] = int32(n + k)
+				ii++
+			}
+		}
+		inner[k] = w
 	}
-	lengths := make([]uint8, n)
-	for i := 0; i < n; i++ {
-		if freqs[i] == 0 {
-			continue
-		}
-		d := 0
-		for j := i; parent[j] >= 0; j = int(parent[j]) {
-			d++
-		}
-		lengths[i] = uint8(d)
+	// Parents come after their children, so one backward pass turns the
+	// weights into depths, the root's 0.
+	inner[m-2] = 0
+	for k := m - 3; k >= 0; k-- {
+		inner[k] = inner[int(parent[n+k])-n] + 1
+	}
+	for _, key := range keys {
+		s := key & 0xffff
+		lengths[s] = uint8(inner[int(parent[s])-n] + 1)
 	}
 	return lengths
 }
@@ -482,13 +428,29 @@ func ParseTable(data []byte) (*Codec, int, error) {
 // straight into its own window of that output, so no chunk is copied and
 // no scratch slab is taken.
 func (c *Codec) Encode(p *device.Platform, place device.Place, codes []uint16) ([]byte, error) {
-	return c.encode(p, place, codes, nil)
+	return c.encode(p, place, codes, nil, emitByShape)
 }
+
+// emitLoop selects encode's emitter: by the chunk's shape, or (for tests
+// and benchmarks that time one emitter on another's stream) forced.
+type emitLoop uint8
+
+const (
+	// emitByShape runs dispatch.EmitCodes on a chunk of at most
+	// fourLaneBits bits per code (8·bytes ≤ fourLaneBits·codes, from the
+	// sizing pass) and its scalar twin on a chunk of longer codes. The
+	// vector tier flushes eight codes at once and goes code by code when
+	// they exceed 56 bits, which most eight-code groups of long codes do.
+	// BenchmarkHuffmanEncode's shape sweep times both emitters.
+	emitByShape emitLoop = iota
+	emitKernel           // dispatch.EmitCodes on every chunk
+	emitScalar           // dispatch.EmitCodesScalar on every chunk
+)
 
 // encode is Encode laying the stream behind prefix in the same buffer —
 // Compress passes the serialized table, so table and stream are never
 // concatenated.
-func (c *Codec) encode(p *device.Platform, place device.Place, codes []uint16, prefix []byte) ([]byte, error) {
+func (c *Codec) encode(p *device.Platform, place device.Place, codes []uint16, prefix []byte, loop emitLoop) ([]byte, error) {
 	nChunks := (len(codes) + chunkSize - 1) / chunkSize
 	chunk := func(ci int) []uint16 { return codes[ci*chunkSize : min((ci+1)*chunkSize, len(codes))] }
 	// Chunk sizes go into the tail slots and are folded into offsets in
@@ -521,9 +483,14 @@ func (c *Codec) encode(p *device.Platform, place device.Place, codes []uint16, p
 	out = out[:offs[nChunks]]
 	p.LaunchBlocks(place, nChunks, func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
+			codes := chunk(ci)
+			emit := dispatch.EmitCodes
+			if loop == emitScalar || loop == emitByShape && 8*(offs[ci+1]-offs[ci]) > fourLaneBits*len(codes) {
+				emit = dispatch.EmitCodesScalar
+			}
 			// Cap-limited: a store past the window panics instead of
 			// racing the next chunk's emitter.
-			emitChunk(c.enc, chunk(ci), out[offs[ci]:offs[ci+1]:offs[ci+1]])
+			emitChunk(emit, c.enc, codes, out[offs[ci]:offs[ci+1]:offs[ci+1]])
 		}
 	})
 	return out, nil
@@ -548,50 +515,13 @@ func (c *Codec) chunkBits(codes []uint16) (uint64, error) {
 }
 
 // emitChunk writes the bitstream of codes into out, which chunkBits sized
-// exactly; every symbol must be coded. acc holds the nbits < 8 pending
-// stream bits, and out is resliced past every completed byte. Codes go four
-// at a time: their codes are merged into one word w and their lengths
-// summed into n, off the carried chain. When n is at most 56 the group
-// costs one shift into acc and one unconditional 8-byte store; a wider
-// group (rare: real codebooks stop at 15–19 bits) drops w and stores once
-// per code. A store may write bytes past the completed ones, which later
-// stores or the tail rewrite, so word stores run while 32 bytes remain and
-// a byte-wise tail finishes the chunk. Shifts are masked to 63 so none
-// needs a range check; a w built with larger shifts is never used.
-func emitChunk(enc []uint64, codes []uint16, out []byte) {
-	var acc uint64
-	var nbits uint
-	for ; len(codes) >= 4 && len(out) >= 32; codes = codes[4:] {
-		e := enc[codes[0]]
-		w, n := e>>8, uint(e&0xff)
-		e = enc[codes[1]]
-		w |= e >> 8 << (n & 63)
-		n += uint(e & 0xff)
-		e = enc[codes[2]]
-		w |= e >> 8 << (n & 63)
-		n += uint(e & 0xff)
-		e = enc[codes[3]]
-		w |= e >> 8 << (n & 63)
-		n += uint(e & 0xff)
-		if n <= 56 {
-			acc |= w << (nbits & 63)
-			nbits += n
-			binary.LittleEndian.PutUint64(out, acc)
-			out = out[nbits>>3:]
-			acc >>= nbits &^ 7 & 63
-			nbits &= 7
-			continue
-		}
-		for _, s := range codes[:4] {
-			e := enc[s]
-			acc |= e >> 8 << (nbits & 63)
-			nbits += uint(e & 0xff)
-			binary.LittleEndian.PutUint64(out, acc)
-			out = out[nbits>>3:]
-			acc >>= nbits &^ 7 & 63
-			nbits &= 7
-		}
-	}
+// exactly; every symbol must be coded. emit (dispatch.EmitCodes or its
+// scalar twin) writes groups of codes while 32 bytes of out are left; its
+// word stores may write past the completed bytes, and the byte-wise tail
+// rewrites those as it finishes the chunk.
+func emitChunk(emit func([]uint64, []uint16, []byte, uint64, uint) (int, int, uint64, uint), enc []uint64, codes []uint16, out []byte) {
+	done, written, acc, nbits := emit(enc, codes, out, 0, 0)
+	codes, out = codes[done:], out[written:]
 	for _, s := range codes {
 		e := enc[s]
 		acc |= e >> 8 << (nbits & 63)
@@ -975,7 +905,7 @@ func Compress(p *device.Platform, place device.Place, codes []uint16, hist []uin
 	if err != nil {
 		return nil, err
 	}
-	return c.encode(p, place, codes, c.SerializeTable())
+	return c.encode(p, place, codes, c.SerializeTable(), emitByShape)
 }
 
 // Decompress inverts Compress.

@@ -486,10 +486,36 @@ func benchKernelTiers(b *testing.B, f func(b *testing.B)) {
 // kernel tier and reports ns/code and the stream's bits/code. "centre80"
 // is 80 % one symbol; "nyx" (about 1.4 bits/code, maxLen 17) and "hacc"
 // (about 7 bits/code, maxLen 16) are shaped like the two Default
-// workloads' codes, whose codebooks stop at 15–19 bits.
+// workloads' codes, whose codebooks stop at 15–19 bits. These emit by
+// shape, as Encode does.
+//
+// "shape/b=…" sweeps the Laplace scale of genLaplace (3 % uniform tail),
+// as BenchmarkHuffmanDecode does, and times both emitters on each stream,
+// "kernel" (dispatch.EmitCodes: eight codes per flush on AVX2) and
+// "scalar" (its pure-Go twin, four per flush): the bits/code at which the
+// kernel stops winning backs the fourLaneBits rule. "nyx-lorenzo" and
+// "hacc-lorenzo" time both on the Lorenzo codes of NYX and HACC fields at
+// relative bound 1e-4.
 func BenchmarkHuffmanEncode(b *testing.B) {
 	centre, _ := benchCodes(1 << 21)
 	p := tp.WithWorkers(1)
+	run := func(b *testing.B, codes []uint16, loop emitLoop) {
+		h := histOf(codes, 1024)
+		c, err := Build(h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchKernelTiers(b, func(b *testing.B) {
+			b.SetBytes(int64(2 * len(codes)))
+			for i := 0; i < b.N; i++ {
+				if _, err := c.encode(p, device.Host, codes, nil, loop); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(codes)), "ns/code")
+			b.ReportMetric(float64(c.ExpectedBits(h))/float64(len(codes)), "bits/code")
+		})
+	}
 	for _, bc := range []struct {
 		name  string
 		codes []uint16
@@ -498,22 +524,43 @@ func BenchmarkHuffmanEncode(b *testing.B) {
 		{"nyx", genLaplace(1<<21, 0.35, 0.0008, 1)},
 		{"hacc", genLaplace(1<<21, 20, 0.03, 1)},
 	} {
-		h := histOf(bc.codes, 1024)
-		c, err := Build(h)
-		if err != nil {
-			b.Fatal(err)
+		b.Run(bc.name, func(b *testing.B) { run(b, bc.codes, emitByShape) })
+	}
+	// Each stream below is made inside its b.Run, so a filtered run
+	// builds only the streams it times.
+	both := func(gen func(b *testing.B) []uint16) func(b *testing.B) {
+		return func(b *testing.B) {
+			codes := gen(b)
+			b.Run("kernel", func(b *testing.B) { run(b, codes, emitKernel) })
+			b.Run("scalar", func(b *testing.B) { run(b, codes, emitScalar) })
 		}
+	}
+	for _, scale := range []float64{0.35, 1, 2, 4, 8, 20} {
+		scale := scale
+		b.Run(fmt.Sprintf("shape/b=%g", scale), both(func(*testing.B) []uint16 { return genLaplace(1<<21, scale, 0.03, 1) }))
+	}
+	b.Run("nyx-lorenzo", both(func(b *testing.B) []uint16 { return nyxLorenzoCodes(b) }))
+	b.Run("hacc-lorenzo", both(func(b *testing.B) []uint16 { return haccLorenzoCodes(b, 1<<21) }))
+}
+
+// BenchmarkHuffmanBuild builds a codebook from NYX- and HACC-shaped
+// histograms over a 1024-symbol alphabet, and reports the bytes a warm
+// Build allocates (the Codec's own arrays; the tree scratch is pooled).
+func BenchmarkHuffmanBuild(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		hist []uint32
+	}{
+		{"nyx", histOf(genLaplace(1<<21, 0.35, 0.0008, 1), 1024)},
+		{"hacc", histOf(genLaplace(1<<21, 20, 0.03, 1), 1024)},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
-			benchKernelTiers(b, func(b *testing.B) {
-				b.SetBytes(int64(2 * len(bc.codes)))
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Encode(p, device.Host, bc.codes); err != nil {
-						b.Fatal(err)
-					}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(bc.hist); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(bc.codes)), "ns/code")
-				b.ReportMetric(float64(c.ExpectedBits(h))/float64(len(bc.codes)), "bits/code")
-			})
+			}
 		})
 	}
 }
@@ -607,13 +654,23 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 // sdrbench HACC field at relative bound 1e-4, the hacc-default workload's
 // codes.
 func haccLorenzoCodes(tb testing.TB, n int) []uint16 {
+	return lorenzoCodes(tb, sdrbench.GenHACC(n, 7), grid.D1(n))
+}
+
+// nyxLorenzoCodes returns the same for a 128³ sdrbench NYX field (2 Mi
+// codes), the nyx-default workload's codes.
+func nyxLorenzoCodes(tb testing.TB) []uint16 {
+	dims := grid.D3(128, 128, 128)
+	return lorenzoCodes(tb, sdrbench.GenNYX(dims, 7), dims)
+}
+
+func lorenzoCodes(tb testing.TB, data []float32, dims grid.Dims) []uint16 {
 	tb.Helper()
-	data := sdrbench.GenHACC(n, 7)
 	eb, _, err := preprocess.Resolve(tp, device.Host, data, preprocess.RelBound(1e-4))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	q, err := lorenzo.Encode(tp, device.Host, data, grid.D1(n), eb, 0)
+	q, err := lorenzo.Encode(tp, device.Host, data, dims, eb, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

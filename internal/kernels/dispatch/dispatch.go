@@ -3,16 +3,16 @@
 // one-pass Lorenzo reconstruct row (code → residual → x-scan → + row
 // above → + plane behind → scale → store), histogram accumulation,
 // MinMaxF32, outlier code scanning, the Huffman encode length-summing
-// pre-pass, and the bitshuffle / unbitshuffle
+// pre-pass and grouped code emitter, and the bitshuffle / unbitshuffle
 // bit-matrix transposes of the fzg encoder (16-bit, with its recentring)
 // and the PFPL baseline (32-bit) — at process start, keeping the pure-Go
 // word-level kernels as the always-available fallback.
 //
 // Tiers:
 //
-//   - "avx2"   — amd64 with AVX2 (detected via CPUID + XGETBV, no
-//     dependencies; the OS must have enabled YMM state). Every kernel is
-//     vector code but the 32-bit bitshuffle pair.
+//   - "avx2"   — amd64 with AVX2 and BMI2 (detected via CPUID + XGETBV,
+//     no dependencies; the OS must have enabled YMM state). Every kernel
+//     is vector code but the 32-bit bitshuffle pair.
 //   - "neon"   — arm64; ASIMD is architecturally baseline. Only the kernels
 //     the Go arm64 assembler can express are NEON (HistMerge, NextZero);
 //     the rest of the tier, the bitshuffle kernels included, stays pure Go
@@ -122,6 +122,21 @@ var (
 	// accumulate in 32-bit lanes.
 	SumLengths func(lengths32 []uint32, codes []uint16) (bits uint64, ok bool) = sumLengthsPureGo
 
+	// EmitCodes is the Huffman encode emitter's group loop. Each enc entry
+	// packs a code as revCode<<8 | len, revCode the code's bits in stream
+	// order (the first bit lowest), len at most 32 and revCode < 2^len. It
+	// appends the entries of codes to a bit stream whose nbits < 8 pending
+	// bits sit in acc (acc < 2^nbits), storing every byte it completes in
+	// out in order, and returns the codes done, the bytes written (out's
+	// first written bytes are final) and the pending bits after them. It
+	// stores only inside out, but may write any byte of out[written:]. It
+	// stops, never partway into a group of four codes, at the first group
+	// holding a code outside enc (no tier loads an entry for such a code),
+	// and when fewer than four codes or fewer than 32 bytes of out are
+	// left; the caller finishes the rest code by code. Every tier stops at
+	// the same point with the same state.
+	EmitCodes func(enc []uint64, codes []uint16, out []byte, acc uint64, nbits uint) (done, written int, accOut uint64, nbitsOut uint) = emitCodesPureGo
+
 	// Bitshuffle16 transposes vals into 16 bit-planes of
 	// stride = (len(vals)+7)/8 bytes each: bit i%8 of dst[p*stride+i/8] is
 	// bit p of the i-th value, and the pad bits of each plane's last byte
@@ -143,6 +158,14 @@ var (
 	// Unbitshuffle32 inverts Bitshuffle32.
 	Unbitshuffle32 func(dst []uint32, src []byte) = unbitshuffle32PureGo
 )
+
+// EmitCodesScalar is EmitCodes' pure-Go twin, whatever the tier. The
+// vector tier merges eight codes per flush; where most eight-code groups
+// run past 56 bits it goes code by code and loses to the four-code scalar
+// groups, so the Huffman encoder runs this on long-code chunks.
+func EmitCodesScalar(enc []uint64, codes []uint16, out []byte, acc uint64, nbits uint) (done, written int, accOut uint64, nbitsOut uint) {
+	return emitCodesPureGo(enc, codes, out, acc, nbits)
+}
 
 // active names the installed tier.
 var active = PureGo
@@ -180,6 +203,7 @@ func pureGoKernels() map[string]string {
 		"hist_merge":   PureGo,
 		"next_zero":    PureGo,
 		"sum_lengths":  PureGo,
+		"emit_codes":   PureGo,
 		"bitshuffle16": PureGo,
 		"bitshuffle32": PureGo,
 	}
@@ -231,6 +255,7 @@ func installPureGo() {
 	HistMerge = histMergePureGo
 	NextZero = nextZeroPureGo
 	SumLengths = sumLengthsPureGo
+	EmitCodes = emitCodesPureGo
 	Bitshuffle16 = bitshuffle16PureGo
 	Unbitshuffle16 = unbitshuffle16PureGo
 	Bitshuffle32 = bitshuffle32PureGo

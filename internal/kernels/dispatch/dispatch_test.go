@@ -450,6 +450,126 @@ func TestSumLengthsLargeSpan(t *testing.T) {
 	})
 }
 
+// emitTable draws n enc entries for EmitCodes with lengths in [lo, hi]
+// (0 is an absent symbol) and codes below 2^len.
+func emitTable(rng *rand.Rand, n, lo, hi int) []uint64 {
+	enc := make([]uint64, n)
+	for i := range enc {
+		l := lo + rng.Intn(hi-lo+1)
+		enc[i] = (rng.Uint64()&(1<<uint(l)-1))<<8 | uint64(l)
+	}
+	return enc
+}
+
+// bitStream appends the entries of codes to acc's nbits pending bits one
+// bit at a time and returns the completed bytes and what stays pending:
+// the specification EmitCodes' state is checked against.
+func bitStream(enc []uint64, codes []uint16, acc uint64, nbits uint) ([]byte, uint64, uint) {
+	var out []byte
+	put := func(bit uint64) {
+		acc |= bit << nbits
+		if nbits++; nbits == 8 {
+			out = append(out, byte(acc))
+			acc, nbits = 0, 0
+		}
+	}
+	for _, s := range codes {
+		e := enc[s]
+		for i := uint(0); i < uint(e&0xff); i++ {
+			put(e >> (8 + i) & 1)
+		}
+	}
+	return out, acc, nbits
+}
+
+// checkEmitCodes runs EmitCodes and its pure-Go twin on copies of one
+// dirtied output of room bytes with a guard behind it, and requires the
+// same returned state, the same written bytes, an untouched guard, a stop
+// at a group of four, and bytes and state matching bitStream.
+func checkEmitCodes(t *testing.T, enc []uint64, codes []uint16, room int, acc uint64, nbits uint) {
+	t.Helper()
+	const guard = 16
+	type result struct {
+		done, written int
+		acc           uint64
+		nbits         uint
+		buf           []byte
+	}
+	run := func(f func([]uint64, []uint16, []byte, uint64, uint) (int, int, uint64, uint)) result {
+		buf := bytes.Repeat([]byte{0xA5}, room+guard)
+		d, w, a, nb := f(enc, codes, buf[:room:room], acc, nbits)
+		return result{d, w, a, nb, buf}
+	}
+	got, want := run(EmitCodes), run(emitCodesPureGo)
+	if got.done != want.done || got.written != want.written || got.acc != want.acc || got.nbits != want.nbits {
+		t.Fatalf("n=%d room=%d: state (%d,%d,%#x,%d) want (%d,%d,%#x,%d)", len(codes), room,
+			got.done, got.written, got.acc, got.nbits, want.done, want.written, want.acc, want.nbits)
+	}
+	if !bytes.Equal(got.buf[:got.written], want.buf[:want.written]) {
+		t.Fatalf("n=%d room=%d: written bytes differ", len(codes), room)
+	}
+	for _, r := range []result{got, want} {
+		for i, b := range r.buf[room:] {
+			if b != 0xA5 {
+				t.Fatalf("n=%d room=%d: store %d bytes past out", len(codes), room, i+1)
+			}
+		}
+	}
+	if want.done%4 != 0 {
+		t.Fatalf("n=%d room=%d: stopped at %d, inside a group of four", len(codes), room, want.done)
+	}
+	stream, pacc, pbits := bitStream(enc, codes[:want.done], acc, nbits)
+	if !bytes.Equal(want.buf[:want.written], stream) || want.acc != pacc || want.nbits != pbits {
+		t.Fatalf("n=%d room=%d: %d bytes and (%#x,%d) pending, bit stream has %d and (%#x,%d)",
+			len(codes), room, want.written, want.acc, want.nbits, len(stream), pacc, pbits)
+	}
+}
+
+func TestEmitCodesEquivalence(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(14))
+		// Short codes keep eight-code groups within 56 bits, long ones
+		// push most past it, and the mixed tables hold absent symbols. The
+		// full 65536-entry table has no code outside it; the one below
+		// refuses only 65535.
+		tables := [][]uint64{
+			emitTable(rng, 300, 1, 3),
+			emitTable(rng, 300, 0, 12),
+			emitTable(rng, 1024, 0, 32),
+			emitTable(rng, 40, 16, 32),
+			emitTable(rng, 1<<16, 1, 9),
+			emitTable(rng, 1<<16-1, 1, 9),
+		}
+		for _, enc := range tables {
+			for n := 0; n <= 120; n++ {
+				for off := 0; off < 2; off++ {
+					codes := offsetU16(n, off)
+					for i := range codes {
+						codes[i] = uint16(rng.Intn(len(enc)))
+					}
+					nbits := uint(rng.Intn(8))
+					acc := rng.Uint64() & (1<<nbits - 1)
+					// Room to spare, a tight room from the codes' own size,
+					// and any room up to 64 bytes.
+					bits := int(nbits)
+					for _, s := range codes {
+						bits += int(enc[s] & 0xff)
+					}
+					for _, room := range []int{bits/8 + 64, bits / 8, rng.Intn(65)} {
+						checkEmitCodes(t, enc, codes, room, acc, nbits)
+					}
+					if n > 0 {
+						// A code outside the table ends the loop before
+						// its group of four, in every tier.
+						codes[rng.Intn(n)] = uint16(min(len(enc)+rng.Intn(3), 65535))
+						checkEmitCodes(t, enc, codes, bits/8+64, acc, nbits)
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestUse(t *testing.T) {
 	defer func() {
 		if err := Use("auto"); err != nil {
@@ -689,6 +809,29 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if gotBits != wantBits || gotOK != wantOK {
 			t.Fatalf("sumLengths (%d,%v) want (%d,%v)", gotBits, gotOK, wantBits, wantOK)
 		}
+
+		// EmitCodes: a table of fuzzer-chosen (code, len <= 32) entries
+		// as long as the first byte says, codes one past it included
+		// (refused), and the pending bits and the output room from the
+		// raw bytes.
+		if len(raw) > 0 {
+			enc := make([]uint64, 1+int(raw[0])%64)
+			for i := range enc {
+				w := uint64(raw[(4*i+1)%len(raw)]) | uint64(raw[(4*i+2)%len(raw)])<<8 |
+					uint64(raw[(4*i+3)%len(raw)])<<16 | uint64(raw[(4*i+4)%len(raw)])<<24 |
+					uint64(raw[(4*i+5)%len(raw)])<<32
+				l := uint(w>>32) % 33
+				enc[i] = (w&(1<<l-1))<<8 | uint64(l)
+			}
+			codes := make([]uint16, len(us))
+			for i, c := range us {
+				codes[i] = c % uint16(len(enc)+1)
+			}
+			nbits := uint(raw[len(raw)-1]) % 8
+			acc := uint64(raw[len(raw)/2]) & (1<<nbits - 1)
+			checkEmitCodes(t, enc, codes, int(raw[len(raw)/3])+4*len(codes), acc, nbits)
+			checkEmitCodes(t, enc, codes, int(raw[len(raw)/3])%64, acc, nbits)
+		}
 	})
 }
 
@@ -836,6 +979,37 @@ func BenchmarkSumLengths(b *testing.B) {
 		b.SetBytes(int64(2 * len(codes)))
 		for i := 0; i < b.N; i++ {
 			SumLengths(table, codes)
+		}
+	})
+}
+
+// BenchmarkEmitCodes emits 64 Ki codes of a NYX-like codebook (about 1.3
+// bits per code, the centre symbol 1 bit), the shape the Huffman encoder
+// runs the kernel on; bytes are codes in.
+func BenchmarkEmitCodes(b *testing.B) {
+	enc := make([]uint64, 1024)
+	for i := range enc {
+		enc[i] = uint64(i)&0x7fff<<8 | 15 // 15-bit codes for the rare symbols
+	}
+	enc[512] = 1                        // centre: 1 bit, code 0
+	enc[511], enc[513] = 1<<8|3, 5<<8|3 // its neighbours: 3 bits
+	rng := rand.New(rand.NewSource(15))
+	codes := make([]uint16, 1<<16)
+	for i := range codes {
+		switch r := rng.Intn(100); {
+		case r < 85:
+			codes[i] = 512
+		case r < 99:
+			codes[i] = uint16(511 + 2*rng.Intn(2))
+		default:
+			codes[i] = uint16(rng.Intn(1024))
+		}
+	}
+	out := make([]byte, 4*len(codes))
+	benchTiers(b, func(b *testing.B) {
+		b.SetBytes(int64(2 * len(codes)))
+		for i := 0; i < b.N; i++ {
+			EmitCodes(enc, codes, out, 0, 0)
 		}
 	})
 }

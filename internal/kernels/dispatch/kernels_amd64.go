@@ -18,6 +18,7 @@ func histAccumAVX2Asm(tabs []uint32, codes []uint16, bins int) bool
 func histMergeAVX2Asm(out, tabs []uint32, stride int)
 func nextZeroAVX2Asm(codes []uint16) int
 func sumLengthsAVX2Asm(lengths32 []uint32, codes []uint16) (sum uint64, ok bool)
+func emitCodesAVX2Asm(enc []uint64, codes []uint16, out []byte, acc uint64, nbits uint) (done, written int, accOut uint64, nbitsOut uint)
 
 // bitshuffle_amd64.s: whole groups of 32 values against planes of stride bytes.
 func bitshuffle16AVX2Asm(dst []byte, vals []uint16, stride int, center uint16)
@@ -190,6 +191,18 @@ func sumLengthsAVX2(lengths32 []uint32, codes []uint16) (uint64, bool) {
 		return 0, false
 	}
 	return bits + tail, true
+}
+
+// emitCodesAVX2 runs the asm core over groups of eight codes, then the
+// reference from where the core stopped. The core takes a group only when
+// the reference would take both its halves: every code in range, and 48
+// bytes of out left, which keeps the reference's 32 after a first half
+// that advances at most 16. So the reference finishes at the point, and
+// with the state, it would have reached alone.
+func emitCodesAVX2(enc []uint64, codes []uint16, out []byte, acc uint64, nbits uint) (int, int, uint64, uint) {
+	done, written, acc, nbits := emitCodesAVX2Asm(enc, codes, out, acc, nbits)
+	d, w, acc, nbits := emitCodesPureGo(enc, codes[done:], out[written:], acc, nbits)
+	return done + d, written + w, acc, nbits
 }
 
 // The bitshuffle wrappers hand the asm cores whole 64-value groups, so the

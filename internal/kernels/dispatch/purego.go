@@ -1,6 +1,9 @@
 package dispatch
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // The portable reference kernels. These are the word-level scalar loops the
 // repo's PR-4 rewrite established (four accumulator lanes, 8-way unrolls,
@@ -231,4 +234,68 @@ func sumLengthsPureGo(lengths32 []uint32, codes []uint16) (uint64, bool) {
 		bits += uint64(lengths32[s])
 	}
 	return bits, true
+}
+
+// emitRoom is the output room emitCodesPureGo requires before each group
+// of four codes. A group advances out by at most 16 bytes (four 32-bit
+// codes on top of 7 pending bits) and stores no further than 20 bytes in.
+const emitRoom = 32
+
+// emitCodesPureGo is the grouped Huffman emitter. Codes go four at a time:
+// their codes are merged into one word w and their lengths summed into n,
+// off the carried chain. When n is at most 56 the group costs one shift
+// into acc and one unconditional 8-byte store; a wider group (rare: real
+// codebooks stop at 15–19 bits) drops w and stores once per code. Shifts
+// are masked to 63 so none needs a range check; a w built with larger
+// shifts is never used. A group holding a code outside enc ends the loop
+// before it.
+func emitCodesPureGo(enc []uint64, codes []uint16, out []byte, acc uint64, nbits uint) (done, written int, accOut uint64, nbitsOut uint) {
+	nc, no := len(codes), len(out)
+	for ; len(codes) >= 4 && len(out) >= emitRoom; codes = codes[4:] {
+		// Nothing is committed before the flush, so a code outside enc
+		// can end the loop at any of the four checks.
+		c := codes[0]
+		if int(c) >= len(enc) {
+			break
+		}
+		e := enc[c]
+		w, n := e>>8, uint(e&0xff)
+		if c = codes[1]; int(c) >= len(enc) {
+			break
+		}
+		e = enc[c]
+		w |= e >> 8 << (n & 63)
+		n += uint(e & 0xff)
+		if c = codes[2]; int(c) >= len(enc) {
+			break
+		}
+		e = enc[c]
+		w |= e >> 8 << (n & 63)
+		n += uint(e & 0xff)
+		if c = codes[3]; int(c) >= len(enc) {
+			break
+		}
+		e = enc[c]
+		w |= e >> 8 << (n & 63)
+		n += uint(e & 0xff)
+		if n <= 56 {
+			acc |= w << (nbits & 63)
+			nbits += n
+			binary.LittleEndian.PutUint64(out, acc)
+			out = out[nbits>>3:]
+			acc >>= nbits &^ 7 & 63
+			nbits &= 7
+			continue
+		}
+		for _, s := range codes[:4] {
+			e := enc[s]
+			acc |= e >> 8 << (nbits & 63)
+			nbits += uint(e & 0xff)
+			binary.LittleEndian.PutUint64(out, acc)
+			out = out[nbits>>3:]
+			acc >>= nbits &^ 7 & 63
+			nbits &= 7
+		}
+	}
+	return nc - len(codes), no - len(out), acc, nbits
 }

@@ -7,9 +7,10 @@ package dispatch
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// hasAVX2 reports CPU and OS support for AVX2: the CPUID feature bit plus
-// OSXSAVE with XMM and YMM state enabled in XCR0 (without which the OS
-// does not preserve the upper YMM halves across context switches).
+// hasAVX2 reports CPU and OS support for the AVX2 tier: the AVX2 and BMI2
+// CPUID feature bits (EmitCodes shifts with SHLXQ/SHRXQ) plus OSXSAVE with
+// XMM and YMM state enabled in XCR0 (without which the OS does not
+// preserve the upper YMM halves across context switches).
 func hasAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
@@ -25,8 +26,8 @@ func hasAVX2() bool {
 		return false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
+	const avx2, bmi2 = 1 << 5, 1 << 8
+	return ebx7&avx2 != 0 && ebx7&bmi2 != 0
 }
 
 func bestName() string {
@@ -53,6 +54,7 @@ func installTier(name string) bool {
 	HistMerge = histMergeAVX2
 	NextZero = nextZeroAVX2
 	SumLengths = sumLengthsAVX2
+	EmitCodes = emitCodesAVX2
 	Bitshuffle16 = bitshuffle16AVX2
 	Unbitshuffle16 = unbitshuffle16AVX2
 	vectorRows = true

@@ -46,8 +46,10 @@
 // for the container layout that makes this possible. Every fetched chunk
 // is checked against its CRC32 and, on version ≥ 2 containers, its
 // SHA-256 leaf hash, so tampered bytes are refused with a hash mismatch
-// even when the chunk CRC32 collides. A whole-artifact -d checks each
-// payload's CRC32 only; -verify also checks the leaf hashes.
+// even when the chunk CRC32 collides. A whole-artifact -d applies the same
+// checks; on a streamed container it checks each frame's CRC32 as it
+// writes and the leaf hashes at the trailer, so it may have written
+// earlier chunks before it refuses.
 //
 // -verify (without -z, -d or -probe) is the integrity audit: the whole
 // artifact is walked, every chunk is checked against its recorded CRC32

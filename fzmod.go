@@ -132,8 +132,9 @@ type (
 	// and an optional shared SlabCache. The zero value decodes with the
 	// platform's full width and no cache.
 	RegionOpts = core.RegionOpts
-	// RegionStats summarizes one region read: chunks intersected, chunks
-	// decoded vs. served from cache, and payload bytes fetched.
+	// RegionStats summarizes one region read or Decompress: chunks
+	// intersected, chunks decoded vs. served from cache, payload bytes
+	// fetched and leaf hashes checked.
 	RegionStats = core.RegionStats
 	// Region is an open container positioned for random-access reads: the
 	// chunk index is parsed once and selections are served with per-chunk
@@ -221,7 +222,9 @@ func CompressStream(p *Platform, pl *Pipeline, r io.Reader, dims Dims, eb ErrorB
 // DecompressStream reconstructs a streaming container read from r,
 // writing the field to w as little-endian float32 bytes in storage order,
 // each chunk as soon as it and every chunk before it are decoded, with at
-// most opts.Window chunks in flight. Returns the field geometry.
+// most opts.Window chunks in flight. Each frame's CRC32 is checked as it is
+// read and the leaf hashes at the trailer, so a stream refused there has
+// already written its earlier chunks. Returns the field geometry.
 // Equivalent to core.DecompressStreamCtx with context.Background().
 func DecompressStream(p *Platform, r io.Reader, w io.Writer, opts StreamOpts) (Dims, error) {
 	return core.DecompressStreamCtx(context.Background(), p, r, w, opts)
@@ -229,8 +232,11 @@ func DecompressStream(p *Platform, r io.Reader, w io.Writer, opts StreamOpts) (D
 
 // Decompress reconstructs a field from any FZModules container using the
 // module table (the container is self-describing) and returns its
-// geometry and the executor report. opts.Workers bounds both the
-// chunk-level scheduler width and every kernel launch of the operation.
+// geometry and the executor report. Every chunk payload is checked before
+// it decodes — CRC32 and, on version ≥ 2 chunked and streamed artifacts,
+// its SHA-256 leaf hash — and report.Region counts the checks.
+// opts.Workers bounds both the chunk-level scheduler width and every
+// kernel launch of the operation.
 // Once ctx is canceled or its deadline passes, unstarted task bodies are
 // abandoned at their dispatch boundary and the context's error is
 // returned.
@@ -303,7 +309,9 @@ func OverallSpeedup(throughputGBs, bandwidthGBs, ratio float64) float64 {
 // hashes. Region reads then check every fetched payload against its leaf
 // hash, whatever the fetcher, and refuse tampered bytes with
 // ErrProofMismatch — even bytes a 32-bit CRC collision would let through.
-// Whole-blob Decompress checks each payload's CRC32 only. For artifacts
+// Whole-blob Decompress applies the same check to every payload; the
+// stream door checks each frame's CRC32 as it reads and the leaf hashes at
+// the trailer. For artifacts
 // that are already damaged, SurveyArtifact classifies every chunk,
 // SalvageChunked rebuilds a valid container from the intact ones, and
 // DecompressSalvage decodes what survived behind a DamageMask.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"fzmod/internal/device"
 	"fzmod/internal/fzio"
@@ -26,12 +27,12 @@ import (
 // as a sliding window and flushes each staged block as an FZMS frame.
 //
 // Read side: addDecompressTasks is the only place a chunk payload is
-// parsed, secondary-unwrapped, decoded, dims-checked and reconstructed.
-// Full decompress, region reads, salvage and stream decode each plan their
-// chunk list, hand every chunk to the builder with a fetch closure that
-// returns integrity-checked bytes and the destination its values land in,
-// and finalize — so a hostile payload meets the same checks whichever door
-// it comes through. There is no other executor: a monolithic (FZMD)
+// parsed, secondary-unwrapped, decoded, dims-checked and reconstructed,
+// and readChunks is the one executor over it: full decompress, region
+// reads and salvage only plan a chunk list and a per-chunk fetch, and
+// every payload passes fzio.ContainerIndex.VerifyChunk before it decodes.
+// The stream door, which cannot plan past the frames it has read,
+// declares the same sub-graph from its sliding window. A monolithic (FZMD)
 // container is simply a one-chunk graph.
 //
 // Modules write into buffers the executor owns: predict and decode fill a
@@ -60,8 +61,8 @@ type ExecReport struct {
 	// confirming which implementation a profile measured.
 	Kernels      string
 	KernelDetail map[string]string
-	// Region carries the chunk and slab-cache accounting of a region read
-	// (nil for full compress/decompress runs).
+	// Region carries the chunk, fetch and slab-cache accounting of every
+	// index-planned read: Decompress and region reads (nil for compress).
 	Region *RegionStats
 }
 
@@ -390,15 +391,145 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 	return job
 }
 
+// chunkRead is one chunk a read decodes: its index in the container's
+// chunk table and the plane range its slab covers.
+type chunkRead struct {
+	chunk  int
+	lo     int // first plane the slab covers
+	planes int
+}
+
+// planChunks lists the chunks of ix whose slab intersects planes [s0, s1)
+// of the slowest dimension. FetchIndex has checked that the chunks tile it.
+func planChunks(ix *fzio.ContainerIndex, s0, s1 int) []chunkRead {
+	var reads []chunkRead
+	lo := 0
+	for i, ref := range ix.Chunks {
+		if lo < s1 && lo+ref.Planes > s0 {
+			reads = append(reads, chunkRead{chunk: i, lo: lo, planes: ref.Planes})
+		}
+		lo += ref.Planes
+	}
+	return reads
+}
+
+// chunkReads is one planned read for readChunks: the chunks, where their
+// payloads come from, and where their values land.
+type chunkReads struct {
+	// ix accepts every fetched payload (VerifyChunk); nil when fetch
+	// returns payloads the survey has already accepted under the same rule.
+	ix     *fzio.ContainerIndex
+	fetch  func(chunk int) ([]byte, error) // may block on I/O
+	chunks []chunkRead
+	dims   grid.Dims // the field's full geometry
+	sel    RegionSel // the subvolume out holds
+	out    []float32 // sel.Dims().N() values
+	cache  *SlabCache
+	hits   int // chunks the planner served from cache
+}
+
+// readChunks is the one read executor: it declares each planned chunk's
+// sub-graph (named by chunkPrefix) in one context and drains it. Without a
+// cache, a chunk of whole selected planes decodes straight into its window
+// of out. Any other decodes into a slab of its own, whose overlap window is
+// copied out; a cache single-flights that slab around the fetch (a waiter
+// blocks in the Host-place fetch task) and publishes it to every waiter.
+func readChunks(gctx context.Context, p *device.Platform, workers int, rd *chunkReads) (*ExecReport, error) {
+	cache, dims, sel := rd.cache, rd.dims, rd.sel
+	stats := &RegionStats{Sel: sel, Chunks: rd.hits + len(rd.chunks), CacheHits: rd.hits}
+	if cache != nil {
+		defer func() { stats.Cache = cache.Stats() }()
+	}
+	if len(rd.chunks) == 0 {
+		return &ExecReport{Region: stats}, nil
+	}
+	s0, s1 := sel.slowRange(dims)
+	// A selection inside the field spans its fast axes exactly when it
+	// holds whole planes.
+	direct := cache == nil && sel.Dims().N() == (s1-s0)*dims.PlaneElems()
+	ctx := newCtx(gctx, p, device.Accel, workers, len(rd.chunks))
+	// flights[i] is the single-flight chunk i leads, once its fetch task has
+	// claimed one.
+	flights := make([]*slabFlight, len(rd.chunks))
+	jobs := make([]*decompressJob, len(rd.chunks))
+	var dedup, payloadBytes, proofs atomic.Int64
+
+	for i, c := range rd.chunks {
+		i, c := i, c
+		want := dims.WithSlowExtent(c.planes)
+		fetch := func() ([]byte, error) {
+			payload, err := rd.fetch(c.chunk)
+			if err == nil && rd.ix != nil {
+				payloadBytes.Add(int64(len(payload)))
+				if err = rd.ix.VerifyChunk(c.chunk, payload); err == nil && rd.ix.HasProofs() {
+					proofs.Add(1)
+				}
+			}
+			if err != nil {
+				return nil, fmt.Errorf("core: fetching chunk %d: %w", c.chunk, err)
+			}
+			return payload, nil
+		}
+		if direct && c.lo >= s0 && c.lo+c.planes <= s1 {
+			o := (c.lo - s0) * dims.PlaneElems()
+			jobs[i] = addDecompressTasks(ctx, chunkPrefix(c.chunk), c.chunk, want, rd.out[o:o+want.N()], fetch, nil)
+			continue
+		}
+		var shared []float32 // the slab another reader's flight delivered, if any
+		cached := func() ([]byte, error) {
+			if cache != nil {
+				var err error
+				if shared, flights[i], err = cache.await(ctx.Context(), slabKey{rd.ix.Key, c.chunk}); err != nil {
+					return nil, err
+				}
+				if shared != nil {
+					cache.dedup.Add(1)
+					dedup.Add(1)
+					return nil, nil
+				}
+			}
+			return fetch()
+		}
+		after := func(vals []float32) error {
+			if shared != nil {
+				vals = shared
+			} else if cache != nil {
+				cache.finish(slabKey{rd.ix.Key, c.chunk}, flights[i], vals, nil)
+			}
+			copyWindow(rd.out, sel, dims, vals, c.lo, c.planes)
+			return nil
+		}
+		// A plain alloc: the slab may outlive the ctx in the cache.
+		jobs[i] = addDecompressTasks(ctx, chunkPrefix(c.chunk), c.chunk, want, make([]float32, want.N()), cached, after)
+	}
+
+	report, err := finish(ctx, jobs)
+	// Flights this read still leads — its tasks failed, were canceled, or
+	// never dispatched — must complete with the graph's error, or waiters
+	// (and every future joiner) would hang on an abandoned flight.
+	for i, fl := range flights {
+		if fl != nil {
+			ferr := err
+			if ferr == nil {
+				ferr = fmt.Errorf("core: chunk decode abandoned")
+			}
+			cache.finish(slabKey{rd.ix.Key, rd.chunks[i].chunk}, fl, nil, ferr)
+		}
+	}
+	stats.DedupHits = int(dedup.Load())
+	stats.Decoded = len(rd.chunks) - stats.DedupHits
+	stats.PayloadBytes = payloadBytes.Load()
+	stats.ProofVerified = proofs.Load()
+	report.Region = stats
+	return report, err
+}
+
 // DecompressReportWithOptsCtx reconstructs a field from any FZModules
-// container using the module table. It lowers a whole-container decode
-// onto one read sub-graph per entry of the container's chunk index — the
-// same fzio.FetchIndex a region read plans against, so FZMD, FZMC and FZMS
-// blobs all take this path — each reconstructing into its window of the
-// output field; the chunks share no token, so they decode fully in
-// parallel. An FZMD blob is a one-entry index covering every plane (its
-// integrity is the per-segment CRCs the builder's parse verifies); FZMC
-// and FZMS payloads are CRC-checked against the index as they are fetched.
+// container using the module table. It plans every entry of the chunk
+// index (fzio.FetchIndex: FZMD, FZMC and FZMS alike) for readChunks and
+// fetches by slicing blob, with no copy and no fetch limit on an in-memory
+// FZMD; the chunks decode in parallel straight into their windows of the
+// output. Every payload passes fzio.ContainerIndex.VerifyChunk first.
 // opts.Workers is the parallelism budget; a cancellation or deadline on
 // gctx abandons unstarted task bodies at their dispatch boundary and
 // returns the context's error.
@@ -409,20 +540,14 @@ func DecompressReportWithOptsCtx(gctx context.Context, p *device.Platform, blob 
 	}
 	dims := ix.Header.Dims
 	out := make([]float32, dims.N())
-	ctx := newCtx(gctx, p, device.Accel, opts.Workers, len(ix.Chunks))
-	jobs := make([]*decompressJob, len(ix.Chunks))
-	lo := 0
-	for i, ref := range ix.Chunks {
-		i, ref := i, ref
-		want := dims.WithSlowExtent(ref.Planes)
-		jobs[i] = addDecompressTasks(ctx, chunkPrefix(i), i, want, out[lo:lo+want.N()],
-			func() ([]byte, error) {
-				payload := blob[ref.Offset : ref.Offset+ref.Length]
-				return payload, ix.VerifyChunk(i, payload)
-			}, nil)
-		lo += want.N()
-	}
-	report, err := finish(ctx, jobs)
+	report, err := readChunks(gctx, p, opts.Workers, &chunkReads{
+		ix: ix,
+		fetch: func(i int) ([]byte, error) {
+			ref := ix.Chunks[i]
+			return blob[ref.Offset : ref.Offset+ref.Length], nil
+		},
+		chunks: planChunks(ix, 0, dims.SlowExtent()), dims: dims, sel: FullRegion(dims), out: out,
+	})
 	if err != nil {
 		return nil, grid.Dims{}, report, err
 	}

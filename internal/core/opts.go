@@ -44,9 +44,9 @@ type Opts struct {
 	// points other than the region read path ignore it.
 	Cache *SlabCache
 
-	// Deprecated: VerifyProofs has no effect. Region reads always check
-	// every fetched chunk payload against the leaf hash its chunk table
-	// records (fzio.ContainerIndex.VerifyProof), whatever the fetcher.
+	// Deprecated: VerifyProofs has no effect. Every read checks every
+	// fetched chunk payload against the leaf hash its chunk table records
+	// (fzio.ContainerIndex.VerifyChunk), whatever the fetcher.
 	VerifyProofs bool
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -81,7 +82,9 @@ func streamContainer(t *testing.T, hdr fzio.ChunkedHeader, payloads [][]byte, pl
 // FZMC, a nested FZMS, a container of the wrong geometry — re-sealed under
 // valid CRCs, leaf hashes and Merkle root so that it reaches the chunk
 // decoder, is refused with an error naming the chunk, never a panic,
-// whichever door it comes through.
+// whichever door it comes through. A tamper of chunk 1 that keeps its CRC32
+// is refused by its leaf hash at every door but salvage, which masks
+// exactly that chunk's planes and returns every other value unchanged.
 func TestReadPathsParity(t *testing.T) {
 	data, dims := chunkField()
 	absEB, _, err := preprocess.Resolve(tp, device.Accel, data, preprocess.RelBound(1e-4))
@@ -172,6 +175,48 @@ func TestReadPathsParity(t *testing.T) {
 						t.Errorf("%s %c via %s: %s chunk payload: error %q does not name chunk 1 and %q",
 							pl.Name(), flavor, door.name, hostile.name, err, hostile.want)
 					}
+				}
+			}
+		}
+
+		lo, hi := planes[0], planes[0]+planes[1] // chunk 1's planes
+		for flavor, blob := range map[byte][]byte{'C': fzmc, 'S': sbuf.Bytes()} {
+			clean, err := doors[0].read(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := fzio.FetchIndex(fzio.NewBytesFetcher(blob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := ix.Chunks[1]
+			tampered := bytes.Clone(blob)
+			if !fzio.CorruptPreservingCRC32(tampered[ref.Offset:ref.Offset+ref.Length], 5) {
+				t.Fatal("collision injector declined chunk 1")
+			}
+			for _, door := range doors {
+				if !strings.ContainsRune(door.flavors, rune(flavor)) || door.name == "DecompressSalvageCtx" {
+					continue
+				}
+				_, err := door.read(tampered)
+				if !errors.Is(err, fzio.ErrProofMismatch) || !strings.Contains(err.Error(), "chunk 1") {
+					t.Errorf("%s %c via %s: CRC-preserving tamper of chunk 1: got %v, want a hash mismatch naming chunk 1",
+						pl.Name(), flavor, door.name, err)
+				}
+			}
+			got, mask, err := DecompressSalvageCtx(context.Background(), tp, fzio.NewBytesFetcher(tampered), DecompressOpts{})
+			if err != nil {
+				t.Fatalf("%s %c: salvage of a CRC-preserving tamper: %v", pl.Name(), flavor, err)
+			}
+			for z, damaged := range mask.Planes {
+				if damaged != (z >= lo && z < hi) {
+					t.Fatalf("%s %c: salvage masks plane %d = %v, want only chunk 1's planes [%d,%d)", pl.Name(), flavor, z, damaged, lo, hi)
+				}
+			}
+			plane := dims.PlaneElems()
+			for i := range clean {
+				if (i < lo*plane || i >= hi*plane) && got[i] != clean[i] {
+					t.Fatalf("%s %c: salvage value %d differs from the clean decode", pl.Name(), flavor, i)
 				}
 			}
 		}

@@ -16,11 +16,11 @@ import (
 
 // This file is the random-access read path: instead of decoding a whole
 // container, a region read plans against the container's chunk index
-// (fzio.FetchIndex), fetches and decodes only the slab chunks a requested
-// subvolume intersects — through the same per-chunk read sub-graph builder
-// (exec.go) and STF executor as full decompression —
-// and assembles the caller-sized output by copying each slab's overlap
-// window, handling the halo where a selection crosses slab boundaries.
+// (fzio.FetchIndex) and fetches and decodes only the slab chunks a
+// requested subvolume intersects — through the same executor as full
+// decompression (readChunks, exec.go), which assembles the caller-sized
+// output by copying each slab's overlap window, handling the halo where a
+// selection crosses slab boundaries.
 // Decoded slabs can be kept in a shared size-bounded LRU (SlabCache), so
 // many readers of overlapping regions pay each chunk's fetch-and-decode
 // cost once.
@@ -236,8 +236,9 @@ func (c *SlabCache) Reset() {
 	c.dedup.Store(0)
 }
 
-// RegionStats summarizes one region read for the ExecReport: how much of
-// the container the selection touched and how the slab cache fared.
+// RegionStats summarizes one index-planned read (a region read or
+// Decompress) for the ExecReport: how much of the container the selection
+// touched and how the slab cache fared.
 type RegionStats struct {
 	// Sel is the selection the read served.
 	Sel RegionSel
@@ -310,174 +311,46 @@ func (r *Region) ReadReport(sel RegionSel) ([]float32, *ExecReport, error) {
 // ReadReportCtx decodes the selected subvolume into a freshly allocated
 // sel.Dims().N()-element field (x-fastest, like every field in the
 // framework) and returns the executor report; report.Region carries the
-// chunk and cache accounting. A cancellation or deadline on gctx stops
-// fetch/decode task bodies not yet started at their dispatch boundary,
-// drains the sub-graphs, and returns the context's error. Chunks already
-// decoded are still admitted to the cache.
+// chunk and cache accounting. It plans the chunks the selection
+// intersects, serves cache hits by window copy and hands the rest to
+// readChunks. A cancellation or deadline on gctx stops fetch/decode task
+// bodies not yet started at their dispatch boundary, drains the
+// sub-graphs, and returns the context's error. Chunks already decoded are
+// still admitted to the cache.
 func (r *Region) ReadReportCtx(gctx context.Context, sel RegionSel) ([]float32, *ExecReport, error) {
 	dims := r.ix.Header.Dims
 	if err := sel.Validate(dims); err != nil {
 		return nil, nil, err
 	}
+	rd := &chunkReads{ix: r.ix, fetch: r.fetch, dims: dims, sel: sel,
+		out: make([]float32, sel.Dims().N()), cache: r.opts.Cache}
 	s0, s1 := sel.slowRange(dims)
-
-	// Plan: walk the chunk table accumulating plane coverage and keep the
-	// chunks whose slab [lo, lo+planes) intersects the selection's slow
-	// range.
-	var needs []regionNeed
-	lo := 0
-	for i, ref := range r.ix.Chunks {
-		if lo < s1 && lo+ref.Planes > s0 {
-			needs = append(needs, regionNeed{chunk: i, lo: lo, planes: ref.Planes})
-		}
-		lo += ref.Planes
-	}
-	if lo != dims.SlowExtent() {
-		return nil, nil, fmt.Errorf("core: index covers %d planes, field has %d", lo, dims.SlowExtent())
-	}
-
-	out := make([]float32, sel.Dims().N())
-	stats := &RegionStats{Sel: sel, Chunks: len(needs)}
-
-	// Serve cache hits by direct window copy; collect the misses for the
-	// decode graph.
-	var misses []regionNeed
-	for _, nd := range needs {
-		if r.opts.Cache != nil {
-			if slab, ok := r.opts.Cache.lru.Get(slabKey{r.ix.Key, nd.chunk}); ok {
-				copyWindow(out, sel, dims, slab, nd.lo, nd.planes)
-				stats.CacheHits++
+	for _, c := range planChunks(r.ix, s0, s1) {
+		if rd.cache != nil {
+			if slab, ok := rd.cache.lru.Get(slabKey{r.ix.Key, c.chunk}); ok {
+				copyWindow(rd.out, sel, dims, slab, c.lo, c.planes)
+				rd.hits++
 				continue
 			}
 		}
-		misses = append(misses, nd)
+		rd.chunks = append(rd.chunks, c)
 	}
-	report := &ExecReport{Region: stats}
-	var decodeErr error
-	if len(misses) > 0 {
-		var acct fetchAccounting
-		report, decodeErr = r.decodeMisses(gctx, out, sel, misses, &acct)
-		report.Region = stats
-		stats.DedupHits = int(acct.dedup.Load())
-		stats.PayloadBytes = acct.payloadBytes.Load()
-		stats.ProofVerified = acct.proofVerified.Load()
+	report, err := readChunks(gctx, r.p, r.opts.Workers, rd)
+	if err != nil {
+		return nil, report, err
 	}
-	stats.Decoded = len(misses) - stats.DedupHits
-	if r.opts.Cache != nil {
-		stats.Cache = r.opts.Cache.Stats()
-	}
-	if decodeErr != nil {
-		return nil, report, decodeErr
-	}
-	return out, report, nil
+	return rd.out, report, nil
 }
 
-// regionNeed is one chunk a selection intersects: its index in the
-// container's chunk table and the plane range its slab covers.
-type regionNeed struct {
-	chunk  int // index into the container's chunk table
-	lo     int // first plane the slab covers
-	planes int
-}
-
-// fetchAccounting accumulates per-read fetch evidence from concurrently
-// running task bodies; ReadReportCtx folds it into RegionStats.
-type fetchAccounting struct {
-	dedup         atomic.Int64 // chunks served by another reader's flight
-	payloadBytes  atomic.Int64 // compressed bytes actually fetched
-	proofVerified atomic.Int64 // payloads checked against their leaf hash
-}
-
-// decodeMisses runs the read sub-graphs (exec.go) for the chunks not served
-// from cache, scattering each slab's overlap window into out and (when a
-// cache is configured) admitting the decoded slab. With a shared cache the
-// misses are single-flight deduplicated around the builder's fetch and
-// after hooks: a chunk another reader is already decoding is awaited (in
-// the Host-place fetch task, which blocks on I/O anyway) rather than
-// fetched again, and a chunk this read decodes is published to every
-// waiter.
-func (r *Region) decodeMisses(gctx context.Context, out []float32, sel RegionSel, misses []regionNeed, acct *fetchAccounting) (*ExecReport, error) {
-	dims := r.ix.Header.Dims
-	cache := r.opts.Cache
-	ctx := newCtx(gctx, r.p, device.Accel, r.opts.Workers, len(misses))
-	// flights[i] is the single-flight miss i leads, once its fetch task has
-	// claimed one (nil when the chunk is decoded privately or served by
-	// someone else's flight).
-	flights := make([]*slabFlight, len(misses))
-	jobs := make([]*decompressJob, len(misses))
-
-	for i, nd := range misses {
-		i, nd := i, nd
-		key := slabKey{r.ix.Key, nd.chunk}
-		want := dims.WithSlowExtent(nd.planes)
-		slab := make([]float32, want.N()) // plain alloc: may outlive the ctx in the cache
-		var shared []float32              // the slab another flight delivered, if any
-
-		fetch := func() ([]byte, error) {
-			if cache != nil {
-				var err error
-				if shared, flights[i], err = cache.await(ctx.Context(), key); err != nil {
-					return nil, err
-				}
-				if shared != nil {
-					cache.dedup.Add(1)
-					acct.dedup.Add(1)
-					return nil, nil
-				}
-			}
-			return r.fetchChunk(nd.chunk, acct)
-		}
-		after := func(vals []float32) error {
-			if shared != nil {
-				vals = shared
-			} else if cache != nil {
-				cache.finish(key, flights[i], vals, nil)
-			}
-			copyWindow(out, sel, dims, vals, nd.lo, nd.planes)
-			return nil
-		}
-		jobs[i] = addDecompressTasks(ctx, fmt.Sprintf("r%d.", nd.chunk), nd.chunk, want, slab, fetch, after)
-	}
-
-	report, err := finish(ctx, jobs)
-	// Flights this read still leads — its tasks failed, were canceled, or
-	// never dispatched — must complete with the graph's error, or waiters
-	// (and every future joiner) would hang on an abandoned flight.
-	for i, fl := range flights {
-		if fl != nil {
-			ferr := err
-			if ferr == nil {
-				ferr = fmt.Errorf("core: chunk decode abandoned")
-			}
-			cache.finish(slabKey{r.ix.Key, misses[i].chunk}, fl, nil, ferr)
-		}
-	}
-	return report, err
-}
-
-// fetchChunk fetches one chunk payload with a single ReadRange and
-// verifies it, recording byte and proof accounting.
-func (r *Region) fetchChunk(chunk int, acct *fetchAccounting) ([]byte, error) {
+// fetch reads one chunk payload with a single ReadRange; readChunks
+// accepts it.
+func (r *Region) fetch(chunk int) ([]byte, error) {
 	ref := r.ix.Chunks[chunk]
 	if r.ix.Flavor == fzio.FlavorMonolithic && ref.Length > fzio.MaxMonolithicFetchBytes {
-		return nil, fmt.Errorf("core: monolithic artifact of %d bytes exceeds the %d-byte fetch limit",
+		return nil, fmt.Errorf("monolithic artifact of %d bytes exceeds the %d-byte fetch limit",
 			ref.Length, fzio.MaxMonolithicFetchBytes)
 	}
-	payload, err := r.f.ReadRange(int64(ref.Offset), ref.Length)
-	if err != nil {
-		return nil, fmt.Errorf("core: fetching chunk %d: %w", chunk, err)
-	}
-	acct.payloadBytes.Add(int64(len(payload)))
-	if err := r.ix.VerifyChunk(chunk, payload); err != nil {
-		return nil, fmt.Errorf("core: fetching chunk %d: %w", chunk, err)
-	}
-	if r.ix.HasProofs() {
-		if err := r.ix.VerifyProof(chunk, payload); err != nil {
-			return nil, fmt.Errorf("core: fetching chunk %d: %w", chunk, err)
-		}
-		acct.proofVerified.Add(1)
-	}
-	return payload, nil
+	return r.f.ReadRange(int64(ref.Offset), ref.Length)
 }
 
 // copyWindow copies the overlap between the selection and one decoded slab
@@ -486,30 +359,21 @@ func (r *Region) fetchChunk(chunk int, acct *fetchAccounting) ([]byte, error) {
 // x are contiguous in both source and destination, so the copy runs
 // row-at-a-time.
 func copyWindow(out []float32, sel RegionSel, dims grid.Dims, slab []float32, slabLo, planes int) {
-	od := sel.Dims()
+	win, org := sel, [3]int{} // the overlap, and the slab's origin in the field
 	switch dims.Rank() {
 	case 3:
-		sd := grid.Dims{X: dims.X, Y: dims.Y, Z: planes}
-		z0, z1 := max(sel.Z0, slabLo), min(sel.Z1, slabLo+planes)
-		nx := sel.X1 - sel.X0
-		for z := z0; z < z1; z++ {
-			for y := sel.Y0; y < sel.Y1; y++ {
-				src := sd.Idx(sel.X0, y, z-slabLo)
-				dst := od.Idx(0, y-sel.Y0, z-sel.Z0)
-				copy(out[dst:dst+nx], slab[src:src+nx])
-			}
-		}
+		win.Z0, win.Z1, org[2] = max(sel.Z0, slabLo), min(sel.Z1, slabLo+planes), slabLo
 	case 2:
-		sd := grid.Dims{X: dims.X, Y: planes, Z: 1}
-		y0, y1 := max(sel.Y0, slabLo), min(sel.Y1, slabLo+planes)
-		nx := sel.X1 - sel.X0
-		for y := y0; y < y1; y++ {
-			src := sd.Idx(sel.X0, y-slabLo, 0)
-			dst := od.Idx(0, y-sel.Y0, 0)
+		win.Y0, win.Y1, org[1] = max(sel.Y0, slabLo), min(sel.Y1, slabLo+planes), slabLo
+	default:
+		win.X0, win.X1, org[0] = max(sel.X0, slabLo), min(sel.X1, slabLo+planes), slabLo
+	}
+	sd, od, nx := dims.WithSlowExtent(planes), sel.Dims(), win.X1-win.X0
+	for z := win.Z0; z < win.Z1; z++ {
+		for y := win.Y0; y < win.Y1; y++ {
+			src := sd.Idx(win.X0-org[0], y-org[1], z-org[2])
+			dst := od.Idx(win.X0-sel.X0, y-sel.Y0, z-sel.Z0)
 			copy(out[dst:dst+nx], slab[src:src+nx])
 		}
-	default:
-		x0, x1 := max(sel.X0, slabLo), min(sel.X1, slabLo+planes)
-		copy(out[x0-sel.X0:x1-sel.X0], slab[x0-slabLo:x1-slabLo])
 	}
 }

@@ -234,6 +234,51 @@ func TestRegion2D(t *testing.T) {
 	}
 }
 
+// TestRegionWindowByRank holds both ways the read executor lands a chunk
+// — straight into its window of the output (whole planes, no cache) or
+// through a slab and a window copy (partial planes, or a cache) — to the
+// full decode, on 1-, 2- and 3-D fields.
+func TestRegionWindowByRank(t *testing.T) {
+	for _, dims := range []grid.Dims{grid.D1(3000), grid.D2(40, 48), grid.D3(12, 10, 20)} {
+		data := sdrbench.GenHURR(dims, 5)
+		blob, _, err := NewDefault().CompressChunkedReport(tp, data, dims, preprocess.RelBound(1e-4),
+			ChunkOpts{ChunkElems: dims.PlaneElems() * (dims.SlowExtent() / 5)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _, _, err := DecompressReportWithOpts(tp, blob, Opts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := dims.SlowExtent()
+		whole, part := FullRegion(dims), FullRegion(dims)
+		switch dims.Rank() {
+		case 3:
+			whole.Z0, whole.Z1 = n/5+1, n-2
+			part.X0, part.Y1, part.Z0, part.Z1 = 1, dims.Y-1, 3, n/2
+		case 2:
+			whole.Y0, whole.Y1 = n/5+1, n-2
+			part.X0, part.X1, part.Y0, part.Y1 = 2, dims.X-3, 3, n/2
+		default:
+			part.X0, part.X1 = n/5+1, n-2
+		}
+		for _, sel := range []RegionSel{FullRegion(dims), whole, part} {
+			for _, cache := range []*SlabCache{nil, NewSlabCache(1 << 20)} {
+				got, _, err := readRegion(tp, fzio.NewBytesFetcher(blob), sel, RegionOpts{Cache: cache})
+				if err != nil {
+					t.Fatalf("%v sel %v: %v", dims, sel, err)
+				}
+				want := naiveExtract(full, dims, sel)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%v sel %v (cache %v): value %d differs", dims, sel, cache != nil, i)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRegionPartialFetch is the acceptance criterion on fetch economy: a
 // selection inside 1 of 8 chunks must read at most 1/4 of the container
 // bytes, and a repeated read must be served from the LRU cache.

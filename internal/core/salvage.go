@@ -49,9 +49,10 @@ func (m *DamageMask) Any() bool { return m.DamagedPlanes() > 0 }
 // recorded geometry with every plane an intact chunk covers decoded
 // normally and every damaged or missing plane zero-filled, as recorded by
 // the returned DamageMask. Intact chunks pass the same integrity checks as
-// a normal read (CRC32 plus, on version ≥ 2 artifacts, the recorded leaf
-// hash), so salvaged values are never silently wrong — the mask is the
-// only place uncertainty lives. Errors only when the artifact is
+// every other read door (fzio.ContainerIndex.VerifyChunk: CRC32 plus, on
+// version ≥ 2 artifacts, the recorded leaf hash) and decode through the
+// same executor, so salvaged values are never silently wrong — the mask
+// is the only place uncertainty lives. Errors only when the artifact is
 // unsalvageable (unrecognizable, or no chunk survived), or with the
 // context's error once gctx is canceled.
 func DecompressSalvageCtx(gctx context.Context, p *device.Platform, f fzio.ChunkFetcher, opts DecompressOpts) ([]float32, *DamageMask, error) {
@@ -62,51 +63,35 @@ func DecompressSalvageCtx(gctx context.Context, p *device.Platform, f fzio.Chunk
 	dims := s.Header.Dims
 	mask := &DamageMask{Dims: dims, Planes: make([]bool, dims.SlowExtent())}
 	for z := range mask.Planes {
-		mask.Planes[z] = true // proven false per plane as intact chunks decode
+		mask.Planes[z] = true // cleared below for every plane an intact chunk covers
 	}
-	out := make([]float32, dims.N())
-	plane := dims.PlaneElems()
-
-	// The surveyed chunks tile the slow dimension in order; collect the
-	// intact ones with their plane windows. A survey of a derailed stream
-	// can overrun the geometry — chunks past the extent are undecodable
-	// (no window exists for them) and stay masked.
-	type salvageNeed struct {
-		lo int // first plane the chunk covers
-		sc *fzio.SurveyChunk
-	}
-	var needs []salvageNeed
+	// The surveyed chunks tile the slow dimension in order; plan the intact
+	// ones with their plane windows. A survey of a derailed stream can
+	// overrun the geometry — chunks past the extent are undecodable (no
+	// window exists for them) and stay masked.
+	var chunks []chunkRead
 	lo := 0
-	for i := range s.Chunks {
-		sc := &s.Chunks[i]
+	for _, sc := range s.Chunks {
 		if lo+sc.Planes > dims.SlowExtent() {
 			break
 		}
 		if sc.State == fzio.ChunkIntact {
-			needs = append(needs, salvageNeed{lo: lo, sc: sc})
+			chunks = append(chunks, chunkRead{chunk: sc.Index, lo: lo, planes: sc.Planes})
+			clear(mask.Planes[lo : lo+sc.Planes])
 		}
 		lo += sc.Planes
 	}
-	if len(needs) == 0 {
+	if len(chunks) == 0 {
 		return nil, nil, fmt.Errorf("core: nothing to salvage: no intact chunk in %s artifact", s.Flavor)
 	}
 
-	ctx := newCtx(gctx, p, device.Accel, opts.Workers, len(needs))
-	jobs := make([]*decompressJob, len(needs))
-	for i, nd := range needs {
-		nd := nd
-		want := dims.WithSlowExtent(nd.sc.Planes)
-		o := nd.lo * plane
-		jobs[i] = addDecompressTasks(ctx, fmt.Sprintf("s%d.", nd.sc.Index), nd.sc.Index, want, out[o:o+want.N()],
-			func() ([]byte, error) { return nd.sc.Payload(), nil }, nil) // the survey already integrity-checked it
-	}
-	if _, err := finish(ctx, jobs); err != nil {
+	out := make([]float32, dims.N())
+	if _, err := readChunks(gctx, p, opts.Workers, &chunkReads{
+		// The survey accepted each intact payload under VerifyChunk.
+		fetch:  func(i int) ([]byte, error) { return s.Chunks[i].Payload(), nil },
+		chunks: chunks, dims: dims, sel: FullRegion(dims), out: out,
+	}); err != nil {
 		return nil, nil, err
-	}
-	for _, nd := range needs {
-		for z := nd.lo; z < nd.lo+nd.sc.Planes; z++ {
-			mask.Planes[z] = false // an intact chunk decoded it
-		}
 	}
 	return out, mask, nil
 }

@@ -601,7 +601,6 @@ func genLaplace(n int, b, tail float64, seed int64) []uint16 {
 // field at relative bound 1e-4, whose 12 % escape code the synthetic
 // streams lack.
 func BenchmarkHuffmanDecode(b *testing.B) {
-	centre, _ := benchCodes(1 << 21)
 	p := tp.WithWorkers(1)
 	run := func(b *testing.B, codes []uint16, loop decodeLoop) {
 		h := histOf(codes, 1024)
@@ -624,30 +623,30 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(codes)), "ns/code")
 		b.ReportMetric(float64(c.ExpectedBits(h))/float64(len(codes)), "bits/code")
 	}
+	// Each stream is made inside its b.Run, so a filtered run builds only
+	// the streams it times.
 	for _, bc := range []struct {
-		name  string
-		codes []uint16
-	}{
-		{"centre80", centre},
-		{"nyx", genLaplace(1<<21, 0.35, 0, 1)},
-		{"hacc", genLaplace(1<<21, 20, 0.03, 1)},
-	} {
-		b.Run(bc.name, func(b *testing.B) { run(b, bc.codes, loopByShape) })
-	}
-	loops := []struct {
 		name string
-		loop decodeLoop
-	}{{"pair", loopPair}, {"quad", loopQuad}}
-	for _, scale := range []float64{0.35, 1, 2, 4, 8, 20} {
-		codes := genLaplace(1<<21, scale, 0.03, 1)
-		for _, l := range loops {
-			b.Run(fmt.Sprintf("shape/b=%g/%s", scale, l.name), func(b *testing.B) { run(b, codes, l.loop) })
+		gen  func() []uint16
+	}{
+		{"centre80", func() []uint16 { codes, _ := benchCodes(1 << 21); return codes }},
+		{"nyx", func() []uint16 { return genLaplace(1<<21, 0.35, 0, 1) }},
+		{"hacc", func() []uint16 { return genLaplace(1<<21, 20, 0.03, 1) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) { run(b, bc.gen(), loopByShape) })
+	}
+	both := func(gen func(b *testing.B) []uint16) func(b *testing.B) {
+		return func(b *testing.B) {
+			codes := gen(b)
+			b.Run("pair", func(b *testing.B) { run(b, codes, loopPair) })
+			b.Run("quad", func(b *testing.B) { run(b, codes, loopQuad) })
 		}
 	}
-	hacc := haccLorenzoCodes(b, 1<<21)
-	for _, l := range loops {
-		b.Run("hacc-lorenzo/"+l.name, func(b *testing.B) { run(b, hacc, l.loop) })
+	for _, scale := range []float64{0.35, 1, 2, 4, 8, 20} {
+		scale := scale
+		b.Run(fmt.Sprintf("shape/b=%g", scale), both(func(*testing.B) []uint16 { return genLaplace(1<<21, scale, 0.03, 1) }))
 	}
+	b.Run("hacc-lorenzo", both(func(b *testing.B) []uint16 { return haccLorenzoCodes(b, 1<<21) }))
 }
 
 // haccLorenzoCodes returns the Lorenzo quantization codes of an n-value

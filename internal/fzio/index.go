@@ -52,7 +52,7 @@ type ContainerIndex struct {
 	// monolithic artifacts, which carry no integrity tree. FetchIndex
 	// has already checked a non-nil Root against the table's own leaf
 	// hashes, so the index is tamper-evident as a whole; per-payload
-	// verification is VerifyProof, a leaf-hash comparison.
+	// verification is VerifyChunk, which compares leaf hashes.
 	Root []byte
 	// ArtifactSize is the container's total byte length.
 	ArtifactSize int64
@@ -70,10 +70,12 @@ func (ix *ContainerIndex) NumChunks() int { return len(ix.Chunks) }
 // index: corruption or tampering, detected and never silently decoded.
 var ErrCRCMismatch = errors.New("fzio: CRC mismatch")
 
-// VerifyChunk checks a fetched payload for chunk i against the index:
-// exact length, and — for flavors whose index records payload CRCs — the
-// CRC32. Monolithic artifacts have no container-level CRC; their integrity
-// is covered by the per-segment CRCs Unmarshal verifies.
+// VerifyChunk is the acceptance rule every read door applies to chunk i's
+// payload before decoding it: exact length; the CRC32 on flavors whose
+// index records payload CRCs (FZMC, FZMS), refused with ErrCRCMismatch;
+// and the SHA-256 leaf hash whenever the index carries a Merkle root
+// (VerifyProof), refused with ErrProofMismatch. Monolithic artifacts record
+// neither; their integrity is the per-segment CRCs Unmarshal verifies.
 func (ix *ContainerIndex) VerifyChunk(i int, payload []byte) error {
 	if i < 0 || i >= len(ix.Chunks) {
 		return fmt.Errorf("fzio: chunk index %d out of range [0,%d)", i, len(ix.Chunks))
@@ -88,17 +90,13 @@ func (ix *ContainerIndex) VerifyChunk(i int, payload []byte) error {
 	if crc32.ChecksumIEEE(payload) != ref.CRC {
 		return fmt.Errorf("%w: chunk %d (corrupt or tampered payload)", ErrCRCMismatch, i)
 	}
-	return nil
+	return ix.VerifyProof(i, payload)
 }
 
-// VerifyProof checks a fetched payload for chunk i against the leaf hash
-// the chunk table records for it, returning an ErrProofMismatch-wrapped
-// error on divergence. FetchIndex has already refused a table whose Root
-// does not rebuild from its leaf hashes, so a matching leaf hash ties the
-// payload to the root without an inclusion-proof fold. Indexes without a
-// root (v1 or monolithic artifacts) record no leaf hashes and verify
-// vacuously, so callers can apply it unconditionally; HasProofs reports
-// whether the check is substantive.
+// VerifyProof is VerifyChunk's leaf-hash half: chunk i's payload must hash
+// to the leaf its chunk table records (FetchIndex has bound the leaves to
+// Root), or the error wraps ErrProofMismatch. Without a root (v1 or
+// monolithic artifacts) it verifies vacuously; see HasProofs.
 func (ix *ContainerIndex) VerifyProof(i int, payload []byte) error {
 	if ix.Root == nil {
 		return nil
@@ -290,10 +288,10 @@ func fetchStreamTrailer(f ChunkFetcher, size int64, hdr ChunkedHeader, version, 
 const MaxMonolithicFetchBytes = maxStreamChunkBytes
 
 // monolithicIndex maps an FZMD container to a one-chunk index covering
-// the whole artifact, so the region planner serves monolithic containers
+// the whole artifact, so the read planners serve monolithic containers
 // through the same path. The payload has no container-level CRC
-// (VerifyChunk skips it); Unmarshal's per-segment CRCs cover integrity at
-// decode time.
+// (VerifyChunk checks only its length); Unmarshal's per-segment CRCs cover
+// integrity at decode time.
 func monolithicIndex(prefix []byte, size int64) (*ContainerIndex, error) {
 	hdr, err := ParseMonolithicHeader(prefix)
 	if err != nil {

@@ -98,7 +98,7 @@ func merkleRoot(refs []ChunkRef) [HashSize]byte {
 // bytes of out, chosen so crc32.ChecksumIEEE(out) is unchanged, and
 // reports whether it applied (ranges shorter than 8 bytes are left
 // untouched): the adversarial tamper a 32-bit checksum cannot see and
-// only the leaf-hash check (ContainerIndex.VerifyProof) catches. Integrity tests use it to
+// only the leaf-hash check (ContainerIndex.VerifyChunk) catches. Integrity tests use it to
 // build a CRC-colliding artifact. delta seeds the first half of the
 // pattern; the second half is solved for.
 //

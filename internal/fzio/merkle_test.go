@@ -89,8 +89,8 @@ func TestMerkleDeterministic(t *testing.T) {
 	}
 }
 
-// TestVerifyProofLeafHash is the per-payload integrity check a region
-// read applies: on an artifact that records leaf hashes, a payload
+// TestVerifyProofLeafHash is the per-payload integrity check every read
+// door applies: on an artifact that records leaf hashes, a payload
 // passes only if it hashes to the leaf its chunk table records for that
 // chunk; on v1 and monolithic artifacts the check is vacuous.
 func TestVerifyProofLeafHash(t *testing.T) {
@@ -113,7 +113,7 @@ func TestVerifyProofLeafHash(t *testing.T) {
 		chunk  int  // the chunk the payload is presented as
 		from   int  // the chunk whose payload is presented
 		tamper func([]byte) []byte
-		crcOK  bool  // the presented payload passes VerifyChunk
+		crcOK  bool  // the presented payload passes VerifyChunk's CRC32 check
 		want   error // nil, ErrProofMismatch or errRange
 	}{
 		{"v1 FZMC tampered", v1Fixture(t, "v1-default-hurr.fzmc"), false, 1, 1, flip, false, nil},
@@ -139,8 +139,9 @@ func TestVerifyProofLeafHash(t *testing.T) {
 			ref := ix.Chunks[tc.from]
 			payload := tc.tamper(bytes.Clone(tc.blob[ref.Offset : ref.Offset+ref.Length]))
 			if tc.crcOK {
-				if err := ix.VerifyChunk(tc.chunk, payload); err != nil {
-					t.Fatalf("VerifyChunk: %v", err)
+				// Past the CRC32, VerifyChunk's verdict is the leaf hash's.
+				if err := ix.VerifyChunk(tc.chunk, payload); (err == nil) != (tc.want == nil) || !errors.Is(err, tc.want) {
+					t.Fatalf("VerifyChunk = %v, want %v", err, tc.want)
 				}
 			}
 			err = ix.VerifyProof(tc.chunk, payload)

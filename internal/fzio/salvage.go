@@ -143,28 +143,34 @@ func surveyChunked(blob []byte) (*Survey, error) {
 		return nil, fmt.Errorf("fzio: unsalvageable chunked artifact: %w", err)
 	}
 	s := &Survey{Flavor: FlavorChunked, Header: hdr, Root: root, RootVerified: rootOK}
+	ix := &ContainerIndex{Flavor: FlavorChunked, Header: hdr, Chunks: chunks, Root: root}
 	for i, ref := range chunks {
 		sc := SurveyChunk{Index: i, Length: ref.Length, Planes: ref.Planes}
-		lo := pos + ref.Offset
-		hi := lo + ref.Length
-		switch {
-		case hi > len(blob):
+		lo, hi := pos+ref.Offset, pos+ref.Offset+ref.Length
+		if hi > len(blob) {
 			sc.State = ChunkMissing
 			sc.Detail = fmt.Sprintf("payload [%d,%d) extends past the %d-byte artifact", lo, hi, len(blob))
 			s.Truncated = true
-		case crc32.ChecksumIEEE(blob[lo:hi]) != ref.CRC:
-			sc.State = ChunkCorrupt
-			sc.Detail = "payload CRC32 disagrees with the chunk table"
-		case root != nil && LeafHash(blob[lo:hi]) != ref.Hash:
-			sc.State = ChunkCorrupt
-			sc.Detail = "payload hash disagrees with the chunk table (CRC collision)"
-		default:
-			sc.State = ChunkIntact
-			sc.payload = blob[lo:hi]
+		} else {
+			sc.judge(ix, blob[lo:hi])
 		}
 		s.Chunks = append(s.Chunks, sc)
 	}
 	return s, nil
+}
+
+// judge gives a present payload the read doors' verdict (VerifyChunk, its
+// error the Detail of a corrupt chunk); an index without an entry for the
+// chunk (a stream whose trailer did not survive) adds nothing to what the
+// caller checked.
+func (sc *SurveyChunk) judge(ix *ContainerIndex, payload []byte) {
+	if sc.Index < len(ix.Chunks) {
+		if err := ix.VerifyChunk(sc.Index, payload); err != nil {
+			sc.State, sc.Detail = ChunkCorrupt, err.Error()
+			return
+		}
+	}
+	sc.State, sc.payload = ChunkIntact, payload
 }
 
 // surveyStream walks an FZMS artifact frame by frame from the prologue —
@@ -185,6 +191,7 @@ func surveyStream(blob []byte) (*Survey, error) {
 	// range — is an error, and the survey falls back to the frames alone.
 	refs, root, rootOK, trailerErr := fetchStreamTrailer(NewBytesFetcher(blob), int64(len(blob)), hdr, version, prologueLen)
 	s.Root, s.RootVerified = root, rootOK
+	ix := &ContainerIndex{Flavor: FlavorStream, Header: hdr, Chunks: refs, Root: root} // no entries if trailerErr
 
 	// Frame walk: each frame carries its own length ‖ planes ‖ CRC header,
 	// so intact frames before the damage point are recoverable even when
@@ -216,15 +223,8 @@ func surveyStream(blob []byte) (*Survey, error) {
 		case crc32.ChecksumIEEE(payload) != crc:
 			sc.State = ChunkCorrupt
 			sc.Detail = "frame payload CRC32 disagrees with its header"
-		case trailerErr == nil && i < len(refs) && refs[i].CRC != crc:
-			sc.State = ChunkCorrupt
-			sc.Detail = "frame CRC disagrees with the trailer index"
-		case trailerErr == nil && version >= 2 && i < len(refs) && LeafHash(payload) != refs[i].Hash:
-			sc.State = ChunkCorrupt
-			sc.Detail = "frame payload hash disagrees with the trailer index (CRC collision)"
 		default:
-			sc.State = ChunkIntact
-			sc.payload = payload
+			sc.judge(ix, payload)
 		}
 		s.Chunks = append(s.Chunks, sc)
 		if c.err != nil {

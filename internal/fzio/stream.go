@@ -328,8 +328,9 @@ func (sr *StreamReader) Next(dst []byte) ([]byte, int, error) {
 }
 
 // verifyTrailer reads the index trailer and checks it against the frames
-// already decoded: same count, lengths, plane extents and CRCs, plus the
-// trailer's own CRC, length record and end magic.
+// already decoded: same count, lengths, plane extents, CRCs and (v2) leaf
+// hashes and root, plus the trailer's own CRC, length record and end
+// magic. A disagreement is reported by trailerMismatch.
 func (sr *StreamReader) verifyTrailer() error {
 	if sr.planes != sr.header.Dims.SlowExtent() {
 		return fmt.Errorf("fzio: chunks cover %d planes, field has %d",
@@ -346,7 +347,7 @@ func (sr *StreamReader) verifyTrailer() error {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			return fmt.Errorf("fzio: stream trailer disagrees with frames at byte %d", i)
+			return sr.trailerMismatch(i)
 		}
 	}
 	var tail [16]byte // trailer CRC (4) + trailer length (8) + end magic (4)
@@ -363,6 +364,32 @@ func (sr *StreamReader) verifyTrailer() error {
 		return fmt.Errorf("fzio: missing stream end magic")
 	}
 	return nil
+}
+
+// trailerMismatch names what the trailer byte at off — the first that
+// differs from the table appendIndexV re-serialized from the frames read —
+// belongs to: the chunk count, a chunk's entry (ErrProofMismatch when the
+// byte lies in its leaf hash, so its length, planes and CRC agree), or the
+// Merkle root.
+func (sr *StreamReader) trailerMismatch(off int) error {
+	end := uvarintLen(uint64(len(sr.refs)))
+	if off < end {
+		return fmt.Errorf("fzio: stream trailer's chunk count disagrees with the %d frames read", len(sr.refs))
+	}
+	hash := 0
+	if sr.version >= 2 {
+		hash = HashSize
+	}
+	for i, ref := range sr.refs {
+		end += uvarintLen(uint64(ref.Length)) + uvarintLen(uint64(ref.Planes)) + 4 + hash
+		if off < end-hash {
+			return fmt.Errorf("fzio: stream trailer's entry for chunk %d disagrees with its frame", i)
+		}
+		if off < end {
+			return fmt.Errorf("%w: stream trailer's leaf hash for chunk %d disagrees with its frame", ErrProofMismatch, i)
+		}
+	}
+	return fmt.Errorf("%w: stream trailer's Merkle root disagrees with its frames", ErrProofMismatch)
 }
 
 // readN reads exactly n bytes into dst (reused when capacity allows),

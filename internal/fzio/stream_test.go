@@ -278,6 +278,38 @@ func TestStreamTrailerTamper(t *testing.T) {
 	}
 }
 
+// TestStreamTrailerNamesChunk: a trailer that disagrees with the frames
+// read is reported by what disagrees — the count, a chunk's entry, its
+// leaf hash (ErrProofMismatch) or the root — not by a byte offset.
+func TestStreamTrailerNamesChunk(t *testing.T) {
+	blob, _, _ := sampleStream(t)
+	const entry = 1 + 1 + 4 + HashSize // length ‖ planes ‖ CRC ‖ hash
+	index := len(blob) - 16 - (1 + 3*entry + HashSize)
+	for _, tc := range []struct {
+		off   int // byte of the index table to flip
+		want  string
+		proof bool
+	}{
+		{0, "chunk count", false},
+		{1 + 2*entry + 3, "entry for chunk 2", false},
+		{1 + entry + 6 + 5, "leaf hash for chunk 1", true},
+		{1 + 3*entry + 7, "Merkle root", true},
+	} {
+		mut := bytes.Clone(blob)
+		mut[index+tc.off] ^= 0x40
+		sr, err := NewStreamReader(bytes.NewReader(mut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err == nil {
+			_, _, err = sr.Next(nil)
+		}
+		if !strings.Contains(err.Error(), tc.want) || errors.Is(err, ErrProofMismatch) != tc.proof {
+			t.Errorf("flip at index byte %d: got %v, want %q (hash mismatch: %v)", tc.off, err, tc.want, tc.proof)
+		}
+	}
+}
+
 func TestStreamCraftedHugeDims(t *testing.T) {
 	for _, dims := range [][3]uint64{
 		{3, 1, 1 << 62},

@@ -65,7 +65,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "fzmodd_raw_bytes_total %d\n", m.rawBytes.Load())
 	fmt.Fprintf(w, "# TYPE fzmodd_compressed_bytes_total counter\n")
 	fmt.Fprintf(w, "fzmodd_compressed_bytes_total %d\n", m.compressedBytes.Load())
-	fmt.Fprintf(w, "# HELP fzmodd_region_proofs_verified_total Chunk payloads that matched their recorded SHA-256 leaf hash in region reads (v2 artifacts; whole-blob decompress checks CRC32 only).\n")
+	fmt.Fprintf(w, "# HELP fzmodd_region_proofs_verified_total Chunk payloads that matched their recorded SHA-256 leaf hash in region reads (v2 artifacts).\n")
 	fmt.Fprintf(w, "# TYPE fzmodd_region_proofs_verified_total counter\n")
 	fmt.Fprintf(w, "fzmodd_region_proofs_verified_total %d\n", m.proofVerified.Load())
 	fmt.Fprintf(w, "# HELP fzmodd_compression_ratio Aggregate raw/compressed volume.\n")

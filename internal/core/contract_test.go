@@ -300,8 +300,8 @@ func TestDecodeCountMismatch(t *testing.T) {
 // allocates its output field (plus spline's float64 work field on cesm)
 // and the stream door, whose destinations are pooled too, no field-sized
 // buffer. The rest, about 0.3 × at this size, is per-chunk decoder state
-// (Huffman tables, outlier values). Measured here: nyx 1.28, hacc 1.63,
-// hurr 1.04, cesm 3.39, stream 0.30; code arrays that came from make and
+// (Huffman tables, outlier values). Measured here: nyx 1.29, hacc 1.30,
+// hurr 1.04, cesm 3.41, stream 0.30; code arrays that came from make and
 // a stream door that reconstructed into fresh slices measured 1.78, 2.13,
 // 1.54, 4.89 and 1.80.
 func TestDecompressAllocs(t *testing.T) {

@@ -6,16 +6,19 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"fzmod/internal/device"
+	"fzmod/internal/kernels/dispatch"
 )
 
 // refDecodeChunk is the single-chunk decoder that Decode ran before it
-// paired chunks, kept unchanged apart from names as the oracle: one 64-bit
-// reservoir, a copy loop per multi-table hit, and a bit-by-bit canonical
-// walk for every code the tables do not resolve.
+// paired chunks, kept as the oracle: one 64-bit reservoir, a copy loop per
+// multi-table hit, and a bit-by-bit canonical walk for every code the
+// first level of the decode table does not hold, so the second level is
+// checked against the walk.
 func (c *Codec) refDecodeChunk(data []byte, out []uint16) error {
 	n := len(data)
 	tb := c.maxLen
@@ -23,7 +26,7 @@ func (c *Codec) refDecodeChunk(data []byte, out []uint16) error {
 		tb = tableBits
 	}
 	mask := uint64(1)<<uint(tb) - 1
-	fast := c.fastTable()
+	dec := c.decodeTable()
 	multi := c.multiTable()
 	mmask := uint64(len(multi) - 1)
 	var acc uint64
@@ -53,11 +56,11 @@ func (c *Codec) refDecodeChunk(data []byte, out []uint16) error {
 			navail -= uint(me.bits)
 			continue
 		}
-		if e := fast[acc&mask]; e.len > 0 && uint(e.len) <= navail {
-			out[oi] = e.sym
+		if e := dec[acc&mask]; int32(e) >= 0 && e >= 1<<16 && uint(e>>16) <= navail {
+			out[oi] = uint16(e)
 			oi++
-			acc >>= e.len
-			navail -= uint(e.len)
+			acc >>= e >> 16
+			navail -= uint(e >> 16)
 			continue
 		}
 		var code uint32
@@ -149,43 +152,78 @@ func joinStream(total uint64, chunks [][]byte) []byte {
 	return out
 }
 
-// refDecode decodes a framed stream chunk by chunk with refDecodeChunk.
-func refDecode(c *Codec, data []byte) ([]uint16, error) {
+// refDecode decodes a framed stream chunk by chunk with refDecodeChunk. On
+// failure it returns the framing error, or the error of every chunk that
+// fails: Decode, whose chunks run concurrently, may report any of them.
+func refDecode(c *Codec, data []byte) ([]uint16, []error) {
 	total, chunks, err := splitStream(c, data)
 	if err != nil {
-		return nil, err
+		return nil, []error{err}
 	}
 	out := make([]uint16, total)
+	var errs []error
 	for ci, ch := range chunks {
 		start := ci * chunkSize
 		if err := c.refDecodeChunk(ch, out[start:min(start+chunkSize, int(total))]); err != nil {
-			return nil, err
+			errs = append(errs, err)
 		}
+	}
+	if errs != nil {
+		return nil, errs
 	}
 	return out, nil
 }
 
+// refAllows reports whether Decode's error err is one refDecode's errs
+// allow: any error when the framing fails, else one failing chunk's error
+// to the letter, so the code index Decode reports is the reference's.
+func refAllows(err error, errs []error) bool {
+	if len(errs) == 1 && !strings.HasPrefix(errs[0].Error(), "huffman:") {
+		return true
+	}
+	for _, e := range errs {
+		if e.Error() == err.Error() {
+			return true
+		}
+	}
+	return false
+}
+
 // checkAgainstRef decodes data with both of Decode's loops at Workers 1
-// and 2 (which group the chunks differently) and with refDecode: each must
-// succeed with the same codes exactly where the reference does.
+// and 2 (which group the chunks differently), under every kernel tier,
+// and with refDecode: each must succeed with the same codes exactly where
+// the reference does, and otherwise fail with a chunk's reference error.
 func checkAgainstRef(t *testing.T, name string, c *Codec, data []byte) {
 	t.Helper()
-	want, werr := refDecode(c, data)
-	for _, p := range []*device.Platform{tp.WithWorkers(2), tp.WithWorkers(1)} {
-		for _, loop := range []decodeLoop{loopPair, loopQuad} {
-			got, err := c.decode(p, device.Host, data, nil, loop)
-			switch {
-			case werr != nil && err == nil:
-				t.Errorf("%s (workers %d, loop %d): reference fails (%v), Decode returned %d codes", name, p.Workers(device.Host), loop, werr, len(got))
-			case werr == nil && err != nil:
-				t.Errorf("%s (workers %d, loop %d): reference decodes, Decode fails: %v", name, p.Workers(device.Host), loop, err)
-			case werr == nil:
-				if len(got) != len(want) {
-					t.Fatalf("%s: Decode returned %d codes, reference %d", name, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s (workers %d, loop %d): code %d is %d, reference %d", name, p.Workers(device.Host), loop, i, got[i], want[i])
+	want, werrs := refDecode(c, data)
+	defer func() {
+		if err := dispatch.Use("auto"); err != nil {
+			t.Fatalf("restoring auto tier: %v", err)
+		}
+	}()
+	for _, tier := range dispatch.Tiers() {
+		if err := dispatch.Use(tier); err != nil {
+			t.Fatalf("Use(%q): %v", tier, err)
+		}
+		for _, p := range []*device.Platform{tp.WithWorkers(2), tp.WithWorkers(1)} {
+			for _, loop := range []decodeLoop{loopPair, loopQuad} {
+				at := fmt.Sprintf("%s (%s, workers %d, loop %d)", name, tier, p.Workers(device.Host), loop)
+				got, err := c.decode(p, device.Host, data, nil, loop)
+				switch {
+				case werrs != nil && err == nil:
+					t.Errorf("%s: reference fails (%v), Decode returned %d codes", at, werrs, len(got))
+				case werrs == nil && err != nil:
+					t.Errorf("%s: reference decodes, Decode fails: %v", at, err)
+				case werrs != nil && !refAllows(err, werrs):
+					t.Errorf("%s: Decode fails with %v, reference with %v", at, err, werrs)
+				case werrs == nil:
+					if len(got) != len(want) {
+						t.Fatalf("%s: Decode returned %d codes, reference %d", at, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: code %d is %d, reference %d", at, i, got[i], want[i])
+						}
 					}
 				}
 			}
@@ -229,13 +267,18 @@ func genForCodec(c *Codec, n int, seed int64) []uint16 {
 	return codes
 }
 
+// TestDecodeMatchesReference checks Decode against refDecode (under every
+// kernel tier, in checkAgainstRef) on chain codebooks up to 32 bits (at 19
+// bits three codes fill a four-lane batch's 57-bit window; codes past
+// tableBits + linkBits take longCode), on NYX- and HACC-shaped books and a
+// Kraft-incomplete one, whole and corrupted.
 func TestDecodeMatchesReference(t *testing.T) {
 	type book struct {
 		name string
 		c    *Codec
 	}
 	var books []book
-	for _, m := range []int{11, 13, 17, 32} {
+	for _, m := range []int{11, 13, 17, 19, 32} {
 		c, err := fromLengths(chainLengths(m))
 		if err != nil {
 			t.Fatal(err)
@@ -364,9 +407,9 @@ func holeyLengths(t testing.TB) []uint8 {
 // below it and a holey book. Every chunk, so each of the four lanes and
 // every leftover, takes bit flips and a truncation that runs the lane dry
 // mid-symbol, inside the batch loop's reach (half the chunk) or in the
-// finishing loops (all but the last byte, or all but three). Both loops
-// must fail exactly where refDecodeChunk does, and otherwise return its
-// codes.
+// finishing loops (all but the last byte, or all but three). Both loops,
+// under every kernel tier, must fail exactly where refDecodeChunk does,
+// and otherwise return its codes.
 func TestDecodeLanesMatchReference(t *testing.T) {
 	holey := mustFromLengths(t, holeyLengths(t))
 	for bi, b := range []struct {
@@ -426,9 +469,10 @@ func TestDecodeLanesMatchReference(t *testing.T) {
 // shapes; a long-code stream alone never builds the multi-symbol table.
 func TestDecodeTablesOnFirstUse(t *testing.T) {
 	// Symbol 0 takes most of the mass and a 1-bit code; the rest take
-	// 10–11 bits. A stream of symbol 0 decodes with the paired loop, one of
-	// the rest with the four-lane loop.
-	hist := make([]uint32, 1024)
+	// 12–13 bits, most of them through the second level. A stream of
+	// symbol 0 decodes with the paired loop, one of the rest with the
+	// four-lane loop.
+	hist := make([]uint32, 4096)
 	for s := range hist {
 		hist[s] = 1
 	}
@@ -436,11 +480,11 @@ func TestDecodeTablesOnFirstUse(t *testing.T) {
 	short := make([]uint16, 4*chunkSize)
 	long := make([]uint16, 4*chunkSize)
 	for i := range long {
-		long[i] = uint16(1 + i%1023)
+		long[i] = uint16(1 + i%4095)
 	}
 	for _, both := range []bool{false, true} {
 		c := mustBuild(t, hist)
-		if c.fast != nil || c.multi != nil {
+		if c.dec != nil || c.multi != nil {
 			t.Fatal("Build built decode tables")
 		}
 		streams := [][]uint16{long}
@@ -478,8 +522,9 @@ func TestDecodeTablesOnFirstUse(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		if c.fast == nil || (c.multi != nil) != both {
-			t.Errorf("short-code stream decoded %v: fast table built %v, multi table built %v", both, c.fast != nil, c.multi != nil)
+		if len(c.dec) <= 1<<c.fastBits || (c.multi != nil) != both {
+			t.Errorf("short-code stream decoded %v: a %d-entry decode table over %d first-level entries, multi table built %v",
+				both, len(c.dec), 1<<c.fastBits, c.multi != nil)
 		}
 	}
 }
@@ -629,9 +674,9 @@ func FuzzHuffmanDecode(f *testing.F) {
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(stream))+decodeAllocSlack {
 				t.Fatalf("%d stream bytes: Decode allocated %d bytes", len(stream), alloc)
 			}
-			want, werr := refDecode(c, stream)
-			if (err == nil) != (werr == nil) {
-				t.Fatalf("Decode error %v, reference error %v", err, werr)
+			want, werrs := refDecode(c, stream)
+			if (err == nil) != (werrs == nil) || err != nil && !refAllows(err, werrs) {
+				t.Fatalf("Decode error %v, reference errors %v", err, werrs)
 			}
 			for i := range want {
 				if got[i] != want[i] {
@@ -676,15 +721,16 @@ func FuzzHuffmanDecode(f *testing.F) {
 	})
 }
 
-// FuzzHuffmanQuad drives decodeQuad itself: four short streams, the
-// fuzzer's bytes as they come, decode under one fixed book above
-// fourLaneBits (holeyLengths, so a lane can meet an unassigned prefix as
-// well as run dry), each lane wanting the code count its 10 bits of counts
-// give. decodeQuad must fail exactly when refDecodeChunk fails on some
-// lane, and otherwise write the reference's codes in every lane.
+// FuzzHuffmanQuad drives decodeQuad itself under every kernel tier: four
+// short streams, the fuzzer's bytes as they come, decode under one fixed
+// book above fourLaneBits (holeyLengths, so a lane can meet an unassigned
+// prefix as well as run dry), each lane wanting the code count its 10 bits
+// of counts give. decodeQuad must fail exactly when refDecodeChunk fails
+// on some lane, with one such lane's error, and otherwise write the
+// reference's codes in every lane.
 func FuzzHuffmanQuad(f *testing.F) {
 	c := mustFromLengths(f, holeyLengths(f))
-	c.fastTable()
+	c.decodeTable()
 	// Seeds: four encoded lanes, whole and with the third cut mid-code.
 	var seed [4][]byte
 	var counts uint64
@@ -696,28 +742,39 @@ func FuzzHuffmanQuad(f *testing.F) {
 	f.Add(seed[0], seed[1], seed[2], seed[3], counts)
 	f.Add(seed[0], seed[1], seed[2][:len(seed[2])/2], seed[3], counts)
 	f.Fuzz(func(t *testing.T, in0, in1, in2, in3 []byte, counts uint64) {
-		var lanes [4]lane
-		wantErr := false
+		var werrs []error
 		want := make([][]uint16, 4)
 		for i, in := range [][]byte{in0, in1, in2, in3} {
-			n := int(counts >> (16 * i) & 0x3ff)
-			lanes[i] = lane{in: in, out: make([]uint16, n)}
-			want[i] = make([]uint16, n)
-			if c.refDecodeChunk(in, want[i]) != nil {
-				wantErr = true
+			want[i] = make([]uint16, counts>>(16*i)&0x3ff)
+			if err := c.refDecodeChunk(in, want[i]); err != nil {
+				werrs = append(werrs, err)
 			}
 		}
-		err := c.decodeQuad(lanes[0], lanes[1], lanes[2], lanes[3])
-		if (err != nil) != wantErr {
-			t.Fatalf("decodeQuad error %v, reference fails: %v", err, wantErr)
-		}
-		if err != nil {
-			return
-		}
-		for i, l := range lanes {
-			for k := range want[i] {
-				if l.out[k] != want[i][k] {
-					t.Fatalf("lane %d code %d is %d, reference %d", i, k, l.out[k], want[i][k])
+		defer func() {
+			if err := dispatch.Use("auto"); err != nil {
+				t.Fatalf("restoring auto tier: %v", err)
+			}
+		}()
+		for _, tier := range dispatch.Tiers() {
+			if err := dispatch.Use(tier); err != nil {
+				t.Fatalf("Use(%q): %v", tier, err)
+			}
+			var lanes [4]lane
+			for i, in := range [][]byte{in0, in1, in2, in3} {
+				lanes[i] = lane{in: in, out: make([]uint16, len(want[i]))}
+			}
+			err := c.decodeQuad(lanes[0], lanes[1], lanes[2], lanes[3])
+			if (err != nil) != (werrs != nil) || err != nil && !refAllows(err, werrs) {
+				t.Fatalf("%s: decodeQuad error %v, reference errors %v", tier, err, werrs)
+			}
+			if err != nil {
+				continue
+			}
+			for i, l := range lanes {
+				for k := range want[i] {
+					if l.out[k] != want[i][k] {
+						t.Fatalf("%s: lane %d code %d is %d, reference %d", tier, i, k, l.out[k], want[i][k])
+					}
 				}
 			}
 		}

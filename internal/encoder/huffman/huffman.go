@@ -8,8 +8,10 @@
 // fourLaneBits bits per code on average: smooth fields) decodes two chunks
 // at a time through a multi-symbol table that resolves a run of codes per
 // lookup. A stream of long codes (rough fields, where a multi-table window
-// mostly holds one code) decodes four chunks at a time through the
-// single-symbol table alone. Codes longer than the table index take the
+// mostly holds one code) decodes four chunks at a time in a dispatched
+// kernel (dispatch.DecodeQuad) through the single-symbol table alone. That
+// table has two levels: codes longer than its first-level index resolve
+// through a small second level, and only codes past that take the
 // canonical MSB-first walk over per-length code counts. Encoding reads
 // neither table, so they are built on the first decode that needs them;
 // it picks its emitter by the same shape rule, per chunk (emitByShape).
@@ -36,9 +38,20 @@ import (
 // rescaled (halved frequencies) until the bound holds.
 const maxCodeLen = 32
 
-// tableBits sizes the fast decode table: codes up to this length decode in
-// one lookup, longer ones take the canonical walk in longCode.
+// tableBits sizes the first level of the decode table: codes up to this
+// length decode in one lookup.
 const tableBits = 12
+
+// linkBits and secondMax bound the decode table's second level. A
+// first-level prefix of longer codes links to a second level as wide as
+// its longest code needs, at most linkBits bits (codes up to tableBits +
+// linkBits = 20 bits resolve there), and all second levels together hold
+// at most secondMax entries, 8 KiB. HACC codebooks, whose codes stop at
+// 15–17 bits, need 500–800. Codes past either bound take longCode.
+const (
+	linkBits  = 8
+	secondMax = 1 << 11
+)
 
 // multiBits sizes the multi-symbol decode table: every multiBits-wide
 // lookahead window is pre-decoded into the run of complete codes it
@@ -51,14 +64,17 @@ const multiBits = 10
 const maxMultiSyms = 6
 
 // fourLaneBits is the average code length, in bits, from which Decode runs
-// the four-lane single-symbol loop (decodeQuad) instead of the paired
+// the four-lane single-symbol kernel (decodeQuad) instead of the paired
 // multi-symbol loop (decodePair): a stream takes it when 8·payload bytes ≥
 // fourLaneBits·codes. BenchmarkHuffmanDecode's shape sweep times both
-// loops on Laplace-shaped streams; on a 2-vCPU Xeon at Workers=1 the pair
-// loop wins at 3.0 and 3.9 bits/code (scale 1 and 2: 1.4× and 1.1×), the
-// quad loop from 4.8 (scale 4: 1.1×, scale 20 at 7.0 bits/code: 1.9×), so
-// the crossover lies between 3.9 and 4.8. Real streams sit far from it:
-// NYX and CESM codes average 1.2–2.0 bits, HACC codes 7.1.
+// loops on Laplace-shaped streams, the kernel under each tier. On a 2-vCPU
+// Xeon at Workers=1 the AVX2 kernel ties the pair loop at 3.0 bits/code
+// (scale 1), wins from 3.9 (scale 2: 1.45×; scale 20 at 7.0 bits/code:
+// 2.5×) and loses at 1.8 (scale 0.35: 1.3×); the pure-Go kernel loses at
+// 3.9 (1.5×) and wins from 4.8 (1.1×, 1.6× at 7.0). The crossover is
+// about 3 bits/code on AVX2 and between 3.9 and 4.8 elsewhere. Real
+// streams sit far from both: NYX and CESM codes average 1.2–2.0 bits,
+// HACC codes 7.1.
 const fourLaneBits = 4
 
 // chunkSize is the number of symbols encoded per independent chunk.
@@ -79,23 +95,19 @@ type Codec struct {
 
 	// Canonical decode state.
 	minLen, maxLen int
-	fastBits       int                    // fast table index width: min(maxLen, tableBits)
+	fastBits       int                    // first-level index width: min(maxLen, tableBits)
 	firstCode      []uint32               // by length
 	firstIdx       []int                  // by length
 	count          [maxCodeLen + 1]uint32 // codes per length
 	symByIdx       []uint16
 
-	// Decode tables, built by fastTable and multiTable on first use and
+	// Decode tables, built by decodeTable and multiTable on first use and
 	// read-only after: Decode builds the ones its loop reads before any
-	// lane runs.
-	fastOnce, multiOnce sync.Once
-	fast                []fastEntry
-	multi               []multiEntry
-}
-
-type fastEntry struct {
-	sym uint16
-	len uint8
+	// lane runs. dec is the two-level single-symbol table in
+	// dispatch.Lookup's format.
+	decOnce, multiOnce sync.Once
+	dec                []uint32
+	multi              []multiEntry
 }
 
 // multiEntry pre-decodes one lookahead window: the first n complete codes
@@ -235,7 +247,7 @@ func buildLengths(freqs []uint64, sc *buildScratch) []uint8 {
 }
 
 // fromLengths assigns canonical codes and the canonical decode state; the
-// decode tables wait for fastTable and multiTable.
+// decode tables wait for decodeTable and multiTable.
 func fromLengths(lengths []uint8) (*Codec, error) {
 	c := &Codec{lengths: lengths}
 	c.lengths32 = make([]uint32, len(lengths))
@@ -299,53 +311,106 @@ func fromLengths(lengths []uint8) (*Codec, error) {
 	return c, nil
 }
 
-// fastTable returns the single-symbol decode table, building it on the
-// first call: entry w decodes the code at the front of the fastBits-wide
-// window w, or has len 0 when that code is longer than the window.
-func (c *Codec) fastTable() []fastEntry {
-	c.fastOnce.Do(func() {
-		tb := c.fastBits
-		fast := make([]fastEntry, 1<<uint(tb))
-		for s, l := range c.lengths {
-			if l == 0 || int(l) > tb {
-				continue
-			}
-			// Stream packs code bits MSB-first at increasing bit positions;
-			// lookahead index packs stream bits LSB-first — exactly revCode.
-			base := uint32(c.enc[s] >> 8)
-			for fill := 0; fill < 1<<uint(tb-int(l)); fill++ {
-				fast[base|uint32(fill)<<uint(l)] = fastEntry{uint16(s), l}
+// decodeTable returns the single-symbol decode table, building it on the
+// first call. Its first level has an entry per fastBits-bit window: the
+// code at the window's front when that code is at most fastBits long, else
+// a link to the second level of the window's prefix, as wide as the
+// longest code under the prefix needs, at most linkBits. Second levels
+// are placed behind the first in canonical order, so shorter (more
+// frequent) codes come first, while they fit in secondMax entries; a
+// prefix past that keeps a zero (missing) entry, as do codes longer than
+// their second level resolves.
+func (c *Codec) decodeTable() []uint32 {
+	c.decOnce.Do(func() {
+		fb := uint(c.fastBits)
+		mask := uint32(1)<<fb - 1
+		// Stream packs code bits MSB-first at increasing bit positions;
+		// the window packs stream bits LSB-first — exactly revCode, whose
+		// low fb bits are a long code's first-level prefix. In canonical
+		// order (by length, then symbol) the codes under one prefix are
+		// consecutive, so each walk meets a prefix once per run.
+		long := func(visit func(rev uint32, s uint16, l uint)) {
+			for l := fb + 1; l <= uint(c.maxLen); l++ {
+				for _, s := range c.symByIdx[c.firstIdx[l]:][:c.count[l]] {
+					visit(uint32(c.enc[s]>>8), s, l)
+				}
 			}
 		}
-		c.fast = fast
+		// width[p]: the second-level width prefix p needs, then 0 where
+		// that second level does not fit.
+		var width [1 << tableBits]uint8
+		long(func(rev uint32, _ uint16, l uint) {
+			width[rev&mask] = max(width[rev&mask], uint8(min(l-fb, linkBits)))
+		})
+		size, last := uint32(1)<<fb, ^uint32(0)
+		long(func(rev uint32, _ uint16, _ uint) {
+			if p := rev & mask; p != last {
+				last = p
+				if size+1<<width[p] <= 1<<fb+secondMax {
+					size += 1 << width[p]
+				} else {
+					width[p] = 0
+				}
+			}
+		})
+		dec := make([]uint32, size)
+		for s, l := range c.lengths {
+			if l != 0 && uint(l) <= fb {
+				rev := uint32(c.enc[s] >> 8)
+				for fill := uint32(0); fill < 1<<(fb-uint(l)); fill++ {
+					dec[rev|fill<<l] = uint32(s) | uint32(l)<<16
+				}
+			}
+		}
+		next := uint32(1) << fb
+		long(func(rev uint32, s uint16, l uint) {
+			p := rev & mask
+			w := uint(width[p])
+			if w == 0 {
+				return
+			}
+			if dec[p] == 0 {
+				dec[p] = 1<<31 | next<<8 | uint32(w)
+				next += 1 << w
+			}
+			if r := l - fb; r <= w {
+				for fill := uint32(0); fill < 1<<(w-r); fill++ {
+					dec[dec[p]>>8&(1<<23-1)+(rev>>fb|fill<<r)] = uint32(s) | uint32(l)<<16
+				}
+			}
+		})
+		c.dec = dec
 	})
-	return c.fast
+	return c.dec
 }
 
 // multiTable returns the multi-symbol decode table, building it (and the
-// fast table it is simulated from) on the first call. Each window is
-// decoded the way the fast path would decode it; a symbol is committed only
-// when its full code lies within the window's remaining bits, so a window
-// never implies symbols the canonical decoder would not produce.
+// single-symbol table it is simulated from) on the first call. Each window
+// is decoded the way the first level would decode it; a symbol is
+// committed only when its full code lies within the window's remaining
+// bits, so a window never implies symbols the canonical decoder would not
+// produce. A link ends the window: its code is longer than multiBits.
 func (c *Codec) multiTable() []multiEntry {
-	fast := c.fastTable()
+	dec := c.decodeTable()
 	c.multiOnce.Do(func() {
 		mb := min(c.maxLen, multiBits)
+		mask := uint32(1)<<uint(c.fastBits) - 1
 		multi := make([]multiEntry, 1<<uint(mb))
 		for w := range multi {
 			acc := uint32(w)
-			rem := mb
+			rem := uint32(mb)
 			me := &multi[w]
 			for me.n < maxMultiSyms {
-				e := fast[acc&uint32(len(fast)-1)]
-				if e.len == 0 || int(e.len) > rem {
+				e := dec[acc&mask]
+				l := e >> 16
+				if int32(e) < 0 || l == 0 || l > rem {
 					break
 				}
-				me.syms[me.n] = e.sym
+				me.syms[me.n] = uint16(e)
 				me.n++
-				me.bits += e.len
-				acc >>= e.len
-				rem -= int(e.len)
+				me.bits += uint8(l)
+				acc >>= l
+				rem -= l
 			}
 		}
 		c.multi = multi
@@ -543,9 +608,9 @@ func emitChunk(emit func([]uint64, []uint16, []byte, uint64, uint) (int, int, ui
 // range, so independent lookup → shift chains overlap in one loop. The
 // loop follows the stream's shape: below fourLaneBits bits per code, pairs
 // of chunks run decodePair over the multi-symbol table; from there on,
-// groups of four run decodeQuad over the single-symbol table, and any 1–3
-// chunks left in a range run decodePair without the multi table. An odd
-// last chunk runs the single-lane loop.
+// groups of four run decodeQuad (dispatch.DecodeQuad) over the
+// single-symbol table, and any 1–3 chunks left in a range run decodePair
+// without the multi table. An odd last chunk runs the single-lane loop.
 func (c *Codec) Decode(p *device.Platform, place device.Place, data []byte, dst []uint16) ([]uint16, error) {
 	return c.decode(p, place, data, dst, loopByShape)
 }
@@ -557,7 +622,7 @@ type decodeLoop uint8
 const (
 	loopByShape decodeLoop = iota
 	loopPair               // decodePair over the multi-symbol table
-	loopQuad               // decodeQuad over the single-symbol table
+	loopQuad               // decodeQuad (dispatch.DecodeQuad) over the single-symbol table
 )
 
 func (c *Codec) decode(p *device.Platform, place device.Place, data []byte, dst []uint16, loop decodeLoop) ([]uint16, error) {
@@ -621,7 +686,7 @@ func (c *Codec) decode(p *device.Platform, place device.Place, data []byte, dst 
 		}
 	}
 	// The tables the loop reads are built here, before any lane runs.
-	c.fastTable()
+	c.decodeTable()
 	multi := noMulti
 	if loop == loopPair {
 		multi = c.multiTable()
@@ -681,61 +746,40 @@ func corruptAt(oi int) error {
 // table, for streams of long codes: there a multi-table window mostly holds
 // one code, so four short lookup → shift chains in flight beat two longer
 // ones. Lanes start fresh and advance together, so one output index serves
-// all four. A batch loads each lane's window as decodePair does (the 8
-// bytes at the lane's byte, shifted past the bits already consumed: at
-// least 57 stream bits) and takes steps = 57/maxLen steps from it, each a
-// fast-table lookup and a shift of the window, or longCode when the code is
-// longer than the table index. A step consumes at most maxLen bits and
-// writes one code, so the window never runs short inside a batch and the
-// bounds are checked once per batch: every lane must have 8 readable bytes
-// at its byte and steps free slots. Each pair of lanes then finishes in
-// decodePair from where it stopped.
+// all four. dispatch.DecodeQuad runs the batches: each lane's window is
+// the 57 stream bits at its position, good for 57/maxLen steps, and the
+// bounds are checked once per batch. The kernel stops before a step at
+// which some lane's code is one the table does not resolve (longer than
+// its second level, or no code at all), or when a batch no longer fits.
+// While every lane can take one more step, it is taken here, with
+// longCode, and the kernel re-entered; then each pair of lanes finishes
+// in decodePair from where it stopped.
 func (c *Codec) decodeQuad(l0, l1, l2, l3 lane) error {
-	fast := c.fast
-	mask := uint64(len(fast) - 1)
-	steps := 57 / c.maxLen
-	in0, in1, in2, in3 := l0.in, l1.in, l2.in, l3.in
-	out0, out1, out2, out3 := l0.out, l1.out, l2.out, l3.out
-	var bit0, bit1, bit2, bit3 uint
+	dec, fb := c.dec, uint(c.fastBits)
+	in := [4][]byte{l0.in, l1.in, l2.in, l3.in}
+	out := [4][]uint16{l0.out, l1.out, l2.out, l3.out}
+	var bit [4]uint
 	oi := 0
-	for bit0>>3+8 <= uint(len(in0)) && bit1>>3+8 <= uint(len(in1)) && bit2>>3+8 <= uint(len(in2)) && bit3>>3+8 <= uint(len(in3)) &&
-		oi+steps <= len(out0) && oi+steps <= len(out1) && oi+steps <= len(out2) && oi+steps <= len(out3) {
-		acc0 := binary.LittleEndian.Uint64(in0[bit0>>3:]) >> (bit0 & 7)
-		acc1 := binary.LittleEndian.Uint64(in1[bit1>>3:]) >> (bit1 & 7)
-		acc2 := binary.LittleEndian.Uint64(in2[bit2>>3:]) >> (bit2 & 7)
-		acc3 := binary.LittleEndian.Uint64(in3[bit3>>3:]) >> (bit3 & 7)
-		w0, w1, w2, w3 := out0[oi:oi+steps], out1[oi:oi+steps], out2[oi:oi+steps], out3[oi:oi+steps]
-		for k := range w0 {
-			e0, e1, e2, e3 := fast[acc0&mask], fast[acc1&mask], fast[acc2&mask], fast[acc3&mask]
-			if e0.len == 0 {
-				if e0 = c.longEntry(acc0); e0.len == 0 {
-					return corruptAt(oi + k)
-				}
-			}
-			if e1.len == 0 {
-				if e1 = c.longEntry(acc1); e1.len == 0 {
-					return corruptAt(oi + k)
-				}
-			}
-			if e2.len == 0 {
-				if e2 = c.longEntry(acc2); e2.len == 0 {
-					return corruptAt(oi + k)
-				}
-			}
-			if e3.len == 0 {
-				if e3 = c.longEntry(acc3); e3.len == 0 {
-					return corruptAt(oi + k)
-				}
-			}
-			w0[k], w1[k], w2[k], w3[k] = e0.sym, e1.sym, e2.sym, e3.sym
-			// Lengths are at most 32: the mask only spares the compiler's
-			// shift-by-64 guard.
-			acc0, acc1, acc2, acc3 = acc0>>(e0.len&63), acc1>>(e1.len&63), acc2>>(e2.len&63), acc3>>(e3.len&63)
-			bit0, bit1, bit2, bit3 = bit0+uint(e0.len), bit1+uint(e1.len), bit2+uint(e2.len), bit3+uint(e3.len)
+	for {
+		oi, bit = dispatch.DecodeQuad(dec, c.fastBits, c.maxLen, in, out, bit, oi)
+		if !stepFits(in, out, bit, oi) {
+			break
 		}
-		oi += steps
+		for i := range in {
+			acc := binary.LittleEndian.Uint64(in[i][bit[i]>>3:]) >> (bit[i] & 7)
+			e := dispatch.Lookup(dec, fb, acc)
+			sym, l := uint16(e), uint(e>>16)
+			if e < 1<<16 {
+				if sym, l = c.longCode(acc, 57); l == 0 {
+					return corruptAt(oi)
+				}
+			}
+			out[i][oi] = sym
+			bit[i] += l
+		}
+		oi++
 	}
-	l0.bit, l1.bit, l2.bit, l3.bit = bit0, bit1, bit2, bit3
+	l0.bit, l1.bit, l2.bit, l3.bit = bit[0], bit[1], bit[2], bit[3]
 	l0.oi, l1.oi, l2.oi, l3.oi = oi, oi, oi, oi
 	if err := c.decodePair(noMulti, l0, l1); err != nil {
 		return err
@@ -743,11 +787,15 @@ func (c *Codec) decodeQuad(l0, l1, l2, l3 lane) error {
 	return c.decodePair(noMulti, l2, l3)
 }
 
-// longEntry is longCode as a fast-table entry (len 0 when no code
-// matches), for a window that holds at least maxLen stream bits.
-func (c *Codec) longEntry(acc uint64) fastEntry {
-	sym, l := c.longCode(acc, uint(c.maxLen))
-	return fastEntry{sym, uint8(l)}
+// stepFits reports whether every lane has 8 readable bytes at its bit
+// position and a free slot at oi.
+func stepFits(in [4][]byte, out [4][]uint16, bit [4]uint, oi int) bool {
+	for i := range in {
+		if bit[i]>>3+8 > uint(len(in[i])) || oi >= len(out[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // decodePair decodes two chunks in lockstep from where each lane stands:
@@ -765,8 +813,8 @@ func (c *Codec) longEntry(acc uint64) fastEntry {
 // then finishes in decodeLane from where it stopped. multi is the
 // multi-symbol table, or noMulti to decode code by code.
 func (c *Codec) decodePair(multi []multiEntry, x, y lane) error {
-	fast := c.fast
-	mask, mmask := uint64(len(fast)-1), uint64(len(multi)-1)
+	dec, fb := c.dec, uint(c.fastBits)
+	mmask := uint64(len(multi) - 1)
 	a, outA, bitA, oiA := x.in, x.out, x.bit, x.oi
 	b, outB, bitB, oiB := y.in, y.out, y.bit, y.oi
 	for bitA>>3+8 <= uint(len(a)) && bitB>>3+8 <= uint(len(b)) && oiA+maxMultiSyms <= len(outA) && oiB+maxMultiSyms <= len(outB) {
@@ -776,10 +824,10 @@ func (c *Codec) decodePair(multi []multiEntry, x, y lane) error {
 			*(*[maxMultiSyms]uint16)(outA[oiA:]) = me.syms
 			oiA += int(me.n)
 			bitA += uint(me.bits)
-		} else if e := fast[accA&mask]; e.len > 0 {
-			outA[oiA] = e.sym
+		} else if e := dispatch.Lookup(dec, fb, accA); e >= 1<<16 {
+			outA[oiA] = uint16(e)
 			oiA++
-			bitA += uint(e.len)
+			bitA += uint(e >> 16)
 		} else if sym, l := c.longCode(accA, 57); l > 0 {
 			outA[oiA] = sym
 			oiA++
@@ -791,10 +839,10 @@ func (c *Codec) decodePair(multi []multiEntry, x, y lane) error {
 			*(*[maxMultiSyms]uint16)(outB[oiB:]) = me.syms
 			oiB += int(me.n)
 			bitB += uint(me.bits)
-		} else if e := fast[accB&mask]; e.len > 0 {
-			outB[oiB] = e.sym
+		} else if e := dispatch.Lookup(dec, fb, accB); e >= 1<<16 {
+			outB[oiB] = uint16(e)
 			oiB++
-			bitB += uint(e.len)
+			bitB += uint(e >> 16)
 		} else if sym, l := c.longCode(accB, 57); l > 0 {
 			outB[oiB] = sym
 			oiB++
@@ -829,8 +877,8 @@ func (c *Codec) decodeLane(multi []multiEntry, l lane) error {
 		acc, navail = uint64(data[pos])>>skip, 8-skip
 		pos++
 	}
-	fast := c.fast
-	mask, mmask := uint64(len(fast)-1), uint64(len(multi)-1)
+	dec, fb := c.dec, uint(c.fastBits)
+	mmask := uint64(len(multi) - 1)
 	for oi < len(out) {
 		if navail < 32 {
 			if pos+8 <= n {
@@ -859,11 +907,11 @@ func (c *Codec) decodeLane(multi []multiEntry, l lane) error {
 			navail -= uint(me.bits)
 			continue
 		}
-		if e := fast[acc&mask]; e.len > 0 && uint(e.len) <= navail {
-			out[oi] = e.sym
+		if e := dispatch.Lookup(dec, fb, acc); e >= 1<<16 && uint(e>>16) <= navail {
+			out[oi] = uint16(e)
 			oi++
-			acc >>= e.len
-			navail -= uint(e.len)
+			acc >>= e >> 16
+			navail -= uint(e >> 16)
 			continue
 		}
 		sym, l := c.longCode(acc, navail)
@@ -878,13 +926,14 @@ func (c *Codec) decodeLane(multi []multiEntry, l lane) error {
 	return nil
 }
 
-// longCode decodes a code longer than the fast table's index from the low
+// longCode decodes a code longer than the first-level index from the low
 // navail stream bits of acc with the canonical MSB-first walk: acc is
 // bit-reversed once so the next l stream bits are the top l bits, and
 // length l matches when code − firstCode[l] < count[l] (unsigned, so codes
 // below firstCode[l] wrap and miss). It returns l = 0 when no code of at
-// most min(maxLen, navail) bits matches. A code no longer than the fast
-// index never reaches here: the fast table holds every such code.
+// most min(maxLen, navail) bits matches. The loops call it only when the
+// decode table misses, so a code no longer than the first-level index
+// never reaches here: the first level holds every such code.
 func (c *Codec) longCode(acc uint64, navail uint) (uint16, uint) {
 	rev := bits.Reverse64(acc)
 	lMax := min(uint(c.maxLen), navail)

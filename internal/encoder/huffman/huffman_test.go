@@ -469,7 +469,8 @@ func benchCodes(n int) ([]uint16, []uint32) {
 }
 
 // benchKernelTiers runs f once per kernel implementation tier this build
-// supports, so one run reports the sizing pre-pass (dispatch.SumLengths)
+// supports, so one run reports the encode kernels (dispatch.SumLengths,
+// dispatch.EmitCodes) and the four-lane decode kernel (dispatch.DecodeQuad)
 // under both the vector tier and the purego fallback.
 func benchKernelTiers(b *testing.B, f func(b *testing.B)) {
 	b.Helper()
@@ -596,7 +597,8 @@ func genLaplace(n int, b, tail float64, seed int64) []uint16 {
 // "shape/b=…" sweeps the Laplace scale of genLaplace (3 % uniform tail)
 // from NYX-like to HACC-like streams and times both loops on each, "pair"
 // (decodePair over the multi-symbol table) and "quad" (decodeQuad over the
-// single-symbol table): the bits/code at which quad starts to win backs
+// single-symbol table, under every kernel tier: "quad/purego" and
+// "quad/avx2"): the bits/code at which quad starts to win backs
 // fourLaneBits. "hacc-lorenzo" times both on the Lorenzo codes of a HACC
 // field at relative bound 1e-4, whose 12 % escape code the synthetic
 // streams lack.
@@ -639,7 +641,7 @@ func BenchmarkHuffmanDecode(b *testing.B) {
 		return func(b *testing.B) {
 			codes := gen(b)
 			b.Run("pair", func(b *testing.B) { run(b, codes, loopPair) })
-			b.Run("quad", func(b *testing.B) { run(b, codes, loopQuad) })
+			b.Run("quad", func(b *testing.B) { benchKernelTiers(b, func(b *testing.B) { run(b, codes, loopQuad) }) })
 		}
 	}
 	for _, scale := range []float64{0.35, 1, 2, 4, 8, 20} {

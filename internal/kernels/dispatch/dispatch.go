@@ -3,16 +3,18 @@
 // one-pass Lorenzo reconstruct row (code → residual → x-scan → + row
 // above → + plane behind → scale → store), histogram accumulation,
 // MinMaxF32, outlier code scanning, the Huffman encode length-summing
-// pre-pass and grouped code emitter, and the bitshuffle / unbitshuffle
-// bit-matrix transposes of the fzg encoder (16-bit, with its recentring)
-// and the PFPL baseline (32-bit) — at process start, keeping the pure-Go
-// word-level kernels as the always-available fallback.
+// pre-pass and grouped code emitter, the four-lane Huffman decode batch
+// loop, and the bitshuffle / unbitshuffle bit-matrix transposes of the fzg
+// encoder (16-bit, with its recentring) and the PFPL baseline (32-bit) —
+// at process start, keeping the pure-Go word-level kernels as the
+// always-available fallback.
 //
 // Tiers:
 //
 //   - "avx2"   — amd64 with AVX2 and BMI2 (detected via CPUID + XGETBV,
 //     no dependencies; the OS must have enabled YMM state). Every kernel
-//     is vector code but the 32-bit bitshuffle pair.
+//     is vector code but the 32-bit bitshuffle pair and DecodeQuad, which
+//     is scalar BMI2 code with its lane state in registers.
 //   - "neon"   — arm64; ASIMD is architecturally baseline. Only the kernels
 //     the Go arm64 assembler can express are NEON (HistMerge, NextZero);
 //     the rest of the tier, the bitshuffle kernels included, stays pure Go
@@ -137,6 +139,25 @@ var (
 	// the same point with the same state.
 	EmitCodes func(enc []uint64, codes []uint16, out []byte, acc uint64, nbits uint) (done, written int, accOut uint64, nbitsOut uint) = emitCodesPureGo
 
+	// DecodeQuad is the Huffman decoder's four-lane batch loop. Lane i
+	// reads the bit stream in[i] from bit position bit[i] (stream bits
+	// are LSB-first within bytes) and writes one code per step to out[i],
+	// all four at the shared index oi. A batch runs while every lane has
+	// 8 readable bytes at its bit position and steps = 57/maxLen free
+	// slots from oi: each lane's window is then the 57 stream bits at its
+	// position, and a step is one table lookup per lane (Lookup). It
+	// returns the new oi and bit positions. It stops before a step at
+	// which any lane's entry misses (Lookup < 1<<16: a corrupt stream, or
+	// a code longer than the table resolves), without committing any
+	// lane, and when a batch does not fit. table's first 1<<fastBits
+	// entries are the first level; a resolved entry is sym | len<<16 with
+	// 1 ≤ len ≤ maxLen; a link (see Lookup) must index at most maxLen −
+	// fastBits bits past the first level. It panics unless 1 ≤ fastBits
+	// ≤ maxLen ≤ 32, oi ≥ 0 and the first level is all there. It writes
+	// only out[i][oi:oiOut]. Every tier stops at the same point with the
+	// same state.
+	DecodeQuad func(table []uint32, fastBits, maxLen int, in [4][]byte, out [4][]uint16, bit [4]uint, oi int) (oiOut int, bitOut [4]uint) = decodeQuadPureGo
+
 	// Bitshuffle16 transposes vals into 16 bit-planes of
 	// stride = (len(vals)+7)/8 bytes each: bit i%8 of dst[p*stride+i/8] is
 	// bit p of the i-th value, and the pad bits of each plane's last byte
@@ -165,6 +186,35 @@ var (
 // groups, so the Huffman encoder runs this on long-code chunks.
 func EmitCodesScalar(enc []uint64, codes []uint16, out []byte, acc uint64, nbits uint) (done, written int, accOut uint64, nbitsOut uint) {
 	return emitCodesPureGo(enc, codes, out, acc, nbits)
+}
+
+// Lookup resolves the code at the front of the LSB-first window acc
+// through a two-level decode table (DecodeQuad's), the one lookup rule of
+// every Huffman decode loop. The first-level entry at the low fastBits
+// bits of acc is a code (sym | len<<16), a miss (< 1<<16), or a link
+// (bit 31 set) to a second level in the same slice: bits 8–30 hold its
+// offset and bits 0–7 its width w, and the entry there, at offset plus
+// the w bits of acc above fastBits, is a code or a miss. A link past
+// the table's end reads as a miss.
+func Lookup(table []uint32, fastBits uint, acc uint64) uint32 {
+	e := table[acc&(1<<fastBits-1)]
+	if int32(e) < 0 {
+		i := uint64(e>>8&(1<<23-1)) + acc>>fastBits&(1<<(e&0xff)-1)
+		if i >= uint64(len(table)) {
+			return 0
+		}
+		e = table[i]
+	}
+	return e
+}
+
+// quadSteps checks DecodeQuad's scalar arguments and returns the steps
+// per batch.
+func quadSteps(table []uint32, fastBits, maxLen, oi int) int {
+	if fastBits < 1 || fastBits > maxLen || maxLen > 32 || len(table) < 1<<fastBits || oi < 0 {
+		panic(fmt.Sprintf("dispatch: DecodeQuad with fastBits %d, maxLen %d, a %d-entry table and oi %d", fastBits, maxLen, len(table), oi))
+	}
+	return 57 / maxLen
 }
 
 // active names the installed tier.
@@ -204,6 +254,7 @@ func pureGoKernels() map[string]string {
 		"next_zero":    PureGo,
 		"sum_lengths":  PureGo,
 		"emit_codes":   PureGo,
+		"decode_quad":  PureGo,
 		"bitshuffle16": PureGo,
 		"bitshuffle32": PureGo,
 	}
@@ -256,6 +307,7 @@ func installPureGo() {
 	NextZero = nextZeroPureGo
 	SumLengths = sumLengthsPureGo
 	EmitCodes = emitCodesPureGo
+	DecodeQuad = decodeQuadPureGo
 	Bitshuffle16 = bitshuffle16PureGo
 	Unbitshuffle16 = unbitshuffle16PureGo
 	Bitshuffle32 = bitshuffle32PureGo

@@ -570,6 +570,303 @@ func TestEmitCodesEquivalence(t *testing.T) {
 	})
 }
 
+// quadBook is a canonical prefix code in the two forms the Huffman codec
+// keeps: enc entries for bitStream, and DecodeQuad's two-level table with
+// a first level fastBits = min(maxLen, 12) wide and each link's second
+// level as wide as its longest code needs, at most 8 bits.
+type quadBook struct {
+	enc              []uint64
+	table            []uint32
+	fastBits, maxLen int
+}
+
+// newQuadBook assigns canonical codes to lengths (0 = absent, Kraft sum
+// at most 1) and builds both forms.
+func newQuadBook(lengths []uint8) quadBook {
+	b := quadBook{enc: make([]uint64, len(lengths))}
+	for _, l := range lengths {
+		b.maxLen = max(b.maxLen, int(l))
+	}
+	code := uint64(0)
+	for l := 1; l <= b.maxLen; l++ {
+		for s, sl := range lengths {
+			if int(sl) == l {
+				rev := uint64(0)
+				for i := 0; i < l; i++ {
+					rev |= (code >> uint(l-1-i) & 1) << uint(i)
+				}
+				b.enc[s] = rev<<8 | uint64(l)
+				code++
+			}
+		}
+		code <<= 1
+	}
+	fb := min(b.maxLen, 12)
+	b.fastBits = fb
+	mask := uint64(1)<<uint(fb) - 1
+	width := make([]int, 1<<uint(fb))
+	for _, e := range b.enc {
+		if l := int(e & 0xff); l > fb {
+			p := e >> 8 & mask
+			width[p] = max(width[p], min(l-fb, 8))
+		}
+	}
+	b.table = make([]uint32, 1<<uint(fb))
+	off := make([]int, len(width))
+	for p, w := range width {
+		if w > 0 {
+			off[p] = len(b.table)
+			b.table[p] = 1<<31 | uint32(off[p])<<8 | uint32(w)
+			b.table = append(b.table, make([]uint32, 1<<uint(w))...)
+		}
+	}
+	for s, e := range b.enc {
+		l, rev := int(e&0xff), e>>8
+		entry := uint32(s) | uint32(l)<<16
+		switch {
+		case l == 0:
+		case l <= fb:
+			for f := uint64(0); f < 1<<uint(fb-l); f++ {
+				b.table[rev|f<<uint(l)] = entry
+			}
+		case l-fb <= width[rev&mask]:
+			p, r := rev&mask, l-fb
+			for f := uint64(0); f < 1<<uint(width[p]-r); f++ {
+				b.table[off[p]+int(rev>>uint(fb)|f<<uint(r))] = entry
+			}
+		}
+	}
+	return b
+}
+
+// lengthsOf lists counts[l] symbols of each length l.
+func lengthsOf(counts map[int]int) []uint8 {
+	var lengths []uint8
+	for l := 1; l <= 32; l++ {
+		for i := 0; i < counts[l]; i++ {
+			lengths = append(lengths, uint8(l))
+		}
+	}
+	return lengths
+}
+
+// haccCounts is the code-length profile of a 2 Mi-code HACC Lorenzo
+// stream: 1024 symbols, 2.7 % of the codes longer than 12 bits.
+var haccCounts = map[int]int{3: 1, 6: 19, 7: 32, 8: 40, 9: 42, 10: 38, 11: 35, 12: 36, 13: 32, 14: 52, 15: 599, 16: 98}
+
+// quadBooks are TestDecodeQuadEquivalence's codes: flat 8-bit codes (no
+// links), the HACC profile (links that resolve every code), that profile
+// less one 14-bit code (the hole is an empty second-level slot), a book
+// of mostly 19-bit codes (three fill a batch's 57 bits, the sentinel's
+// limit), and the chain 1, 2, …, 32, 32, whose codes past 20 bits are
+// past its second level.
+func quadBooks() []namedBook {
+	incomplete := map[int]int{}
+	for l, n := range haccCounts {
+		incomplete[l] = n
+	}
+	incomplete[14]--
+	chain := make([]uint8, 33)
+	for i := range chain {
+		chain[i] = uint8(min(i+1, 32))
+	}
+	return []namedBook{
+		{"flat8", newQuadBook(lengthsOf(map[int]int{8: 256}))},
+		{"hacc", newQuadBook(lengthsOf(haccCounts))},
+		{"incomplete", newQuadBook(lengthsOf(incomplete))},
+		{"long19", newQuadBook(lengthsOf(map[int]int{1: 1, 2: 1, 3: 1, 19: 4096}))},
+		{"chain32", newQuadBook(chain)},
+	}
+}
+
+type namedBook struct {
+	name string
+	quadBook
+}
+
+// quadWindow is the 57 bits at bit of in, zero past its end, with the
+// sentinel above: what a batch window holds at that position when no
+// lookup reads past maxLen bits.
+func quadWindow(in []byte, bit uint) uint64 {
+	var w uint64
+	for i := uint(0); i < 8; i++ {
+		if j := bit>>3 + i; j < uint(len(in)) {
+			w |= uint64(in[j]) << (8 * i)
+		}
+	}
+	return w>>(bit&7)&(1<<57-1) | 1<<57
+}
+
+// specQuad is DecodeQuad's contract as a plain loop that reloads every
+// window from the stream: batches while they fit, steps that commit only
+// when no lane's entry misses.
+func specQuad(table []uint32, fastBits, maxLen int, in [4][]byte, out [4][]uint16, bit [4]uint, oi int) (int, [4]uint) {
+	steps := 57 / maxLen
+	fits := func() bool {
+		for i := range in {
+			if bit[i]>>3+8 > uint(len(in[i])) || oi+steps > len(out[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for fits() {
+		for k := 0; k < steps; k++ {
+			var e [4]uint32
+			for i := range e {
+				if e[i] = Lookup(table, uint(fastBits), quadWindow(in[i], bit[i])); e[i] < 1<<16 {
+					return oi, bit
+				}
+			}
+			for i := range e {
+				out[i][oi] = uint16(e[i])
+				bit[i] += uint(e[i] >> 16)
+			}
+			oi++
+		}
+	}
+	return oi, bit
+}
+
+// checkDecodeQuad runs DecodeQuad and specQuad from (bit, oi) on outs of
+// n[i] slots, each a dirtied buffer with a guard behind it, and requires
+// the same stop index, bit positions and outs, nothing written before oi
+// or from the stop on, and untouched guards.
+func checkDecodeQuad(t *testing.T, b quadBook, in [4][]byte, n [4]int, bit [4]uint, oi int) (int, [4]uint, [4][]uint16) {
+	t.Helper()
+	const guard, dirt = 8, 0xBEEF
+	run := func(f func([]uint32, int, int, [4][]byte, [4][]uint16, [4]uint, int) (int, [4]uint)) (int, [4]uint, [4][]uint16) {
+		var out, buf [4][]uint16
+		for i := range buf {
+			buf[i] = make([]uint16, n[i]+guard)
+			for k := range buf[i] {
+				buf[i][k] = dirt
+			}
+			out[i] = buf[i][:n[i]:n[i]]
+		}
+		stop, bits := f(b.table, b.fastBits, b.maxLen, in, out, bit, oi)
+		return stop, bits, buf
+	}
+	stop, bits, got := run(DecodeQuad)
+	wstop, wbits, want := run(specQuad)
+	if stop != wstop || bits != wbits {
+		t.Fatalf("from oi %d, bits %v: stopped at %d with bits %v, spec %d with %v", oi, bit, stop, bits, wstop, wbits)
+	}
+	for i := range got {
+		for k, v := range got[i] {
+			if v != want[i][k] {
+				t.Fatalf("lane %d slot %d: %#x, spec %#x", i, k, v, want[i][k])
+			}
+			if (k < oi || k >= stop) && v != dirt {
+				t.Fatalf("lane %d slot %d written outside [%d, %d) (out holds %d)", i, k, oi, stop, n[i])
+			}
+		}
+	}
+	return stop, bits, got
+}
+
+// quadLane draws n symbols of b, half by the code's own 2^−len weight and
+// half uniformly (so long codes turn up), and returns them with their
+// stream; a miss symbol (≥ 0) is placed at code miss.
+func quadLane(rng *rand.Rand, b quadBook, n, miss int, missSym uint64) ([]uint16, []byte) {
+	var coded []uint16
+	for s, e := range b.enc {
+		if e&0xff != 0 {
+			coded = append(coded, uint16(s))
+		}
+	}
+	syms := make([]uint16, n)
+	for k := range syms {
+		for {
+			s := coded[rng.Intn(len(coded))]
+			if rng.Intn(2) == 0 || rng.Intn(1<<min(int(b.enc[s]&0xff), 20)) < 1<<4 {
+				syms[k] = s
+				break
+			}
+		}
+	}
+	enc := b.enc
+	if miss >= 0 {
+		enc = append(append([]uint64(nil), b.enc...), missSym)
+		syms[miss] = uint16(len(b.enc))
+	}
+	stream, acc, nbits := bitStream(enc, syms, 0, 0)
+	if nbits > 0 {
+		stream = append(stream, byte(acc))
+	}
+	return syms, stream
+}
+
+func TestDecodeQuadEquivalence(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(16))
+		for _, nb := range quadBooks() {
+			name, b := nb.name, nb.quadBook
+			// A miss: a code past the second level where the book has
+			// one, else ones up to maxLen, the top of the code space (a
+			// hole in the incomplete book; never taken otherwise).
+			missSym := uint64(1<<b.maxLen-1)<<8 | uint64(b.maxLen)
+			if name == "chain32" {
+				missSym = b.enc[24]
+			}
+			for trial := 0; trial < 40; trial++ {
+				var in [4][]byte
+				var syms [4][]uint16
+				var n [4]int
+				missLane := -1
+				if name == "incomplete" || name == "chain32" {
+					missLane = trial % 4
+				}
+				for i := range in {
+					n[i] = 1 + rng.Intn(300)
+					miss := -1
+					if i == missLane {
+						miss = rng.Intn(n[i])
+					}
+					syms[i], in[i] = quadLane(rng, b, n[i], miss, missSym)
+					// Lanes run dry: some streams lose their tail.
+					if trial%3 == 1 {
+						in[i] = in[i][:rng.Intn(len(in[i])+1)]
+					}
+				}
+				if trial%5 == 4 {
+					n[rng.Intn(4)] -= rng.Intn(n[0]) // an out shorter than its stream
+				}
+				for i := range n {
+					n[i] = max(n[i], 0)
+				}
+				// From the start: the codes before the stop are the
+				// lanes' symbols, and the bit positions their lengths.
+				stop, bits, outs := checkDecodeQuad(t, b, in, n, [4]uint{}, 0)
+				for i := range outs {
+					var bit uint
+					for k := 0; k < stop; k++ {
+						if outs[i][k] != syms[i][k] {
+							t.Fatalf("%s lane %d code %d is %d, want %d", name, i, k, outs[i][k], syms[i][k])
+						}
+						bit += uint(b.enc[syms[i][k]] & 0xff)
+					}
+					if bit != bits[i] {
+						t.Fatalf("%s lane %d at bit %d after %d codes, want %d", name, i, bits[i], stop, bit)
+					}
+				}
+				// Re-entry, once the caller has taken the step the kernel
+				// stopped before.
+				if stop < min(min(len(syms[0]), len(syms[1])), min(len(syms[2]), len(syms[3]))) {
+					for i := range bits {
+						if s := int(syms[i][stop]); s < len(b.enc) {
+							bits[i] += uint(b.enc[s] & 0xff)
+						} else {
+							bits[i] += uint(missSym & 0xff)
+						}
+					}
+					checkDecodeQuad(t, b, in, n, bits, stop+1)
+				}
+			}
+		}
+	})
+}
+
 func TestUse(t *testing.T) {
 	defer func() {
 		if err := Use("auto"); err != nil {
@@ -832,8 +1129,29 @@ func FuzzKernelEquivalence(f *testing.F) {
 			checkEmitCodes(t, enc, codes, int(raw[len(raw)/3])+4*len(codes), acc, nbits)
 			checkEmitCodes(t, enc, codes, int(raw[len(raw)/3])%64, acc, nbits)
 		}
+
+		// DecodeQuad: the book the first byte picks, the four quarters of
+		// the bytes as lanes, outs as long as a byte of each lane says,
+		// run from the start and again one step past where it stopped.
+		if len(raw) > 0 {
+			b := fuzzQuadBooks[int(raw[0])%len(fuzzQuadBooks)].quadBook
+			var in [4][]byte
+			var n [4]int
+			for i := range in {
+				in[i] = raw[i*len(raw)/4 : (i+1)*len(raw)/4]
+				n[i] = int(raw[(i*len(raw)/4+1)%len(raw)])
+			}
+			stop, bits, _ := checkDecodeQuad(t, b, in, n, [4]uint{}, 0)
+			for i := range bits {
+				bits[i] += uint(raw[(stop+i)%len(raw)] % 33)
+			}
+			checkDecodeQuad(t, b, in, n, bits, stop+1)
+		}
 	})
 }
+
+// fuzzQuadBooks are the books FuzzKernelEquivalence decodes with.
+var fuzzQuadBooks = quadBooks()
 
 func min(a, b int) int {
 	if a < b {
@@ -1011,5 +1329,30 @@ func BenchmarkEmitCodes(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			EmitCodes(enc, codes, out, 0, 0)
 		}
+	})
+}
+
+// BenchmarkDecodeQuad decodes four lanes of random bytes through the HACC
+// profile's table: random bits meet each code with its own 2^−len weight,
+// so the lanes hold HACC-shaped streams (about 7 bits per code, 2.7 % of
+// codes through a link). Bytes are codes out.
+func BenchmarkDecodeQuad(b *testing.B) {
+	book := newQuadBook(lengthsOf(haccCounts))
+	rng := rand.New(rand.NewSource(17))
+	var in [4][]byte
+	var out [4][]uint16
+	for i := range in {
+		in[i] = make([]byte, 56<<10)
+		rng.Read(in[i])
+		out[i] = make([]uint16, 64<<10)
+	}
+	benchTiers(b, func(b *testing.B) {
+		codes := 0
+		for i := 0; i < b.N; i++ {
+			oi, _ := DecodeQuad(book.table, book.fastBits, book.maxLen, in, out, [4]uint{}, 0)
+			codes += 4 * oi
+		}
+		b.SetBytes(int64(2 * codes / b.N))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(codes), "ns/code")
 	})
 }

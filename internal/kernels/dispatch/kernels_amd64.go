@@ -19,6 +19,7 @@ func histMergeAVX2Asm(out, tabs []uint32, stride int)
 func nextZeroAVX2Asm(codes []uint16) int
 func sumLengthsAVX2Asm(lengths32 []uint32, codes []uint16) (sum uint64, ok bool)
 func emitCodesAVX2Asm(enc []uint64, codes []uint16, out []byte, acc uint64, nbits uint) (done, written int, accOut uint64, nbitsOut uint)
+func decodeQuadAVX2Asm(table []uint32, fastBits, steps int, in [4][]byte, out [4][]uint16, bit [4]uint, oi int) (oiOut int, bitOut [4]uint)
 
 // bitshuffle_amd64.s: whole groups of 32 values against planes of stride bytes.
 func bitshuffle16AVX2Asm(dst []byte, vals []uint16, stride int, center uint16)
@@ -203,6 +204,12 @@ func emitCodesAVX2(enc []uint64, codes []uint16, out []byte, acc uint64, nbits u
 	done, written, acc, nbits := emitCodesAVX2Asm(enc, codes, out, acc, nbits)
 	d, w, acc, nbits := emitCodesPureGo(enc, codes[done:], out[written:], acc, nbits)
 	return done + d, written + w, acc, nbits
+}
+
+// decodeQuadAVX2 runs the whole contract in the asm core; only the
+// argument checks are Go.
+func decodeQuadAVX2(table []uint32, fastBits, maxLen int, in [4][]byte, out [4][]uint16, bit [4]uint, oi int) (int, [4]uint) {
+	return decodeQuadAVX2Asm(table, fastBits, quadSteps(table, fastBits, maxLen, oi), in, out, bit, oi)
 }
 
 // The bitshuffle wrappers hand the asm cores whole 64-value groups, so the

@@ -730,3 +730,283 @@ emitdone:
 	MOVQ R10, nbitsOut+112(FP)
 	VZEROUPPER
 	RET
+
+// func decodeQuadAVX2Asm(table []uint32, fastBits, steps int, in [4][]byte, out [4][]uint16, bit [4]uint, oi int) (oiOut int, bitOut [4]uint)
+//
+// DecodeQuad in scalar BMI2 code, every lane's state in a register:
+// windows R8–R11, entries AX BX CX DX, output bases R12–R15 (lane i's
+// next code goes to (R12+i)(DI*2), DI counting up from −steps to 0), the
+// table in SI and fastBits in BP (the frame saves the caller's BP). A
+// window is the lane's next 57 stream bits with a sentinel at bit 57, so
+// a step is BZHI → load → shift per lane, and the bits consumed come back
+// from one BSR per lane when the batch ends or stops. Between batches the
+// bit positions are in AX BX CX DX, and X4–X7 keep each batch's starting
+// positions. Links are followed out of line; they borrow an output base,
+// parked in X0. The frame holds
+//
+//	0–24(SP)  lane i reads 8 bytes at bit while bit < max(8·len(in)−56, 0)
+//	32(SP)    oiMax, the last oi at which a batch fits in every out
+//	40(SP)    oi
+//	48(SP)    steps
+TEXT ·decodeQuadAVX2Asm(SB), NOSPLIT, $56-312
+	MOVQ table_base+0(FP), SI
+	MOVQ fastBits+24(FP), BP
+	MOVQ steps+32(FP), DX
+	MOVQ DX, 48(SP)
+	XORL BX, BX
+	MOVQ in_0_len+48(FP), AX
+	LEAQ -56(AX*8), AX
+	CMPQ AX, BX
+	CMOVQLT BX, AX
+	MOVQ AX, 0(SP)
+	MOVQ in_1_len+72(FP), AX
+	LEAQ -56(AX*8), AX
+	CMPQ AX, BX
+	CMOVQLT BX, AX
+	MOVQ AX, 8(SP)
+	MOVQ in_2_len+96(FP), AX
+	LEAQ -56(AX*8), AX
+	CMPQ AX, BX
+	CMOVQLT BX, AX
+	MOVQ AX, 16(SP)
+	MOVQ in_3_len+120(FP), AX
+	LEAQ -56(AX*8), AX
+	CMPQ AX, BX
+	CMOVQLT BX, AX
+	MOVQ AX, 24(SP)
+	MOVQ out_0_len+144(FP), AX
+	MOVQ out_1_len+168(FP), BX
+	CMPQ BX, AX
+	CMOVQLT BX, AX
+	MOVQ out_2_len+192(FP), BX
+	CMPQ BX, AX
+	CMOVQLT BX, AX
+	MOVQ out_3_len+216(FP), BX
+	CMPQ BX, AX
+	CMOVQLT BX, AX
+	SUBQ DX, AX
+	MOVQ AX, 32(SP)
+	MOVQ oi+264(FP), CX
+	MOVQ CX, 40(SP)
+	ADDQ DX, CX                        // oi + steps
+	MOVQ out_0_base+136(FP), R12
+	LEAQ (R12)(CX*2), R12
+	MOVQ out_1_base+160(FP), R13
+	LEAQ (R13)(CX*2), R13
+	MOVQ out_2_base+184(FP), R14
+	LEAQ (R14)(CX*2), R14
+	MOVQ out_3_base+208(FP), R15
+	LEAQ (R15)(CX*2), R15
+	MOVQ bit_0+232(FP), AX
+	MOVQ bit_1+240(FP), BX
+	MOVQ bit_2+248(FP), CX
+	MOVQ bit_3+256(FP), DX
+
+quadbatch:
+	MOVQ AX, X4
+	MOVQ BX, X5
+	MOVQ CX, X6
+	MOVQ DX, X7
+	MOVQ 40(SP), DI
+	CMPQ DI, 32(SP)
+	JGT  quaddone
+	CMPQ AX, 0(SP)
+	JAE  quaddone
+	CMPQ BX, 8(SP)
+	JAE  quaddone
+	CMPQ CX, 16(SP)
+	JAE  quaddone
+	CMPQ DX, 24(SP)
+	JAE  quaddone
+
+	// Windows: the 8 bytes at the lane's byte, shifted past the bits of
+	// that byte already consumed, cut to 57 bits, sentinel above.
+	MOVQ  $57, DI
+	MOVQ  AX, R8
+	SHRQ  $3, R8
+	ADDQ  in_0_base+40(FP), R8
+	ANDQ  $7, AX
+	SHRXQ AX, (R8), R8
+	BZHIQ DI, R8, R8
+	BTSQ  $57, R8
+	MOVQ  BX, R9
+	SHRQ  $3, R9
+	ADDQ  in_1_base+64(FP), R9
+	ANDQ  $7, BX
+	SHRXQ BX, (R9), R9
+	BZHIQ DI, R9, R9
+	BTSQ  $57, R9
+	MOVQ  CX, R10
+	SHRQ  $3, R10
+	ADDQ  in_2_base+88(FP), R10
+	ANDQ  $7, CX
+	SHRXQ CX, (R10), R10
+	BZHIQ DI, R10, R10
+	BTSQ  $57, R10
+	MOVQ  DX, R11
+	SHRQ  $3, R11
+	ADDQ  in_3_base+112(FP), R11
+	ANDQ  $7, DX
+	SHRXQ DX, (R11), R11
+	BZHIQ DI, R11, R11
+	BTSQ  $57, R11
+	MOVQ  48(SP), DI
+	NEGQ  DI
+
+quadstep:
+	BZHIQ BP, R8, AX
+	MOVL  (SI)(AX*4), AX
+	TESTL AX, AX
+	JS    quadlink0
+quadback0:
+	BZHIQ BP, R9, BX
+	MOVL  (SI)(BX*4), BX
+	TESTL BX, BX
+	JS    quadlink1
+quadback1:
+	BZHIQ BP, R10, CX
+	MOVL  (SI)(CX*4), CX
+	TESTL CX, CX
+	JS    quadlink2
+quadback2:
+	BZHIQ BP, R11, DX
+	MOVL  (SI)(DX*4), DX
+	TESTL DX, DX
+	JS    quadlink3
+quadback3:
+	// Every lane's entry is checked before any lane commits.
+	CMPL AX, $0x10000
+	JB   quadstop
+	CMPL BX, $0x10000
+	JB   quadstop
+	CMPL CX, $0x10000
+	JB   quadstop
+	CMPL DX, $0x10000
+	JB   quadstop
+	MOVW  AX, (R12)(DI*2)
+	MOVW  BX, (R13)(DI*2)
+	MOVW  CX, (R14)(DI*2)
+	MOVW  DX, (R15)(DI*2)
+	SHRL  $16, AX
+	SHRL  $16, BX
+	SHRL  $16, CX
+	SHRL  $16, DX
+	SHRXQ AX, R8, R8
+	SHRXQ BX, R9, R9
+	SHRXQ CX, R10, R10
+	SHRXQ DX, R11, R11
+	INCQ  DI
+	JNZ   quadstep
+
+	// A whole batch: oi and the output bases advance by steps.
+	MOVQ 48(SP), AX
+	ADDQ AX, 40(SP)
+	LEAQ (R12)(AX*2), R12
+	LEAQ (R13)(AX*2), R13
+	LEAQ (R14)(AX*2), R14
+	LEAQ (R15)(AX*2), R15
+
+quadsync:
+	// bit = batch start + 57 − BSR(window): the sentinel has moved down
+	// by the bits consumed since the window was loaded.
+	BSRQ R8, R8
+	MOVQ X4, AX
+	SUBQ R8, AX
+	ADDQ $57, AX
+	BSRQ R9, R9
+	MOVQ X5, BX
+	SUBQ R9, BX
+	ADDQ $57, BX
+	BSRQ R10, R10
+	MOVQ X6, CX
+	SUBQ R10, CX
+	ADDQ $57, CX
+	BSRQ R11, R11
+	MOVQ X7, DX
+	SUBQ R11, DX
+	ADDQ $57, DX
+	TESTQ DI, DI
+	JZ    quadbatch
+
+quaddone:
+	MOVQ 40(SP), DI
+	MOVQ DI, oiOut+272(FP)
+	MOVQ AX, bitOut_0+280(FP)
+	MOVQ BX, bitOut_1+288(FP)
+	MOVQ CX, bitOut_2+296(FP)
+	MOVQ DX, bitOut_3+304(FP)
+	RET
+
+quadstop:
+	// A lane missed at step steps+DI of this batch (DI < 0): the steps
+	// before it are done.
+	MOVQ 48(SP), AX
+	ADDQ DI, AX
+	ADDQ AX, 40(SP)
+	JMP  quadsync
+
+	// Links: index = offset + the w window bits above fastBits, a miss
+	// past the table's end.
+quadlink0:
+	MOVQ  R12, X0
+	SHRXQ BP, R8, R12
+	BZHIQ AX, R12, R12
+	SHRL  $8, AX
+	ANDL  $0x7fffff, AX
+	ADDQ  R12, AX
+	MOVQ  X0, R12
+	CMPQ  AX, table_len+8(FP)
+	JAE   quadmiss0
+	MOVL  (SI)(AX*4), AX
+	JMP   quadback0
+quadmiss0:
+	XORL AX, AX
+	JMP  quadback0
+
+quadlink1:
+	MOVQ  R13, X0
+	SHRXQ BP, R9, R13
+	BZHIQ BX, R13, R13
+	SHRL  $8, BX
+	ANDL  $0x7fffff, BX
+	ADDQ  R13, BX
+	MOVQ  X0, R13
+	CMPQ  BX, table_len+8(FP)
+	JAE   quadmiss1
+	MOVL  (SI)(BX*4), BX
+	JMP   quadback1
+quadmiss1:
+	XORL BX, BX
+	JMP  quadback1
+
+quadlink2:
+	MOVQ  R14, X0
+	SHRXQ BP, R10, R14
+	BZHIQ CX, R14, R14
+	SHRL  $8, CX
+	ANDL  $0x7fffff, CX
+	ADDQ  R14, CX
+	MOVQ  X0, R14
+	CMPQ  CX, table_len+8(FP)
+	JAE   quadmiss2
+	MOVL  (SI)(CX*4), CX
+	JMP   quadback2
+quadmiss2:
+	XORL CX, CX
+	JMP  quadback2
+
+quadlink3:
+	MOVQ  R15, X0
+	SHRXQ BP, R11, R15
+	BZHIQ DX, R15, R15
+	SHRL  $8, DX
+	ANDL  $0x7fffff, DX
+	ADDQ  R15, DX
+	MOVQ  X0, R15
+	CMPQ  DX, table_len+8(FP)
+	JAE   quadmiss3
+	MOVL  (SI)(DX*4), DX
+	JMP   quadback3
+quadmiss3:
+	XORL DX, DX
+	JMP  quadback3

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // The portable reference kernels. These are the word-level scalar loops the
@@ -298,4 +299,53 @@ func emitCodesPureGo(enc []uint64, codes []uint16, out []byte, acc uint64, nbits
 		}
 	}
 	return nc - len(codes), no - len(out), acc, nbits
+}
+
+// decodeQuadPureGo is the four-lane decode loop. Each batch's window is
+// the lane's next 57 stream bits with a sentinel bit above them: a step
+// shifts the window by the code's length, so the sentinel's position
+// gives the bits a lane consumed, recovered once per batch (or at a stop)
+// instead of summed per step. A batch takes at most steps·maxLen ≤ 57
+// bits per lane, so the sentinel never leaves the window and every lookup
+// (at most maxLen bits) reads stream bits only.
+func decodeQuadPureGo(table []uint32, fastBits, maxLen int, in [4][]byte, out [4][]uint16, bit [4]uint, oi int) (int, [4]uint) {
+	steps := quadSteps(table, fastBits, maxLen, oi)
+	fb := uint(fastBits)
+	in0, in1, in2, in3 := in[0], in[1], in[2], in[3]
+	out0, out1, out2, out3 := out[0], out[1], out[2], out[3]
+	bit0, bit1, bit2, bit3 := bit[0], bit[1], bit[2], bit[3]
+	for bit0>>3+8 <= uint(len(in0)) && bit1>>3+8 <= uint(len(in1)) && bit2>>3+8 <= uint(len(in2)) && bit3>>3+8 <= uint(len(in3)) &&
+		oi+steps <= len(out0) && oi+steps <= len(out1) && oi+steps <= len(out2) && oi+steps <= len(out3) {
+		acc0 := window57(in0, bit0)
+		acc1 := window57(in1, bit1)
+		acc2 := window57(in2, bit2)
+		acc3 := window57(in3, bit3)
+		w0, w1, w2, w3 := out0[oi:oi+steps], out1[oi:oi+steps], out2[oi:oi+steps], out3[oi:oi+steps]
+		k := 0
+		for ; k < steps; k++ {
+			e0, e1, e2, e3 := Lookup(table, fb, acc0), Lookup(table, fb, acc1), Lookup(table, fb, acc2), Lookup(table, fb, acc3)
+			if e0 < 1<<16 || e1 < 1<<16 || e2 < 1<<16 || e3 < 1<<16 {
+				break
+			}
+			w0[k], w1[k], w2[k], w3[k] = uint16(e0), uint16(e1), uint16(e2), uint16(e3)
+			acc0, acc1, acc2, acc3 = acc0>>(e0>>16&63), acc1>>(e1>>16&63), acc2>>(e2>>16&63), acc3>>(e3>>16&63)
+		}
+		bit0, bit1, bit2, bit3 = bit0+consumed57(acc0), bit1+consumed57(acc1), bit2+consumed57(acc2), bit3+consumed57(acc3)
+		oi += k
+		if k < steps {
+			break
+		}
+	}
+	return oi, [4]uint{bit0, bit1, bit2, bit3}
+}
+
+// window57 is the 57 stream bits at bit, which must have 8 readable bytes
+// behind its byte, topped by the sentinel bit 57.
+func window57(in []byte, bit uint) uint64 {
+	return binary.LittleEndian.Uint64(in[bit>>3:])>>(bit&7)&(1<<57-1) | 1<<57
+}
+
+// consumed57 is the bits a window57 has been shifted by.
+func consumed57(acc uint64) uint {
+	return uint(58 - bits.Len64(acc))
 }

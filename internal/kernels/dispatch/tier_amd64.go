@@ -8,9 +8,10 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // hasAVX2 reports CPU and OS support for the AVX2 tier: the AVX2 and BMI2
-// CPUID feature bits (EmitCodes shifts with SHLXQ/SHRXQ) plus OSXSAVE with
-// XMM and YMM state enabled in XCR0 (without which the OS does not
-// preserve the upper YMM halves across context switches).
+// CPUID feature bits (EmitCodes shifts with SHLXQ/SHRXQ; DecodeQuad
+// indexes with BZHIQ and shifts with SHRXQ) plus OSXSAVE with XMM and YMM
+// state enabled in XCR0 (without which the OS does not preserve the upper
+// YMM halves across context switches).
 func hasAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
@@ -38,8 +39,9 @@ func bestName() string {
 }
 
 // installTier installs the amd64 AVX2 tier: every dispatched kernel but the
-// 32-bit bitshuffle pair (the PFPL baseline's, left on the reference) has a
-// vector implementation here.
+// 32-bit bitshuffle pair (the PFPL baseline's, left on the reference) has
+// an assembly implementation here, vector code but for DecodeQuad's
+// scalar BMI2 loop.
 func installTier(name string) bool {
 	if name != AVX2 || !hasAVX2() {
 		return false
@@ -55,6 +57,7 @@ func installTier(name string) bool {
 	NextZero = nextZeroAVX2
 	SumLengths = sumLengthsAVX2
 	EmitCodes = emitCodesAVX2
+	DecodeQuad = decodeQuadAVX2
 	Bitshuffle16 = bitshuffle16AVX2
 	Unbitshuffle16 = unbitshuffle16AVX2
 	vectorRows = true

@@ -16,6 +16,7 @@ import (
 	"fzmod/internal/fzio"
 	"fzmod/internal/grid"
 	"fzmod/internal/sdrbench"
+	"fzmod/internal/stf"
 )
 
 // writeField generates a small deterministic field and writes it as raw
@@ -115,7 +116,8 @@ func TestCLIRoundtripFiles(t *testing.T) {
 
 // TestCLIDecompressWorkers: -workers bounds the in-memory decompress of a
 // multi-chunk container, as it does every other path; the -v report shows
-// the worker slots the graph used.
+// the graph's tasks (fetch, decode and reconstruct per chunk, plus the one
+// alloc task) and the worker slots it used.
 func TestCLIDecompressWorkers(t *testing.T) {
 	in, _, _ := writeField(t)
 	fz := filepath.Join(t.TempDir(), "field.fz")
@@ -135,7 +137,7 @@ func TestCLIDecompressWorkers(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("decompress: %v", err)
 	}
-	if !strings.Contains(out.String(), "decompress executor: 18 tasks") ||
+	if !strings.Contains(out.String(), "decompress executor: 19 tasks") ||
 		!strings.Contains(out.String(), "worker slots used 1\n") {
 		t.Errorf("-workers 1 decompress of a 6-chunk container: %q", out.String())
 	}
@@ -473,7 +475,7 @@ func TestCLIHostileSegmentLength(t *testing.T) {
 		err := run(cfg)
 		if err == nil {
 			t.Errorf("%s: hostile artifact accepted", name)
-		} else if strings.Contains(err.Error(), "panicked") {
+		} else if errors.As(err, new(*stf.PanicError)) {
 			t.Errorf("%s: reached a panic: %v", name, err)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
-	"strings"
 	"testing"
 
 	"fzmod"
@@ -21,6 +20,7 @@ import (
 	"fzmod/internal/preprocess"
 	"fzmod/internal/sdrbench"
 	"fzmod/internal/serve"
+	"fzmod/internal/stf"
 )
 
 func facadeField() ([]float32, fzmod.Dims) {
@@ -182,7 +182,7 @@ func TestFacadeSegmentLengthWrap(t *testing.T) {
 	if err == nil {
 		t.Fatal("Decompress accepted the artifact")
 	}
-	if strings.Contains(err.Error(), "panicked") {
+	if errors.As(err, new(*stf.PanicError)) {
 		t.Errorf("Decompress reached a panic: %v", err)
 	}
 }

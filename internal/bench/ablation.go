@@ -15,7 +15,7 @@ import (
 // STFAblation demonstrates the branch-level concurrency of §3.3.1 on the
 // product task graph: one FZMod-Default CESM field compressed as two chunks
 // decodes as two sub-graphs that share no token. It decompresses the
-// container at Workers=1 (strictly serial) and at the platform's width,
+// container at Workers=1 (one worker per lane) and at the platform's width,
 // requires the two fields to be bit-identical, and reports both times and
 // whether any tasks overlapped. The paper avoids performance claims for
 // the experimental CUDASTF path; this ablation documents the overlap the

@@ -18,6 +18,7 @@ import (
 	"fzmod/internal/grid"
 	"fzmod/internal/preprocess"
 	"fzmod/internal/sdrbench"
+	"fzmod/internal/stf"
 )
 
 // This file pins the module contract's buffer handling: modules write into
@@ -101,9 +102,15 @@ func TestCancelFaults(t *testing.T) {
 		vals, _, err := r.ReadReportCtx(gctx, FullRegion(dims))
 		if err == nil {
 			sameBits(t, "region", vals, want)
+		} else if vals != nil {
+			t.Fatalf("canceled region read returned %d values", len(vals))
 		}
 		return err
 	}
+	// allocCanceled counts the decompress runs whose cancellation landed
+	// before the alloc task ran: k = 1 cancels every dispatch, alloc's too,
+	// on every door, so the loop below always reaches one.
+	allocCanceled := 0
 
 	faults := []struct {
 		name string
@@ -112,9 +119,13 @@ func TestCancelFaults(t *testing.T) {
 		op func(gctx context.Context, workers int) error
 	}{
 		{"decompress", func(gctx context.Context, workers int) error {
-			vals, _, _, err := DecompressReportWithOptsCtx(gctx, p, blob, Opts{Workers: workers})
+			vals, _, report, err := DecompressReportWithOptsCtx(gctx, p, blob, Opts{Workers: workers})
 			if err == nil {
 				sameBits(t, "decompress", vals, want)
+			} else if vals != nil {
+				t.Fatalf("canceled decompress returned %d values", len(vals))
+			} else if !allocRan(report) {
+				allocCanceled++
 			}
 			return err
 		}},
@@ -131,6 +142,8 @@ func TestCancelFaults(t *testing.T) {
 					t.Fatalf("salvage of an intact container masks %d planes", mask.DamagedPlanes())
 				}
 				sameBits(t, "salvage", vals, want)
+			} else if vals != nil || mask != nil {
+				t.Fatalf("canceled salvage returned %d values and mask %v", len(vals), mask)
 			}
 			return err
 		}},
@@ -174,6 +187,91 @@ func TestCancelFaults(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+	if allocCanceled == 0 {
+		t.Error("no decompress cancellation landed before the alloc task ran")
+	}
+}
+
+// allocRan reports whether a read graph's alloc task started.
+func allocRan(report *ExecReport) bool {
+	for _, tt := range report.Trace {
+		if tt.Name == "alloc" {
+			return !tt.Start.IsZero()
+		}
+	}
+	return false
+}
+
+// panicFetcher serves an artifact's bytes but panics on a read at offset
+// at, like a faulty user-supplied ChunkFetcher.
+type panicFetcher struct {
+	fzio.ChunkFetcher
+	at int64
+}
+
+func (f panicFetcher) ReadRange(off int64, n int) ([]byte, error) {
+	if off == f.at {
+		panic("fetcher fault")
+	}
+	return f.ChunkFetcher.ReadRange(off, n)
+}
+
+// TestTaskPanicTyped: a panic inside a read graph — here a region fetcher
+// that panics on chunk 1's payload while the alloc task and the other
+// chunks run — surfaces as a *stf.PanicError naming the task, with no
+// output, every pooled slab back and no single flight left open: a later
+// read of the same slab through the cache succeeds.
+func TestTaskPanicTyped(t *testing.T) {
+	p := device.NewTestPlatform()
+	defer p.Close()
+	data, dims := chunkField()
+	blob, _, err := NewDefault().CompressChunkedReport(p, data, dims, preprocess.RelBound(1e-4), Opts{ChunkElems: 8 * dims.PlaneElems()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, _, err := DecompressReportWithOpts(p, blob, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := fzio.FetchIndex(fzio.NewBytesFetcher(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := panicFetcher{fzio.NewBytesFetcher(blob), int64(ix.Chunks[1].Offset)}
+	for _, workers := range []int{1, 2} {
+		for _, cache := range []*SlabCache{nil, NewSlabCache(1 << 30)} {
+			r, err := OpenRegion(p, faulty, Opts{Workers: workers, Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals, _, err := r.ReadReportCtx(context.Background(), FullRegion(dims))
+			var pe *stf.PanicError
+			if !errors.As(err, &pe) || pe.Task != "c1.fetch" || pe.Value != "fetcher fault" {
+				t.Fatalf("w%d cache=%v: err = %v, want a *stf.PanicError of c1.fetch", workers, cache != nil, err)
+			}
+			if vals != nil {
+				t.Errorf("w%d cache=%v: a panicked read returned %d values", workers, cache != nil, len(vals))
+			}
+			if st := p.ScratchPool().Stats(); st.Gets != st.Puts {
+				t.Fatalf("w%d cache=%v: scratch pool unbalanced: gets=%d puts=%d", workers, cache != nil, st.Gets, st.Puts)
+			}
+			if cache == nil {
+				continue
+			}
+			if n := cache.Stats().Flights; n != 0 {
+				t.Errorf("w%d: %d single flights left open", workers, n)
+			}
+			healthy, err := OpenRegion(p, fzio.NewBytesFetcher(blob), Opts{Workers: workers, Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals, _, err = healthy.ReadReportCtx(context.Background(), FullRegion(dims))
+			if err != nil {
+				t.Fatalf("w%d: read after the panic: %v", workers, err)
+			}
+			sameBits(t, "read after the panic", vals, want)
 		}
 	}
 }

@@ -16,8 +16,11 @@ import (
 // built from the two per-chunk sub-graph builders below, and the stf
 // scheduler executes it with pooled scratch buffers over one worker pool
 // per place, whose workers share one ready queue: a stage readied by a
-// worker of its own place runs next, so a chunk's sub-graph runs back to
-// back, and other ready stages wait in declaration order.
+// worker of its own place runs next, so a chunk's stages on one lane run
+// back to back, and other ready stages wait in declaration order. Both
+// sides use both lanes at any budget: compress predicts on the accel lane
+// while the host lane encodes, decompress decodes on the host lane while
+// the accel lane allocates and reconstructs.
 //
 // Write side: predict → encode per block (addPredictEncodeTasks), then
 // stage (→ secondary) where the sink needs the block's bytes staged
@@ -31,14 +34,17 @@ import (
 // and readChunks is the one executor over it: full decompress, region
 // reads and salvage only plan a chunk list and a per-chunk fetch, and
 // every payload passes fzio.ContainerIndex.VerifyChunk before it decodes.
+// Its graph's first task, alloc, makes the destinations every reconstruct
+// writes.
 // The stream door, which cannot plan past the frames it has read,
 // declares the same sub-graph from its sliding window. A monolithic (FZMD)
 // container is simply a one-chunk graph.
 //
 // Modules write into buffers the executor owns: predict and decode fill a
-// pooled code slab, reconstruct fills the door's destination. A failed or
-// canceled graph skips the task that returns a slab, so every door sweeps
-// its jobs once the graph has drained.
+// pooled code slab, reconstruct fills the destination alloc made (or the
+// stream door's pooled slab). A failed or canceled graph skips the task
+// that returns a slab, so every door sweeps its jobs once the graph has
+// drained.
 //
 // Every operation runs under one parallelism budget, resolved by newCtx.
 
@@ -311,12 +317,14 @@ func (job *decompressJob) releaseSlabs(bp *device.BufPool) {
 // chunk was served some other way, and the sub-graph skips straight to
 // after. The payload must be a plain FZMD container (a nested FZMC or FZMS
 // would recurse without bound), optionally secondary-wrapped, recording
-// exactly want. The values are reconstructed into dst (len want.N(), any
-// contents); after, when non-nil, then runs with dst (nil for a skipped
-// chunk) inside the reconstruct task. The returned job's pooled slabs are
-// the caller's to sweep once the graph has drained.
-func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, dst []float32,
-	fetch func() ([]byte, error), after func(vals []float32) error) *decompressJob {
+// exactly want. The values are reconstructed into *dst (len want.N(), any
+// contents), read when the reconstruct task runs; when alloc is non-nil
+// that task reads it too, so a destination the graph allocates exists by
+// then. after, when non-nil, then runs with the values (nil for a skipped
+// chunk) inside the reconstruct task. The returned
+// job's pooled slabs are the caller's to sweep once the graph has drained.
+func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, dst *[]float32,
+	alloc *stf.Token, fetch func() ([]byte, error), after func(vals []float32) error) *decompressJob {
 	p := ctx.Platform()
 	job := &decompressJob{}
 	fetchTok := stf.NewToken(ctx, prefix+"container")
@@ -346,11 +354,12 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 			job.c = c
 			return nil
 		})
-	// The primary code stream decodes at the accelerator place, into a
-	// slab of exactly want.N() codes. The read side picks Accel itself:
-	// the presets place only the write side (Default and Quality encode
-	// Huffman on the host).
-	ctx.Task(prefix + "decode").On(device.Accel).Reads(fetchTok).Writes(codesTok).
+	// The primary code stream decodes on the host lane, into a slab of
+	// exactly want.N() codes, and the values reconstruct on the accel lane:
+	// like compress's predict ∥ encode, chunk i+1's fetch → decode overlaps
+	// chunk i's reconstruct at any budget. The presets place only the write
+	// side.
+	ctx.Task(prefix + "decode").On(device.Host).Reads(fetchTok).Writes(codesTok).
 		Do(func(ti *stf.TaskInstance) error {
 			if job.c == nil {
 				return nil
@@ -369,25 +378,27 @@ func addDecompressTasks(ctx *stf.Ctx, prefix string, chunk int, want grid.Dims, 
 			}
 			return nil
 		})
-	job.done = ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok).
-		Do(func(ti *stf.TaskInstance) error {
-			vals := dst
-			if job.c == nil {
-				vals = nil
-			} else {
-				codes := job.codes
-				job.codes = nil
-				defer p.ScratchPool().PutU16(codes)
-				pred := containerPrediction(job.c, codes.Data)
-				if err := job.pr.Reconstruct(p, ti.Place(), pred, want, job.c.Header.EB, dst); err != nil {
-					return fmt.Errorf("core: %s reconstruct: %w", job.pr.Name(), err)
-				}
+	rec := ctx.Task(prefix + "reconstruct").On(device.Accel).Reads(codesTok)
+	if alloc != nil {
+		rec.Reads(alloc)
+	}
+	job.done = rec.Do(func(ti *stf.TaskInstance) error {
+		var vals []float32
+		if job.c != nil {
+			vals = *dst
+			codes := job.codes
+			job.codes = nil
+			defer p.ScratchPool().PutU16(codes)
+			pred := containerPrediction(job.c, codes.Data)
+			if err := job.pr.Reconstruct(p, ti.Place(), pred, want, job.c.Header.EB, vals); err != nil {
+				return fmt.Errorf("core: %s reconstruct: %w", job.pr.Name(), err)
 			}
-			if after == nil {
-				return nil
-			}
-			return after(vals)
-		})
+		}
+		if after == nil {
+			return nil
+		}
+		return after(vals)
+	})
 	return job
 }
 
@@ -423,7 +434,7 @@ type chunkReads struct {
 	chunks []chunkRead
 	dims   grid.Dims // the field's full geometry
 	sel    RegionSel // the subvolume out holds
-	out    []float32 // sel.Dims().N() values
+	out    []float32 // sel.Dims().N() values; nil leaves them to readChunks' alloc task
 	cache  *SlabCache
 	hits   int // chunks the planner served from cache
 }
@@ -434,6 +445,12 @@ type chunkReads struct {
 // of out. Any other decodes into a slab of its own, whose overlap window is
 // copied out; a cache single-flights that slab around the fetch (a waiter
 // blocks in the Host-place fetch task) and publishes it to every waiter.
+//
+// The destinations are the graph's first task, alloc, on the accel lane:
+// it makes out when the door left it nil, and every chunk's own slab, and
+// every reconstruct reads its token. So at any budget the accel lane
+// allocates while the host lane fetches, verifies and decodes the first
+// chunks, and a graph canceled before alloc runs allocates nothing.
 func readChunks(gctx context.Context, p *device.Platform, workers int, rd *chunkReads) (*ExecReport, error) {
 	cache, dims, sel := rd.cache, rd.dims, rd.sel
 	stats := &RegionStats{Sel: sel, Chunks: rd.hits + len(rd.chunks), CacheHits: rd.hits}
@@ -447,7 +464,27 @@ func readChunks(gctx context.Context, p *device.Platform, workers int, rd *chunk
 	// A selection inside the field spans its fast axes exactly when it
 	// holds whole planes.
 	direct := cache == nil && sel.Dims().N() == (s1-s0)*dims.PlaneElems()
+	inPlace := func(c chunkRead) bool { return direct && c.lo >= s0 && c.lo+c.planes <= s1 }
 	ctx := newCtx(gctx, p, device.Accel, workers, len(rd.chunks))
+	// dsts[i] is chunk i's destination: its window of out, or a slab of its
+	// own. Plain allocations: a slab may outlive the ctx in the cache.
+	dsts := make([][]float32, len(rd.chunks))
+	allocTok := stf.NewToken(ctx, "alloc")
+	ctx.Task("alloc").On(device.Accel).Writes(allocTok).Do(func(*stf.TaskInstance) error {
+		if rd.out == nil {
+			rd.out = make([]float32, sel.Dims().N())
+		}
+		for i, c := range rd.chunks {
+			n := dims.WithSlowExtent(c.planes).N()
+			if inPlace(c) {
+				o := (c.lo - s0) * dims.PlaneElems()
+				dsts[i] = rd.out[o : o+n]
+			} else {
+				dsts[i] = make([]float32, n)
+			}
+		}
+		return nil
+	})
 	// flights[i] is the single-flight chunk i leads, once its fetch task has
 	// claimed one.
 	flights := make([]*slabFlight, len(rd.chunks))
@@ -470,9 +507,8 @@ func readChunks(gctx context.Context, p *device.Platform, workers int, rd *chunk
 			}
 			return payload, nil
 		}
-		if direct && c.lo >= s0 && c.lo+c.planes <= s1 {
-			o := (c.lo - s0) * dims.PlaneElems()
-			jobs[i] = addDecompressTasks(ctx, chunkPrefix(c.chunk), c.chunk, want, rd.out[o:o+want.N()], fetch, nil)
+		if inPlace(c) {
+			jobs[i] = addDecompressTasks(ctx, chunkPrefix(c.chunk), c.chunk, want, &dsts[i], allocTok, fetch, nil)
 			continue
 		}
 		var shared []float32 // the slab another reader's flight delivered, if any
@@ -499,8 +535,7 @@ func readChunks(gctx context.Context, p *device.Platform, workers int, rd *chunk
 			copyWindow(rd.out, sel, dims, vals, c.lo, c.planes)
 			return nil
 		}
-		// A plain alloc: the slab may outlive the ctx in the cache.
-		jobs[i] = addDecompressTasks(ctx, chunkPrefix(c.chunk), c.chunk, want, make([]float32, want.N()), cached, after)
+		jobs[i] = addDecompressTasks(ctx, chunkPrefix(c.chunk), c.chunk, want, &dsts[i], allocTok, cached, after)
 	}
 
 	report, err := finish(ctx, jobs)
@@ -529,7 +564,8 @@ func readChunks(gctx context.Context, p *device.Platform, workers int, rd *chunk
 // index (fzio.FetchIndex: FZMD, FZMC and FZMS alike) for readChunks and
 // fetches by slicing blob, with no copy and no fetch limit on an in-memory
 // FZMD; the chunks decode in parallel straight into their windows of the
-// output. Every payload passes fzio.ContainerIndex.VerifyChunk first.
+// output, which the graph allocates. Every payload passes
+// fzio.ContainerIndex.VerifyChunk first.
 // opts.Workers is the parallelism budget; a cancellation or deadline on
 // gctx abandons unstarted task bodies at their dispatch boundary and
 // returns the context's error.
@@ -539,17 +575,17 @@ func DecompressReportWithOptsCtx(gctx context.Context, p *device.Platform, blob 
 		return nil, grid.Dims{}, nil, err
 	}
 	dims := ix.Header.Dims
-	out := make([]float32, dims.N())
-	report, err := readChunks(gctx, p, opts.Workers, &chunkReads{
+	rd := &chunkReads{
 		ix: ix,
 		fetch: func(i int) ([]byte, error) {
 			ref := ix.Chunks[i]
 			return blob[ref.Offset : ref.Offset+ref.Length], nil
 		},
-		chunks: planChunks(ix, 0, dims.SlowExtent()), dims: dims, sel: FullRegion(dims), out: out,
-	})
+		chunks: planChunks(ix, 0, dims.SlowExtent()), dims: dims, sel: FullRegion(dims),
+	}
+	report, err := readChunks(gctx, p, opts.Workers, rd)
 	if err != nil {
 		return nil, grid.Dims{}, report, err
 	}
-	return out, dims, report, nil
+	return rd.out, dims, report, nil
 }

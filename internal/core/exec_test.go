@@ -19,7 +19,10 @@ import (
 // per-chunk sub-graphs joined by the layout barrier with scatter-serialize
 // tails, a critical path of one chunk chain through layout and serialize,
 // and live buffer-pool counters. No edge joins two chunks' sub-graphs, on
-// either side: that is the branch-level concurrency of §3.3.1.
+// either side: that is the branch-level concurrency of §3.3.1. The read
+// graph uses both lanes as the write graph does (stage-level concurrency):
+// decode on the host, the output allocation and reconstruct on the accel
+// lane.
 func TestExecReportShape(t *testing.T) {
 	data, dims := chunkField()
 	opts := ChunkOpts{ChunkElems: dims.PlaneElems() * 8, Workers: 4}
@@ -52,8 +55,8 @@ func TestExecReportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 3 * nChunks; decReport.Tasks != want {
-		t.Errorf("decompress report.Tasks = %d, want %d (3 per chunk)", decReport.Tasks, want)
+	if want := 3*nChunks + 1; decReport.Tasks != want {
+		t.Errorf("decompress report.Tasks = %d, want %d (3 per chunk + alloc)", decReport.Tasks, want)
 	}
 	if decReport.CriticalPath != 3 {
 		t.Errorf("decompress critical path = %d, want 3 (fetch→decode→reconstruct)", decReport.CriticalPath)
@@ -61,6 +64,7 @@ func TestExecReportShape(t *testing.T) {
 	if e := crossChunkEdges(decReport.DOT); len(e) != 0 {
 		t.Errorf("decompress DAG joins chunks directly: %v\n%s", e, decReport.DOT)
 	}
+	checkReadLanes(t, decReport.DOT, nChunks)
 
 	// Secondary-encoded chunks stage their bytes ahead of the same layout →
 	// scatter tail: stage and secondary, two more tasks per chunk.
@@ -75,9 +79,48 @@ func TestExecReportShape(t *testing.T) {
 }
 
 var (
-	dotNode = regexp.MustCompile(`(?m)^\s*(t\d+) \[label="(c\d+)\.`)
-	dotEdge = regexp.MustCompile(`(?m)^\s*(t\d+) -> (t\d+);`)
+	dotNode  = regexp.MustCompile(`(?m)^\s*(t\d+) \[label="(c\d+)\.`)
+	dotEdge  = regexp.MustCompile(`(?m)^\s*(t\d+) -> (t\d+);`)
+	dotLabel = regexp.MustCompile(`(?m)^\s*(t\d+) \[label="([^"@]+)@(\w+)"`)
 )
+
+// checkReadLanes holds a read graph of n chunks to its two lanes: every
+// fetch and decode on the host, every reconstruct and the one alloc task
+// on the accel lane, and alloc feeding every reconstruct and nothing else.
+func checkReadLanes(t *testing.T, dot string, n int) {
+	t.Helper()
+	stage := map[string]string{} // node → stage ("alloc", "decode", …)
+	count := map[string]int{}
+	for _, m := range dotLabel.FindAllStringSubmatch(dot, -1) {
+		name, place := m[2], m[3]
+		st := name[strings.LastIndexByte(name, '.')+1:]
+		stage[m[1]] = st
+		count[st]++
+		want := "host"
+		if st == "alloc" || st == "reconstruct" {
+			want = "accel"
+		}
+		if place != want {
+			t.Errorf("read task %s runs @%s, want @%s", name, place, want)
+		}
+	}
+	if count["alloc"] != 1 || count["fetch"] != n || count["decode"] != n || count["reconstruct"] != n {
+		t.Errorf("read graph stages %v, want one alloc and %d each of fetch, decode, reconstruct", count, n)
+	}
+	fed := 0
+	for _, m := range dotEdge.FindAllStringSubmatch(dot, -1) {
+		if stage[m[1]] != "alloc" {
+			continue
+		}
+		if stage[m[2]] != "reconstruct" {
+			t.Errorf("alloc feeds %s, want only reconstruct tasks", stage[m[2]])
+		}
+		fed++
+	}
+	if fed != n {
+		t.Errorf("alloc feeds %d reconstructs, want %d\n%s", fed, n, dot)
+	}
+}
 
 // crossChunkEdges lists the edges of a DOT export whose two tasks belong to
 // different chunks' sub-graphs (task names "c<i>.<stage>"); edges through

@@ -18,8 +18,10 @@ type Opts struct {
 	// a narrowed platform view sharing the machine's pools) AND the
 	// chunk-level scheduler width at each place, which is min(budget,
 	// chunks in flight) — the chunk count for in-memory operations, the
-	// window for the streaming ones. Workers = 1 therefore runs strictly
-	// serially. Output bytes never depend on it.
+	// window for the streaming ones. Workers = 1 therefore runs one task
+	// body at a time per place: the accel and host lanes still overlap, on
+	// the write side and the read side alike. Output bytes never depend on
+	// it.
 	Workers int
 
 	// ChunkElems is the target elements per chunk for the in-memory and

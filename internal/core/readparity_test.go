@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -84,7 +85,8 @@ func streamContainer(t *testing.T, hdr fzio.ChunkedHeader, payloads [][]byte, pl
 // decoder, is refused with an error naming the chunk, never a panic,
 // whichever door it comes through. A tamper of chunk 1 that keeps its CRC32
 // is refused by its leaf hash at every door but salvage, which masks
-// exactly that chunk's planes and returns every other value unchanged.
+// exactly that chunk's planes, returns them zero-filled and every other
+// value unchanged.
 func TestReadPathsParity(t *testing.T) {
 	data, dims := chunkField()
 	absEB, _, err := preprocess.Resolve(tp, device.Accel, data, preprocess.RelBound(1e-4))
@@ -215,8 +217,12 @@ func TestReadPathsParity(t *testing.T) {
 			}
 			plane := dims.PlaneElems()
 			for i := range clean {
-				if (i < lo*plane || i >= hi*plane) && got[i] != clean[i] {
+				masked := i >= lo*plane && i < hi*plane
+				if !masked && got[i] != clean[i] {
 					t.Fatalf("%s %c: salvage value %d differs from the clean decode", pl.Name(), flavor, i)
+				}
+				if masked && math.Float32bits(got[i]) != 0 {
+					t.Fatalf("%s %c: salvage value %d of a masked plane is %v, want +0", pl.Name(), flavor, i, got[i])
 				}
 			}
 		}

@@ -85,13 +85,14 @@ func DecompressSalvageCtx(gctx context.Context, p *device.Platform, f fzio.Chunk
 		return nil, nil, fmt.Errorf("core: nothing to salvage: no intact chunk in %s artifact", s.Flavor)
 	}
 
-	out := make([]float32, dims.N())
-	if _, err := readChunks(gctx, p, opts.Workers, &chunkReads{
+	// The graph allocates the field zeroed, so every masked plane reads 0.
+	rd := &chunkReads{
 		// The survey accepted each intact payload under VerifyChunk.
 		fetch:  func(i int) ([]byte, error) { return s.Chunks[i].Payload(), nil },
-		chunks: chunks, dims: dims, sel: FullRegion(dims), out: out,
-	}); err != nil {
+		chunks: chunks, dims: dims, sel: FullRegion(dims),
+	}
+	if _, err := readChunks(gctx, p, opts.Workers, rd); err != nil {
 		return nil, nil, err
 	}
-	return out, mask, nil
+	return rd.out, mask, nil
 }

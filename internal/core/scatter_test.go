@@ -183,7 +183,7 @@ func TestDecompressWithWorkersBudget(t *testing.T) {
 }
 
 // TestChunkedWorkerBudgetBitIdentical pins the write-path budget contract:
-// every worker budget (including the strictly serial w=1) produces the
+// every worker budget (including w=1, one worker per lane) produces the
 // identical container bytes.
 func TestChunkedWorkerBudgetBitIdentical(t *testing.T) {
 	data, dims := chunkField()

@@ -190,7 +190,7 @@ func DecompressStreamCtx(gctx context.Context, p *device.Platform, r io.Reader, 
 			payloads[slot] = payload
 			want := dims.WithSlowExtent(planes)
 			out := bp.GetF32(want.N(), false)
-			jobs[slot] = addDecompressTasks(ctx, fmt.Sprintf("s%d.", i), i, want, out.Data,
+			jobs[slot] = addDecompressTasks(ctx, fmt.Sprintf("s%d.", i), i, want, &out.Data, nil,
 				func() ([]byte, error) { return payload, nil }, // sr.Next verified the frame CRC
 				func([]float32) error { decoded[slot] = true; return nil })
 			jobs[slot].out = out

@@ -5,8 +5,8 @@ import "sync"
 // This file is the engine's scheduler: one worker pool per execution place,
 // whose workers share one mutex-guarded ready queue. The queue is two
 // lists. Tasks made ready by one of the place's own workers go on a LIFO
-// stack, so a chunk's next stage (decode → reconstruct) runs right after
-// the stage that fed it, while its data is warm; tasks from graph
+// stack, so a chunk's next stage on the same place (fetch → decode) runs
+// right after the stage that fed it, while its data is warm; tasks from graph
 // declaration or from a worker of the other place go on a FIFO. A worker
 // takes the top of the stack, else the head of the FIFO, else parks on the
 // pool's condition variable. The pool width is the per-place bound on

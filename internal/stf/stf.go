@@ -24,9 +24,9 @@
 // so one chunk's accelerator prediction overlaps another's host encoding.
 // Ready tasks execute on one worker pool per place (see sched.go), whose
 // workers share one ready queue: a task readied by a worker of its own
-// place runs next (LIFO), so each chunk's sub-graph runs back to back;
-// declared tasks and tasks readied by the other place wait their turn
-// (FIFO).
+// place runs next (LIFO), so a chunk's stages on one place run back to
+// back; declared tasks and tasks readied by the other place wait their
+// turn (FIFO).
 package stf
 
 import (
@@ -79,3 +79,16 @@ func NewToken(_ *Ctx, name string) *Token {
 // ErrSkipped marks tasks not executed because an upstream dependency
 // failed.
 var ErrSkipped = errors.New("stf: task skipped due to failed dependency")
+
+// PanicError is the error of a task whose body panicked: the engine
+// recovers the panic on the worker, so a faulty body fails its graph like
+// any other task error instead of crashing the process. Finalize wraps it,
+// so callers match it with errors.As.
+type PanicError struct {
+	Task  string // the task's debug name
+	Value any    // what recover returned
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("stf: task %q panicked: %v", e.Task, e.Value)
+}

@@ -168,8 +168,12 @@ func TestPanicInTaskBecomesError(t *testing.T) {
 		panic("kaboom")
 	})
 	err := ctx.Finalize()
-	if err == nil || !strings.Contains(err.Error(), "kaboom") {
-		t.Errorf("Finalize error = %v, want panic captured", err)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Task != "panics" || pe.Value != "kaboom" {
+		t.Fatalf("Finalize error = %v, want a *PanicError of task \"panics\" carrying \"kaboom\"", err)
+	}
+	if want := `task "panics": stf: task "panics" panicked: kaboom`; err.Error() != want {
+		t.Errorf("Finalize error = %q, want %q", err, want)
 	}
 }
 

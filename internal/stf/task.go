@@ -20,7 +20,7 @@ import (
 // task becomes ready the moment its last dependency completes (dependency
 // counting, no waiting goroutines). If a worker of the same place readied
 // it, it goes on the queue's LIFO stack and runs next, so a chunk's
-// sub-graph runs back to back while its data is warm; a task readied at
+// stages on one place run back to back while its data is warm; a task readied at
 // declaration or by the other place joins the queue's FIFO. The pool width
 // bounds in-flight task bodies per place, the bounded-worker discipline a
 // finite ring of CUDA streams imposes.
@@ -278,7 +278,7 @@ func (c *Ctx) runOn(t *task, id int, s *sched) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.err = fmt.Errorf("stf: task %q panicked: %v", t.name, r)
+					t.err = &PanicError{Task: t.name, Value: r}
 				}
 			}()
 			t.err = t.body(ti)

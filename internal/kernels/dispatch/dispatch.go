@@ -1,7 +1,9 @@
 // Package dispatch selects a SIMD implementation tier for the framework's
-// hottest per-element loops — Lorenzo fused quantize+residual rows, the
-// one-pass Lorenzo reconstruct row (code → residual → x-scan → + row
-// above → + plane behind → scale → store), histogram accumulation,
+// hottest per-element loops — the one-pass Lorenzo encode row (quantize →
+// − plane behind → − row above → − left → code), its mirror the one-pass
+// reconstruct row (code → residual → x-scan → + row above → + plane
+// behind → scale → store), the standalone quantizer and residual-code
+// stencils, histogram accumulation,
 // MinMaxF32, outlier code scanning, the Huffman encode length-summing
 // pre-pass and grouped code emitter, the four-lane Huffman decode batch
 // loop, and the bitshuffle / unbitshuffle bit-matrix transposes of the fzg
@@ -11,10 +13,10 @@
 //
 // Tiers:
 //
-//   - "avx2"   — amd64 with AVX2 and BMI2 (detected via CPUID + XGETBV,
-//     no dependencies; the OS must have enabled YMM state). Every kernel
-//     is vector code but the 32-bit bitshuffle pair and DecodeQuad, which
-//     is scalar BMI2 code with its lane state in registers.
+//   - "avx2"   — amd64 with AVX2, BMI2 and POPCNT (detected via CPUID +
+//     XGETBV, no dependencies; the OS must have enabled YMM state). Every
+//     kernel is vector code but the 32-bit bitshuffle pair and DecodeQuad,
+//     which is scalar BMI2 code with its lane state in registers.
 //   - "neon"   — arm64; ASIMD is architecturally baseline. Only the kernels
 //     the Go arm64 assembler can express are NEON (HistMerge, NextZero);
 //     the rest of the tier, the bitshuffle kernels included, stays pure Go
@@ -73,6 +75,31 @@ var (
 	// DiffCodes3 is DiffCodes1 for the full 3-D stencil:
 	// d = q[i+1]-q[i] - up[i+1]+up[i] - back[i+1]+back[i] + backUp[i+1]-backUp[i].
 	DiffCodes3 func(q, up, back, backUp []int32, codes []uint16, r32 int32) = diffCodes3PureGo
+
+	// LorenzoEncodeRow quantizes and codes one row of a field with the
+	// Lorenzo predictor, the mirror of LorenzoRow. For each i from 0 it
+	// takes t := math.Round(float64(data[i])*scale) — stopping with ok =
+	// false when t falls outside [-lim, lim], which NaN and ±Inf always
+	// do — and with q := int32(t) does
+	//
+	//	if len(behind) > 0 { q, behind[i] = q-behind[i], q }
+	//	if len(above) > 0  { q, above[i] = q-above[i], q }
+	//	d := q - left; left = q
+	//
+	// with wrapping int32 differences: the separable difference
+	// (1-Sx)(1-Sy)(1-Sz) of the lattice. It writes codes[i] = uint16(d +
+	// r32) when -r32 < d < r32, else the escape codes[i] = 0 with d
+	// stored at vals[used] (used counting up from 0). It stops at an
+	// escape when vals is full. It returns the new left, the number of
+	// values done (len(data) when it did not stop) and the number of vals
+	// used; a stop leaves element done and everything after it untouched.
+	// left is the difference carried in from the left; above holds the
+	// previous row's z-differences and behind the previous plane's
+	// lattice values, each updated in place to this row's. Empty
+	// accumulators are absent (rank 1 has neither, rank 2 no behind);
+	// present ones and codes must be at least len(data) long. lim must be
+	// below 2^31. It may write any element of vals[used:].
+	LorenzoEncodeRow func(data []float32, scale, lim float64, r32, left int32, above, behind []int32, codes []uint16, vals []int32) (next int32, done, used int, ok bool) = lorenzoEncodeRowPureGo
 
 	// LorenzoRow reconstructs one row of a Lorenzo-coded field, inverting
 	// the separable difference with running sums. For each i from 0 it
@@ -220,17 +247,6 @@ func quadSteps(table []uint32, fastBits, maxLen, oi int) int {
 // active names the installed tier.
 var active = PureGo
 
-// vectorRows is set by tiers whose QuantizeF32 and DiffCodes kernels are
-// genuinely vector implementations. The Lorenzo predictor only switches to
-// its two-phase row structure (quantize the row, then emit codes from the
-// stored lattice) when that structure buys vector speed; with scalar
-// kernels the single-pass fused rows are faster.
-var vectorRows bool
-
-// VectorRows reports whether the installed tier runs the Lorenzo row
-// kernels (QuantizeF32 + DiffCodes*) as vector code.
-func VectorRows() bool { return vectorRows }
-
 // Active returns the name of the installed implementation tier: "avx2",
 // "neon", or "purego". A vector tier may still run individual kernels
 // pure-Go; PerKernel lists the split.
@@ -245,18 +261,19 @@ func PerKernel() map[string]string { return perKernel() }
 // implementation; a tier's perKernel overwrites the ones it vectorizes.
 func pureGoKernels() map[string]string {
 	return map[string]string{
-		"quantize":     PureGo,
-		"diff_codes":   PureGo,
-		"lorenzo_row":  PureGo,
-		"minmax":       PureGo,
-		"hist_accum":   PureGo,
-		"hist_merge":   PureGo,
-		"next_zero":    PureGo,
-		"sum_lengths":  PureGo,
-		"emit_codes":   PureGo,
-		"decode_quad":  PureGo,
-		"bitshuffle16": PureGo,
-		"bitshuffle32": PureGo,
+		"quantize":           PureGo,
+		"diff_codes":         PureGo,
+		"lorenzo_encode_row": PureGo,
+		"lorenzo_row":        PureGo,
+		"minmax":             PureGo,
+		"hist_accum":         PureGo,
+		"hist_merge":         PureGo,
+		"next_zero":          PureGo,
+		"sum_lengths":        PureGo,
+		"emit_codes":         PureGo,
+		"decode_quad":        PureGo,
+		"bitshuffle16":       PureGo,
+		"bitshuffle32":       PureGo,
 	}
 }
 
@@ -300,6 +317,7 @@ func installPureGo() {
 	DiffCodes1 = diffCodes1PureGo
 	DiffCodes2 = diffCodes2PureGo
 	DiffCodes3 = diffCodes3PureGo
+	LorenzoEncodeRow = lorenzoEncodeRowPureGo
 	LorenzoRow = lorenzoRowPureGo
 	MinMaxF32 = minMaxF32PureGo
 	HistAccum = histAccumPureGo
@@ -312,7 +330,6 @@ func installPureGo() {
 	Unbitshuffle16 = unbitshuffle16PureGo
 	Bitshuffle32 = bitshuffle32PureGo
 	Unbitshuffle32 = unbitshuffle32PureGo
-	vectorRows = false
 	active = PureGo
 }
 

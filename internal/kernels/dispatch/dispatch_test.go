@@ -273,6 +273,112 @@ func TestLorenzoRowEquivalence(t *testing.T) {
 	})
 }
 
+// checkLorenzoEncodeRow runs LorenzoEncodeRow and its pure-Go twin on
+// copies of the same accumulators and codes (the installed tier's at
+// element offset off, so vector heads start unaligned) and requires the
+// same stop, carry, counts, codes, accumulators and used vals. A nil above
+// or behind stays absent.
+func checkLorenzoEncodeRow(t *testing.T, data []float32, scale, lim float64, r32, left int32, above, behind []int32, nvals, off int) {
+	t.Helper()
+	n := len(data)
+	clone := func(s []int32, off int) []int32 {
+		if s == nil {
+			return nil
+		}
+		c := offsetI32(len(s), off)
+		copy(c, s)
+		return c
+	}
+	gotAbove, gotBehind := clone(above, off), clone(behind, off)
+	wantAbove, wantBehind := clone(above, 0), clone(behind, 0)
+	gotCodes, wantCodes := offsetU16(n, off), make([]uint16, n)
+	for i := range gotCodes {
+		gotCodes[i], wantCodes[i] = 0xBEEF, 0xBEEF
+	}
+	gotVals, wantVals := offsetI32(nvals, off), make([]int32, nvals)
+	gotLeft, gotDone, gotUsed, gotOK := LorenzoEncodeRow(data, scale, lim, r32, left, gotAbove, gotBehind, gotCodes, gotVals)
+	wantLeft, wantDone, wantUsed, wantOK := lorenzoEncodeRowPureGo(data, scale, lim, r32, left, wantAbove, wantBehind, wantCodes, wantVals)
+	if gotLeft != wantLeft || gotDone != wantDone || gotUsed != wantUsed || gotOK != wantOK {
+		t.Fatalf("lorenzoEncodeRow n=%d vals=%d off=%d r=%d above=%v behind=%v: (left %d, done %d, used %d, ok %v) want (%d, %d, %d, %v)",
+			n, nvals, off, r32, above != nil, behind != nil, gotLeft, gotDone, gotUsed, gotOK, wantLeft, wantDone, wantUsed, wantOK)
+	}
+	for i := range wantCodes {
+		if gotCodes[i] != wantCodes[i] {
+			t.Fatalf("lorenzoEncodeRow n=%d off=%d codes[%d] = %d want %d", n, off, i, gotCodes[i], wantCodes[i])
+		}
+	}
+	for i := range wantVals[:wantUsed] {
+		if gotVals[i] != wantVals[i] {
+			t.Fatalf("lorenzoEncodeRow n=%d off=%d vals[%d] = %d want %d", n, off, i, gotVals[i], wantVals[i])
+		}
+	}
+	for i := range wantAbove {
+		if gotAbove[i] != wantAbove[i] {
+			t.Fatalf("lorenzoEncodeRow n=%d off=%d above[%d] = %d want %d", n, off, i, gotAbove[i], wantAbove[i])
+		}
+	}
+	for i := range wantBehind {
+		if gotBehind[i] != wantBehind[i] {
+			t.Fatalf("lorenzoEncodeRow n=%d off=%d behind[%d] = %d want %d", n, off, i, gotBehind[i], wantBehind[i])
+		}
+	}
+}
+
+// TestLorenzoEncodeRowEquivalence covers every accumulator shape on odd
+// lengths and alignments: smooth rows and rough ones (escapes from none
+// to every value), accumulators that make the differences wrap int32,
+// NaN, ±Inf and out-of-guard values at any position, vals that run out
+// early, just in time or never, radii the vector pack cannot take, and
+// the rounding halves.
+func TestLorenzoEncodeRowEquivalence(t *testing.T) {
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(14))
+		radii := []int32{0, 1, 512, 32768, 40000, math.MaxInt32, -3}
+		scales := []float64{1, 0.5, 1e3, 3.0000001e-7}
+		specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e30, -1e30}
+		for n := 0; n <= 200; n++ {
+			for off := 0; off < 4; off++ {
+				data := offsetF32(n, off)
+				rough := []float64{0.3, 30, 3e4}[rng.Intn(3)]
+				acc := rng.NormFloat64() * 100
+				for i := range data {
+					acc += rng.NormFloat64() * rough
+					data[i] = float32(acc)
+					if rng.Intn(16) == 0 {
+						data[i] = float32(math.Round(acc)) + 0.5 // a half
+					}
+				}
+				if n > 0 && rng.Intn(3) == 0 {
+					data[rng.Intn(n)] = specials[rng.Intn(len(specials))]
+				}
+				mk := func() []int32 {
+					s := make([]int32, n)
+					for i := range s {
+						if rng.Intn(4) == 0 {
+							s[i] = int32(rng.Uint32()) // differences that wrap
+						} else {
+							s[i] = int32(rng.Intn(1<<12) - 1<<11)
+						}
+					}
+					return s
+				}
+				r32 := radii[rng.Intn(len(radii))]
+				scale := scales[rng.Intn(len(scales))]
+				lim := []float64{1 << 29, 4000}[rng.Intn(2)]
+				left := int32(rng.Intn(2000) - 1000)
+				if rng.Intn(4) == 0 {
+					left = int32(rng.Uint32())
+				}
+				for _, nv := range []int{n, rng.Intn(n + 1), rng.Intn(9)} {
+					checkLorenzoEncodeRow(t, data, scale, lim, r32, left, nil, nil, nv, off)
+					checkLorenzoEncodeRow(t, data, scale, lim, r32, left, mk(), nil, nv, off)
+					checkLorenzoEncodeRow(t, data, scale, lim, r32, left, mk(), mk(), nv, off)
+				}
+			}
+		}
+	})
+}
+
 func TestMinMaxF32Equivalence(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
@@ -879,9 +985,6 @@ func TestUse(t *testing.T) {
 	if Active() != PureGo {
 		t.Fatalf("Active() = %q after Use(purego)", Active())
 	}
-	if VectorRows() {
-		t.Fatal("VectorRows() true under purego")
-	}
 	for k, impl := range PerKernel() {
 		if impl != PureGo {
 			t.Fatalf("PerKernel()[%q] = %q under purego", k, impl)
@@ -898,9 +1001,6 @@ func TestUse(t *testing.T) {
 	}
 	if Active() != bestName() {
 		t.Fatalf("Active() = %q, want best %q", Active(), bestName())
-	}
-	if Active() != PureGo && !VectorRows() {
-		t.Fatalf("tier %q installed without vector rows", Active())
 	}
 }
 
@@ -990,17 +1090,20 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 		}
 
+		// word reads the raw bytes as a little-endian word at any index,
+		// wrapping; it needs at least one byte.
+		word := func(i int) uint32 {
+			if len(raw) < 4 {
+				return uint32(raw[0]) * 0x01010101
+			}
+			i %= len(raw) - 3
+			return uint32(raw[i]) | uint32(raw[i+1])<<8 | uint32(raw[i+2])<<16 | uint32(raw[i+3])<<24
+		}
+
 		// LorenzoRow: the code view as codes (zeros are escapes), the
 		// raw words as the carry, radius, scale, outlier values (as many
 		// as the fuzzer's first byte says) and accumulators.
 		if len(us) > 0 {
-			word := func(i int) uint32 {
-				if len(raw) < 4 {
-					return uint32(raw[0]) * 0x01010101
-				}
-				i %= len(raw) - 3
-				return uint32(raw[i]) | uint32(raw[i+1])<<8 | uint32(raw[i+2])<<16 | uint32(raw[i+3])<<24
-			}
 			acc := int32(word(1))
 			r32 := int32(word(2) >> uint(raw[0]%32))
 			scale := math.Abs(float64(math.Float32frombits(word(3)&0x7f7fffff))) + 1e-300
@@ -1016,6 +1119,24 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 			for _, shape := range [][2][]int32{{nil, nil}, {above, nil}, {above, behind}} {
 				checkLorenzoRow(t, us, vals, r32, scale, acc, shape[0], shape[1], int(raw[0]%4))
+			}
+		}
+
+		// LorenzoEncodeRow: the float view as the row at the quantize
+		// scale and guard above, raw words as the carry, radius and
+		// accumulators, and as many vals as the fuzzer's second byte says.
+		if len(fs) > 0 {
+			left := int32(word(2))
+			r32 := int32(word(5) >> uint(raw[0]%32))
+			above := make([]int32, len(fs))
+			behind := make([]int32, len(fs))
+			for i := range above {
+				above[i] = int32(word(i*7 + 5))
+				behind[i] = int32(word(i*5 + 3))
+			}
+			nvals := int(raw[1]) % (len(fs) + 1)
+			for _, shape := range [][2][]int32{{nil, nil}, {above, nil}, {above, behind}} {
+				checkLorenzoEncodeRow(t, fs, 0.25, 1<<29, r32, left, shape[0], shape[1], nvals, int(raw[0]%4))
 			}
 		}
 

@@ -2,6 +2,8 @@
 
 package dispatch
 
+import "math"
+
 // Assembly cores (kernels_amd64.s). Each processes the longest prefix its
 // vector width covers (8 or 16 elements per iteration, unaligned loads, so
 // any slice alignment is fine); the Go wrappers finish the scalar tails
@@ -12,6 +14,7 @@ func quantAVX2Asm(data []float32, q []int32, scale, lim float64) bool
 func diff1AVX2Asm(q []int32, codes []uint16, r32 int32)
 func diff2AVX2Asm(q, up []int32, codes []uint16, r32 int32)
 func diff3AVX2Asm(q, up, back, backUp []int32, codes []uint16, r32 int32)
+func lorenzoEncodeRowAVX2Asm(data []float32, scale, limh float64, r32, left int32, above, behind []int32, codes []uint16, vals []int32) (next int32, done, used int)
 func lorenzoRowAVX2Asm(codes []uint16, vals []int32, r32 int32, scale float64, acc int32, above, behind []int32, out []float32) (next int32, done, used int)
 func minMaxAVX2Asm(data []float32) (mn, mx float32)
 func histAccumAVX2Asm(tabs []uint32, codes []uint16, bins int) bool
@@ -74,6 +77,61 @@ func diffCodes3AVX2(q, up, back, backUp []int32, codes []uint16, r32 int32) {
 		diff3AVX2Asm(q, up, back, backUp, codes[:n8], r32)
 	}
 	diffCodes3PureGo(q[n8:], up[n8:], back[n8:], backUp[n8:], codes[n8:], r32)
+}
+
+// packLanes[m] lists the lanes set in the 8-bit mask m, lowest first, one
+// byte each: the VPERMD indexes that left-pack those lanes.
+var packLanes = func() (t [256]uint64) {
+	for m := range t {
+		k := 0
+		for lane := 0; lane < 8; lane++ {
+			if m>>lane&1 != 0 {
+				t[m] |= uint64(lane) << (8 * k)
+				k++
+			}
+		}
+	}
+	return t
+}()
+
+// lorenzoEncodeRowAVX2 runs the asm core over whole groups of eight
+// values. The core leaves a group holding a value outside the lattice
+// guard, or an escape when fewer than eight vals are left; the reference
+// takes that group, stopping where the contract stops, and the tail.
+func lorenzoEncodeRowAVX2(data []float32, scale, lim float64, r32, left int32, above, behind []int32, codes []uint16, vals []int32) (int32, int, int, bool) {
+	if r32 > maxPackRadius {
+		return lorenzoEncodeRowPureGo(data, scale, lim, r32, left, above, behind, codes, vals)
+	}
+	n8 := len(data) &^ 7
+	// Slicing the outputs to n8 bounds-checks them for the core.
+	codes8, ab, bh := codes[:n8], above, behind
+	if len(ab) > 0 {
+		ab = ab[:n8]
+	}
+	if len(bh) > 0 {
+		bh = bh[:n8]
+	}
+	limh := math.Floor(lim) + 0.5
+	done, used := 0, 0
+	for done < n8 {
+		var k, u int
+		left, k, u = lorenzoEncodeRowAVX2Asm(data[done:n8], scale, limh, r32, left, tail(ab, done), tail(bh, done), codes8[done:], vals[used:])
+		done, used = done+k, used+u
+		if done == n8 {
+			break
+		}
+		var ok bool
+		left, k, u, ok = lorenzoEncodeRowPureGo(data[done:done+8], scale, lim, r32, left, tail(ab, done), tail(bh, done), codes8[done:], vals[used:])
+		done, used = done+k, used+u
+		if !ok || k < 8 {
+			return left, done, used, ok
+		}
+	}
+	if done == len(data) {
+		return left, done, used, true
+	}
+	left, k, u, ok := lorenzoEncodeRowPureGo(data[done:], scale, lim, r32, left, tail(above, done), tail(behind, done), codes[done:], vals[used:])
+	return left, done + k, used + u, ok
 }
 
 // lorenzoRowAVX2 runs the asm core over whole groups of eight codes. The

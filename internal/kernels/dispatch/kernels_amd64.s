@@ -9,7 +9,8 @@
 // Double-precision constants for the round-half-away-from-zero sequence.
 DATA roundconst<>+0(SB)/8, $0x3FE0000000000000 // 0.5
 DATA roundconst<>+8(SB)/8, $0x3FF0000000000000 // 1.0
-GLOBL roundconst<>(SB), RODATA|NOPTR, $16
+DATA roundconst<>+16(SB)/8, $0x3FDFFFFFFFFFFFFF // pred(0.5), the largest double below 0.5
+GLOBL roundconst<>(SB), RODATA|NOPTR, $24
 
 // func quantAVX2Asm(data []float32, q []int32, scale, lim float64) bool
 //
@@ -471,6 +472,160 @@ sumdone:
 sumfail:
 	MOVQ $0, sum+48(FP)
 	MOVB $0, ok+56(FP)
+	VZEROUPPER
+	RET
+
+// VPERMD index rotating eight lanes up by one: lane i takes lane i-1,
+// lane 0 takes lane 7.
+DATA rotlanes<>+0(SB)/8, $0x0000000000000007
+DATA rotlanes<>+8(SB)/8, $0x0000000200000001
+DATA rotlanes<>+16(SB)/8, $0x0000000400000003
+DATA rotlanes<>+24(SB)/8, $0x0000000600000005
+GLOBL rotlanes<>(SB), RODATA|NOPTR, $32
+
+// func lorenzoEncodeRowAVX2Asm(data []float32, scale, limh float64, r32, left int32, above, behind []int32, codes []uint16, vals []int32) (next int32, done, used int)
+//
+// LorenzoEncodeRow over whole groups of eight values. Per group:
+//
+//   - Widen to float64, t = v*scale, and stop before the group unless
+//     every lane has |t| < limh = floor(lim) + 0.5, which holds exactly
+//     when |math.Round(t)| <= lim (NaN fails the ordered compare).
+//   - Round with one truncating conversion of t + copysign(pred(0.5), t).
+//     Adding the largest double below one half carries into the next
+//     integer exactly when the fraction is at least one half (a sum that
+//     lands halfway ties to the even integer, the upper one), so this is
+//     math.Round(t) for every |t| < 2^52 — unlike t + copysign(0.5, t),
+//     which rounds 0.49999999999999994 up.
+//   - Subtract the plane behind, then the row above, when present; take
+//     d = u - (u one lane up, the carried left in lane 0) with VPERMD +
+//     VPBLENDD; code the in-range lanes as in EMITCODES.
+//   - Left-pack the escape lanes' d into vals with one VPERMD, its
+//     indexes packLanes' entry for the escape mask, and advance used by
+//     their count. Every group does this, escapes or not: rough data then
+//     costs no mispredicted branches. An escape with fewer than eight
+//     vals left stops before the group instead, so a group is never
+//     half-done.
+//   - Store the codes, behind = q, above = the z-differences, and the
+//     new carry.
+//
+// done is a multiple of 8. len(data) a multiple of 8; above and behind
+// are empty or len(data) long, codes len(data) long.
+TEXT ·lorenzoEncodeRowAVX2Asm(SB), NOSPLIT, $0-168
+	MOVQ data_base+0(FP), SI
+	MOVQ above_base+48(FP), DX
+	MOVQ above_len+56(FP), AX
+	TESTQ AX, AX
+	CMOVQEQ AX, DX                     // absent row above: DX = 0
+	MOVQ behind_base+72(FP), R8
+	MOVQ behind_len+80(FP), AX
+	TESTQ AX, AX
+	CMOVQEQ AX, R8                     // absent plane behind: R8 = 0
+	MOVQ codes_base+96(FP), DI
+	MOVQ vals_base+120(FP), R9
+	MOVQ vals_len+128(FP), R13
+	LEAQ ·packLanes(SB), R11
+	VBROADCASTSD scale+24(FP), Y15
+	VBROADCASTSD limh+32(FP), Y14
+	VPCMPEQD Y12, Y12, Y12
+	VPSRLQ   $1, Y12, Y12              // 0x7FFF... abs mask
+	VBROADCASTSD roundconst<>+16(SB), Y11 // pred(0.5)
+	MOVL r32+40(FP), AX
+	VMOVD AX, X9
+	VPBROADCASTD X9, Y9                // r32
+	NEGL AX
+	VMOVD AX, X8
+	VPBROADCASTD X8, Y8                // -r32
+	VMOVDQU rotlanes<>(SB), Y7
+	MOVL left+44(FP), AX
+	VMOVD AX, X6                       // carry: left in lane 0
+	XORQ BX, BX                        // values done
+	XORQ R12, R12                      // vals used
+
+encloop:
+	CMPQ BX, data_len+8(FP)
+	JGE  encdone
+	VCVTPS2PD (SI)(BX*4), Y1           // lanes 0-3 -> f64
+	VCVTPS2PD 16(SI)(BX*4), Y2         // lanes 4-7 -> f64
+	VMULPD   Y15, Y1, Y1               // t = v * scale
+	VANDPD   Y12, Y1, Y3               // |t|
+	VCMPPD   $1, Y14, Y3, Y3           // |t| < limh (LT_OS; false for NaN)
+	VANDNPD  Y1, Y12, Y4               // sign of t
+	VORPD    Y11, Y4, Y4               // copysign(pred(0.5), t)
+	VADDPD   Y4, Y1, Y1
+	VCVTTPD2DQY Y1, X1                 // truncating: math.Round(t) when in range
+
+	VMULPD   Y15, Y2, Y2
+	VANDPD   Y12, Y2, Y5
+	VCMPPD   $1, Y14, Y5, Y5
+	VANDNPD  Y2, Y12, Y4
+	VORPD    Y11, Y4, Y4
+	VADDPD   Y4, Y2, Y2
+	VCVTTPD2DQY Y2, X2
+
+	VANDPD   Y5, Y3, Y3
+	VMOVMSKPD Y3, AX
+	CMPL AX, $0xF
+	JNE  encdone                       // a lane out of range: the caller takes this group
+	VINSERTI128 $1, X2, Y1, Y1         // q
+	VMOVDQA  Y1, Y2
+	TESTQ    R8, R8
+	JZ       encnobehind
+	VPSUBD   (R8)(BX*4), Y1, Y2        // t = q - behind
+
+encnobehind:
+	VMOVDQA  Y2, Y3
+	TESTQ    DX, DX
+	JZ       encnoabove
+	VPSUBD   (DX)(BX*4), Y2, Y3        // u = t - above
+
+encnoabove:
+	VPERMD   Y3, Y7, Y13               // u one lane up; lane 0 = u[7], the next carry
+	VPBLENDD $1, Y6, Y13, Y4           // lane 0 = the carried left
+	VPSUBD   Y4, Y3, Y4                // d = u - left
+	VPCMPGTD Y8, Y4, Y5                // d > -r32
+	VPCMPGTD Y4, Y9, Y3                // r32 > d
+	VPAND    Y3, Y5, Y5                // in-range lanes
+	VMOVMSKPS Y5, AX
+	XORL     $0xFF, AX                 // escape lanes
+	LEAQ     8(R12), R10
+	CMPQ     R10, R13
+	JGT      encfull
+	VPMOVZXBD (R11)(AX*8), Y0          // the escape lanes' numbers, in order
+	VPERMD   Y4, Y0, Y0                // their d, left-packed
+	VMOVDQU  Y0, (R9)(R12*4)
+	POPCNTL  AX, AX
+	ADDQ     AX, R12
+
+encstore:
+	VMOVDQA  Y13, Y6
+	VPADDD   Y9, Y4, Y3                // d + r32 (in (0, 2*r32) when in range)
+	VPAND    Y5, Y3, Y3                // escapes -> 0
+	VEXTRACTI128 $1, Y3, X0
+	VPACKUSDW X0, X3, X3               // exact: masked values are in [0, 65535]
+	VMOVDQU  X3, (DI)(BX*2)
+	TESTQ    R8, R8
+	JZ       encstorenobehind
+	VMOVDQU  Y1, (R8)(BX*4)            // behind = q
+
+encstorenobehind:
+	TESTQ    DX, DX
+	JZ       encstorenoabove
+	VMOVDQU  Y2, (DX)(BX*4)            // above = t
+
+encstorenoabove:
+	ADDQ     $8, BX
+	JMP      encloop
+
+encfull:
+	TESTL    AX, AX
+	JZ       encstore                  // fewer than eight vals left, but none needed
+	// An escape and too few vals left: the caller takes this group.
+
+encdone:
+	VMOVD X6, AX
+	MOVL  AX, next+144(FP)
+	MOVQ  BX, done+152(FP)
+	MOVQ  R12, used+160(FP)
 	VZEROUPPER
 	RET
 

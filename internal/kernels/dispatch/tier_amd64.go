@@ -7,9 +7,10 @@ package dispatch
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// hasAVX2 reports CPU and OS support for the AVX2 tier: the AVX2 and BMI2
-// CPUID feature bits (EmitCodes shifts with SHLXQ/SHRXQ; DecodeQuad
-// indexes with BZHIQ and shifts with SHRXQ) plus OSXSAVE with XMM and YMM
+// hasAVX2 reports CPU and OS support for the AVX2 tier: the AVX2, BMI2 and
+// POPCNT CPUID feature bits (EmitCodes shifts with SHLXQ/SHRXQ; DecodeQuad
+// indexes with BZHIQ and shifts with SHRXQ; LorenzoEncodeRow counts
+// escapes with POPCNTL) plus OSXSAVE with XMM and YMM
 // state enabled in XCR0 (without which the OS does not preserve the upper
 // YMM halves across context switches).
 func hasAVX2() bool {
@@ -18,9 +19,10 @@ func hasAVX2() bool {
 		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
+	const popcnt = 1 << 23
 	const osxsave = 1 << 27
 	const avx = 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
+	if ecx1&popcnt == 0 || ecx1&osxsave == 0 || ecx1&avx == 0 {
 		return false
 	}
 	if eax, _ := xgetbv(); eax&0x6 != 0x6 { // XMM and YMM state
@@ -50,6 +52,7 @@ func installTier(name string) bool {
 	DiffCodes1 = diffCodes1AVX2
 	DiffCodes2 = diffCodes2AVX2
 	DiffCodes3 = diffCodes3AVX2
+	LorenzoEncodeRow = lorenzoEncodeRowAVX2
 	LorenzoRow = lorenzoRowAVX2
 	MinMaxF32 = minMaxF32AVX2
 	HistAccum = histAccumAVX2
@@ -60,7 +63,6 @@ func installTier(name string) bool {
 	DecodeQuad = decodeQuadAVX2
 	Bitshuffle16 = bitshuffle16AVX2
 	Unbitshuffle16 = unbitshuffle16AVX2
-	vectorRows = true
 	return true
 }
 

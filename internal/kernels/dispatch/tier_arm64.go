@@ -6,9 +6,7 @@ package dispatch
 // there is no feature probe — but only the kernels the Go arm64 assembler
 // can express cleanly run as vector code (it has no vector float min/max,
 // signed vector compare, or widen/narrow mnemonics). The rest of the tier
-// stays pure Go per kernel, and PerKernel reports the split. vectorRows
-// stays false: without a vector quantizer the Lorenzo two-phase row
-// structure would pay its extra pass without the vector payoff.
+// stays pure Go per kernel, and PerKernel reports the split.
 
 func bestName() string { return NEON }
 

@@ -18,30 +18,30 @@
 // error in the pipeline is the initial lattice rounding, which is ≤ eb by
 // construction. That is what makes the bound strict end to end.
 //
-// The decoder is one pass per row through the dispatched LorenzoRow
-// kernel (code → residual → x-scan → + row above → + plane behind →
-// scale → store); the y- and z-sums live in one pooled row and one pooled
-// plane, and the escape codes say where each outlier value goes.
+// Encode and decode are each one pass per row through a dispatched kernel
+// over rolling accumulators, mirrors of each other. The encoder's
+// LorenzoEncodeRow quantizes a value, subtracts the plane behind (one
+// pooled plane of lattice values, rank 3), then the row above (one pooled
+// row of the previous row's values after that step, rank ≥ 2), then its
+// left neighbour's (a register), and emits the code — or the escape code
+// 0 with the residual left-packed into the block's outlier values. Each
+// accumulator is updated in place as the row passes, so no lattice of the
+// chunk is ever stored. The decoder's LorenzoRow runs the same chain backwards (code →
+// residual → x-scan → + row above → + plane behind → scale → store), and
+// the escape codes say where each outlier value goes. In wrapping int32
+// arithmetic the encoder's chained differences equal the direct stencil
+// q[i]-q[i-1]-q[i-nx]+q[i-nx-1] (and its 3-D analogue), so its codes are
+// the stencil's, and the decoder's sums invert them exactly.
 //
-// Encoder kernel structure: the hot loops are rank-specialized row kernels.
-// With a SIMD dispatch tier installed (dispatch.VectorRows) each row runs
-// in two vector phases — quantize the row onto the lattice, then emit codes
-// from the stored lattice with the stencil difference kernel, recovering
-// the rare outliers afterwards by re-deriving the residual at each escape
-// (in-range codes are always nonzero, so code 0 identifies escapes
-// exactly). Without a vector tier the rows fuse pre-quantization with
-// residual+code emission in one scalar pass, so the lattice is walked once
-// while hot in cache; both structures produce bit-identical codes and
-// outlier streams. All neighbor accesses are direct stride offsets
-// (q[i]-q[i-1]-q[i-nx]+q[i-nx-1] and the 3-D analogue). Coordinate
-// arithmetic appears only at block edges, where each parallel block
-// re-quantizes the single halo row/plane preceding it into private scratch
-// so blocks never read lattice entries another block writes.
+// Encoding splits the slowest dimension into one block per worker. A
+// block seeds its left value, row above or plane behind by quantizing the
+// halo element, row or plane before it, so blocks never share an
+// accumulator; decoding runs a chunk serially, and chunks run in parallel
+// in the executor's task graph.
 package lorenzo
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"fzmod/internal/device"
@@ -78,22 +78,17 @@ func Encode(p *device.Platform, place device.Place, data []float32, dims grid.Di
 	return EncodeInto(p, place, data, dims, eb, radius, nil)
 }
 
-// encBlock is one parallel unit of the fused encode kernel: a contiguous
-// range of the field's slowest-varying dimension plus the pooled slab its
-// outlier values are collected into. Values are appended in index order
-// inside a block and blocks cover ascending index ranges, so concatenating
-// the per-block values in block order yields them in the order of the
-// escape codes.
+// encBlock is one parallel unit of the encoder: a contiguous range of the
+// field's slowest-varying dimension plus the pooled slab its outlier
+// values are collected into. Values are stored in index order inside a
+// block and blocks cover ascending index ranges, so concatenating the
+// per-block values in block order yields them in the order of the escape
+// codes.
 type encBlock struct {
-	lo, hi  int // slow-dimension range [lo, hi)
+	lo, hi  int      // slow-dimension range [lo, hi)
+	left    [1]int32 // rank 1: the quantized halo element, the row's first left
 	valSlab *device.Slab[int32]
 	outVal  []int32
-}
-
-// add records one escape-coded point's residual. outVal's capacity covers
-// every element of the block, so the append never reallocates.
-func (b *encBlock) add(d int32) {
-	b.outVal = append(b.outVal, d)
 }
 
 // EncodeInto is Encode quantizing into a caller-provided codes slice of
@@ -103,10 +98,11 @@ func (b *encBlock) add(d int32) {
 // codes allocates, exactly like Encode.
 //
 // Overflow contract: when any pre-quantized magnitude exceeds the int32
-// lattice guard, EncodeInto returns an error and the contents of codes
-// (and the would-be outlier set) are unspecified — blocks abandon work at
-// the next row boundary once any block has observed an overflow, so
-// partial garbage is never interpreted as a result.
+// lattice guard (NaN and ±Inf included), EncodeInto returns an error and
+// the contents of codes (and the would-be outlier set) are unspecified —
+// blocks abandon work at the next row boundary once any block has
+// observed an overflow, so partial garbage is never interpreted as a
+// result.
 func EncodeInto(p *device.Platform, place device.Place, data []float32, dims grid.Dims, eb float64, radius int, codes []uint16) (*Quantized, error) {
 	if !dims.Valid() || dims.N() != len(data) {
 		return nil, fmt.Errorf("lorenzo: dims %v do not match %d values", dims, len(data))
@@ -120,62 +116,26 @@ func EncodeInto(p *device.Platform, place device.Place, data []float32, dims gri
 	if radius <= 0 {
 		radius = DefaultRadius
 	}
-	n := dims.N()
-	ebx2r := 1.0 / (2 * eb)
 	pool := p.ScratchPool()
 	if codes == nil {
-		codes = make([]uint16, n)
+		codes = make([]uint16, dims.N())
 	}
 
-	// The lattice is pooled scratch — it dies inside this call, so
-	// steady-state encoding reuses the same slab chunk after chunk. The
-	// fused kernels write every element, so it needs no clearing.
-	latticeSlab := pool.GetI32(n, false)
-	lattice := latticeSlab.Data
-
-	// Partition the slowest dimension into one block per worker. Each
-	// block walks its rows once, fusing pre-quantization with residual
-	// emission; the first row/plane of a block needs the lattice of the
-	// row/plane before it, which the block re-quantizes into private halo
-	// scratch (pre-quantization is deterministic per element, so the
-	// duplicate of that one boundary row is exact and race-free).
+	// Partition the slowest dimension into one block per worker.
 	slow := dims.SlowExtent()
-	nBlocks := p.Workers(place)
-	if nBlocks > slow {
-		nBlocks = slow
-	}
-	if nBlocks < 1 {
-		nBlocks = 1
-	}
+	nBlocks := min(max(p.Workers(place), 1), slow)
 	per := (slow + nBlocks - 1) / nBlocks
 	blocks := make([]encBlock, 0, nBlocks)
-	plane := dims.PlaneElems()
 	for lo := 0; lo < slow; lo += per {
-		hi := lo + per
-		if hi > slow {
-			hi = slow
-		}
-		elems := (hi - lo) * plane
-		b := encBlock{lo: lo, hi: hi, valSlab: pool.GetI32(elems, false)}
-		b.outVal = b.valSlab.Data[:0]
-		blocks = append(blocks, b)
+		hi := min(lo+per, slow)
+		blocks = append(blocks, encBlock{lo: lo, hi: hi, valSlab: pool.GetI32((hi-lo)*dims.PlaneElems(), false)})
 	}
 
 	var overflow atomic.Bool
-	r32 := int32(radius)
+	r32, scale := int32(radius), 1.0/(2*eb)
 	p.LaunchBlocks(place, len(blocks), func(blo, bhi int) {
 		for bi := blo; bi < bhi; bi++ {
-			b := &blocks[bi]
-			var ok bool
-			switch dims.Rank() {
-			case 1:
-				ok = encodeBlock1D(data, lattice, codes, b, r32, ebx2r)
-			case 2:
-				ok = encodeBlock2D(data, lattice, codes, b, dims.X, r32, ebx2r, pool, &overflow)
-			default:
-				ok = encodeBlock3D(data, lattice, codes, b, dims.X, dims.Y, r32, ebx2r, pool, &overflow)
-			}
-			if !ok {
+			if !blocks[bi].encode(data, dims, codes, r32, scale, pool, &overflow) {
 				overflow.Store(true)
 				return
 			}
@@ -185,7 +145,6 @@ func EncodeInto(p *device.Platform, place device.Place, data []float32, dims gri
 		for i := range blocks {
 			pool.PutI32(blocks[i].valSlab)
 		}
-		pool.PutI32(latticeSlab)
 	}
 	if overflow.Load() {
 		release()
@@ -205,318 +164,69 @@ func EncodeInto(p *device.Platform, place device.Place, data []float32, dims gri
 	return &Quantized{Codes: codes, OutVal: outVal, Radius: radius}, nil
 }
 
-// quantRow pre-quantizes one contiguous run of values onto the 2·eb
-// lattice through the dispatched SIMD kernel, reporting false on overflow
-// (NaN and ±Inf count as overflow in every tier). It is used for the
-// private halo rows/planes at block edges and the vector rows' first
-// phase; scalar-tier interior quantization is fused into the residual
-// kernels below.
-func quantRow(data []float32, q []int32, ebx2r float64) bool {
-	return dispatch.QuantizeF32(data, q, ebx2r, maxLattice)
-}
-
-// minVecRow is the shortest row routed to the two-phase vector kernels; a
-// row below one vector group per phase gains nothing over the fused walk.
-const minVecRow = 16
-
-// fusedRow1 quantizes and encodes a row with no row above — the first row
-// of a 1-D or 2-D field (and the first row of a 3-D field's first plane).
-// prev seeds the running chain: 0 at the field origin, the halo value at a
-// 1-D block edge. d = q[x] - q[x-1].
-func fusedRow1(data []float32, q []int32, codes []uint16, prev int32, r32 int32, ebx2r float64, b *encBlock) bool {
-	for x, v := range data {
-		t := math.Round(float64(v) * ebx2r)
-		if !(t <= maxLattice && t >= -maxLattice) {
-			return false
+// encode codes the block's rows through the dispatched LorenzoEncodeRow
+// kernel, plane by plane and row by row like DecodeInto, reporting false
+// on a lattice overflow (its own or, at a row edge, another block's). The
+// row above and the plane behind share one pooled slab, zeroed on
+// checkout, and the row above is cleared per plane, so the field's first
+// row and plane see zeros behind them; a block that starts inside the
+// field seeds the accumulator of its rank from the halo before it
+// instead.
+func (b *encBlock) encode(data []float32, dims grid.Dims, codes []uint16, r32 int32, scale float64, pool *device.BufPool, overflow *atomic.Bool) bool {
+	nx, ny := dims.X, dims.Y
+	var above, behind []int32
+	if dims.Rank() >= 2 {
+		n := nx
+		if dims.Rank() == 3 {
+			n += nx * ny
 		}
-		cur := int32(t)
-		q[x] = cur
-		d := cur - prev
-		prev = cur
-		if d > -r32 && d < r32 {
-			codes[x] = uint16(d + r32)
-		} else {
-			codes[x] = 0
-			b.add(d)
-		}
+		s := pool.GetI32(n, true)
+		defer pool.PutI32(s)
+		above, behind = s.Data[:nx], s.Data[nx:]
 	}
-	return true
-}
 
-// fusedRow2 quantizes and encodes a row with one row above (up): the
-// general 2-D row, and — because the terms along a singleton axis vanish —
-// also the first row of every 3-D plane when up is the plane behind's
-// first row. d = q[i] - q[i-1] - up[x] + up[x-1]; at x = 0 the x-1 terms
-// are zero.
-func fusedRow2(data []float32, q, up []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
-	t := math.Round(float64(data[0]) * ebx2r)
-	if !(t <= maxLattice && t >= -maxLattice) {
-		return false
+	// The block's x, y and z ranges: it splits the slowest dimension.
+	x0, x1, y0, y1, z0, z1 := 0, nx, 0, ny, 0, dims.Z
+	halo := b.left[:]
+	switch dims.Rank() {
+	case 1:
+		x0, x1 = b.lo, b.hi
+	case 2:
+		y0, y1, halo = b.lo, b.hi, above
+	default:
+		z0, z1, halo = b.lo, b.hi, behind
 	}
-	left := int32(t)
-	q[0] = left
-	upLeft := up[0]
-	d := left - upLeft
-	if d > -r32 && d < r32 {
-		codes[0] = uint16(d + r32)
-	} else {
-		codes[0] = 0
-		b.add(d)
-	}
-	for x := 1; x < len(data); x++ {
-		t := math.Round(float64(data[x]) * ebx2r)
-		if !(t <= maxLattice && t >= -maxLattice) {
-			return false
-		}
-		cur := int32(t)
-		q[x] = cur
-		u := up[x]
-		d := cur - left - u + upLeft
-		left, upLeft = cur, u
-		if d > -r32 && d < r32 {
-			codes[x] = uint16(d + r32)
-		} else {
-			codes[x] = 0
-			b.add(d)
-		}
-	}
-	return true
-}
-
-// fusedRow3 quantizes and encodes a full 3-D interior row: up is the row
-// above in the same plane, back the same row in the plane behind, backUp
-// the row above in the plane behind.
-// d = q[i] - q[i-1] - up[x] + up[x-1] - back[x] + back[x-1] + backUp[x] - backUp[x-1];
-// at x = 0 the x-1 terms are zero.
-func fusedRow3(data []float32, q, up, back, backUp []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
-	t := math.Round(float64(data[0]) * ebx2r)
-	if !(t <= maxLattice && t >= -maxLattice) {
-		return false
-	}
-	left := int32(t)
-	q[0] = left
-	upLeft, backLeft, backUpLeft := up[0], back[0], backUp[0]
-	d := left - upLeft - backLeft + backUpLeft
-	if d > -r32 && d < r32 {
-		codes[0] = uint16(d + r32)
-	} else {
-		codes[0] = 0
-		b.add(d)
-	}
-	for x := 1; x < len(data); x++ {
-		t := math.Round(float64(data[x]) * ebx2r)
-		if !(t <= maxLattice && t >= -maxLattice) {
-			return false
-		}
-		cur := int32(t)
-		q[x] = cur
-		u, bk, bu := up[x], back[x], backUp[x]
-		d := cur - left - u + upLeft - bk + backLeft + bu - backUpLeft
-		left, upLeft, backLeft, backUpLeft = cur, u, bk, bu
-		if d > -r32 && d < r32 {
-			codes[x] = uint16(d + r32)
-		} else {
-			codes[x] = 0
-			b.add(d)
-		}
-	}
-	return true
-}
-
-// The two-phase vector rows: quantize the whole row onto the lattice with
-// the dispatched SIMD kernel, emit codes from the stored lattice with the
-// stencil difference kernel (the x = 0 element, whose x-1 terms come from
-// the seed/halo, stays scalar), then re-derive the residual at each escape
-// code. In-range residuals always produce a nonzero code (d > -r32 makes
-// d+r32 >= 1), so code 0 identifies exactly the points the fused scalar
-// rows escape — the two structures emit bit-identical streams.
-
-// vecRow1 is fusedRow1 in two vector phases.
-func vecRow1(data []float32, q []int32, codes []uint16, prev int32, r32 int32, ebx2r float64, b *encBlock) bool {
-	if !quantRow(data, q, ebx2r) {
-		return false
-	}
-	if d := q[0] - prev; d > -r32 && d < r32 {
-		codes[0] = uint16(d + r32)
-	} else {
-		codes[0] = 0
-		b.add(d)
-	}
-	dispatch.DiffCodes1(q, codes[1:], r32)
-	for x := 1; x < len(codes); x++ {
-		k := dispatch.NextZero(codes[x:])
-		if k < 0 {
-			break
-		}
-		x += k
-		b.add(q[x] - q[x-1])
-	}
-	return true
-}
-
-// vecRow2 is fusedRow2 in two vector phases.
-func vecRow2(data []float32, q, up []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
-	if !quantRow(data, q, ebx2r) {
-		return false
-	}
-	if d := q[0] - up[0]; d > -r32 && d < r32 {
-		codes[0] = uint16(d + r32)
-	} else {
-		codes[0] = 0
-		b.add(d)
-	}
-	dispatch.DiffCodes2(q, up, codes[1:], r32)
-	for x := 1; x < len(codes); x++ {
-		k := dispatch.NextZero(codes[x:])
-		if k < 0 {
-			break
-		}
-		x += k
-		b.add(q[x] - q[x-1] - up[x] + up[x-1])
-	}
-	return true
-}
-
-// vecRow3 is fusedRow3 in two vector phases.
-func vecRow3(data []float32, q, up, back, backUp []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
-	if !quantRow(data, q, ebx2r) {
-		return false
-	}
-	if d := q[0] - up[0] - back[0] + backUp[0]; d > -r32 && d < r32 {
-		codes[0] = uint16(d + r32)
-	} else {
-		codes[0] = 0
-		b.add(d)
-	}
-	dispatch.DiffCodes3(q, up, back, backUp, codes[1:], r32)
-	for x := 1; x < len(codes); x++ {
-		k := dispatch.NextZero(codes[x:])
-		if k < 0 {
-			break
-		}
-		x += k
-		b.add(q[x] - q[x-1] - up[x] + up[x-1] - back[x] + back[x-1] + backUp[x] - backUp[x-1])
-	}
-	return true
-}
-
-// row1/row2/row3 route a row to the vector or fused structure. The tier
-// choice is uniform across a run (dispatch is fixed at init), so every
-// block takes the same path.
-func row1(data []float32, q []int32, codes []uint16, prev int32, r32 int32, ebx2r float64, b *encBlock) bool {
-	if dispatch.VectorRows() && len(data) >= minVecRow {
-		return vecRow1(data, q, codes, prev, r32, ebx2r, b)
-	}
-	return fusedRow1(data, q, codes, prev, r32, ebx2r, b)
-}
-
-func row2(data []float32, q, up []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
-	if dispatch.VectorRows() && len(data) >= minVecRow {
-		return vecRow2(data, q, up, codes, r32, ebx2r, b)
-	}
-	return fusedRow2(data, q, up, codes, r32, ebx2r, b)
-}
-
-func row3(data []float32, q, up, back, backUp []int32, codes []uint16, r32 int32, ebx2r float64, b *encBlock) bool {
-	if dispatch.VectorRows() && len(data) >= minVecRow {
-		return vecRow3(data, q, up, back, backUp, codes, r32, ebx2r, b)
-	}
-	return fusedRow3(data, q, up, back, backUp, codes, r32, ebx2r, b)
-}
-
-// encodeBlock1D runs the fused kernel over a 1-D element range (a single
-// row: no halo scratch and no interior row boundaries to poll overflow at).
-func encodeBlock1D(data []float32, lattice []int32, codes []uint16, b *encBlock, r32 int32, ebx2r float64) bool {
-	var prev int32
 	if b.lo > 0 {
-		// Halo: the element before the block, re-quantized privately.
-		t := math.Round(float64(data[b.lo-1]) * ebx2r)
-		if !(t <= maxLattice && t >= -maxLattice) {
+		first := b.lo * dims.PlaneElems()
+		if !dispatch.QuantizeF32(data[first-len(halo):first], halo, scale, maxLattice) {
 			return false
 		}
-		prev = int32(t)
 	}
-	return row1(data[b.lo:b.hi], lattice[b.lo:b.hi], codes[b.lo:b.hi], prev, r32, ebx2r, b)
-}
 
-// encodeBlock2D runs the fused kernel over a range of 2-D rows.
-func encodeBlock2D(data []float32, lattice []int32, codes []uint16, b *encBlock, nx int, r32 int32, ebx2r float64, pool *device.BufPool, overflow *atomic.Bool) bool {
-	var halo *device.Slab[int32]
-	up := []int32(nil)
-	if b.lo > 0 {
-		halo = pool.GetI32(nx, false)
-		defer pool.PutI32(halo)
-		if !quantRow(data[(b.lo-1)*nx:b.lo*nx], halo.Data, ebx2r) {
-			return false
+	vals := b.valSlab.Data
+	for z := z0; z < z1; z++ {
+		if z > z0 {
+			clear(above)
 		}
-		up = halo.Data
-	}
-	for y := b.lo; y < b.hi; y++ {
-		if overflow.Load() {
-			return false // another block overflowed; abandon at the row edge
-		}
-		base := y * nx
-		row := lattice[base : base+nx]
-		if y == 0 {
-			if !row1(data[base:base+nx], row, codes[base:base+nx], 0, r32, ebx2r, b) {
-				return false
-			}
-		} else if !row2(data[base:base+nx], row, up, codes[base:base+nx], r32, ebx2r, b) {
-			return false
-		}
-		up = row
-	}
-	return true
-}
-
-// encodeBlock3D runs the fused kernel over a range of z-planes.
-func encodeBlock3D(data []float32, lattice []int32, codes []uint16, b *encBlock, nx, ny int, r32 int32, ebx2r float64, pool *device.BufPool, overflow *atomic.Bool) bool {
-	nxy := nx * ny
-	var halo *device.Slab[int32]
-	back := []int32(nil) // lattice of plane z-1
-	if b.lo > 0 {
-		halo = pool.GetI32(nxy, false)
-		defer pool.PutI32(halo)
-		if !quantRow(data[(b.lo-1)*nxy:b.lo*nxy], halo.Data, ebx2r) {
-			return false
-		}
-		back = halo.Data
-	}
-	for z := b.lo; z < b.hi; z++ {
-		pb := z * nxy
-		cur := lattice[pb : pb+nxy]
-		for y := 0; y < ny; y++ {
+		for y := y0; y < y1; y++ {
 			if overflow.Load() {
+				return false // another block overflowed; abandon at the row edge
+			}
+			base := (z*ny + y) * nx
+			var bh []int32
+			if len(behind) > 0 {
+				bh = behind[y*nx : (y+1)*nx]
+			}
+			_, done, used, ok := dispatch.LorenzoEncodeRow(data[base+x0:base+x1], scale, maxLattice, r32, b.left[0], above, bh, codes[base+x0:base+x1], vals)
+			// vals has room for every value of the block, so only an
+			// overflow stops a row short.
+			if !ok || done < x1-x0 {
 				return false
 			}
-			base := pb + y*nx
-			row := lattice[base : base+nx]
-			dr := data[base : base+nx]
-			cr := codes[base : base+nx]
-			switch {
-			case z == 0 && y == 0:
-				if !row1(dr, row, cr, 0, r32, ebx2r, b) {
-					return false
-				}
-			case z == 0:
-				// First plane: the z-1 terms vanish, leaving the 2-D stencil.
-				if !row2(dr, row, cur[(y-1)*nx:y*nx], cr, r32, ebx2r, b) {
-					return false
-				}
-			case y == 0:
-				// First row of a plane: the y-1 terms vanish, so the 2-D
-				// stencil applies against the plane behind's first row.
-				if !row2(dr, row, back[:nx], cr, r32, ebx2r, b) {
-					return false
-				}
-			default:
-				if !row3(dr, row, cur[(y-1)*nx:y*nx], back[y*nx:(y+1)*nx], back[(y-1)*nx:y*nx], cr, r32, ebx2r, b) {
-					return false
-				}
-			}
+			vals = vals[used:]
 		}
-		back = cur
 	}
+	b.outVal = b.valSlab.Data[:len(b.valSlab.Data)-len(vals)]
 	return true
 }
 

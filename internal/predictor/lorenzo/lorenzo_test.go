@@ -491,30 +491,37 @@ func TestDecodeMatchesReference(t *testing.T) {
 	})
 }
 
-// TestOverflowContract exercises the documented overflow contract: any
-// pre-quantized magnitude beyond the lattice guard yields an error — no
-// matter which block of a parallel decomposition the point (or the halo
-// copy of it) lands in — and the pooled scratch all comes back.
+// TestOverflowContract exercises the documented overflow contract under
+// every kernel tier: a value beyond the lattice guard, NaN or ±Inf yields
+// an error — at the start of a row, either side of the first vector group
+// edge or in the scalar tail, and in any block of a parallel
+// decomposition or the halo plane a block quantizes from the block before
+// — and the pooled scratch all comes back.
 func TestOverflowContract(t *testing.T) {
-	dims := grid.D3(16, 16, 16)
+	dims := grid.D3(19, 16, 16)
 	base := smooth3D(dims, 9)
-	for _, plane := range []int{0, 3, 4, 7, 15} {
-		data := make([]float32, dims.N())
-		copy(data, base)
-		// One overflowing point inside plane z=plane; with 4 test-platform
-		// workers the 16-plane extent splits into 4-plane blocks, so
-		// planes 3 and 7 also exercise the halo re-quantization path of
-		// the following block.
-		data[dims.Idx(5, 5, plane)] = 1e30
-		codes := make([]uint16, dims.N())
-		_, err := EncodeInto(tp, device.Accel, data, dims, 1e-6, 0, codes)
-		if err == nil {
-			t.Fatalf("plane %d: overflow must be reported", plane)
+	bad := []float32{1e30, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	forEachKernelTier(t, func(t *testing.T) {
+		for _, v := range bad {
+			for _, x := range []int{0, 7, 8, dims.X - 1} {
+				// With 4 test-platform workers the 16 planes split into
+				// 4-plane blocks, so planes 3 and 7 are also the halo
+				// planes of the blocks after them.
+				for _, plane := range []int{0, 3, 4, 7, 15} {
+					data := make([]float32, dims.N())
+					copy(data, base)
+					data[dims.Idx(x, 5, plane)] = v
+					codes := make([]uint16, dims.N())
+					if _, err := EncodeInto(tp, device.Accel, data, dims, 1e-6, 0, codes); err == nil {
+						t.Fatalf("%v at x=%d in plane %d: overflow must be reported", v, x, plane)
+					}
+					if st := tp.ScratchPool().Stats(); st.Gets != st.Puts {
+						t.Fatalf("%v at x=%d in plane %d: overflow path leaked pool slabs: %d gets, %d puts", v, x, plane, st.Gets, st.Puts)
+					}
+				}
+			}
 		}
-	}
-	if st := tp.ScratchPool().Stats(); st.Gets != st.Puts {
-		t.Errorf("overflow path leaked pool slabs: %d gets, %d puts", st.Gets, st.Puts)
-	}
+	})
 }
 
 func TestDecodeIntoMatchesDecode(t *testing.T) {
@@ -542,17 +549,6 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	}
 }
 
-func benchField(dims grid.Dims) []float32 {
-	rng := rand.New(rand.NewSource(77))
-	data := make([]float32, dims.N())
-	acc := float32(0)
-	for i := range data {
-		acc += float32(rng.NormFloat64() * 0.01)
-		data[i] = acc
-	}
-	return data
-}
-
 // benchKernelTiers runs f once per kernel implementation tier this build
 // supports (purego plus the vector tier, when present), so one run reports
 // before/after numbers for the dispatch layer.
@@ -567,47 +563,66 @@ func benchKernelTiers(b *testing.B, f func(b *testing.B)) {
 	}
 }
 
-func BenchmarkLorenzoQuantize(b *testing.B) {
-	dims := grid.D3(128, 128, 128)
-	data := benchField(dims)
-	codes := make([]uint16, dims.N())
-	benchKernelTiers(b, func(b *testing.B) {
-		b.SetBytes(int64(4 * dims.N()))
-		for i := 0; i < b.N; i++ {
-			if _, err := EncodeInto(tp, device.Accel, data, dims, 1e-3, 0, codes); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+// benchShape is one chunk a Lorenzo workload codes: its dims, values and
+// absolute bound.
+type benchShape struct {
+	dims grid.Dims
+	data []float32
+	eb   float64
 }
 
-// BenchmarkLorenzoReconstruct decodes a 128³ field, a 160×160×8 chunk
-// (the shape of hurr-speed's chunks) and a 512Ki-value HACC chunk at
-// hacc-default's bound (1-D, about one escape in eight codes) under every
-// kernel tier.
+// lorenzoBenchShapes are the chunk shapes of the benchmark workloads that
+// run Lorenzo, each from its dataset's generator at the workload's
+// relative bound: a nyx-default chunk (80³), a hurr-speed chunk
+// (160×160×8) and a hacc-default chunk (512 Ki values, 1-D, about one
+// escape in eight codes).
+func lorenzoBenchShapes() []benchShape {
+	shape := func(dims grid.Dims, data []float32, rel float64) benchShape {
+		mn, mx := dispatch.MinMaxF32(data)
+		return benchShape{dims, data, rel * float64(mx-mn)}
+	}
+	nyx, hurr := grid.D3(80, 80, 80), grid.D3(160, 160, 8)
+	return []benchShape{
+		shape(nyx, sdrbench.GenNYX(nyx, 1), 1e-4),
+		shape(hurr, sdrbench.GenHURR(hurr, 1), 1e-2),
+		shape(grid.D1(1<<19), sdrbench.GenHACC(1<<19, 1), 1e-4),
+	}
+}
+
+// BenchmarkLorenzoQuantize encodes each of lorenzoBenchShapes under every
+// kernel tier on one worker, as a chunk task does; with
+// BenchmarkLorenzoReconstruct, one run gives encode ÷ decode per shape.
+func BenchmarkLorenzoQuantize(b *testing.B) {
+	p := tp.WithWorkers(1)
+	for _, c := range lorenzoBenchShapes() {
+		codes := make([]uint16, c.dims.N())
+		b.Run(fmt.Sprintf("%dx%dx%d", c.dims.X, c.dims.Y, c.dims.Z), func(b *testing.B) {
+			benchKernelTiers(b, func(b *testing.B) {
+				b.SetBytes(int64(4 * c.dims.N()))
+				for i := 0; i < b.N; i++ {
+					if _, err := EncodeInto(p, device.Accel, c.data, c.dims, c.eb, 0, codes); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkLorenzoReconstruct decodes each of lorenzoBenchShapes under
+// every kernel tier.
 func BenchmarkLorenzoReconstruct(b *testing.B) {
-	hacc := sdrbench.GenHACC(1<<19, 1)
-	mn, mx := dispatch.MinMaxF32(hacc)
-	for _, c := range []struct {
-		dims grid.Dims
-		data []float32
-		eb   float64
-	}{
-		{grid.D3(128, 128, 128), benchField(grid.D3(128, 128, 128)), 1e-3},
-		{grid.D3(160, 160, 8), benchField(grid.D3(160, 160, 8)), 1e-3},
-		{grid.D1(len(hacc)), hacc, 1e-4 * float64(mx-mn)},
-	} {
-		dims := c.dims
-		q, err := Encode(tp, device.Accel, c.data, dims, c.eb, 0)
+	for _, c := range lorenzoBenchShapes() {
+		q, err := Encode(tp, device.Accel, c.data, c.dims, c.eb, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		out := make([]float32, dims.N())
-		b.Run(fmt.Sprintf("%dx%dx%d", dims.X, dims.Y, dims.Z), func(b *testing.B) {
+		out := make([]float32, c.dims.N())
+		b.Run(fmt.Sprintf("%dx%dx%d", c.dims.X, c.dims.Y, c.dims.Z), func(b *testing.B) {
 			benchKernelTiers(b, func(b *testing.B) {
-				b.SetBytes(int64(4 * dims.N()))
+				b.SetBytes(int64(4 * c.dims.N()))
 				for i := 0; i < b.N; i++ {
-					if err := DecodeInto(tp, device.Accel, q, dims, c.eb, out); err != nil {
+					if err := DecodeInto(tp, device.Accel, q, c.dims, c.eb, out); err != nil {
 						b.Fatal(err)
 					}
 				}
